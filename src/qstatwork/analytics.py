@@ -654,7 +654,7 @@ def enhancement_region(
         )
         for c, omt in enumerate(omts):
             omega = omt / base.T
-            system = harmonic_like(omega)
+            system = harmonic_system(omega, 4)
             schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
             a0 = compute_amplitudes(params1, schedule, system, 1, 0.0)
             ah = compute_amplitudes(params1, schedule, system, 1, half)
@@ -678,11 +678,6 @@ def enhancement_region(
         work_indist=w_ind,
         work_dist=w_dist,
     )
-
-
-def harmonic_like(omega: float, dim: int = 4) -> ExternalSystem:
-    """Small harmonic system for perturbative maps (only level 1 couples)."""
-    return harmonic_system(omega, dim)
 
 
 # ---------------------------------------------------------------------------

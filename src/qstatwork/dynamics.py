@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +30,7 @@ from .hilbert import (
     DenseOperator,
     HOTruncated,
     QuantumState,
+    _product_sum,
     _spin_xyz,
     thermal_state,
     trace_out_engine,
@@ -46,8 +46,11 @@ from .protocols import (
     phase_integral,
 )
 
-STEPPERS = ("split-midpoint", "expm-midpoint", "magnus2")
-DENSE_STEP_CAP = 700          # composite dim cap for the dense steppers
+STEPPERS = ("split-midpoint", "expm-midpoint")
+PRODUCT_MODES = ("blocked", "full")
+DENSE_STEP_CAP = 700          # composite dim cap for the dense stepper
+FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
+SAMPLE_EVERY = 50             # steps between state-health samples
 LEAKAGE_TOL = 1e-6
 
 
@@ -57,26 +60,25 @@ class PropagatorConfig:
 
     dt = None derives the step from the rule
     dt <= min(0.01 / E_max, 0.01 / omega_eff) with E_max = N max_t E_t;
-    an explicit dt above that cap is rejected.  product_mode selects the
-    genuine 2^N space ("full", capped) or the exact spin-block
-    decomposition ("blocked"); "auto" uses blocks for distinguishable
-    runs.
+    an explicit dt above that cap is rejected.  product_mode selects, for
+    distinguishable runs, the exact spin-block decomposition ("blocked")
+    or the genuine 2^N space ("full", capped at N <= FULL_PRODUCT_CAP).
     """
 
     stepper: str = "split-midpoint"
     dt: float = None
     unitarity_tol: float = 1e-10
     truncation_dim: int = None
-    product_mode: str = "auto"
-    full_product_cap: int = 8
-    sample_every: int = 50
+    product_mode: str = "blocked"
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.stepper not in STEPPERS:
             raise ConfigError(f"unknown stepper {self.stepper!r}; choose from {STEPPERS}")
-        if self.product_mode not in ("auto", "full", "blocked"):
-            raise ConfigError(f"unknown product_mode {self.product_mode!r}")
+        if self.product_mode not in PRODUCT_MODES:
+            raise ConfigError(
+                f"unknown product_mode {self.product_mode!r}; choose from {PRODUCT_MODES}"
+            )
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
 
@@ -110,30 +112,6 @@ class CycleResult:
 # sectors: one collective-spin block (or the genuine product space)
 # ---------------------------------------------------------------------------
 
-_SP1 = np.array([[0, 0], [1, 0]], dtype=complex)
-_SX1 = (_SP1 + _SP1.conj().T) / 2
-_SY1 = (_SP1 - _SP1.conj().T) / 2j
-_SZ1 = np.diag([-0.5, 0.5]).astype(complex)
-
-
-@lru_cache(maxsize=None)
-def _full_product_ops(N: int):
-    eye = np.eye(2, dtype=complex)
-    dim = 2 ** N
-    sx = np.zeros((dim, dim), dtype=complex)
-    sy = np.zeros_like(sx)
-    sz = np.zeros_like(sx)
-    for i in range(N):
-        ops = [eye] * N
-        ops[i] = _SX1
-        sx += reduce(np.kron, ops)
-        ops[i] = _SY1
-        sy += reduce(np.kron, ops)
-        ops[i] = _SZ1
-        sz += reduce(np.kron, ops)
-    return sx, sy, sz
-
-
 class _Sector:
     """One irreducible engine block: spin operators, rotation eigensystem,
     and the coupling operator V_R = 2 Sx."""
@@ -151,10 +129,12 @@ class _Sector:
         self.vr_vals = r
         self.vr_vecs = P
 
-    def rotation(self, chi: float) -> np.ndarray:
-        """exp(-i chi Sy), mapping Sz eigenvectors onto the tilted basis."""
+    def tilted(self, chi: float, d: np.ndarray) -> np.ndarray:
+        """(R d) R^dag with R = exp(-i chi Sy): the operator diagonal in the
+        Sz basis with entries d, carried onto the basis tilted by chi."""
         Q = self.sy_vecs
-        return (Q * np.exp(-1j * chi * self.sy_vals)) @ Q.conj().T
+        R = (Q * np.exp(-1j * chi * self.sy_vals)) @ Q.conj().T
+        return (R * d) @ R.conj().T
 
     def engine_energies(self, E: float) -> np.ndarray:
         return 2 * E * self.sz_diag
@@ -172,8 +152,8 @@ def _spin_sector(n_eff: int, mult: float) -> _Sector:
 
 
 def _full_sector(N: int) -> _Sector:
-    sx, sy, sz = _full_product_ops(N)
-    return _Sector(sx, sy, np.real(np.diag(sz)), 1.0)
+    sz = _product_sum(N, 2)
+    return _Sector(_product_sum(N, 0), _product_sum(N, 1), np.real(np.diag(sz)), 1.0)
 
 
 def _block_multiplicity(N: int, k: int) -> int:
@@ -188,14 +168,11 @@ def _build_sectors(params: EngineParams, statistics: Statistics, config: Propaga
     N = params.N
     if statistics is Statistics.BOSE:
         return [_spin_sector(N, 1.0)]
-    mode = config.product_mode
-    if mode == "auto":
-        mode = "blocked"
-    if mode == "full":
-        if N > config.full_product_cap:
+    if config.product_mode == "full":
+        if N > FULL_PRODUCT_CAP:
             raise ResourceLimitError(
                 f"full product space for N={N} exceeds the cap "
-                f"N <= {config.full_product_cap}"
+                f"N <= {FULL_PRODUCT_CAP}"
             )
         return [_full_sector(N)]
     sectors = []
@@ -226,8 +203,7 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
         if params.Delta == 0.0:
             rho = np.diag(w / Z).astype(complex)
         else:
-            R = s.rotation(chi)
-            rho = (R * (w / Z)) @ R.conj().T
+            rho = s.tilted(chi, w / Z)
         blocks.append(rho)
     return blocks
 
@@ -255,6 +231,17 @@ def _apply_system(rho, U, dE, dS):
 def _phase_sandwich(rho, u):
     """diag(u) rho diag(u)^dag for a phase vector u."""
     return (u[:, None] * rho) * u.conj()[None, :]
+
+
+def _coupling_sandwich(rho, P_r, P_s, u, dE, dS):
+    """exp(-i phi V_R (x) V_S) rho exp(+i phi V_R (x) V_S) from the
+    eigenvectors P_r of V_R and P_s of V_S and the phase vector
+    u = exp(-i phi r (x) s) over the eigenvalue pairs, raveled."""
+    rho = _apply_engine(rho, P_r.conj().T, dE, dS)
+    rho = _apply_system(rho, P_s.conj().T, dE, dS)
+    rho = _phase_sandwich(rho, u)
+    rho = _apply_system(rho, P_s, dE, dS)
+    return _apply_engine(rho, P_r, dE, dS)
 
 
 class _SplitStepper:
@@ -291,10 +278,7 @@ class _SplitStepper:
             return np.exp(-1j * om * self.dt * self.sector.sz_diag), None
         E = float(self.params.energy(t_mid))
         chi = float(self.params.theta(t_mid)) + math.pi / 2
-        R = self.sector.rotation(chi)
-        phase = np.exp(-1j * E * self.dt * self.sector.sz_diag)
-        U = (R * phase) @ R.conj().T
-        return None, U
+        return None, self.sector.tilted(chi, np.exp(-1j * E * self.dt * self.sector.sz_diag))
 
     def step(self, rho, t):
         t_mid = t + self.dt / 2
@@ -309,12 +293,8 @@ class _SplitStepper:
             )
         g = float(g_of_t(self.schedule, t_mid))
         if g != 0.0:
-            P_r, P_s = self.sector.vr_vecs, self.vs_vecs
-            rho = _apply_engine(rho, P_r.conj().T, self.dE, self.dS)
-            rho = _apply_system(rho, P_s.conj().T, self.dE, self.dS)
-            rho = _phase_sandwich(rho, np.exp(-1j * g * self.dt * self.rs_flat))
-            rho = _apply_system(rho, P_s, self.dE, self.dS)
-            rho = _apply_engine(rho, P_r, self.dE, self.dS)
+            rho = _coupling_sandwich(rho, self.sector.vr_vecs, self.vs_vecs,
+                                     np.exp(-1j * g * self.dt * self.rs_flat), self.dE, self.dS)
         if diag_u is not None:
             rho = _phase_sandwich(rho, u_half)
         else:
@@ -326,15 +306,14 @@ class _SplitStepper:
 
 
 class _DenseStepper:
-    """Reference steppers: exact exponential of the full composite
-    Hamiltonian at the midpoint, or its 2nd-order Magnus (trapezoid)."""
+    """Reference stepper: exact exponential of the full composite
+    Hamiltonian at the step midpoint."""
 
-    def __init__(self, sector, system, params, schedule, dt, kind):
+    def __init__(self, sector, system, params, schedule, dt):
         self.sector = sector
         self.params = params
         self.schedule = schedule
         self.dt = dt
-        self.kind = kind
         self.dE, self.dS = sector.dim, system.dim
         if self.dE * self.dS > DENSE_STEP_CAP:
             raise ConfigError(
@@ -363,11 +342,7 @@ class _DenseStepper:
         return self.max_unitarity
 
     def step(self, rho, t):
-        if self.kind == "expm-midpoint":
-            H = self._h_full(t + self.dt / 2)
-        else:  # magnus2: trapezoidal average of H over the step
-            H = (self._h_full(t) + self._h_full(t + self.dt)) / 2
-        U = scipy.linalg.expm(-1j * self.dt * H)
+        U = scipy.linalg.expm(-1j * self.dt * self._h_full(t + self.dt / 2))
         res = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
         self.max_unitarity = max(self.max_unitarity, res)
         return U @ rho @ U.conj().T
@@ -376,18 +351,23 @@ class _DenseStepper:
 def _make_stepper(config, sector, system, params, schedule, dt):
     if config.stepper == "split-midpoint":
         return _SplitStepper(sector, system, params, schedule, dt)
-    return _DenseStepper(sector, system, params, schedule, dt, config.stepper)
+    return _DenseStepper(sector, system, params, schedule, dt)
 
 
 # ---------------------------------------------------------------------------
 # step-size rule and diagnostics
 # ---------------------------------------------------------------------------
 
-def default_dt_cap(params: EngineParams, system: ExternalSystem) -> float:
+def _engine_dt_cap(params: EngineParams) -> float:
+    """0.01 / E_max with E_max = N max_t E_t, the engine half of the step rule."""
     e_max = params.N * max(float(params.energy(0.0)), float(params.energy(params.T / 2)))
+    return 0.01 / e_max if e_max > 0 else math.inf
+
+
+def default_dt_cap(params: EngineParams, system: ExternalSystem) -> float:
     gaps = np.diff(np.asarray(system.energies, dtype=float))
     w_eff = float(gaps.max()) if gaps.size else 0.0
-    cap = 0.01 / e_max if e_max > 0 else math.inf
+    cap = _engine_dt_cap(params)
     if w_eff > 0:
         cap = min(cap, 0.01 / w_eff)
     if not math.isfinite(cap):
@@ -457,9 +437,7 @@ def _engine_propagator(sector, params, t_a, t_b, dt_cap, collect=None):
         t_mid = t_a + (k + 0.5) * dt
         E = float(params.energy(t_mid))
         chi = float(params.theta(t_mid)) + math.pi / 2
-        R = sector.rotation(chi)
-        step = (R * np.exp(-2j * E * dt * sector.sz_diag)) @ R.conj().T
-        U = step @ U
+        U = sector.tilted(chi, np.exp(-2j * E * dt * sector.sz_diag)) @ U
         if collect is not None and (k % collect[0] == 0 or k == n - 1):
             collect[1].append((t_a + (k + 1) * dt, U.copy()))
     return U
@@ -476,7 +454,7 @@ def adiabaticity_witness(params: EngineParams, config: PropagatorConfig = None) 
     sector = _spin_sector(params.N, 1.0)
     if params.Delta == 0.0:
         return 0.0
-    cap = config.dt or (0.01 / (params.N * max(float(params.energy(0)), float(params.energy(params.T / 2)))))
+    cap = config.dt or _engine_dt_cap(params)
     worst = 0.0
     for t0, t_end in ((0.0, params.T / 2), (params.T / 2, params.T)):
         snaps = []
@@ -524,11 +502,8 @@ def apply_impulse(state: QuantumState, g: float, V_R, V_S, frame=None,
         res = float(np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[0]))))
         if res > unitarity_tol:
             raise PropagationError(f"kick eigenbasis not unitary: residual {res:.3e}")
-    rho = _apply_engine(rho, P_r.conj().T, dE, dS)
-    rho = _apply_system(rho, P_s.conj().T, dE, dS)
-    rho = _phase_sandwich(rho, np.exp(-1j * g * np.multiply.outer(r, s).ravel()))
-    rho = _apply_system(rho, P_s, dE, dS)
-    rho = _apply_engine(rho, P_r, dE, dS)
+    rho = _coupling_sandwich(rho, P_r, P_s, np.exp(-1j * g * np.multiply.outer(r, s).ravel()),
+                             dE, dS)
     if frame is not None:
         U_E, U_S = frame
         rho = _apply_engine(rho, U_E.conj().T, dE, dS)
@@ -630,13 +605,15 @@ def _run_impulse(params, schedule, system, sectors, config):
     ground = np.zeros((dS, dS), dtype=complex)
     ground[0, 0] = 1.0
     sigma_s = np.zeros_like(ground)
+    s_vals, s_vecs = np.linalg.eigh(system.matrix)
     for sector, rho_e in zip(sectors, blocks):
         diag.unitarity = max(diag.unitarity, sector.unitarity_residual())
         U = _engine_propagator(sector, params, t0, t1, cap)
         rho_e_t1 = U @ rho_e @ U.conj().T
         rho = np.kron(rho_e_t1, ground)
         tr0 = float(np.trace(rho).real)
-        rho = _kick(rho, schedule.g, sector, system)
+        u = np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals).ravel())
+        rho = _coupling_sandwich(rho, sector.vr_vecs, s_vecs, u, sector.dim, dS)
         diag.merge_state(rho, tr0)
         sigma_s += sector.mult * trace_out_engine(rho, sector.dim, dS)
     # free evolution after the kick (and the reset, if the kick came first)
@@ -648,19 +625,6 @@ def _run_impulse(params, schedule, system, sectors, config):
         {"t": params.T, "system_energy": _system_energy(sigma_s, system)},
     ]
     return sigma_s, diag, energies
-
-
-def _kick(rho, g, sector, system):
-    dE, dS = sector.dim, system.dim
-    s_vals, s_vecs = np.linalg.eigh(system.matrix)
-    rho = _apply_engine(rho, sector.vr_vecs.conj().T, dE, dS)
-    rho = _apply_system(rho, s_vecs.conj().T, dE, dS)
-    rho = _phase_sandwich(
-        rho, np.exp(-1j * g * np.multiply.outer(sector.vr_vals, s_vals).ravel())
-    )
-    rho = _apply_system(rho, s_vecs, dE, dS)
-    rho = _apply_engine(rho, sector.vr_vecs, dE, dS)
-    return rho
 
 
 def _run_smooth(params, schedule, system, sectors, config):
@@ -686,7 +650,7 @@ def _run_smooth(params, schedule, system, sectors, config):
             for k in range(n_steps):
                 rho = stepper.step(rho, t)
                 t = t_start + (k + 1) * dt
-                if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
+                if (k + 1) % SAMPLE_EVERY == 0 or k == n_steps - 1:
                     diag.merge_state(rho, tr0)
                     red = trace_out_engine(rho, sector.dim, dS)
                     diag.leakage = max(

@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import METHOD_FERMI, METHOD_FERMI_NUMERICAL, WorkRecord
-from .errors import DomainError, PropagationError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .protocols import CouplingSchedule, EngineParams, ExternalSystem, Statistics
 
 ENUMERATION_CAP = 10 ** 6
 WEIGHT_PRUNE = 1e-14
-SKIP_DEFICIT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,9 @@ def fermi_outcoupled_work(
 
     Each configuration contributes a run of k = active_count
     distinguishable engines (atoms at distinct trap levels) coupled to
-    the shared system; runs are memoized per k.  Configurations whose k
-    exceeds the product-space cap are skipped and their weight recorded;
-    a deficit above 1e-3 aborts.
+    the shared system; runs are memoized per k.  The default blocked
+    propagation has no cap on k, so every configuration contributes; a
+    config with product_mode="full" raises ResourceLimitError above its cap.
     """
     from .dynamics import PropagatorConfig, run_cycle
 
@@ -244,7 +243,6 @@ def fermi_outcoupled_work(
     config = config or PropagatorConfig()
     configs = enumerate_configs(ens)
     runs: dict[int, WorkRecord] = {}
-    deficit = 0.0
 
     def work_for(k: int) -> WorkRecord:
         if k not in runs:
@@ -257,18 +255,10 @@ def fermi_outcoupled_work(
     for c in configs:
         if c.active_count == 0:
             continue
-        try:
-            rec = work_for(c.active_count)
-        except ResourceLimitError:
-            deficit += c.weight
-            continue
+        rec = work_for(c.active_count)
         w_bar += c.weight * rec.avg_work
         for i, p in rec.p_excite.items():
             p_bar[i] += c.weight * p
-    if deficit > SKIP_DEFICIT_TOL:
-        raise PropagationError(
-            f"skipped configurations carry weight {deficit:.3e} > {SKIP_DEFICIT_TOL}"
-        )
     w1 = work_for(1).avg_work
     return WorkRecord(
         avg_work=w_bar,
@@ -277,7 +267,6 @@ def fermi_outcoupled_work(
         p_excite=p_bar,
         energies=tuple(system.energies),
         enhancement_ratio=w_bar / w1 if w1 != 0 else math.nan,
-        flags=("weight-deficit",) if deficit > 0 else (),
     )
 
 

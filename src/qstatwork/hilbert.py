@@ -192,27 +192,16 @@ def spin_y(N: int) -> np.ndarray:
     return _spin_xyz(int(N))[1].copy()
 
 
-_PAULI_SP = np.array([[0, 0], [1, 0]], dtype=complex)  # sigma_+ in ascending-m basis
-_SX1 = (_PAULI_SP + _PAULI_SP.conj().T) / 2
-_SZ1 = np.diag([-0.5, 0.5]).astype(complex)
-
-
-def _kron_chain(ops) -> np.ndarray:
-    return reduce(np.kron, ops)
-
-
 @lru_cache(maxsize=None)
-def _product_sums(N: int):
-    """(sum_j sigma_jx / 2, sum_j sigma_jz / 2) on the 2^N space."""
+def _product_sum(N: int, axis: int) -> np.ndarray:
+    """sum_j s_j on the 2^N product space for one single-atom spin matrix
+    s = _spin_xyz(1)[axis] (axis 0, 1, 2 for x, y, z)."""
+    one = _spin_xyz(1)[axis]
     eye = np.eye(2, dtype=complex)
-    vx = np.zeros((2 ** N, 2 ** N), dtype=complex)
-    hz = np.zeros_like(vx)
+    total = np.zeros((2 ** N, 2 ** N), dtype=complex)
     for i in range(N):
-        ops_x = [_SX1 if k == i else eye for k in range(N)]
-        ops_z = [_SZ1 if k == i else eye for k in range(N)]
-        vx += _kron_chain(ops_x)
-        hz += _kron_chain(ops_z)
-    return vx, hz
+        total += reduce(np.kron, [one if k == i else eye for k in range(N)])
+    return total
 
 
 def product_spin_ops(N: int, cap: int = PRODUCT_SPACE_CAP) -> tuple[DenseOperator, DenseOperator]:
@@ -223,9 +212,9 @@ def product_spin_ops(N: int, cap: int = PRODUCT_SPACE_CAP) -> tuple[DenseOperato
         raise ResourceLimitError(
             f"product space for N={N} exceeds the cap N <= {cap} (dim 2^{N})"
         )
-    vx, hz = _product_sums(int(N))
     space = FullProduct(int(N))
-    return DenseOperator(space, vx.copy()), DenseOperator(space, hz.copy())
+    return (DenseOperator(space, _product_sum(int(N), 0).copy()),
+            DenseOperator(space, _product_sum(int(N), 2).copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +233,7 @@ def engine_hamiltonian(params, t: float, kind: SpaceKind) -> DenseOperator:
     if isinstance(kind, DickeSector):
         sx, _, sz, _ = _spin_xyz(kind.N)
     elif isinstance(kind, FullProduct):
-        vx, hz = _product_sums(kind.N)
-        sx, sz = vx, hz
+        sx, sz = _product_sum(kind.N, 0), _product_sum(kind.N, 2)
     else:
         raise InvalidSpaceError(
             f"engine_hamiltonian supports DickeSector or FullProduct, got {type(kind).__name__}"
@@ -322,8 +310,3 @@ def trace_out_engine(rho: np.ndarray, engine_dim: int, system_dim: int) -> np.nd
     r4 = rho.reshape(engine_dim, system_dim, engine_dim, system_dim)
     return np.einsum("isit->st", r4)
 
-
-def trace_out_system(rho: np.ndarray, engine_dim: int, system_dim: int) -> np.ndarray:
-    """Partial trace over the system factor."""
-    r4 = rho.reshape(engine_dim, system_dim, engine_dim, system_dim)
-    return np.einsum("isjs->ij", r4)

@@ -285,13 +285,9 @@ class Sampled:
 CouplingSchedule = Union[Impulse, SmoothPlateau, Sampled]
 
 
-def schedule_period(schedule: CouplingSchedule) -> float:
-    return float(schedule.T)
-
-
 def check_schedule_cycle(params: EngineParams, schedule: CouplingSchedule):
     """Reject schedule/drive period mismatches early."""
-    T = schedule_period(schedule)
+    T = schedule.T
     if abs(T - params.T) > 1e-9 * params.T:
         raise DomainError(
             f"schedule period {T} does not match the drive cycle T = {params.T}"

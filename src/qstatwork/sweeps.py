@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -23,19 +24,22 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import analytics, fermi as fermi_mod
-from .dynamics import PropagatorConfig, run_cycle
+from .dynamics import PRODUCT_MODES, STEPPERS, PropagatorConfig, run_cycle
 from .errors import ConfigError, QstatworkError
 from .protocols import (
     EngineParams,
     ExternalSystem,
     GapDirection,
     Impulse,
+    Sampled,
     SmoothPlateau,
     Statistics,
+    _trapezoid,
     harmonic_system,
 )
 
 ANALYTIC_CELL_CAP = 10 ** 5
+SWEEP_METHODS = ("analytic", "numerical", "both")
 NUMERICAL_CELL_CAP = 10 ** 3
 
 
@@ -174,6 +178,14 @@ def build_system(cfg: dict, T: float) -> ExternalSystem:
     return harmonic_system(omega, int(merged["dim"]))
 
 
+def _build_case(cfg: dict):
+    """(engine, schedule, system) from the engine/coupling/system sections."""
+    engine = build_engine(cfg.get("engine", {}))
+    schedule = build_schedule(cfg.get("coupling", {}), engine.T)
+    system = build_system(cfg.get("system", {}), engine.T)
+    return engine, schedule, system
+
+
 def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
     merged = dict(_FERMI_DEFAULTS)
     merged.update(cfg)
@@ -208,7 +220,7 @@ class SweepSpec:
     task: str = "work"       # work | fermi
 
     def __post_init__(self):
-        if self.method not in ("analytic", "numerical", "both"):
+        if self.method not in SWEEP_METHODS:
             raise ConfigError(f"unknown sweep method '{self.method}'")
         if self.task not in ("work", "fermi"):
             raise ConfigError(f"unknown sweep task '{self.task}'")
@@ -268,9 +280,7 @@ def _cell_config(spec: SweepSpec, values) -> dict:
 
 
 def _eval_work_cell(cfg: dict, method: str) -> dict:
-    engine = build_engine(cfg.get("engine", {}))
-    schedule = build_schedule(cfg.get("coupling", {}), engine.T)
-    system = build_system(cfg.get("system", {}), engine.T)
+    engine, schedule, system = _build_case(cfg)
     out = {}
     if method in ("analytic", "both"):
         ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
@@ -294,7 +304,7 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
     return out
 
 
-def _eval_fermi_cell(cfg: dict, method: str) -> dict:
+def _eval_fermi_cell(cfg: dict) -> dict:
     engine = build_engine(cfg.get("engine", {}))
     ens = build_fermi(cfg.get("fermi", {}), engine)
     lam = fermi_mod.f_N(ens)
@@ -322,7 +332,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
         cfg = _cell_config(spec, values)
         try:
             if spec.task == "fermi":
-                data = _eval_fermi_cell(cfg, spec.method)
+                data = _eval_fermi_cell(cfg)
             else:
                 data = _eval_work_cell(cfg, spec.method)
             return values, data, "ok"
@@ -373,25 +383,31 @@ class FigureTarget:
     preset: dict
 
 
-def _fig2_engine(N, delta_frac, statistics=Statistics.BOSE):
+def _fig2_engine(N, delta_frac):
     return build_engine({
         "N": N, "Omega0": 1.0, "Delta": delta_frac, "v": 0.1, "T": 20.0,
-        "beta_c_E0": 2.0, "beta_h_EH": 0.25, "statistics": statistics.value,
+        "beta_c_E0": 2.0, "beta_h_EH": 0.25, "statistics": "bose",
     })
 
 
-def _figure_fig2a(threads: int):
+def _impulse_ratios(N: int, delta_frac: float):
+    """Analytic and numeric indistinguishable/distinguishable work ratios
+    for the Fig.-2a kick at one (N, Delta/Omega0)."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 10)
     schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
+    engine = _fig2_engine(N, delta_frac)
+    ratio, _, _ = analytics.enhancement(engine, schedule, system)
+    rb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE)
+    rd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE)
+    return ratio, rb.work.avg_work / rd.work.avg_work
+
+
+def _figure_fig2a():
     rows, failures = [], []
     for delta_frac in (0.0, 1.4, 4.2):
         for N in range(1, 9):
-            engine = _fig2_engine(N, delta_frac)
-            ratio, _, _ = analytics.enhancement(engine, schedule, system)
-            rb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE)
-            rd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE)
-            ratio_num = rb.work.avg_work / rd.work.avg_work
+            ratio, ratio_num = _impulse_ratios(N, delta_frac)
             rows.append([N, delta_frac, ratio, ratio_num])
             if ratio < 1 - 1e-12:
                 failures.append(f"analytic ratio {ratio} < 1 at N={N}, delta={delta_frac}")
@@ -414,7 +430,7 @@ def _r_squared(x, y):
     return 1.0 - np.sum(res ** 2) / ss_tot if ss_tot > 0 else 1.0
 
 
-def _figure_fig2b(threads: int):
+def _figure_fig2b():
     x_grid = np.linspace(0.25, 4.0, 16)
     rows, failures = [], []
     for x in x_grid:
@@ -445,7 +461,7 @@ def _fig3_data(n_max: int = 6, dim: int = 16):
     return data
 
 
-def _figure_fig3a(threads: int):
+def _figure_fig3a():
     data = _fig3_data()
     w1 = data[0][1]
     rows = [[N, wb, math.sqrt(wb / w1)] for N, wb, _ in data]
@@ -456,7 +472,7 @@ def _figure_fig3a(threads: int):
     return ["N", "work_indist_numeric", "sqrt_work_ratio"], rows, failures
 
 
-def _figure_fig3b(threads: int):
+def _figure_fig3b():
     data = _fig3_data()
     rows = [[N, wb / wd] for N, wb, wd in data]
     failures = [
@@ -488,7 +504,7 @@ def _figure_fig4(parity: str):
     return ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"], rows, failures
 
 
-def _figure_figs1(threads: int):
+def _figure_figs1():
     base = _fig2_engine(2, 0.0)
     deltas = np.linspace(0.0, 4.0, 9)
     omts = np.linspace(0.1, 10 * math.pi, 24)
@@ -531,13 +547,13 @@ _FIGURE_RUNNERS = {
     "fig2b": _figure_fig2b,
     "fig3a": _figure_fig3a,
     "fig3b": _figure_fig3b,
-    "fig4even": lambda threads: _figure_fig4("even"),
-    "fig4odd": lambda threads: _figure_fig4("odd"),
+    "fig4even": functools.partial(_figure_fig4, "even"),
+    "fig4odd": functools.partial(_figure_fig4, "odd"),
     "figS1": _figure_figs1,
 }
 
 
-def run_figure(fig_id: str, out_dir: str, threads: int = 1) -> list:
+def run_figure(fig_id: str, out_dir: str) -> list:
     """Regenerate one figure's data CSV and run its assertions.
 
     Returns the list of assertion failures (empty on success).
@@ -545,7 +561,7 @@ def run_figure(fig_id: str, out_dir: str, threads: int = 1) -> list:
     if fig_id not in _FIGURE_RUNNERS:
         raise ConfigError(f"unknown figure id '{fig_id}'; choose from {sorted(FIGURES)}")
     t0 = time.time()
-    columns, rows, failures = _FIGURE_RUNNERS[fig_id](threads)
+    columns, rows, failures = _FIGURE_RUNNERS[fig_id]()
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     _write_manifest(os.path.join(out_dir, "manifest.json"), {
         "figure": fig_id,
@@ -620,16 +636,10 @@ def run_verify(seed: int = 0, fast: bool = False) -> list:
                        f"even gap {worst_even:.3f} (<0.1), odd gap {worst_odd:.3f} (<0.2)"))
 
     if not fast:
-        T = 20.0
-        system = harmonic_system(2 * math.pi * 0.05 / T, 10)
-        schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
         worst_rel = 0.0
         for N in (1, 2, 4):
-            engine = _fig2_engine(N, 1.4)
-            ratio, _, _ = analytics.enhancement(engine, schedule, system)
-            rb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE)
-            rd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE)
-            worst_rel = max(worst_rel, abs(rb.work.avg_work / rd.work.avg_work - ratio) / ratio)
+            ratio, ratio_num = _impulse_ratios(N, 1.4)
+            worst_rel = max(worst_rel, abs(ratio_num - ratio) / ratio)
         checks.append(("impulse-numeric-vs-analytic", worst_rel < 0.02,
                        f"worst relative gap {worst_rel:.2e} (< 2e-2)"))
     return checks
@@ -656,19 +666,14 @@ def random_smooth_case(rng: np.random.Generator):
         tt = np.linspace(0.0, T, 257)
         env = np.sin(math.pi * tt / T) ** 2 * np.sin(2 * math.pi * tt / T) ** 2
         bumps = env * (1 + 0.5 * np.sin(2 * math.pi * rng.integers(1, 4) * tt / T + rng.uniform(0, math.pi)))
-        schedule = _sampled(tt, float(rng.uniform(0.002, 0.05)) * bumps / max(float((getattr(np, 'trapezoid', None) or np.trapz)(bumps, tt)), 1e-12))
+        g = float(rng.uniform(0.002, 0.05))
+        schedule = Sampled(times=tt, values=g * bumps / max(_trapezoid(bumps, tt), 1e-12))
     dim = int(rng.integers(3, 7))
     energies = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 3.0, size=dim - 1))])
     v_s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     v_s = (v_s + v_s.conj().T) / 2
     system = ExternalSystem(energies=energies, V_S=v_s)
     return engine, schedule, system
-
-
-def _sampled(tt, vals):
-    from .protocols import Sampled
-
-    return Sampled(times=tt, values=vals)
 
 
 def _verify_delta0_dominance(rng, n_draws: int):
@@ -695,11 +700,7 @@ def _verify_delta0_dominance(rng, n_draws: int):
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config document")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (QSTAT_THREADS fallback, default 1)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--method", choices=["analytic", "numerical", "both"],
-                     default=None)
+    sub.add_argument("--seed", type=int, default=None)
 
 
 def _threads_of(args) -> int:
@@ -773,9 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = subs.add_parser("evolve", help="exact numerical cycle")
     _add_common(p_ev)
     _add_engine_flags(p_ev)
-    p_ev.add_argument("--stepper", choices=["split-midpoint", "expm-midpoint", "magnus2"])
+    p_ev.add_argument("--stepper", choices=STEPPERS, default=PropagatorConfig.stepper)
     p_ev.add_argument("--dt", type=float)
-    p_ev.add_argument("--product-mode", choices=["auto", "full", "blocked"])
+    p_ev.add_argument("--product-mode", choices=PRODUCT_MODES,
+                      default=PropagatorConfig.product_mode)
     p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
 
     p_fe = subs.add_parser("fermi", help="fermionic parity-law lambda tables")
@@ -804,6 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = subs.add_parser("sweep", help="run a sweep from a config document")
     _add_common(p_sw)
+    p_sw.add_argument("--threads", type=int, default=None,
+                      help="worker threads (QSTAT_THREADS fallback, default 1)")
+    p_sw.add_argument("--method", choices=SWEEP_METHODS)
     return parser
 
 
@@ -826,7 +831,6 @@ def cli_main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    threads = _threads_of(args)
     out_dir = args.out or f"out-{args.command}"
     if args.command == "analytic":
         cfg = _merged_config(args, {
@@ -834,9 +838,7 @@ def _dispatch(args) -> int:
             "coupling": _coupling_overrides(args),
             "system": _system_overrides(args),
         })
-        engine = build_engine(cfg.get("engine", {}))
-        schedule = build_schedule(cfg.get("coupling", {}), engine.T)
-        system = build_system(cfg.get("system", {}), engine.T)
+        engine, schedule, system = _build_case(cfg)
         ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
         print(json.dumps({
             "indistinguishable": rec_b.to_dict(),
@@ -851,13 +853,11 @@ def _dispatch(args) -> int:
             "coupling": _coupling_overrides(args),
             "system": _system_overrides(args),
         })
-        engine = build_engine(cfg.get("engine", {}))
-        schedule = build_schedule(cfg.get("coupling", {}), engine.T)
-        system = build_system(cfg.get("system", {}), engine.T)
+        engine, schedule, system = _build_case(cfg)
         pconf = PropagatorConfig(
-            stepper=args.stepper or "split-midpoint",
+            stepper=args.stepper,
             dt=args.dt,
-            product_mode=args.product_mode or "auto",
+            product_mode=args.product_mode,
             collect_trace=bool(args.trace),
         )
         result = run_cycle(engine, schedule, system, config=pconf)
@@ -901,7 +901,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "figure":
-        failures = run_figure(args.id, out_dir, threads)
+        failures = run_figure(args.id, out_dir)
         for f in failures:
             print(f"FAIL [{args.id}] {f}")
         if not failures:
@@ -909,7 +909,7 @@ def _dispatch(args) -> int:
         return 1 if failures else 0
 
     if args.command == "verify":
-        checks = run_verify(seed=args.seed, fast=args.fast)
+        checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast)
         any_fail = False
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")
@@ -930,7 +930,7 @@ def _dispatch(args) -> int:
             seed=args.seed if args.seed is not None else int(sweep_cfg.get("seed", 0)),
             task=sweep_cfg.get("task", "work"),
         )
-        manifest = run_sweep(spec, threads=threads, out_dir=args.out)
+        manifest = run_sweep(spec, threads=_threads_of(args), out_dir=args.out)
         frac = manifest["n_failed"] / max(1, manifest["n_cells"])
         print(f"{manifest['n_cells']} cells, {manifest['n_failed']} failed")
         return 1 if frac > 0.01 else 0

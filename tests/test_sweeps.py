@@ -170,8 +170,22 @@ class TestCli:
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("QSTAT_THREADS", "3")
-        args = sw.build_parser().parse_args(["verify"])
+        args = sw.build_parser().parse_args(["sweep"])
         assert sw._threads_of(args) == 3
+
+    def test_sweep_seed_from_config_unless_flag(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "engine": {"Delta": 0.0},
+            "coupling": {"kind": "impulse"},
+            "sweep": {"axes": [{"param": "engine.N", "values": [1]}], "seed": 5},
+        }))
+        for flags, seed in (([], 5), (["--seed", "3"], 3)):
+            out = tmp_path / f"out{seed}"
+            assert sw.cli_main(["sweep", "--config", str(path), "--out", str(out)] + flags) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == seed
+            assert manifest["spec"]["seed"] == seed
 
     def test_figure_fig2b(self, tmp_path):
         rc = sw.cli_main(["figure", "fig2b", "--out", str(tmp_path)])
