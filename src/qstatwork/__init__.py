@@ -63,8 +63,7 @@ from .dynamics import (
 )
 from .fermi import (
     FermiEnsemble,
-    OccupationConfig,
-    enumerate_configs,
+    active_distribution,
     f_N,
     fermi_outcoupled_work,
     fermi_work,

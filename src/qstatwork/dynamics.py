@@ -52,6 +52,7 @@ DENSE_STEP_CAP = 700          # composite dim cap for the dense stepper
 FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
 SAMPLE_EVERY = 50             # steps between state-health samples
 LEAKAGE_TOL = 1e-6
+UNITARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,6 @@ class PropagatorConfig:
 
     stepper: str = "split-midpoint"
     dt: float = None
-    unitarity_tol: float = 1e-10
-    truncation_dim: int = None
     product_mode: str = "blocked"
     collect_trace: bool = False
 
@@ -443,18 +442,17 @@ def _engine_propagator(sector, params, t_a, t_b, dt_cap, collect=None):
     return U
 
 
-def adiabaticity_witness(params: EngineParams, config: PropagatorConfig = None) -> float:
+def adiabaticity_witness(params: EngineParams) -> float:
     """Max over stroke times and levels of 1 - |<m,theta_t|psi_m(t)>|^2
     for the bare engine (g = 0), starting each stroke in its
     instantaneous eigenbasis.  Small values certify the adiabatic layer.
     """
     from .hilbert import instantaneous_eigenbasis
 
-    config = config or PropagatorConfig()
     sector = _spin_sector(params.N, 1.0)
     if params.Delta == 0.0:
         return 0.0
-    cap = config.dt or _engine_dt_cap(params)
+    cap = _engine_dt_cap(params)
     worst = 0.0
     for t0, t_end in ((0.0, params.T / 2), (params.T / 2, params.T)):
         snaps = []
@@ -480,34 +478,22 @@ def _composite_dims(space) -> tuple[int, int]:
     return space.engine.dim, space.system.dim
 
 
-def apply_impulse(state: QuantumState, g: float, V_R, V_S, frame=None,
-                  unitarity_tol: float = 1e-10) -> QuantumState:
+def apply_impulse(state: QuantumState, g: float, V_R, V_S) -> QuantumState:
     """Exact finite kick exp(-i g V_R (x) V_S) on a composite state.
 
-    The delta-pulse coupling integrates to this unitary; with frame a
-    pair (U_E, U_S) of free propagators the kick is conjugated so that
-    interaction-picture bookkeeping matches the Schroedinger picture.
+    The delta-pulse coupling integrates to this unitary.
     """
     dE, dS = _composite_dims(state.space)
     vr = V_R.matrix if isinstance(V_R, DenseOperator) else np.asarray(V_R, dtype=complex)
     vs = V_S.matrix if isinstance(V_S, DenseOperator) else np.asarray(V_S, dtype=complex)
-    rho = state.rho
-    if frame is not None:
-        U_E, U_S = frame
-        rho = _apply_engine(rho, U_E, dE, dS)
-        rho = _apply_system(rho, U_S, dE, dS)
     r, P_r = np.linalg.eigh(vr)
     s, P_s = np.linalg.eigh(vs)
     for Q in (P_r, P_s):
         res = float(np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[0]))))
-        if res > unitarity_tol:
+        if res > UNITARITY_TOL:
             raise PropagationError(f"kick eigenbasis not unitary: residual {res:.3e}")
-    rho = _coupling_sandwich(rho, P_r, P_s, np.exp(-1j * g * np.multiply.outer(r, s).ravel()),
-                             dE, dS)
-    if frame is not None:
-        U_E, U_S = frame
-        rho = _apply_engine(rho, U_E.conj().T, dE, dS)
-        rho = _apply_system(rho, U_S.conj().T, dE, dS)
+    rho = _coupling_sandwich(state.rho, P_r, P_s,
+                             np.exp(-1j * g * np.multiply.outer(r, s).ravel()), dE, dS)
     rho = (rho + rho.conj().T) / 2
     return QuantumState(state.space, rho)
 
@@ -550,8 +536,6 @@ def run_cycle(
     stats = Statistics(statistics) if statistics is not None else params.statistics
     config = config or PropagatorConfig()
     check_schedule_cycle(params, schedule)
-    if config.truncation_dim is not None and config.truncation_dim != system.dim:
-        system = system.with_dim(config.truncation_dim)
     sectors = _build_sectors(params, stats, config)
     if isinstance(schedule, Impulse):
         sigma_s, diag, energies = _run_impulse(params, schedule, system, sectors, config)
@@ -560,15 +544,15 @@ def run_cycle(
 
     pops = np.real(np.diag(sigma_s))
     diag.leakage = max(diag.leakage, _reduced_leakage(sigma_s))
-    if diag.unitarity > config.unitarity_tol:
+    if diag.unitarity > UNITARITY_TOL:
         raise PropagationError(
             f"unitarity drift {diag.unitarity:.3e} exceeds tol "
-            f"{config.unitarity_tol:.1e}; diagnostics: {diag.as_dict()}"
+            f"{UNITARITY_TOL:.1e}; diagnostics: {diag.as_dict()}"
         )
     if diag.leakage > LEAKAGE_TOL:
         raise PropagationError(
             f"truncation leakage {diag.leakage:.3e} > {LEAKAGE_TOL:.1e}; "
-            f"increase truncation_dim above {system.dim}"
+            f"enlarge the system dim above {system.dim}"
         )
     p = {i: max(0.0, min(1.0, float(pops[i]))) for i in range(1, system.dim)}
     record = WorkRecord(

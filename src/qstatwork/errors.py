@@ -10,7 +10,7 @@ class InvalidSpaceError(QstatworkError, ValueError):
 
 
 class ResourceLimitError(QstatworkError, RuntimeError):
-    """A configured size cap (memory / enumeration count) would be exceeded."""
+    """A configured size cap (memory) would be exceeded."""
 
 
 class DegenerateHamiltonianError(QstatworkError, ValueError):

@@ -18,11 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import METHOD_FERMI, METHOD_FERMI_NUMERICAL, WorkRecord
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .protocols import CouplingSchedule, EngineParams, ExternalSystem, Statistics
 
-ENUMERATION_CAP = 10 ** 6
-WEIGHT_PRUNE = 1e-14
+WEIGHT_PRUNE = 1e-14          # active counts below this share of max P(k) run no cycle
 
 
 @dataclass(frozen=True)
@@ -77,117 +76,44 @@ class FermiEnsemble:
         return float(self.engine.energy(self.engine.T / 2))
 
 
-@dataclass(frozen=True)
-class OccupationConfig:
-    """One trap-occupation vector with its canonical weight.
+def active_distribution(ens: FermiEnsemble) -> np.ndarray:
+    """P(k active) for k = 0..N: the z^N coefficient of
+    prod_l (1 + 2 y z q^(l+1/2) + z^2 q^(2l+1)), q = exp(-beta_com omega),
+    over the kept levels, with y counting the active (singly occupied)
+    levels; the recursive construction of Borrmann & Franke,
+    J. Chem. Phys. 98, 2484 (1993).
 
-    weight is normalized over the enumerated set and includes the
-    2^active_count internal Fock degeneracy of singly occupied levels;
-    the Boltzmann factor itself involves only the COM energy.
+    Coefficients are carried as logarithms, so no level count or
+    temperature overflows; at beta_com = inf only the ground filling
+    survives and P is exactly delta_{k, N mod 2}.
     """
-
-    occupations: tuple
-    com_energy: float
-    weight: float
-    active_count: int
-
-    @property
-    def degeneracy(self) -> int:
-        return 2 ** self.active_count
-
-
-def _ground_energy(N: int, omega: float) -> float:
-    e = 0.0
-    remaining = N
-    level = 0
-    while remaining > 0:
-        take = min(2, remaining)
-        e += take * omega * (level + 0.5)
-        remaining -= take
-        level += 1
-    return e
-
-
-def enumerate_configs(ens: FermiEnsemble) -> list[OccupationConfig]:
-    """All occupation vectors with sum N over the kept levels, with
-    normalized canonical weights; negligible weights are pruned."""
-    N, L, omega = ens.N, ens.level_count, ens.omega_trap
-    beta = ens.beta_com
-    e0 = _ground_energy(N, omega)
-    if math.isinf(beta):
-        e_cut = 1e-9 * omega
-    else:
-        e_cut = (34.0 + 0.7 * N) / beta if beta > 0 else math.inf
-    # minimal completion energy: fill greedily upward from each level
-    raw = []
-    occ = [0] * L
-
-    def min_rest(level: int, remaining: int) -> float:
-        e = 0.0
-        while remaining > 0:
-            if level >= L:
-                return math.inf
-            take = min(2, remaining)
-            e += take * omega * (level + 0.5)
-            remaining -= take
-            level += 1
-        return e
-
-    def walk(level: int, remaining: int, energy: float):
-        if remaining == 0:
-            raw.append((tuple(occ[:level]), energy))
-            if len(raw) > ENUMERATION_CAP:
-                raise ResourceLimitError(
-                    f"occupation enumeration exceeded {ENUMERATION_CAP} configs; "
-                    "prune with a smaller level_count or larger beta_com"
-                )
-            return
-        if level >= L:
-            return
-        for n in (0, 1, 2):
-            if n > remaining:
-                break
-            e_next = energy + n * omega * (level + 0.5)
-            # raising n fills the cheapest open level, so the minimal total
-            # energy is non-increasing in n: prune per branch, not per loop
-            if e_next + min_rest(level + 1, remaining - n) - e0 > e_cut:
-                continue
-            occ[level] = n
-            walk(level + 1, remaining - n, e_next)
-            occ[level] = 0
-
-    walk(0, N, 0.0)
-    entries = []
-    for occ_t, energy in raw:
-        active = sum(1 for n in occ_t if n == 1)
-        if math.isinf(beta):
-            boltz = 1.0 if energy - e0 <= 1e-9 * omega else 0.0
-        else:
-            boltz = math.exp(-beta * (energy - e0))
-        entries.append((occ_t, energy, active, (2.0 ** active) * boltz))
-    w_max = max(w for *_, w in entries)
-    entries = [e for e in entries if e[3] >= WEIGHT_PRUNE * w_max]
-    z = sum(w for *_, w in entries)
-    configs = [
-        OccupationConfig(
-            occupations=occ_t + (0,) * (L - len(occ_t)),
-            com_energy=energy,
-            weight=w / z,
-            active_count=active,
-        )
-        for occ_t, energy, active, w in entries
-    ]
-    configs.sort(key=lambda c: (c.com_energy, c.occupations))
-    return configs
+    N = ens.N
+    if math.isinf(ens.beta_com):
+        P = np.zeros(N + 1)
+        P[N % 2] = 1.0
+        return P
+    bw = ens.beta_omega
+    # log_c[n, k]: log coefficient of z^n y^k over the levels added so far
+    log_c = np.full((N + 1, N + 1), -np.inf)
+    log_c[0, 0] = 0.0
+    single = np.full_like(log_c, -np.inf)
+    double = np.full_like(log_c, -np.inf)
+    for level in range(ens.level_count):
+        e = bw * (level + 0.5)
+        single[1:, 1:] = log_c[:-1, :-1] + (math.log(2.0) - e)
+        double[2:] = log_c[:-2] - 2.0 * e
+        log_c = np.logaddexp(log_c, np.logaddexp(single, double))
+    w = np.exp(log_c[N] - log_c[N].max())
+    return w / w.sum()
 
 
 def f_N(ens: FermiEnsemble) -> float:
-    """Expected number of active engines: f_N = sum_configs w * active.
+    """Expected number of active engines: f_N = sum_k P(k) k.
 
     f_1 = 1 for every COM temperature; f_N -> (N mod 2) as beta -> inf.
     """
-    configs = enumerate_configs(ens)
-    return float(sum(c.weight * c.active_count for c in configs))
+    P = active_distribution(ens)
+    return float(P @ np.arange(ens.N + 1))
 
 
 def parity_asymptote(N: int, beta_omega: float) -> float:
@@ -225,13 +151,15 @@ def fermi_outcoupled_work(
     system: ExternalSystem,
     config=None,
 ) -> WorkRecord:
-    """Outcoupled fermionic work by weighted per-configuration cycles.
+    """Outcoupled fermionic work: per-k runs weighted by P(k).
 
-    Each configuration contributes a run of k = active_count
-    distinguishable engines (atoms at distinct trap levels) coupled to
-    the shared system; runs are memoized per k.  The default blocked
-    propagation has no cap on k, so every configuration contributes; a
-    config with product_mode="full" raises ResourceLimitError above its cap.
+    Each active count k contributes one run of k distinguishable engines
+    (atoms at distinct trap levels) coupled to the shared system, weighted
+    by its probability P(k) from active_distribution; a k with
+    P(k) < WEIGHT_PRUNE * max P starts no run.  k = 1 always runs, as the
+    single-engine reference of enhancement_ratio.  The default blocked
+    propagation has no cap on k; a config with product_mode="full" raises
+    ResourceLimitError above its cap.
     """
     from .dynamics import PropagatorConfig, run_cycle
 
@@ -241,25 +169,20 @@ def fermi_outcoupled_work(
             "beta_com * omega_trap >= 2"
         )
     config = config or PropagatorConfig()
-    configs = enumerate_configs(ens)
-    runs: dict[int, WorkRecord] = {}
-
-    def work_for(k: int) -> WorkRecord:
-        if k not in runs:
-            params_k = replace(ens.engine, N=k, statistics=Statistics.DISTINGUISHABLE)
-            runs[k] = run_cycle(params_k, schedule, system, config=config).work
-        return runs[k]
-
+    P = active_distribution(ens).tolist()
+    floor = WEIGHT_PRUNE * max(P)
     p_bar = {i: 0.0 for i in range(1, system.dim)}
     w_bar = 0.0
-    for c in configs:
-        if c.active_count == 0:
+    for k in range(1, ens.N + 1):
+        if k > 1 and P[k] < floor:
             continue
-        rec = work_for(c.active_count)
-        w_bar += c.weight * rec.avg_work
+        params_k = replace(ens.engine, N=k, statistics=Statistics.DISTINGUISHABLE)
+        rec = run_cycle(params_k, schedule, system, config=config).work
+        if k == 1:
+            w1 = rec.avg_work
+        w_bar += P[k] * rec.avg_work
         for i, p in rec.p_excite.items():
-            p_bar[i] += c.weight * p
-    w1 = work_for(1).avg_work
+            p_bar[i] += P[k] * p
     return WorkRecord(
         avg_work=w_bar,
         statistics=Statistics.DISTINGUISHABLE,
@@ -281,6 +204,6 @@ def lambda_table(N_values, beta_omega_values, engine: EngineParams, omega_trap: 
             )
             rows.append(
                 (int(N), float(bw), f_N(ens), parity_asymptote(int(N), float(bw)),
-                 "enumeration")
+                 "recursion")
             )
     return rows

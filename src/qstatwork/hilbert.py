@@ -29,7 +29,7 @@ STATE_TRACE_TOL = 1e-10
 STATE_HERM_TOL = 1e-10
 STATE_EIGMIN_TOL = -1e-9
 
-PRODUCT_SPACE_CAP = 12  # default cap on N for 2^N constructions
+PRODUCT_SPACE_CAP = 12  # largest N for 2^N constructions
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,13 @@ def _product_sum(N: int, axis: int) -> np.ndarray:
     return total
 
 
-def product_spin_ops(N: int, cap: int = PRODUCT_SPACE_CAP) -> tuple[DenseOperator, DenseOperator]:
+def product_spin_ops(N: int) -> tuple[DenseOperator, DenseOperator]:
     """Total sigma_x/2 and sigma_z/2 sums on the full 2^N product space."""
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"product_spin_ops needs a positive integer N, got {N!r}")
-    if N > cap:
+    if N > PRODUCT_SPACE_CAP:
         raise ResourceLimitError(
-            f"product space for N={N} exceeds the cap N <= {cap} (dim 2^{N})"
+            f"product space for N={N} exceeds the cap N <= {PRODUCT_SPACE_CAP} (dim 2^{N})"
         )
     space = FullProduct(int(N))
     return (DenseOperator(space, _product_sum(int(N), 0).copy()),

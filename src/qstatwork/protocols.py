@@ -364,13 +364,6 @@ class ExternalSystem:
     def matrix(self) -> np.ndarray:
         return self.V_S.matrix
 
-    def with_dim(self, dim: int) -> "ExternalSystem":
-        """Same physical system re-truncated to `dim` levels (harmonic only)."""
-        if self.label.startswith("ho:"):
-            omega = float(self.label.split(":", 1)[1])
-            return harmonic_system(omega, dim)
-        raise InvalidVariantError("re-truncation is only defined for harmonic systems")
-
 
 def harmonic_system(omega: float, dim: int) -> ExternalSystem:
     """Truncated harmonic oscillator with V_S = c^dag + c.

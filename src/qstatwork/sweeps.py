@@ -311,7 +311,7 @@ def _eval_fermi_cell(cfg: dict) -> dict:
     return {
         "lambda": lam,
         "lambda_asymptotic": fermi_mod.parity_asymptote(ens.N, ens.beta_omega),
-        "method": "enumeration",
+        "method": "recursion",
     }
 
 
@@ -697,10 +697,13 @@ def _verify_delta0_dominance(rng, n_draws: int):
 # CLI
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config document")
+def _add_common(sub, config=False, seed=False):
+    """--out on every subcommand; --config and --seed only where read."""
+    if config:
+        sub.add_argument("--config", help="JSON config document")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None)
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
 
 
 def _threads_of(args) -> int:
@@ -768,11 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_an = subs.add_parser("analytic", help="closed-form work and enhancement")
-    _add_common(p_an)
+    _add_common(p_an, config=True)
     _add_engine_flags(p_an)
 
     p_ev = subs.add_parser("evolve", help="exact numerical cycle")
-    _add_common(p_ev)
+    _add_common(p_ev, config=True)
     _add_engine_flags(p_ev)
     p_ev.add_argument("--stepper", choices=STEPPERS, default=PropagatorConfig.stepper)
     p_ev.add_argument("--dt", type=float)
@@ -781,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
 
     p_fe = subs.add_parser("fermi", help="fermionic parity-law lambda tables")
-    _add_common(p_fe)
+    _add_common(p_fe, config=True)
     p_fe.add_argument("--n-values", type=int, nargs="+", default=[2, 3, 4, 5])
     p_fe.add_argument("--bw-min", type=float, default=2.5)
     p_fe.add_argument("--bw-max", type=float, default=6.0)
@@ -801,11 +804,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("id", choices=sorted(FIGURES))
 
     p_vf = subs.add_parser("verify", help="full oracle/inequality property battery")
-    _add_common(p_vf)
+    _add_common(p_vf, seed=True)
     p_vf.add_argument("--fast", action="store_true", help="reduced grids")
 
     p_sw = subs.add_parser("sweep", help="run a sweep from a config document")
-    _add_common(p_sw)
+    _add_common(p_sw, config=True, seed=True)
     p_sw.add_argument("--threads", type=int, default=None,
                       help="worker threads (QSTAT_THREADS fallback, default 1)")
     p_sw.add_argument("--method", choices=SWEEP_METHODS)

@@ -7,6 +7,7 @@ with the package implementations it checks.
 """
 
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -54,6 +55,28 @@ def literal_h_mp(N, x, dps=50):
         num = (N + 2) * mpmath.sinh(N * xm) - N * mpmath.sinh((N + 2) * xm)
         den = mpmath.sinh(xm) * mpmath.sinh((N + 1) * xm)
         return float(num / den / 4)
+
+
+def direct_active_distribution(N, level_count, beta_omega):
+    """P(k active) by a plain Boltzmann sum over every occupation vector
+    (n_0, ..., n_{L-1}), n_l in {0, 1, 2}, sum n_l = N, with no pruning.
+
+    A vector with k singly occupied levels has trap energy
+    omega sum_l n_l (l + 1/2) and Fock degeneracy 2^k.
+    """
+    P = np.zeros(N + 1)
+
+    def walk(level, remaining, energy, active):
+        if remaining == 0:
+            P[active] += 2.0 ** active * math.exp(-beta_omega * energy)
+            return
+        if level == level_count:
+            return
+        for n in range(min(2, remaining) + 1):
+            walk(level + 1, remaining - n, energy + n * (level + 0.5), active + (n == 1))
+
+    walk(0, N, 0.0, 0)
+    return P / P.sum()
 
 
 def spin_ops(N):

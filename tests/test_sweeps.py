@@ -138,6 +138,15 @@ class TestCli:
         rc = sw.cli_main(["analytic", "--config", str(path)])
         assert rc == 2
 
+    def test_config_only_where_read(self, tmp_path):
+        # region never reads a config, so it must not accept one and
+        # silently ignore it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"engine": {"bogus": 1}}))
+        assert sw.cli_main(["region", "--config", str(path),
+                            "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_evolve_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         rc = sw.cli_main([
