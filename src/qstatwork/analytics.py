@@ -292,10 +292,6 @@ def single_avg(params: EngineParams, t: float, t0: float, statistics: Statistics
     factorized forms quote.  See single_avg_as_printed for the literal
     second-moment variant.
     """
-    return single_avg_first_moment(params, t, t0, statistics)
-
-
-def single_avg_first_moment(params: EngineParams, t: float, t0: float, statistics: Statistics) -> float:
     x = _x_at(params, t0)
     cos_t = float(params.cos_theta(t))
     if Statistics(statistics) is Statistics.BOSE:
@@ -441,10 +437,6 @@ class WorkRecord:
             w = sum(self.energies[i] * p for i, p in self.p_excite.items())
             if abs(w - self.avg_work) > 1e-12 * max(1.0, abs(w)):
                 raise ValueError("avg_work does not match sum eps_i p_i")
-
-    @property
-    def total_excitation(self) -> float:
-        return sum(self.p_excite.values()) if self.p_excite else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -709,17 +701,6 @@ class AsymptoticsReport:
     crossover_N: float
     n1_quadratic_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "N": self.N_values.tolist(),
-            "exact": self.exact.tolist(),
-            "linear_asymptote": self.linear_asymptote.tolist(),
-            "quadratic_form": self.quadratic_form.tolist(),
-            "crossover_N": self.crossover_N,
-            "n1_quadratic_residual": self.n1_quadratic_residual,
-        }
-
 
 def asymptotic_checks(params: EngineParams, N_max: int = 500) -> AsymptoticsReport:
     """Compare the exact Delta = 0 second moment against its large-N line
@@ -761,15 +742,6 @@ class InequalityReport:
     margins: dict          # name -> (worst margin, witness)
     n1_equality_defect: float
     single_avg_variant: str = SINGLE_AVG_VARIANT
-
-    def to_dict(self) -> dict:
-        return {
-            "N_max": self.N_max,
-            "x_grid": self.x_grid.tolist(),
-            "margins": {k: {"margin": m, "witness": w} for k, (m, w) in self.margins.items()},
-            "n1_equality_defect": self.n1_equality_defect,
-            "single_avg_variant": self.single_avg_variant,
-        }
 
 
 def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityReport:

@@ -122,9 +122,6 @@ class DenseOperator:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
-
     def assert_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
         defect = self.hermiticity_defect()
         if defect > tol:

@@ -186,6 +186,12 @@ def _build_case(cfg: dict):
     return engine, schedule, system
 
 
+def _run_both(engine, schedule, system):
+    """run_cycle for indistinguishable, then distinguishable engines."""
+    return [run_cycle(engine, schedule, system, statistics=s)
+            for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)]
+
+
 def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
     merged = dict(_FERMI_DEFAULTS)
     merged.update(cfg)
@@ -294,8 +300,7 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
             sqrt_work_ratio=math.sqrt(rec_b.avg_work / w1) if w1 > 0 else math.nan,
         )
     if method in ("numerical", "both"):
-        rb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE)
-        rd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE)
+        rb, rd = _run_both(engine, schedule, system)
         out.update(
             work_indist_numeric=rb.work.avg_work,
             work_dist_numeric=rd.work.avg_work,
@@ -376,11 +381,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
 # figure targets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FigureTarget:
-    id: str
-    description: str
-    preset: dict
+_FIG4_ENGINE = {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5, "T": 20.0,
+                "beta_c_E0": 1.0, "beta_h_EH": 0.125}
 
 
 def _fig2_engine(N, delta_frac):
@@ -390,178 +392,120 @@ def _fig2_engine(N, delta_frac):
     })
 
 
-def _impulse_ratios(N: int, delta_frac: float):
-    """Analytic and numeric indistinguishable/distinguishable work ratios
-    for the Fig.-2a kick at one (N, Delta/Omega0)."""
+def _impulse_runs(n_values=range(1, 9), deltas=(0.0, 1.4, 4.2)):
+    """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
+    diagnostics of every run_cycle."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 10)
     schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
-    engine = _fig2_engine(N, delta_frac)
-    ratio, _, _ = analytics.enhancement(engine, schedule, system)
-    rb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE)
-    rd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE)
-    return ratio, rb.work.avg_work / rd.work.avg_work
+    rows, diags = [], []
+    for delta_frac in deltas:
+        for N in n_values:
+            engine = _fig2_engine(N, delta_frac)
+            ratio, _, _ = analytics.enhancement(engine, schedule, system)
+            rb, rd = _run_both(engine, schedule, system)
+            rows.append([N, delta_frac, ratio, rb.work.avg_work / rd.work.avg_work])
+            diags += [rb.diagnostics, rd.diagnostics]
+    return rows, diags
+
+
+def _sqrt_work_rows(x_values):
+    """Fig.-2b rows (N, beta_c E_0, sqrt of the Delta = 0 second moment)
+    for N = 1..40."""
+    return [[N, float(x), math.sqrt(analytics.delta0_second_moment(N, float(x)))]
+            for x in x_values for N in range(1, 41)]
+
+
+def _fig3_data():
+    """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
+    diagnostics of every run_cycle."""
+    T = 20.0
+    system = harmonic_system(2 * math.pi * 0.05 / T, 16)
+    schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
+    data, diags = [], []
+    for N in range(1, 7):
+        rb, rd = _run_both(_fig2_engine(N, 0.0), schedule, system)
+        data.append((N, rb.work.avg_work, rd.work.avg_work))
+        diags += [rb.diagnostics, rd.diagnostics]
+    return data, diags
+
+
+def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
+    """lambda_table rows for the Fig.-4 engine."""
+    return fermi_mod.lambda_table(n_values, bw_values, build_engine(_FIG4_ENGINE))
 
 
 def _figure_fig2a():
-    rows, failures = [], []
-    for delta_frac in (0.0, 1.4, 4.2):
-        for N in range(1, 9):
-            ratio, ratio_num = _impulse_ratios(N, delta_frac)
-            rows.append([N, delta_frac, ratio, ratio_num])
-            if ratio < 1 - 1e-12:
-                failures.append(f"analytic ratio {ratio} < 1 at N={N}, delta={delta_frac}")
-            if N == 1 and abs(ratio - 1) > 1e-12:
-                failures.append(f"N=1 ratio {ratio} != 1 at delta={delta_frac}")
-            if abs(ratio_num - ratio) > 0.02 * ratio:
-                failures.append(
-                    f"numeric ratio {ratio_num} deviates from analytic {ratio} "
-                    f"beyond 2% at N={N}, delta={delta_frac}"
-                )
-    return ["N", "delta_over_omega0", "E_ratio_analytic", "E_ratio_numeric"], rows, failures
-
-
-def _r_squared(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    slope, icpt = np.polyfit(x, y, 1)
-    res = y - (slope * x + icpt)
-    ss_tot = np.sum((y - y.mean()) ** 2)
-    return 1.0 - np.sum(res ** 2) / ss_tot if ss_tot > 0 else 1.0
+    rows, _ = _impulse_runs()
+    columns = ["N", "delta_over_omega0", "E_ratio_analytic", "E_ratio_numeric"]
+    return columns, rows, _check_impulse(rows)
 
 
 def _figure_fig2b():
-    x_grid = np.linspace(0.25, 4.0, 16)
-    rows, failures = [], []
-    for x in x_grid:
-        for N in range(1, 41):
-            ratio = analytics.delta0_second_moment(N, float(x))
-            rows.append([N, float(x), math.sqrt(ratio)])
-    for x in x_grid:
-        ns = [N for N in range(1, 41) if N * x <= 1.0]
-        if len(ns) < 3:
-            continue
-        vals = [math.sqrt(analytics.delta0_second_moment(N, float(x))) for N in ns]
-        r2 = _r_squared(ns, vals)
-        if r2 <= 0.99:
-            failures.append(f"sqrt-work fit R^2 = {r2:.4f} <= 0.99 at beta_c_E0 = {x}")
-    return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, failures
-
-
-def _fig3_data(n_max: int = 6, dim: int = 16):
-    T = 20.0
-    system = harmonic_system(2 * math.pi * 0.05 / T, dim)
-    schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
-    data = []
-    for N in range(1, n_max + 1):
-        engine = _fig2_engine(N, 0.0)
-        wb = run_cycle(engine, schedule, system, statistics=Statistics.BOSE).work.avg_work
-        wd = run_cycle(engine, schedule, system, statistics=Statistics.DISTINGUISHABLE).work.avg_work
-        data.append((N, wb, wd))
-    return data
+    rows = _sqrt_work_rows(np.linspace(0.25, 4.0, 16))
+    return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, _check_sqrt_scaling(rows)
 
 
 def _figure_fig3a():
-    data = _fig3_data()
-    w1 = data[0][1]
-    rows = [[N, wb, math.sqrt(wb / w1)] for N, wb, _ in data]
-    failures = []
-    ratios = [r[2] for r in rows]
-    if not all(b > a for a, b in zip(ratios, ratios[1:])):
-        failures.append(f"sqrt-work ratio not monotone increasing: {ratios}")
-    return ["N", "work_indist_numeric", "sqrt_work_ratio"], rows, failures
+    data, _ = _fig3_data()
+    rows = [[N, wb, math.sqrt(wb / data[0][1])] for N, wb, _ in data]
+    return ["N", "work_indist_numeric", "sqrt_work_ratio"], rows, _check_fig3(data)
 
 
 def _figure_fig3b():
-    data = _fig3_data()
-    rows = [[N, wb / wd] for N, wb, wd in data]
-    failures = [
-        f"numeric enhancement {r[1]} <= 1 at N={r[0]}" for r in rows[1:] if r[1] <= 1.0
-    ]
-    return ["N", "E_ratio_numeric"], rows, failures
+    data, _ = _fig3_data()
+    return ["N", "E_ratio_numeric"], [[N, wb / wd] for N, wb, wd in data], _check_fig3(data)
 
 
-def _figure_fig4(parity: str):
-    engine = build_engine({
-        "N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5, "T": 20.0,
-        "beta_c_E0": 1.0, "beta_h_EH": 0.125,
-    })
-    n_values = (2, 4) if parity == "even" else (3, 5)
-    bw_grid = np.arange(2.5, 6.01, 0.25)
-    rows = fermi_mod.lambda_table(n_values, bw_grid, engine)
-    failures = []
-    for N, bw, lam, asym, _ in rows:
-        if bw < 4.0:
-            continue
-        if parity == "even":
-            rel = abs(lam / (8 * math.exp(-bw)) - 1)
-            if rel >= 0.1:
-                failures.append(f"even parity gap {rel:.3f} >= 0.1 at N={N}, bw={bw}")
-        else:
-            rel = abs((lam - 1) / (8 * math.exp(-2 * bw)) - 1)
-            if rel >= 0.2:
-                failures.append(f"odd parity gap {rel:.3f} >= 0.2 at N={N}, bw={bw}")
-    return ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"], rows, failures
+def _figure_fig4(n_values):
+    rows = _fermi_rows(n_values, np.arange(2.5, 6.01, 0.25))
+    columns = ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"]
+    return columns, rows, _check_fermi_parity(rows)
 
 
 def _figure_figs1():
-    base = _fig2_engine(2, 0.0)
-    deltas = np.linspace(0.0, 4.0, 9)
-    omts = np.linspace(0.1, 10 * math.pi, 24)
-    n_values = (2, 6, 12, 20)
-    region = analytics.enhancement_region(base, deltas, omts, n_values)
-    rows = [[d, wt, N, enh] for d, wt, N, enh in region.rows()]
-    failures = []
-    idx2 = region.N_values.index(2)
-    if not region.enhanced[idx2].all():
-        failures.append("N=2 plane is not entirely enhanced")
-    if not region.enhanced[:, 0, :].all():
-        failures.append("Delta/Omega0 = 0 column is not entirely enhanced")
-    idx20 = region.N_values.index(20)
-    beyond_pi = region.omega_T > math.pi
-    if region.enhanced[idx20][:, beyond_pi].all():
-        failures.append("no non-enhanced cell found for N=20 at omega T > pi")
-    return ["delta_over_omega0", "omegaT", "N", "enhanced"], rows, failures
+    region = analytics.enhancement_region(_fig2_engine(2, 0.0), np.linspace(0.0, 4.0, 9),
+                                          np.linspace(0.1, 10 * math.pi, 24), (2, 6, 12, 20))
+    return (["delta_over_omega0", "omegaT", "N", "enhanced"], list(region.rows()),
+            _check_region(region))
+
+
+@dataclass(frozen=True)
+class FigureTarget:
+    run: object          # () -> (CSV columns, rows, (ok, detail) of the check)
+    description: str
+    preset: dict
 
 
 FIGURES = {
-    "fig2a": FigureTarget("fig2a", "impulse enhancement vs N for three gap mixes",
+    "fig2a": FigureTarget(_figure_fig2a, "impulse enhancement vs N for three gap mixes",
                           {"g": 0.01, "t1_frac": 0.35, "beta_c_E0": 2.0, "beta_h_EH": 0.25,
                            "delta_over_omega0": [0.0, 1.4, 4.2], "N": "1..8"}),
-    "fig2b": FigureTarget("fig2b", "sqrt of work ratio over (N, beta_c E_0), Delta = 0",
+    "fig2b": FigureTarget(_figure_fig2b, "sqrt of work ratio over (N, beta_c E_0), Delta = 0",
                           {"beta_c_E0": "0.25..4", "N": "1..40"}),
-    "fig3a": FigureTarget("fig3a", "nonperturbative work scaling, indistinguishable",
+    "fig3a": FigureTarget(_figure_fig3a, "nonperturbative work scaling, indistinguishable",
                           {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"}),
-    "fig3b": FigureTarget("fig3b", "nonperturbative enhancement scaling",
+    "fig3b": FigureTarget(_figure_fig3b, "nonperturbative enhancement scaling",
                           {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"}),
-    "fig4even": FigureTarget("fig4even", "fermionic parity law, even N",
+    "fig4even": FigureTarget(functools.partial(_figure_fig4, (2, 4)),
+                             "fermionic parity law, even N",
                              {"Delta": 1.0, "beta_c_E0": 1.0, "beta_h_EH": 0.125}),
-    "fig4odd": FigureTarget("fig4odd", "fermionic parity law, odd N",
+    "fig4odd": FigureTarget(functools.partial(_figure_fig4, (3, 5)), "fermionic parity law, odd N",
                             {"Delta": 1.0, "beta_c_E0": 1.0, "beta_h_EH": 0.125}),
-    "figS1": FigureTarget("figS1", "binary enhancement region map",
+    "figS1": FigureTarget(_figure_figs1, "binary enhancement region map",
                           {"g": 0.01, "delta_t": 0.9, "alpha_over_T": 2142.0}),
 }
 
-_FIGURE_RUNNERS = {
-    "fig2a": _figure_fig2a,
-    "fig2b": _figure_fig2b,
-    "fig3a": _figure_fig3a,
-    "fig3b": _figure_fig3b,
-    "fig4even": functools.partial(_figure_fig4, "even"),
-    "fig4odd": functools.partial(_figure_fig4, "odd"),
-    "figS1": _figure_figs1,
-}
 
+def run_figure(fig_id: str, out_dir: str) -> tuple:
+    """Regenerate one figure's data CSV and run its criterion check on it.
 
-def run_figure(fig_id: str, out_dir: str) -> list:
-    """Regenerate one figure's data CSV and run its assertions.
-
-    Returns the list of assertion failures (empty on success).
+    Returns the check's (ok, detail).
     """
-    if fig_id not in _FIGURE_RUNNERS:
+    if fig_id not in FIGURES:
         raise ConfigError(f"unknown figure id '{fig_id}'; choose from {sorted(FIGURES)}")
     t0 = time.time()
-    columns, rows, failures = _FIGURE_RUNNERS[fig_id]()
+    columns, rows, (ok, detail) = FIGURES[fig_id].run()
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     _write_manifest(os.path.join(out_dir, "manifest.json"), {
         "figure": fig_id,
@@ -569,80 +513,108 @@ def run_figure(fig_id: str, out_dir: str) -> list:
         "preset": FIGURES[fig_id].preset,
         "tool_version": _VERSION,
         "n_rows": len(rows),
-        "failures": failures,
+        "failures": [] if ok else [detail],
         "wall_time_s": time.time() - t0,
     })
-    return failures
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------
-# verify battery
+# verify battery: one check per acceptance criterion (1-8). Each holds its
+# bounds once and returns (ok, detail); `verify`, the figure runners and
+# tests/test_acceptance.py all call these.
 # ---------------------------------------------------------------------------
 
 def run_verify(seed: int = 0, fast: bool = False) -> list:
-    """Cross-check battery: (name, passed, detail) per check."""
+    """Criteria 1, 2, 5, 8 and (full runs only) 3 at verify sizes:
+    (name, ok, detail) per check. Every check runs whatever the others give."""
     rng = np.random.default_rng(seed)
-    checks = []
-
-    def direct_f(N, x):
-        m = np.arange(N + 1) - N / 2
-        w = np.exp(-2 * x * (m - m[0]))
-        return float((m * m * w).sum() / w.sum())
-
-    def direct_h(N, x):
-        m = np.arange(N + 1) - N / 2
-        w = np.exp(-2 * x * (m - m[0]))
-        return float((m * w).sum() / w.sum())
-
-    worst = 0.0
-    for N in range(1, 61):
-        for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0):
-            worst = max(worst, abs(analytics.moment_f(N, x) - direct_f(N, x)),
-                        abs(analytics.moment_h(N, x) - direct_h(N, x)))
-    checks.append(("moment-oracles", worst < 1e-12, f"max |closed - direct| = {worst:.2e}"))
-
-
-    try:
-        grid = np.geomspace(1e-3, 50.0, 10 if fast else 40)
-        rep = analytics.verify_inequalities(20 if fast else 60, grid)
-        draws = rng.uniform(0.01, 10.0, size=50 if fast else 10 ** 4)
-        for x in draws[: 200 if fast else draws.size]:
-            analytics.verify_inequalities(12, [float(x), float(x) * 1.7])
-        checks.append(("inequality-battery", True,
-                       f"worst margins {{{', '.join(f'{k}: {v[0]:.2e}' for k, v in rep.margins.items())}}}"))
-    except QstatworkError as exc:
-        checks.append(("inequality-battery", False, str(exc)))
-
-    ok, detail = _verify_delta0_dominance(rng, n_draws=10 if fast else 50)
-    checks.append(("delta0-dominance", ok, detail))
-
-    engine = build_engine({"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5, "T": 20.0,
-                           "beta_c_E0": 1.0, "beta_h_EH": 0.125})
-    worst_even = worst_odd = 0.0
-    for N in (2, 3, 4, 5):
-        for bw in (4.0, 5.0, 6.0):
-            ens = fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw, engine=engine)
-            lam = fermi_mod.f_N(ens)
-            if N % 2 == 0:
-                worst_even = max(worst_even, abs(lam / (8 * math.exp(-bw)) - 1))
-            else:
-                worst_odd = max(worst_odd, abs((lam - 1) / (8 * math.exp(-2 * bw)) - 1))
-        ens_inf = fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf, engine=engine)
-        if fermi_mod.f_N(ens_inf) != float(N % 2):
-            checks.append(("fermi-zero-T", False, f"f_{N} at T=0 is not {N % 2}"))
-            break
-    else:
-        checks.append(("fermi-parity", worst_even < 0.1 and worst_odd < 0.2,
-                       f"even gap {worst_even:.3f} (<0.1), odd gap {worst_odd:.3f} (<0.2)"))
-
+    checks = [
+        ("moment-oracles", *_check_moment_oracles()),
+        ("inequality-battery", *_check_inequalities(rng, *((20, 10) if fast else (60, 40)))),
+        ("delta0-dominance", *_check_delta0_dominance(rng, 10 if fast else 50)),
+        ("fermi-parity", *_check_fermi_parity(_fermi_rows())),
+    ]
     if not fast:
-        worst_rel = 0.0
-        for N in (1, 2, 4):
-            ratio, ratio_num = _impulse_ratios(N, 1.4)
-            worst_rel = max(worst_rel, abs(ratio_num - ratio) / ratio)
-        checks.append(("impulse-numeric-vs-analytic", worst_rel < 0.02,
-                       f"worst relative gap {worst_rel:.2e} (< 2e-2)"))
+        checks.append(("impulse-enhancement",
+                       *_check_impulse(_impulse_runs((1, 2, 4), (1.4,))[0])))
     return checks
+
+
+def _direct_moment(N, x, power):
+    """<m^power> at inverse temperature x by the direct Boltzmann sum over
+    m = -N/2..N/2 with weights e^{-2xm}; shares no code with
+    analytics.moment_f/moment_h, which it checks."""
+    m = np.arange(N + 1) - N / 2
+    w = np.exp(-2 * x * (m - m[0]))
+    return float((m ** power * w).sum() / w.sum())
+
+
+def _check_moment_oracles():
+    """Criterion 1: closed-form f and h against the direct sums, N <= 60."""
+    worst = max(
+        max(abs(analytics.moment_f(N, x) - _direct_moment(N, x, 2)),
+            abs(analytics.moment_h(N, x) - _direct_moment(N, x, 1)))
+        for N in range(1, 61) for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0)
+    )
+    return worst < 1e-12, f"max |closed - direct sum| = {worst:.2e} (< 1e-12)"
+
+
+def _check_inequalities(rng, n_max: int, n_grid: int):
+    """Criterion 2: the four moment inequalities on verify_inequalities'
+    N <= n_max grid of n_grid x values (it raises on a violation), on 1e4
+    random (N <= 60, x, y) draws, and the four N = 1 equalities."""
+    try:
+        rep = analytics.verify_inequalities(n_max, np.geomspace(1e-3, 50.0, n_grid))
+    except QstatworkError as exc:
+        return False, str(exc)
+    Ns = rng.integers(1, 61, size=10 ** 4)
+    xs = rng.uniform(1e-3, 20.0, size=10 ** 4)
+    ys = rng.uniform(1e-3, 20.0, size=10 ** 4)
+    worst = math.inf
+    for N in np.unique(Ns):
+        x, y, N = xs[Ns == N], ys[Ns == N], int(N)
+        f, h, tx, j = analytics.moment_f(N, x), analytics.moment_h(N, x), np.tanh(x), N / 2
+        margins = [
+            N ** 2 / 4 - f,
+            4 * f - (N + N * (N - 1) * tx ** 2),
+            *((j * (j + 1) - (f + s * h)) - j * (1 + s * tx) for s in (1, -1)),
+            4 * h * analytics.moment_h(N, y) - N ** 2 * tx * np.tanh(y),
+        ]
+        worst = min(worst, *(m.min() for m in margins))
+    grid = min(m for m, _ in rep.margins.values())
+    ok = worst > -1e-12 and rep.n1_equality_defect < 1e-12
+    return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), draws {worst:.1e} (> -1e-12), "
+                f"N=1 equality {rep.n1_equality_defect:.1e} (< 1e-12)")
+
+
+def _check_impulse(rows):
+    """Criterion 3 on Fig.-2a rows: analytic E >= 1 with E = 1 at N = 1,
+    and the numeric E within 2% of the analytic one."""
+    min_ratio = min(r[2] for r in rows)
+    n1 = max((abs(r[2] - 1.0) for r in rows if r[0] == 1), default=0.0)
+    worst = max(abs(num - ana) / ana for _, _, ana, num in rows)
+    ok = min_ratio >= 1 - 1e-12 and n1 < 1e-12 and worst < 0.02
+    return ok, (f"min E = {min_ratio:.6f} (>= 1), E(N=1)-1 = {n1:.1e} (< 1e-12), "
+                f"numeric-vs-analytic {worst:.2e} (< 2e-2)")
+
+
+def _check_sqrt_scaling(rows):
+    """Criterion 4 on Fig.-2b rows: a line fits sqrt(work) over N x <= 1
+    with R^2 > 0.99 at every x with three such N or more, and the large-N
+    slope of the second moment is within 1e-3 of coth(x) at x = 2."""
+    r2 = []
+    for x in dict.fromkeys(r[1] for r in rows):
+        pts = np.array([(N, y) for N, xx, y in rows if xx == x and N * x <= 1.0])
+        if len(pts) >= 3:   # R^2 of the least-squares line = squared correlation
+            r2.append(float(np.corrcoef(pts.T)[0, 1] ** 2))
+    coth = 1 / math.tanh(2.0)
+    slope = analytics.delta0_second_moment(500, 2.0) - analytics.delta0_second_moment(499, 2.0)
+    slope_rel = abs(slope - coth) / coth
+    worst = min(r2, default=math.nan)
+    return worst > 0.99 and slope_rel < 1e-3, (
+        f"worst R^2 = {worst:.5f} (> 0.99) over {len(r2)} x values, "
+        f"large-N slope off coth by {slope_rel:.1e} (< 1e-3)")
 
 
 def random_smooth_case(rng: np.random.Generator):
@@ -676,21 +648,78 @@ def random_smooth_case(rng: np.random.Generator):
     return engine, schedule, system
 
 
-def _verify_delta0_dominance(rng, n_draws: int):
-    worst = math.inf
+def _check_delta0_dominance(rng, n_draws: int):
+    """Criterion 5: at Delta = 0 indistinguishable engines excite every
+    coupled level at least as often as distinguishable ones, over n_draws
+    random_smooth_case draws."""
+    worst, witness = math.inf, None
     for _ in range(n_draws):
         engine, schedule, system = random_smooth_case(rng)
         for i in range(1, system.dim):
             if abs(system.matrix[i, 0]) < 1e-14:
                 continue
-            p_b = analytics.general_probability(engine, schedule, system, Statistics.BOSE, i)
-            p_d = analytics.general_probability(engine, schedule, system, Statistics.DISTINGUISHABLE, i)
-            margin = p_b - p_d
-            scale = max(p_b, p_d, 1e-300)
-            worst = min(worst, margin / scale)
-            if margin < -1e-12 * scale:
-                return False, f"p_indist < p_dist by {margin:.3e} (N={engine.N})"
-    return True, f"worst normalized margin {worst:.3e} over {n_draws} draws"
+            p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i)
+                        for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+            margin = (p_b - p_d) / max(p_b, p_d, 1e-300)
+            if margin < worst:
+                worst, witness = margin, engine.N
+    return worst > -1e-12, (f"worst normalized margin {worst:.2e} (> -1e-12) at N={witness} "
+                            f"over {n_draws} draws")
+
+
+def _check_fig3(data):
+    """Criterion 6 on Fig.-3 works (N, W_indist, W_dist): E > 1 for N >= 2,
+    and sqrt(W_indist(N) / W_indist(1)) strictly increasing in N."""
+    E = [wb / wd for _, wb, wd in data[1:]]
+    root = [math.sqrt(wb / data[0][1]) for _, wb, _ in data]
+    monotone = all(b > a for a, b in zip(root, root[1:]))
+    return all(e > 1.0 for e in E) and monotone, (
+        f"E(N=2..{data[-1][0]}) = {[f'{e:.3f}' for e in E]} (> 1), "
+        f"sqrt-ratio monotone: {monotone}")
+
+
+def _check_region(region):
+    """Criterion 7 on the Fig.-S1 map: the N = 2 plane is enhanced, so is
+    the Delta = 0 column for N = 1..20 at the map's omega T, and N = 20 has
+    a non-enhanced cell beyond omega T = pi."""
+    n2 = bool(region.enhanced[region.N_values.index(2)].all())
+    column = analytics.enhancement_region(_fig2_engine(2, 0.0), np.array([0.0]),
+                                          region.omega_T, tuple(range(1, 21)))
+    col = bool(column.enhanced.all())
+    beyond_pi = region.enhanced[region.N_values.index(20)][:, region.omega_T > math.pi]
+    gap = not bool(beyond_pi.all())
+    return n2 and col and gap, (f"N=2 plane enhanced: {n2}, Delta=0 column (N<=20): {col}, "
+                                f"N=20 gap beyond pi: {gap}")
+
+
+def _check_fermi_parity(rows):
+    """Criterion 8 on lambda_table rows: the parity-law gap at beta omega
+    >= 4 (< 0.1 for even N, < 0.2 for odd N), lambda independent of the bath
+    temperatures, and f_N = N mod 2 exactly at T = 0 for every N given."""
+    gaps = ([], [])
+    for N, bw, lam, _, _ in rows:
+        if bw >= 4.0:
+            odd = N % 2
+            gaps[odd].append(abs((lam - odd) / (8 * math.exp(-(1 + odd) * bw)) - 1))
+    even, odd = (max(g, default=0.0) for g in gaps)
+    lam = []
+    for beta_c_e0, scale in ((0.7, 0.1), (2.2, 0.4)):
+        engine = build_engine(dict(_FIG4_ENGINE, beta_c_E0=beta_c_e0,
+                                   beta_h_EH=beta_c_e0 * scale))
+        w3, w1 = (fermi_mod.fermi_work(fermi_mod.FermiEnsemble(
+            N=n, omega_trap=1.0, beta_com=4.0, engine=engine)).avg_work for n in (3, 1))
+        lam.append(w3 / w1)
+    indep = abs(lam[0] - lam[1])
+    engine = build_engine(_FIG4_ENGINE)
+    exact = all(
+        fermi_mod.f_N(fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf,
+                                              engine=engine)) == N % 2
+        for N in {r[0] for r in rows}
+    )
+    ok = even < 0.1 and odd < 0.2 and indep < 1e-12 and exact
+    return ok, (f"even gap {even:.3f} (< 0.1, {len(gaps[0])} rows), odd gap {odd:.3f} "
+                f"(< 0.2, {len(gaps[1])} rows), bath independence {indep:.1e} (< 1e-12), "
+                f"T=0 limits exact: {exact}")
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +860,10 @@ def cli_main(argv=None) -> int:
     except QstatworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # out-of-range values rejected by the parameter classes
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -873,10 +906,7 @@ def _dispatch(args) -> int:
 
     if args.command == "fermi":
         cfg = _merged_config(args, {})
-        engine = build_engine(cfg.get("engine", {
-            "N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5, "T": 20.0,
-            "beta_c_E0": 1.0, "beta_h_EH": 0.125,
-        }))
+        engine = build_engine(cfg.get("engine", _FIG4_ENGINE))
         bw = np.linspace(args.bw_min, args.bw_max, args.bw_points)
         rows = fermi_mod.lambda_table(args.n_values, bw, engine)
         _write_csv(os.path.join(out_dir, "data.csv"),
@@ -904,12 +934,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "figure":
-        failures = run_figure(args.id, out_dir)
-        for f in failures:
-            print(f"FAIL [{args.id}] {f}")
-        if not failures:
-            print(f"PASS [{args.id}] data in {out_dir}/data.csv")
-        return 1 if failures else 0
+        ok, detail = run_figure(args.id, out_dir)
+        print(f"{'PASS' if ok else 'FAIL'} [{args.id}] {detail}; data in {out_dir}/data.csv")
+        return 0 if ok else 1
 
     if args.command == "verify":
         checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast)

@@ -3,7 +3,9 @@
 Everything here is deliberately built from first principles (direct
 Boltzmann sums, literal printed closed forms at high precision, matrix
 products with the adiabatic propagator) so it never shares code paths
-with the package implementations it checks.
+with the package implementations it checks. The direct moment sums are
+imported from the package's verify battery, which shares no code with
+`analytics.moment_f`/`moment_h`.
 """
 
 import functools
@@ -14,6 +16,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import quad
 
+from qstatwork.sweeps import _direct_moment
+
 # Absolute rounding floor of a full-cycle work from the split-midpoint
 # stepper at dt from the cap down to cap/8. At Delta = 0 the step is exact
 # for the work, so what is left is rounding: for N = 2, a g = 0.01 plateau
@@ -23,16 +27,8 @@ from scipy.integrate import quad
 WORK_ROUNDING_FLOOR = 2e-14
 
 
-def direct_moment_f(N, x):
-    m = np.arange(N + 1) - N / 2
-    w = np.exp(-2 * x * (m - m[0]))
-    return float((m * m * w).sum() / w.sum())
-
-
-def direct_moment_h(N, x):
-    m = np.arange(N + 1) - N / 2
-    w = np.exp(-2 * x * (m - m[0]))
-    return float((m * w).sum() / w.sum())
+direct_moment_f = functools.partial(_direct_moment, power=2)
+direct_moment_h = functools.partial(_direct_moment, power=1)
 
 
 def literal_f_mp(N, x, dps=50):

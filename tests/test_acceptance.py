@@ -1,8 +1,11 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL
 line (run with `pytest tests/test_acceptance.py -v -s` to see them live).
 
-Heavy propagation results are shared through module-scoped fixtures and
-their numerical-health diagnostics feed the final hygiene criterion.
+Criteria 1-8 call the same library checks (`qstatwork.sweeps._check_*`)
+as `qstatwork verify` and `qstatwork figure`; these tests add only the
+wall-time bounds. Heavy propagation results are shared through
+module-scoped fixtures and their numerical-health diagnostics feed the
+final hygiene criterion.
 """
 
 import math
@@ -12,17 +15,15 @@ import numpy as np
 import pytest
 
 import qstatwork as qw
-from qstatwork.analytics import delta0_second_moment, verify_inequalities
+import qstatwork.sweeps as sw
 from qstatwork.dynamics import PropagatorConfig, default_dt_cap, run_cycle
-from qstatwork.fermi import FermiEnsemble, f_N
-from qstatwork.sweeps import random_smooth_case
 
-from oracles import WORK_ROUNDING_FLOOR, direct_moment_f, direct_moment_h
+from oracles import WORK_ROUNDING_FLOOR
 
 T = 20.0
 OMEGA = 2 * math.pi * 0.05 / T
 
-_DIAGNOSTICS = []   # (label, diagnostics dict) from every acceptance run
+_DIAGNOSTICS = []   # run_cycle diagnostics from every acceptance run
 
 
 def report(criterion, ok, detail):
@@ -31,9 +32,17 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def tracked_run(label, *args, **kwargs):
+def timed_check(criterion, limit, check, *args):
+    """Run one library criterion check and report it with a wall-time bound."""
+    t0 = time.time()
+    ok, detail = check(*args)
+    dt = time.time() - t0
+    report(criterion, ok and dt < limit, f"{detail}, {dt:.2f} s (< {limit:g} s)")
+
+
+def tracked_run(*args, **kwargs):
     res = run_cycle(*args, **kwargs)
-    _DIAGNOSTICS.append((label, res.diagnostics))
+    _DIAGNOSTICS.append(res.diagnostics)
     return res
 
 
@@ -50,199 +59,51 @@ FIG3_PLATEAU = qw.SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
 
 @pytest.fixture(scope="module")
 def fig3_runs():
-    """Nonperturbative Fig.-3 cycle works for N = 1..6, both statistics."""
-    system = qw.harmonic_system(OMEGA, 16)
-    out = {}
-    for N in range(1, 7):
-        p = fig2_engine(N, 0.0)
-        out[(N, "bose")] = tracked_run(
-            f"fig3-N{N}-bose", p, FIG3_PLATEAU, system, qw.Statistics.BOSE
-        ).work.avg_work
-        out[(N, "dist")] = tracked_run(
-            f"fig3-N{N}-dist", p, FIG3_PLATEAU, system, qw.Statistics.DISTINGUISHABLE
-        ).work.avg_work
-    return out
+    """Nonperturbative Fig.-3 works (N, W_indist, W_dist) for N = 1..6."""
+    data, diags = sw._fig3_data()
+    _DIAGNOSTICS.extend(diags)
+    return data
 
 
 def test_criterion_1_moment_oracles():
-    t0 = time.time()
-    worst = 0.0
-    for N in range(1, 61):
-        for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0):
-            worst = max(worst,
-                        abs(qw.moment_f(N, x) - direct_moment_f(N, x)),
-                        abs(qw.moment_h(N, x) - direct_moment_h(N, x)))
-    dt = time.time() - t0
-    report("criterion-1 (moment oracles)",
-           worst < 1e-12 and dt < 1.0,
-           f"max |closed - direct sum| = {worst:.2e} (< 1e-12) in {dt:.2f} s (< 1 s)")
+    timed_check("criterion-1 (moment oracles)", 1.0, sw._check_moment_oracles)
 
 
 def test_criterion_2_inequality_battery():
-    t0 = time.time()
-    grid = np.geomspace(1e-3, 50.0, 40)
-    rep = verify_inequalities(60, grid)            # 60 x 40 grid, raises on violation
-    rng = np.random.default_rng(20260809)
-    worst_draw = math.inf
-    # 1e4 random (N, x, y) draws, vectorised per N
-    Ns = rng.integers(1, 61, size=10 ** 4)
-    xs = rng.uniform(1e-3, 20.0, size=10 ** 4)
-    ys = rng.uniform(1e-3, 20.0, size=10 ** 4)
-    for N in np.unique(Ns):
-        sel = Ns == N
-        x, y = xs[sel], ys[sel]
-        f, h = qw.moment_f(int(N), x), qw.moment_h(int(N), x)
-        hy = qw.moment_h(int(N), y)
-        j = N / 2
-        m1 = N ** 2 / 4 - f
-        m2 = 4 * f - (N + N * (N - 1) * np.tanh(x) ** 2)
-        m3 = np.concatenate([
-            (j * (j + 1) - (f + s * h)) - (N / 2) * (1 + s * np.tanh(x)) for s in (1, -1)
-        ])
-        m4 = 4 * h * hy - N ** 2 * np.tanh(x) * np.tanh(y)
-        worst_draw = min(worst_draw, m1.min(), m2.min(), m3.min(), m4.min())
-    # N = 1 equality cases exact
-    x1 = np.array([0.3, 1.0, 4.0])
-    eq_defect = max(
-        float(np.max(np.abs(1 / 4 - qw.moment_f(1, x1)))),
-        float(np.max(np.abs(4 * qw.moment_f(1, x1) - 1))),
-        float(np.max(np.abs(4 * qw.moment_h(1, x1) * qw.moment_h(1, x1[::-1])
-                            - np.tanh(x1) * np.tanh(x1[::-1])))),
-    )
-    dt = time.time() - t0
-    ok = worst_draw > -1e-12 and eq_defect < 1e-12 and dt < 10.0
-    report("criterion-2 (inequality battery)", ok,
-           f"grid margins {min(m for m, _ in rep.margins.values()):.1e}, draws "
-           f"{worst_draw:.1e}, N=1 equality {eq_defect:.1e}, {dt:.1f} s (< 10 s)")
+    timed_check("criterion-2 (inequality battery)", 10.0, sw._check_inequalities,
+                np.random.default_rng(20260809), 60, 40)
 
 
 def test_criterion_3_impulse_enhancement():
-    t0 = time.time()
-    system = qw.harmonic_system(OMEGA, 10)
-    worst_rel, min_ratio, n1_defect = 0.0, math.inf, 0.0
-    for delta in (0.0, 1.4, 4.2):
-        for N in range(1, 9):
-            p = fig2_engine(N, delta)
-            ana, _, _ = qw.enhancement(p, IMPULSE, system)
-            wb = tracked_run(f"fig2a-N{N}-d{delta}-b", p, IMPULSE, system,
-                             qw.Statistics.BOSE).work.avg_work
-            wd = tracked_run(f"fig2a-N{N}-d{delta}-d", p, IMPULSE, system,
-                             qw.Statistics.DISTINGUISHABLE).work.avg_work
-            num = wb / wd
-            worst_rel = max(worst_rel, abs(num - ana) / ana)
-            min_ratio = min(min_ratio, ana)
-            if N == 1:
-                n1_defect = max(n1_defect, abs(ana - 1.0))
-    dt = time.time() - t0
-    ok = min_ratio >= 1 - 1e-12 and n1_defect < 1e-12 and worst_rel < 0.02 and dt < 300
-    report("criterion-3 (Fig 2a impulse enhancement)", ok,
-           f"min E = {min_ratio:.6f} (>= 1), E(N=1)-1 = {n1_defect:.1e}, "
-           f"numeric-vs-analytic {worst_rel:.2e} (< 2e-2), {dt:.0f} s (< 300 s)")
+    def check():
+        rows, diags = sw._impulse_runs()
+        _DIAGNOSTICS.extend(diags)
+        return sw._check_impulse(rows)
+
+    timed_check("criterion-3 (Fig 2a impulse enhancement)", 300.0, check)
 
 
 def test_criterion_4_quadratic_scaling():
-    t0 = time.time()
-    x = 0.1
-    Ns = np.arange(1, 11)          # N beta_c Omega(0) <= 1
-    vals = np.sqrt([delta0_second_moment(int(n), x) / delta0_second_moment(1, x)
-                    for n in Ns])
-    slope, icpt = np.polyfit(Ns, vals, 1)
-    resid = vals - (slope * Ns + icpt)
-    r2 = 1 - resid @ resid / np.sum((vals - vals.mean()) ** 2)
-    big_slope = delta0_second_moment(500, 2.0) - delta0_second_moment(499, 2.0)
-    coth = 1 / math.tanh(2.0)
-    slope_rel = abs(big_slope - coth) / coth
-    dt = time.time() - t0
-    ok = r2 > 0.99 and slope_rel < 1e-3 and dt < 30
-    report("criterion-4 (Fig 2b quadratic scaling)", ok,
-           f"R^2 = {r2:.5f} (> 0.99), large-N slope off coth by {slope_rel:.1e} "
-           f"(< 1e-3), {dt:.1f} s (< 30 s)")
+    timed_check("criterion-4 (Fig 2b quadratic scaling)", 30.0,
+                lambda: sw._check_sqrt_scaling(sw._sqrt_work_rows([0.1])))
 
 
 def test_criterion_5_delta0_dominance():
-    t0 = time.time()
-    rng = np.random.default_rng(5)
-    worst = math.inf
-    for _ in range(200):
-        engine, schedule, system = random_smooth_case(rng)
-        for i in range(1, system.dim):
-            if abs(system.matrix[i, 0]) < 1e-14:
-                continue
-            pb = qw.general_probability(engine, schedule, system, qw.Statistics.BOSE, i)
-            pd = qw.general_probability(engine, schedule, system,
-                                        qw.Statistics.DISTINGUISHABLE, i)
-            worst = min(worst, (pb - pd) / max(pb, pd, 1e-300))
-    dt = time.time() - t0
-    ok = worst > -1e-12 and dt < 60
-    report("criterion-5 (Delta=0 universal dominance)", ok,
-           f"worst normalized margin {worst:.2e} (> -1e-12) over 200 draws, "
-           f"{dt:.0f} s (< 60 s)")
+    timed_check("criterion-5 (Delta=0 universal dominance)", 60.0,
+                sw._check_delta0_dominance, np.random.default_rng(5), 200)
 
 
 def test_criterion_6_nonperturbative(fig3_runs):
-    t0 = time.time()
-    ratios = [fig3_runs[(N, "bose")] / fig3_runs[(N, "dist")] for N in range(2, 7)]
-    sqrt_ratio = [math.sqrt(fig3_runs[(N, "bose")] / fig3_runs[(1, "bose")])
-                  for N in range(1, 7)]
-    monotone = all(b > a for a, b in zip(sqrt_ratio, sqrt_ratio[1:]))
-    ok = all(r > 1.0 for r in ratios) and monotone
-    report("criterion-6 (Fig 3 nonperturbative)", ok,
-           f"E(N=2..6) = {[f'{r:.3f}' for r in ratios]} (> 1), sqrt-ratio "
-           f"monotone: {monotone} (fixture shared; assembly {time.time() - t0:.1f} s)")
+    report("criterion-6 (Fig 3 nonperturbative)", *sw._check_fig3(fig3_runs))
 
 
 def test_criterion_7_enhancement_region():
-    t0 = time.time()
-    base = fig2_engine(2, 0.0)
-    deltas = np.linspace(0.0, 4.0, 9)
-    omts = np.linspace(0.1, 10 * math.pi, 24)
-    region = qw.enhancement_region(base, deltas, omts, (2, 6, 12, 20))
-    n2_ok = bool(region.enhanced[0].all())
-    col = qw.enhancement_region(base, np.array([0.0]), omts, tuple(range(1, 21)))
-    col_ok = bool(col.enhanced.all())
-    idx20 = region.N_values.index(20)
-    gap_ok = not bool(region.enhanced[idx20][:, region.omega_T > math.pi].all())
-    dt = time.time() - t0
-    ok = n2_ok and col_ok and gap_ok and dt < 120
-    report("criterion-7 (Fig S1 region map)", ok,
-           f"N=2 plane enhanced: {n2_ok}, Delta=0 column (N<=20): {col_ok}, "
-           f"N=20 gap beyond pi: {gap_ok}, {dt:.0f} s (< 120 s)")
+    timed_check("criterion-7 (Fig S1 region map)", 120.0, lambda: sw._figure_figs1()[2])
 
 
 def test_criterion_8_fermionic_parity():
-    t0 = time.time()
-    engine = qw.EngineParams(N=1, Omega0=0.0, Delta=1.0, v=0.5, T=T,
-                             beta_c=1.0, beta_h=0.125 / math.hypot(5.0, 1.0))
-    worst_even = worst_odd = 0.0
-    for bw in (4.0, 5.0, 6.0):
-        for N in (2, 4):
-            lam = f_N(FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw, engine=engine))
-            worst_even = max(worst_even, abs(lam / (8 * math.exp(-bw)) - 1))
-        for N in (3, 5):
-            lam = f_N(FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw, engine=engine))
-            worst_odd = max(worst_odd, abs((lam - 1) / (8 * math.exp(-2 * bw)) - 1))
-    # bath independence of lambda
-    lam_a = []
-    for (bc, bh_scale) in ((0.7, 0.1), (2.2, 0.4)):
-        eng = qw.EngineParams(N=1, Omega0=0.0, Delta=1.0, v=0.5, T=T,
-                              beta_c=bc, beta_h=bc * bh_scale / math.hypot(5.0, 1.0))
-        from qstatwork.fermi import fermi_work
-
-        e3 = FermiEnsemble(N=3, omega_trap=1.0, beta_com=4.0, engine=eng)
-        e1 = FermiEnsemble(N=1, omega_trap=1.0, beta_com=4.0, engine=eng)
-        lam_a.append(fermi_work(e3).avg_work / fermi_work(e1).avg_work)
-    indep = abs(lam_a[0] - lam_a[1])
-    zero_t = max(
-        abs(f_N(FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf, engine=engine))
-            - (N % 2))
-        for N in (2, 3, 4, 5)
-    )
-    dt = time.time() - t0
-    ok = worst_even < 0.1 and worst_odd < 0.2 and indep < 1e-12 and zero_t == 0.0 and dt < 60
-    report("criterion-8 (fermionic parity law)", ok,
-           f"even gap {worst_even:.3f} (< 0.1), odd gap {worst_odd:.3f} (< 0.2), "
-           f"bath independence {indep:.1e} (< 1e-12), T=0 limits exact: {zero_t == 0.0}, "
-           f"{dt:.0f} s (< 60 s)")
+    timed_check("criterion-8 (fermionic parity law)", 60.0,
+                lambda: sw._check_fermi_parity(sw._fermi_rows()))
 
 
 def test_criterion_9_statistical_oracles():
@@ -252,12 +113,10 @@ def test_criterion_9_statistical_oracles():
     worst = {}
     # Dicke-sector evolution vs the indistinguishable closed forms
     p3 = fig2_engine(3, 0.7)
-    w_num = tracked_run("c9-dicke-impulse", p3, IMPULSE, system,
-                        qw.Statistics.BOSE).work.avg_work
+    w_num = tracked_run(p3, IMPULSE, system, qw.Statistics.BOSE).work.avg_work
     w_ana = qw.impulse_work(p3, IMPULSE, system, qw.Statistics.BOSE).avg_work
     worst["indist-impulse"] = abs(w_num - w_ana) / w_ana
-    w_num = tracked_run("c9-dicke-smooth", p3, plateau, system,
-                        qw.Statistics.BOSE).work.avg_work
+    w_num = tracked_run(p3, plateau, system, qw.Statistics.BOSE).work.avg_work
     w_ana = qw.general_work(p3, plateau, system, qw.Statistics.BOSE).avg_work
     worst["indist-smooth"] = abs(w_num - w_ana) / w_ana
     # genuine 2^N product-space evolution vs the distinguishable closed forms
@@ -265,14 +124,12 @@ def test_criterion_9_statistical_oracles():
     worst["dist-impulse"] = 0.0
     for N in (2, 3, 4):
         pd = fig2_engine(N, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        w_num = tracked_run(f"c9-full-impulse-N{N}", pd, IMPULSE, system,
-                            config=full).work.avg_work
+        w_num = tracked_run(pd, IMPULSE, system, config=full).work.avg_work
         w_ana = qw.impulse_work(pd, IMPULSE, system,
                                 qw.Statistics.DISTINGUISHABLE).avg_work
         worst["dist-impulse"] = max(worst["dist-impulse"], abs(w_num - w_ana) / w_ana)
     pd4 = fig2_engine(4, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-    w_num = tracked_run("c9-full-smooth-N4", pd4, plateau, system,
-                        config=full).work.avg_work
+    w_num = tracked_run(pd4, plateau, system, config=full).work.avg_work
     w_ana = qw.general_work(pd4, plateau, system,
                             qw.Statistics.DISTINGUISHABLE).avg_work
     worst["dist-smooth"] = abs(w_num - w_ana) / w_ana
@@ -286,9 +143,9 @@ def test_criterion_9_statistical_oracles():
 def test_criterion_10_numerical_hygiene(fig3_runs):
     t0 = time.time()
     # (a) conservation across every acceptance run so far
-    worst_trace = max(d["trace_drift"] for _, d in _DIAGNOSTICS)
-    worst_herm = max(d["herm_drift"] for _, d in _DIAGNOSTICS)
-    worst_unit = max(d["unitarity_residual"] for _, d in _DIAGNOSTICS)
+    worst_trace = max(d["trace_drift"] for d in _DIAGNOSTICS)
+    worst_herm = max(d["herm_drift"] for d in _DIAGNOSTICS)
+    worst_unit = max(d["unitarity_residual"] for d in _DIAGNOSTICS)
     cons_ok = worst_trace < 1e-10 and worst_herm < 1e-10 and worst_unit < 1e-10
 
     # (b) second-order convergence: halving dt cuts the work error >= 4x.
@@ -315,7 +172,7 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     fig3_big = run_cycle(p2, FIG3_PLATEAU, qw.harmonic_system(OMEGA, 32)).work.avg_work
     trunc_rel = max(
         abs(imp_big - imp_small) / abs(imp_big),
-        abs(fig3_big - fig3_runs[(2, "bose")]) / abs(fig3_big),
+        abs(fig3_big - fig3_runs[1][1]) / abs(fig3_big),
     )
     trunc_ok = trunc_rel < 1e-6
     dt = time.time() - t0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qstatwork as qw
-from qstatwork.analytics import single_avg_as_printed, single_avg_first_moment
+from qstatwork.analytics import single_avg, single_avg_as_printed
 
 from oracles import DickeAdiabaticOracle, ProductAdiabaticOracle, beta_at
 
@@ -154,6 +154,6 @@ class TestSingleAvg:
 
     def test_variants_agree_at_n1_magnitude(self):
         p = params_for(1, 0.9)
-        a = single_avg_first_moment(p, 2.0, 0.0, qw.Statistics.BOSE)
-        b = single_avg_first_moment(p, 2.0, 0.0, qw.Statistics.DISTINGUISHABLE)
+        a = single_avg(p, 2.0, 0.0, qw.Statistics.BOSE)
+        b = single_avg(p, 2.0, 0.0, qw.Statistics.DISTINGUISHABLE)
         assert abs(a - b) < 1e-14

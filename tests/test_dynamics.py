@@ -7,6 +7,8 @@ import qstatwork as qw
 from qstatwork.dynamics import (
     CycleResult,
     PropagatorConfig,
+    _build_sectors,
+    _sector_thermal,
     adiabaticity_witness,
     apply_impulse,
     default_dt_cap,
@@ -118,6 +120,29 @@ class TestThermalReset:
         assert np.max(np.abs(red_e - qw.thermal_state(H, p.beta_h).rho)) < 1e-12
         red_s = np.einsum("isit->st", out.rho.reshape(3, 5, 3, 5))
         assert np.max(np.abs(red_s - sig)) < 1e-12
+
+    def test_cycle_gibbs_blocks_match_thermal_state(self):
+        # run_cycle resets to kron(block, sigma_S) over the analytic
+        # per-sector Gibbs blocks of _sector_thermal; pin them to the dense
+        # thermal_state(engine_hamiltonian) that thermal_reset uses.
+        blocked, full = PropagatorConfig(), PropagatorConfig(product_mode="full")
+        cases = ((qw.Statistics.BOSE, blocked, qw.DickeSector(3)),
+                 (qw.Statistics.DISTINGUISHABLE, full, qw.FullProduct(3)))
+        for delta in (0.0, 0.4):
+            p = engine(3, delta)
+            for t0, beta in ((0.0, p.beta_c), (T / 2, p.beta_h)):
+                for stats, config, kind in cases:
+                    (block,) = _sector_thermal(_build_sectors(p, stats, config), p, t0, beta)
+                    ref = qw.thermal_state(qw.engine_hamiltonian(p, t0, kind), beta).rho
+                    assert np.max(np.abs(block - ref)) < 1e-13
+                # blocked distinguishable: the spin-j blocks, each repeated
+                # by its multiplicity, carry the full-space Gibbs spectrum
+                sectors = _build_sectors(p, qw.Statistics.DISTINGUISHABLE, blocked)
+                blocks = _sector_thermal(sectors, p, t0, beta)
+                spec = np.concatenate([np.repeat(np.linalg.eigvalsh(b), int(s.mult))
+                                       for s, b in zip(sectors, blocks)])
+                ref = qw.thermal_state(qw.engine_hamiltonian(p, t0, qw.FullProduct(3)), beta)
+                assert np.max(np.abs(np.sort(spec) - np.linalg.eigvalsh(ref.rho))) < 1e-13
 
     def test_correlator_factorizes_across_reset(self):
         # channel structure: <A R(B rho)> = <A>_gibbs <B>_rho exactly

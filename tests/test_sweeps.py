@@ -138,6 +138,15 @@ class TestCli:
         rc = sw.cli_main(["analytic", "--config", str(path)])
         assert rc == 2
 
+    def test_bad_value_exit_2(self, tmp_path, capsys):
+        # values the parameter classes reject are usage errors, not tracebacks
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"engine": {"N": 0}}))
+        for argv in (["analytic", "--N", "0"], ["analytic", "--delta", "-1"],
+                     ["analytic", "--config", str(path)]):
+            assert sw.cli_main(argv) == 2
+            assert "config error:" in capsys.readouterr().err
+
     def test_config_only_where_read(self, tmp_path):
         # region never reads a config, so it must not accept one and
         # silently ignore it
@@ -206,8 +215,21 @@ class TestCli:
         rc = sw.cli_main(["figure", "fig4even", "--out", str(tmp_path)])
         assert rc == 0
 
+    VERIFY_FAST_CHECKS = ("moment-oracles", "inequality-battery", "delta0-dominance",
+                          "fermi-parity")
+
     def test_verify_fast(self, capsys):
         rc = sw.cli_main(["verify", "--fast"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "PASS [moment-oracles]" in out
+        for name in self.VERIFY_FAST_CHECKS:
+            assert f"PASS [{name}]" in out
+        assert "FAIL" not in out
+
+    def test_verify_runs_every_check_when_one_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(sw, "_check_moment_oracles", lambda: (False, "forced"))
+        assert sw.cli_main(["verify", "--fast"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL [moment-oracles] forced" in out
+        for name in self.VERIFY_FAST_CHECKS[1:]:
+            assert f"PASS [{name}]" in out
