@@ -13,6 +13,7 @@ propagation agree to rounding and the tests pin that equivalence.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ PRODUCT_MODES = ("blocked", "full")
 DENSE_STEP_CAP = 700          # composite dim cap for the dense stepper
 FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
 SAMPLE_EVERY = 50             # steps between state-health samples
+GRID_CHUNK = 256              # steps per precomputed block of the stroke grid
+DROP_TOL = 1e-16              # sigma_S eigenvalues dropped from a stroke's factor
 LEAKAGE_TOL = 1e-6
 UNITARITY_TOL = 1e-10
 
@@ -128,21 +131,19 @@ class _Sector:
         self.vr_vals = r
         self.vr_vecs = P
 
-    def tilted(self, chi: float, d: np.ndarray) -> np.ndarray:
+    def tilted(self, chi, d: np.ndarray) -> np.ndarray:
         """(R d) R^dag with R = exp(-i chi Sy): the operator diagonal in the
-        Sz basis with entries d, carried onto the basis tilted by chi."""
+        Sz basis with entries d, carried onto the basis tilted by chi.  An
+        array of angles with one row of d each gives a stack of operators."""
         Q = self.sy_vecs
-        R = (Q * np.exp(-1j * chi * self.sy_vals)) @ Q.conj().T
-        return (R * d) @ R.conj().T
+        R = (Q * np.exp(-1j * np.multiply.outer(chi, self.sy_vals))[..., None, :]) @ Q.conj().T
+        return (R * d[..., None, :]) @ R.conj().swapaxes(-1, -2)
 
     def engine_energies(self, E: float) -> np.ndarray:
         return 2 * E * self.sz_diag
 
     def unitarity_residual(self) -> float:
-        r = 0.0
-        for U in (self.sy_vecs, self.vr_vecs):
-            r = max(r, float(np.max(np.abs(U.conj().T @ U - np.eye(self.dim)))))
-        return r
+        return _isometry_drift(self.sy_vecs, self.vr_vecs)
 
 
 def _spin_sector(n_eff: int, mult: float) -> _Sector:
@@ -208,149 +209,130 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
 
 
 # ---------------------------------------------------------------------------
-# kron-structured primitives
+# factored states: rho = Psi diag(w) Psi^dag, Psi stored as (dE, r, dS) so
+# that engine and system rotations are one GEMM each
 # ---------------------------------------------------------------------------
 
-def _apply_engine(rho, U, dE, dS):
-    """(U (x) I) rho (U (x) I)^dag."""
-    D = dE * dS
-    X = (U @ rho.reshape(dE, dS * D)).reshape(D, D)
-    Y = (U @ X.conj().T.reshape(dE, dS * D)).reshape(D, D)
-    return Y.conj().T
+def _system_factor(sigma_s):
+    """Eigenvalues of sigma_S above DROP_TOL, their eigenvectors, and the
+    trace-norm weight of the eigenvalues dropped."""
+    mu, W = np.linalg.eigh(sigma_s)
+    keep = mu > DROP_TOL
+    return mu[keep], W[:, keep], float(np.abs(mu[~keep]).sum())
 
 
-def _apply_system(rho, U, dE, dS):
-    """(I (x) U) rho (I (x) U)^dag."""
-    D = dE * dS
-    X = np.matmul(U[None, :, :], rho.reshape(dE, dS, D)).reshape(D, D)
-    Y = np.matmul(U[None, :, :], X.conj().T.reshape(dE, dS, D)).reshape(D, D)
-    return Y.conj().T
+def _product_factor(rho_e, mu, W):
+    """Factor Psi, with orthonormal columns, and weights w of
+    rho_e (x) W diag(mu) W^dag, from the eigendecomposition of rho_e."""
+    lam, V = np.linalg.eigh(rho_e)
+    y = np.einsum("ia,sb->iabs", V, W).reshape(V.shape[0], -1, W.shape[0])
+    return y, np.multiply.outer(lam, mu).ravel()
 
 
-def _phase_sandwich(rho, u):
-    """diag(u) rho diag(u)^dag for a phase vector u."""
-    return (u[:, None] * rho) * u.conj()[None, :]
+def _rotate(y, A, B):
+    """(A (x) B) Psi: A on the engine axis, B on the system axis."""
+    dE, r, dS = y.shape
+    z = (A @ y.reshape(dE, r * dS)).reshape(-1, dS) @ B.T
+    return z.reshape(A.shape[0], r, B.shape[0])
 
 
-def _coupling_sandwich(rho, P_r, P_s, u, dE, dS):
-    """exp(-i phi V_R (x) V_S) rho exp(+i phi V_R (x) V_S) from the
-    eigenvectors P_r of V_R and P_s of V_S and the phase vector
-    u = exp(-i phi r (x) s) over the eigenvalue pairs, raveled."""
-    rho = _apply_engine(rho, P_r.conj().T, dE, dS)
-    rho = _apply_system(rho, P_s.conj().T, dE, dS)
-    rho = _phase_sandwich(rho, u)
-    rho = _apply_system(rho, P_s, dE, dS)
-    return _apply_engine(rho, P_r, dE, dS)
+def _reduced_system(y, w):
+    """Tr_E[Psi diag(w) Psi^dag]."""
+    dS = y.shape[2]
+    return (y * w[:, None]).reshape(-1, dS).T @ y.reshape(-1, dS).conj()
 
 
-class _SplitStepper:
+def _isometry_drift(*Us) -> float:
+    """max |U^dag U - I| over the matrices Us: zero for unitaries and for
+    factors (as (dE dS) x r matrices) with orthonormal columns."""
+    return max(float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))) for U in Us)
+
+
+def _kick(y, P_r, P_s, phase):
+    """exp(-i phi V_R (x) V_S) Psi from the eigenvectors P_r of V_R and P_s
+    of V_S and the phases exp(-i phi r_a s_b), shaped (dE, dS)."""
+    y = _rotate(y, P_r.conj().T, P_s.conj().T) * phase[:, None, :]
+    return _rotate(y, P_r, P_s)
+
+
+def _engine_steps(sector, params, t_mid, tau):
+    """exp(-i H_E(t) tau) at each time t of the array t_mid, stacked."""
+    if params.Delta == 0.0:
+        d = np.exp(-2j * tau * np.multiply.outer(params.omega(t_mid), sector.sz_diag))
+        return d[:, :, None] * np.eye(sector.dim)
+    d = np.exp(-2j * tau * np.multiply.outer(params.energy(t_mid), sector.sz_diag))
+    return sector.tilted(params.theta(t_mid) + math.pi / 2, d)
+
+
+def _midpoints(t_start, dt, k0, k1):
+    return t_start + np.arange(k0, k1) * dt + dt / 2
+
+
+def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     """Strang splitting exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2) with
-    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S.
+    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, for n
+    steps from t_start; sample(k, Psi) every SAMPLE_EVERY steps and after
+    the last.  Returns the final factor and the eigenbasis residual.
 
-    Every factor is assembled from exact eigensystems, so each step is
-    unitary to rounding; the scheme is second order in dt.
+    Between steps the factor is held in the eigenbasis P_r (x) P_s of
+    V_R (x) V_S, where exp(-iB dt) is a phase and the half steps of two
+    adjacent steps fuse into one engine and one system rotation, so a step
+    costs one phase product and two GEMMs.  Every factor is assembled from
+    exact eigensystems, so each step is unitary to rounding; the scheme is
+    second order in dt.
     """
-
-    def __init__(self, sector: _Sector, system: ExternalSystem, params, schedule, dt):
-        self.sector = sector
-        self.params = params
-        self.schedule = schedule
-        self.dt = dt
-        self.dE = sector.dim
-        self.dS = system.dim
-        self.eps = np.asarray(system.energies, dtype=float)
-        self.u_sys_half = np.exp(-1j * self.eps * dt / 2)
-        vs_vals, vs_vecs = np.linalg.eigh(system.matrix)
-        self.vs_vals = vs_vals
-        self.vs_vecs = vs_vecs
-        self.rs_flat = np.multiply.outer(sector.vr_vals, vs_vals).ravel()
-        self.delta = params.Delta
-
-    def unitarity_residual(self) -> float:
-        Q = self.vs_vecs
-        r = float(np.max(np.abs(Q.conj().T @ Q - np.eye(self.dS))))
-        return max(r, self.sector.unitarity_residual())
-
-    def _engine_half(self, t_mid: float):
-        if self.delta == 0.0:
-            om = float(self.params.omega(t_mid))
-            return np.exp(-1j * om * self.dt * self.sector.sz_diag), None
-        E = float(self.params.energy(t_mid))
-        chi = float(self.params.theta(t_mid)) + math.pi / 2
-        return None, self.sector.tilted(chi, np.exp(-1j * E * self.dt * self.sector.sz_diag))
-
-    def step(self, rho, t):
-        t_mid = t + self.dt / 2
-        diag_u, U_E = self._engine_half(t_mid)
-        if diag_u is not None:
-            u_half = np.multiply.outer(diag_u, self.u_sys_half).ravel()
-            rho = _phase_sandwich(rho, u_half)
-        else:
-            rho = _apply_engine(rho, U_E, self.dE, self.dS)
-            rho = _phase_sandwich(
-                rho, np.multiply.outer(np.ones(self.dE), self.u_sys_half).ravel()
-            )
-        g = float(g_of_t(self.schedule, t_mid))
-        if g != 0.0:
-            rho = _coupling_sandwich(rho, self.sector.vr_vecs, self.vs_vecs,
-                                     np.exp(-1j * g * self.dt * self.rs_flat), self.dE, self.dS)
-        if diag_u is not None:
-            rho = _phase_sandwich(rho, u_half)
-        else:
-            rho = _apply_engine(rho, U_E, self.dE, self.dS)
-            rho = _phase_sandwich(
-                rho, np.multiply.outer(np.ones(self.dE), self.u_sys_half).ravel()
-            )
-        return rho
+    vs_vals, P_s = np.linalg.eigh(system.matrix)
+    P_r = sector.vr_vecs
+    rs = np.multiply.outer(sector.vr_vals, vs_vals)
+    s_half = np.exp(-1j * np.asarray(system.energies, dtype=float) * dt / 2)
+    s_in = P_s.conj().T * s_half            # P_s^dag exp(-i H_S dt/2)
+    s_out = s_half[:, None] * P_s           # exp(-i H_S dt/2) P_s
+    s_step = s_in @ s_out
+    for k0 in range(0, n, GRID_CHUNK):
+        k1 = min(k0 + GRID_CHUNK, n)
+        t_mid = _midpoints(t_start, dt, k0, min(k1 + 1, n))
+        e = _engine_steps(sector, params, t_mid, dt / 2)
+        e_in, e_out = P_r.conj().T @ e, e @ P_r
+        e_step = e_in[1:] @ e_out[:-1]
+        g = g_of_t(schedule, t_mid[:k1 - k0])
+        u = np.exp(-1j * dt * np.multiply.outer(g, rs))[:, :, None]     # (steps, dE, 1, dS)
+        if k0 == 0:
+            y = _rotate(y, e_in[0], s_in)
+        for j, k in enumerate(range(k0, k1)):
+            y *= u[j]
+            if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
+                x = _rotate(y, e_out[j], s_out)
+                sample(k, x)
+                if k == n - 1:
+                    return x, max(_isometry_drift(P_s), sector.unitarity_residual())
+            y = _rotate(y, e_step[j], s_step)
 
 
-class _DenseStepper:
-    """Reference stepper: exact exponential of the full composite
-    Hamiltonian at the step midpoint."""
-
-    def __init__(self, sector, system, params, schedule, dt):
-        self.sector = sector
-        self.params = params
-        self.schedule = schedule
-        self.dt = dt
-        self.dE, self.dS = sector.dim, system.dim
-        if self.dE * self.dS > DENSE_STEP_CAP:
-            raise ConfigError(
-                f"dense stepper on dim {self.dE * self.dS} exceeds the cap "
-                f"{DENSE_STEP_CAP}; use split-midpoint"
-            )
-        self.h_s = np.diag(np.asarray(system.energies, dtype=float)).astype(complex)
-        self.v_s = system.matrix
-        self.eyeE = np.eye(self.dE, dtype=complex)
-        self.eyeS = np.eye(self.dS, dtype=complex)
-        self.max_unitarity = 0.0
-
-    def _h_full(self, t):
-        p = self.params
-        h_e = (
-            2 * float(p.omega(t)) * np.diag(self.sector.sz_diag).astype(complex)
-            + 2 * p.Delta * self.sector.sx
+def _dense_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
+    """Reference stepper with the interface of _split_evolve: the exact
+    exponential of the full composite Hamiltonian at each step midpoint."""
+    dE, dS = sector.dim, system.dim
+    if dE * dS > DENSE_STEP_CAP:
+        raise ConfigError(
+            f"dense stepper on dim {dE * dS} exceeds the cap {DENSE_STEP_CAP}; "
+            "use split-midpoint"
         )
-        g = float(g_of_t(self.schedule, t))
-        H = np.kron(h_e, self.eyeS) + np.kron(self.eyeE, self.h_s)
-        if g != 0.0:
-            H = H + g * np.kron(self.sector.v_r, self.v_s)
-        return H
-
-    def unitarity_residual(self) -> float:
-        return self.max_unitarity
-
-    def step(self, rho, t):
-        U = scipy.linalg.expm(-1j * self.dt * self._h_full(t + self.dt / 2))
-        res = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-        self.max_unitarity = max(self.max_unitarity, res)
-        return U @ rho @ U.conj().T
-
-
-def _make_stepper(config, sector, system, params, schedule, dt):
-    if config.stepper == "split-midpoint":
-        return _SplitStepper(sector, system, params, schedule, dt)
-    return _DenseStepper(sector, system, params, schedule, dt)
+    eye_e, eye_s = np.eye(dE), np.eye(dS)
+    sz = np.kron(np.diag(sector.sz_diag), eye_s)
+    static = 2 * params.Delta * np.kron(sector.sx, eye_s) + np.kron(
+        eye_e, np.diag(np.asarray(system.energies, dtype=float)))
+    coupling = np.kron(sector.v_r, system.matrix)
+    residual = 0.0
+    for k0 in range(0, n, GRID_CHUNK):
+        t_mid = _midpoints(t_start, dt, k0, min(k0 + GRID_CHUNK, n))
+        grid = zip(params.omega(t_mid), g_of_t(schedule, t_mid))
+        for k, (omega, g) in enumerate(grid, k0):
+            U = scipy.linalg.expm(-1j * dt * (2 * omega * sz + static + g * coupling))
+            residual = max(residual, _isometry_drift(U))
+            y = np.einsum("isjt,jct->ics", U.reshape(dE, dS, dE, dS), y)
+            if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
+                sample(k, y)
+    return y, residual
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +373,29 @@ class _Diag:
     def __init__(self):
         self.trace_drift = 0.0
         self.herm_drift = 0.0
+        self.isometry = 0.0
         self.unitarity = 0.0
         self.leakage = 0.0
+        self.dropped_weight = 0.0
         self.extra = {}
 
-    def merge_state(self, rho, tr0):
-        self.trace_drift = max(self.trace_drift, abs(float(np.trace(rho).real) - tr0))
-        self.herm_drift = max(self.herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
+    def merge_state(self, y, w, tr0):
+        """Fold in one sampled factor; returns its reduced system state."""
+        red = _reduced_system(y, w)
+        self.trace_drift = max(self.trace_drift, abs(float(np.trace(red).real) - tr0))
+        self.herm_drift = max(self.herm_drift, float(np.max(np.abs(red - red.conj().T))))
+        self.isometry = max(self.isometry, _isometry_drift(
+            y.transpose(1, 0, 2).reshape(y.shape[1], -1).T))
+        return red
 
     def as_dict(self, extra=None):
         out = {
             "trace_drift": self.trace_drift,
             "herm_drift": self.herm_drift,
+            "isometry_drift": self.isometry,
             "unitarity_residual": self.unitarity,
             "leakage": self.leakage,
+            "dropped_weight": self.dropped_weight,
         }
         out.update(self.extra)
         if extra:
@@ -432,13 +423,12 @@ def _engine_propagator(sector, params, t_a, t_b, dt_cap, collect=None):
     n = max(1, int(math.ceil((t_b - t_a) / dt_cap)))
     dt = (t_b - t_a) / n
     U = np.eye(sector.dim, dtype=complex)
-    for k in range(n):
-        t_mid = t_a + (k + 0.5) * dt
-        E = float(params.energy(t_mid))
-        chi = float(params.theta(t_mid)) + math.pi / 2
-        U = sector.tilted(chi, np.exp(-2j * E * dt * sector.sz_diag)) @ U
-        if collect is not None and (k % collect[0] == 0 or k == n - 1):
-            collect[1].append((t_a + (k + 1) * dt, U.copy()))
+    for k0 in range(0, n, GRID_CHUNK):
+        steps = _engine_steps(sector, params, _midpoints(t_a, dt, k0, min(k0 + GRID_CHUNK, n)), dt)
+        for k, step in enumerate(steps, k0):
+            U = step @ U
+            if collect is not None and (k % collect[0] == 0 or k == n - 1):
+                collect[1].append((t_a + (k + 1) * dt, U))
     return U
 
 
@@ -488,12 +478,16 @@ def apply_impulse(state: QuantumState, g: float, V_R, V_S) -> QuantumState:
     vs = V_S.matrix if isinstance(V_S, DenseOperator) else np.asarray(V_S, dtype=complex)
     r, P_r = np.linalg.eigh(vr)
     s, P_s = np.linalg.eigh(vs)
-    for Q in (P_r, P_s):
-        res = float(np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[0]))))
-        if res > UNITARITY_TOL:
-            raise PropagationError(f"kick eigenbasis not unitary: residual {res:.3e}")
-    rho = _coupling_sandwich(state.rho, P_r, P_s,
-                             np.exp(-1j * g * np.multiply.outer(r, s).ravel()), dE, dS)
+    res = _isometry_drift(P_r, P_s)
+    if res > UNITARITY_TOL:
+        raise PropagationError(f"kick eigenbasis not unitary: residual {res:.3e}")
+    phase = np.exp(-1j * g * np.multiply.outer(r, s))
+
+    def kick(m):    # U m, with the columns of m as a factor
+        y = _kick(m.reshape(dE, dS, -1).transpose(0, 2, 1), P_r, P_s, phase)
+        return y.transpose(0, 2, 1).reshape(m.shape)
+
+    rho = kick(kick(state.rho).conj().T)      # U (U rho)^dag = U rho U^dag
     rho = (rho + rho.conj().T) / 2
     return QuantumState(state.space, rho)
 
@@ -569,7 +563,10 @@ def run_cycle(
         work=record,
         final_state=final,
         per_stroke_energies=energies,
-        diagnostics=diag.as_dict({"system_dim": system.dim}),
+        diagnostics=diag.as_dict({
+            "system_dim": system.dim,
+            "sectors": [[s.dim, int(s.mult)] for s in sectors],
+        }),
     )
 
 
@@ -586,84 +583,69 @@ def _run_impulse(params, schedule, system, sectors, config):
     in_first = t1 < half
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
     blocks = _sector_thermal(sectors, params, t0, beta)
-    ground = np.zeros((dS, dS), dtype=complex)
-    ground[0, 0] = 1.0
-    sigma_s = np.zeros_like(ground)
+    mu, W = np.ones(1), np.eye(dS)[:, :1]          # the system's ground state
+    sigma_s = np.zeros((dS, dS), dtype=complex)
     s_vals, s_vecs = np.linalg.eigh(system.matrix)
     for sector, rho_e in zip(sectors, blocks):
         diag.unitarity = max(diag.unitarity, sector.unitarity_residual())
-        U = _engine_propagator(sector, params, t0, t1, cap)
-        rho_e_t1 = U @ rho_e @ U.conj().T
-        rho = np.kron(rho_e_t1, ground)
-        tr0 = float(np.trace(rho).real)
-        u = np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals).ravel())
-        rho = _coupling_sandwich(rho, sector.vr_vecs, s_vecs, u, sector.dim, dS)
-        diag.merge_state(rho, tr0)
-        sigma_s += sector.mult * trace_out_engine(rho, sector.dim, dS)
+        y, w = _product_factor(rho_e, mu, W)
+        y = _rotate(y, _engine_propagator(sector, params, t0, t1, cap), np.eye(dS))
+        y = _kick(y, sector.vr_vecs, s_vecs,
+                  np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals)))
+        sigma_s += sector.mult * diag.merge_state(y, w, float(w.sum()))
     # free evolution after the kick (and the reset, if the kick came first)
     # leaves the measured diagonal of sigma_S unchanged.
     diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
     energies = [
         {"t": 0.0, "system_energy": 0.0},
-        {"t": half, "system_energy": _system_energy(sigma_s if in_first else ground, system)},
+        {"t": half, "system_energy": _system_energy(sigma_s, system) if in_first else 0.0},
         {"t": params.T, "system_energy": _system_energy(sigma_s, system)},
     ]
     return sigma_s, diag, energies
 
 
 def _run_smooth(params, schedule, system, sectors, config):
+    """Each stroke propagates, per sector, the factor of rho_E (x) sigma_S
+    (rank dE in stroke 1, where sigma_S is the ground state)."""
     diag = _Diag()
     half = params.T / 2
     dS = system.dim
     dt, n_steps = _resolve_dt(params, system, config, half)
-    ground = np.zeros((dS, dS), dtype=complex)
-    ground[0, 0] = 1.0
+    sigma_s = np.zeros((dS, dS), dtype=complex)
+    sigma_s[0, 0] = 1.0
     energies = [{"t": 0.0, "system_energy": 0.0}]
-
     eps = np.asarray(system.energies, dtype=float)
+    evolve = _split_evolve if config.stepper == "split-midpoint" else _dense_evolve
     trace_rows = {}
+    walls, ranks = [], []
+    for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
+        wall = time.perf_counter()
+        mu, W, dropped = _system_factor(sigma_s)
+        diag.dropped_weight += dropped
+        sigma_s = np.zeros((dS, dS), dtype=complex)
+        ranks.append([])
+        for sector, rho_e in zip(sectors, _sector_thermal(sectors, params, t_start, beta)):
+            y, w = _product_factor(rho_e, mu, W)
+            ranks[-1].append(w.size)
+            tr0 = float(w.sum())
 
-    def evolve_half(blocks, t_start, sigma_in):
-        out_sigma = np.zeros((dS, dS), dtype=complex)
-        for sector, rho_e in zip(sectors, blocks):
-            stepper = _make_stepper(config, sector, system, params, schedule, dt)
-            diag.unitarity = max(diag.unitarity, stepper.unitarity_residual())
-            rho = np.kron(rho_e, sigma_in)
-            tr0 = float(np.trace(rho).real)
-            t = t_start
-            for k in range(n_steps):
-                rho = stepper.step(rho, t)
-                t = t_start + (k + 1) * dt
-                if (k + 1) % SAMPLE_EVERY == 0 or k == n_steps - 1:
-                    diag.merge_state(rho, tr0)
-                    red = trace_out_engine(rho, sector.dim, dS)
-                    diag.leakage = max(
-                        diag.leakage, _reduced_leakage(red) / max(tr0, 1e-300)
-                    )
-                    if config.collect_trace:
-                        pops = np.real(np.diag(red))
-                        row = trace_rows.setdefault(round(t, 12), [0.0, 0.0, 0.0])
-                        row[0] += sector.mult * float(pops.sum())
-                        row[1] += sector.mult * float(pops[-2:].sum())
-                        row[2] += sector.mult * float(pops @ eps)
-            diag.unitarity = max(diag.unitarity, stepper.unitarity_residual())
-            out_sigma += sector.mult * trace_out_engine(rho, sector.dim, dS)
-        return out_sigma
+            def sample(k, y, sector=sector, w=w, tr0=tr0):
+                red = diag.merge_state(y, w, tr0)
+                diag.leakage = max(diag.leakage, _reduced_leakage(red) / max(tr0, 1e-300))
+                if config.collect_trace:
+                    pops = np.real(np.diag(red))
+                    row = trace_rows.setdefault(round(t_start + (k + 1) * dt, 12), np.zeros(3))
+                    row += sector.mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
 
-    blocks_c = _sector_thermal(sectors, params, 0.0, params.beta_c)
-    sigma_s = evolve_half(blocks_c, 0.0, ground)
-    tr = float(np.trace(sigma_s).real)
-    diag.trace_drift = max(diag.trace_drift, abs(tr - 1.0))
-    sigma_s = (sigma_s + sigma_s.conj().T) / 2
-    energies.append({"t": half, "system_energy": _system_energy(sigma_s, system)})
-
-    blocks_h = _sector_thermal(sectors, params, half, params.beta_h)
-    sigma_s = evolve_half(blocks_h, half, sigma_s)
-    diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
-    energies.append({"t": params.T, "system_energy": _system_energy(sigma_s, system)})
-    diag.extra = {"dt": dt, "n_steps_per_half": n_steps}
+            y, residual = evolve(sector, system, params, schedule, dt, y, t_start, n_steps, sample)
+            diag.unitarity = max(diag.unitarity, residual)
+            sigma_s += sector.mult * _reduced_system(y, w)
+        diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
+        sigma_s = (sigma_s + sigma_s.conj().T) / 2
+        energies.append({"t": t_start + half, "system_energy": _system_energy(sigma_s, system)})
+        walls.append(time.perf_counter() - wall)
+    diag.extra = {"dt": dt, "n_steps_per_half": n_steps,
+                  "stroke_wall_s": walls, "factor_rank": ranks}
     if config.collect_trace:
-        diag.extra["trace"] = [
-            (t, row[0], row[1], row[2]) for t, row in sorted(trace_rows.items())
-        ]
+        diag.extra["trace"] = [(t, *map(float, row)) for t, row in sorted(trace_rows.items())]
     return sigma_s, diag, energies

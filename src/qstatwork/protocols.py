@@ -10,7 +10,6 @@ the protocol; no dynamics.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Union

@@ -145,8 +145,9 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     # (a) conservation across every acceptance run so far
     worst_trace = max(d["trace_drift"] for d in _DIAGNOSTICS)
     worst_herm = max(d["herm_drift"] for d in _DIAGNOSTICS)
+    worst_iso = max(d["isometry_drift"] for d in _DIAGNOSTICS)
     worst_unit = max(d["unitarity_residual"] for d in _DIAGNOSTICS)
-    cons_ok = worst_trace < 1e-10 and worst_herm < 1e-10 and worst_unit < 1e-10
+    cons_ok = max(worst_trace, worst_herm, worst_iso, worst_unit) < 1e-10
 
     # (b) second-order convergence: halving dt cuts the work error >= 4x.
     # Delta != 0, since at Delta = 0 the step is exact to rounding for the
@@ -178,8 +179,8 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     dt = time.time() - t0
     ok = cons_ok and conv_ok and trunc_ok
     report("criterion-10 (numerical hygiene)", ok,
-           f"trace {worst_trace:.1e}, herm {worst_herm:.1e}, unitarity "
-           f"{worst_unit:.1e} (all < 1e-10 over {len(_DIAGNOSTICS)} runs); "
+           f"trace {worst_trace:.1e}, herm {worst_herm:.1e}, isometry {worst_iso:.1e}, "
+           f"unitarity {worst_unit:.1e} (all < 1e-10 over {len(_DIAGNOSTICS)} runs); "
            f"dt-halving ratio {ratio:.2f} (>= 4) at |w1 - w4| {err1:.1e} "
            f"(>= {margin:.0e}, 1e3 x rounding floor; w1 {w[1]!r}, w2 {w[2]!r}, "
            f"w4 {w[4]!r}); truncation doubling "

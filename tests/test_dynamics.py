@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qstatwork as qw
+import qstatwork.dynamics as dyn
 from qstatwork.dynamics import (
-    CycleResult,
     PropagatorConfig,
     _build_sectors,
+    _product_factor,
     _sector_thermal,
+    _split_evolve,
     adiabaticity_witness,
     apply_impulse,
     default_dt_cap,
@@ -218,8 +221,10 @@ class TestRunCycleImpulse:
         d = res.diagnostics
         assert d["trace_drift"] < 1e-10
         assert d["herm_drift"] < 1e-10
+        assert d["isometry_drift"] < 1e-10
         assert d["unitarity_residual"] < 1e-10
         assert d["leakage"] < 1e-6
+        assert d["sectors"] == [[5, 1]]
 
 
 class TestRunCycleSmooth:
@@ -296,10 +301,68 @@ class TestRunCycleSmooth:
         assert abs(w2 - w1) < 1e-6 * abs(w2)
 
     def test_nonperturbative_top_level_leakage(self):
-        # g = 0.5 plateau at a converged truncation: top-two-level population
-        # stays below 1e-8 throughout
+        # g = 0.5 plateau at a converged truncation (the Fig.-3 case):
+        # top-two-level population stays below 1e-8 throughout, and the
+        # stroke-2 factor drops no more than 1e-14 of sigma_S's weight
         res = run_cycle(engine(2, 0.0), self.STRONG, ho(16))
-        assert res.diagnostics["leakage"] < 1e-8
+        d = res.diagnostics
+        assert d["leakage"] < 1e-8
+        assert d["dropped_weight"] <= 1e-14
+        assert d["factor_rank"][0] == [3]              # stroke 1: rank dE, exact
+        assert 3 < d["factor_rank"][1][0] <= 3 * 16
+
+    def test_diagnostics_bounds_smooth(self):
+        pd = engine(3, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
+        d = run_cycle(pd, self.PLATEAU, ho(8)).diagnostics
+        for key in ("trace_drift", "herm_drift", "isometry_drift", "unitarity_residual"):
+            assert d[key] < 1e-10, key
+        assert d["sectors"] == [[4, 1], [2, 2]]
+        assert d["factor_rank"][0] == [4, 2]
+        assert len(d["stroke_wall_s"]) == 2 and min(d["stroke_wall_s"]) > 0
+
+    def test_scaled_factor_fails_isometry_check(self, monkeypatch):
+        # negative control: a factor off the isometry by 1e-8 must fail
+        # the 1e-10 bound that the smooth-run check above applies
+        def scaled(*args):
+            y, w = _product_factor(*args)
+            return y * (1 + 1e-8), w
+
+        monkeypatch.setattr(dyn, "_product_factor", scaled)
+        d = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6)).diagnostics
+        assert d["isometry_drift"] > 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_factor_steps_match_dense_strang(self, delta):
+        # 300 steps (more than one grid chunk) of the factored split stepper
+        # from a full-rank stroke-2 input, against the same Strang product
+        # built densely with expm on kron'd operators and applied to rho.
+        N, dS = 2, 6
+        p, system = engine(N, delta), ho(dS)
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
+        sigma = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        mu, W = np.linalg.eigh(sigma)
+        y, w = _product_factor(rho_e, mu, W)
+        assert w.size == (N + 1) * dS                   # full rank
+        dt, n, t_start = default_dt_cap(p, system), 300, 0.75 * T
+        y, _ = _split_evolve(sector, system, p, self.STRONG, dt, y, t_start, n,
+                             lambda k, x: None)
+        psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
+        got = (psi * w) @ psi.conj().T
+
+        sx, _ = qw.collective_spin_ops(N)
+        eye_e, eye_s = np.eye(N + 1), np.eye(dS)
+        h_s = np.kron(eye_e, np.diag(system.energies))
+        v = np.kron(2 * sx.matrix, system.matrix)
+        rho = np.kron(rho_e, sigma)
+        for k in range(n):
+            t_mid = t_start + k * dt + dt / 2
+            h_e = qw.engine_hamiltonian(p, t_mid, qw.DickeSector(N)).matrix
+            half = scipy.linalg.expm(-0.5j * dt * (np.kron(h_e, eye_s) + h_s))
+            U = half @ scipy.linalg.expm(-1j * dt * qw.g_of_t(self.STRONG, t_mid) * v) @ half
+            rho = U @ rho @ U.conj().T
+        assert np.max(np.abs(got - rho)) <= 1e-12
 
     def test_truncation_leakage_guard(self):
         strong = qw.SmoothPlateau(g=3.0, delta_t=0.9, alpha=2142.0 / T, T=T)
