@@ -23,35 +23,41 @@ def _gl_nodes(order: int):
     return _GL_CACHE[order]
 
 
-def _build_panels(a: float, b: float, breakpoints, max_freq: float, max_width: float):
-    pts = {a, b}
-    for p in breakpoints or ():
-        if a < p < b:
-            pts.add(float(p))
-    edges = sorted(pts)
+def _build_panels(a: float, b: float, breakpoints, max_freq: float, max_width: float) -> np.ndarray:
+    """Panel edges over [a, b]: the breakpoints inside (a, b) cut it into
+    segments, and each segment is split evenly (as np.linspace would) into
+    the fewest panels no wider than the width cap."""
+    cuts = np.array(sorted({a, b, *(float(p) for p in breakpoints or () if a < p < b)}))
     width_cap = b - a
     if max_freq > 0:
         width_cap = min(width_cap, 5.0 / max_freq)
     if max_width and max_width > 0:
         width_cap = min(width_cap, max_width)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil((hi - lo) / width_cap)))
-        sub = np.linspace(lo, hi, n + 1)
-        panels.extend(zip(sub[:-1], sub[1:]))
-    return panels
+    lo, hi = cuts[:-1], cuts[1:]
+    n = np.maximum(1, np.ceil((hi - lo) / width_cap)).astype(int)
+    seg = np.repeat(np.arange(n.size), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    return np.append(k * ((hi - lo) / n)[seg] + lo[seg], b)
 
 
-def _evaluate(f, panels, order: int) -> complex:
+def _refine(edges: np.ndarray) -> np.ndarray:
+    """Halve every panel."""
+    out = np.empty(2 * edges.size - 1)
+    out[0::2] = edges
+    out[1::2] = (edges[:-1] + edges[1:]) / 2
+    return out
+
+
+def _evaluate(f, edges: np.ndarray, order: int) -> np.ndarray:
     x, w = _gl_nodes(order)
-    los = np.array([p[0] for p in panels])
-    his = np.array([p[1] for p in panels])
+    los, his = edges[:-1], edges[1:]
     half = (his - los) / 2
     mid = (his + los) / 2
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     vals = np.asarray(f(nodes))
-    vals = vals.reshape(len(panels), order)
-    return complex(np.sum(vals @ w * half))
+    vals = vals.reshape(vals.shape[:-1] + (los.size, order))
+    return np.sum(vals @ w * half, axis=-1)
+
 
 def integrate_oscillatory(
     f,
@@ -67,26 +73,38 @@ def integrate_oscillatory(
 ):
     """Integrate a vectorised complex integrand f over [a, b].
 
-    Refines by doubling the panel count until two successive estimates
-    differ by less than max(abs_tol, rel_tol * scale); raises
-    QuadratureError with diagnostics if that never happens.
+    f maps an array of nodes to values of the same length, or to a stack
+    of shape (m, nodes) of m integrands sharing the panels.  Refines by
+    doubling the panel count until two successive estimates differ by
+    less than max(abs_tol, rel_tol * scale); each component of a stack
+    keeps the first estimate that passes its own test, so it equals the
+    value f's component alone would give.  Returns a complex, or an array
+    of m complex values for a stack; raises QuadratureError with
+    diagnostics if some component never converges.
     """
     if b <= a:
-        return 0.0 + 0.0j
-    panels = _build_panels(a, b, breakpoints, max_freq, max_width)
-    est = _evaluate(f, panels, order)
-    scale = max(abs(est), (b - a) * 1e-300)
+        shape = np.shape(f(np.array([a])))[:-1]
+        return np.zeros(shape, complex) if shape else 0.0 + 0.0j
+    edges = _build_panels(a, b, breakpoints, max_freq, max_width)
+    est = _evaluate(f, edges, order)
+    scale = np.maximum(np.abs(est), (b - a) * 1e-300)
+    out = est
+    done = np.zeros(est.shape, bool)
     for _ in range(max_refine):
-        panels = [p for lo, hi in panels for p in ((lo, (lo + hi) / 2), ((lo + hi) / 2, hi))]
-        new = _evaluate(f, panels, order)
-        delta = abs(new - est)
-        est, scale = new, max(abs(new), scale)
-        if delta <= max(abs_tol, rel_tol * scale):
-            return est
+        edges = _refine(edges)
+        new = _evaluate(f, edges, order)
+        delta = np.abs(new - est)
+        est, scale = new, np.maximum(np.abs(new), scale)
+        passed = ~done & (delta <= np.maximum(abs_tol, rel_tol * scale))
+        out = np.where(passed, new, out)
+        done |= passed
+        if done.all():
+            return out if out.ndim else complex(out)
+    last = float(np.max(delta[~done]))
     raise QuadratureError(
-        f"quadrature did not converge over [{a}, {b}]: last delta {delta:.3e} "
-        f"with {len(panels)} panels",
-        estimate=est,
-        last_delta=delta,
-        panels=len(panels),
+        f"quadrature did not converge over [{a}, {b}]: last delta {last:.3e} "
+        f"with {edges.size - 1} panels",
+        estimate=est if est.ndim else complex(est),
+        last_delta=last,
+        panels=edges.size - 1,
     )

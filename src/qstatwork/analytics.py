@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from . import _quad
@@ -61,79 +60,60 @@ METHOD_FERMI_NUMERICAL = "fermi-numerical"
 #   h = -[(N+1) c((N+1)x) - c(x)] / 2,          c(a) = coth(a) - 1/a
 #   f = [g(x) - (N+1)^2 g((N+1)x)] / 4 + h^2,   g(a) = csch^2(a) - 1/a^2
 #
-# whose 1/x poles cancel exactly.  c and g get Taylor branches at small
-# argument.  A residual amplification ~(N+1)^2 survives in f for large N
-# at small (N+1)x; that band falls back to high-precision evaluation of
-# the literal sinh form.
+# whose 1/x poles cancel exactly.  f carries the error of g((N+1)x)
+# amplified by (N+1)^2, and that of c((N+1)x) amplified by h, so c and g
+# must be good to a few ulp wherever (N+1)x is small or moderate.  Taken
+# as differences they are not at small a (g loses 25x at a = 0.35), so
+# below a = 2 we use the all-positive series
+#
+#   S(a) = (sinh a - a) / a^3         = sum_k a^2k / (2k+3)!
+#   C(a) = (a cosh a - sinh a) / a^3  = sum_k (2k+2) a^2k / (2k+3)!
+#
+# and sinh(a)/a = 1 + a^2 S:
+#
+#   c(a) = a C / (1 + a^2 S),    g(a) = -S (2 + a^2 S) / (1 + a^2 S)^2.
+#
+# From a = 2 on the differences are as accurate as the series, and a
+# switch at a = 2 rather than higher measured best: over N = 8..99 with
+# (N+1)x <= 8, f stays within 9e-16 relative of the 60-digit literal
+# sinh form (1.3e-15 with the switch at a = 8.5).  Above a = 350, csch^2 a
+# is replaced by csch^2 350 = 4e-304, which no longer moves g, so that
+# sinh cannot overflow.
 
-_C_COEFFS = (
-    1.0 / 3.0,
-    -1.0 / 45.0,
-    2.0 / 945.0,
-    -1.0 / 4725.0,
-    2.0 / 93555.0,
-    -1382.0 / 638512875.0,
-    4.0 / 18243225.0,
-)
-
-_G_COEFFS = (
-    -1.0 / 3.0,
-    1.0 / 15.0,
-    -2.0 / 189.0,
-    1.0 / 675.0,
-    -2.0 / 10395.0,
-    15202.0 / 638512875.0,
-    -52.0 / 18243225.0,
-    3.332185e-07,
-)
-
-_SERIES_CUT = 0.35
-
-
-def _coth_minus_inv(a: np.ndarray) -> np.ndarray:
-    """c(a) = coth(a) - 1/a, stable down to a = 0."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    small = a < _SERIES_CUT
-    s2 = a[small] ** 2
-    # Horner over the odd series c = a (c0 + a^2 (c1 + ...))
-    acc = np.zeros_like(s2)
-    for coef in reversed(_C_COEFFS):
-        acc = coef + s2 * acc
-    out[small] = a[small] * acc
-    big = ~small
-    out[big] = 1.0 / np.tanh(a[big]) - 1.0 / a[big]
-    return out
+_SERIES_MAX = 2.0
+# 12 terms: at a = 2 the first omitted term of S and of C is < 2e-17 of the sum
+_SERIES_POWERS = np.arange(12)
+_SERIES_COEFFS = np.array([
+    [1 / math.factorial(2 * k + 3), (2 * k + 2) / math.factorial(2 * k + 3)]
+    for k in _SERIES_POWERS.tolist()
+])
 
 
-def _csch2_minus_inv2(a: np.ndarray) -> np.ndarray:
-    """g(a) = csch^2(a) - 1/a^2, stable down to a = 0 and overflow-free."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    small = a < _SERIES_CUT
-    s2 = a[small] ** 2
-    acc = np.zeros_like(s2)
-    for coef in reversed(_G_COEFFS):
-        acc = coef + s2 * acc
-    out[small] = acc
-    mid = (~small) & (a < 350.0)
-    out[mid] = 1.0 / np.sinh(a[mid]) ** 2 - 1.0 / a[mid] ** 2
-    large = a >= 350.0
-    out[large] = -1.0 / a[large] ** 2
-    return out
+def _thermal_moments(N: int, x: np.ndarray):
+    """(f, h) on an array of x >= 0; the callers validate N and x."""
+    a = np.stack((x, (N + 1) * x))
+    b = np.minimum(a, _SERIES_MAX)
+    b2 = b * b
+    SC = b2[..., None] ** _SERIES_POWERS @ _SERIES_COEFFS
+    S, C = SC[..., 0], SC[..., 1]
+    q = 1.0 + b2 * S
+    big = np.maximum(a, _SERIES_MAX)
+    series = a < _SERIES_MAX
+    c = np.where(series, b * C / q, 1.0 / np.tanh(big) - 1.0 / big)
+    g = np.where(series, -S * (2.0 + b2 * S) / (q * q),
+                 1.0 / np.sinh(np.minimum(big, 350.0)) ** 2 - 1.0 / big ** 2)
+    h = -((N + 1) * c[1] - c[0]) / 2.0
+    f = (g[0] - (N + 1) ** 2 * g[1]) / 4.0 + h * h
+    return np.where(x == 0.0, N * (N + 2) / 12.0, f), h
 
 
-def _moment_f_mp(N: int, x: float) -> float:
-    """Literal sinh closed form at high precision (narrow fallback band)."""
-    with mpmath.workdps(50):
-        xm = mpmath.mpf(x)
-        num = (
-            N ** 2 * mpmath.sinh((N + 3) * xm)
-            + (N + 2) ** 2 * mpmath.sinh((N - 1) * xm)
-            - 2 * (N ** 2 + 2 * N - 2) * mpmath.sinh((N + 1) * xm)
-        )
-        den = 16 * mpmath.sinh((N + 1) * xm) * mpmath.sinh(xm) ** 2
-        return float(num / den)
+def _moment_args(name: str, N, x):
+    if N < 1 or int(N) != N:
+        raise ValueError(f"{name} needs a positive integer N, got {N!r}")
+    x_arr = np.asarray(x, dtype=float)
+    if (x_arr < 0).any():
+        raise DomainError(f"{name} requires x >= 0")
+    return int(N), x_arr
 
 
 def moment_f(N: int, x):
@@ -142,31 +122,8 @@ def moment_f(N: int, x):
     x = beta_{t0} E_{t0} >= 0; x = 0 returns the uniform-distribution
     value N(N+2)/12, x -> inf tends to N^2/4.  Stable for x N up to 1e3.
     """
-    if N < 1 or int(N) != N:
-        raise ValueError(f"moment_f needs a positive integer N, got {N!r}")
-    N = int(N)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise DomainError("moment_f requires x >= 0")
-    h = _moment_h_arr(N, x_arr)
-    gx = _csch2_minus_inv2(x_arr)
-    gNx = _csch2_minus_inv2((N + 1) * x_arr)
-    out = (gx - (N + 1) ** 2 * gNx) / 4.0 + h * h
-    out = np.where(x_arr == 0.0, N * (N + 2) / 12.0, out)
-    # cancellation-amplified band: recompute pointwise at high precision
-    band = (x_arr > 0) & ((N + 1) * x_arr <= 8.0) & (N >= 8)
-    if np.any(band):
-        flat = out.reshape(-1)
-        for idx in np.flatnonzero(band.reshape(-1)):
-            flat[idx] = _moment_f_mp(N, float(x_arr.reshape(-1)[idx]))
-        out = flat.reshape(out.shape)
-    return out if out.ndim else float(out)
-
-
-def _moment_h_arr(N: int, x_arr: np.ndarray) -> np.ndarray:
-    cx = _coth_minus_inv(x_arr)
-    cNx = _coth_minus_inv((N + 1) * x_arr)
-    return -((N + 1) * cNx - cx) / 2.0
+    f, _ = _thermal_moments(*_moment_args("moment_f", N, x))
+    return f if f.ndim else float(f)
 
 
 def moment_h(N: int, x):
@@ -175,14 +132,8 @@ def moment_h(N: int, x):
     h(1, x) = -tanh(x)/2 and h(N, 0) = 0; the printed closed form is the
     magnitude of this quantity.
     """
-    if N < 1 or int(N) != N:
-        raise ValueError(f"moment_h needs a positive integer N, got {N!r}")
-    N = int(N)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise DomainError("moment_h requires x >= 0")
-    out = _moment_h_arr(N, x_arr)
-    return out if out.ndim else float(out)
+    _, h = _thermal_moments(*_moment_args("moment_h", N, x))
+    return h if h.ndim else float(h)
 
 
 @dataclass(frozen=True)
@@ -198,8 +149,7 @@ class MomentSet:
 
 
 def moments(N: int, x: float) -> MomentSet:
-    f = moment_f(N, x)
-    h = moment_h(N, x)
+    f, h = (float(m) for m in _thermal_moments(*_moment_args("moments", N, x)))
     return MomentSet(N=N, x=float(x), f=f, h=h, F_plus=f + h, F_minus=f - h)
 
 
@@ -380,25 +330,19 @@ def compute_amplitudes(
     def base(tt):
         return g_of_t(schedule, tt) * v_i0 * np.exp(1j * eps_i * tt)
 
-    def integrand_c(sign):
-        def f(tt):
-            return (
-                base(tt)
-                * params.sin_theta(tt)
-                * np.exp(1j * sign * phase_integral(params, tt, t0))
-            )
-        return f
+    def integrand_c(tt):
+        # c~+ and c~- differ only in the sign of the ladder phase
+        common = base(tt) * params.sin_theta(tt)
+        ladder = np.exp(1j * phase_integral(params, tt, t0))
+        return np.stack((common * ladder, common * ladder.conj()))
 
     def integrand_d(tt):
         return -base(tt) * params.cos_theta(tt)
 
     kw = dict(breakpoints=brk, rel_tol=rel_tol, abs_tol=1e-14 * abs(v_i0))
-    c_plus = _quad.integrate_oscillatory(
-        integrand_c(+1), lo, hi, max_freq=eps_i + 2 * e_max, **kw
-    )
-    c_minus = _quad.integrate_oscillatory(
-        integrand_c(-1), lo, hi, max_freq=eps_i + 2 * e_max, **kw
-    )
+    c_plus, c_minus = _quad.integrate_oscillatory(
+        integrand_c, lo, hi, max_freq=eps_i + 2 * e_max, **kw
+    ).tolist()
     if params.Delta == 0.0:
         d = 0j
     else:
@@ -504,13 +448,37 @@ def impulse_work(
     )
 
 
+def _p_indist(N: int, amps: tuple, f: list, h: list) -> float:
+    """Indistinguishable probability from the amplitudes at t0 = 0, T/2
+    and the moments f, h at (x_c, x_h)."""
+    j = N / 2
+    p = 0.0
+    for amp, fk, hk in zip(amps, f, h):
+        p += 4 * abs(amp.d) ** 2 * fk
+        p += abs(amp.c_plus) ** 2 * (j * (j + 1) - (fk + hk))
+        p += abs(amp.c_minus) ** 2 * (j * (j + 1) - (fk - hk))
+    a0, ah = amps
+    return float(p + 8 * (a0.d * np.conj(ah.d)).real * h[0] * h[1])
+
+
+def _p_dist(N: int, amps: tuple, tanh_x: list) -> float:
+    """Distinguishable probability from the amplitudes at t0 = 0, T/2 and
+    tanh(x) at (x_c, x_h)."""
+    p = 0.0
+    for amp, t in zip(amps, tanh_x):
+        p += abs(amp.d) ** 2 * (N + N * (N - 1) * t ** 2)
+        p += abs(amp.c_plus) ** 2 * ((N / 2) * (1 + t))
+        p += abs(amp.c_minus) ** 2 * ((N / 2) * (1 - t))
+    a0, ah = amps
+    return float(p + 2 * (a0.d * np.conj(ah.d)).real * N ** 2 * tanh_x[0] * tanh_x[1])
+
+
 def general_probability(
     params: EngineParams,
     schedule: CouplingSchedule,
     system: ExternalSystem,
     statistics: Statistics,
     i: int,
-    _amps: tuple = None,
 ) -> float:
     """Leading-order excitation probability of level i for a smooth coupling.
 
@@ -520,32 +488,13 @@ def general_probability(
     when cos(theta) vanishes.
     """
     half = params.T / 2
-    if _amps is None:
-        a0 = compute_amplitudes(params, schedule, system, i, 0.0)
-        ah = compute_amplitudes(params, schedule, system, i, half)
-    else:
-        a0, ah = _amps
-    N = params.N
-    x_c, x_h = _x_at(params, 0.0), _x_at(params, half)
-    stats = Statistics(statistics)
-    p = 0.0
-    if stats is Statistics.BOSE:
-        for amp, x in ((a0, x_c), (ah, x_h)):
-            p += 4 * abs(amp.d) ** 2 * moment_f(N, x)
-            p += abs(amp.c_plus) ** 2 * ladder_weight_indist(N, x, +1)
-            p += abs(amp.c_minus) ** 2 * ladder_weight_indist(N, x, -1)
-        p += 8 * (a0.d * np.conj(ah.d)).real * moment_h(N, x_c) * moment_h(N, x_h)
-    else:
-        for amp, x in ((a0, x_c), (ah, x_h)):
-            tanh_x = math.tanh(x)
-            p += abs(amp.d) ** 2 * (N + N * (N - 1) * tanh_x ** 2)
-            p += abs(amp.c_plus) ** 2 * ladder_weight_dist(N, x, +1)
-            p += abs(amp.c_minus) ** 2 * ladder_weight_dist(N, x, -1)
-        p += (
-            2 * (a0.d * np.conj(ah.d)).real
-            * N ** 2 * math.tanh(x_c) * math.tanh(x_h)
-        )
-    return float(p)
+    amps = (compute_amplitudes(params, schedule, system, i, 0.0),
+            compute_amplitudes(params, schedule, system, i, half))
+    x = [_x_at(params, 0.0), _x_at(params, half)]
+    if Statistics(statistics) is Statistics.BOSE:
+        f, h = _thermal_moments(params.N, np.array(x))
+        return _p_indist(params.N, amps, f.tolist(), h.tolist())
+    return _p_dist(params.N, amps, [math.tanh(v) for v in x])
 
 
 def general_work(
@@ -624,13 +573,15 @@ def enhancement_region(
     """Map the region where indistinguishable engines win (ties count as
     enhancement, consistent with exact equality at N = 1).
 
-    Amplitudes depend only on the (Delta, omega) cell, so each cell costs
-    six quadratures and the N sweep reuses them through the bracket
-    factors.
+    Amplitudes depend only on the (Delta, omega) cell and the moments
+    only on (Delta, N), so each is computed once and the N sweep reuses
+    the amplitudes through the bracket factors.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
     N_values = tuple(int(n) for n in N_values)
+    if min(N_values, default=1) < 1:
+        raise ValueError(f"N values must be positive integers, got {N_values}")
     shape = (len(N_values), deltas.size, omts.size)
     w_ind = np.zeros(shape)
     w_dist = np.zeros(shape)
@@ -644,22 +595,19 @@ def enhancement_region(
             beta_c=beta_c_E0 / e0, beta_h=beta_h_EH / eh,
             gap_direction=base.gap_direction,
         )
+        # x = beta E at t0 = 0, T/2 does not depend on N or omega
+        x = [_x_at(params1, 0.0), _x_at(params1, half)]
+        tanh_x = [math.tanh(v) for v in x]
+        moments_N = [[m.tolist() for m in _thermal_moments(N, np.array(x))] for N in N_values]
         for c, omt in enumerate(omts):
             omega = omt / base.T
             system = harmonic_system(omega, 4)
             schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
-            a0 = compute_amplitudes(params1, schedule, system, 1, 0.0)
-            ah = compute_amplitudes(params1, schedule, system, 1, half)
-            for a, N in enumerate(N_values):
-                pN = EngineParams(
-                    N=N, Omega0=params1.Omega0, Delta=delta, v=base.v, T=base.T,
-                    beta_c=params1.beta_c, beta_h=params1.beta_h,
-                    gap_direction=base.gap_direction,
-                )
-                p_b = general_probability(pN, schedule, system, Statistics.BOSE, 1, _amps=(a0, ah))
-                p_d = general_probability(pN, schedule, system, Statistics.DISTINGUISHABLE, 1, _amps=(a0, ah))
-                w_ind[a, b, c] = omega * p_b
-                w_dist[a, b, c] = omega * p_d
+            amps = (compute_amplitudes(params1, schedule, system, 1, 0.0),
+                    compute_amplitudes(params1, schedule, system, 1, half))
+            for a, (N, (f, h)) in enumerate(zip(N_values, moments_N)):
+                w_ind[a, b, c] = omega * _p_indist(N, amps, f, h)
+                w_dist[a, b, c] = omega * _p_dist(N, amps, tanh_x)
     scale = np.maximum(np.abs(w_ind), np.abs(w_dist))
     enhanced = w_ind - w_dist >= -1e-12 * scale
     return RegionMap(

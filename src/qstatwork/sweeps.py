@@ -563,7 +563,9 @@ def _check_moment_oracles():
 def _check_inequalities(rng, n_max: int, n_grid: int):
     """Criterion 2: the four moment inequalities on verify_inequalities'
     N <= n_max grid of n_grid x values (it raises on a violation), on 1e4
-    random (N <= 60, x, y) draws, and the four N = 1 equalities."""
+    random (N <= 60, x, y) draws, and the four N = 1 equalities.  Margins
+    of both are held to -1e-12 max(1, N^2/4): the moments are of size
+    N^2/4, so their rounding is too."""
     try:
         rep = analytics.verify_inequalities(n_max, np.geomspace(1e-3, 50.0, n_grid))
     except QstatworkError as exc:
@@ -581,10 +583,11 @@ def _check_inequalities(rng, n_max: int, n_grid: int):
             *((j * (j + 1) - (f + s * h)) - j * (1 + s * tx) for s in (1, -1)),
             4 * h * analytics.moment_h(N, y) - N ** 2 * tx * np.tanh(y),
         ]
-        worst = min(worst, *(m.min() for m in margins))
+        worst = min(worst, min(m.min() for m in margins) / max(1.0, N * N / 4))
     grid = min(m for m, _ in rep.margins.values())
     ok = worst > -1e-12 and rep.n1_equality_defect < 1e-12
-    return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), draws {worst:.1e} (> -1e-12), "
+    return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "
+                f"draws {worst:.1e} max(1, N^2/4) (> -1e-12 max(1, N^2/4)), "
                 f"N=1 equality {rep.n1_equality_defect:.1e} (< 1e-12)")
 
 

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 import qstatwork as qw
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
-from qstatwork._quad import integrate_oscillatory
+from qstatwork._quad import _build_panels, integrate_oscillatory
+from qstatwork.analytics import _schedule_breakpoints
 
 T = 20.0
 
@@ -36,6 +37,43 @@ class TestQuadHelper:
         noise = lambda t: rng.normal(size=np.shape(t))
         with pytest.raises(QuadratureError):
             integrate_oscillatory(noise, 0.0, 1.0, rel_tol=1e-14, max_refine=2)
+
+
+    def test_stack_matches_single_calls(self):
+        # the smooth component converges after one refinement, the kinked
+        # one after four; each keeps the estimate its own test accepted
+        smooth = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
+        kinked = lambda t: np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t)
+        kw = dict(breakpoints=[2.0], max_freq=7.3, rel_tol=1e-7)
+        integrate_oscillatory(smooth, 0.0, 6.0, max_refine=1, **kw)
+        with pytest.raises(QuadratureError):
+            integrate_oscillatory(kinked, 0.0, 6.0, max_refine=3, **kw)
+        stacked = integrate_oscillatory(lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
+        assert stacked.shape == (2,)
+        assert stacked[0] == integrate_oscillatory(smooth, 0.0, 6.0, **kw)
+        assert stacked[1] == integrate_oscillatory(kinked, 0.0, 6.0, **kw)
+
+    def test_stack_with_one_nonconvergent_component_raises(self):
+        rng = np.random.default_rng(0)
+        f = lambda t: np.stack((np.cos(t) + 0j, rng.normal(size=np.shape(t)) + 0j))
+        with pytest.raises(QuadratureError):
+            integrate_oscillatory(f, 0.0, 1.0, rel_tol=1e-12, max_refine=2)
+
+    def test_panels_match_per_segment_linspace(self):
+        sched = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
+        a, b = 0.0, T / 2
+        brk = _schedule_breakpoints(sched, a, b) + [a, -1.0, T]   # ends and outside points drop
+        max_freq = 0.3 + 2 * 1.5
+        cuts = sorted({a, b, *(p for p in brk if a < p < b)})
+        cap = min(b - a, 5.0 / max_freq)
+        ref = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            n = max(1, int(np.ceil((hi - lo) / cap)))
+            ref.extend(np.linspace(lo, hi, n + 1)[:-1])
+        ref.append(b)
+        edges = _build_panels(a, b, brk, max_freq, 0.0)
+        assert len(cuts) > 8 and edges.size > len(cuts)
+        assert edges.tobytes() == np.array(ref).tobytes()
 
 
 class TestComputeAmplitudes:

@@ -36,6 +36,17 @@ class TestMomentF:
         for (N, x) in ((3, 0.7), (8, 1.3), (20, 0.05), (60, 2.0), (12, 0.01)):
             assert qw.moment_f(N, x) == pytest.approx(literal_f_mp(N, x), abs=1e-13, rel=1e-13)
 
+    def test_small_xn_band_against_literal_form(self):
+        # N >= 8, (N+1) x <= 8: f - h^2 is a small difference of terms
+        # amplified by (N+1)^2, so c and g must hold a few ulp here.  At
+        # N = 99, f ~ 1882 and one ulp is 2.3e-13, so the bound is relative.
+        worst = 0.0
+        for N in range(8, 100):
+            x = np.linspace(0.0, 8.0, 61)[1:] / (N + 1)
+            ref = np.array([literal_f_mp(N, xi, dps=60) for xi in x])
+            worst = max(worst, float(np.max(np.abs(qw.moment_f(N, x) - ref) / ref)))
+        assert worst < 2e-15
+
     def test_stable_at_large_xn(self):
         # x N = 1000: the printed sinh ratio overflows, the closed form must not
         val = qw.moment_f(500, 2.0)
