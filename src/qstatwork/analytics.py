@@ -715,8 +715,7 @@ def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityRep
     tanh_x = np.tanh(x)
     n1_defect = 0.0
     for N in range(1, N_max + 1):
-        f = np.atleast_1d(moment_f(N, x))
-        h = np.atleast_1d(moment_h(N, x))
+        f, h = np.atleast_1d(*_thermal_moments(N, x))
         j = N / 2
         scale = max(1.0, N * N / 4.0)
         checks = {
