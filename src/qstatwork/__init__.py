@@ -39,8 +39,7 @@ from .analytics import (
     MomentSet,
     WorkRecord,
     compute_amplitudes,
-    correlator_dist,
-    correlator_indist,
+    correlator,
     enhancement,
     enhancement_region,
     general_probability,

@@ -158,15 +158,24 @@ def _x_at(params: EngineParams, t0: float) -> float:
     return beta * float(params.energy(t0))
 
 
-def ladder_weight_indist(N: int, x: float, sigma: int) -> float:
-    """Bracket N/2(N/2+1) - F_sigma multiplying |c~^sigma|^2 terms."""
-    j = N / 2
-    return j * (j + 1) - (moment_f(N, x) + sigma * moment_h(N, x))
+def _weights(N: int, x, statistics: Statistics):
+    """Thermal weights (a, D, L_plus, L_minus) of the stroke-start state at
+    x = beta E, vectorised over x; the only place statistics enter the
+    closed forms.
 
-
-def ladder_weight_dist(N: int, x: float, sigma: int) -> float:
-    """Distinguishable bracket (N/2)(1 + sigma tanh x)."""
-    return (N / 2) * (1 + sigma * math.tanh(x))
+    a is the one-time average <V_R^(I)>/cos(theta), D the cos^2(theta)
+    weight of the second moment and L_sigma the weight of the ladder
+    term exp(-i sigma phi).  Bose: a = 2h, D = 4f, L_sigma =
+    j(j+1) - (f + sigma h) with j = N/2.  Distinguishable: a = -N tanh x,
+    D = N + N(N-1) tanh^2 x, L_sigma = (N/2)(1 + sigma tanh x).  The two
+    share no code, so their N = 1 equality compares two computations.
+    """
+    if Statistics(statistics) is Statistics.BOSE:
+        f, h = _thermal_moments(N, np.asarray(x, dtype=float))
+        j = N / 2
+        return 2 * h, 4 * f, j * (j + 1) - (f + h), j * (j + 1) - (f - h)
+    t = np.tanh(x)
+    return -N * t, N + N * (N - 1) * t ** 2, (N / 2) * (1 + t), (N / 2) * (1 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +188,6 @@ class CorrelatorValue(NamedTuple):
 
 
 def _check_same_stroke(params, t, t_prime, t0):
-    half = params.T / 2
     s1, s2 = params.stroke_start(t), params.stroke_start(t_prime)
     if s1 != s2:
         return None
@@ -188,65 +196,41 @@ def _check_same_stroke(params, t, t_prime, t0):
     return s1
 
 
-def correlator_indist(params: EngineParams, t: float, t_prime: float, t0: float = None) -> CorrelatorValue:
-    """<V_R^(I)(t') V_R^(I)(t)> for N indistinguishable engines.
+def correlator(params: EngineParams, t: float, t_prime: float, statistics: Statistics,
+               t0: float = None) -> CorrelatorValue:
+    """<V_R^(I)(t') V_R^(I)(t)> for N engines of the given statistics.
 
-    Within one stroke this is the collective-spin autocorrelator built
-    from f, F_pm and the adiabatic phase; across the thermalization at
-    T/2 it factorizes into one-time averages (flag set).
+    Within one stroke this is D cos(theta_t) cos(theta_t') plus
+    sin(theta_t) sin(theta_t') sum_sigma exp(-i sigma phi) L_sigma, with
+    the weights of `_weights` and the adiabatic phase phi(t', t); across
+    the thermalization at T/2 it factorizes into one-time averages (flag
+    set).
     """
     start = _check_same_stroke(params, t, t_prime, t0)
     if start is None:
-        a = single_avg(params, t_prime, params.stroke_start(t_prime), Statistics.BOSE)
-        b = single_avg(params, t, params.stroke_start(t), Statistics.BOSE)
+        a = single_avg(params, t_prime, params.stroke_start(t_prime), statistics)
+        b = single_avg(params, t, params.stroke_start(t), statistics)
         return CorrelatorValue(complex(a * b), True)
-    N = params.N
-    x = _x_at(params, start)
-    f = moment_f(N, x)
-    h = moment_h(N, x)
-    j = N / 2
+    _, D, L_plus, L_minus = _weights(params.N, _x_at(params, start), statistics)
     cos_t, cos_p = params.cos_theta(t), params.cos_theta(t_prime)
     sin_t, sin_p = params.sin_theta(t), params.sin_theta(t_prime)
     ph = phase_integral(params, t_prime, start) - phase_integral(params, t, start)
-    val = 4 * cos_t * cos_p * f + 0j
-    for sigma in (+1, -1):
-        F = f + sigma * h
-        val += sin_t * sin_p * np.exp(-1j * sigma * ph) * (j * (j + 1) - F)
-    return CorrelatorValue(complex(val), False)
-
-
-def correlator_dist(params: EngineParams, t: float, t_prime: float, t0: float = None) -> CorrelatorValue:
-    """<V_R^(I)(t') V_R^(I)(t)> for N distinguishable engines."""
-    start = _check_same_stroke(params, t, t_prime, t0)
-    if start is None:
-        a = single_avg(params, t_prime, params.stroke_start(t_prime), Statistics.DISTINGUISHABLE)
-        b = single_avg(params, t, params.stroke_start(t), Statistics.DISTINGUISHABLE)
-        return CorrelatorValue(complex(a * b), True)
-    N = params.N
-    x = _x_at(params, start)
-    cos_t, cos_p = params.cos_theta(t), params.cos_theta(t_prime)
-    sin_t, sin_p = params.sin_theta(t), params.sin_theta(t_prime)
-    ph = phase_integral(params, t_prime, start) - phase_integral(params, t, start)
-    tanh_x = math.tanh(x)
-    val = cos_t * cos_p * (N + N * (N - 1) * tanh_x ** 2) + 0j
-    for sigma in (+1, -1):
-        val += (N / 2) * sin_t * sin_p / math.cosh(x) * np.exp(sigma * (1j * ph - x))
+    val = D * cos_t * cos_p + 0j
+    for sigma, L in ((+1, L_plus), (-1, L_minus)):
+        val += sin_t * sin_p * np.exp(-1j * sigma * ph) * L
     return CorrelatorValue(complex(val), False)
 
 
 def single_avg(params: EngineParams, t: float, t0: float, statistics: Statistics) -> float:
     """One-time average <V_R^(I)(t)> against the stroke-start thermal state.
 
-    Returns the true signed thermal value 2 cos(theta_t) <m> (N <m_1>
-    per atom in the distinguishable case); its magnitude is what the
-    factorized forms quote.  See single_avg_as_printed for the literal
-    second-moment variant.
+    Returns the true signed thermal value cos(theta_t) a: 2 cos(theta_t)
+    <m> for Bose engines, -N cos(theta_t) tanh(x) for distinguishable
+    ones; its magnitude is what the factorized forms quote.  See
+    single_avg_as_printed for the literal second-moment variant.
     """
-    x = _x_at(params, t0)
-    cos_t = float(params.cos_theta(t))
-    if Statistics(statistics) is Statistics.BOSE:
-        return 2 * cos_t * moment_h(params.N, x)
-    return 2 * params.N * cos_t * moment_h(1, x)
+    a = _weights(params.N, _x_at(params, t0), statistics)[0]
+    return float(params.cos_theta(t)) * float(a)
 
 
 def single_avg_as_printed(params: EngineParams, t: float, t0: float, statistics: Statistics) -> float:
@@ -406,17 +390,13 @@ def _validity_flags(p_sum: float, flags: tuple) -> tuple:
 
 
 def impulse_second_moment(params: EngineParams, t1: float, statistics: Statistics) -> float:
-    """<[V_R^(I)(t1)]^2> against the thermal state of the stroke holding t1."""
-    t0 = params.stroke_start(t1)
-    x = _x_at(params, t0)
-    N = params.N
+    """<[V_R^(I)(t1)]^2> against the thermal state of the stroke holding t1:
+    (L_plus + L_minus) sin^2(theta) + D cos^2(theta)."""
+    x = _x_at(params, params.stroke_start(t1))
+    _, D, L_plus, L_minus = _weights(params.N, x, statistics)
     sin2 = float(params.sin_theta(t1)) ** 2
     cos2 = float(params.cos_theta(t1)) ** 2
-    if Statistics(statistics) is Statistics.BOSE:
-        f = moment_f(N, x)
-        return (N * (N + 2) / 2 - 2 * f) * sin2 + 4 * f * cos2
-    tanh_x = math.tanh(x)
-    return N * sin2 + (N + N * (N - 1) * tanh_x ** 2) * cos2
+    return float((L_plus + L_minus) * sin2 + D * cos2)
 
 
 def impulse_work(
@@ -448,29 +428,17 @@ def impulse_work(
     )
 
 
-def _p_indist(N: int, amps: tuple, f: list, h: list) -> float:
-    """Indistinguishable probability from the amplitudes at t0 = 0, T/2
-    and the moments f, h at (x_c, x_h)."""
-    j = N / 2
+def _probability(amps: tuple, w0: list, wh: list) -> float:
+    """Excitation probability from the amplitudes at t0 = 0, T/2 and the
+    weights (a, D, L_plus, L_minus) of `_weights` at (x_c, x_h):
+    sum |d|^2 D + |c~+|^2 L_plus + |c~-|^2 L_minus + 2 Re[d(0) d*(T/2)] a_c a_h."""
     p = 0.0
-    for amp, fk, hk in zip(amps, f, h):
-        p += 4 * abs(amp.d) ** 2 * fk
-        p += abs(amp.c_plus) ** 2 * (j * (j + 1) - (fk + hk))
-        p += abs(amp.c_minus) ** 2 * (j * (j + 1) - (fk - hk))
+    for amp, (_, D, L_plus, L_minus) in zip(amps, (w0, wh)):
+        p += abs(amp.d) ** 2 * D
+        p += abs(amp.c_plus) ** 2 * L_plus
+        p += abs(amp.c_minus) ** 2 * L_minus
     a0, ah = amps
-    return float(p + 8 * (a0.d * np.conj(ah.d)).real * h[0] * h[1])
-
-
-def _p_dist(N: int, amps: tuple, tanh_x: list) -> float:
-    """Distinguishable probability from the amplitudes at t0 = 0, T/2 and
-    tanh(x) at (x_c, x_h)."""
-    p = 0.0
-    for amp, t in zip(amps, tanh_x):
-        p += abs(amp.d) ** 2 * (N + N * (N - 1) * t ** 2)
-        p += abs(amp.c_plus) ** 2 * ((N / 2) * (1 + t))
-        p += abs(amp.c_minus) ** 2 * ((N / 2) * (1 - t))
-    a0, ah = amps
-    return float(p + 2 * (a0.d * np.conj(ah.d)).real * N ** 2 * tanh_x[0] * tanh_x[1])
+    return float(p + 2 * (a0.d * np.conj(ah.d)).real * w0[0] * wh[0])
 
 
 def general_probability(
@@ -483,18 +451,15 @@ def general_probability(
     """Leading-order excitation probability of level i for a smooth coupling.
 
     Assembled from |d|^2, |c~^pm|^2 and the cross term
-    8 Re[d(0) d*(T/2)] h h (indistinguishable) or its N^2 tanh tanh
-    distinguishable counterpart; reduces exactly to the Delta = 0 forms
-    when cos(theta) vanishes.
+    2 Re[d(0) d*(T/2)] a_c a_h, weighted by the thermal weights at the
+    two stroke starts; reduces exactly to the Delta = 0 forms when
+    cos(theta) vanishes.
     """
     half = params.T / 2
     amps = (compute_amplitudes(params, schedule, system, i, 0.0),
             compute_amplitudes(params, schedule, system, i, half))
-    x = [_x_at(params, 0.0), _x_at(params, half)]
-    if Statistics(statistics) is Statistics.BOSE:
-        f, h = _thermal_moments(params.N, np.array(x))
-        return _p_indist(params.N, amps, f.tolist(), h.tolist())
-    return _p_dist(params.N, amps, [math.tanh(v) for v in x])
+    x = np.array([_x_at(params, 0.0), _x_at(params, half)])
+    return _probability(amps, *np.array(_weights(params.N, x, statistics)).T.tolist())
 
 
 def general_work(
@@ -573,9 +538,9 @@ def enhancement_region(
     """Map the region where indistinguishable engines win (ties count as
     enhancement, consistent with exact equality at N = 1).
 
-    Amplitudes depend only on the (Delta, omega) cell and the moments
-    only on (Delta, N), so each is computed once and the N sweep reuses
-    the amplitudes through the bracket factors.
+    Amplitudes depend only on the (Delta, omega) cell and the thermal
+    weights only on (Delta, N), so each is computed once and the N sweep
+    reuses the amplitudes through the weights.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
@@ -596,18 +561,18 @@ def enhancement_region(
             gap_direction=base.gap_direction,
         )
         # x = beta E at t0 = 0, T/2 does not depend on N or omega
-        x = [_x_at(params1, 0.0), _x_at(params1, half)]
-        tanh_x = [math.tanh(v) for v in x]
-        moments_N = [[m.tolist() for m in _thermal_moments(N, np.array(x))] for N in N_values]
+        x = np.array([_x_at(params1, 0.0), _x_at(params1, half)])
+        weights_N = [[np.array(_weights(N, x, s)).T.tolist()
+                      for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)] for N in N_values]
         for c, omt in enumerate(omts):
             omega = omt / base.T
             system = harmonic_system(omega, 4)
             schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
             amps = (compute_amplitudes(params1, schedule, system, 1, 0.0),
                     compute_amplitudes(params1, schedule, system, 1, half))
-            for a, (N, (f, h)) in enumerate(zip(N_values, moments_N)):
-                w_ind[a, b, c] = omega * _p_indist(N, amps, f, h)
-                w_dist[a, b, c] = omega * _p_dist(N, amps, tanh_x)
+            for a, (w_bose, w_dist_N) in enumerate(weights_N):
+                w_ind[a, b, c] = omega * _probability(amps, *w_bose)
+                w_dist[a, b, c] = omega * _probability(amps, *w_dist_N)
     scale = np.maximum(np.abs(w_ind), np.abs(w_dist))
     enhanced = w_ind - w_dist >= -1e-12 * scale
     return RegionMap(
@@ -635,8 +600,11 @@ def quad_coeff_n1(x: float) -> float:
 
 
 def delta0_second_moment(N: int, x) -> float:
-    """Exact Delta = 0 second moment N(N+2)/2 - 2 f(N, x)."""
-    return N * (N + 2) / 2 - 2 * moment_f(N, x)
+    """Exact Delta = 0 second moment L_plus + L_minus = N(N+2)/2 - 2 f(N, x)
+    of Bose engines."""
+    _, _, L_plus, L_minus = _weights(*_moment_args("delta0_second_moment", N, x), Statistics.BOSE)
+    m = L_plus + L_minus
+    return m if m.ndim else float(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -692,6 +660,23 @@ class InequalityReport:
     single_avg_variant: str = SINGLE_AVG_VARIANT
 
 
+def inequality_margins(N: int, x, y) -> dict:
+    """Margins of the four moment inequalities at N: each Bose weight of
+    `_weights` minus its distinguishable counterpart, and (N^2 - D)/4 =
+    N^2/4 - f for the upper bound.  All are >= 0 and vanish at N = 1.
+    x and y broadcast together; only the cross term a(x) a(y) reads y.
+    The ladder margin stacks sigma = +1, -1 on a new leading axis."""
+    a, D, L_plus, L_minus = _weights(N, x, Statistics.BOSE)
+    a_d, D_d, L_plus_d, L_minus_d = _weights(N, x, Statistics.DISTINGUISHABLE)
+    return {
+        "f_upper_bound": (N * N - D) / 4,
+        "f_lower_vs_dist": D - D_d,
+        "ladder_vs_dist": np.stack((L_plus - L_plus_d, L_minus - L_minus_d)),
+        "cross_term": (a * _weights(N, y, Statistics.BOSE)[0]
+                       - a_d * _weights(N, y, Statistics.DISTINGUISHABLE)[0]),
+    }
+
+
 def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityReport:
     """Check the moment bounds underpinning every enhancement statement.
 
@@ -699,58 +684,34 @@ def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityRep
       f <= N^2/4;  4f >= N + N(N-1) tanh^2 x;
       N/2(N/2+1) - F_sigma >= (N/2)(1 + sigma tanh x);
       4 h(x) h(y) >= N^2 tanh(x) tanh(y).
-    Any violation beyond `tol` raises with the (N, x) witness.
+    Any violation beyond `tol` max(1, N^2/4) raises with the (N, x)
+    witness.
     """
     if N_max < 2:
         raise ValueError("N_max must be >= 2")
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0):
         raise DomainError("inequality grid must have x > 0")
-    worst = {
-        "f_upper_bound": (np.inf, None),
-        "f_lower_vs_dist": (np.inf, None),
-        "ladder_vs_dist": (np.inf, None),
-        "cross_term": (np.inf, None),
-    }
-    tanh_x = np.tanh(x)
+    worst = {}
     n1_defect = 0.0
     for N in range(1, N_max + 1):
-        f, h = np.atleast_1d(*_thermal_moments(N, x))
-        j = N / 2
         scale = max(1.0, N * N / 4.0)
-        checks = {
-            "f_upper_bound": N ** 2 / 4 - f,
-            "f_lower_vs_dist": 4 * f - (N + N * (N - 1) * tanh_x ** 2),
-        }
-        ladder = np.concatenate([
-            (j * (j + 1) - (f + s * h)) - (N / 2) * (1 + s * tanh_x) for s in (+1, -1)
-        ])
-        checks["ladder_vs_dist"] = ladder
-        cross = 4 * np.outer(h, h) - N ** 2 * np.outer(tanh_x, tanh_x)
-        checks["cross_term"] = cross.ravel()
-        for name, vals in checks.items():
+        margins = inequality_margins(N, x[:, None], x[None, :])
+        for name, vals in margins.items():
             k = int(np.argmin(vals))
-            m = float(vals[k])
+            m = float(vals.flat[k])
+            if name == "cross_term":
+                wit = (N, float(x[k // x.size]), float(x[k % x.size]))
+            else:
+                wit = (N, float(x[k % x.size]))
             if m < -tol * scale:
-                if name == "cross_term":
-                    wit = (N, float(x[k // x.size]), float(x[k % x.size]))
-                else:
-                    wit = (N, float(x[k % x.size]))
                 raise InequalityViolationError(
                     f"{name} violated by {m:.3e} at witness {wit}", witness=wit
                 )
-            if m < worst[name][0]:
-                if name == "cross_term":
-                    worst[name] = (m, (N, float(x[k // x.size]), float(x[k % x.size])))
-                else:
-                    worst[name] = (m, (N, float(x[k % x.size])))
+            if name not in worst or m < worst[name][0]:
+                worst[name] = (m, wit)
         if N == 1:
-            n1_defect = float(max(
-                np.max(np.abs(checks["f_upper_bound"])),
-                np.max(np.abs(checks["f_lower_vs_dist"])),
-                np.max(np.abs(checks["ladder_vs_dist"])),
-                np.max(np.abs(checks["cross_term"])),
-            ))
+            n1_defect = max(float(np.max(np.abs(v))) for v in margins.values())
     return InequalityReport(
         N_max=N_max, x_grid=x, margins=worst, n1_equality_defect=n1_defect
     )

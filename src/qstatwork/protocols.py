@@ -110,7 +110,8 @@ class EngineParams:
 
     def sin_theta(self, t):
         """sin(theta_t) = -Omega(t) / E_t."""
-        return -self.omega(t) / self.energy(t)
+        omega = self.omega(t)
+        return -omega / np.hypot(omega, self.Delta)
 
     def stroke_start(self, t) -> float:
         """Start time of the stroke containing t (0 or T/2)."""

@@ -238,7 +238,7 @@ class SweepSpec:
                                   "known engine/coupling/system/fermi field")
             axes.append((param, tuple(values)))
         object.__setattr__(self, "axes", tuple(axes))
-        validate_config({k: v for k, v in self.fixed.items()})
+        validate_config(self.fixed)
         n = self.n_cells
         cap = ANALYTIC_CELL_CAP if self.method == "analytic" else NUMERICAL_CELL_CAP
         if n > cap:
@@ -341,9 +341,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
             else:
                 data = _eval_work_cell(cfg, spec.method)
             return values, data, "ok"
-        except QstatworkError as exc:
-            return values, {}, f"error:{type(exc).__name__}"
-        except (ValueError, ArithmeticError) as exc:
+        except (QstatworkError, ValueError, ArithmeticError) as exc:
             return values, {}, f"error:{type(exc).__name__}"
 
     if threads > 1:
@@ -576,14 +574,8 @@ def _check_inequalities(rng, n_max: int, n_grid: int):
     worst = math.inf
     for N in np.unique(Ns):
         x, y, N = xs[Ns == N], ys[Ns == N], int(N)
-        f, h, tx, j = analytics.moment_f(N, x), analytics.moment_h(N, x), np.tanh(x), N / 2
-        margins = [
-            N ** 2 / 4 - f,
-            4 * f - (N + N * (N - 1) * tx ** 2),
-            *((j * (j + 1) - (f + s * h)) - j * (1 + s * tx) for s in (1, -1)),
-            4 * h * analytics.moment_h(N, y) - N ** 2 * tx * np.tanh(y),
-        ]
-        worst = min(worst, min(m.min() for m in margins) / max(1.0, N * N / 4))
+        margins = analytics.inequality_margins(N, x, y).values()
+        worst = min(worst, min(float(m.min()) for m in margins) / max(1.0, N * N / 4))
     grid = min(m for m, _ in rep.margins.values())
     ok = worst > -1e-12 and rep.n1_equality_defect < 1e-12
     return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import qstatwork as qw
+import qstatwork.analytics as an
 import qstatwork.sweeps as sw
 from qstatwork.dynamics import PropagatorConfig, default_dt_cap, run_cycle
 
@@ -72,6 +73,31 @@ def test_criterion_1_moment_oracles():
 def test_criterion_2_inequality_battery():
     timed_check("criterion-2 (inequality battery)", 10.0, sw._check_inequalities,
                 np.random.default_rng(20260809), 60, 40)
+
+
+def shift_moments(monkeypatch, shift):
+    """Make every closed form see (f, h) -> shift(N, f, h)."""
+    true = an._thermal_moments
+    monkeypatch.setattr(an, "_thermal_moments", lambda N, x: shift(N, *true(N, x)))
+
+
+def test_criterion_2_fails_on_broken_n1_equality(monkeypatch):
+    # h(1, x) off by 1e-10: the Bose and distinguishable weights must agree at N = 1
+    shift_moments(monkeypatch, lambda N, f, h: (f, h + 1e-10 if N == 1 else h))
+    ok, detail = sw._check_inequalities(np.random.default_rng(0), 4, 5)
+    assert ok is False
+    assert "witness (1," in detail
+
+
+def test_criterion_2_draws_fail_on_shifted_f(monkeypatch):
+    # f raised by 1e-9 N^2/4 crosses f <= N^2/4; the grid report is held at the
+    # true moments, so the failure has to come from the random draws
+    rep = an.verify_inequalities(4, np.geomspace(1e-3, 50.0, 5))
+    monkeypatch.setattr(an, "verify_inequalities", lambda *args: rep)
+    shift_moments(monkeypatch, lambda N, f, h: (f + 1e-9 * N * N / 4, h))
+    ok, detail = sw._check_inequalities(np.random.default_rng(0), 4, 5)
+    assert ok is False
+    assert "draws -" in detail
 
 
 def test_criterion_3_impulse_enhancement():

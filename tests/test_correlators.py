@@ -27,14 +27,14 @@ class TestIndistCorrelator:
         for (t, tp) in PAIRS:
             t0 = p.stroke_start(t)
             ref = oracle.correlator(t, tp, t0, beta_at(p, t0))
-            got = qw.correlator_indist(p, t, tp).value
+            got = qw.correlator(p, t, tp, qw.Statistics.BOSE).value
             assert abs(got - ref) < 1e-10
 
     def test_equal_times_second_moment_delta0(self):
         # C(t, t) at Delta = 0 reduces to N(N+2)/2 - 2f
         p = params_for(4, 0.0)
         x = p.beta_c * float(p.energy(0.0))
-        got = qw.correlator_indist(p, 3.0, 3.0).value
+        got = qw.correlator(p, 3.0, 3.0, qw.Statistics.BOSE).value
         expect = 4 * 6 / 2 - 2 * qw.moment_f(4, x)
         assert abs(got.imag) < 1e-14
         assert abs(got.real - expect) < 1e-12
@@ -42,28 +42,28 @@ class TestIndistCorrelator:
     def test_equal_times_general_theta(self):
         p = params_for(5, 1.1)
         t1 = 4.2
-        got = qw.correlator_indist(p, t1, t1).value
+        got = qw.correlator(p, t1, t1, qw.Statistics.BOSE).value
         expect = qw.impulse_second_moment(p, t1, qw.Statistics.BOSE)
         assert abs(got - expect) < 1e-12
 
     def test_n1_unity(self):
         for delta in (0.0, 0.9, 3.0):
             p = params_for(1, delta)
-            got = qw.correlator_indist(p, 2.0, 2.0).value
+            got = qw.correlator(p, 2.0, 2.0, qw.Statistics.BOSE).value
             assert abs(got - 1.0) < 1e-12
 
     def test_hermitian_symmetry(self):
         p = params_for(3, 0.8)
         for (t, tp) in PAIRS:
-            a = qw.correlator_indist(p, t, tp).value
-            b = qw.correlator_indist(p, tp, t).value
+            a = qw.correlator(p, t, tp, qw.Statistics.BOSE).value
+            b = qw.correlator(p, tp, t, qw.Statistics.BOSE).value
             assert abs(a - np.conj(b)) < 1e-12
 
     def test_second_stroke_uses_hot_state(self):
         p = params_for(3, 0.5)
         oracle = DickeAdiabaticOracle(p)
         ref = oracle.correlator(12.0, 15.0, 10.0, p.beta_h)
-        got = qw.correlator_indist(p, 12.0, 15.0, t0=10.0).value
+        got = qw.correlator(p, 12.0, 15.0, qw.Statistics.BOSE, t0=10.0).value
         assert abs(got - ref) < 1e-10
 
     def test_phase_convention_independence(self):
@@ -86,26 +86,26 @@ class TestDistCorrelator:
         for (t, tp) in PAIRS[:4]:
             t0 = p.stroke_start(t)
             ref = oracle.correlator(t, tp, t0, beta_at(p, t0))
-            got = qw.correlator_dist(p, t, tp).value
+            got = qw.correlator(p, t, tp, qw.Statistics.DISTINGUISHABLE).value
             assert abs(got - ref) < 1e-10
 
     def test_equal_times_delta0_is_n(self):
         p = params_for(5, 0.0)
-        got = qw.correlator_dist(p, 2.0, 2.0).value
+        got = qw.correlator(p, 2.0, 2.0, qw.Statistics.DISTINGUISHABLE).value
         assert abs(got - 5.0) < 1e-12
 
     def test_n1_equals_indist(self):
         p = params_for(1, 0.8)
         for (t, tp) in PAIRS:
-            a = qw.correlator_dist(p, t, tp).value
-            b = qw.correlator_indist(p, t, tp).value
+            a = qw.correlator(p, t, tp, qw.Statistics.DISTINGUISHABLE).value
+            b = qw.correlator(p, t, tp, qw.Statistics.BOSE).value
             assert abs(a - b) < 1e-12
 
 
 class TestFactorizedForm:
     def test_straddle_flag_and_value(self):
         p = params_for(3, 0.6)
-        cv = qw.correlator_indist(p, 3.0, 14.0)
+        cv = qw.correlator(p, 3.0, 14.0, qw.Statistics.BOSE)
         assert cv.factorized
         expect = (qw.single_avg(p, 14.0, 10.0, qw.Statistics.BOSE)
                   * qw.single_avg(p, 3.0, 0.0, qw.Statistics.BOSE))
@@ -113,14 +113,14 @@ class TestFactorizedForm:
 
     def test_within_stroke_not_factorized(self):
         p = params_for(3, 0.6)
-        assert not qw.correlator_indist(p, 3.0, 7.0).factorized
+        assert not qw.correlator(p, 3.0, 7.0, qw.Statistics.BOSE).factorized
 
     def test_mismatched_t0_rejected(self):
         from qstatwork.errors import DomainError
 
         p = params_for(3, 0.6)
         with pytest.raises(DomainError):
-            qw.correlator_indist(p, 3.0, 7.0, t0=10.0)
+            qw.correlator(p, 3.0, 7.0, qw.Statistics.BOSE, t0=10.0)
 
 
 class TestSingleAvg:

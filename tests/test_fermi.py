@@ -190,16 +190,15 @@ class TestOutcoupled:
         e = ens(2, 4.0)
         return e, fermi_outcoupled_work(e, self.SCHED, self.ho(16))
 
-    @pytest.mark.xfail(
-        reason="spec example: with k active engines coherently sharing the "
-        "oscillator, distinguishable-correlator k(k-1) cross terms give lambda about "
-        "1.34 f_N at these parameters (measured 0.1858 vs f_2 = 0.1389); "
-        "the 10% agreement assumed independent engines. See decisions ledger.",
-        strict=False,
-    )
-    def test_lambda_close_to_enumeration(self, bw4_run):
+    def test_lambda_is_known_multiple_of_f_N(self, bw4_run):
+        # The spec example expects lambda within 10% of f_N, which assumes
+        # independent engines.  Here the k active engines coherently share the
+        # oscillator, and the distinguishable-correlator k(k-1) cross terms
+        # give lambda = 1.338 f_2 at these parameters (0.18584 vs f_2 =
+        # 0.13889).  The band is +-1e-3 around 1.338; the measured ratio
+        # 1.33802 sits 0.98e-3 inside it.
         e, rec = bw4_run
-        assert abs(rec.enhancement_ratio - f_N(e)) < 0.1 * f_N(e)
+        assert abs(rec.enhancement_ratio / f_N(e) - 1.338) < 1e-3
 
     def test_outcoupled_parity_tracks_f_N_scale(self, bw4_run):
         # the coherent-sharing model still follows the exponential parity

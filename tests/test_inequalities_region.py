@@ -25,10 +25,10 @@ class TestInequalityBattery:
 
     def test_strict_margins_above_n1(self):
         rep = verify_inequalities(6, [0.5])
-        # worst ladder margin comes from the N=1 equality; N=2 margins strict
-        import qstatwork.analytics as an
-
-        margin = an.ladder_weight_indist(2, 0.5, +1) - an.ladder_weight_dist(2, 0.5, +1)
+        # worst ladder margin comes from the N=1 equality; N=2 margins strict:
+        # j(j+1) - (f + h) against (N/2)(1 + tanh x) at N = 2
+        f, h = qw.moment_f(2, 0.5), qw.moment_h(2, 0.5)
+        margin = (2 - (f + h)) - (1 + math.tanh(0.5))
         assert margin > 1e-3
 
     def test_small_x_limit_strict_for_n2(self):

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
-from qstatwork.analytics import (
-    enhancement,
-    ladder_weight_dist,
-    ladder_weight_indist,
-)
+from qstatwork.analytics import enhancement
 from qstatwork.errors import InvalidVariantError, PerturbativeValidityError
 from qstatwork.sweeps import random_smooth_case
 
@@ -107,10 +103,11 @@ class TestGeneralProbability:
         amps = [qw.compute_amplitudes(p, sched, sysho, 1, t0) for t0 in (0.0, T / 2)]
         x = {0.0: p.beta_c * float(p.energy(0.0)),
              T / 2: p.beta_h * float(p.energy(T / 2))}
-        expect = 0.0
+        expect, j = 0.0, 3 / 2
         for amp in amps:
-            expect += abs(amp.c_plus) ** 2 * ladder_weight_indist(3, x[amp.t0], +1)
-            expect += abs(amp.c_minus) ** 2 * ladder_weight_indist(3, x[amp.t0], -1)
+            f, h = qw.moment_f(3, x[amp.t0]), qw.moment_h(3, x[amp.t0])
+            expect += abs(amp.c_plus) ** 2 * (j * (j + 1) - (f + h))
+            expect += abs(amp.c_minus) ** 2 * (j * (j + 1) - (f - h))
         got = qw.general_probability(p, sched, sysho, qw.Statistics.BOSE, 1)
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -149,10 +146,12 @@ class TestGeneralProbability:
                 assert pb >= pd - 1e-12 * max(pb, pd, 1e-300)
 
     def test_ladder_weight_n1_equality(self):
+        # Bose j(j+1) - (f + s h) against distinguishable (1 + s tanh x)/2
         for x in (0.05, 0.7, 3.0):
+            f, h = qw.moment_f(1, x), qw.moment_h(1, x)
             for s in (+1, -1):
-                assert ladder_weight_indist(1, x, s) == pytest.approx(
-                    ladder_weight_dist(1, x, s), abs=1e-14
+                assert 3 / 4 - (f + s * h) == pytest.approx(
+                    (1 + s * math.tanh(x)) / 2, abs=1e-14
                 )
 
 
