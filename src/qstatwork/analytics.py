@@ -660,20 +660,23 @@ class InequalityReport:
     single_avg_variant: str = SINGLE_AVG_VARIANT
 
 
-def inequality_margins(N: int, x, y) -> dict:
+def inequality_margins(N: int, x, y=None) -> dict:
     """Margins of the four moment inequalities at N: each Bose weight of
     `_weights` minus its distinguishable counterpart, and (N^2 - D)/4 =
     N^2/4 - f for the upper bound.  All are >= 0 and vanish at N = 1.
     x and y broadcast together; only the cross term a(x) a(y) reads y.
-    The ladder margin stacks sigma = +1, -1 on a new leading axis."""
+    Without y it takes y = x.T from the same weights, so a column x gives
+    the cross term on the grid x by x.  The ladder margin stacks
+    sigma = +1, -1 on a new leading axis."""
     a, D, L_plus, L_minus = _weights(N, x, Statistics.BOSE)
     a_d, D_d, L_plus_d, L_minus_d = _weights(N, x, Statistics.DISTINGUISHABLE)
+    a_y, a_dy = (a.T, a_d.T) if y is None else (
+        _weights(N, y, Statistics.BOSE)[0], _weights(N, y, Statistics.DISTINGUISHABLE)[0])
     return {
         "f_upper_bound": (N * N - D) / 4,
         "f_lower_vs_dist": D - D_d,
         "ladder_vs_dist": np.stack((L_plus - L_plus_d, L_minus - L_minus_d)),
-        "cross_term": (a * _weights(N, y, Statistics.BOSE)[0]
-                       - a_d * _weights(N, y, Statistics.DISTINGUISHABLE)[0]),
+        "cross_term": a * a_y - a_d * a_dy,
     }
 
 
@@ -696,7 +699,7 @@ def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityRep
     n1_defect = 0.0
     for N in range(1, N_max + 1):
         scale = max(1.0, N * N / 4.0)
-        margins = inequality_margins(N, x[:, None], x[None, :])
+        margins = inequality_margins(N, x[:, None])
         for name, vals in margins.items():
             k = int(np.argmin(vals))
             m = float(vals.flat[k])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -123,24 +123,24 @@ class _Sector:
         self.sz_diag = np.asarray(sz_diag, dtype=float)
         self.mult = float(mult)
         self.dim = sx.shape[0]
-        mu, Q = np.linalg.eigh(sy)
-        self.sy_vals = mu
-        self.sy_vecs = Q
-        self.v_r = 2 * sx.copy()
-        r, P = np.linalg.eigh(self.v_r)
-        self.vr_vals = r
-        self.vr_vecs = P
+        self.sy_vals, self.sy_vecs = np.linalg.eigh(sy)
+        self.v_r = 2 * sx
+        self.vr_vals, self.vr_vecs = np.linalg.eigh(self.v_r)
 
-    def tilted(self, chi, d: np.ndarray) -> np.ndarray:
-        """(R d) R^dag with R = exp(-i chi Sy): the operator diagonal in the
-        Sz basis with entries d, carried onto the basis tilted by chi.  An
-        array of angles with one row of d each gives a stack of operators."""
+    def lift(self, a, b) -> np.ndarray:
+        """Image on this block of the SU(2) matrices [[a, -b*], [b, a*]]
+        (ascending m), stacked over the shape of a and b.  With the Euler
+        angles beta = 2 atan2(|b|, |a|), alpha + gamma = 2 arg a and
+        alpha - gamma = -2 arg(-b) it is
+        exp(-i alpha Sz) Q exp(-i beta mu) Q^dag exp(-i gamma Sz), where
+        Q diag(mu) Q^dag is the eigensystem of Sy."""
+        s, d = np.angle(a), np.angle(-b)
+        beta = 2 * np.arctan2(np.abs(b), np.abs(a))
         Q = self.sy_vecs
-        R = (Q * np.exp(-1j * np.multiply.outer(chi, self.sy_vals))[..., None, :]) @ Q.conj().T
-        return (R * d[..., None, :]) @ R.conj().swapaxes(-1, -2)
-
-    def engine_energies(self, E: float) -> np.ndarray:
-        return 2 * E * self.sz_diag
+        mid = (Q * np.exp(-1j * np.multiply.outer(beta, self.sy_vals))[..., None, :]) @ Q.conj().T
+        left = np.exp(-1j * np.multiply.outer(s - d, self.sz_diag))
+        right = np.exp(-1j * np.multiply.outer(s + d, self.sz_diag))
+        return left[..., :, None] * mid * right[..., None, :]
 
     def unitarity_residual(self) -> float:
         return _isometry_drift(self.sy_vecs, self.vr_vecs)
@@ -158,10 +158,7 @@ def _full_sector(N: int) -> _Sector:
 
 def _block_multiplicity(N: int, k: int) -> int:
     # multiplicity of total spin j = N/2 - k in (1/2)^(x N)
-    out = math.comb(N, k)
-    if k >= 1:
-        out -= math.comb(N, k - 1)
-    return out
+    return math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
 
 
 def _build_sectors(params: EngineParams, statistics: Statistics, config: PropagatorConfig):
@@ -175,11 +172,7 @@ def _build_sectors(params: EngineParams, statistics: Statistics, config: Propaga
                 f"N <= {FULL_PRODUCT_CAP}"
             )
         return [_full_sector(N)]
-    sectors = []
-    for k in range(N // 2 + 1):
-        n_eff = N - 2 * k
-        sectors.append(_spin_sector(n_eff, _block_multiplicity(N, k)))
-    return sectors
+    return [_spin_sector(N - 2 * k, _block_multiplicity(N, k)) for k in range(N // 2 + 1)]
 
 
 def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
@@ -190,22 +183,18 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
     weights = []
     Z = 0.0
     for s in sectors:
-        shifted = s.engine_energies(E0) - e_min
+        shifted = 2 * E0 * s.sz_diag - e_min
         if math.isinf(beta):
             w = (shifted <= 1e-10 * scale).astype(float)
         else:
             w = np.exp(-beta * shifted)
         weights.append(w)
         Z += s.mult * w.sum()
-    chi = float(params.theta(t0)) + math.pi / 2
-    blocks = []
-    for s, w in zip(sectors, weights):
-        if params.Delta == 0.0:
-            rho = np.diag(w / Z).astype(complex)
-        else:
-            rho = s.tilted(chi, w / Z)
-        blocks.append(rho)
-    return blocks
+    if params.Delta == 0.0:
+        return [np.diag(w / Z).astype(complex) for w in weights]
+    a, b = _su2_y(float(params.theta(t0)) + math.pi / 2)
+    lifts = (s.lift(a, b) for s in sectors)
+    return [(R * (w / Z)) @ R.conj().T for R, w in zip(lifts, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +249,7 @@ def _engine_steps(sector, params, t_mid, tau):
     if params.Delta == 0.0:
         d = np.exp(-2j * tau * np.multiply.outer(params.omega(t_mid), sector.sz_diag))
         return d[:, :, None] * np.eye(sector.dim)
-    d = np.exp(-2j * tau * np.multiply.outer(params.energy(t_mid), sector.sz_diag))
-    return sector.tilted(params.theta(t_mid) + math.pi / 2, d)
+    return sector.lift(*_su2_steps(params, t_mid, tau))
 
 
 def _midpoints(t_start, dt, k0, k1):
@@ -369,15 +357,15 @@ def _resolve_dt(params, system, config, duration):
     return duration / n, n
 
 
+@dataclass
 class _Diag:
-    def __init__(self):
-        self.trace_drift = 0.0
-        self.herm_drift = 0.0
-        self.isometry = 0.0
-        self.unitarity = 0.0
-        self.leakage = 0.0
-        self.dropped_weight = 0.0
-        self.extra = {}
+    trace_drift: float = 0.0
+    herm_drift: float = 0.0
+    isometry: float = 0.0
+    unitarity: float = 0.0
+    leakage: float = 0.0
+    dropped_weight: float = 0.0
+    extra: dict = field(default_factory=dict)
 
     def merge_state(self, y, w, tr0):
         """Fold in one sampled factor; returns its reduced system state."""
@@ -389,18 +377,16 @@ class _Diag:
         return red
 
     def as_dict(self, extra=None):
-        out = {
+        return {
             "trace_drift": self.trace_drift,
             "herm_drift": self.herm_drift,
             "isometry_drift": self.isometry,
             "unitarity_residual": self.unitarity,
             "leakage": self.leakage,
             "dropped_weight": self.dropped_weight,
+            **self.extra,
+            **(extra or {}),
         }
-        out.update(self.extra)
-        if extra:
-            out.update(extra)
-        return out
 
 
 def _reduced_leakage(sigma_s: np.ndarray) -> float:
@@ -409,52 +395,86 @@ def _reduced_leakage(sigma_s: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# engine-only propagators (impulse path, adiabaticity witness)
+# engine-only propagators (impulse path, adiabaticity witness).  H_E =
+# 2 Omega Sz + 2 Delta Sx is linear in su(2): each engine propagator is the
+# lift of a 2x2 matrix [[a, -b*], [b, a*]] (ascending m), kept as (a, b)
 # ---------------------------------------------------------------------------
 
-def _engine_propagator(sector, params, t_a, t_b, dt_cap, collect=None):
-    """Unitary for the engine block alone from t_a to t_b within a stroke."""
-    if t_b <= t_a:
-        return np.eye(sector.dim, dtype=complex)
-    t0 = params.stroke_start(t_a + 1e-15 * params.T)
+def _su2_steps(params, t_mid, dt):
+    """(a, b) of the steps exp(-i dt (Omega(t) sigma_z + Delta sigma_x)) at
+    the times t_mid (Delta > 0)."""
+    omega = params.omega(t_mid)
+    E = np.hypot(omega, params.Delta)
+    s = np.sin(E * dt) / E
+    return np.cos(E * dt) + 1j * omega * s, -1j * params.Delta * s
+
+
+def _su2_y(chi):
+    """(a, b) of the y-rotation exp(-i chi sigma_y / 2)."""
+    return np.cos(chi / 2), -np.sin(chi / 2)
+
+
+def _su2_mul(a1, b1, a0, b0):
+    """(a, b) of the product u1 u0."""
+    return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+
+
+def _su2_chain(a, b):
+    """Ordered product u_n ... u_1 of the steps (a, b) along their last
+    axis, by pairwise reduction (depth log2 n)."""
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            pad = [(0, 0)] * (a.ndim - 1) + [(0, 1)]
+            a, b = np.pad(a, pad, constant_values=1), np.pad(b, pad)
+        a, b = _su2_mul(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
+    return a[..., 0], b[..., 0]
+
+
+def _engine_chain(params, t0, t, dt_cap):
+    """(a, b, n): the engine's SU(2) propagator from the stroke start t0 to
+    t, as the ordered product of n midpoint steps, or, for Delta = 0, as
+    the closed-form phase (n = 0)."""
     if params.Delta == 0.0:
-        ph = phase_integral(params, t_b, t0) - phase_integral(params, t_a, t0)
-        return np.diag(np.exp(-1j * ph * sector.sz_diag))
-    n = max(1, int(math.ceil((t_b - t_a) / dt_cap)))
-    dt = (t_b - t_a) / n
-    U = np.eye(sector.dim, dtype=complex)
-    for k0 in range(0, n, GRID_CHUNK):
-        steps = _engine_steps(sector, params, _midpoints(t_a, dt, k0, min(k0 + GRID_CHUNK, n)), dt)
-        for k, step in enumerate(steps, k0):
-            U = step @ U
-            if collect is not None and (k % collect[0] == 0 or k == n - 1):
-                collect[1].append((t_a + (k + 1) * dt, U))
-    return U
+        return np.exp(0.5j * phase_integral(params, t, t0)), 0j, 0
+    n = max(1, int(math.ceil((t - t0) / dt_cap)))
+    dt = (t - t0) / n
+    return (*_su2_chain(*_su2_steps(params, _midpoints(t0, dt, 0, n), dt)), n)
 
 
 def adiabaticity_witness(params: EngineParams) -> float:
     """Max over stroke times and levels of 1 - |<m,theta_t|psi_m(t)>|^2
     for the bare engine (g = 0), starting each stroke in its
     instantaneous eigenbasis.  Small values certify the adiabatic layer.
-    """
-    from .hilbert import instantaneous_eigenbasis
 
-    sector = _spin_sector(params.N, 1.0)
+    The state u_t is sampled after the steps k = 0, every, 2 every, ...
+    and the last (every = n // 64), from the products of the blocks
+    between samples.  The overlaps are the diagonal of the lift of
+    w_t = r_t^dag u_t r_0, r_t the y-rotation by theta_t + pi/2 that
+    carries the Sz basis onto the eigenbasis.
+    """
     if params.Delta == 0.0:
         return 0.0
+    sector = _spin_sector(params.N, 1.0)
     cap = _engine_dt_cap(params)
     worst = 0.0
     for t0, t_end in ((0.0, params.T / 2), (params.T / 2, params.T)):
-        snaps = []
-        n_est = max(1, int(math.ceil((t_end - t0) / cap)))
-        _engine_propagator(
-            sector, params, t0, t_end, cap, collect=(max(1, n_est // 64), snaps)
-        )
-        _, _, B0 = instantaneous_eigenbasis(params, t0, params.N)
-        for t, U in snaps:
-            _, _, Bt = instantaneous_eigenbasis(params, min(t, t_end), params.N)
-            overlaps = np.abs(np.diag(Bt.matrix.conj().T @ U @ B0.matrix)) ** 2
-            worst = max(worst, float(np.max(1 - overlaps)))
+        n = max(1, int(math.ceil((t_end - t0) / cap)))
+        dt = (t_end - t0) / n
+        every = max(1, n // 64)
+        a, b = _su2_steps(params, _midpoints(t0, dt, 0, n), dt)
+        m = -(-(n - 1) // every)                  # blocks after step 0, the last padded
+        pad = (0, 1 + m * every - n)              # with identity steps
+        u = [(a[0], b[0])]
+        for block in zip(*_su2_chain(np.pad(a[1:], pad, constant_values=1).reshape(m, every),
+                                     np.pad(b[1:], pad).reshape(m, every))):
+            u.append(_su2_mul(*block, *u[-1]))
+        k = np.minimum(np.arange(m + 1) * every, n - 1)
+        t = np.minimum(t0 + (k + 1) * dt, t_end)
+        ra, rb = _su2_y(params.theta(t) + math.pi / 2)
+        r0 = _su2_y(float(params.theta(t0)) + math.pi / 2)
+        w = _su2_mul(ra, -rb, *_su2_mul(*np.array(u).T, *r0))    # (ra, -rb) is r_t^dag
+        overlaps = np.abs(np.diagonal(sector.lift(*w), axis1=-2, axis2=-1)) ** 2
+        worst = max(worst, float(np.max(1 - overlaps)))
     return worst
 
 
@@ -586,13 +606,15 @@ def _run_impulse(params, schedule, system, sectors, config):
     mu, W = np.ones(1), np.eye(dS)[:, :1]          # the system's ground state
     sigma_s = np.zeros((dS, dS), dtype=complex)
     s_vals, s_vecs = np.linalg.eigh(system.matrix)
+    a, b, n = _engine_chain(params, t0, t1, cap)
     for sector, rho_e in zip(sectors, blocks):
         diag.unitarity = max(diag.unitarity, sector.unitarity_residual())
         y, w = _product_factor(rho_e, mu, W)
-        y = _rotate(y, _engine_propagator(sector, params, t0, t1, cap), np.eye(dS))
+        y = _rotate(y, sector.lift(a, b), np.eye(dS))
         y = _kick(y, sector.vr_vecs, s_vecs,
                   np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals)))
         sigma_s += sector.mult * diag.merge_state(y, w, float(w.sum()))
+    diag.extra = {"dt": (t1 - t0) / n if n else None, "n_engine_steps": n}
     # free evolution after the kick (and the reset, if the kick came first)
     # leaves the measured diagonal of sigma_S unchanged.
     diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))

@@ -195,15 +195,8 @@ def fermi_outcoupled_work(
 
 def lambda_table(N_values, beta_omega_values, engine: EngineParams, omega_trap: float = 1.0):
     """Rows (N, beta_com_omega, lambda, lambda_asymptotic, method) for CSV."""
-    rows = []
-    for N in N_values:
-        for bw in beta_omega_values:
-            ens = FermiEnsemble(
-                N=int(N), omega_trap=omega_trap, beta_com=bw / omega_trap,
-                engine=engine,
-            )
-            rows.append(
-                (int(N), float(bw), f_N(ens), parity_asymptote(int(N), float(bw)),
-                 "recursion")
-            )
-    return rows
+    return [(int(N), float(bw),
+             f_N(FermiEnsemble(N=int(N), omega_trap=omega_trap, beta_com=bw / omega_trap,
+                               engine=engine)),
+             parity_asymptote(int(N), float(bw)), "recursion")
+            for N in N_values for bw in beta_omega_values]

@@ -118,6 +118,14 @@ class EngineParams:
         return 0.0 if t < self.T / 2 else self.T / 2
 
 
+def _outside(t: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether an entry of t lies outside [lo, hi] (NaN entries do not), by
+    one range test; plain comparisons for 0-d t."""
+    if t.ndim == 0:
+        return float(t) < lo or float(t) > hi
+    return t.size > 0 and (np.fmin.reduce(t, axis=None) < lo or np.fmax.reduce(t, axis=None) > hi)
+
+
 def omega_of_t(params: EngineParams, t):
     """Piecewise-linear gap sweep; exactly linear within each stroke.
 
@@ -126,7 +134,7 @@ def omega_of_t(params: EngineParams, t):
     Omega(T) = Omega(0) closes the drive cycle.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < -1e-12) or np.any(t_arr > params.T * (1 + 1e-12)):
+    if _outside(t_arr, -1e-12, params.T * (1 + 1e-12)):
         raise DomainError(f"t must lie in [0, T] = [0, {params.T}]")
     sgn = 1.0 if params.gap_direction is GapDirection.INCREASING else -1.0
     speed = sgn * abs(params.v)
@@ -148,7 +156,7 @@ def phase_integral(params: EngineParams, t, t0: float):
     half = params.T / 2
     if t0 not in (0.0, half):
         raise DomainError(f"t0 must be a stroke start (0 or T/2), got {t0}")
-    if np.any(t_arr < t0 - 1e-12) or np.any(t_arr > t0 + half + 1e-12):
+    if _outside(t_arr, t0 - 1e-12, t0 + half + 1e-12):
         raise DomainError("phase_integral arguments must stay within one stroke")
     sgn = 1.0 if params.gap_direction is GapDirection.INCREASING else -1.0
     slope = sgn * abs(params.v) * (1.0 if t0 == 0.0 else -1.0)
@@ -301,7 +309,7 @@ def g_of_t(schedule: CouplingSchedule, t):
             "an Impulse has no pointwise value; apply it as a finite kick"
         )
     if isinstance(schedule, SmoothPlateau):
-        if np.any(np.asarray(t) < -1e-12) or np.any(np.asarray(t) > schedule.T * (1 + 1e-12)):
+        if _outside(np.asarray(t), -1e-12, schedule.T * (1 + 1e-12)):
             raise DomainError(f"t must lie in [0, T] = [0, {schedule.T}]")
         return schedule._value(t)
     if isinstance(schedule, Sampled):

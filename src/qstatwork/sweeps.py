@@ -118,11 +118,8 @@ def validate_config(doc: dict):
     for section in doc:
         if section not in ("engine", "coupling", "system", "sweep", "fermi"):
             raise ConfigError(f"unknown config section '{section}'")
-    _check_keys("engine", doc.get("engine", {}), _ENGINE_KEYS)
-    _check_keys("coupling", doc.get("coupling", {}), _COUPLING_KEYS)
-    _check_keys("system", doc.get("system", {}), _SYSTEM_KEYS)
-    _check_keys("fermi", doc.get("fermi", {}), _FERMI_KEYS)
-    _check_keys("sweep", doc.get("sweep", {}), _SWEEP_KEYS)
+    for section, allowed in {**_AXIS_SECTIONS, "sweep": _SWEEP_KEYS}.items():
+        _check_keys(section, doc.get(section, {}), allowed)
 
 
 def build_engine(cfg: dict) -> EngineParams:
@@ -131,19 +128,12 @@ def build_engine(cfg: dict) -> EngineParams:
     _check_keys("engine", merged, _ENGINE_KEYS)
     omega0, delta = float(merged["Omega0"]), float(merged["Delta"])
     v, T = float(merged["v"]), float(merged["T"])
-    half = abs(v) * T / 2
-    if GapDirection(merged["gap_direction"]) is GapDirection.INCREASING:
-        omega_h = omega0 + half
-    else:
-        omega_h = omega0 - half
-    if "beta_c" in cfg:
-        beta_c = float(cfg["beta_c"])
-    else:
-        beta_c = float(merged["beta_c_E0"]) / math.hypot(omega0, delta)
-    if "beta_h" in cfg:
-        beta_h = float(cfg["beta_h"])
-    else:
-        beta_h = float(merged["beta_h_EH"]) / math.hypot(omega_h, delta)
+    sgn = 1 if GapDirection(merged["gap_direction"]) is GapDirection.INCREASING else -1
+    omega_h = omega0 + sgn * (abs(v) * T / 2)
+    beta_c = float(cfg["beta_c"]) if "beta_c" in cfg else (
+        float(merged["beta_c_E0"]) / math.hypot(omega0, delta))
+    beta_h = float(cfg["beta_h"]) if "beta_h" in cfg else (
+        float(merged["beta_h_EH"]) / math.hypot(omega_h, delta))
     return EngineParams(
         N=int(merged["N"]), Omega0=omega0, Delta=delta, v=v, T=T,
         beta_c=beta_c, beta_h=beta_h,
@@ -246,10 +236,7 @@ class SweepSpec:
 
     @property
     def n_cells(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.axes)
 
     def to_dict(self) -> dict:
         return {
@@ -350,18 +337,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     else:
         results = [eval_cell(c) for c in cells]
 
-    value_cols = []
-    for _, data, status in results:
-        if status == "ok":
-            value_cols = list(data.keys())
-            break
+    value_cols = next((list(data) for _, data, status in results if status == "ok"), [])
     columns = [p for p, _ in spec.axes] + value_cols + ["status"]
-    rows = []
-    n_failed = 0
-    for values, data, status in results:
-        if status != "ok":
-            n_failed += 1
-        rows.append(list(values) + [data.get(c, math.nan) for c in value_cols] + [status])
+    rows = [list(values) + [data.get(c, math.nan) for c in value_cols] + [status]
+            for values, data, status in results]
+    n_failed = sum(status != "ok" for *_, status in results)
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     manifest = {
         "spec": spec.to_dict(),
@@ -863,13 +843,13 @@ def cli_main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     out_dir = args.out or f"out-{args.command}"
-    if args.command == "analytic":
-        cfg = _merged_config(args, {
+    if args.command in ("analytic", "evolve"):
+        engine, schedule, system = _build_case(_merged_config(args, {
             "engine": _engine_overrides(args),
             "coupling": _coupling_overrides(args),
             "system": _system_overrides(args),
-        })
-        engine, schedule, system = _build_case(cfg)
+        }))
+    if args.command == "analytic":
         ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
         print(json.dumps({
             "indistinguishable": rec_b.to_dict(),
@@ -879,12 +859,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "evolve":
-        cfg = _merged_config(args, {
-            "engine": _engine_overrides(args),
-            "coupling": _coupling_overrides(args),
-            "system": _system_overrides(args),
-        })
-        engine, schedule, system = _build_case(cfg)
         pconf = PropagatorConfig(
             stepper=args.stepper,
             dt=args.dt,

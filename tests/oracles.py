@@ -185,3 +185,53 @@ class ProductAdiabaticOracle:
 
 def beta_at(params, t0):
     return params.beta_c if t0 == 0.0 else params.beta_h
+
+
+# ---------------------------------------------------------------------------
+# the single-atom engine propagator, [[a, -b*], [b, a*]] in the ascending-m
+# basis, for H = Omega(t) sigma_z + Delta sigma_x in the first stroke,
+# where Omega(t) = Omega0 + v t
+# ---------------------------------------------------------------------------
+
+def midpoint_su2_product_mp(params, t_a, t_b, n, dps=40):
+    """(a, b) of the ordered product of the n midpoint steps
+    exp(-i dt (Omega(t_k) sigma_z + Delta sigma_x)) from t_a to t_b,
+    each step and product taken at dps digits."""
+    with mpmath.workdps(dps):
+        v, delta = mpmath.mpf(params.v), mpmath.mpf(params.Delta)
+        dt = (mpmath.mpf(t_b) - t_a) / n
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for k in range(n):
+            omega = params.Omega0 + v * (t_a + (k + mpmath.mpf(1) / 2) * dt)
+            E = mpmath.sqrt(omega ** 2 + delta ** 2)
+            s = mpmath.sin(E * dt) / E
+            sa, sb = mpmath.cos(E * dt) + 1j * omega * s, -1j * delta * s
+            a, b = sa * a - mpmath.conj(sb) * b, sb * a + mpmath.conj(sa) * b
+        return complex(a), complex(b)
+
+
+def landau_zener_propagator(params, t_a, t_b, dps=30):
+    """(a, b) of the exact propagator from t_a to t_b of the linear sweep,
+    from parabolic-cylinder functions (Vitanov & Garraway, PRA 53, 4288
+    (1996)).  With tau = t + Omega0/v, so that Omega = v tau, the m = -1/2
+    amplitude c solves c'' + (Delta^2 + v^2 tau^2 - i v) c = 0, whose
+    solutions are D_nu(+-k tau) with k^2 = 2 i v and
+    nu = -1 - i Delta^2/(2 v); the m = +1/2 amplitude is
+    (i c' + v tau c) / Delta, and D_nu'(z) = z D_nu(z)/2 - D_(nu+1)(z)."""
+    with mpmath.workdps(dps):
+        v, delta = mpmath.mpf(params.v), mpmath.mpf(params.Delta)
+        k = mpmath.sqrt(2 * v) * mpmath.expjpi(mpmath.mpf(1) / 4)
+        nu = -1 - 1j * delta ** 2 / (2 * v)
+
+        def fundamental(t):
+            tau = mpmath.mpf(t) + params.Omega0 / v
+            cols = []
+            for sign in (1, -1):
+                z = sign * k * tau
+                c = mpmath.pcfd(nu, z)
+                dc = sign * k * (z * c / 2 - mpmath.pcfd(nu + 1, z))
+                cols.append([c, (1j * dc + v * tau * c) / delta])
+            return mpmath.matrix(cols).T
+
+        U = fundamental(t_b) * mpmath.inverse(fundamental(t_a))
+        return complex(U[0, 0]), complex(U[1, 0])

@@ -109,6 +109,20 @@ def test_criterion_3_impulse_enhancement():
     timed_check("criterion-3 (Fig 2a impulse enhancement)", 300.0, check)
 
 
+# synthetic rows (N, Delta/Omega0, analytic E, numeric E) that pass criterion 3
+IMPULSE_ROWS = [[1, 0.0, 1.0, 1.0], [2, 0.0, 1.3, 1.301], [3, 1.4, 1.5, 1.49]]
+
+
+def test_criterion_3_negative_controls():
+    assert sw._check_impulse(IMPULSE_ROWS)[0] is True
+    n1_off = [list(r) for r in IMPULSE_ROWS]
+    n1_off[0][2] = 1 + 1e-9                       # E(N = 1) must equal 1
+    assert sw._check_impulse(n1_off)[0] is False
+    numeric_off = [list(r) for r in IMPULSE_ROWS]
+    numeric_off[1][3] = 1.03 * numeric_off[1][2]  # outside the 2% band
+    assert sw._check_impulse(numeric_off)[0] is False
+
+
 def test_criterion_4_quadratic_scaling():
     timed_check("criterion-4 (Fig 2b quadratic scaling)", 30.0,
                 lambda: sw._check_sqrt_scaling(sw._sqrt_work_rows([0.1])))
@@ -121,6 +135,19 @@ def test_criterion_5_delta0_dominance():
 
 def test_criterion_6_nonperturbative(fig3_runs):
     report("criterion-6 (Fig 3 nonperturbative)", *sw._check_fig3(fig3_runs))
+
+
+# synthetic works (N, W_indist, W_dist) that pass criterion 6
+FIG3_ROWS = [(1, 1.0, 1.0), (2, 2.4, 2.0), (3, 3.9, 3.0), (4, 5.6, 4.0)]
+
+
+def test_criterion_6_negative_controls():
+    assert sw._check_fig3(FIG3_ROWS)[0] is True
+    # sqrt(W(3)/W(1)) below sqrt(W(2)/W(1)), with E(N = 3) still above 1
+    out_of_order = [FIG3_ROWS[0], FIG3_ROWS[1], (3, 2.3, 2.0), FIG3_ROWS[3]]
+    assert sw._check_fig3(out_of_order)[0] is False
+    e2_below_one = [FIG3_ROWS[0], (2, 2.4, 2.4 / 0.999), *FIG3_ROWS[2:]]
+    assert sw._check_fig3(e2_below_one)[0] is False
 
 
 def test_criterion_7_enhancement_region():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from qstatwork.dynamics import (
 )
 from qstatwork.errors import ConfigError, PropagationError, ResourceLimitError
 
-from oracles import WORK_ROUNDING_FLOOR
+from oracles import WORK_ROUNDING_FLOOR, landau_zener_propagator, midpoint_su2_product_mp
 
 T = 20.0
 OMEGA = 2 * math.pi * 0.05 / T
@@ -225,6 +226,11 @@ class TestRunCycleImpulse:
         assert d["unitarity_residual"] < 1e-10
         assert d["leakage"] < 1e-6
         assert d["sectors"] == [[5, 1]]
+        # the engine chain up to the kick at t1 (first stroke)
+        assert d["n_engine_steps"] > 1000
+        assert d["dt"] * d["n_engine_steps"] == pytest.approx(IMPULSE.t1, rel=1e-12)
+        d0 = run_cycle(engine(4, 0.0), IMPULSE, ho()).diagnostics
+        assert d0["n_engine_steps"] == 0 and d0["dt"] is None     # closed-form phase
 
 
 class TestRunCycleSmooth:
@@ -379,7 +385,55 @@ class TestRunCycleSmooth:
         assert es >= 0
 
 
+class TestSU2Chain:
+    """The engine propagator is the lift of one 2x2 SU(2) product."""
+
+    def test_chain_matches_40_digit_midpoint_product(self):
+        p = engine(1, 1.4)
+        a, b, n = dyn._engine_chain(p, 0.0, IMPULSE.t1, dyn._engine_dt_cap(p))
+        assert 800 <= n <= 1200
+        ref = midpoint_su2_product_mp(p, 0.0, IMPULSE.t1, n)
+        assert max(abs(a - ref[0]), abs(b - ref[1])) <= 1e-13
+        (sector,) = _build_sectors(engine(4, 1.4), qw.Statistics.BOSE, PropagatorConfig())
+        assert np.max(np.abs(sector.lift(a, b) - sector.lift(*ref))) <= 1e-13
+
+    def test_lift_is_the_tensor_power(self):
+        # random SU(2) matrices plus the diagonal, antidiagonal and -I cases
+        q = np.random.default_rng(11).normal(size=(6, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        a = np.r_[q[:, 0] + 1j * q[:, 1], 1, -1, 1j, 0, 0]
+        b = np.r_[q[:, 2] + 1j * q[:, 3], 0, 0, 0, 1, 1j]
+        for N in range(1, 5):
+            lifted = dyn._full_sector(N).lift(a, b)
+            for D, x, y in zip(lifted, a, b):
+                u = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
+                assert np.max(np.abs(D - functools.reduce(np.kron, [u] * N))) <= 1e-14
+
+    def test_landau_zener_oracle(self):
+        # Omega = -1 + 0.4 t crosses zero at t = 2.5: a genuine crossing.
+        # The midpoint chain is second order, so its error against the
+        # exact propagator falls 4x per dt halving, far above rounding.
+        p = qw.EngineParams(N=1, Omega0=-1.0, Delta=0.5, v=0.4, T=10.0,
+                            beta_c=1.0, beta_h=0.1)
+        ref = landau_zener_propagator(p, 0.0, 4.0)
+        errs = []
+        for n in (200, 400, 800):
+            dt = 4.0 / n
+            a, b = dyn._su2_chain(*dyn._su2_steps(p, dyn._midpoints(0.0, dt, 0, n), dt))
+            errs.append(max(abs(a - ref[0]), abs(b - ref[1])))
+        assert errs[-1] > 1e-8
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.9 < coarse / fine < 4.1, errs
+
+
 class TestAdiabaticityWitness:
+    def test_pinned_to_exact_midpoint_value(self):
+        # 1.70967880502078e-4 is this witness (same midpoint grids and
+        # snapshots) with the midpoint steps and their products taken at
+        # 40 digits in mpmath
+        w = adiabaticity_witness(engine(1, 1.4))
+        assert abs(w - 1.70967880502078e-4) <= 1e-11 * 1.70967880502078e-4
+
     def test_delta0_exact(self):
         assert adiabaticity_witness(engine(3, 0.0)) == 0.0
 
