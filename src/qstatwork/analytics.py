@@ -79,14 +79,19 @@ METHOD_FERMI_NUMERICAL = "fermi-numerical"
 # sinh form (1.3e-15 with the switch at a = 8.5).  Above a = 350, csch^2 a
 # is replaced by csch^2 350 = 4e-304, which no longer moves g, so that
 # sinh cannot overflow.
+#
+# S and C are summed by Horner's rule in elementwise products and sums,
+# which round every element the same way whatever the shape or layout of
+# x (a matmul over the term axis, or a power, can take a kernel that
+# depends on the shape), so the moments do not depend on how x is shaped.
 
 _SERIES_MAX = 2.0
-# 12 terms: at a = 2 the first omitted term of S and of C is < 2e-17 of the sum
-_SERIES_POWERS = np.arange(12)
-_SERIES_COEFFS = np.array([
-    [1 / math.factorial(2 * k + 3), (2 * k + 2) / math.factorial(2 * k + 3)]
-    for k in _SERIES_POWERS.tolist()
-])
+# 12 terms: at a = 2 the first omitted term of S and of C is < 2e-17 of the
+# sum; highest power first, for Horner's rule
+_SERIES_COEFFS = [
+    (1 / math.factorial(2 * k + 3), (2 * k + 2) / math.factorial(2 * k + 3))
+    for k in reversed(range(12))
+]
 
 
 def _thermal_moments(N: int, x: np.ndarray):
@@ -94,8 +99,12 @@ def _thermal_moments(N: int, x: np.ndarray):
     a = np.stack((x, (N + 1) * x))
     b = np.minimum(a, _SERIES_MAX)
     b2 = b * b
-    SC = b2[..., None] ** _SERIES_POWERS @ _SERIES_COEFFS
-    S, C = SC[..., 0], SC[..., 1]
+    S, C = np.zeros_like(b2), np.zeros_like(b2)
+    for s_k, c_k in _SERIES_COEFFS:
+        S *= b2
+        S += s_k
+        C *= b2
+        C += c_k
     q = 1.0 + b2 * S
     big = np.maximum(a, _SERIES_MAX)
     series = a < _SERIES_MAX

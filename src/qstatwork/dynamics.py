@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .analytics import METHOD_NUMERICAL, WorkRecord
 from .errors import (
@@ -33,6 +32,7 @@ from .hilbert import (
     QuantumState,
     _product_sum,
     _spin_xyz,
+    hermitian_expm,
     thermal_state,
     trace_out_engine,
 )
@@ -315,7 +315,7 @@ def _dense_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
         t_mid = _midpoints(t_start, dt, k0, min(k0 + GRID_CHUNK, n))
         grid = zip(params.omega(t_mid), g_of_t(schedule, t_mid))
         for k, (omega, g) in enumerate(grid, k0):
-            U = scipy.linalg.expm(-1j * dt * (2 * omega * sz + static + g * coupling))
+            U = hermitian_expm(2 * omega * sz + static + g * coupling, dt)
             residual = max(residual, _isometry_drift(U))
             y = np.einsum("isjt,jct->ics", U.reshape(dE, dS, dE, dS), y)
             if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:

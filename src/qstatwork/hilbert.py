@@ -16,7 +16,6 @@ from functools import lru_cache, reduce
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateHamiltonianError,
@@ -214,6 +213,14 @@ def product_spin_ops(N: int) -> tuple[DenseOperator, DenseOperator]:
             DenseOperator(space, _product_sum(int(N), 2).copy()))
 
 
+def hermitian_expm(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) for a Hermitian matrix H, as V e^{-i t lambda} V^dag
+    from its eigendecomposition (exactly unitary up to rounding, also on a
+    degenerate spectrum, where eigh still returns an orthonormal V)."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * t * lam)) @ V.conj().T
+
+
 # ---------------------------------------------------------------------------
 # engine Hamiltonian and its instantaneous eigenbasis
 # ---------------------------------------------------------------------------
@@ -256,19 +263,18 @@ def instantaneous_eigenbasis(params, t: float, N: int):
     theta = math.atan2(-omega, delta)
     _, sy, _, _ = _spin_xyz(int(N))
     chi = theta + math.pi / 2
-    basis = scipy.linalg.expm(-1j * chi * sy)
-    basis = _fix_column_phases(basis)
+    # exp(-i chi Sy) is real, as Sy is imaginary: its real part carries no
+    # rounding in a phase, which a small leading entry would amplify, so a
+    # sign per column fixes the basis
+    basis = _fix_column_signs(hermitian_expm(sy, chi).real)
     return theta, E, DenseOperator(DickeSector(int(N)), basis)
 
 
-def _fix_column_phases(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    U = U.copy()
-    for k in range(U.shape[1]):
-        col = U[:, k]
-        nz = np.flatnonzero(np.abs(col) > tol * np.abs(col).max())
-        lead = col[nz[0]]
-        U[:, k] = col * (abs(lead) / lead)
-    return U
+def _fix_column_signs(U: np.ndarray) -> np.ndarray:
+    """U with each column's leading entry, the first above 1e-12 of the
+    column's largest, made positive."""
+    lead = np.argmax(np.abs(U) > 1e-12 * np.abs(U).max(axis=0), axis=0)
+    return U * np.sign(U[lead, np.arange(U.shape[1])])
 
 
 # ---------------------------------------------------------------------------

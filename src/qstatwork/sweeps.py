@@ -322,14 +322,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     def eval_cell(idx):
         values = [grids[k][i] for k, i in enumerate(idx)]
         cfg = _cell_config(spec, values)
+        t0 = time.perf_counter()
         try:
             if spec.task == "fermi":
                 data = _eval_fermi_cell(cfg)
             else:
                 data = _eval_work_cell(cfg, spec.method)
-            return values, data, "ok"
+            status = "ok"
         except (QstatworkError, ValueError, ArithmeticError) as exc:
-            return values, {}, f"error:{type(exc).__name__}"
+            data, status = {}, f"error:{type(exc).__name__}"
+        return values, data, status, time.perf_counter() - t0
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -337,11 +339,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     else:
         results = [eval_cell(c) for c in cells]
 
-    value_cols = next((list(data) for _, data, status in results if status == "ok"), [])
+    value_cols = next((list(data) for _, data, status, _ in results if status == "ok"), [])
     columns = [p for p, _ in spec.axes] + value_cols + ["status"]
     rows = [list(values) + [data.get(c, math.nan) for c in value_cols] + [status]
-            for values, data, status in results]
-    n_failed = sum(status != "ok" for *_, status in results)
+            for values, data, status, _ in results]
+    n_failed = sum(status != "ok" for _, _, status, _ in results)
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     manifest = {
         "spec": spec.to_dict(),
@@ -350,6 +352,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
         "n_cells": len(cells),
         "n_failed": n_failed,
         "wall_time_s": time.time() - t_start,
+        "cell_wall_s": [wall for *_, wall in results],
     }
     _write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

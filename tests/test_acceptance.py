@@ -66,19 +66,25 @@ def fig3_runs():
     return data
 
 
+def shift_moments(monkeypatch, shift):
+    """Make every closed form see (f, h) -> shift(N, f, h)."""
+    true = an._thermal_moments
+    monkeypatch.setattr(an, "_thermal_moments", lambda N, x: shift(N, *true(N, x)))
+
+
 def test_criterion_1_moment_oracles():
     timed_check("criterion-1 (moment oracles)", 1.0, sw._check_moment_oracles)
+
+
+def test_criterion_1_negative_control(monkeypatch):
+    # f off by 1e-11 at one N, ten times the 1e-12 bound
+    shift_moments(monkeypatch, lambda N, f, h: (f + 1e-11 if N == 7 else f, h))
+    assert sw._check_moment_oracles()[0] is False
 
 
 def test_criterion_2_inequality_battery():
     timed_check("criterion-2 (inequality battery)", 10.0, sw._check_inequalities,
                 np.random.default_rng(20260809), 60, 40)
-
-
-def shift_moments(monkeypatch, shift):
-    """Make every closed form see (f, h) -> shift(N, f, h)."""
-    true = an._thermal_moments
-    monkeypatch.setattr(an, "_thermal_moments", lambda N, x: shift(N, *true(N, x)))
 
 
 def test_criterion_2_fails_on_broken_n1_equality(monkeypatch):
@@ -128,9 +134,37 @@ def test_criterion_4_quadratic_scaling():
                 lambda: sw._check_sqrt_scaling(sw._sqrt_work_rows([0.1])))
 
 
+# synthetic Fig.-2b rows (N, beta_c E_0, sqrt work) for N x <= 1 at x = 0.1
+def sqrt_rows(sqrt_work):
+    return [[N, 0.1, sqrt_work(N)] for N in range(1, 11)]
+
+
+def test_criterion_4_negative_control():
+    assert sw._check_sqrt_scaling(sqrt_rows(lambda N: 0.3 * N + 0.1))[0] is True
+    # sqrt(work) = N^2 curves in N: R^2 = 0.95 over N = 1..10
+    assert sw._check_sqrt_scaling(sqrt_rows(lambda N: N ** 2))[0] is False
+
+
 def test_criterion_5_delta0_dominance():
     timed_check("criterion-5 (Delta=0 universal dominance)", 60.0,
                 sw._check_delta0_dominance, np.random.default_rng(5), 200)
+
+
+def test_criterion_5_negative_control(monkeypatch):
+    # the first Bose probability sits 1e-9 below the distinguishable one
+    true = an.general_probability
+    shifted = []
+
+    def one_bose_below(engine, schedule, system, stats, level):
+        if stats is qw.Statistics.BOSE and not shifted:
+            shifted.append(level)
+            stats = qw.Statistics.DISTINGUISHABLE
+            return true(engine, schedule, system, stats, level) - 1e-9
+        return true(engine, schedule, system, stats, level)
+
+    monkeypatch.setattr(an, "general_probability", one_bose_below)
+    assert sw._check_delta0_dominance(np.random.default_rng(5), 2)[0] is False
+    assert shifted
 
 
 def test_criterion_6_nonperturbative(fig3_runs):
@@ -152,6 +186,17 @@ def test_criterion_6_negative_controls():
 
 def test_criterion_7_enhancement_region():
     timed_check("criterion-7 (Fig S1 region map)", 120.0, lambda: sw._figure_figs1()[2])
+
+
+def test_criterion_7_negative_control():
+    # N = 2 and 20 over two omega T, with the N = 20 gap beyond pi
+    enhanced = np.array([[[True, True]], [[True, False]]])
+    region = an.RegionMap(N_values=(2, 20), delta_over_omega0=np.array([0.0]),
+                          omega_T=np.array([1.0, 5.0]), enhanced=enhanced,
+                          work_indist=np.zeros((2, 1, 2)), work_dist=np.zeros((2, 1, 2)))
+    assert sw._check_region(region)[0] is True
+    enhanced[0, 0, 1] = False                      # one N = 2 cell not enhanced
+    assert sw._check_region(region)[0] is False
 
 
 def test_criterion_8_fermionic_parity():

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
+import qstatwork.dynamics as dyn
 from qstatwork.errors import (
     DegenerateHamiltonianError,
     InvalidSpaceError,
     ResourceLimitError,
 )
-from qstatwork.hilbert import spin_y
+from qstatwork.hilbert import _fix_column_signs, hermitian_expm, spin_y
 
 from oracles import direct_moment_h
 
@@ -178,6 +180,64 @@ class TestInstantaneousEigenbasis:
                             beta_c=2.0, beta_h=0.125)
         with pytest.raises(DegenerateHamiltonianError):
             qw.instantaneous_eigenbasis(p, 0.0, 1)
+
+
+def _random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
+class TestHermitianExpm:
+    """exp(-i t H) from eigh against scipy.linalg.expm (Pade, scaling and
+    squaring), which shares no code with it."""
+
+    @staticmethod
+    def assert_matches_expm(H, t):
+        err = np.max(np.abs(hermitian_expm(H, t) - scipy.linalg.expm(-1j * t * H)))
+        assert err <= 1e-13, err
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 40])
+    def test_random_hermitian(self, dim):
+        rng = np.random.default_rng(dim)
+        for t in (1e-3, 0.3, 1.0):
+            self.assert_matches_expm(_random_hermitian(rng, dim), t)
+
+    def test_degenerate_spectrum(self):
+        # eigenvalues -1 (x3), 0.5 (x2), 2 in a random unitary frame
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(_random_hermitian(rng, 6))
+        H = (Q * [-1.0, -1.0, -1.0, 0.5, 0.5, 2.0]) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        for t in (0.1, 1.0, 2.5):
+            self.assert_matches_expm(H, t)
+
+    def test_dense_stepper_hamiltonians(self, monkeypatch):
+        # every composite Hamiltonian the expm-midpoint stepper exponentiates
+        seen = []
+
+        def checked(H, t):
+            self.assert_matches_expm(H, t)
+            seen.append(H.shape)
+            return hermitian_expm(H, t)
+
+        monkeypatch.setattr(dyn, "hermitian_expm", checked)
+        p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.4, v=0.5, T=2.0,
+                            beta_c=2.0, beta_h=0.125)
+        sched = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
+        dyn.run_cycle(p, sched, qw.harmonic_system(1.3, 6),
+                      config=dyn.PropagatorConfig(stepper="expm-midpoint"))
+        assert len(seen) > 100 and set(seen) == {(18, 18)}
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_instantaneous_eigenbasis(self, N):
+        for omega0, delta, t in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, 0.9, 3.0),
+                                 (1.0, 1.4, 7.0), (2.0, 0.5, 12.0)):
+            p = _params(N=N, Omega0=omega0, Delta=delta)
+            theta, _, basis = qw.instantaneous_eigenbasis(p, t, N)
+            ref = scipy.linalg.expm(-1j * (theta + math.pi / 2) * spin_y(N))
+            assert not ref.imag.any()
+            ref = _fix_column_signs(ref.real)
+            assert np.max(np.abs(basis.matrix - ref)) <= 1e-13
 
 
 class TestSpaces:

@@ -1,9 +1,13 @@
 """Source hygiene: no module of the package or of the tests imports a
-name it never uses.  The package's `__init__.py` is exempt, because its
-imports are the public API it re-exports."""
+name it never uses (the package's `__init__.py` is exempt, because its
+imports are the public API it re-exports), and importing the package
+loads NumPy and the standard library only."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +41,13 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy_or_mpmath():
+    # SciPy and mpmath are test dependencies: the package must not load them
+    probe = ("import sys, qstatwork; "
+             "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

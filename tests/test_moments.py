@@ -105,6 +105,18 @@ class TestMomentH:
         assert abs(qw.moment_h(N, x) - direct_moment_h(N, x)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 40, 60])
+def test_moments_do_not_depend_on_the_shape_of_x(N):
+    # the series straddles a = 2 and the sinh branch covers the rest
+    x = np.geomspace(1e-3, 50.0, 97)
+    flat = (qw.moment_f(N, x), qw.moment_h(N, x))
+    for shaped in (x[:, None], x[None, :]):
+        for ref, got in zip(flat, (qw.moment_f(N, shaped), qw.moment_h(N, shaped))):
+            assert np.array_equal(got.ravel(), ref)
+    assert [qw.moment_f(N, xi) for xi in x] == flat[0].tolist()
+    assert [qw.moment_h(N, xi) for xi in x] == flat[1].tolist()
+
+
 class TestMomentSet:
     def test_f_pm_composition(self):
         ms = moments(6, 0.8)

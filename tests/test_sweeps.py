@@ -61,6 +61,15 @@ class TestSweepSpec:
         again = sw.SweepSpec.from_manifest(manifest)
         assert again == spec
 
+    def test_manifest_times_every_cell(self, tmp_path):
+        spec = self.spec(axes=(("engine.N", (1, 2, 3)), ("engine.Delta", (0.0, 0.5))))
+        manifest = sw.run_sweep(spec, threads=2, out_dir=str(tmp_path))
+        walls = manifest["cell_wall_s"]
+        assert len(walls) == manifest["n_cells"] == 6
+        assert all(w > 0.0 for w in walls)
+        assert json.loads((tmp_path / "manifest.json").read_text())["cell_wall_s"] == walls
+        assert "wall" not in (tmp_path / "data.csv").read_text()
+
     def test_deterministic_bytes(self, tmp_path):
         spec = self.spec()
         sw.run_sweep(spec, out_dir=str(tmp_path / "a"))
