@@ -450,6 +450,18 @@ def _probability(amps: tuple, w0: list, wh: list) -> float:
     return float(p + 2 * (a0.d * np.conj(ah.d)).real * w0[0] * wh[0])
 
 
+def _amplitude_pair(params, schedule, system, i: int) -> tuple:
+    half = params.T / 2
+    return (compute_amplitudes(params, schedule, system, i, 0.0),
+            compute_amplitudes(params, schedule, system, i, half))
+
+
+def _stroke_weights(params: EngineParams, statistics: Statistics) -> list:
+    """`_weights` at the two stroke starts, as the (w0, wh) of `_probability`."""
+    x = np.array([_x_at(params, 0.0), _x_at(params, params.T / 2)])
+    return np.array(_weights(params.N, x, statistics)).T.tolist()
+
+
 def general_probability(
     params: EngineParams,
     schedule: CouplingSchedule,
@@ -464,11 +476,24 @@ def general_probability(
     two stroke starts; reduces exactly to the Delta = 0 forms when
     cos(theta) vanishes.
     """
-    half = params.T / 2
-    amps = (compute_amplitudes(params, schedule, system, i, 0.0),
-            compute_amplitudes(params, schedule, system, i, half))
-    x = np.array([_x_at(params, 0.0), _x_at(params, half)])
-    return _probability(amps, *np.array(_weights(params.N, x, statistics)).T.tolist())
+    return _probability(_amplitude_pair(params, schedule, system, i),
+                        *_stroke_weights(params, statistics))
+
+
+def level_amplitudes(
+    params: EngineParams,
+    schedule: CouplingSchedule,
+    system: ExternalSystem,
+) -> dict:
+    """Amplitudes (at t0 = 0, at t0 = T/2) of every level i the system
+    couples to its ground state.
+
+    They depend on neither N, the statistics nor the bath temperatures,
+    so one set serves every work record of the same drive, schedule and
+    system (see `general_work`).
+    """
+    return {i: _amplitude_pair(params, schedule, system, i)
+            for i in range(1, system.dim) if system.matrix[i, 0] != 0}
 
 
 def general_work(
@@ -476,16 +501,20 @@ def general_work(
     schedule: CouplingSchedule,
     system: ExternalSystem,
     statistics: Statistics,
+    amplitudes: dict = None,
 ) -> WorkRecord:
-    """Assemble the perturbative WorkRecord over all coupled levels."""
+    """Assemble the perturbative WorkRecord over all coupled levels.
+
+    `amplitudes` is the `level_amplitudes` of the same drive, schedule and
+    system, computed here when not given.
+    """
     flags = ()
     if isinstance(schedule, SmoothPlateau) and schedule.midcycle_tail_fraction() > 1e-3:
         flags = ("thermalization-overlap",)
-    p = {}
-    for i in range(1, system.dim):
-        if system.matrix[i, 0] == 0:
-            continue
-        p[i] = general_probability(params, schedule, system, statistics, i)
+    if amplitudes is None:
+        amplitudes = level_amplitudes(params, schedule, system)
+    weights = _stroke_weights(params, statistics)
+    p = {i: _probability(amps, *weights) for i, amps in amplitudes.items()}
     work = float(sum(system.energies[i] * pi for i, pi in p.items()))
     flags = _validity_flags(sum(p.values()), flags)
     return WorkRecord(
@@ -502,11 +531,22 @@ def enhancement(
     params: EngineParams,
     schedule: CouplingSchedule,
     system: ExternalSystem,
+    amplitudes: dict = None,
 ) -> tuple[float, WorkRecord, WorkRecord]:
-    """Ratio E = <w>^indist / <w>^dist plus the two closed-form records."""
-    runner = impulse_work if isinstance(schedule, Impulse) else general_work
-    rec_b = runner(params, schedule, system, Statistics.BOSE)
-    rec_d = runner(params, schedule, system, Statistics.DISTINGUISHABLE)
+    """Ratio E = <w>^indist / <w>^dist plus the two closed-form records.
+
+    For a smooth schedule both records share one set of amplitudes:
+    `amplitudes` (the `level_amplitudes` of the same drive, schedule and
+    system) when given, else computed here once.
+    """
+    if isinstance(schedule, Impulse):
+        rec_b, rec_d = (impulse_work(params, schedule, system, s)
+                        for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+    else:
+        if amplitudes is None:
+            amplitudes = level_amplitudes(params, schedule, system)
+        rec_b, rec_d = (general_work(params, schedule, system, s, amplitudes)
+                        for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
     ratio = rec_b.avg_work / rec_d.avg_work
     return ratio, rec_b, rec_d
 
@@ -577,8 +617,7 @@ def enhancement_region(
             omega = omt / base.T
             system = harmonic_system(omega, 4)
             schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
-            amps = (compute_amplitudes(params1, schedule, system, 1, 0.0),
-                    compute_amplitudes(params1, schedule, system, 1, half))
+            amps = _amplitude_pair(params1, schedule, system, 1)
             for a, (w_bose, w_dist_N) in enumerate(weights_N):
                 w_ind[a, b, c] = omega * _probability(amps, *w_bose)
                 w_dist[a, b, c] = omega * _probability(amps, *w_dist_N)

@@ -11,7 +11,6 @@ spec that produced it.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -176,10 +175,20 @@ def _build_case(cfg: dict):
     return engine, schedule, system
 
 
-def _run_both(engine, schedule, system):
-    """run_cycle for indistinguishable, then distinguishable engines."""
-    return [run_cycle(engine, schedule, system, statistics=s)
-            for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)]
+def _both_cases(engine, schedule, system) -> list:
+    """`_timed_cycle` inputs for indistinguishable, then distinguishable
+    engines."""
+    return [(engine, schedule, system, s) for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)]
+
+
+def _timed_cycle(case) -> tuple:
+    """run_cycle on one (engine, schedule, system, statistics) case: its
+    average work and its diagnostics, plus `cycle_wall_s`, the cycle's
+    wall time where it ran."""
+    engine, schedule, system, statistics = case
+    t0 = time.perf_counter()
+    res = run_cycle(engine, schedule, system, statistics=statistics)
+    return res.work.avg_work, dict(res.diagnostics, cycle_wall_s=time.perf_counter() - t0)
 
 
 def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
@@ -194,6 +203,79 @@ def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
         engine=engine,
         level_count=merged.get("level_count"),
     )
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+def worker_count(requested: int, n_inputs: int) -> int:
+    """Workers for n_inputs independent tasks: `requested`, capped at the
+    cores this process may run on and at n_inputs, and at least 1."""
+    return max(1, min(requested, len(os.sched_getaffinity(0)), n_inputs))
+
+
+# names of OpenBLAS's thread-count setter in the builds NumPy ships with
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                         "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Pool initializer: run the OpenBLAS that NumPy loaded on one thread.
+
+    The workers already take the cores, and OpenBLAS threads that compete
+    for them are slow: on 2 cores, `figure fig3a` on 2 workers with 2
+    OpenBLAS threads each took 5x as long as one process.  A BLAS other
+    than OpenBLAS keeps its own setting.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def parallel_map(fn, inputs, workers: int = 1) -> list:
+    """[fn(x) for x in inputs] on up to `workers` worker processes
+    (`worker_count`), in input order.
+
+    fn must be a module-level function (or a functools.partial of one) and
+    its inputs and results picklable.  Workers are forked, so they start
+    from this process's state without importing the package again, and a
+    fresh pool lives only for this call.  Each worker runs OpenBLAS on one
+    thread (`_one_blas_thread`).  With one worker the inputs run in this
+    process and no pool starts.  An exception fn raises in a worker is
+    raised here.
+    """
+    inputs = list(inputs)
+    workers = worker_count(workers, len(inputs))
+    if workers == 1:
+        return [fn(x) for x in inputs]
+    # deferred: `import qstatwork` does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # inputs go out in chunks, about 16 per worker: one message per input
+    # costs about as much as a closed-form sweep cell (a 2000-cell impulse
+    # sweep took 0.93 s on 2 workers unchunked, 0.62 s serially), while
+    # 16 chunks per worker still balance cells of unequal cost
+    chunk = max(1, len(inputs) // (16 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        return list(pool.map(fn, inputs, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +358,13 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
     engine, schedule, system = _build_case(cfg)
     out = {}
     if method in ("analytic", "both"):
-        ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
+        # a smooth cell's amplitudes serve both statistics and the N = 1 reference
+        amps = (None if isinstance(schedule, Impulse)
+                else analytics.level_amplitudes(engine, schedule, system))
+        ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system, amps)
         one = replace(engine, N=1)
-        w1 = (analytics.impulse_work if isinstance(schedule, Impulse)
-              else analytics.general_work)(one, schedule, system, Statistics.BOSE).avg_work
+        w1 = (analytics.impulse_work(one, schedule, system, Statistics.BOSE) if amps is None
+              else analytics.general_work(one, schedule, system, Statistics.BOSE, amps)).avg_work
         out.update(
             work_indist=rec_b.avg_work,
             work_dist=rec_d.avg_work,
@@ -287,12 +372,8 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
             sqrt_work_ratio=math.sqrt(rec_b.avg_work / w1) if w1 > 0 else math.nan,
         )
     if method in ("numerical", "both"):
-        rb, rd = _run_both(engine, schedule, system)
-        out.update(
-            work_indist_numeric=rb.work.avg_work,
-            work_dist_numeric=rd.work.avg_work,
-            enhancement_numeric=rb.work.avg_work / rd.work.avg_work,
-        )
+        (wb, _), (wd, _) = map(_timed_cycle, _both_cases(engine, schedule, system))
+        out.update(work_indist_numeric=wb, work_dist_numeric=wd, enhancement_numeric=wb / wd)
     return out
 
 
@@ -307,43 +388,39 @@ def _eval_fermi_cell(cfg: dict) -> dict:
     }
 
 
+def _eval_cell(task: str, method: str, cfg: dict) -> tuple:
+    """One sweep cell: (values, status, wall seconds where it ran).  A cell
+    that fails gives no values and an `error:<Type>` status."""
+    t0 = time.perf_counter()
+    try:
+        data = _eval_fermi_cell(cfg) if task == "fermi" else _eval_work_cell(cfg, method)
+        status = "ok"
+    except (QstatworkError, ValueError, ArithmeticError) as exc:
+        data, status = {}, f"error:{type(exc).__name__}"
+    return data, status, time.perf_counter() - t0
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     """Evaluate every cell, write <out>/data.csv and <out>/manifest.json.
 
-    Cells evaluate independently (thread pool, deterministic row-major
-    assembly); failed cells are tagged per row and count toward the exit
-    status (> 1% failed is an error).
+    Cells evaluate independently on `threads` worker processes
+    (`parallel_map`), and rows are assembled in row-major cell order
+    whatever the count; failed cells are tagged per row and count toward
+    the exit status (> 1% failed is an error).
     """
     out_dir = out_dir or spec.out
     t_start = time.time()
     grids = [values for _, values in spec.axes]
-    cells = list(np.ndindex(*[len(g) for g in grids])) if grids else [()]
+    cells = [[grids[k][i] for k, i in enumerate(idx)]
+             for idx in (np.ndindex(*[len(g) for g in grids]) if grids else [()])]
+    results = parallel_map(functools.partial(_eval_cell, spec.task, spec.method),
+                           [_cell_config(spec, values) for values in cells], threads)
 
-    def eval_cell(idx):
-        values = [grids[k][i] for k, i in enumerate(idx)]
-        cfg = _cell_config(spec, values)
-        t0 = time.perf_counter()
-        try:
-            if spec.task == "fermi":
-                data = _eval_fermi_cell(cfg)
-            else:
-                data = _eval_work_cell(cfg, spec.method)
-            status = "ok"
-        except (QstatworkError, ValueError, ArithmeticError) as exc:
-            data, status = {}, f"error:{type(exc).__name__}"
-        return values, data, status, time.perf_counter() - t0
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_cell, cells))
-    else:
-        results = [eval_cell(c) for c in cells]
-
-    value_cols = next((list(data) for _, data, status, _ in results if status == "ok"), [])
+    value_cols = next((list(data) for data, status, _ in results if status == "ok"), [])
     columns = [p for p, _ in spec.axes] + value_cols + ["status"]
-    rows = [list(values) + [data.get(c, math.nan) for c in value_cols] + [status]
-            for values, data, status, _ in results]
-    n_failed = sum(status != "ok" for _, _, status, _ in results)
+    rows = [values + [data.get(c, math.nan) for c in value_cols] + [status]
+            for values, (data, status, _) in zip(cells, results)]
+    n_failed = sum(status != "ok" for _, status, _ in results)
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     manifest = {
         "spec": spec.to_dict(),
@@ -373,21 +450,20 @@ def _fig2_engine(N, delta_frac):
     })
 
 
-def _impulse_runs(n_values=range(1, 9), deltas=(0.0, 1.4, 4.2)):
+def _impulse_runs(n_values=range(1, 9), deltas=(0.0, 1.4, 4.2), workers: int = 1):
     """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
-    diagnostics of every run_cycle."""
+    `_timed_cycle` diagnostics of every run_cycle (indistinguishable, then
+    distinguishable, per row), the cycles run on `workers` processes."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 10)
     schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
-    rows, diags = [], []
-    for delta_frac in deltas:
-        for N in n_values:
-            engine = _fig2_engine(N, delta_frac)
-            ratio, _, _ = analytics.enhancement(engine, schedule, system)
-            rb, rd = _run_both(engine, schedule, system)
-            rows.append([N, delta_frac, ratio, rb.work.avg_work / rd.work.avg_work])
-            diags += [rb.diagnostics, rd.diagnostics]
-    return rows, diags
+    engines = [(N, delta_frac, _fig2_engine(N, delta_frac))
+               for delta_frac in deltas for N in n_values]
+    runs = parallel_map(_timed_cycle, [case for *_, engine in engines
+                                       for case in _both_cases(engine, schedule, system)], workers)
+    rows = [[N, delta_frac, analytics.enhancement(engine, schedule, system)[0], wb / wd]
+            for (N, delta_frac, engine), (wb, _), (wd, _) in zip(engines, runs[::2], runs[1::2])]
+    return rows, [diag for _, diag in runs]
 
 
 def _sqrt_work_rows(x_values):
@@ -397,18 +473,20 @@ def _sqrt_work_rows(x_values):
             for x in x_values for N in range(1, 41)]
 
 
-def _fig3_data():
+def _fig3_data(workers: int = 1):
     """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
-    diagnostics of every run_cycle."""
+    `_timed_cycle` diagnostics of every run_cycle, the cycles run on
+    `workers` processes."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 16)
     schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
-    data, diags = [], []
-    for N in range(1, 7):
-        rb, rd = _run_both(_fig2_engine(N, 0.0), schedule, system)
-        data.append((N, rb.work.avg_work, rd.work.avg_work))
-        diags += [rb.diagnostics, rd.diagnostics]
-    return data, diags
+    n_values = range(1, 7)
+    cases = [case for N in n_values
+             for case in _both_cases(_fig2_engine(N, 0.0), schedule, system)]
+    # longest first (the cost grows with N), so that the pool ends on short cycles
+    runs = parallel_map(_timed_cycle, cases[::-1], workers)[::-1]
+    data = [(N, wb, wd) for N, (wb, _), (wd, _) in zip(n_values, runs[::2], runs[1::2])]
+    return data, [diag for _, diag in runs]
 
 
 def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
@@ -416,44 +494,48 @@ def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
     return fermi_mod.lambda_table(n_values, bw_values, build_engine(_FIG4_ENGINE))
 
 
-def _figure_fig2a():
-    rows, _ = _impulse_runs()
+def _figure_fig2a(workers=1):
+    rows, diags = _impulse_runs(workers=workers)
     columns = ["N", "delta_over_omega0", "E_ratio_analytic", "E_ratio_numeric"]
-    return columns, rows, _check_impulse(rows)
+    return columns, rows, _check_impulse(rows), diags
 
 
-def _figure_fig2b():
+def _figure_fig2b(workers=1):
     rows = _sqrt_work_rows(np.linspace(0.25, 4.0, 16))
-    return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, _check_sqrt_scaling(rows)
+    return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, _check_sqrt_scaling(rows), []
 
 
-def _figure_fig3a():
-    data, _ = _fig3_data()
+def _figure_fig3a(workers=1):
+    data, diags = _fig3_data(workers)
     rows = [[N, wb, math.sqrt(wb / data[0][1])] for N, wb, _ in data]
-    return ["N", "work_indist_numeric", "sqrt_work_ratio"], rows, _check_fig3(data)
+    return ["N", "work_indist_numeric", "sqrt_work_ratio"], rows, _check_fig3(data), diags
 
 
-def _figure_fig3b():
-    data, _ = _fig3_data()
-    return ["N", "E_ratio_numeric"], [[N, wb / wd] for N, wb, wd in data], _check_fig3(data)
+def _figure_fig3b(workers=1):
+    data, diags = _fig3_data(workers)
+    return (["N", "E_ratio_numeric"], [[N, wb / wd] for N, wb, wd in data], _check_fig3(data),
+            diags)
 
 
-def _figure_fig4(n_values):
+def _figure_fig4(n_values, workers=1):
     rows = _fermi_rows(n_values, np.arange(2.5, 6.01, 0.25))
     columns = ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"]
-    return columns, rows, _check_fermi_parity(rows)
+    return columns, rows, _check_fermi_parity(rows), []
 
 
-def _figure_figs1():
+def _figure_figs1(workers=1):
     region = analytics.enhancement_region(_fig2_engine(2, 0.0), np.linspace(0.0, 4.0, 9),
                                           np.linspace(0.1, 10 * math.pi, 24), (2, 6, 12, 20))
     return (["delta_over_omega0", "omegaT", "N", "enhanced"], list(region.rows()),
-            _check_region(region))
+            _check_region(region), [])
 
 
 @dataclass(frozen=True)
 class FigureTarget:
-    run: object          # () -> (CSV columns, rows, (ok, detail) of the check)
+    # (worker processes for its run_cycle calls; closed-form figures make
+    # none) -> (CSV columns, rows, (ok, detail) of the check, `_timed_cycle`
+    # diagnostics of its run_cycle calls)
+    run: object
     description: str
     preset: dict
 
@@ -478,15 +560,28 @@ FIGURES = {
 }
 
 
-def run_figure(fig_id: str, out_dir: str) -> tuple:
-    """Regenerate one figure's data CSV and run its criterion check on it.
+def _cycle_summary(diags) -> dict:
+    """A figure's run_cycle diagnostics for its manifest: the worst health
+    indicators, the summed step counts and every cycle's wall time."""
+    out = {f"{key}_max": max(d[key] for d in diags)
+           for key in ("isometry_drift", "trace_drift", "dropped_weight")}
+    out.update({f"{key}_total": sum(d[key] for d in diags)
+                for key in ("n_steps_per_half", "n_engine_steps") if key in diags[0]})
+    out["n_cycles"] = len(diags)
+    out["cycle_wall_s"] = [d["cycle_wall_s"] for d in diags]
+    return out
+
+
+def run_figure(fig_id: str, out_dir: str, workers: int = 1) -> tuple:
+    """Regenerate one figure's data CSV and run its criterion check on it,
+    its run_cycle calls on `workers` processes (`parallel_map`).
 
     Returns the check's (ok, detail).
     """
     if fig_id not in FIGURES:
         raise ConfigError(f"unknown figure id '{fig_id}'; choose from {sorted(FIGURES)}")
     t0 = time.time()
-    columns, rows, (ok, detail) = FIGURES[fig_id].run()
+    columns, rows, (ok, detail), diags = FIGURES[fig_id].run(workers)
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     _write_manifest(os.path.join(out_dir, "manifest.json"), {
         "figure": fig_id,
@@ -496,6 +591,7 @@ def run_figure(fig_id: str, out_dir: str) -> tuple:
         "n_rows": len(rows),
         "failures": [] if ok else [detail],
         "wall_time_s": time.time() - t0,
+        **({"cycles": _cycle_summary(diags)} if diags else {}),
     })
     return ok, detail
 
@@ -506,9 +602,10 @@ def run_figure(fig_id: str, out_dir: str) -> tuple:
 # tests/test_acceptance.py all call these.
 # ---------------------------------------------------------------------------
 
-def run_verify(seed: int = 0, fast: bool = False) -> list:
+def run_verify(seed: int = 0, fast: bool = False, workers: int = 1) -> list:
     """Criteria 1, 2, 5, 8 and (full runs only) 3 at verify sizes:
-    (name, ok, detail) per check. Every check runs whatever the others give."""
+    (name, ok, detail) per check. Every check runs whatever the others give;
+    criterion 3's run_cycle calls run on `workers` processes."""
     rng = np.random.default_rng(seed)
     checks = [
         ("moment-oracles", *_check_moment_oracles()),
@@ -518,7 +615,7 @@ def run_verify(seed: int = 0, fast: bool = False) -> list:
     ]
     if not fast:
         checks.append(("impulse-enhancement",
-                       *_check_impulse(_impulse_runs((1, 2, 4), (1.4,))[0])))
+                       *_check_impulse(_impulse_runs((1, 2, 4), (1.4,), workers)[0])))
     return checks
 
 
@@ -671,33 +768,30 @@ def _check_region(region):
 
 
 def _check_fermi_parity(rows):
-    """Criterion 8 on lambda_table rows: the parity-law gap at beta omega
-    >= 4 (< 0.1 for even N, < 0.2 for odd N), lambda independent of the bath
-    temperatures, and f_N = N mod 2 exactly at T = 0 for every N given."""
+    """Criterion 8 on lambda_table rows: every N given has rows at
+    beta omega >= 4, where the parity-law gap is < 0.1 for even N and < 0.2
+    for odd N, and f_N = N mod 2 exactly at T = 0 for every N given.
+
+    The bath independence of lambda = <w_N>/<w_1> is not checked: in
+    `fermi_work` that ratio is f_N by construction, for any bath."""
     gaps = ([], [])
     for N, bw, lam, _, _ in rows:
         if bw >= 4.0:
             odd = N % 2
             gaps[odd].append(abs((lam - odd) / (8 * math.exp(-(1 + odd) * bw)) - 1))
     even, odd = (max(g, default=0.0) for g in gaps)
-    lam = []
-    for beta_c_e0, scale in ((0.7, 0.1), (2.2, 0.4)):
-        engine = build_engine(dict(_FIG4_ENGINE, beta_c_E0=beta_c_e0,
-                                   beta_h_EH=beta_c_e0 * scale))
-        w3, w1 = (fermi_mod.fermi_work(fermi_mod.FermiEnsemble(
-            N=n, omega_trap=1.0, beta_com=4.0, engine=engine)).avg_work for n in (3, 1))
-        lam.append(w3 / w1)
-    indep = abs(lam[0] - lam[1])
+    n_values = {r[0] for r in rows}
+    covered = bool(n_values) and n_values == {r[0] for r in rows if r[1] >= 4.0}
     engine = build_engine(_FIG4_ENGINE)
     exact = all(
         fermi_mod.f_N(fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf,
                                               engine=engine)) == N % 2
-        for N in {r[0] for r in rows}
+        for N in n_values
     )
-    ok = even < 0.1 and odd < 0.2 and indep < 1e-12 and exact
+    ok = covered and even < 0.1 and odd < 0.2 and exact
     return ok, (f"even gap {even:.3f} (< 0.1, {len(gaps[0])} rows), odd gap {odd:.3f} "
-                f"(< 0.2, {len(gaps[1])} rows), bath independence {indep:.1e} (< 1e-12), "
-                f"T=0 limits exact: {exact}")
+                f"(< 0.2, {len(gaps[1])} rows), every N has rows at beta omega >= 4: "
+                f"{covered}, T=0 limits exact: {exact}")
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +808,9 @@ def _add_common(sub, config=False, seed=False):
 
 
 def _threads_of(args) -> int:
-    if args.threads is not None:
+    """Worker processes: --threads where the command has it, else the
+    QSTAT_THREADS environment variable, else 1."""
+    if getattr(args, "threads", None) is not None:
         return max(1, args.threads)
     env = os.environ.get("QSTAT_THREADS")
     return max(1, int(env)) if env else 1
@@ -817,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = subs.add_parser("sweep", help="run a sweep from a config document")
     _add_common(p_sw, config=True, seed=True)
     p_sw.add_argument("--threads", type=int, default=None,
-                      help="worker threads (QSTAT_THREADS fallback, default 1)")
+                      help="worker processes (QSTAT_THREADS fallback, default 1)")
     p_sw.add_argument("--method", choices=SWEEP_METHODS)
     return parser
 
@@ -906,12 +1002,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "figure":
-        ok, detail = run_figure(args.id, out_dir)
+        ok, detail = run_figure(args.id, out_dir, _threads_of(args))
         print(f"{'PASS' if ok else 'FAIL'} [{args.id}] {detail}; data in {out_dir}/data.csv")
         return 0 if ok else 1
 
     if args.command == "verify":
-        checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast)
+        checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast,
+                            workers=_threads_of(args))
         any_fail = False
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")

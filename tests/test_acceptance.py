@@ -9,6 +9,7 @@ final hygiene criterion.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -60,8 +61,9 @@ FIG3_PLATEAU = qw.SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
 
 @pytest.fixture(scope="module")
 def fig3_runs():
-    """Nonperturbative Fig.-3 works (N, W_indist, W_dist) for N = 1..6."""
-    data, diags = sw._fig3_data()
+    """Nonperturbative Fig.-3 works (N, W_indist, W_dist) for N = 1..6,
+    the twelve cycles run on one worker process per core."""
+    data, diags = sw._fig3_data(workers=len(os.sched_getaffinity(0)))
     _DIAGNOSTICS.extend(diags)
     return data
 
@@ -202,6 +204,16 @@ def test_criterion_7_negative_control():
 def test_criterion_8_fermionic_parity():
     timed_check("criterion-8 (fermionic parity law)", 60.0,
                 lambda: sw._check_fermi_parity(sw._fermi_rows()))
+
+
+def test_criterion_8_negative_controls():
+    rows = sw._fermi_rows()
+    assert sw._check_fermi_parity(rows)[0] is True
+    # odd N only below beta omega = 4, with a lambda far off the parity law:
+    # no odd row reaches the gap test, so the rows must not pass
+    odd_low = [r for r in rows if r[0] % 2 == 0] + [(3, 3.0, 0.5, 1.0, "recursion")]
+    assert sw._check_fermi_parity(odd_low)[0] is False
+    assert sw._check_fermi_parity([])[0] is False
 
 
 def test_criterion_9_statistical_oracles():

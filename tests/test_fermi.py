@@ -207,6 +207,19 @@ class TestOutcoupled:
         ratio = rec.enhancement_ratio / f_N(e)
         assert 1.0 < ratio < 1.6
 
+    @pytest.mark.parametrize("beta_c_e0, lam", [(0.7, 0.17132171028669962),
+                                                (2.2, 0.2094153437819821)])
+    def test_lambda_depends_on_the_bath(self, beta_c_e0, lam):
+        # Unlike fermi_work's lambda = f_N, the outcoupled lambda moves
+        # with the cold bath (f_2 = 0.13889 at beta omega = 4).  Pinned to
+        # the values of the present model, N = 2 on ho(12), so that a later
+        # change of the model shows up; they repeat to rounding, far inside
+        # the 1e-8 band.
+        eng = fig4_engine(beta_c=beta_c_e0)        # E_0 = Delta = 1
+        e = FermiEnsemble(N=2, omega_trap=1.0, beta_com=4.0, engine=eng)
+        rec = fermi_outcoupled_work(e, self.SCHED, self.ho())
+        assert rec.enhancement_ratio == pytest.approx(lam, rel=1e-8)
+
     def test_lambda_matches_shared_oscillator_closed_form(self, bw4_run):
         # k active engines share the oscillator as k distinguishable engines,
         # so lambda_out = sum_k P(k) <w>_dist(k) / <w>_dist(1) with the

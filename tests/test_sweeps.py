@@ -1,11 +1,102 @@
 import json
 import math
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qstatwork.sweeps as sw
 from qstatwork.errors import ConfigError
+
+CORES = len(os.sched_getaffinity(0))
+
+# a method-"both" sweep: a smooth perturbative plateau, short and on dim 4,
+# so that its eight cycles take a fraction of a second
+BOTH_SPEC = sw.SweepSpec(
+    axes=(("engine.N", (1, 2)), ("engine.Delta", (0.5, 1.0))),
+    fixed={"engine": {"v": 0.2, "T": 2.5},
+           "coupling": {"kind": "plateau", "g": 0.01, "delta_t": 0.9},
+           "system": {"dim": 4}},
+    method="both", out="unused", seed=0,
+)
+FERMI_SPEC = sw.SweepSpec(
+    axes=(("fermi.N", (2, 3)), ("fermi.beta_com_omega", (3.0, 4.0))),
+    fixed={"engine": {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5,
+                      "beta_c_E0": 1.0, "beta_h_EH": 0.125}},
+    method="analytic", out="unused", seed=0, task="fermi",
+)
+
+
+# Prints OpenBLAS's thread count in this process, then in two pool workers;
+# -1 where NumPy does not use OpenBLAS.
+BLAS_PROBE = """
+import ctypes
+import qstatwork.sweeps as sw
+
+def blas_threads(_):
+    with open("/proc/self/maps") as fh:
+        paths = [line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]]
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_int
+                return getattr(lib, name)()
+    return -1
+
+print(blas_threads(0), *sw.parallel_map(blas_threads, range(2), workers=2))
+"""
+
+
+def _pid_of(x):
+    return x, os.getpid()
+
+
+def _inverse(x):
+    return 1 / x
+
+
+class TestWorkers:
+    def test_worker_cap(self):
+        # the arithmetic only: no pool of these sizes starts
+        assert sw.worker_count(10 ** 6, 10 ** 6) == CORES
+        assert sw.worker_count(10 ** 6, 1) == 1
+        assert sw.worker_count(3, 2) == min(2, CORES)
+        assert sw.worker_count(0, 5) == sw.worker_count(4, 0) == 1
+
+    def test_parallel_map_keeps_order_and_joins_its_workers(self):
+        out = sw.parallel_map(_pid_of, range(6), workers=2)
+        assert [x for x, _ in out] == list(range(6))
+        assert (os.getpid() not in {pid for _, pid in out}) == (CORES >= 2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_openblas_on_one_thread(self):
+        # a fresh interpreter with no BLAS thread setting, where OpenBLAS
+        # takes every core in the calling process: one thread per worker
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        caller, *workers = map(int, out)
+        if caller == -1:
+            pytest.skip("NumPy does not use OpenBLAS here")
+        assert workers == [1, 1]
+
+    def test_one_worker_runs_in_process(self):
+        assert {pid for _, pid in sw.parallel_map(_pid_of, range(3))} == {os.getpid()}
+
+    def test_worker_exception_reaches_the_caller(self):
+        with pytest.raises(ZeroDivisionError):
+            sw.parallel_map(_inverse, [1, 0], workers=2)
+        assert multiprocessing.active_children() == []
+
 
 
 class TestConfig:
@@ -79,11 +170,14 @@ class TestSweepSpec:
         assert a == b
 
     def test_threaded_matches_serial(self, tmp_path):
-        spec = self.spec()
-        sw.run_sweep(spec, threads=1, out_dir=str(tmp_path / "s"))
-        sw.run_sweep(spec, threads=4, out_dir=str(tmp_path / "t"))
-        assert (tmp_path / "s" / "data.csv").read_bytes() == \
-               (tmp_path / "t" / "data.csv").read_bytes()
+        # --threads counts worker processes; 1 and 2 give the same bytes
+        for k, spec in enumerate((self.spec(), BOTH_SPEC, FERMI_SPEC)):
+            sw.run_sweep(spec, threads=1, out_dir=str(tmp_path / f"s{k}"))
+            manifest = sw.run_sweep(spec, threads=2, out_dir=str(tmp_path / f"t{k}"))
+            assert multiprocessing.active_children() == []
+            assert manifest["n_failed"] == 0
+            assert (tmp_path / f"s{k}" / "data.csv").read_bytes() == \
+                   (tmp_path / f"t{k}" / "data.csv").read_bytes()
 
     def test_single_cell_matches_direct_call(self, tmp_path):
         import qstatwork as qw
@@ -105,16 +199,43 @@ class TestSweepSpec:
         assert got == pytest.approx(rec_b.avg_work, rel=1e-15)
         assert float(row[header.index("enhancement")]) == pytest.approx(ratio, rel=1e-15)
 
+    def test_smooth_cell_computes_amplitudes_once(self, monkeypatch):
+        # one (t0 = 0, t0 = T/2) pair per coupled level serves both
+        # statistics and the N = 1 reference, with the values of the
+        # separate closed-form calls
+        import qstatwork as qw
+        import qstatwork.analytics as an
+
+        cfg = {"engine": {"N": 3, "Delta": 0.5, "v": 0.2, "T": 2.5},
+               "coupling": {"kind": "plateau", "g": 0.01}, "system": {"dim": 4}}
+        engine, sched, system = sw._build_case(cfg)
+        expect = [qw.general_work(p, sched, system, s).avg_work for p, s in (
+            (engine, qw.Statistics.BOSE), (engine, qw.Statistics.DISTINGUISHABLE),
+            (replace(engine, N=1), qw.Statistics.BOSE))]
+        calls = []
+        true = an.compute_amplitudes
+
+        def counted(params, schedule, system, i, t0):
+            calls.append(i)
+            return true(params, schedule, system, i, t0)
+
+        monkeypatch.setattr(an, "compute_amplitudes", counted)
+        out = sw._eval_work_cell(cfg, "analytic")
+        assert calls == [1, 1]                  # ho(4) couples level 1 only
+        assert [out["work_indist"], out["work_dist"]] == expect[:2]
+        assert out["sqrt_work_ratio"] == math.sqrt(expect[0] / expect[2])
+
     def test_error_rows_tagged(self, tmp_path):
         spec = sw.SweepSpec(
             axes=(("engine.Delta", (0.0, -1.0)),),       # -1 is invalid
             fixed={"coupling": {"kind": "impulse"}},
             method="analytic", out="unused", seed=0,
         )
-        manifest = sw.run_sweep(spec, out_dir=str(tmp_path))
-        assert manifest["n_failed"] == 1
-        body = (tmp_path / "data.csv").read_text()
-        assert "error:ValueError" in body
+        for threads in (1, 2):        # the failing cell runs in a worker at 2
+            manifest = sw.run_sweep(spec, threads=threads, out_dir=str(tmp_path))
+            assert manifest["n_failed"] == 1
+            rows = (tmp_path / "data.csv").read_text().splitlines()
+            assert rows[1].endswith(",ok") and rows[2].endswith(",error:ValueError")
 
     def test_fermi_task(self, tmp_path):
         spec = sw.SweepSpec(
@@ -218,6 +339,18 @@ class TestCli:
         assert rc == 0
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
         assert header == "N,beta_c_E0,sqrt_work_ratio"
+
+    def test_figure_manifest_summarises_cycles(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QSTAT_THREADS", "2")
+        assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path)]) == 0
+        assert multiprocessing.active_children() == []
+        cycles = json.loads((tmp_path / "manifest.json").read_text())["cycles"]
+        assert cycles["n_cycles"] == len(cycles["cycle_wall_s"]) == 48   # 24 rows, 2 each
+        assert all(w > 0.0 for w in cycles["cycle_wall_s"])
+        assert max(cycles[f"{k}_max"] for k in ("isometry_drift", "trace_drift")) < 1e-10
+        assert cycles["dropped_weight_max"] == 0.0        # kicks drop no weight
+        assert cycles["n_engine_steps_total"] > 0 and "n_steps_per_half_total" not in cycles
+        assert "wall" not in (tmp_path / "data.csv").read_text()
 
     def test_figure_fig4(self, tmp_path):
         rc = sw.cli_main(["figure", "fig4even", "--out", str(tmp_path)])
