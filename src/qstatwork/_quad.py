@@ -9,6 +9,8 @@ then doubled until two consecutive estimates agree.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import QuadratureError
@@ -59,6 +61,22 @@ def _evaluate(f, edges: np.ndarray, order: int) -> np.ndarray:
     return np.sum(vals @ w * half, axis=-1)
 
 
+class QuadStats(NamedTuple):
+    """The work one quadrature took: the panel count of its last
+    evaluation, the refinements it made and the largest change between
+    the two estimates that accepted a component."""
+
+    panels: int = 0
+    refinements: int = 0
+    last_delta: float = 0.0
+
+
+def worst(stats) -> QuadStats:
+    """The largest panel count, refinement count and last delta of several
+    quadratures (zeros for none)."""
+    return QuadStats(*map(max, zip(*stats)))
+
+
 def integrate_oscillatory(
     f,
     a: float,
@@ -67,7 +85,7 @@ def integrate_oscillatory(
     max_freq: float = 0.0,
     max_width: float = 0.0,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
+    abs_tol=0.0,
     order: int = 16,
     max_refine: int = 5,
 ):
@@ -76,30 +94,35 @@ def integrate_oscillatory(
     f maps an array of nodes to values of the same length, or to a stack
     of shape (m, nodes) of m integrands sharing the panels.  Refines by
     doubling the panel count until two successive estimates differ by
-    less than max(abs_tol, rel_tol * scale); each component of a stack
-    keeps the first estimate that passes its own test, so it equals the
-    value f's component alone would give.  Returns a complex, or an array
-    of m complex values for a stack; raises QuadratureError with
-    diagnostics if some component never converges.
+    less than max(abs_tol, rel_tol * scale); abs_tol is a number or one
+    per component of a stack.  Each component keeps the first estimate
+    that passes its own test, so it equals the value f's component alone
+    would give on the same panels.  Returns (estimate, QuadStats): the
+    estimate is a complex, or an array of m complex values for a stack.
+    Raises QuadratureError with diagnostics if some component never
+    converges.
     """
     if b <= a:
         shape = np.shape(f(np.array([a])))[:-1]
-        return np.zeros(shape, complex) if shape else 0.0 + 0.0j
+        return (np.zeros(shape, complex) if shape else 0.0 + 0.0j), QuadStats()
     edges = _build_panels(a, b, breakpoints, max_freq, max_width)
     est = _evaluate(f, edges, order)
     scale = np.maximum(np.abs(est), (b - a) * 1e-300)
     out = est
     done = np.zeros(est.shape, bool)
-    for _ in range(max_refine):
+    accepted = np.zeros(est.shape)
+    for refinements in range(1, max_refine + 1):
         edges = _refine(edges)
         new = _evaluate(f, edges, order)
         delta = np.abs(new - est)
         est, scale = new, np.maximum(np.abs(new), scale)
         passed = ~done & (delta <= np.maximum(abs_tol, rel_tol * scale))
         out = np.where(passed, new, out)
+        accepted = np.where(passed, delta, accepted)
         done |= passed
         if done.all():
-            return out if out.ndim else complex(out)
+            stats = QuadStats(edges.size - 1, refinements, float(np.max(accepted)))
+            return (out if out.ndim else complex(out)), stats
     last = float(np.max(delta[~done]))
     raise QuadratureError(
         f"quadrature did not converge over [{a}, {b}]: last delta {last:.3e} "

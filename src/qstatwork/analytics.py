@@ -35,7 +35,6 @@ from .protocols import (
     Statistics,
     check_schedule_cycle,
     g_of_t,
-    harmonic_system,
     phase_integral,
 )
 
@@ -267,7 +266,9 @@ class Amplitudes:
 
     c_plus/c_minus carry the ladder phase exp(+/- i phi(t, t0)); d is the
     phase-free piece proportional to cos(theta_t) and vanishes
-    identically for Delta = 0.
+    identically for Delta = 0.  For a row of levels (`_amplitude_row`) i
+    is None and each amplitude is an array over the row.  `quadrature` is
+    the worst work of the integrals behind them.
     """
 
     i: int
@@ -275,6 +276,7 @@ class Amplitudes:
     c_plus: complex
     c_minus: complex
     d: complex
+    quadrature: _quad.QuadStats = _quad.QuadStats()
 
 
 def _schedule_breakpoints(schedule, lo, hi):
@@ -290,6 +292,48 @@ def _schedule_breakpoints(schedule, lo, hi):
     return pts
 
 
+def _amplitude_row(params: EngineParams, schedule: CouplingSchedule, t0: float,
+                   eps, v, rel_tol: float = 1e-10) -> Amplitudes:
+    """Amplitudes of a row of levels with energies eps and nonzero
+    couplings v = <k|V_S|0>, over the stroke from t0, on shared panels.
+
+    g(t), sin(theta), cos(theta) and the ladder phase are evaluated once
+    per node for the whole row; only exp(i eps t) differs between levels.
+    The c~+ of every level, then the c~-, form one stack of 2m integrands
+    and the d one stack of m (none for Delta = 0), with the panels of the
+    highest frequency and an absolute tolerance per component.
+    """
+    eps = np.asarray(eps, dtype=float)[:, None]
+    v = np.asarray(v, dtype=complex)[:, None]
+    m = eps.shape[0]
+    lo, hi = t0, t0 + params.T / 2
+    e_max = max(float(params.energy(lo)), float(params.energy(hi)))
+
+    def base(tt):
+        return g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
+
+    def integrand_c(tt):
+        # c~+ and c~- differ only in the sign of the ladder phase
+        common = base(tt) * params.sin_theta(tt)
+        ladder = np.exp(1j * phase_integral(params, tt, t0))
+        return np.concatenate((common * ladder, common * ladder.conj()))
+
+    def integrand_d(tt):
+        return -base(tt) * params.cos_theta(tt)
+
+    abs_tol = 1e-14 * np.abs(v[:, 0])
+    kw = dict(breakpoints=_schedule_breakpoints(schedule, lo, hi), rel_tol=rel_tol)
+    c, c_stats = _quad.integrate_oscillatory(
+        integrand_c, lo, hi, max_freq=eps.max() + 2 * e_max, abs_tol=np.tile(abs_tol, 2), **kw)
+    if params.Delta == 0.0:
+        d, d_stats = np.zeros(m, complex), _quad.QuadStats()
+    else:
+        d, d_stats = _quad.integrate_oscillatory(
+            integrand_d, lo, hi, max_freq=eps.max(), abs_tol=abs_tol, **kw)
+    return Amplitudes(i=None, t0=t0, c_plus=c[:m], c_minus=c[m:], d=d,
+                      quadrature=_quad.worst((c_stats, d_stats)))
+
+
 def compute_amplitudes(
     params: EngineParams,
     schedule: CouplingSchedule,
@@ -298,7 +342,8 @@ def compute_amplitudes(
     t0: float,
     rel_tol: float = 1e-10,
 ) -> Amplitudes:
-    """Quadrature of the three amplitude integrals over one stroke.
+    """Quadrature of the three amplitude integrals over one stroke: the
+    one-level row of `_amplitude_row`.
 
     The adiabatic phase for linear sweeps is evaluated in closed form
     (asinh antiderivative); oscillation-aware panels keep the integrand
@@ -309,38 +354,14 @@ def compute_amplitudes(
     check_schedule_cycle(params, schedule)
     if not (1 <= i < system.dim):
         raise DomainError(f"level index i must be in [1, {system.dim - 1}], got {i}")
-    half = params.T / 2
-    if t0 not in (0.0, half):
+    if t0 not in (0.0, params.T / 2):
         raise DomainError(f"t0 must be 0 or T/2, got {t0}")
     v_i0 = complex(system.matrix[i, 0])
     if v_i0 == 0:
         return Amplitudes(i=i, t0=t0, c_plus=0j, c_minus=0j, d=0j)
-    eps_i = float(system.energies[i])
-    lo, hi = t0, t0 + half
-    brk = _schedule_breakpoints(schedule, lo, hi)
-    e_max = max(float(params.energy(lo)), float(params.energy(hi)))
-
-    def base(tt):
-        return g_of_t(schedule, tt) * v_i0 * np.exp(1j * eps_i * tt)
-
-    def integrand_c(tt):
-        # c~+ and c~- differ only in the sign of the ladder phase
-        common = base(tt) * params.sin_theta(tt)
-        ladder = np.exp(1j * phase_integral(params, tt, t0))
-        return np.stack((common * ladder, common * ladder.conj()))
-
-    def integrand_d(tt):
-        return -base(tt) * params.cos_theta(tt)
-
-    kw = dict(breakpoints=brk, rel_tol=rel_tol, abs_tol=1e-14 * abs(v_i0))
-    c_plus, c_minus = _quad.integrate_oscillatory(
-        integrand_c, lo, hi, max_freq=eps_i + 2 * e_max, **kw
-    ).tolist()
-    if params.Delta == 0.0:
-        d = 0j
-    else:
-        d = _quad.integrate_oscillatory(integrand_d, lo, hi, max_freq=eps_i, **kw)
-    return Amplitudes(i=i, t0=t0, c_plus=c_plus, c_minus=c_minus, d=d)
+    row = _amplitude_row(params, schedule, t0, [system.energies[i]], [v_i0], rel_tol)
+    return Amplitudes(i=i, t0=t0, c_plus=complex(row.c_plus[0]), c_minus=complex(row.c_minus[0]),
+                      d=complex(row.d[0]), quadrature=row.quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +458,19 @@ def impulse_work(
     )
 
 
-def _probability(amps: tuple, w0: list, wh: list) -> float:
+def _probability(amps: tuple, w0: list, wh: list):
     """Excitation probability from the amplitudes at t0 = 0, T/2 and the
     weights (a, D, L_plus, L_minus) of `_weights` at (x_c, x_h):
-    sum |d|^2 D + |c~+|^2 L_plus + |c~-|^2 L_minus + 2 Re[d(0) d*(T/2)] a_c a_h."""
+    sum |d|^2 D + |c~+|^2 L_plus + |c~-|^2 L_minus + 2 Re[d(0) d*(T/2)] a_c a_h.
+    A float, or an array over the levels of `_amplitude_row` amplitudes."""
     p = 0.0
     for amp, (_, D, L_plus, L_minus) in zip(amps, (w0, wh)):
         p += abs(amp.d) ** 2 * D
         p += abs(amp.c_plus) ** 2 * L_plus
         p += abs(amp.c_minus) ** 2 * L_minus
     a0, ah = amps
-    return float(p + 2 * (a0.d * np.conj(ah.d)).real * w0[0] * wh[0])
+    p = p + 2 * (a0.d * np.conj(ah.d)).real * w0[0] * wh[0]
+    return p if np.ndim(p) else float(p)
 
 
 def _amplitude_pair(params, schedule, system, i: int) -> tuple:
@@ -557,7 +580,8 @@ def enhancement(
 
 @dataclass(frozen=True, eq=False)
 class RegionMap:
-    """Binary enhancement map over (N, Delta/Omega0, omega T)."""
+    """Binary enhancement map over (N, Delta/Omega0, omega T), with the
+    worst quadrature work over the map."""
 
     N_values: tuple
     delta_over_omega0: np.ndarray
@@ -565,6 +589,7 @@ class RegionMap:
     enhanced: np.ndarray      # bool, shape (nN, n_delta, n_omega)
     work_indist: np.ndarray
     work_dist: np.ndarray
+    quadrature: _quad.QuadStats = _quad.QuadStats()
 
     def rows(self):
         for a, N in enumerate(self.N_values):
@@ -587,9 +612,12 @@ def enhancement_region(
     """Map the region where indistinguishable engines win (ties count as
     enhancement, consistent with exact equality at N = 1).
 
-    Amplitudes depend only on the (Delta, omega) cell and the thermal
-    weights only on (Delta, N), so each is computed once and the N sweep
-    reuses the amplitudes through the weights.
+    Each cell couples the engines to an oscillator of frequency
+    omega = omega T / T through its level 1 (<1|V_S|0> = 1).  The
+    amplitudes depend only on the (Delta, omega) cell and the thermal
+    weights only on (Delta, N), so each Delta row computes the amplitudes
+    of all its omega at once, as one `_amplitude_row` per stroke start,
+    and the N sweep reuses them through the weights.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
@@ -599,8 +627,12 @@ def enhancement_region(
     shape = (len(N_values), deltas.size, omts.size)
     w_ind = np.zeros(shape)
     w_dist = np.zeros(shape)
+    quadrature = []
     half = base.T / 2
-    for b, dfrac in enumerate(deltas):
+    omegas = omts / base.T
+    schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
+    # an empty omega grid leaves every row without amplitudes to compute
+    for b, dfrac in enumerate(deltas if omts.size else ()):
         delta = dfrac * base.Omega0
         e0 = math.hypot(base.Omega0, delta)
         eh = math.hypot(base.omega_half, delta)
@@ -611,16 +643,14 @@ def enhancement_region(
         )
         # x = beta E at t0 = 0, T/2 does not depend on N or omega
         x = np.array([_x_at(params1, 0.0), _x_at(params1, half)])
-        weights_N = [[np.array(_weights(N, x, s)).T.tolist()
-                      for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)] for N in N_values]
-        for c, omt in enumerate(omts):
-            omega = omt / base.T
-            system = harmonic_system(omega, 4)
-            schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
-            amps = _amplitude_pair(params1, schedule, system, 1)
-            for a, (w_bose, w_dist_N) in enumerate(weights_N):
-                w_ind[a, b, c] = omega * _probability(amps, *w_bose)
-                w_dist[a, b, c] = omega * _probability(amps, *w_dist_N)
+        amps = tuple(_amplitude_row(params1, schedule, t0, omegas, np.ones(omts.size))
+                     for t0 in (0.0, half))
+        quadrature += [amp.quadrature for amp in amps]
+        for a, N in enumerate(N_values):
+            w_bose, w_dist_N = (np.array(_weights(N, x, s)).T.tolist()
+                                for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+            w_ind[a, b] = omegas * _probability(amps, *w_bose)
+            w_dist[a, b] = omegas * _probability(amps, *w_dist_N)
     scale = np.maximum(np.abs(w_ind), np.abs(w_dist))
     enhanced = w_ind - w_dist >= -1e-12 * scale
     return RegionMap(
@@ -630,6 +660,7 @@ def enhancement_region(
         enhanced=enhanced,
         work_indist=w_ind,
         work_dist=w_dist,
+        quadrature=_quad.worst(quadrature),
     )
 
 

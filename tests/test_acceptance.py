@@ -147,6 +147,16 @@ def test_criterion_4_negative_control():
     assert sw._check_sqrt_scaling(sqrt_rows(lambda N: N ** 2))[0] is False
 
 
+@pytest.mark.parametrize("power, ok", [(1.0, True), (1.1, False), (1.25, False)])
+def test_criterion_4_own_rows_reject_curvature(monkeypatch, power, ok):
+    # the check's own high-temperature rows replaced by sqrt(work) = N^power
+    # over N = 1..40: R^2 = 0.99905 at power 1.1 and 0.99456 at 1.25, both
+    # of which passed the R^2 > 0.99 the check held before
+    monkeypatch.setattr(sw, "_sqrt_work_rows",
+                        lambda xs: [[N, x, N ** power] for x in xs for N in range(1, 41)])
+    assert sw._check_sqrt_scaling(sqrt_rows(lambda N: 0.3 * N + 0.1))[0] is ok
+
+
 def test_criterion_5_delta0_dominance():
     timed_check("criterion-5 (Delta=0 universal dominance)", 60.0,
                 sw._check_delta0_dominance, np.random.default_rng(5), 200)

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 import qstatwork as qw
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
-from qstatwork._quad import _build_panels, integrate_oscillatory
-from qstatwork.analytics import _schedule_breakpoints
+from qstatwork._quad import QuadStats, _build_panels, integrate_oscillatory
+from qstatwork.analytics import _amplitude_row, _schedule_breakpoints
 
 T = 20.0
 
@@ -27,7 +27,7 @@ def engine(delta, omega0=1.0, v=0.1, beta_c=None):
 class TestQuadHelper:
     def test_oscillatory_against_scipy(self):
         f = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
-        got = integrate_oscillatory(f, 0.0, 6.0, breakpoints=[2.0], max_freq=7.3)
+        got, _ = integrate_oscillatory(f, 0.0, 6.0, breakpoints=[2.0], max_freq=7.3)
         re, _ = quad(lambda t: np.real(f(np.array([t]))[0]), 0, 6, limit=400)
         im, _ = quad(lambda t: np.imag(f(np.array([t]))[0]), 0, 6, limit=400)
         assert abs(got - (re + 1j * im)) < 1e-9
@@ -48,10 +48,24 @@ class TestQuadHelper:
         integrate_oscillatory(smooth, 0.0, 6.0, max_refine=1, **kw)
         with pytest.raises(QuadratureError):
             integrate_oscillatory(kinked, 0.0, 6.0, max_refine=3, **kw)
-        stacked = integrate_oscillatory(lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
+        stacked, _ = integrate_oscillatory(lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
         assert stacked.shape == (2,)
-        assert stacked[0] == integrate_oscillatory(smooth, 0.0, 6.0, **kw)
-        assert stacked[1] == integrate_oscillatory(kinked, 0.0, 6.0, **kw)
+        assert stacked[0] == integrate_oscillatory(smooth, 0.0, 6.0, **kw)[0]
+        assert stacked[1] == integrate_oscillatory(kinked, 0.0, 6.0, **kw)[0]
+
+    def test_reports_its_work(self):
+        smooth = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
+        kinked = lambda t: np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t)
+        kw = dict(breakpoints=[2.0], max_freq=7.3, rel_tol=1e-7)
+        value, one = integrate_oscillatory(smooth, 0.0, 6.0, **kw)
+        (_, kinked_value), both = integrate_oscillatory(
+            lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
+        assert one.refinements == 1 and both.refinements == 4
+        assert both.panels == 8 * one.panels
+        # the accepting change passed the tolerance of its component
+        assert 0 < one.last_delta <= 1e-7 * abs(value)
+        assert one.last_delta < both.last_delta <= 1e-7 * abs(kinked_value)
+        assert integrate_oscillatory(smooth, 1.0, 1.0) == (0j, QuadStats())
 
     def test_stack_with_one_nonconvergent_component_raises(self):
         rng = np.random.default_rng(0)
@@ -147,3 +161,43 @@ class TestComputeAmplitudes:
         b = qw.compute_amplitudes(p, sched, sysho, 1, 0.0, rel_tol=1e-12)
         assert abs(a.c_plus - b.c_plus) < 1e-9 * max(abs(b.c_plus), 1e-12)
         assert abs(a.d - b.d) < 1e-9 * max(abs(b.d), 1e-12)
+
+
+def fields(amp):
+    return amp.c_plus, amp.c_minus, amp.d, amp.quadrature
+
+
+class TestAmplitudeRow:
+    SCHED = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.4])
+    @pytest.mark.parametrize("t0", [0.0, T / 2])
+    def test_one_level_row_is_compute_amplitudes(self, delta, t0):
+        p = engine(delta)
+        rng = np.random.default_rng(4)
+        v_s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        # two levels 1e-9 apart share their panels, so a row of both is
+        # exact against each level alone
+        system = qw.ExternalSystem(energies=np.array([0.0, 0.37, 0.37 * (1 + 1e-9)]),
+                                   V_S=v_s + v_s.conj().T)
+        eps, v = system.energies[1:], system.matrix[1:, 0]
+        row = _amplitude_row(p, self.SCHED, t0, eps, v)
+        for k, i in enumerate((1, 2)):
+            amp = qw.compute_amplitudes(p, self.SCHED, system, i, t0)
+            one = _amplitude_row(p, self.SCHED, t0, eps[k:k + 1], v[k:k + 1])
+            assert fields(amp) == (*(complex(x[0]) for x in fields(one)[:3]), one.quadrature)
+            assert (row.c_plus[k], row.c_minus[k], row.d[k]) == fields(amp)[:3]
+            assert amp.quadrature.panels > 0 and amp.quadrature.refinements >= 1
+
+    @pytest.mark.parametrize("delta", [0.0, 1.4])
+    def test_eight_level_row_matches_one_level_calls(self, delta):
+        p = engine(delta)
+        eps = np.linspace(0.1, 10 * math.pi, 8) / T
+        v = np.exp(1j * np.arange(8)) * np.linspace(0.5, 2.0, 8)
+        for t0 in (0.0, T / 2):
+            row = _amplitude_row(p, self.SCHED, t0, eps, v)
+            for k in range(8):
+                one = _amplitude_row(p, self.SCHED, t0, eps[k:k + 1], v[k:k + 1])
+                for got, ref in zip(fields(row)[:3], fields(one)[:3]):
+                    assert abs(got[k] - ref[0]) <= 1e-12 * abs(ref[0])
+            assert row.quadrature.panels >= one.quadrature.panels

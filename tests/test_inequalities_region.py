@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qstatwork as qw
+from qstatwork import _quad
 from qstatwork.analytics import (
     asymptotic_checks,
     delta0_second_moment,
     enhancement_region,
+    general_work,
+    level_amplitudes,
     quad_coeff_n1,
     quad_coeff_n2,
     verify_inequalities,
@@ -127,6 +131,43 @@ class TestEnhancementRegion:
         idx = region.N_values.index(20)
         beyond = region.omega_T > math.pi
         assert not region.enhanced[idx][:, beyond].all()
+
+    def test_rows_match_per_cell_amplitudes(self, region):
+        # each cell assembled on its own, from compute_amplitudes of level 1
+        # of its oscillator, against the stacked rows
+        base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
+                               beta_c=2.0, beta_h=0.125)
+        sched = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / base.T, T=base.T)
+        stats = (qw.Statistics.BOSE, qw.Statistics.DISTINGUISHABLE)
+        for b, dfrac in enumerate(region.delta_over_omega0):
+            e0, eh = math.hypot(1.0, dfrac), math.hypot(base.omega_half, dfrac)
+            for c, omt in enumerate(region.omega_T):
+                system = qw.harmonic_system(omt / base.T, 4)
+                amps = level_amplitudes(replace(base, Delta=dfrac), sched, system)
+                for a, N in enumerate(region.N_values):
+                    engine = replace(base, N=N, Delta=dfrac, beta_c=2.0 / e0, beta_h=0.25 / eh)
+                    w_ind, w_dist = (general_work(engine, sched, system, s, amps).avg_work
+                                     for s in stats)
+                    assert abs(region.work_indist[a, b, c] - w_ind) <= 1e-12 * w_ind
+                    assert abs(region.work_dist[a, b, c] - w_dist) <= 1e-12 * w_dist
+                    enhanced = w_ind - w_dist >= -1e-12 * max(w_ind, w_dist)
+                    assert region.enhanced[a, b, c] == enhanced
+
+    def test_one_quadrature_stack_per_row_and_stroke(self, monkeypatch):
+        # c~+- for all omega T of a row in one call per stroke start, and d
+        # in one more unless Delta = 0
+        calls = []
+        integrate = _quad.integrate_oscillatory
+        monkeypatch.setattr(_quad, "integrate_oscillatory",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
+                               beta_c=2.0, beta_h=0.125)
+        region = enhancement_region(base, [0.0, 1.0, 2.0], np.linspace(0.1, 10.0, 6), (2, 3))
+        assert len(calls) == 2 + 4 + 4
+        assert region.quadrature.panels > 0 and region.quadrature.refinements >= 1
+        # every accepted change is within rel_tol = 1e-10 of an amplitude no
+        # larger than the plateau area g = 0.01
+        assert region.quadrature.last_delta <= 1e-10 * 0.01
 
     def test_rows_format(self, region):
         rows = list(region.rows())

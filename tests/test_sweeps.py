@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import pathlib
+import platform
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -307,6 +309,9 @@ class TestCli:
         lines = (tmp_path / "data.csv").read_text().splitlines()
         assert lines[0] == "delta_over_omega0,omegaT,N,enhanced"
         assert len(lines) == 1 + 3 * 4
+        quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
+        assert set(quadrature) == {"panels", "refinements", "last_delta"}
+        assert quadrature["panels"] > 0 and quadrature["refinements"] >= 1
 
     def test_fermi_cli(self, tmp_path):
         rc = sw.cli_main(["fermi", "--out", str(tmp_path), "--n-values", "2",
@@ -351,6 +356,40 @@ class TestCli:
         assert cycles["dropped_weight_max"] == 0.0        # kicks drop no weight
         assert cycles["n_engine_steps_total"] > 0 and "n_steps_per_half_total" not in cycles
         assert "wall" not in (tmp_path / "data.csv").read_text()
+
+    def test_figure_figs1_manifest_records_quadrature(self, tmp_path):
+        assert sw.cli_main(["figure", "figS1", "--out", str(tmp_path)]) == 0
+        quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
+        assert quadrature["panels"] > 0 and quadrature["refinements"] >= 1
+        assert 0.0 <= quadrature["last_delta"] < 1e-12
+        header = (tmp_path / "data.csv").read_text().splitlines()[0]
+        assert header == "delta_over_omega0,omegaT,N,enhanced"
+
+    def test_every_manifest_records_the_environment(self, tmp_path):
+        spec = replace(BOTH_SPEC, method="analytic")
+        manifests = [sw.run_sweep(spec, out_dir=str(tmp_path / "sweep")) and "sweep"]
+        for command in (["fermi", "--n-values", "2"], ["region", "--n-values", "2",
+                                                       "--delta-points", "2",
+                                                       "--omegat-points", "2"]):
+            assert sw.cli_main([command[0], "--out", str(tmp_path / command[0]),
+                                *command[1:]]) == 0
+            manifests.append(command[0])
+        assert sw.cli_main(["figure", "fig2b", "--out", str(tmp_path / "figure")]) == 0
+        for name in [*manifests, "figure"]:
+            env = json.loads((tmp_path / name / "manifest.json").read_text())["environment"]
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__ and env["blas"]
+            assert env["cores"] == CORES
+            rev = env["git_revision"]
+            assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+
+    def test_environment_outside_a_checkout(self, tmp_path):
+        shutil.copytree(pathlib.Path(sw.__file__).parent, tmp_path / "qstatwork")
+        probe = "import qstatwork.sweeps as sw; print(sw.environment()['git_revision'])"
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "None"
 
     def test_figure_fig4(self, tmp_path):
         rc = sw.cli_main(["figure", "fig4even", "--out", str(tmp_path)])
