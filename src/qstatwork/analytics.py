@@ -491,16 +491,19 @@ def general_probability(
     system: ExternalSystem,
     statistics: Statistics,
     i: int,
+    amplitudes: tuple = None,
 ) -> float:
     """Leading-order excitation probability of level i for a smooth coupling.
 
     Assembled from |d|^2, |c~^pm|^2 and the cross term
     2 Re[d(0) d*(T/2)] a_c a_h, weighted by the thermal weights at the
     two stroke starts; reduces exactly to the Delta = 0 forms when
-    cos(theta) vanishes.
+    cos(theta) vanishes.  `amplitudes` is level i's entry of
+    `level_amplitudes`, computed here when not given.
     """
-    return _probability(_amplitude_pair(params, schedule, system, i),
-                        *_stroke_weights(params, statistics))
+    if amplitudes is None:
+        amplitudes = _amplitude_pair(params, schedule, system, i)
+    return _probability(amplitudes, *_stroke_weights(params, statistics))
 
 
 def level_amplitudes(

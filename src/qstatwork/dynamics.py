@@ -8,6 +8,11 @@ decomposition: the product Hamiltonian, coupling and thermal states are
 all functions of total-spin operators, so the 2^N dynamics splits into
 independent spin-j sectors with known multiplicities.  Block and full
 propagation agree to rounding and the tests pin that equivalence.
+
+Smooth couplings are Strang-split: each step is one phase product and two
+matrix products, run in place on the stroke's factor and one buffer of
+its shape.  The spin-0 blocks of even N carry neither H_E nor the
+coupling, so they are not stepped but evolve under H_S in closed form.
 """
 
 from __future__ import annotations
@@ -126,6 +131,9 @@ class _Sector:
         self.sy_vals, self.sy_vecs = np.linalg.eigh(sy)
         self.v_r = 2 * sx
         self.vr_vals, self.vr_vecs = np.linalg.eigh(self.v_r)
+        # V_R = 0 forces S_y = S_z = 0 by the su(2) relations: only the
+        # spin-0 block is free, and H_E vanishes on it
+        self.free = not self.v_r.any()
 
     def lift(self, a, b) -> np.ndarray:
         """Image on this block of the SU(2) matrices [[a, -b*], [b, a*]]
@@ -256,23 +264,42 @@ def _midpoints(t_start, dt, k0, k1):
     return t_start + np.arange(k0, k1) * dt + dt / 2
 
 
+def _free_evolve(y, eps, t):
+    """exp(-i H_S t) Psi, with H_S = diag(eps) on the system axis."""
+    return y * np.exp(-1j * t * eps)
+
+
 def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     """Strang splitting exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2) with
     A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, for n
     steps from t_start; sample(k, Psi) every SAMPLE_EVERY steps and after
-    the last.  Returns the final factor and the eigenbasis residual.
+    the last.  Returns the final factor and the eigenbasis residual; the
+    caller's factor y is left unchanged.
 
     Between steps the factor is held in the eigenbasis P_r (x) P_s of
     V_R (x) V_S, where exp(-iB dt) is a phase and the half steps of two
     adjacent steps fuse into one engine and one system rotation, so a step
-    costs one phase product and two GEMMs.  Every factor is assembled from
-    exact eigensystems, so each step is unitary to rounding; the scheme is
+    costs one phase product and two GEMMs, run in place on the factor and
+    one buffer of its shape.  Every factor is assembled from exact
+    eigensystems, so each step is unitary to rounding; the scheme is
     second order in dt.
+
+    A free sector (V_R = 0, the spin-0 block) exchanges nothing with the
+    system and only H_S acts on it, so it is not stepped: its factor at
+    step k is y exp(-i eps (k + 1) dt) on the system axis, sampled at the
+    same steps.
     """
     vs_vals, P_s = np.linalg.eigh(system.matrix)
+    residual = max(_isometry_drift(P_s), sector.unitarity_residual())
+    eps = np.asarray(system.energies, dtype=float)
+    if sector.free:
+        for k in [*range(SAMPLE_EVERY - 1, n - 1, SAMPLE_EVERY), n - 1]:
+            x = _free_evolve(y, eps, (k + 1) * dt)
+            sample(k, x)
+        return x, residual
     P_r = sector.vr_vecs
     rs = np.multiply.outer(sector.vr_vals, vs_vals)
-    s_half = np.exp(-1j * np.asarray(system.energies, dtype=float) * dt / 2)
+    s_half = np.exp(-1j * eps * dt / 2)
     s_in = P_s.conj().T * s_half            # P_s^dag exp(-i H_S dt/2)
     s_out = s_half[:, None] * P_s           # exp(-i H_S dt/2) P_s
     s_step = s_in @ s_out
@@ -285,15 +312,21 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
         g = g_of_t(schedule, t_mid[:k1 - k0])
         u = np.exp(-1j * dt * np.multiply.outer(g, rs))[:, :, None]     # (steps, dE, 1, dS)
         if k0 == 0:
-            y = _rotate(y, e_in[0], s_in)
+            # y and buf are C-contiguous, so these reshapes are views
+            y = np.ascontiguousarray(_rotate(y, e_in[0], s_in))
+            buf = np.empty_like(y)
+            dE, dS = y.shape[0], y.shape[2]
+            y_e, y_s = y.reshape(dE, -1), y.reshape(-1, dS)
+            buf_e, buf_s = buf.reshape(dE, -1), buf.reshape(-1, dS)
         for j, k in enumerate(range(k0, k1)):
-            y *= u[j]
+            np.multiply(y, u[j], out=y)
             if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
                 x = _rotate(y, e_out[j], s_out)
                 sample(k, x)
                 if k == n - 1:
-                    return x, max(_isometry_drift(P_s), sector.unitarity_residual())
-            y = _rotate(y, e_step[j], s_step)
+                    return x, residual
+            np.matmul(e_step[j], y_e, out=buf_e)
+            np.matmul(buf_s, s_step.T, out=y_s)
 
 
 def _dense_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
@@ -421,11 +454,13 @@ def _su2_mul(a1, b1, a0, b0):
 
 def _su2_chain(a, b):
     """Ordered product u_n ... u_1 of the steps (a, b) along their last
-    axis, by pairwise reduction (depth log2 n)."""
+    axis, by pairwise reduction (depth log2 n).  The steps are padded once
+    with identities to the next power of two; a product with an exact
+    identity is exact."""
+    n = a.shape[-1]
+    pad = [(0, 0)] * (a.ndim - 1) + [(0, (1 << (n - 1).bit_length()) - n)]
+    a, b = np.pad(a, pad, constant_values=1), np.pad(b, pad)
     while a.shape[-1] > 1:
-        if a.shape[-1] % 2:
-            pad = [(0, 0)] * (a.ndim - 1) + [(0, 1)]
-            a, b = np.pad(a, pad, constant_values=1), np.pad(b, pad)
         a, b = _su2_mul(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
     return a[..., 0], b[..., 0]
 
@@ -640,6 +675,7 @@ def _run_smooth(params, schedule, system, sectors, config):
     evolve = _split_evolve if config.stepper == "split-midpoint" else _dense_evolve
     trace_rows = {}
     walls, ranks = [], []
+    split_steps = 0
     for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
         wall = time.perf_counter()
         mu, W, dropped = _system_factor(sigma_s)
@@ -661,12 +697,14 @@ def _run_smooth(params, schedule, system, sectors, config):
 
             y, residual = evolve(sector, system, params, schedule, dt, y, t_start, n_steps, sample)
             diag.unitarity = max(diag.unitarity, residual)
+            if evolve is _split_evolve and not sector.free:
+                split_steps += n_steps
             sigma_s += sector.mult * _reduced_system(y, w)
         diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
         sigma_s = (sigma_s + sigma_s.conj().T) / 2
         energies.append({"t": t_start + half, "system_energy": _system_energy(sigma_s, system)})
         walls.append(time.perf_counter() - wall)
-    diag.extra = {"dt": dt, "n_steps_per_half": n_steps,
+    diag.extra = {"dt": dt, "n_steps_per_half": n_steps, "split_steps": split_steps,
                   "stroke_wall_s": walls, "factor_rank": ranks}
     if config.collect_trace:
         diag.extra["trace"] = [(t, *map(float, row)) for t, row in sorted(trace_rows.items())]

@@ -604,7 +604,8 @@ def _cycle_summary(diags) -> dict:
     out = {f"{key}_max": max(d[key] for d in diags)
            for key in ("isometry_drift", "trace_drift", "dropped_weight")}
     out.update({f"{key}_total": sum(d[key] for d in diags)
-                for key in ("n_steps_per_half", "n_engine_steps") if key in diags[0]})
+                for key in ("n_steps_per_half", "split_steps", "n_engine_steps")
+                if key in diags[0]})
     out["n_cycles"] = len(diags)
     out["cycle_wall_s"] = [d["cycle_wall_s"] for d in diags]
     return out
@@ -787,10 +788,10 @@ def _check_delta0_dominance(rng, n_draws: int):
     worst, witness = math.inf, None
     for _ in range(n_draws):
         engine, schedule, system = random_smooth_case(rng)
-        for i in range(1, system.dim):
+        for i, amps in analytics.level_amplitudes(engine, schedule, system).items():
             if abs(system.matrix[i, 0]) < 1e-14:
                 continue
-            p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i)
+            p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i, amps)
                         for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
             margin = (p_b - p_d) / max(p_b, p_d, 1e-300)
             if margin < worst:

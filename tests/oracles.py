@@ -210,6 +210,19 @@ def midpoint_su2_product_mp(params, t_a, t_b, n, dps=40):
         return complex(a), complex(b)
 
 
+def su2_chain_per_level_pad(a, b):
+    """(a, b) of the ordered product u_n ... u_1 along the last axis by
+    pairwise reduction, padding each odd level with one identity step at
+    its end: the same pairing tree as a single pad to a power of two."""
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            pad = [(0, 0)] * (a.ndim - 1) + [(0, 1)]
+            a, b = np.pad(a, pad, constant_values=1), np.pad(b, pad)
+        a1, b1, a0, b0 = a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2]
+        a, b = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+    return a[..., 0], b[..., 0]
+
+
 def landau_zener_propagator(params, t_a, t_b, dps=30):
     """(a, b) of the exact propagator from t_a to t_b of the linear sweep,
     from parabolic-cylinder functions (Vitanov & Garraway, PRA 53, 4288

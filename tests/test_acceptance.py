@@ -167,16 +167,33 @@ def test_criterion_5_negative_control(monkeypatch):
     true = an.general_probability
     shifted = []
 
-    def one_bose_below(engine, schedule, system, stats, level):
+    def one_bose_below(engine, schedule, system, stats, level, amplitudes=None):
         if stats is qw.Statistics.BOSE and not shifted:
             shifted.append(level)
             stats = qw.Statistics.DISTINGUISHABLE
-            return true(engine, schedule, system, stats, level) - 1e-9
-        return true(engine, schedule, system, stats, level)
+            return true(engine, schedule, system, stats, level, amplitudes) - 1e-9
+        return true(engine, schedule, system, stats, level, amplitudes)
 
     monkeypatch.setattr(an, "general_probability", one_bose_below)
     assert sw._check_delta0_dominance(np.random.default_rng(5), 2)[0] is False
     assert shifted
+
+
+def test_criterion_5_integrates_each_level_once(monkeypatch):
+    # the amplitudes depend on neither N nor the statistics: one pair of
+    # stroke-start integrals per coupled level serves both probabilities
+    rng = np.random.default_rng(5)
+    coupled = sum(int(np.sum(np.abs(system.matrix[1:, 0]) >= 1e-14))
+                  for _, _, system in (sw.random_smooth_case(rng) for _ in range(3)))
+    true, calls = an.compute_amplitudes, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true(*args, **kwargs)
+
+    monkeypatch.setattr(an, "compute_amplitudes", counted)
+    assert sw._check_delta0_dominance(np.random.default_rng(5), 3)[0] is True
+    assert len(calls) == 2 * coupled
 
 
 def test_criterion_6_nonperturbative(fig3_runs):

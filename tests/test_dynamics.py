@@ -21,7 +21,12 @@ from qstatwork.dynamics import (
 )
 from qstatwork.errors import ConfigError, PropagationError, ResourceLimitError
 
-from oracles import WORK_ROUNDING_FLOOR, landau_zener_propagator, midpoint_su2_product_mp
+from oracles import (
+    WORK_ROUNDING_FLOOR,
+    landau_zener_propagator,
+    midpoint_su2_product_mp,
+    su2_chain_per_level_pad,
+)
 
 T = 20.0
 OMEGA = 2 * math.pi * 0.05 / T
@@ -39,6 +44,38 @@ def ho(dim=10):
 
 
 IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
+DIST = qw.Statistics.DISTINGUISHABLE
+
+# Largest gaps between blocked and genuine 2^N runs of even N under the
+# STRONG plateau on ho(18), N in {2, 4}, Delta in {0, 0.7}: measured
+# 2.3e-11 relative work, 4.4e-12 absolute p_excite and 7.4e-13 absolute
+# final_state entries (all at N = 2, Delta = 0.7): the rounding of
+# thousands of split steps, the same when the spin-0 blocks are stepped.
+EVEN_N_BOUNDS = {"work": 1e-10, "p_excite": 2e-11, "rho": 5e-12}
+
+
+def blocked_full_gaps(blocked, full):
+    p_b, p_f = blocked.work.p_excite, full.work.p_excite
+    return {
+        "work": abs(blocked.work.avg_work - full.work.avg_work) / abs(full.work.avg_work),
+        "p_excite": max(abs(p_b[i] - p_f[i]) for i in p_f),
+        "rho": float(np.max(np.abs(blocked.final_state.rho - full.final_state.rho))),
+    }
+
+
+@pytest.fixture(scope="module")
+def full_product_run():
+    """run_cycle of distinguishable engines on the genuine 2^N space under
+    the STRONG plateau, once per (N, Delta)."""
+    runs = {}
+
+    def run(N, delta):
+        if (N, delta) not in runs:
+            runs[N, delta] = run_cycle(engine(N, delta, stats=DIST), TestRunCycleSmooth.STRONG,
+                                       ho(18), config=PropagatorConfig(product_mode="full"))
+        return runs[N, delta]
+
+    return run
 
 
 class TestDecoupledCycle:
@@ -259,6 +296,31 @@ class TestRunCycleSmooth:
                        config=PropagatorConfig(product_mode="full"))
         assert abs(rb.work.avg_work - rf.work.avg_work) < 1e-9 * rf.work.avg_work
 
+    @pytest.mark.parametrize("N, delta", [(2, 0.0), (2, 0.7), (4, 0.0), (4, 0.7)])
+    def test_even_n_blocked_matches_full(self, full_product_run, N, delta):
+        # the spin-0 blocks of even N evolve in closed form; the genuine
+        # 2^N space steps their states with the rest
+        ref = full_product_run(N, delta)
+        res = run_cycle(engine(N, delta, stats=DIST), self.STRONG, ho(18))
+        gaps = blocked_full_gaps(res, ref)
+        assert all(gaps[key] <= bound for key, bound in EVEN_N_BOUNDS.items()), gaps
+        d = res.diagnostics
+        assert d["sectors"][-1] == [1, N // 2]                 # spin 0, still listed
+        assert d["split_steps"] == 2 * d["n_steps_per_half"] * N // 2
+        assert ref.diagnostics["split_steps"] == 2 * d["n_steps_per_half"]
+
+    @pytest.mark.parametrize("free_evolve, key", [
+        (lambda y, eps, t: y * np.exp(1j * t * eps), "rho"),   # free phase sign flipped
+        (lambda y, eps, t: 0 * y, "work"),                     # spin-0 sector dropped
+    ])
+    def test_even_n_negative_controls(self, monkeypatch, full_product_run, free_evolve, key):
+        ref = full_product_run(2, 0.7)
+        monkeypatch.setattr(dyn, "_free_evolve", free_evolve)
+        gaps = blocked_full_gaps(run_cycle(engine(2, 0.7, stats=DIST), self.STRONG, ho(18)), ref)
+        assert gaps[key] > 1e3 * EVEN_N_BOUNDS[key], gaps
+        if key == "rho":     # a phase moves only the coherences of sigma_S
+            assert gaps["p_excite"] <= EVEN_N_BOUNDS["p_excite"], gaps
+
     def test_steppers_agree_short_cycle(self):
         # dense reference steppers on a short cycle with few steps
         p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.4, v=0.5, T=2.0,
@@ -375,6 +437,29 @@ class TestRunCycleSmooth:
         with pytest.raises((PropagationError, Exception)):
             run_cycle(engine(4, 0.0), strong, ho(3))
 
+    def test_split_evolve_keeps_the_callers_factor(self):
+        # N = 2 blocked: the spin-1 block is stepped, the spin-0 block is free
+        p, system = engine(2, 0.7, stats=DIST), ho(6)
+        sectors = _build_sectors(p, DIST, PropagatorConfig())
+        assert [s.free for s in sectors] == [False, True]
+        mu, W = np.ones(1), np.eye(system.dim)[:, :1]
+        for sector, rho_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
+            y, _ = _product_factor(rho_e, mu, W)
+            before = y.copy()
+            out, _ = _split_evolve(sector, system, p, self.STRONG, 0.01, y, 0.0, 120,
+                                   lambda k, x: None)
+            np.testing.assert_array_equal(y, before)
+            assert out is not y
+
+    def test_trace_collection_with_free_sector(self):
+        # the spin-0 block is sampled at the stepped block's steps, so every
+        # row holds the whole trace
+        res = run_cycle(engine(2, 0.0, stats=DIST), self.PLATEAU, ho(6),
+                        config=PropagatorConfig(collect_trace=True))
+        trace = res.diagnostics["trace"]
+        assert len(trace) > 10
+        assert max(abs(tr - 1.0) for _, tr, _, _ in trace) < 1e-9
+
     def test_trace_collection(self):
         res = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6),
                         config=PropagatorConfig(collect_trace=True))
@@ -408,6 +493,19 @@ class TestSU2Chain:
             for D, x, y in zip(lifted, a, b):
                 u = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
                 assert np.max(np.abs(D - functools.reduce(np.kron, [u] * N))) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_single_pad_matches_per_level_pad(self, shape):
+        # identity steps are exact factors, so padding once to a power of
+        # two multiplies the same pairs in the same tree
+        rng = np.random.default_rng(17)
+        for n in [*range(1, 70), 999, 1000, 1023, 1025, 2047, 3001]:
+            q = rng.normal(size=(*shape, n, 4))
+            q /= np.linalg.norm(q, axis=-1)[..., None]
+            a, b = q[..., 0] + 1j * q[..., 1], q[..., 2] + 1j * q[..., 3]
+            got, ref = dyn._su2_chain(a, b), su2_chain_per_level_pad(a, b)
+            for x, y in zip(got, ref):
+                np.testing.assert_array_equal(x, y, err_msg=f"n = {n}")
 
     def test_landau_zener_oracle(self):
         # Omega = -1 + 0.4 t crosses zero at t = 2.5: a genuine crossing.

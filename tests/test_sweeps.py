@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qstatwork as qw
 import qstatwork.sweeps as sw
 from qstatwork.errors import ConfigError
 
@@ -356,6 +357,21 @@ class TestCli:
         assert cycles["dropped_weight_max"] == 0.0        # kicks drop no weight
         assert cycles["n_engine_steps_total"] > 0 and "n_steps_per_half_total" not in cycles
         assert "wall" not in (tmp_path / "data.csv").read_text()
+
+    def test_cycle_summary_counts_split_steps(self):
+        # N = 2 under a smooth plateau: the Dicke run steps one sector, the
+        # distinguishable run its spin-1 block only (spin 0 evolves freely)
+        T = 20.0
+        system = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
+        schedule = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
+        diags = [sw._timed_cycle(case)[1]
+                 for case in sw._both_cases(sw._fig2_engine(2, 0.0), schedule, system)]
+        n = diags[0]["n_steps_per_half"]
+        assert [d["split_steps"] for d in diags] == [2 * n, 2 * n]
+        assert [d["sectors"] for d in diags] == [[[3, 1]], [[3, 1], [1, 1]]]
+        cycles = sw._cycle_summary(diags)
+        assert cycles["split_steps_total"] == 4 * n
+        assert cycles["n_steps_per_half_total"] == 2 * n
 
     def test_figure_figs1_manifest_records_quadrature(self, tmp_path):
         assert sw.cli_main(["figure", "figS1", "--out", str(tmp_path)]) == 0
