@@ -15,7 +15,19 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the default order's nodes and weights, bit-equal to
+# np.polynomial.legendre.leggauss(16) (both symmetric about 0), so that a
+# fresh process integrates without importing numpy.polynomial
+_GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+               0.9445750230732326, 0.9894009349916499)
+_GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {
+    16: (np.array([-x for x in _GL16_NODES[::-1]] + list(_GL16_NODES)),
+         np.array(_GL16_WEIGHTS[::-1] + _GL16_WEIGHTS)),
+}
 
 
 def _gl_nodes(order: int):

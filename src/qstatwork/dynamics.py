@@ -9,10 +9,14 @@ all functions of total-spin operators, so the 2^N dynamics splits into
 independent spin-j sectors with known multiplicities.  Block and full
 propagation agree to rounding and the tests pin that equivalence.
 
-Smooth couplings are Strang-split: each step is one phase product and two
-matrix products, run in place on the stroke's factor and one buffer of
-its shape.  The spin-0 blocks of even N carry neither H_E nor the
-coupling, so they are not stepped but evolve under H_S in closed form.
+Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
+step is one phase product and two matrix products, run in place on the
+stroke's factor and one buffer of its shape.  On a smaller one a step
+costs more in call overhead than in arithmetic, so the steps between two
+samples are multiplied into one propagator by pairwise products and
+applied to the factor as one GEMM.  The spin-0 blocks of even N carry
+neither H_E nor the coupling, so they are not stepped but evolve under
+H_S in closed form.
 """
 
 from __future__ import annotations
@@ -57,7 +61,14 @@ PRODUCT_MODES = ("blocked", "full")
 DENSE_STEP_CAP = 700          # composite dim cap for the dense stepper
 FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
 SAMPLE_EVERY = 50             # steps between state-health samples
-GRID_CHUNK = 256              # steps per precomputed block of the stroke grid
+GRID_CHUNK = 250              # steps per precomputed block of the stroke grid,
+                              # a whole number of sample blocks
+# Largest composite dim dE dS whose steps are multiplied into one
+# propagator per sample block rather than stepped.  Cycle time of the
+# block path against the stepped one (short plateau cycles, one BLAS
+# thread, 2-core Xeon): 0.49-0.66 at D = 8 and 12, 0.49-0.78 at D = 16,
+# 0.71-0.94 at D = 18, 0.88-1.05 at D = 24 and 25, 1.3-4.7 at D >= 32.
+CHAIN_DIM = 20
 DROP_TOL = 1e-16              # sigma_S eigenvalues dropped from a stroke's factor
 LEAKAGE_TOL = 1e-6
 UNITARITY_TOL = 1e-10
@@ -145,7 +156,10 @@ class _Sector:
         s, d = np.angle(a), np.angle(-b)
         beta = 2 * np.arctan2(np.abs(b), np.abs(a))
         Q = self.sy_vecs
-        mid = (Q * np.exp(-1j * np.multiply.outer(beta, self.sy_vals))[..., None, :]) @ Q.conj().T
+        phases = np.exp(-1j * np.multiply.outer(beta, self.sy_vals))[..., None, :]
+        # Q diag(phase) Q^dag over the whole stack as one GEMM
+        mid = (Q * phases).reshape(-1, self.dim) @ Q.conj().T
+        mid = mid.reshape(phases.shape[:-2] + Q.shape)
         left = np.exp(-1j * np.multiply.outer(s - d, self.sz_diag))
         right = np.exp(-1j * np.multiply.outer(s + d, self.sz_diag))
         return left[..., :, None] * mid * right[..., None, :]
@@ -260,8 +274,52 @@ def _engine_steps(sector, params, t_mid, tau):
     return sector.lift(*_su2_steps(params, t_mid, tau))
 
 
+def _fused_engine_steps(sector, params, t_mid, tau):
+    """P_r^dag e_{j+1} e_j P_r for each pair of consecutive times t_mid[j],
+    t_mid[j+1], with e_j = exp(-i H_E(t_mid[j]) tau) and P_r the
+    eigenvectors of V_R: the two engine half steps between two phase
+    products, built by GEMMs rather than stacked small products."""
+    P, dE = sector.vr_vecs, sector.dim
+    if params.Delta == 0.0:
+        d = np.exp(-2j * tau * np.multiply.outer(params.omega(t_mid), sector.sz_diag))
+        # P^dag diag(p) P is the phase row p times the rows conj(P[a]) P[a]
+        outer = (P.conj()[:, :, None] * P[:, None, :]).reshape(dE, -1)
+        return ((d[1:] * d[:-1]) @ outer).reshape(-1, dE, dE)
+    a, b = _su2_steps(params, t_mid, tau)
+    e = sector.lift(*_su2_mul(a[1:], b[1:], a[:-1], b[:-1]))
+    e = (e.reshape(-1, dE) @ P).reshape(e.shape)
+    return np.tensordot(P.conj().T, e, (1, 1)).transpose(1, 0, 2)
+
+
+def _chain_product(T, scratch):
+    """Ordered products T[:, m-1] ... T[:, 0] of the stacks T, shaped
+    (blocks, m, D, D) and C-contiguous, by pairwise reduction along axis 1
+    (depth log2 m).  The levels are written alternately into scratch (room
+    for blocks * m // 2 matrices) and over T itself, so a level allocates
+    nothing; an odd member waits in a carry that later members join from
+    the left.  Returns a new (blocks, D, D) array."""
+    nb, D = T.shape[0], T.shape[-1]
+    bufs = (scratch, T.reshape(-1, D, D))
+    carry = None
+    while T.shape[1] > 1:
+        if T.shape[1] % 2:
+            carry = T[:, -1].copy() if carry is None else carry @ T[:, -1]
+        h = T.shape[1] // 2
+        out = bufs[0][:nb * h].reshape(nb, h, D, D)
+        T = np.matmul(T[:, 1:2 * h:2], T[:, :2 * h:2], out=out)
+        bufs = bufs[::-1]
+    return T[:, 0].copy() if carry is None else carry @ T[:, 0]
+
+
 def _midpoints(t_start, dt, k0, k1):
     return t_start + np.arange(k0, k1) * dt + dt / 2
+
+
+def _sample_steps(k0, k1, n):
+    """The steps of [k0, k1) after which a stroke of n steps is sampled:
+    every SAMPLE_EVERY-th and the last."""
+    k = np.arange(k0, k1)
+    return k[((k + 1) % SAMPLE_EVERY == 0) | (k == n - 1)].tolist()
 
 
 def _free_evolve(y, eps, t):
@@ -277,12 +335,21 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     caller's factor y is left unchanged.
 
     Between steps the factor is held in the eigenbasis P_r (x) P_s of
-    V_R (x) V_S, where exp(-iB dt) is a phase and the half steps of two
-    adjacent steps fuse into one engine and one system rotation, so a step
-    costs one phase product and two GEMMs, run in place on the factor and
-    one buffer of its shape.  Every factor is assembled from exact
+    V_R (x) V_S, where exp(-iB dt) is a phase u_k and the half steps of
+    two adjacent steps fuse into one engine rotation E_k and one system
+    rotation S.  The grid, the E_k and the u_k are built one chunk of
+    GRID_CHUNK steps at a time.  Every factor is assembled from exact
     eigensystems, so each step is unitary to rounding; the scheme is
     second order in dt.
+
+    A composite of dim D = dE dS above CHAIN_DIM is stepped: one phase
+    product and two GEMMs per step, run in place on the factor and one
+    buffer of its shape.  A smaller composite is overhead-bound when
+    stepped, so its steps are multiplied instead: the step operators
+    T_k = diag(u_k) (E_{k-1} (x) S), with T_0 = diag(u_0), are built as
+    D x D matrices, each block of steps between two samples is reduced to
+    one propagator by pairwise products (_chain_product), and the factor,
+    held as a D x r matrix, takes one GEMM per block.
 
     A free sector (V_R = 0, the spin-0 block) exchanges nothing with the
     system and only H_S acts on it, so it is not stepped: its factor at
@@ -293,11 +360,14 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     residual = max(_isometry_drift(P_s), sector.unitarity_residual())
     eps = np.asarray(system.energies, dtype=float)
     if sector.free:
-        for k in [*range(SAMPLE_EVERY - 1, n - 1, SAMPLE_EVERY), n - 1]:
+        for k in _sample_steps(0, n, n):
             x = _free_evolve(y, eps, (k + 1) * dt)
             sample(k, x)
         return x, residual
     P_r = sector.vr_vecs
+    dE, dS = sector.dim, system.dim
+    D = dE * dS
+    in_blocks = D <= CHAIN_DIM
     rs = np.multiply.outer(sector.vr_vals, vs_vals)
     s_half = np.exp(-1j * eps * dt / 2)
     s_in = P_s.conj().T * s_half            # P_s^dag exp(-i H_S dt/2)
@@ -306,22 +376,49 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     for k0 in range(0, n, GRID_CHUNK):
         k1 = min(k0 + GRID_CHUNK, n)
         t_mid = _midpoints(t_start, dt, k0, min(k1 + 1, n))
-        e = _engine_steps(sector, params, t_mid, dt / 2)
-        e_in, e_out = P_r.conj().T @ e, e @ P_r
-        e_step = e_in[1:] @ e_out[:-1]
+        e_step = _fused_engine_steps(sector, params, t_mid, dt / 2)
+        ks = _sample_steps(k0, k1, n)
+        e_out = _engine_steps(sector, params, t_mid[np.subtract(ks, k0)], dt / 2) @ P_r
         g = g_of_t(schedule, t_mid[:k1 - k0])
         u = np.exp(-1j * dt * np.multiply.outer(g, rs))[:, :, None]     # (steps, dE, 1, dS)
         if k0 == 0:
-            # y and buf are C-contiguous, so these reshapes are views
-            y = np.ascontiguousarray(_rotate(y, e_in[0], s_in))
-            buf = np.empty_like(y)
-            dE, dS = y.shape[0], y.shape[2]
-            y_e, y_s = y.reshape(dE, -1), y.reshape(-1, dS)
-            buf_e, buf_s = buf.reshape(dE, -1), buf.reshape(-1, dS)
+            e_in = P_r.conj().T @ _engine_steps(sector, params, t_mid[:1], dt / 2)[0]
+            y = _rotate(y, e_in, s_in)
+            if in_blocks:
+                z = y.transpose(0, 2, 1).reshape(D, -1)     # (engine, system) x rank
+                # T[k - k0] holds T_k; T[0] enters a chunk as E_{k0-1} (x) S,
+                # and as the identity at step 0, which no step precedes
+                T = np.empty((GRID_CHUNK + 1, D, D), complex)
+                T[0] = np.eye(D)
+                scratch = np.empty((GRID_CHUNK // 2, D, D), complex)
+            else:
+                # y and buf are C-contiguous, so these reshapes are views
+                y = np.ascontiguousarray(y)
+                buf = np.empty_like(y)
+                y_e, y_s = y.reshape(dE, -1), y.reshape(-1, dS)
+                buf_e, buf_s = buf.reshape(dE, -1), buf.reshape(-1, dS)
+        if in_blocks:
+            # chunks start on a sample boundary, so the chunk is whole blocks
+            # but for the stroke's last, which identities pad
+            m, nb = k1 - k0, -(-(k1 - k0) // SAMPLE_EVERY)
+            np.multiply(e_step[:, :, None, :, None], s_step[:, None, :],
+                        out=T[1:len(e_step) + 1].reshape(-1, dE, dS, dE, dS))
+            T[:m] *= u.reshape(m, D, 1)
+            T[m:nb * SAMPLE_EVERY] = np.eye(D)
+            blocks = T[:nb * SAMPLE_EVERY].reshape(nb, SAMPLE_EVERY, D, D)
+            for prop, e_o, k in zip(_chain_product(blocks, scratch), e_out, ks):
+                z = prop @ z
+                x = _rotate(z.reshape(dE, dS, -1).transpose(0, 2, 1), e_o, s_out)
+                sample(k, x)
+            if k1 == n:
+                return x, residual
+            T[0] = T[m]
+            continue
+        outs = iter(e_out)
         for j, k in enumerate(range(k0, k1)):
             np.multiply(y, u[j], out=y)
             if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
-                x = _rotate(y, e_out[j], s_out)
+                x = _rotate(y, next(outs), s_out)
                 sample(k, x)
                 if k == n - 1:
                     return x, residual
@@ -675,7 +772,7 @@ def _run_smooth(params, schedule, system, sectors, config):
     evolve = _split_evolve if config.stepper == "split-midpoint" else _dense_evolve
     trace_rows = {}
     walls, ranks = [], []
-    split_steps = 0
+    split_steps = block_steps = 0
     for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
         wall = time.perf_counter()
         mu, W, dropped = _system_factor(sigma_s)
@@ -699,13 +796,15 @@ def _run_smooth(params, schedule, system, sectors, config):
             diag.unitarity = max(diag.unitarity, residual)
             if evolve is _split_evolve and not sector.free:
                 split_steps += n_steps
+                if sector.dim * dS <= CHAIN_DIM:       # multiplied, not stepped
+                    block_steps += n_steps
             sigma_s += sector.mult * _reduced_system(y, w)
         diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
         sigma_s = (sigma_s + sigma_s.conj().T) / 2
         energies.append({"t": t_start + half, "system_energy": _system_energy(sigma_s, system)})
         walls.append(time.perf_counter() - wall)
     diag.extra = {"dt": dt, "n_steps_per_half": n_steps, "split_steps": split_steps,
-                  "stroke_wall_s": walls, "factor_rank": ranks}
+                  "block_steps": block_steps, "stroke_wall_s": walls, "factor_rank": ranks}
     if config.collect_trace:
         diag.extra["trace"] = [(t, *map(float, row)) for t, row in sorted(trace_rows.items())]
     return sigma_s, diag, energies

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import qstatwork as qw
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
-from qstatwork._quad import QuadStats, _build_panels, integrate_oscillatory
+from qstatwork._quad import QuadStats, _build_panels, _gl_nodes, integrate_oscillatory
 from qstatwork.analytics import _amplitude_row, _schedule_breakpoints
 
 T = 20.0
@@ -25,6 +25,14 @@ def engine(delta, omega0=1.0, v=0.1, beta_c=None):
 
 
 class TestQuadHelper:
+    def test_builtin_order16_table_is_leggauss(self):
+        # the default order is a literal table, bit-equal to leggauss(16)
+        x, w = _gl_nodes(16)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(w, ref_w)
+        assert x.dtype == w.dtype == np.float64
+
     def test_oscillatory_against_scipy(self):
         f = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
         got, _ = integrate_oscillatory(f, 0.0, 6.0, breakpoints=[2.0], max_freq=7.3)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ DIST = qw.Statistics.DISTINGUISHABLE
 # final_state entries (all at N = 2, Delta = 0.7): the rounding of
 # thousands of split steps, the same when the spin-0 blocks are stepped.
 EVEN_N_BOUNDS = {"work": 1e-10, "p_excite": 2e-11, "rho": 5e-12}
+
+# CHAIN_DIM settings that force every stepped sector onto one path of
+# _split_evolve: all composites stepped, or all multiplied per sample block
+PATHS = {"stepped": 0, "blocks": 10**6}
 
 
 def blocked_full_gaps(blocked, full):
@@ -437,19 +442,22 @@ class TestRunCycleSmooth:
         with pytest.raises((PropagationError, Exception)):
             run_cycle(engine(4, 0.0), strong, ho(3))
 
-    def test_split_evolve_keeps_the_callers_factor(self):
-        # N = 2 blocked: the spin-1 block is stepped, the spin-0 block is free
+    def test_split_evolve_keeps_the_callers_factor(self, monkeypatch):
+        # N = 2 blocked: the spin-1 block is stepped, then multiplied; the
+        # spin-0 block is free
         p, system = engine(2, 0.7, stats=DIST), ho(6)
         sectors = _build_sectors(p, DIST, PropagatorConfig())
         assert [s.free for s in sectors] == [False, True]
         mu, W = np.ones(1), np.eye(system.dim)[:, :1]
-        for sector, rho_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
-            y, _ = _product_factor(rho_e, mu, W)
-            before = y.copy()
-            out, _ = _split_evolve(sector, system, p, self.STRONG, 0.01, y, 0.0, 120,
-                                   lambda k, x: None)
-            np.testing.assert_array_equal(y, before)
-            assert out is not y
+        for chain_dim in PATHS.values():
+            monkeypatch.setattr(dyn, "CHAIN_DIM", chain_dim)
+            for sector, rho_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
+                y, _ = _product_factor(rho_e, mu, W)
+                before = y.copy()
+                out, _ = _split_evolve(sector, system, p, self.STRONG, 0.01, y, 0.0, 120,
+                                       lambda k, x: None)
+                np.testing.assert_array_equal(y, before)
+                assert out is not y
 
     def test_trace_collection_with_free_sector(self):
         # the spin-0 block is sampled at the stepped block's steps, so every
@@ -468,6 +476,144 @@ class TestRunCycleSmooth:
         t, tr, leak, es = trace[-1]
         assert abs(tr - 1.0) < 1e-9
         assert es >= 0
+
+
+def gap(a, b):
+    """max |a - b| relative to max |b|."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBlockPath:
+    """Composites of dim D <= CHAIN_DIM multiply their steps into one
+    propagator per sample block; forcing CHAIN_DIM to 0 steps them all.
+
+    Both paths apply the same operators in the same order, grouped
+    differently, so they agree to rounding: on the short cycles below the
+    largest gaps are 5e-14 relative on the work, 3.3e-14 on p_excite,
+    8.9e-15 on final_state and 4e-14 on the trace columns, and 1.7e-14 on
+    the sampled factors of _split_evolve (measured).  BOUND leaves a
+    factor of 20 above them.
+    """
+
+    BOUND = 1e-12
+    CYCLE_T = 2.5
+
+    def short_cycle(self, N, delta, stats, path, monkeypatch):
+        monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
+        T_c = self.CYCLE_T
+        p = qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.2, T=T_c, beta_c=1.0,
+                            beta_h=0.125, statistics=stats)
+        sched = qw.SmoothPlateau(g=0.1, delta_t=0.9, alpha=2142.0 / T_c, T=T_c)
+        return run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, 8),
+                         config=PropagatorConfig(collect_trace=True))
+
+    @pytest.mark.parametrize("stats", [qw.Statistics.BOSE, DIST], ids=["bose", "dist"])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_cycle_matches_stepped(self, monkeypatch, N, delta, stats):
+        # even N distinguishable includes the free spin-0 block
+        step = self.short_cycle(N, delta, stats, "stepped", monkeypatch)
+        mult = self.short_cycle(N, delta, stats, "blocks", monkeypatch)
+        assert step.diagnostics["block_steps"] == 0
+        assert mult.diagnostics["block_steps"] == mult.diagnostics["split_steps"] > 0
+        assert gap(mult.work.avg_work, step.work.avg_work) <= self.BOUND
+        levels = sorted(step.work.p_excite)
+        assert gap([mult.work.p_excite[i] for i in levels],
+                   [step.work.p_excite[i] for i in levels]) <= self.BOUND
+        assert gap(mult.final_state.rho, step.final_state.rho) <= self.BOUND
+        got, ref = np.array(mult.diagnostics["trace"]), np.array(step.diagnostics["trace"])
+        np.testing.assert_array_equal(got[:, 0], ref[:, 0])         # same times
+        assert gap(got[:, 1], ref[:, 1]) <= self.BOUND              # trace
+        assert gap(got[:, 3], ref[:, 3]) <= self.BOUND              # system energy
+        # the top-level population is ~1e-8 of the trace, and its rounding
+        # is set by the whole state: held to the trace's scale
+        assert np.max(np.abs(got[:, 2] - ref[:, 2])) <= self.BOUND * np.max(ref[:, 1])
+
+    def evolve(self, delta, n, path, monkeypatch, N=2, dS=6):
+        """_split_evolve of a full-rank stroke-2 factor for n steps from
+        the middle of the STRONG plateau: its samples (k, factor) and the
+        final factor."""
+        monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
+        p, system = engine(N, delta), ho(dS)
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
+        mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        y, _ = _product_factor(rho_e, mu, W)
+        samples = []
+        out, _ = _split_evolve(sector, system, p, TestRunCycleSmooth.STRONG,
+                               default_dt_cap(p, system), y, 0.75 * T, n,
+                               lambda k, x: samples.append((k, x.copy())))
+        return samples, out
+
+    def sample_gap(self, got, ref):
+        assert [k for k, _ in got] == [k for k, _ in ref]
+        return max(gap(x, x_ref) for (_, x), (_, x_ref) in zip(got, ref))
+
+    # n = 1, under one block, whole blocks, a partial last block, and
+    # strokes across one and two chunks
+    @pytest.mark.parametrize("n", [1, 37, 100, 123, 300, 500])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_samples_match_stepped(self, monkeypatch, delta, n):
+        ref, ref_out = self.evolve(delta, n, "stepped", monkeypatch)
+        got, out = self.evolve(delta, n, "blocks", monkeypatch)
+        assert [k for k, _ in ref] == [*range(49, n - 1, 50), n - 1]
+        assert self.sample_gap(got, ref) <= self.BOUND
+        np.testing.assert_array_equal(out, got[-1][1])
+        assert out.shape == ref_out.shape
+
+    def test_negative_controls(self, monkeypatch):
+        ref, _ = self.evolve(0.7, 123, "stepped", monkeypatch)
+        chain = dyn._chain_product
+
+        def reversed_blocks(blocks, scratch):
+            return chain(blocks[:, ::-1], scratch)
+
+        monkeypatch.setattr(dyn, "_chain_product", reversed_blocks)
+        got, _ = self.evolve(0.7, 123, "blocks", monkeypatch)
+        assert self.sample_gap(got, ref) > 1e3 * self.BOUND
+
+        calls = []
+
+        def without_u0(blocks, scratch):
+            if not calls:                   # the stroke's first chunk: T_0 = diag(u_0)
+                blocks[0, 0] = np.eye(blocks.shape[-1])
+            calls.append(1)
+            return chain(blocks, scratch)
+
+        monkeypatch.setattr(dyn, "_chain_product", without_u0)
+        got, _ = self.evolve(0.7, 123, "blocks", monkeypatch)
+        assert self.sample_gap(got, ref) > 1e3 * self.BOUND
+
+    def test_selection_by_composite_dim(self):
+        # the module's own CHAIN_DIM: D = 3 x 4 = 12 is multiplied,
+        # D = 4 x 8 = 32 is stepped
+        sched = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / 2.5, T=2.5)
+        for N, dS, multiplied in ((2, 4, True), (3, 8, False)):
+            p = qw.EngineParams(N=N, Omega0=1.0, Delta=0.5, v=0.2, T=2.5, beta_c=1.0,
+                                beta_h=0.125)
+            d = run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, dS)).diagnostics
+            assert d["split_steps"] == 2 * d["n_steps_per_half"] > 0
+            assert d["block_steps"] == (d["split_steps"] if multiplied else 0)
+
+    def test_long_stroke_memory_is_one_chunk(self):
+        # 20 000 steps at D = 8: the step operators of the whole stroke
+        # would take 20 MB; built one chunk at a time, the run peaks at 0.7 MB
+        p, system = engine(1, 0.7), ho(4)
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        assert sector.dim * system.dim <= dyn.CHAIN_DIM
+        (rho_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
+        y, _ = _product_factor(rho_e, np.ones(1), np.eye(4)[:, :1])
+        n = 20_000
+        tracemalloc.start()
+        try:
+            _split_evolve(sector, system, p, TestRunCycleSmooth.STRONG, T / 2 / n, y,
+                          0.0, n, lambda k, x: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 class TestSU2Chain:

@@ -46,10 +46,12 @@ def test_no_unused_imports(path):
 def test_import_loads_no_scipy_or_mpmath():
     # SciPy and mpmath are test dependencies: the package must not load
     # them.  Nor may it load the process-pool machinery, which only
-    # `sweeps.parallel_map` imports, when it starts a pool.
-    probe = ("import sys, qstatwork; print(sorted(m for m in sys.modules if "
+    # `sweeps.parallel_map` imports, when it starts a pool, or
+    # numpy.polynomial, which the default quadrature order does not need.
+    probe = ("import sys, qstatwork; qstatwork._quad._gl_nodes(16); "
+             "print(sorted(m for m in sys.modules if "
              "m.partition('.')[0] in ('scipy', 'mpmath', 'multiprocessing') "
-             "or m == 'concurrent.futures.process'))")
+             "or m == 'concurrent.futures.process' or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
