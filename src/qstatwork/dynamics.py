@@ -41,7 +41,6 @@ from .hilbert import (
     QuantumState,
     _product_sum,
     _spin_xyz,
-    hermitian_expm,
     thermal_state,
     trace_out_engine,
 )
@@ -56,9 +55,7 @@ from .protocols import (
     phase_integral,
 )
 
-STEPPERS = ("split-midpoint", "expm-midpoint")
 PRODUCT_MODES = ("blocked", "full")
-DENSE_STEP_CAP = 700          # composite dim cap for the dense stepper
 FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
 SAMPLE_EVERY = 50             # steps between state-health samples
 GRID_CHUNK = 250              # steps per precomputed block of the stroke grid,
@@ -85,14 +82,11 @@ class PropagatorConfig:
     or the genuine 2^N space ("full", capped at N <= FULL_PRODUCT_CAP).
     """
 
-    stepper: str = "split-midpoint"
     dt: float = None
     product_mode: str = "blocked"
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.stepper not in STEPPERS:
-            raise ConfigError(f"unknown stepper {self.stepper!r}; choose from {STEPPERS}")
         if self.product_mode not in PRODUCT_MODES:
             raise ConfigError(
                 f"unknown product_mode {self.product_mode!r}; choose from {PRODUCT_MODES}"
@@ -426,33 +420,6 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
             np.matmul(buf_s, s_step.T, out=y_s)
 
 
-def _dense_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
-    """Reference stepper with the interface of _split_evolve: the exact
-    exponential of the full composite Hamiltonian at each step midpoint."""
-    dE, dS = sector.dim, system.dim
-    if dE * dS > DENSE_STEP_CAP:
-        raise ConfigError(
-            f"dense stepper on dim {dE * dS} exceeds the cap {DENSE_STEP_CAP}; "
-            "use split-midpoint"
-        )
-    eye_e, eye_s = np.eye(dE), np.eye(dS)
-    sz = np.kron(np.diag(sector.sz_diag), eye_s)
-    static = 2 * params.Delta * np.kron(sector.sx, eye_s) + np.kron(
-        eye_e, np.diag(np.asarray(system.energies, dtype=float)))
-    coupling = np.kron(sector.v_r, system.matrix)
-    residual = 0.0
-    for k0 in range(0, n, GRID_CHUNK):
-        t_mid = _midpoints(t_start, dt, k0, min(k0 + GRID_CHUNK, n))
-        grid = zip(params.omega(t_mid), g_of_t(schedule, t_mid))
-        for k, (omega, g) in enumerate(grid, k0):
-            U = hermitian_expm(2 * omega * sz + static + g * coupling, dt)
-            residual = max(residual, _isometry_drift(U))
-            y = np.einsum("isjt,jct->ics", U.reshape(dE, dS, dE, dS), y)
-            if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
-                sample(k, y)
-    return y, residual
-
-
 # ---------------------------------------------------------------------------
 # step-size rule and diagnostics
 # ---------------------------------------------------------------------------
@@ -769,7 +736,6 @@ def _run_smooth(params, schedule, system, sectors, config):
     sigma_s[0, 0] = 1.0
     energies = [{"t": 0.0, "system_energy": 0.0}]
     eps = np.asarray(system.energies, dtype=float)
-    evolve = _split_evolve if config.stepper == "split-midpoint" else _dense_evolve
     trace_rows = {}
     walls, ranks = [], []
     split_steps = block_steps = 0
@@ -792,9 +758,10 @@ def _run_smooth(params, schedule, system, sectors, config):
                     row = trace_rows.setdefault(round(t_start + (k + 1) * dt, 12), np.zeros(3))
                     row += sector.mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
 
-            y, residual = evolve(sector, system, params, schedule, dt, y, t_start, n_steps, sample)
+            y, residual = _split_evolve(sector, system, params, schedule, dt, y, t_start,
+                                        n_steps, sample)
             diag.unitarity = max(diag.unitarity, residual)
-            if evolve is _split_evolve and not sector.free:
+            if not sector.free:
                 split_steps += n_steps
                 if sector.dim * dS <= CHAIN_DIM:       # multiplied, not stepped
                     block_steps += n_steps

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import analytics, fermi as fermi_mod
-from .dynamics import PRODUCT_MODES, STEPPERS, PropagatorConfig, run_cycle
+from .dynamics import PRODUCT_MODES, PropagatorConfig, run_cycle
 from .errors import ConfigError, QstatworkError
 from .protocols import (
     EngineParams,
@@ -938,7 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = subs.add_parser("evolve", help="exact numerical cycle")
     _add_common(p_ev, config=True)
     _add_engine_flags(p_ev)
-    p_ev.add_argument("--stepper", choices=STEPPERS, default=PropagatorConfig.stepper)
     p_ev.add_argument("--dt", type=float)
     p_ev.add_argument("--product-mode", choices=PRODUCT_MODES,
                       default=PropagatorConfig.product_mode)
@@ -1017,7 +1016,6 @@ def _dispatch(args) -> int:
 
     if args.command == "evolve":
         pconf = PropagatorConfig(
-            stepper=args.stepper,
             dt=args.dt,
             product_mode=args.product_mode,
             collect_trace=bool(args.trace),

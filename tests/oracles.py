@@ -1,11 +1,26 @@
 """Independent reference computations shared by the test modules.
 
-Everything here is deliberately built from first principles (direct
-Boltzmann sums, literal printed closed forms at high precision, matrix
-products with the adiabatic propagator) so it never shares code paths
-with the package implementations it checks. The direct moment sums are
-imported from the package's verify battery, which shares no code with
+The closed-form oracles are built from first principles: direct Boltzmann
+sums, literal printed closed forms at high precision, and matrix products
+with the adiabatic propagator.  The direct moment sums are imported from
+the package's verify battery, which shares no code with
 `analytics.moment_f`/`moment_h`.
+
+`dense_cycle` takes the whole Otto cycle as dense density matrices on the
+genuine composite, with scipy's `expm` for every propagator, so it shares
+neither the package's exponentials nor its factored states, spin sectors,
+SU(2) lifts, Gibbs tilt or stroke-2 truncation.  It does share public
+primitives, each pinned by tests of its own:
+- the `hilbert` builders `collective_spin_ops`, `product_spin_ops` and
+  `engine_hamiltonian`, whose spin matrices the package's sectors are also
+  built from (test_hilbert: TestCollectiveSpinOps, TestProductSpinOps,
+  TestEngineHamiltonian);
+- `thermal_state` (test_hilbert: TestThermalState);
+- `apply_impulse`, whose kick is the one the cycle's impulse path applies
+  (test_dynamics: TestApplyImpulse, against a second-order closed form and
+  by composition);
+- `thermal_reset` (test_dynamics: TestThermalReset);
+- the coupling schedule `g_of_t` (test_protocols: TestCouplingSchedules).
 """
 
 import functools
@@ -16,6 +31,20 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import quad
 
+from qstatwork import (
+    Composite,
+    DickeSector,
+    HOTruncated,
+    Impulse,
+    QuantumState,
+    apply_impulse,
+    collective_spin_ops,
+    engine_hamiltonian,
+    g_of_t,
+    product_spin_ops,
+    thermal_reset,
+    thermal_state,
+)
 from qstatwork.sweeps import _direct_moment
 
 # Absolute rounding floor of a full-cycle work from the split-midpoint
@@ -248,3 +277,79 @@ def landau_zener_propagator(params, t_a, t_b, dps=30):
 
         U = fundamental(t_b) * mpmath.inverse(fundamental(t_a))
         return complex(U[0, 0]), complex(U[1, 0])
+
+
+# ---------------------------------------------------------------------------
+# the whole Otto cycle as dense density matrices on the genuine composite,
+# DickeSector(N) or FullProduct(N) (x) HOTruncated
+# ---------------------------------------------------------------------------
+
+def _composite_terms(system, kind):
+    """V_R = 2 Sx on the engine space kind, I (x) H_S and V_R (x) V_S."""
+    spin_ops_of = collective_spin_ops if isinstance(kind, DickeSector) else product_spin_ops
+    v_r = 2 * spin_ops_of(kind.N)[0].matrix
+    h_s = np.kron(np.eye(kind.dim), np.diag(system.energies))
+    return v_r, h_s, np.kron(v_r, system.matrix)
+
+
+def _free_step(params, system, kind, h_s, t_mid, tau):
+    """exp(-i tau A) with A = H_E(t_mid) (x) I + I (x) H_S."""
+    h_e = engine_hamiltonian(params, t_mid, kind).matrix
+    return expm(-1j * tau * (np.kron(h_e, np.eye(system.dim)) + h_s))
+
+
+def dense_strang_steps(rho, params, schedule, system, kind, t_start, dt, n):
+    """rho after n Strang steps exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2)
+    from t_start, with A = H_E(t_mid) (x) I + I (x) H_S and
+    B = g(t_mid) V_R (x) V_S at each step's midpoint t_mid."""
+    _, h_s, v = _composite_terms(system, kind)
+    for k in range(n):
+        t_mid = t_start + k * dt + dt / 2
+        half = _free_step(params, system, kind, h_s, t_mid, dt / 2)
+        U = half @ expm(-1j * dt * float(g_of_t(schedule, t_mid)) * v) @ half
+        rho = U @ rho @ U.conj().T
+    return rho
+
+
+def dense_cycle(params, schedule, system, kind, diagnostics):
+    """Populations of Tr_E rho(T) after the whole cycle on kind (x) the
+    system, from Gibbs(beta_c, H_E(0)) (x) |0><0|, with thermal_reset to
+    Gibbs(beta_h, H_E(T/2)) at T/2, at the step counts that run_cycle's
+    diagnostics report.
+
+    A smooth schedule takes dense_strang_steps at the run's dt and
+    n_steps_per_half in each stroke.  A kick at t1 follows the run's
+    n_engine_steps midpoint steps exp(-iA dt), at the run's dt, from the
+    start of the kick's stroke; at Delta = 0 there are none, as the Gibbs
+    state commutes with every H_E(t) and the system's ground state with
+    H_S.  The free evolution after the kick moves no population of
+    Tr_E rho, so it is not taken.
+    """
+    dE, dS = kind.dim, system.dim
+    space = Composite(kind, HOTruncated(dS))
+    half = params.T / 2
+    ground = np.zeros((dS, dS))
+    ground[0, 0] = 1.0
+    rho = np.kron(thermal_state(engine_hamiltonian(params, 0.0, kind), params.beta_c).rho, ground)
+
+    def reset(rho):
+        h_e = engine_hamiltonian(params, half, kind)
+        return thermal_reset(QuantumState(space, rho), h_e, params.beta_h).rho
+
+    if isinstance(schedule, Impulse):
+        t0 = 0.0 if schedule.t1 < half else half
+        if t0:
+            rho = reset(rho)
+        v_r, h_s, _ = _composite_terms(system, kind)
+        dt = diagnostics["dt"]
+        for k in range(diagnostics["n_engine_steps"]):
+            U = _free_step(params, system, kind, h_s, t0 + k * dt + dt / 2, dt)
+            rho = U @ rho @ U.conj().T
+        rho = apply_impulse(QuantumState(space, rho), schedule.g, v_r, system.matrix).rho
+        if not t0:
+            rho = reset(rho)
+    else:
+        dt, n = diagnostics["dt"], diagnostics["n_steps_per_half"]
+        rho = dense_strang_steps(rho, params, schedule, system, kind, 0.0, dt, n)
+        rho = dense_strang_steps(reset(rho), params, schedule, system, kind, half, dt, n)
+    return np.diagonal(rho.reshape(dE, dS, dE, dS).trace(axis1=0, axis2=2)).real

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import qstatwork as qw
 import qstatwork.dynamics as dyn
@@ -24,6 +23,8 @@ from qstatwork.errors import ConfigError, PropagationError, ResourceLimitError
 
 from oracles import (
     WORK_ROUNDING_FLOOR,
+    dense_cycle,
+    dense_strang_steps,
     landau_zener_propagator,
     midpoint_su2_product_mp,
     su2_chain_per_level_pad,
@@ -326,21 +327,6 @@ class TestRunCycleSmooth:
         if key == "rho":     # a phase moves only the coherences of sigma_S
             assert gaps["p_excite"] <= EVEN_N_BOUNDS["p_excite"], gaps
 
-    def test_steppers_agree_short_cycle(self):
-        # dense reference steppers on a short cycle with few steps
-        p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.4, v=0.5, T=2.0,
-                            beta_c=2.0, beta_h=0.125)
-        sched = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
-        sysho = qw.harmonic_system(1.3, 6)
-        works = {}
-        for stepper in ("split-midpoint", "expm-midpoint"):
-            res = run_cycle(p, sched, sysho, config=PropagatorConfig(stepper=stepper))
-            works[stepper] = res.work.avg_work
-        # both are 2nd order with different error constants; they agree
-        # to the size of that shared truncation error, far below the signal
-        ref = works["expm-midpoint"]
-        assert abs(works["split-midpoint"] - ref) < 1e-4 * ref
-
     def test_dt_above_cap_rejected(self):
         p = engine(2, 0.0)
         cap = default_dt_cap(p, ho(6))
@@ -408,7 +394,7 @@ class TestRunCycleSmooth:
     def test_factor_steps_match_dense_strang(self, delta):
         # 300 steps (more than one grid chunk) of the factored split stepper
         # from a full-rank stroke-2 input, against the same Strang product
-        # built densely with expm on kron'd operators and applied to rho.
+        # taken densely on rho by the cycle oracle's steps.
         N, dS = 2, 6
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
@@ -423,18 +409,8 @@ class TestRunCycleSmooth:
                              lambda k, x: None)
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
-
-        sx, _ = qw.collective_spin_ops(N)
-        eye_e, eye_s = np.eye(N + 1), np.eye(dS)
-        h_s = np.kron(eye_e, np.diag(system.energies))
-        v = np.kron(2 * sx.matrix, system.matrix)
-        rho = np.kron(rho_e, sigma)
-        for k in range(n):
-            t_mid = t_start + k * dt + dt / 2
-            h_e = qw.engine_hamiltonian(p, t_mid, qw.DickeSector(N)).matrix
-            half = scipy.linalg.expm(-0.5j * dt * (np.kron(h_e, eye_s) + h_s))
-            U = half @ scipy.linalg.expm(-1j * dt * qw.g_of_t(self.STRONG, t_mid) * v) @ half
-            rho = U @ rho @ U.conj().T
+        rho = dense_strang_steps(np.kron(rho_e, sigma), p, self.STRONG, system,
+                                 qw.DickeSector(N), t_start, dt, n)
         assert np.max(np.abs(got - rho)) <= 1e-12
 
     def test_truncation_leakage_guard(self):
@@ -614,6 +590,111 @@ class TestBlockPath:
         finally:
             tracemalloc.stop()
         assert peak < 2e6, peak
+
+
+# Gaps of run_cycle from the dense whole-cycle oracle (oracles.dense_cycle)
+# at the run's own steps, on the cases of TestDenseCycleOracle.  The two
+# share no propagator, so they part by rounding, which grows with the step
+# count.  Measured worst: kicks (up to 187 engine steps) 6.7e-15 relative
+# work and 2.4e-16 absolute p_excite; smooth cycles (600-932 Strang steps on
+# D <= 32) 1.9e-12 and 1.8e-14, as the populations round at ~1e-14 and the
+# work is ~1e-2.
+ORACLE_BOUNDS = {
+    "kick": {"work": 1e-13, "p_excite": 1e-14},
+    "smooth": {"work": 1e-11, "p_excite": 1e-13},
+}
+ORACLE_SYSTEM = qw.harmonic_system(1.3, 8)
+ORACLE_KICKS = {t1: qw.Impulse(g=0.1, t1=t1, T=2.0) for t1 in (0.35, 1.4)}   # T/2 = 1
+ORACLE_PLATEAU = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
+STATS_MODES = [(qw.Statistics.BOSE, "blocked"), (DIST, "blocked"), (DIST, "full")]
+
+
+def oracle_engine(N, delta):
+    return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.5, T=2.0,
+                           beta_c=2.0, beta_h=0.125)
+
+
+@pytest.fixture(scope="module")
+def oracle_gaps():
+    """gaps(N, delta, schedule, stats, mode): relative avg_work and absolute
+    p_excite gaps of run_cycle from dense_cycle, which runs once per
+    (N, delta, schedule, engine space) at the first run's step counts (the
+    step rule reads neither the statistics nor the product mode)."""
+    pops = {}
+
+    def gaps(N, delta, schedule, stats, mode):
+        p = oracle_engine(N, delta)
+        res = run_cycle(p, schedule, ORACLE_SYSTEM, stats, PropagatorConfig(product_mode=mode))
+        kind = qw.DickeSector(N) if stats is qw.Statistics.BOSE else qw.FullProduct(N)
+        key = (N, delta, schedule, kind)
+        if key not in pops:
+            pops[key] = dense_cycle(p, schedule, ORACLE_SYSTEM, kind, res.diagnostics)
+        work = float(ORACLE_SYSTEM.energies @ pops[key])
+        p_excite = res.work.p_excite
+        return {"work": abs(res.work.avg_work - work) / work,
+                "p_excite": max(abs(p_excite[i] - pops[key][i]) for i in p_excite)}
+
+    return gaps
+
+
+def flip_tilt(monkeypatch):
+    # the Gibbs blocks tilted by exp(+i chi sigma_y / 2)
+    monkeypatch.setattr(dyn, "_su2_y", lambda chi: (np.cos(chi / 2), np.sin(chi / 2)))
+
+
+def swap_lift_ends(monkeypatch):
+    # alpha and gamma of the SU(2) lift exchanged: exp(-i (s -+ d) Sz)
+    # become exp(-i (s +- d) Sz) on the left and right
+    lift = dyn._Sector.lift
+
+    def swapped(self, a, b):
+        ph = np.exp(-2j * np.multiply.outer(np.angle(-b), self.sz_diag))
+        return ph[..., :, None] * lift(self, a, b) / ph[..., None, :]
+
+    monkeypatch.setattr(dyn._Sector, "lift", swapped)
+
+
+def widen_truncation(monkeypatch):
+    monkeypatch.setattr(dyn, "DROP_TOL", 1e-6)
+
+
+class TestDenseCycleOracle:
+    """run_cycle against the whole cycle taken densely on the genuine
+    composite with scipy's expm (oracles.dense_cycle)."""
+
+    @pytest.mark.parametrize("t1", ORACLE_KICKS)
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_kicks(self, oracle_gaps, N, delta, t1):
+        for stats, mode in STATS_MODES:
+            gaps = oracle_gaps(N, delta, ORACLE_KICKS[t1], stats, mode)
+            bounds = ORACLE_BOUNDS["kick"]
+            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, mode, gaps)
+
+    @pytest.mark.parametrize("N, delta, stats_modes", [
+        (2, 0.0, STATS_MODES[:1]),
+        (3, 0.4, STATS_MODES[:1]),
+        (2, 0.4, STATS_MODES[1:]),
+    ])
+    def test_smooth_plateau(self, oracle_gaps, N, delta, stats_modes):
+        for stats, mode in stats_modes:
+            gaps = oracle_gaps(N, delta, ORACLE_PLATEAU, stats, mode)
+            bounds = ORACLE_BOUNDS["smooth"]
+            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, mode, gaps)
+
+    @pytest.mark.parametrize("fault, bound", [
+        (flip_tilt, "kick"),
+        (flip_tilt, "smooth"),
+        (swap_lift_ends, "kick"),
+        (swap_lift_ends, "smooth"),
+        (widen_truncation, "smooth"),       # kicks drop nothing from sigma_S
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_negative_controls(self, monkeypatch, oracle_gaps, fault, bound):
+        schedule = ORACLE_KICKS[0.35] if bound == "kick" else ORACLE_PLATEAU
+        oracle_gaps(2, 0.4, schedule, DIST, "blocked")     # the oracle, before the fault
+        fault(monkeypatch)
+        gaps = oracle_gaps(2, 0.4, schedule, DIST, "blocked")
+        assert gaps["work"] > 1e3 * ORACLE_BOUNDS[bound]["work"], gaps
 
 
 class TestSU2Chain:

@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
-import qstatwork.dynamics as dyn
 from qstatwork.errors import (
     DegenerateHamiltonianError,
     InvalidSpaceError,
@@ -210,23 +209,6 @@ class TestHermitianExpm:
         H = (H + H.conj().T) / 2
         for t in (0.1, 1.0, 2.5):
             self.assert_matches_expm(H, t)
-
-    def test_dense_stepper_hamiltonians(self, monkeypatch):
-        # every composite Hamiltonian the expm-midpoint stepper exponentiates
-        seen = []
-
-        def checked(H, t):
-            self.assert_matches_expm(H, t)
-            seen.append(H.shape)
-            return hermitian_expm(H, t)
-
-        monkeypatch.setattr(dyn, "hermitian_expm", checked)
-        p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.4, v=0.5, T=2.0,
-                            beta_c=2.0, beta_h=0.125)
-        sched = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
-        dyn.run_cycle(p, sched, qw.harmonic_system(1.3, 6),
-                      config=dyn.PropagatorConfig(stepper="expm-midpoint"))
-        assert len(seen) > 100 and set(seen) == {(18, 18)}
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_instantaneous_eigenbasis(self, N):

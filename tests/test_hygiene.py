@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
-imports are the public API it re-exports), and importing the package
-loads NumPy and the standard library only."""
+imports are the public API it re-exports), the test oracles import no
+private name of the package, and importing the package loads NumPy and
+the standard library only."""
 
 import ast
 import os
@@ -41,6 +42,34 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_package_imports(source: str) -> list:
+    """(module, name) of each import in `source` of an underscore-prefixed
+    module or name of qstatwork."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qstatwork"):
+            found += [(node.module, alias.name) for alias in node.names
+                      if "._" in f"{node.module}.{alias.name}"]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, "") for alias in node.names
+                      if alias.name.partition(".")[0] == "qstatwork" and "._" in alias.name]
+    return found
+
+
+def test_detects_private_package_import():
+    assert private_package_imports(
+        "import qstatwork._quad\nfrom qstatwork import dynamics, _quad\n"
+        "from qstatwork.hilbert import _spin_xyz, thermal_state\nfrom os import _exit\n"
+    ) == [("qstatwork._quad", ""), ("qstatwork", "_quad"), ("qstatwork.hilbert", "_spin_xyz")]
+
+
+def test_oracles_import_no_private_package_name():
+    # an oracle checks the package from outside: it may use the public API,
+    # and `sweeps._direct_moment`, whose docstring says why
+    found = private_package_imports((ROOT / "tests" / "oracles.py").read_text())
+    assert found == [("qstatwork.sweeps", "_direct_moment")]
 
 
 def test_import_loads_no_scipy_or_mpmath():
