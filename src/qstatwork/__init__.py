@@ -58,6 +58,7 @@ from .dynamics import (
     adiabaticity_witness,
     apply_impulse,
     run_cycle,
+    run_cycles,
     thermal_reset,
 )
 from .fermi import (

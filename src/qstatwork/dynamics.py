@@ -128,7 +128,8 @@ class _Sector:
     """One irreducible engine block: spin operators, rotation eigensystem,
     and the coupling operator V_R = 2 Sx."""
 
-    def __init__(self, sx, sy, sz_diag, mult):
+    def __init__(self, sx, sy, sz_diag, mult, key):
+        self.key = key              # equal keys: the same block in two runs
         self.sx = sx
         self.sz_diag = np.asarray(sz_diag, dtype=float)
         self.mult = float(mult)
@@ -164,12 +165,13 @@ class _Sector:
 
 def _spin_sector(n_eff: int, mult: float) -> _Sector:
     sx, sy, sz, m = _spin_xyz(n_eff)
-    return _Sector(sx, sy, np.real(np.diag(sz)), mult)
+    return _Sector(sx, sy, np.real(np.diag(sz)), mult, ("spin", n_eff))
 
 
 def _full_sector(N: int) -> _Sector:
     sz = _product_sum(N, 2)
-    return _Sector(_product_sum(N, 0), _product_sum(N, 1), np.real(np.diag(sz)), 1.0)
+    return _Sector(_product_sum(N, 0), _product_sum(N, 1), np.real(np.diag(sz)), 1.0,
+                   ("full", N))
 
 
 def _block_multiplicity(N: int, k: int) -> int:
@@ -232,6 +234,37 @@ def _product_factor(rho_e, mu, W):
     lam, V = np.linalg.eigh(rho_e)
     y = np.einsum("ia,sb->iabs", V, W).reshape(V.shape[0], -1, W.shape[0])
     return y, np.multiply.outer(lam, mu).ravel()
+
+
+def _same_factor(a, b) -> bool:
+    """Whether two runs' sigma_S factors (mu, W) are equal, so that a block
+    held by both has one factor Psi for the two."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _shared_blocks(runs, factors, params, t0, beta):
+    """The distinct spin blocks of the runs (one list of sectors per run),
+    each with one factor for every run that holds it: (sector, Psi,
+    members), one member (run, multiplicity, weights, their sum, columns
+    of Psi) per holder.  The Gibbs blocks of one spin differ between runs only in Z, so
+    runs with equal sigma_S factors (mu, W) share the block's columns, with
+    weights from their own Gibbs block; runs whose factors differ stack
+    their columns in Psi."""
+    held = {}
+    for i, sectors in enumerate(runs):
+        for sector, rho_e in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
+            held.setdefault(sector.key, (sector, []))[1].append((i, sector.mult, rho_e))
+    for sector, holders in held.values():
+        cols, ys, members = {}, [], []
+        for i, mult, rho_e in holders:
+            owner = next((j for j in cols if _same_factor(factors[j], factors[i])), i)
+            y, w = _product_factor(rho_e, *factors[owner])
+            if owner not in cols:
+                start = sum(x.shape[1] for x in ys)
+                cols[owner] = slice(start, start + y.shape[1])
+                ys.append(y)
+            members.append((i, mult, w, float(w.sum()), cols[owner]))
+        yield sector, ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1), members
 
 
 def _rotate(y, A, B):
@@ -464,13 +497,13 @@ class _Diag:
     dropped_weight: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def merge_state(self, y, w, tr0):
-        """Fold in one sampled factor; returns its reduced system state."""
+    def merge_state(self, y, w, tr0, isometry):
+        """Fold in one sampled factor, whose columns are off the isometry
+        by `isometry`; returns its reduced system state."""
         red = _reduced_system(y, w)
         self.trace_drift = max(self.trace_drift, abs(float(np.trace(red).real) - tr0))
         self.herm_drift = max(self.herm_drift, float(np.max(np.abs(red - red.conj().T))))
-        self.isometry = max(self.isometry, _isometry_drift(
-            y.transpose(1, 0, 2).reshape(y.shape[1], -1).T))
+        self.isometry = max(self.isometry, isometry)
         return red
 
     def as_dict(self, extra=None):
@@ -484,6 +517,19 @@ class _Diag:
             **self.extra,
             **(extra or {}),
         }
+
+
+def _merged(diags, y, members):
+    """(run, multiplicity, trace, reduced system state) for each member
+    (run, multiplicity, weights, trace, columns) of the sampled factor y,
+    folded into the run's diagnostics.  Runs that share columns share
+    their isometry drift, taken once."""
+    drift = {}
+    for i, mult, w, tr0, cols in members:
+        x = y[:, cols]
+        if cols.start not in drift:
+            drift[cols.start] = _isometry_drift(x.transpose(1, 0, 2).reshape(x.shape[1], -1).T)
+        yield i, mult, tr0, diags[i].merge_state(x, w, tr0, drift[cols.start])
 
 
 def _reduced_leakage(sigma_s: np.ndarray) -> float:
@@ -646,15 +692,38 @@ def run_cycle(
     Impulse schedules use free factorized propagation plus the exact
     kick; smooth schedules are stepped.
     """
-    stats = Statistics(statistics) if statistics is not None else params.statistics
+    stats = statistics if statistics is not None else params.statistics
+    return run_cycles(params, schedule, system, (stats,), config)[0]
+
+
+def run_cycles(
+    params: EngineParams,
+    schedule: CouplingSchedule,
+    system: ExternalSystem,
+    statistics: tuple = (Statistics.BOSE, Statistics.DISTINGUISHABLE),
+    config: PropagatorConfig = None,
+) -> list:
+    """run_cycle for each of `statistics`, one CycleResult each, with
+    every distinct spin block propagated once per stroke.
+
+    A block held by several runs (the top spin j = N/2 of Bose and
+    distinguishable engines) evolves under one Hamiltonian with one dt, so
+    its factor is built once: runs whose sigma_S are equal share its
+    columns (every run in stroke 1, where sigma_S is the ground state, and
+    Bose and distinguishable throughout at N = 1), and runs whose sigma_S
+    differ stack theirs.  The health diagnostics of each run are taken on
+    its own columns.
+    """
+    stats = [Statistics(s) for s in statistics]
     config = config or PropagatorConfig()
     check_schedule_cycle(params, schedule)
-    sectors = _build_sectors(params, stats, config)
-    if isinstance(schedule, Impulse):
-        sigma_s, diag, energies = _run_impulse(params, schedule, system, sectors, config)
-    else:
-        sigma_s, diag, energies = _run_smooth(params, schedule, system, sectors, config)
+    runs = [_build_sectors(params, s, config) for s in stats]
+    run = _run_impulse if isinstance(schedule, Impulse) else _run_smooth
+    return [_cycle_result(system, s, sectors, *out)
+            for s, sectors, out in zip(stats, runs, run(params, schedule, system, runs, config))]
 
+
+def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResult:
     pops = np.real(np.diag(sigma_s))
     diag.leakage = max(diag.leakage, _reduced_leakage(sigma_s))
     if diag.unitarity > UNITARITY_TOL:
@@ -693,85 +762,103 @@ def _system_energy(sigma_s, system) -> float:
     return float(np.real(np.diag(sigma_s)) @ np.asarray(system.energies))
 
 
-def _run_impulse(params, schedule, system, sectors, config):
-    diag = _Diag()
+def _run_impulse(params, schedule, system, runs, config):
+    """(sigma_S, diagnostics, energies) per run: the engine chain up to the
+    kick is taken once, and each distinct block is kicked once."""
     t1 = schedule.t1
     half = params.T / 2
     dS = system.dim
     cap = _resolve_dt(params, system, config, half)[0]
     in_first = t1 < half
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
-    blocks = _sector_thermal(sectors, params, t0, beta)
-    mu, W = np.ones(1), np.eye(dS)[:, :1]          # the system's ground state
-    sigma_s = np.zeros((dS, dS), dtype=complex)
+    ground = (np.ones(1), np.eye(dS)[:, :1])          # the system's ground state
+    diags = [_Diag() for _ in runs]
+    sigmas = [np.zeros((dS, dS), dtype=complex) for _ in runs]
     s_vals, s_vecs = np.linalg.eigh(system.matrix)
     a, b, n = _engine_chain(params, t0, t1, cap)
-    for sector, rho_e in zip(sectors, blocks):
-        diag.unitarity = max(diag.unitarity, sector.unitarity_residual())
-        y, w = _product_factor(rho_e, mu, W)
+    for sector, y, members in _shared_blocks(runs, [ground] * len(runs), params, t0, beta):
         y = _rotate(y, sector.lift(a, b), np.eye(dS))
         y = _kick(y, sector.vr_vecs, s_vecs,
                   np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals)))
-        sigma_s += sector.mult * diag.merge_state(y, w, float(w.sum()))
-    diag.extra = {"dt": (t1 - t0) / n if n else None, "n_engine_steps": n}
-    # free evolution after the kick (and the reset, if the kick came first)
-    # leaves the measured diagonal of sigma_S unchanged.
-    diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
-    energies = [
-        {"t": 0.0, "system_energy": 0.0},
-        {"t": half, "system_energy": _system_energy(sigma_s, system) if in_first else 0.0},
-        {"t": params.T, "system_energy": _system_energy(sigma_s, system)},
-    ]
-    return sigma_s, diag, energies
+        for i, mult, _, red in _merged(diags, y, members):
+            diags[i].unitarity = max(diags[i].unitarity, sector.unitarity_residual())
+            sigmas[i] += mult * red
+    out = []
+    for sigma_s, diag in zip(sigmas, diags):
+        diag.extra = {"dt": (t1 - t0) / n if n else None, "n_engine_steps": n}
+        # free evolution after the kick (and the reset, if the kick came
+        # first) leaves the measured diagonal of sigma_S unchanged.
+        diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
+        energies = [
+            {"t": 0.0, "system_energy": 0.0},
+            {"t": half, "system_energy": _system_energy(sigma_s, system) if in_first else 0.0},
+            {"t": params.T, "system_energy": _system_energy(sigma_s, system)},
+        ]
+        out.append((sigma_s, diag, energies))
+    return out
 
 
-def _run_smooth(params, schedule, system, sectors, config):
-    """Each stroke propagates, per sector, the factor of rho_E (x) sigma_S
-    (rank dE in stroke 1, where sigma_S is the ground state)."""
-    diag = _Diag()
+def _run_smooth(params, schedule, system, runs, config):
+    """(sigma_S, diagnostics, energies) per run.  Each stroke propagates,
+    per distinct block (_shared_blocks), the factor of rho_E (x) sigma_S
+    (rank dE per distinct sigma_S in stroke 1, where sigma_S is the ground
+    state)."""
     half = params.T / 2
     dS = system.dim
     dt, n_steps = _resolve_dt(params, system, config, half)
     sigma_s = np.zeros((dS, dS), dtype=complex)
     sigma_s[0, 0] = 1.0
-    energies = [{"t": 0.0, "system_energy": 0.0}]
+    sigmas = [sigma_s] * len(runs)
+    diags = [_Diag() for _ in runs]
+    energies = [[{"t": 0.0, "system_energy": 0.0}] for _ in runs]
     eps = np.asarray(system.energies, dtype=float)
-    trace_rows = {}
-    walls, ranks = [], []
-    split_steps = block_steps = 0
+    trace_rows = [{} for _ in runs]
+    ranks = [[] for _ in runs]
+    walls = []
     for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
         wall = time.perf_counter()
-        mu, W, dropped = _system_factor(sigma_s)
-        diag.dropped_weight += dropped
-        sigma_s = np.zeros((dS, dS), dtype=complex)
-        ranks.append([])
-        for sector, rho_e in zip(sectors, _sector_thermal(sectors, params, t_start, beta)):
-            y, w = _product_factor(rho_e, mu, W)
-            ranks[-1].append(w.size)
-            tr0 = float(w.sum())
+        factors = []
+        for i, sigma_s in enumerate(sigmas):
+            mu, W, dropped = _system_factor(sigma_s)
+            diags[i].dropped_weight += dropped
+            factors.append((mu, W))
+            ranks[i].append([])
+        sigmas = [np.zeros((dS, dS), dtype=complex) for _ in runs]
+        for sector, y, members in _shared_blocks(runs, factors, params, t_start, beta):
 
-            def sample(k, y, sector=sector, w=w, tr0=tr0):
-                red = diag.merge_state(y, w, tr0)
-                diag.leakage = max(diag.leakage, _reduced_leakage(red) / max(tr0, 1e-300))
-                if config.collect_trace:
-                    pops = np.real(np.diag(red))
-                    row = trace_rows.setdefault(round(t_start + (k + 1) * dt, 12), np.zeros(3))
-                    row += sector.mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
+            def sample(k, y, members=members):
+                for i, mult, tr0, red in _merged(diags, y, members):
+                    diags[i].leakage = max(diags[i].leakage,
+                                           _reduced_leakage(red) / max(tr0, 1e-300))
+                    if config.collect_trace:
+                        pops = np.real(np.diag(red))
+                        row = trace_rows[i].setdefault(round(t_start + (k + 1) * dt, 12),
+                                                       np.zeros(3))
+                        row += mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
 
             y, residual = _split_evolve(sector, system, params, schedule, dt, y, t_start,
                                         n_steps, sample)
-            diag.unitarity = max(diag.unitarity, residual)
-            if not sector.free:
-                split_steps += n_steps
-                if sector.dim * dS <= CHAIN_DIM:       # multiplied, not stepped
-                    block_steps += n_steps
-            sigma_s += sector.mult * _reduced_system(y, w)
-        diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
-        sigma_s = (sigma_s + sigma_s.conj().T) / 2
-        energies.append({"t": t_start + half, "system_energy": _system_energy(sigma_s, system)})
+            for i, mult, w, _, cols in members:
+                diags[i].unitarity = max(diags[i].unitarity, residual)
+                ranks[i][-1].append(w.size)
+                sigmas[i] += mult * _reduced_system(y[:, cols], w)
+        for i, sigma_s in enumerate(sigmas):
+            diags[i].trace_drift = max(diags[i].trace_drift,
+                                       abs(float(np.trace(sigma_s).real) - 1.0))
+            sigmas[i] = (sigma_s + sigma_s.conj().T) / 2
+            energies[i].append({"t": t_start + half,
+                                "system_energy": _system_energy(sigmas[i], system)})
         walls.append(time.perf_counter() - wall)
-    diag.extra = {"dt": dt, "n_steps_per_half": n_steps, "split_steps": split_steps,
-                  "block_steps": block_steps, "stroke_wall_s": walls, "factor_rank": ranks}
-    if config.collect_trace:
-        diag.extra["trace"] = [(t, *map(float, row)) for t, row in sorted(trace_rows.items())]
-    return sigma_s, diag, energies
+    out = []
+    for sectors, sigma_s, diag, rank, rows, energy in zip(runs, sigmas, diags, ranks,
+                                                           trace_rows, energies):
+        # a run's step counts are those of its own blocks, shared or not
+        stepped = [s for s in sectors if not s.free]
+        diag.extra = {"dt": dt, "n_steps_per_half": n_steps,
+                      "split_steps": 2 * n_steps * len(stepped),
+                      "block_steps": 2 * n_steps * sum(s.dim * dS <= CHAIN_DIM for s in stepped),
+                      "stroke_wall_s": list(walls), "factor_rank": rank}
+        if config.collect_trace:
+            diag.extra["trace"] = [(t, *map(float, row)) for t, row in sorted(rows.items())]
+        out.append((sigma_s, diag, energy))
+    return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import analytics, fermi as fermi_mod
-from .dynamics import PRODUCT_MODES, PropagatorConfig, run_cycle
+from .dynamics import PRODUCT_MODES, PropagatorConfig, run_cycle, run_cycles
 from .errors import ConfigError, QstatworkError
 from .protocols import (
     EngineParams,
@@ -60,19 +60,21 @@ def _write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(path, payload):
-    """Write a manifest: `payload` with the `environment()` of the run."""
+def _write_manifest(path, payload, workers: int = 1):
+    """Write a manifest: `payload` with the `environment(workers)` of the run."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dict(payload, environment=environment()), fh, indent=2, sort_keys=True)
+        json.dump(dict(payload, environment=environment(workers)), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def environment() -> dict:
+def environment(workers: int = 1) -> dict:
     """The software and machine behind a run: the Python and NumPy
     versions, the BLAS NumPy was built with, the cores this process may
-    run on and the git revision of the checkout holding the package
-    (None outside one)."""
+    run on, the `workers` processes the run used, the OpenBLAS thread
+    count of this process (None under another BLAS; each pool worker runs
+    one) and the git revision of the checkout holding the package (None
+    outside one)."""
     import platform
 
     try:
@@ -85,6 +87,8 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": blas_name,
         "cores": len(os.sched_getaffinity(0)),
+        "workers": workers,
+        "blas_threads": _blas_threads(),
         "git_revision": _git_revision(),
     }
 
@@ -211,20 +215,15 @@ def _build_case(cfg: dict):
     return engine, schedule, system
 
 
-def _both_cases(engine, schedule, system) -> list:
-    """`_timed_cycle` inputs for indistinguishable, then distinguishable
-    engines."""
-    return [(engine, schedule, system, s) for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE)]
-
-
-def _timed_cycle(case) -> tuple:
-    """run_cycle on one (engine, schedule, system, statistics) case: its
-    average work and its diagnostics, plus `cycle_wall_s`, the cycle's
-    wall time where it ran."""
-    engine, schedule, system, statistics = case
+def _timed_cycles(case) -> list:
+    """run_cycles on one (engine, schedule, system) case, indistinguishable
+    then distinguishable engines: per run its average work and its
+    diagnostics, plus `cycle_wall_s`, its even share of the call's wall
+    time where it ran."""
     t0 = time.perf_counter()
-    res = run_cycle(engine, schedule, system, statistics=statistics)
-    return res.work.avg_work, dict(res.diagnostics, cycle_wall_s=time.perf_counter() - t0)
+    results = run_cycles(*case)
+    wall = (time.perf_counter() - t0) / len(results)
+    return [(res.work.avg_work, dict(res.diagnostics, cycle_wall_s=wall)) for res in results]
 
 
 def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
@@ -251,37 +250,61 @@ def worker_count(requested: int, n_inputs: int) -> int:
     return max(1, min(requested, len(os.sched_getaffinity(0)), n_inputs))
 
 
-# names of OpenBLAS's thread-count setter in the builds NumPy ships with
-_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                         "openblas_set_num_threads")
+# names of OpenBLAS's thread-count setter and getter ("set" or "get" for
+# {}) in the builds NumPy ships with
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
 
 
-def _one_blas_thread():
-    """Pool initializer: run the OpenBLAS that NumPy loaded on one thread.
-
-    The workers already take the cores, and OpenBLAS threads that compete
-    for them are slow: on 2 cores, `figure fig3a` on 2 workers with 2
-    OpenBLAS threads each took 5x as long as one process.  A BLAS other
-    than OpenBLAS keeps its own setting.
-    """
+@functools.cache
+def _openblas_threads(verb: str) -> tuple:
+    """OpenBLAS's `verb`_num_threads function ("set" or "get"), typed, in
+    each OpenBLAS this process has loaded (NumPy's, loaded on import, so
+    looked up once per process); empty under another BLAS."""
     import ctypes
 
+    argtypes, restype = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}[verb]
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
     except OSError:
-        return
+        return ()
+    fns = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+        name = next((n.format(verb) for n in _OPENBLAS_THREADS if hasattr(lib, n.format(verb))),
+                    None)
+        if name is not None:
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
+            fns.append(fn)
+    return tuple(fns)
+
+
+def _one_blas_thread():
+    """Run the OpenBLAS that NumPy loaded on one thread: the pool
+    initializer, and the first step of every CLI command.
+
+    The workers already take the cores, and OpenBLAS threads that compete
+    for them are slow: on 2 cores, `figure fig3a` on 2 workers with 2
+    OpenBLAS threads each took 5x as long as one process.  One process's
+    products are too small to gain from a second thread, and slow down
+    when another process competes for the cores: `figure fig3a` in one
+    process took 1.24-1.26x as long on OpenBLAS's default 2 threads in two
+    runs, and as long in two others.  A BLAS other than OpenBLAS keeps its
+    own setting.
+    """
+    for setter in _openblas_threads("set"):
+        setter(1)
+
+
+def _blas_threads():
+    """The thread count of the OpenBLAS that NumPy loaded, or None."""
+    getters = _openblas_threads("get")
+    return getters[0]() if getters else None
 
 
 def parallel_map(fn, inputs, workers: int = 1) -> list:
@@ -408,7 +431,7 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
             sqrt_work_ratio=math.sqrt(rec_b.avg_work / w1) if w1 > 0 else math.nan,
         )
     if method in ("numerical", "both"):
-        (wb, _), (wd, _) = map(_timed_cycle, _both_cases(engine, schedule, system))
+        (wb, _), (wd, _) = _timed_cycles((engine, schedule, system))
         out.update(work_indist_numeric=wb, work_dist_numeric=wd, enhancement_numeric=wb / wd)
     return out
 
@@ -467,7 +490,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
         "wall_time_s": time.time() - t_start,
         "cell_wall_s": [wall for *_, wall in results],
     }
-    _write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_manifest(os.path.join(out_dir, "manifest.json"), manifest,
+                    worker_count(threads, len(cells)))
     return manifest
 
 
@@ -488,18 +512,18 @@ def _fig2_engine(N, delta_frac):
 
 def _impulse_runs(n_values=range(1, 9), deltas=(0.0, 1.4, 4.2), workers: int = 1):
     """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
-    `_timed_cycle` diagnostics of every run_cycle (indistinguishable, then
-    distinguishable, per row), the cycles run on `workers` processes."""
+    `_timed_cycles` diagnostics of every run (indistinguishable, then
+    distinguishable, per row), the rows' cycles run on `workers` processes."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 10)
     schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
     engines = [(N, delta_frac, _fig2_engine(N, delta_frac))
                for delta_frac in deltas for N in n_values]
-    runs = parallel_map(_timed_cycle, [case for *_, engine in engines
-                                       for case in _both_cases(engine, schedule, system)], workers)
+    runs = parallel_map(_timed_cycles, [(engine, schedule, system) for *_, engine in engines],
+                        workers)
     rows = [[N, delta_frac, analytics.enhancement(engine, schedule, system)[0], wb / wd]
-            for (N, delta_frac, engine), (wb, _), (wd, _) in zip(engines, runs[::2], runs[1::2])]
-    return rows, [diag for _, diag in runs]
+            for (N, delta_frac, engine), ((wb, _), (wd, _)) in zip(engines, runs)]
+    return rows, [diag for pair in runs for _, diag in pair]
 
 
 def _sqrt_work_rows(x_values):
@@ -511,18 +535,17 @@ def _sqrt_work_rows(x_values):
 
 def _fig3_data(workers: int = 1):
     """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
-    `_timed_cycle` diagnostics of every run_cycle, the cycles run on
+    `_timed_cycles` diagnostics of every run, the cycles of each N run on
     `workers` processes."""
     T = 20.0
     system = harmonic_system(2 * math.pi * 0.05 / T, 16)
     schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
     n_values = range(1, 7)
-    cases = [case for N in n_values
-             for case in _both_cases(_fig2_engine(N, 0.0), schedule, system)]
+    cases = [(_fig2_engine(N, 0.0), schedule, system) for N in n_values]
     # longest first (the cost grows with N), so that the pool ends on short cycles
-    runs = parallel_map(_timed_cycle, cases[::-1], workers)[::-1]
-    data = [(N, wb, wd) for N, (wb, _), (wd, _) in zip(n_values, runs[::2], runs[1::2])]
-    return data, [diag for _, diag in runs]
+    runs = parallel_map(_timed_cycles, cases[::-1], workers)[::-1]
+    data = [(N, wb, wd) for N, ((wb, _), (wd, _)) in zip(n_values, runs)]
+    return data, [diag for pair in runs for _, diag in pair]
 
 
 def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
@@ -541,15 +564,15 @@ def _figure_fig2b(workers=1):
     return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, _check_sqrt_scaling(rows), {}
 
 
-def _figure_fig3a(workers=1):
-    data, diags = _fig3_data(workers)
+def _figure_fig3a(workers, fig3):
+    data, diags = fig3
     rows = [[N, wb, math.sqrt(wb / data[0][1])] for N, wb, _ in data]
     return (["N", "work_indist_numeric", "sqrt_work_ratio"], rows, _check_fig3(data),
             {"cycles": _cycle_summary(diags)})
 
 
-def _figure_fig3b(workers=1):
-    data, diags = _fig3_data(workers)
+def _figure_fig3b(workers, fig3):
+    data, diags = fig3
     return (["N", "E_ratio_numeric"], [[N, wb / wd] for N, wb, wd in data], _check_fig3(data),
             {"cycles": _cycle_summary(diags)})
 
@@ -569,13 +592,16 @@ def _figure_figs1(workers=1):
 
 @dataclass(frozen=True)
 class FigureTarget:
-    # (worker processes for its run_cycle calls; closed-form figures make
-    # none) -> (CSV columns, rows, (ok, detail) of the check, what the
-    # manifest records of the work: the `_cycle_summary` of its run_cycle
-    # calls, or the quadrature of its region map)
+    # run: (worker processes for its run_cycles calls; closed-form figures
+    # make none[, then the output of `shared`]) -> (CSV columns, rows,
+    # (ok, detail) of the check, what the manifest records of the work:
+    # the `_cycle_summary` of its runs, or the quadrature of its region map)
     run: object
     description: str
     preset: dict
+    # a function of the worker count computing data that other targets
+    # share, once per command for all of them (run_figure's `shared`)
+    shared: object = None
 
 
 FIGURES = {
@@ -585,9 +611,11 @@ FIGURES = {
     "fig2b": FigureTarget(_figure_fig2b, "sqrt of work ratio over (N, beta_c E_0), Delta = 0",
                           {"beta_c_E0": "0.25..4", "N": "1..40"}),
     "fig3a": FigureTarget(_figure_fig3a, "nonperturbative work scaling, indistinguishable",
-                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"}),
+                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"},
+                          _fig3_data),
     "fig3b": FigureTarget(_figure_fig3b, "nonperturbative enhancement scaling",
-                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"}),
+                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"},
+                          _fig3_data),
     "fig4even": FigureTarget(functools.partial(_figure_fig4, (2, 4)),
                              "fermionic parity law, even N",
                              {"Delta": 1.0, "beta_c_E0": 1.0, "beta_h_EH": 0.125}),
@@ -599,8 +627,8 @@ FIGURES = {
 
 
 def _cycle_summary(diags) -> dict:
-    """A figure's run_cycle diagnostics for its manifest: the worst health
-    indicators, the summed step counts and every cycle's wall time."""
+    """A figure's run diagnostics for its manifest: the worst health
+    indicators, the summed step counts and each run's `cycle_wall_s`."""
     out = {f"{key}_max": max(d[key] for d in diags)
            for key in ("isometry_drift", "trace_drift", "dropped_weight")}
     out.update({f"{key}_total": sum(d[key] for d in diags)
@@ -611,27 +639,38 @@ def _cycle_summary(diags) -> dict:
     return out
 
 
-def run_figure(fig_id: str, out_dir: str, workers: int = 1) -> tuple:
+def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None) -> tuple:
     """Regenerate one figure's data CSV and run its criterion check on it,
-    its run_cycle calls on `workers` processes (`parallel_map`).
+    its run_cycles calls on `workers` processes (`parallel_map`).
 
-    Returns the check's (ok, detail).
+    `shared` maps each `FigureTarget.shared` function to its output and is
+    filled here: the figures of one command pass one dict, so that data
+    they share is computed once, and a figure that finds its data there
+    records only its own wall time.  Returns the check's (ok, detail).
     """
     if fig_id not in FIGURES:
         raise ConfigError(f"unknown figure id '{fig_id}'; choose from {sorted(FIGURES)}")
     t0 = time.time()
-    columns, rows, (ok, detail), work = FIGURES[fig_id].run(workers)
+    target, shared = FIGURES[fig_id], {} if shared is None else shared
+    args = ()
+    if target.shared is not None:
+        if target.shared not in shared:
+            shared[target.shared] = target.shared(workers)
+        args = (shared[target.shared],)
+    columns, rows, (ok, detail), work = target.run(workers, *args)
+    # the tasks of a figure with cycles are its run_cycles calls, two runs each
+    pool = worker_count(workers, work["cycles"]["n_cycles"] // 2) if "cycles" in work else 1
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     _write_manifest(os.path.join(out_dir, "manifest.json"), {
         "figure": fig_id,
-        "description": FIGURES[fig_id].description,
-        "preset": FIGURES[fig_id].preset,
+        "description": target.description,
+        "preset": target.preset,
         "tool_version": _VERSION,
         "n_rows": len(rows),
         "failures": [] if ok else [detail],
         "wall_time_s": time.time() - t0,
         **work,
-    })
+    }, pool)
     return ok, detail
 
 
@@ -644,7 +683,7 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1) -> tuple:
 def run_verify(seed: int = 0, fast: bool = False, workers: int = 1) -> list:
     """Criteria 1, 2, 5, 8 and (full runs only) 3 at verify sizes:
     (name, ok, detail) per check. Every check runs whatever the others give;
-    criterion 3's run_cycle calls run on `workers` processes."""
+    criterion 3's run_cycles calls run on `workers` processes."""
     rng = np.random.default_rng(seed)
     checks = [
         ("moment-oracles", *_check_moment_oracles()),
@@ -959,9 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rg.add_argument("--omegat-max", type=float, default=10 * math.pi)
     p_rg.add_argument("--omegat-points", type=int, default=24)
 
-    p_fig = subs.add_parser("figure", help="regenerate a figure dataset and assert it")
+    p_fig = subs.add_parser("figure", help="regenerate figure datasets and assert them")
     _add_common(p_fig)
-    p_fig.add_argument("id", choices=sorted(FIGURES))
+    p_fig.add_argument("ids", nargs="+", choices=sorted(FIGURES), metavar="id",
+                       help=f"one or more of {sorted(FIGURES)}")
 
     p_vf = subs.add_parser("verify", help="full oracle/inequality property battery")
     _add_common(p_vf, seed=True)
@@ -983,6 +1023,7 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    _one_blas_thread()
     try:
         return _dispatch(args)
     except ConfigError as exc:
@@ -1058,9 +1099,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "figure":
-        ok, detail = run_figure(args.id, out_dir, _threads_of(args))
-        print(f"{'PASS' if ok else 'FAIL'} [{args.id}] {detail}; data in {out_dir}/data.csv")
-        return 0 if ok else 1
+        # one id writes into out_dir, several each into out_dir/<id>
+        ids, shared, failed = list(dict.fromkeys(args.ids)), {}, False
+        for fig_id in ids:
+            fig_dir = out_dir if len(ids) == 1 else os.path.join(out_dir, fig_id)
+            ok, detail = run_figure(fig_id, fig_dir, _threads_of(args), shared)
+            print(f"{'PASS' if ok else 'FAIL'} [{fig_id}] {detail}; data in {fig_dir}/data.csv")
+            failed |= not ok
+        return 1 if failed else 0
 
     if args.command == "verify":
         checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast,

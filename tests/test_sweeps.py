@@ -364,14 +364,61 @@ class TestCli:
         T = 20.0
         system = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
         schedule = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
-        diags = [sw._timed_cycle(case)[1]
-                 for case in sw._both_cases(sw._fig2_engine(2, 0.0), schedule, system)]
+        diags = [diag for _, diag in sw._timed_cycles((sw._fig2_engine(2, 0.0), schedule, system))]
         n = diags[0]["n_steps_per_half"]
         assert [d["split_steps"] for d in diags] == [2 * n, 2 * n]
         assert [d["sectors"] for d in diags] == [[[3, 1]], [[3, 1], [1, 1]]]
         cycles = sw._cycle_summary(diags)
         assert cycles["split_steps_total"] == 4 * n
         assert cycles["n_steps_per_half_total"] == 2 * n
+
+    def test_cli_runs_blas_on_one_thread(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sw, "_one_blas_thread", lambda: calls.append(1))
+        assert sw.cli_main(["analytic", "--N", "1"]) == 0
+        assert calls == [1]
+
+    def test_manifests_record_workers_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QSTAT_THREADS", "2")
+        assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path / "fig2a")]) == 0
+        assert sw.cli_main(["figure", "fig2b", "--out", str(tmp_path / "fig2b")]) == 0
+        sw.run_sweep(BOTH_SPEC, threads=2, out_dir=str(tmp_path / "sweep"))
+        # fig2b is closed-form and runs in this process
+        for name, workers in (("fig2a", min(2, CORES)), ("fig2b", 1), ("sweep", min(2, CORES))):
+            env = json.loads((tmp_path / name / "manifest.json").read_text())["environment"]
+            assert env["workers"] == workers, name
+            # cli_main set OpenBLAS to one thread in this process
+            assert env["blas_threads"] == sw._blas_threads() and env["blas_threads"] in (1, None)
+
+    def test_figure_ids_share_their_data(self, tmp_path, monkeypatch, capsys):
+        # fig3a and fig3b from one command compute their Fig.-3 data once and
+        # write what two single-id commands write, here on short stand-in
+        # cycles for the Fig.-3 ones
+        assert sw.FIGURES["fig3a"].shared is sw.FIGURES["fig3b"].shared is sw._fig3_data
+        engine, schedule, system = sw._build_case(
+            {section: dict(fields) for section, fields in BOTH_SPEC.fixed.items()})
+        calls = []
+
+        def fig3_data(workers):
+            calls.append(workers)
+            runs = [sw._timed_cycles((replace(engine, N=N), schedule, system)) for N in (1, 2)]
+            return ([(N, wb, wd) for N, ((wb, _), (wd, _)) in zip((1, 2), runs)],
+                    [diag for pair in runs for _, diag in pair])
+
+        for fig_id in ("fig3a", "fig3b"):
+            monkeypatch.setitem(sw.FIGURES, fig_id, replace(sw.FIGURES[fig_id], shared=fig3_data))
+        rc = sw.cli_main(["figure", "fig3a", "fig3b", "--out", str(tmp_path / "both")])
+        assert calls == [1]
+        for fig_id in ("fig3a", "fig3b"):
+            assert sw.cli_main(["figure", fig_id, "--out", str(tmp_path / fig_id)]) == rc
+        assert len(calls) == 3
+        for fig_id in ("fig3a", "fig3b"):
+            one, both = tmp_path / fig_id, tmp_path / "both" / fig_id
+            assert (both / "data.csv").read_bytes() == (one / "data.csv").read_bytes()
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (one, both)]
+            for m in manifests:             # all but the wall times
+                del m["wall_time_s"], m["cycles"]["cycle_wall_s"]
+            assert manifests[0] == manifests[1]
 
     def test_figure_figs1_manifest_records_quadrature(self, tmp_path):
         assert sw.cli_main(["figure", "figS1", "--out", str(tmp_path)]) == 0
