@@ -21,19 +21,7 @@ from .protocols import (
     omega_of_t,
     phase_integral,
 )
-from .hilbert import (
-    Composite,
-    DenseOperator,
-    DickeSector,
-    FullProduct,
-    HOTruncated,
-    QuantumState,
-    collective_spin_ops,
-    engine_hamiltonian,
-    instantaneous_eigenbasis,
-    product_spin_ops,
-    thermal_state,
-)
+from .hilbert import DenseOperator, HOTruncated, QuantumState
 from .analytics import (
     Amplitudes,
     MomentSet,
@@ -56,10 +44,8 @@ from .dynamics import (
     CycleResult,
     PropagatorConfig,
     adiabaticity_witness,
-    apply_impulse,
     run_cycle,
     run_cycles,
-    thermal_reset,
 )
 from .fermi import (
     FermiEnsemble,

@@ -668,18 +668,8 @@ def enhancement_region(
 
 
 # ---------------------------------------------------------------------------
-# asymptotics and inequality battery
+# Delta = 0 second moment and inequality battery
 # ---------------------------------------------------------------------------
-
-def quad_coeff_n2(x: float) -> float:
-    """Small-N quadratic coefficient f1(x) = x (x coth x - 1) cosh x / sinh^3 x."""
-    return x * (x / math.tanh(x) - 1) * math.cosh(x) / math.sinh(x) ** 3
-
-
-def quad_coeff_n1(x: float) -> float:
-    """Small-N linear coefficient f2(x) = 1 - (x coth x - 1)/sinh^2 x."""
-    return 1 - (x / math.tanh(x) - 1) / math.sinh(x) ** 2
-
 
 def delta0_second_moment(N: int, x) -> float:
     """Exact Delta = 0 second moment L_plus + L_minus = N(N+2)/2 - 2 f(N, x)
@@ -687,48 +677,6 @@ def delta0_second_moment(N: int, x) -> float:
     _, _, L_plus, L_minus = _weights(*_moment_args("delta0_second_moment", N, x), Statistics.BOSE)
     m = L_plus + L_minus
     return m if m.ndim else float(m)
-
-
-@dataclass(frozen=True, eq=False)
-class AsymptoticsReport:
-    x: float
-    N_values: np.ndarray
-    exact: np.ndarray
-    linear_asymptote: np.ndarray
-    quadratic_form: np.ndarray
-    crossover_N: float
-    n1_quadratic_residual: float
-
-
-def asymptotic_checks(params: EngineParams, N_max: int = 500) -> AsymptoticsReport:
-    """Compare the exact Delta = 0 second moment against its large-N line
-    coth(x) N - (coth(x) - 1) coth(x) and the small-N quadratic form.
-
-    The quadratic form is a leading small-x approximation: at N = 1 its
-    coefficient sum f1 + f2 tends to 1 only as x -> 0, and the residual
-    at the working x is reported rather than asserted away.
-    """
-    if params.Delta != 0.0:
-        raise DomainError("asymptotic_checks applies to Delta = 0 sweeps")
-    x = _x_at(params, 0.0)
-    coth = 1 / math.tanh(x)
-    Ns = np.unique(np.concatenate([
-        np.arange(1, min(41, N_max + 1)),
-        np.geomspace(1, N_max, 40).astype(int),
-    ]))
-    exact = np.array([delta0_second_moment(int(n), x) for n in Ns])
-    linear = coth * Ns - (coth - 1) * coth
-    f1, f2 = quad_coeff_n2(x), quad_coeff_n1(x)
-    quad = f1 * Ns.astype(float) ** 2 + f2 * Ns
-    return AsymptoticsReport(
-        x=x,
-        N_values=Ns,
-        exact=exact,
-        linear_asymptote=linear,
-        quadratic_form=quad,
-        crossover_N=1.0 / x,
-        n1_quadratic_residual=(f1 + f2) - 1.0,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,11 @@
 Otto cycle, with impulse kicks, thermalization resets, and the two-point
 energy measurement of the external system.
 
-Distinguishable ensembles are propagated either on the genuine 2^N
-product space or, by default, through the exact total-spin block
-decomposition: the product Hamiltonian, coupling and thermal states are
-all functions of total-spin operators, so the 2^N dynamics splits into
-independent spin-j sectors with known multiplicities.  Block and full
-propagation agree to rounding and the tests pin that equivalence.
+Distinguishable ensembles are propagated through the exact total-spin
+block decomposition: the product Hamiltonian, coupling and thermal
+states are all functions of total-spin operators, so the 2^N dynamics
+splits into independent spin-j sectors with known multiplicities.  The
+tests check whole cycles against a dense 2^N reference.
 
 Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
 step is one phase product and two matrix products, run in place on the
@@ -28,22 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import METHOD_NUMERICAL, WorkRecord
-from .errors import (
-    ConfigError,
-    InvalidSpaceError,
-    PropagationError,
-    ResourceLimitError,
-)
-from .hilbert import (
-    Composite,
-    DenseOperator,
-    HOTruncated,
-    QuantumState,
-    _product_sum,
-    _spin_xyz,
-    thermal_state,
-    trace_out_engine,
-)
+from .errors import ConfigError, PropagationError
+from .hilbert import HOTruncated, QuantumState, _spin_xyz
 from .protocols import (
     CouplingSchedule,
     EngineParams,
@@ -55,8 +40,6 @@ from .protocols import (
     phase_integral,
 )
 
-PRODUCT_MODES = ("blocked", "full")
-FULL_PRODUCT_CAP = 8          # largest N propagated on the genuine 2^N space
 SAMPLE_EVERY = 50             # steps between state-health samples
 GRID_CHUNK = 250              # steps per precomputed block of the stroke grid,
                               # a whole number of sample blocks
@@ -77,20 +60,14 @@ class PropagatorConfig:
 
     dt = None derives the step from the rule
     dt <= min(0.01 / E_max, 0.01 / omega_eff) with E_max = N max_t E_t;
-    an explicit dt above that cap is rejected.  product_mode selects, for
-    distinguishable runs, the exact spin-block decomposition ("blocked")
-    or the genuine 2^N space ("full", capped at N <= FULL_PRODUCT_CAP).
+    an explicit dt above that cap is rejected.  collect_trace records the
+    trace, top-two-level population and system energy at every sample.
     """
 
     dt: float = None
-    product_mode: str = "blocked"
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.product_mode not in PRODUCT_MODES:
-            raise ConfigError(
-                f"unknown product_mode {self.product_mode!r}; choose from {PRODUCT_MODES}"
-            )
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
 
@@ -121,7 +98,7 @@ class CycleResult:
 
 
 # ---------------------------------------------------------------------------
-# sectors: one collective-spin block (or the genuine product space)
+# sectors: one collective-spin block
 # ---------------------------------------------------------------------------
 
 class _Sector:
@@ -164,14 +141,8 @@ class _Sector:
 
 
 def _spin_sector(n_eff: int, mult: float) -> _Sector:
-    sx, sy, sz, m = _spin_xyz(n_eff)
-    return _Sector(sx, sy, np.real(np.diag(sz)), mult, ("spin", n_eff))
-
-
-def _full_sector(N: int) -> _Sector:
-    sz = _product_sum(N, 2)
-    return _Sector(_product_sum(N, 0), _product_sum(N, 1), np.real(np.diag(sz)), 1.0,
-                   ("full", N))
+    sx, sy, m = _spin_xyz(n_eff)
+    return _Sector(sx, sy, m, mult, ("spin", n_eff))
 
 
 def _block_multiplicity(N: int, k: int) -> int:
@@ -179,17 +150,13 @@ def _block_multiplicity(N: int, k: int) -> int:
     return math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
 
 
-def _build_sectors(params: EngineParams, statistics: Statistics, config: PropagatorConfig):
+def _build_sectors(params: EngineParams, statistics: Statistics, config=None):
+    """The spin blocks of a run: spin N/2 for Bose engines, every spin
+    j = N/2 - k with its multiplicity for distinguishable ones.  No setting
+    of config changes them; the benchmark's tracer passes one."""
     N = params.N
     if statistics is Statistics.BOSE:
         return [_spin_sector(N, 1.0)]
-    if config.product_mode == "full":
-        if N > FULL_PRODUCT_CAP:
-            raise ResourceLimitError(
-                f"full product space for N={N} exceeds the cap "
-                f"N <= {FULL_PRODUCT_CAP}"
-            )
-        return [_full_sector(N)]
     return [_spin_sector(N - 2 * k, _block_multiplicity(N, k)) for k in range(N // 2 + 1)]
 
 
@@ -624,55 +591,6 @@ def adiabaticity_witness(params: EngineParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# public composite-state operations
-# ---------------------------------------------------------------------------
-
-def _composite_dims(space) -> tuple[int, int]:
-    if not isinstance(space, Composite):
-        raise InvalidSpaceError("expected a state on a Composite space")
-    return space.engine.dim, space.system.dim
-
-
-def apply_impulse(state: QuantumState, g: float, V_R, V_S) -> QuantumState:
-    """Exact finite kick exp(-i g V_R (x) V_S) on a composite state.
-
-    The delta-pulse coupling integrates to this unitary.
-    """
-    dE, dS = _composite_dims(state.space)
-    vr = V_R.matrix if isinstance(V_R, DenseOperator) else np.asarray(V_R, dtype=complex)
-    vs = V_S.matrix if isinstance(V_S, DenseOperator) else np.asarray(V_S, dtype=complex)
-    r, P_r = np.linalg.eigh(vr)
-    s, P_s = np.linalg.eigh(vs)
-    res = _isometry_drift(P_r, P_s)
-    if res > UNITARITY_TOL:
-        raise PropagationError(f"kick eigenbasis not unitary: residual {res:.3e}")
-    phase = np.exp(-1j * g * np.multiply.outer(r, s))
-
-    def kick(m):    # U m, with the columns of m as a factor
-        y = _kick(m.reshape(dE, dS, -1).transpose(0, 2, 1), P_r, P_s, phase)
-        return y.transpose(0, 2, 1).reshape(m.shape)
-
-    rho = kick(kick(state.rho).conj().T)      # U (U rho)^dag = U rho U^dag
-    rho = (rho + rho.conj().T) / 2
-    return QuantumState(state.space, rho)
-
-
-def thermal_reset(state: QuantumState, H_E: DenseOperator, beta: float) -> QuantumState:
-    """Instantaneous isochore: rho -> Gibbs(beta, H_E) (x) Tr_E[rho].
-
-    The minimal channel that re-thermalizes the engines while keeping
-    the system marginal, discarding engine-system correlations; the
-    perturbative correlator factorizes across it exactly.
-    """
-    dE, dS = _composite_dims(state.space)
-    if H_E.dim != dE:
-        raise InvalidSpaceError("H_E dimension does not match the engine factor")
-    sigma_s = trace_out_engine(state.rho, dE, dS)
-    gibbs = thermal_state(H_E, beta).rho
-    return QuantumState(state.space, np.kron(gibbs, sigma_s))
-
-
-# ---------------------------------------------------------------------------
 # the cycle
 # ---------------------------------------------------------------------------
 
@@ -717,7 +635,7 @@ def run_cycles(
     stats = [Statistics(s) for s in statistics]
     config = config or PropagatorConfig()
     check_schedule_cycle(params, schedule)
-    runs = [_build_sectors(params, s, config) for s in stats]
+    runs = [_build_sectors(params, s) for s in stats]
     run = _run_impulse if isinstance(schedule, Impulse) else _run_smooth
     return [_cycle_result(system, s, sectors, *out)
             for s, sectors, out in zip(stats, runs, run(params, schedule, system, runs, config))]

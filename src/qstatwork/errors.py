@@ -5,14 +5,6 @@ class QstatworkError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidSpaceError(QstatworkError, ValueError):
-    """Operation received a Hilbert-space kind it does not support."""
-
-
-class ResourceLimitError(QstatworkError, RuntimeError):
-    """A configured size cap (memory) would be exceeded."""
-
-
 class DegenerateHamiltonianError(QstatworkError, ValueError):
     """Engine gap closes where the drive protocol requires it to stay open."""
 

@@ -149,7 +149,6 @@ def fermi_outcoupled_work(
     ens: FermiEnsemble,
     schedule: CouplingSchedule,
     system: ExternalSystem,
-    config=None,
 ) -> WorkRecord:
     """Outcoupled fermionic work: per-k runs weighted by P(k).
 
@@ -157,18 +156,15 @@ def fermi_outcoupled_work(
     (atoms at distinct trap levels) coupled to the shared system, weighted
     by its probability P(k) from active_distribution; a k with
     P(k) < WEIGHT_PRUNE * max P starts no run.  k = 1 always runs, as the
-    single-engine reference of enhancement_ratio.  The default blocked
-    propagation has no cap on k; a config with product_mode="full" raises
-    ResourceLimitError above its cap.
+    single-engine reference of enhancement_ratio.
     """
-    from .dynamics import PropagatorConfig, run_cycle
+    from .dynamics import run_cycle
 
     if not math.isinf(ens.beta_com) and ens.beta_omega < 2.0:
         raise DomainError(
             "outcoupled reduction assumes the dominant-configuration regime "
             "beta_com * omega_trap >= 2"
         )
-    config = config or PropagatorConfig()
     P = active_distribution(ens).tolist()
     floor = WEIGHT_PRUNE * max(P)
     p_bar = {i: 0.0 for i in range(1, system.dim)}
@@ -177,7 +173,7 @@ def fermi_outcoupled_work(
         if k > 1 and P[k] < floor:
             continue
         params_k = replace(ens.engine, N=k, statistics=Statistics.DISTINGUISHABLE)
-        rec = run_cycle(params_k, schedule, system, config=config).work
+        rec = run_cycle(params_k, schedule, system).work
         if k == 1:
             w1 = rec.avg_work
         w_bar += P[k] * rec.avg_work

@@ -323,17 +323,6 @@ def _trapezoid(y, x):
     return float(fn(y, x))
 
 
-def coupling_area(schedule: CouplingSchedule) -> float:
-    """Integral of g_C over the full cycle (trapezoid on the native grid
-    for sampled schedules; twin plateaus integrate to ~2g)."""
-    if isinstance(schedule, Impulse):
-        return schedule.g
-    if isinstance(schedule, Sampled):
-        return _trapezoid(schedule.values, schedule.times)
-    tt = np.linspace(0.0, schedule.T, 20001)
-    return _trapezoid(schedule._value(tt), tt)
-
-
 # ---------------------------------------------------------------------------
 # external system
 # ---------------------------------------------------------------------------

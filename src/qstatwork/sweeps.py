@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import analytics, fermi as fermi_mod
-from .dynamics import PRODUCT_MODES, PropagatorConfig, run_cycle, run_cycles
+from .dynamics import PropagatorConfig, run_cycle, run_cycles
 from .errors import ConfigError, QstatworkError
 from .protocols import (
     EngineParams,
@@ -978,8 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ev, config=True)
     _add_engine_flags(p_ev)
     p_ev.add_argument("--dt", type=float)
-    p_ev.add_argument("--product-mode", choices=PRODUCT_MODES,
-                      default=PropagatorConfig.product_mode)
     p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
 
     p_fe = subs.add_parser("fermi", help="fermionic parity-law lambda tables")
@@ -1056,11 +1054,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "evolve":
-        pconf = PropagatorConfig(
-            dt=args.dt,
-            product_mode=args.product_mode,
-            collect_trace=bool(args.trace),
-        )
+        pconf = PropagatorConfig(dt=args.dt, collect_trace=bool(args.trace))
         result = run_cycle(engine, schedule, system, config=pconf)
         if args.trace:
             trace = result.diagnostics.get("trace", [])

@@ -6,45 +6,27 @@ with the adiabatic propagator.  The direct moment sums are imported from
 the package's verify battery, which shares no code with
 `analytics.moment_f`/`moment_h`.
 
-`dense_cycle` takes the whole Otto cycle as dense density matrices on the
-genuine composite, with scipy's `expm` for every propagator, so it shares
-neither the package's exponentials nor its factored states, spin sectors,
-SU(2) lifts, Gibbs tilt or stroke-2 truncation.  It does share public
-primitives, each pinned by tests of its own:
-- the `hilbert` builders `collective_spin_ops`, `product_spin_ops` and
-  `engine_hamiltonian`, whose spin matrices the package's sectors are also
-  built from (test_hilbert: TestCollectiveSpinOps, TestProductSpinOps,
-  TestEngineHamiltonian);
-- `thermal_state` (test_hilbert: TestThermalState);
-- `apply_impulse`, whose kick is the one the cycle's impulse path applies
-  (test_dynamics: TestApplyImpulse, against a second-order closed form and
-  by composition);
-- `thermal_reset` (test_dynamics: TestThermalReset);
-- the coupling schedule `g_of_t` (test_protocols: TestCouplingSchedules).
+The dense layer builds its own engine spaces (`DickeSector`,
+`FullProduct`), spin operators, Hamiltonians, Gibbs states, kick and
+thermal reset, and `dense_cycle` takes the whole Otto cycle as dense
+density matrices on the genuine composite, with scipy's `expm` for every
+propagator.  It shares no propagation, state or operator code with the
+package: from qstatwork it takes only model inputs, the schedule type
+`Impulse` and the coupling values `g_of_t` (test_protocols:
+TestCouplingSchedules), besides `sweeps._direct_moment`.  test_hygiene
+holds it to that; test_hilbert pins its operators and states.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import quad
 
-from qstatwork import (
-    Composite,
-    DickeSector,
-    HOTruncated,
-    Impulse,
-    QuantumState,
-    apply_impulse,
-    collective_spin_ops,
-    engine_hamiltonian,
-    g_of_t,
-    product_spin_ops,
-    thermal_reset,
-    thermal_state,
-)
+from qstatwork import Impulse, g_of_t
 from qstatwork.sweeps import _direct_moment
 
 # Absolute rounding floor of a full-cycle work from the split-midpoint
@@ -104,16 +86,86 @@ def direct_active_distribution(N, level_count, beta_omega):
     return P / P.sum()
 
 
-def spin_ops(N):
-    j = N / 2
-    m = np.arange(N + 1) - j
-    sp = np.zeros((N + 1, N + 1), dtype=complex)
-    for k in range(N):
-        sp[k + 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    sx = (sp + sp.conj().T) / 2
-    sy = (sp - sp.conj().T) / 2j
-    sz = np.diag(m).astype(complex)
-    return sx, sy, sz, m
+# ---------------------------------------------------------------------------
+# engine spaces and their operators and states
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DickeSector:
+    """Symmetric subspace of N two-level atoms, dimension N + 1."""
+
+    N: int
+
+    @property
+    def dim(self):
+        return self.N + 1
+
+
+@dataclass(frozen=True)
+class FullProduct:
+    """Tensor product of N two-level atoms, dimension 2^N."""
+
+    N: int
+
+    @property
+    def dim(self):
+        return 2 ** self.N
+
+
+def spin_ops(kind):
+    """(Sx, Sy, Sz) on the engine space kind: the spin-N/2 matrices in the
+    ascending-m basis on DickeSector(N), the sums over the N atoms of the
+    one-atom matrices on FullProduct(N)."""
+    if not isinstance(kind, (DickeSector, FullProduct)) or kind.N < 1:
+        raise ValueError(f"spin_ops needs a DickeSector or FullProduct of N >= 1, got {kind!r}")
+    if isinstance(kind, FullProduct):
+        eye, N = np.eye(2), kind.N
+        return tuple(sum(functools.reduce(np.kron, [s if k == i else eye for k in range(N)])
+                         for i in range(N))
+                     for s in spin_ops(DickeSector(1)))
+    j = kind.N / 2
+    m = np.arange(kind.N + 1) - j
+    sp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1).astype(complex)
+    return (sp + sp.conj().T) / 2, (sp - sp.conj().T) / 2j, np.diag(m).astype(complex)
+
+
+def engine_hamiltonian(params, t, kind):
+    """H_E(t) = 2 Omega(t) Sz + 2 Delta Sx on the engine space kind."""
+    sx, _, sz = spin_ops(kind)
+    return 2 * float(params.omega(t)) * sz + 2 * params.Delta * sx
+
+
+def gibbs(H, beta):
+    """exp(-beta H) / Z of a Hermitian H, from its eigendecomposition."""
+    if np.max(np.abs(H - H.conj().T)) > 1e-12:
+        raise ValueError("gibbs needs a Hermitian H")
+    ev, P = np.linalg.eigh(H)
+    w = np.exp(-beta * (ev - ev[0]))
+    return (P * (w / w.sum())) @ P.conj().T
+
+
+def reduced_system(rho, dE):
+    """Tr_E of a matrix on engine (dim dE) (x) system."""
+    dS = rho.shape[0] // dE
+    return rho.reshape(dE, dS, dE, dS).trace(axis1=0, axis2=2)
+
+
+def reduced_engine(rho, dE):
+    """Tr_S of a matrix on engine (dim dE) (x) system."""
+    dS = rho.shape[0] // dE
+    return rho.reshape(dE, dS, dE, dS).trace(axis1=1, axis2=3)
+
+
+def kick(rho, g, v_r, v_s):
+    """U rho U^dag with U = exp(-i g V_R (x) V_S), the delta-pulse coupling
+    integrated."""
+    U = expm(-1j * g * np.kron(v_r, v_s))
+    return U @ rho @ U.conj().T
+
+
+def reset(rho, h_e, beta):
+    """The isochore rho -> Gibbs(beta, H_E) (x) Tr_E rho."""
+    return np.kron(gibbs(h_e, beta), reduced_system(rho, len(h_e)))
 
 
 def phase_quad(params, t, t0):
@@ -129,7 +181,8 @@ class DickeAdiabaticOracle:
     def __init__(self, params, column_phases=None):
         self.params = params
         self.N = params.N
-        self.sx, self.sy, self.sz, self.m = spin_ops(self.N)
+        self.sx, self.sy, self.sz = spin_ops(DickeSector(self.N))
+        self.m = np.diag(self.sz).real
         self.column_phases = column_phases
 
     def basis(self, t):
@@ -144,11 +197,7 @@ class DickeAdiabaticOracle:
         return self.basis(t) @ np.diag(np.exp(-1j * self.m * ph)) @ self.basis(t0).conj().T
 
     def thermal(self, t0, beta):
-        H = 2 * float(self.params.omega(t0)) * self.sz + 2 * self.params.Delta * self.sx
-        ev, P = np.linalg.eigh(H)
-        w = np.exp(-beta * (ev - ev.min()))
-        rho = (P * (w / w.sum())) @ P.conj().T
-        return rho
+        return gibbs(engine_hamiltonian(self.params, t0, DickeSector(self.N)), beta)
 
     def v_interaction(self, t, t0):
         U = self.propagator(t, t0)
@@ -170,14 +219,9 @@ class ProductAdiabaticOracle:
     def __init__(self, params):
         self.params = params
         self.N = params.N
-        self.sx1, self.sy1, self.sz1, self.m1 = spin_ops(1)
-        eye = np.eye(2, dtype=complex)
-        dim = 2 ** self.N
-        self.v = np.zeros((dim, dim), dtype=complex)
-        for i in range(self.N):
-            ops = [eye] * self.N
-            ops[i] = 2 * self.sx1
-            self.v += functools.reduce(np.kron, ops)
+        _, self.sy1, sz1 = spin_ops(DickeSector(1))
+        self.m1 = np.diag(sz1).real
+        self.v = 2 * spin_ops(FullProduct(self.N))[0]
 
     def _basis1(self, t):
         chi = float(self.params.theta(t)) + np.pi / 2
@@ -192,11 +236,7 @@ class ProductAdiabaticOracle:
         )
 
     def thermal(self, t0, beta):
-        h1 = float(self.params.omega(t0)) * 2 * self.sz1 + 2 * self.params.Delta * self.sx1
-        ev, P = np.linalg.eigh(h1)
-        w = np.exp(-beta * (ev - ev.min()))
-        g1 = (P * (w / w.sum())) @ P.conj().T
-        return functools.reduce(np.kron, [g1] * self.N)
+        return gibbs(engine_hamiltonian(self.params, t0, FullProduct(self.N)), beta)
 
     def v_interaction(self, t, t0):
         u1 = self._u1(t, t0)
@@ -281,39 +321,32 @@ def landau_zener_propagator(params, t_a, t_b, dps=30):
 
 # ---------------------------------------------------------------------------
 # the whole Otto cycle as dense density matrices on the genuine composite,
-# DickeSector(N) or FullProduct(N) (x) HOTruncated
+# DickeSector(N) or FullProduct(N) (x) the system
 # ---------------------------------------------------------------------------
 
-def _composite_terms(system, kind):
-    """V_R = 2 Sx on the engine space kind, I (x) H_S and V_R (x) V_S."""
-    spin_ops_of = collective_spin_ops if isinstance(kind, DickeSector) else product_spin_ops
-    v_r = 2 * spin_ops_of(kind.N)[0].matrix
-    h_s = np.kron(np.eye(kind.dim), np.diag(system.energies))
-    return v_r, h_s, np.kron(v_r, system.matrix)
-
-
-def _free_step(params, system, kind, h_s, t_mid, tau):
+def _free_step(params, system, kind, t_mid, tau):
     """exp(-i tau A) with A = H_E(t_mid) (x) I + I (x) H_S."""
-    h_e = engine_hamiltonian(params, t_mid, kind).matrix
-    return expm(-1j * tau * (np.kron(h_e, np.eye(system.dim)) + h_s))
+    h_e = engine_hamiltonian(params, t_mid, kind)
+    return expm(-1j * tau * (np.kron(h_e, np.eye(system.dim))
+                             + np.kron(np.eye(kind.dim), np.diag(system.energies))))
 
 
 def dense_strang_steps(rho, params, schedule, system, kind, t_start, dt, n):
     """rho after n Strang steps exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2)
     from t_start, with A = H_E(t_mid) (x) I + I (x) H_S and
     B = g(t_mid) V_R (x) V_S at each step's midpoint t_mid."""
-    _, h_s, v = _composite_terms(system, kind)
+    v = np.kron(2 * spin_ops(kind)[0], system.matrix)
     for k in range(n):
         t_mid = t_start + k * dt + dt / 2
-        half = _free_step(params, system, kind, h_s, t_mid, dt / 2)
+        half = _free_step(params, system, kind, t_mid, dt / 2)
         U = half @ expm(-1j * dt * float(g_of_t(schedule, t_mid)) * v) @ half
         rho = U @ rho @ U.conj().T
     return rho
 
 
 def dense_cycle(params, schedule, system, kind, diagnostics):
-    """Populations of Tr_E rho(T) after the whole cycle on kind (x) the
-    system, from Gibbs(beta_c, H_E(0)) (x) |0><0|, with thermal_reset to
+    """Tr_E rho(T), the system's state after the whole cycle on kind (x)
+    the system, from Gibbs(beta_c, H_E(0)) (x) |0><0|, with the reset to
     Gibbs(beta_h, H_E(T/2)) at T/2, at the step counts that run_cycle's
     diagnostics report.
 
@@ -323,33 +356,26 @@ def dense_cycle(params, schedule, system, kind, diagnostics):
     start of the kick's stroke; at Delta = 0 there are none, as the Gibbs
     state commutes with every H_E(t) and the system's ground state with
     H_S.  The free evolution after the kick moves no population of
-    Tr_E rho, so it is not taken.
+    Tr_E rho, so it is not taken: of a kick's state only the diagonal is
+    the run's.
     """
-    dE, dS = kind.dim, system.dim
-    space = Composite(kind, HOTruncated(dS))
     half = params.T / 2
-    ground = np.zeros((dS, dS))
+    ground = np.zeros((system.dim, system.dim))
     ground[0, 0] = 1.0
-    rho = np.kron(thermal_state(engine_hamiltonian(params, 0.0, kind), params.beta_c).rho, ground)
-
-    def reset(rho):
-        h_e = engine_hamiltonian(params, half, kind)
-        return thermal_reset(QuantumState(space, rho), h_e, params.beta_h).rho
-
+    rho = np.kron(gibbs(engine_hamiltonian(params, 0.0, kind), params.beta_c), ground)
+    h_hot = engine_hamiltonian(params, half, kind)
     if isinstance(schedule, Impulse):
         t0 = 0.0 if schedule.t1 < half else half
         if t0:
-            rho = reset(rho)
-        v_r, h_s, _ = _composite_terms(system, kind)
+            rho = reset(rho, h_hot, params.beta_h)
         dt = diagnostics["dt"]
         for k in range(diagnostics["n_engine_steps"]):
-            U = _free_step(params, system, kind, h_s, t0 + k * dt + dt / 2, dt)
+            U = _free_step(params, system, kind, t0 + k * dt + dt / 2, dt)
             rho = U @ rho @ U.conj().T
-        rho = apply_impulse(QuantumState(space, rho), schedule.g, v_r, system.matrix).rho
-        if not t0:
-            rho = reset(rho)
+        rho = kick(rho, schedule.g, 2 * spin_ops(kind)[0], system.matrix)
     else:
         dt, n = diagnostics["dt"], diagnostics["n_steps_per_half"]
         rho = dense_strang_steps(rho, params, schedule, system, kind, 0.0, dt, n)
-        rho = dense_strang_steps(reset(rho), params, schedule, system, kind, half, dt, n)
-    return np.diagonal(rho.reshape(dE, dS, dE, dS).trace(axis1=0, axis2=2)).real
+        rho = dense_strang_steps(reset(rho, h_hot, params.beta_h), params, schedule, system,
+                                 kind, half, dt, n)
+    return reduced_system(rho, kind.dim)

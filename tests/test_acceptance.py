@@ -256,17 +256,17 @@ def test_criterion_9_statistical_oracles():
     w_num = tracked_run(p3, plateau, system, qw.Statistics.BOSE).work.avg_work
     w_ana = qw.general_work(p3, plateau, system, qw.Statistics.BOSE).avg_work
     worst["indist-smooth"] = abs(w_num - w_ana) / w_ana
-    # genuine 2^N product-space evolution vs the distinguishable closed forms
-    full = PropagatorConfig(product_mode="full")
+    # spin-block evolution of the 2^N product space vs the distinguishable
+    # closed forms
     worst["dist-impulse"] = 0.0
     for N in (2, 3, 4):
         pd = fig2_engine(N, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        w_num = tracked_run(pd, IMPULSE, system, config=full).work.avg_work
+        w_num = tracked_run(pd, IMPULSE, system).work.avg_work
         w_ana = qw.impulse_work(pd, IMPULSE, system,
                                 qw.Statistics.DISTINGUISHABLE).avg_work
         worst["dist-impulse"] = max(worst["dist-impulse"], abs(w_num - w_ana) / w_ana)
     pd4 = fig2_engine(4, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-    w_num = tracked_run(pd4, plateau, system, config=full).work.avg_work
+    w_num = tracked_run(pd4, plateau, system).work.avg_work
     w_ana = qw.general_work(pd4, plateau, system,
                             qw.Statistics.DISTINGUISHABLE).avg_work
     worst["dist-smooth"] = abs(w_num - w_ana) / w_ana

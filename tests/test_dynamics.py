@@ -14,20 +14,27 @@ from qstatwork.dynamics import (
     _sector_thermal,
     _split_evolve,
     adiabaticity_witness,
-    apply_impulse,
     default_dt_cap,
     run_cycle,
     run_cycles,
-    thermal_reset,
 )
-from qstatwork.errors import ConfigError, PropagationError, ResourceLimitError
+from qstatwork.errors import ConfigError, PropagationError
 
 from oracles import (
     WORK_ROUNDING_FLOOR,
+    DickeSector,
+    FullProduct,
     dense_cycle,
     dense_strang_steps,
+    engine_hamiltonian,
+    gibbs,
+    kick,
     landau_zener_propagator,
     midpoint_su2_product_mp,
+    reduced_engine,
+    reduced_system,
+    reset,
+    spin_ops,
     su2_chain_per_level_pad,
 )
 
@@ -49,40 +56,64 @@ def ho(dim=10):
 IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
 DIST = qw.Statistics.DISTINGUISHABLE
 
-# Largest gaps between blocked and genuine 2^N runs of even N under the
-# STRONG plateau on ho(18), N in {2, 4}, Delta in {0, 0.7}: measured
-# 2.3e-11 relative work, 4.4e-12 absolute p_excite and 7.4e-13 absolute
-# final_state entries (all at N = 2, Delta = 0.7): the rounding of
-# thousands of split steps, the same when the spin-0 blocks are stepped.
-EVEN_N_BOUNDS = {"work": 1e-10, "p_excite": 2e-11, "rho": 5e-12}
-
 # CHAIN_DIM settings that force every stepped sector onto one path of
 # _split_evolve: all composites stepped, or all multiplied per sample block
 PATHS = {"stepped": 0, "blocks": 10**6}
 
+# Gaps of run_cycle from the dense whole-cycle oracle (oracles.dense_cycle)
+# at the run's own steps, on the oracle cases below.  The two share no
+# propagator, so they part by rounding, which grows with the step count.
+# Measured worst: kicks (up to 187 engine steps, N <= 6) 3.9e-14 relative
+# work and 1.4e-15 absolute p_excite; smooth cycles (300-932 Strang steps
+# on D <= 96) 1.9e-12 and 1.8e-14, as the populations round at ~1e-14 and
+# the work is ~1e-2.
+ORACLE_BOUNDS = {
+    "kick": {"work": 1e-13, "p_excite": 1e-14},
+    "smooth": {"work": 1e-11, "p_excite": 1e-13},
+}
+ORACLE_SYSTEM = qw.harmonic_system(1.3, 8)
+ORACLE_KICKS = {t1: qw.Impulse(g=0.1, t1=t1, T=2.0) for t1 in (0.35, 1.4)}   # T/2 = 1
+ORACLE_PLATEAU = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
+STATS = (qw.Statistics.BOSE, DIST)
 
-def blocked_full_gaps(blocked, full):
-    p_b, p_f = blocked.work.p_excite, full.work.p_excite
-    return {
-        "work": abs(blocked.work.avg_work - full.work.avg_work) / abs(full.work.avg_work),
-        "p_excite": max(abs(p_b[i] - p_f[i]) for i in p_f),
-        "rho": float(np.max(np.abs(blocked.final_state.rho - full.final_state.rho))),
-    }
+# Smooth cycles of even N against the dense oracle also compare the final
+# state, whose coherences the spin-0 blocks' closed-form phases move:
+# measured worst 2.2e-13 absolute on the smooth oracle cases.
+EVEN_N_BOUNDS = {**ORACLE_BOUNDS["smooth"], "rho": 5e-12}
+
+
+def oracle_engine(N, delta):
+    return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.5, T=2.0,
+                           beta_c=2.0, beta_h=0.125)
 
 
 @pytest.fixture(scope="module")
-def full_product_run():
-    """run_cycle of distinguishable engines on the genuine 2^N space under
-    the STRONG plateau, once per (N, Delta)."""
-    runs = {}
+def oracle_gaps():
+    """gaps(N, delta, schedule, stats, res, system): relative avg_work and
+    absolute p_excite and final-state gaps of the result res, by default
+    of run_cycle, from dense_cycle on DickeSector(N) (Bose) or
+    FullProduct(N) (distinguishable); of a kick only the populations are
+    the run's.  dense_cycle runs once per (N, delta, schedule, engine
+    space, system) at the first run's step counts (the step rule does not
+    read the statistics)."""
+    states = {}
 
-    def run(N, delta):
-        if (N, delta) not in runs:
-            runs[N, delta] = run_cycle(engine(N, delta, stats=DIST), TestRunCycleSmooth.STRONG,
-                                       ho(18), config=PropagatorConfig(product_mode="full"))
-        return runs[N, delta]
+    def gaps(N, delta, schedule, stats, res=None, system=ORACLE_SYSTEM):
+        p = oracle_engine(N, delta)
+        if res is None:
+            res = run_cycle(p, schedule, system, stats)
+        kind = DickeSector(N) if stats is qw.Statistics.BOSE else FullProduct(N)
+        key = (N, delta, schedule, kind, system)
+        if key not in states:
+            states[key] = dense_cycle(p, schedule, system, kind, res.diagnostics)
+        pops = np.diagonal(states[key]).real
+        work = float(system.energies @ pops)
+        p_excite = res.work.p_excite
+        return {"work": abs(res.work.avg_work - work) / work,
+                "p_excite": max(abs(p_excite[i] - pops[i]) for i in p_excite),
+                "rho": float(np.max(np.abs(res.final_state.rho - states[key])))}
 
-    return run
+    return gaps
 
 
 class TestDecoupledCycle:
@@ -97,115 +128,107 @@ class TestDecoupledCycle:
 
 
 class TestApplyImpulse:
+    """The oracle's kick exp(-i g V_R (x) V_S) on dense Dicke states, and
+    the cycle's kick against it."""
+
     def _state(self, N=2, dim=6, delta=0.6):
         p = engine(N, delta)
-        H = qw.engine_hamiltonian(p, 0.0, qw.DickeSector(N))
-        rho_e = qw.thermal_state(H, p.beta_c).rho
+        rho_e = gibbs(engine_hamiltonian(p, 0.0, DickeSector(N)), p.beta_c)
         rho_s = np.zeros((dim, dim), dtype=complex)
         rho_s[0, 0] = 1.0
-        space = qw.Composite(qw.DickeSector(N), qw.HOTruncated(dim))
-        return qw.QuantumState(space, np.kron(rho_e, rho_s)), p
+        return np.kron(rho_e, rho_s), p
 
     def test_zero_kick_identity(self):
         state, p = self._state()
-        sx, _ = qw.collective_spin_ops(2)
-        out = apply_impulse(state, 0.0, 2 * sx.matrix, ho(6).matrix)
-        assert np.max(np.abs(out.rho - state.rho)) < 1e-14
+        out = kick(state, 0.0, 2 * spin_ops(DickeSector(2))[0], ho(6).matrix)
+        assert np.max(np.abs(out - state)) < 1e-14
 
     def test_second_order_excitation(self):
         # p_1 from the kick matches g^2 <V_R^2> |<1|V_S|0>|^2 to O(g^4)
         state, p = self._state(N=3, delta=0.0)
         g = 0.01
-        sx, _ = qw.collective_spin_ops(3)
-        out = apply_impulse(state, g, 2 * sx.matrix, ho(6).matrix)
-        sigma = np.einsum("isit->st", out.rho.reshape(4, 6, 4, 6))
-        p1 = float(sigma[1, 1].real)
+        out = kick(state, g, 2 * spin_ops(DickeSector(3))[0], ho(6).matrix)
+        p1 = float(reduced_system(out, 4)[1, 1].real)
         x = p.beta_c * float(p.energy(0.0))
         m2 = 3 * 5 / 2 - 2 * qw.moment_f(3, x)
         assert abs(p1 - g ** 2 * m2) < 10 * g ** 4 * m2 ** 2
 
     def test_kick_composition(self):
         state, _ = self._state()
-        sx, _ = qw.collective_spin_ops(2)
-        v_r, v_s = 2 * sx.matrix, ho(6).matrix
-        once = apply_impulse(state, 0.3, v_r, v_s)
-        twice = apply_impulse(apply_impulse(state, 0.15, v_r, v_s), 0.15, v_r, v_s)
-        assert np.max(np.abs(once.rho - twice.rho)) < 1e-13
+        v_r, v_s = 2 * spin_ops(DickeSector(2))[0], ho(6).matrix
+        once = kick(state, 0.3, v_r, v_s)
+        twice = kick(kick(state, 0.15, v_r, v_s), 0.15, v_r, v_s)
+        assert np.max(np.abs(once - twice)) < 1e-13
 
     def test_matches_run_cycle_kick(self):
         # at Delta = 0 the free evolution commutes with the thermal engine
         # state and leaves the system populations alone, so the cycle's kick
-        # and the public kick on the initial state give the same p_1
+        # and the oracle's kick on the initial state give the same p_1
         state, p = self._state(N=2, delta=0.0)
-        sx, _ = qw.collective_spin_ops(2)
-        out = apply_impulse(state, IMPULSE.g, 2 * sx.matrix, ho(6).matrix)
-        p1 = float(np.einsum("isit->st", out.rho.reshape(3, 6, 3, 6))[1, 1].real)
+        out = kick(state, IMPULSE.g, 2 * spin_ops(DickeSector(2))[0], ho(6).matrix)
+        p1 = float(reduced_system(out, 3)[1, 1].real)
         cycle = run_cycle(p, IMPULSE, ho(6)).work.p_excite[1]
         assert abs(cycle - p1) < 1e-10 * p1
 
 
 class TestThermalReset:
+    """The oracle's reset rho -> Gibbs(beta, H_E) (x) Tr_E rho, and the
+    cycle's Gibbs blocks against its dense Gibbs states."""
+
     def _composite(self, N=2, dim=5):
         p = engine(N, 0.4)
-        H = qw.engine_hamiltonian(p, T / 2, qw.DickeSector(N))
-        rho_e = qw.thermal_state(H, p.beta_h).rho
+        H = engine_hamiltonian(p, T / 2, DickeSector(N))
+        rho_e = gibbs(H, p.beta_h)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         sig = a @ a.conj().T
         sig /= np.trace(sig).real
-        space = qw.Composite(qw.DickeSector(N), qw.HOTruncated(dim))
-        return qw.QuantumState(space, np.kron(rho_e, sig)), H, p, sig
+        return np.kron(rho_e, sig), H, p, sig
 
     def test_idempotent_on_product_gibbs(self):
         state, H, p, _ = self._composite()
-        out = thermal_reset(state, H, p.beta_h)
-        assert np.max(np.abs(out.rho - state.rho)) < 1e-12
+        out = reset(state, H, p.beta_h)
+        assert np.max(np.abs(out - state)) < 1e-12
 
     def test_engine_marginal_is_gibbs(self):
         state, H, p, sig = self._composite()
-        out = thermal_reset(state, H, p.beta_h)
-        red_e = np.einsum("isjs->ij", out.rho.reshape(3, 5, 3, 5))
-        assert np.max(np.abs(red_e - qw.thermal_state(H, p.beta_h).rho)) < 1e-12
-        red_s = np.einsum("isit->st", out.rho.reshape(3, 5, 3, 5))
-        assert np.max(np.abs(red_s - sig)) < 1e-12
+        out = reset(state, H, p.beta_h)
+        assert np.max(np.abs(reduced_engine(out, 3) - gibbs(H, p.beta_h))) < 1e-12
+        assert np.max(np.abs(reduced_system(out, 3) - sig)) < 1e-12
 
     def test_cycle_gibbs_blocks_match_thermal_state(self):
         # run_cycle resets to kron(block, sigma_S) over the analytic
         # per-sector Gibbs blocks of _sector_thermal; pin them to the dense
-        # thermal_state(engine_hamiltonian) that thermal_reset uses.
-        blocked, full = PropagatorConfig(), PropagatorConfig(product_mode="full")
-        cases = ((qw.Statistics.BOSE, blocked, qw.DickeSector(3)),
-                 (qw.Statistics.DISTINGUISHABLE, full, qw.FullProduct(3)))
+        # Gibbs states of the oracle's reset.
         for delta in (0.0, 0.4):
             p = engine(3, delta)
             for t0, beta in ((0.0, p.beta_c), (T / 2, p.beta_h)):
-                for stats, config, kind in cases:
-                    (block,) = _sector_thermal(_build_sectors(p, stats, config), p, t0, beta)
-                    ref = qw.thermal_state(qw.engine_hamiltonian(p, t0, kind), beta).rho
-                    assert np.max(np.abs(block - ref)) < 1e-13
-                # blocked distinguishable: the spin-j blocks, each repeated
-                # by its multiplicity, carry the full-space Gibbs spectrum
-                sectors = _build_sectors(p, qw.Statistics.DISTINGUISHABLE, blocked)
+                (block,) = _sector_thermal(_build_sectors(p, qw.Statistics.BOSE), p, t0, beta)
+                ref = gibbs(engine_hamiltonian(p, t0, DickeSector(3)), beta)
+                assert np.max(np.abs(block - ref)) < 1e-13
+                # distinguishable: the 2^N Gibbs state is the direct sum of
+                # exp(-beta H_j) / Z over the spin-j blocks, each repeated by
+                # its multiplicity.  Each block is the spin-j Gibbs state up
+                # to its weight, and together they carry the 2^N spectrum.
+                sectors = _build_sectors(p, qw.Statistics.DISTINGUISHABLE)
                 blocks = _sector_thermal(sectors, p, t0, beta)
+                for s, b in zip(sectors, blocks):
+                    ref = gibbs(engine_hamiltonian(p, t0, DickeSector(s.dim - 1)), beta)
+                    assert np.max(np.abs(b / np.trace(b).real - ref)) < 1e-13
                 spec = np.concatenate([np.repeat(np.linalg.eigvalsh(b), int(s.mult))
                                        for s, b in zip(sectors, blocks)])
-                ref = qw.thermal_state(qw.engine_hamiltonian(p, t0, qw.FullProduct(3)), beta)
-                assert np.max(np.abs(np.sort(spec) - np.linalg.eigvalsh(ref.rho))) < 1e-13
+                ref = gibbs(engine_hamiltonian(p, t0, FullProduct(3)), beta)
+                assert np.max(np.abs(np.sort(spec) - np.linalg.eigvalsh(ref))) < 1e-13
 
     def test_correlator_factorizes_across_reset(self):
         # channel structure: <A R(B rho)> = <A>_gibbs <B>_rho exactly
         p = engine(3, 0.8)
-        H0 = qw.engine_hamiltonian(p, 0.0, qw.DickeSector(3)).matrix
-        Hh = qw.engine_hamiltonian(p, T / 2, qw.DickeSector(3))
-        rho0 = qw.thermal_state(
-            qw.engine_hamiltonian(p, 0.0, qw.DickeSector(3)), p.beta_c
-        ).rho
-        gibbs = qw.thermal_state(Hh, p.beta_h).rho
-        sx, _ = qw.collective_spin_ops(3)
-        v = 2 * sx.matrix
-        lhs = np.trace(v @ gibbs) * np.trace(v @ rho0)
+        rho0 = gibbs(engine_hamiltonian(p, 0.0, DickeSector(3)), p.beta_c)
+        hot = gibbs(engine_hamiltonian(p, T / 2, DickeSector(3)), p.beta_h)
+        v = 2 * spin_ops(DickeSector(3))[0]
+        lhs = np.trace(v @ hot) * np.trace(v @ rho0)
         # the replacement map sends X -> gibbs tr[X]
-        rhs = np.trace(v @ gibbs * np.trace(v @ rho0))
+        rhs = np.trace(v @ hot * np.trace(v @ rho0))
         assert abs(lhs - rhs) < 1e-12
 
     def test_reset_factor_matches_single_avg(self):
@@ -246,20 +269,13 @@ class TestRunCycleImpulse:
         rd = run_cycle(p, IMPULSE, ho(), statistics=qw.Statistics.DISTINGUISHABLE)
         assert abs(rb.work.avg_work - rd.work.avg_work) < 1e-10
 
-    def test_blocked_equals_full(self):
-        for delta in (0.0, 1.4):
-            p = engine(4, delta, stats=qw.Statistics.DISTINGUISHABLE)
-            blocked = run_cycle(p, IMPULSE, ho(),
-                                config=PropagatorConfig(product_mode="blocked"))
-            full = run_cycle(p, IMPULSE, ho(),
-                             config=PropagatorConfig(product_mode="full"))
-            rel = abs(blocked.work.avg_work - full.work.avg_work) / full.work.avg_work
-            assert rel < 1e-9
-
-    def test_full_mode_cap(self):
-        p = engine(9, 0.0, stats=qw.Statistics.DISTINGUISHABLE)
-        with pytest.raises(ResourceLimitError):
-            run_cycle(p, IMPULSE, ho(), config=PropagatorConfig(product_mode="full"))
+    def test_blocked_equals_full(self, oracle_gaps):
+        # N = 5, 6: spin blocks held up to 9 times against the whole 2^N
+        # space, kicked densely; at Delta = 0 the oracle takes no engine step
+        for N in (5, 6):
+            for schedule in ORACLE_KICKS.values():
+                gaps = oracle_gaps(N, 0.0, schedule, DIST)
+                assert all(gaps[k] <= b for k, b in ORACLE_BOUNDS["kick"].items()), (N, gaps)
 
     def test_diagnostics_bounds(self):
         res = run_cycle(engine(4, 1.4), IMPULSE, ho())
@@ -290,40 +306,39 @@ class TestRunCycleSmooth:
         assert abs(res.work.avg_work - ana.avg_work) < 0.02 * ana.avg_work
 
         pd = engine(3, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        resd = run_cycle(pd, self.PLATEAU, ho(8),
-                         config=PropagatorConfig(product_mode="full"))
+        resd = run_cycle(pd, self.PLATEAU, ho(8))
         anad = qw.general_work(pd, self.PLATEAU, ho(8), qw.Statistics.DISTINGUISHABLE)
         assert abs(resd.work.avg_work - anad.avg_work) < 0.02 * anad.avg_work
 
-    def test_blocked_equals_full_smooth(self):
-        pd = engine(3, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        rb = run_cycle(pd, self.PLATEAU, ho(8),
-                       config=PropagatorConfig(product_mode="blocked"))
-        rf = run_cycle(pd, self.PLATEAU, ho(8),
-                       config=PropagatorConfig(product_mode="full"))
-        assert abs(rb.work.avg_work - rf.work.avg_work) < 1e-9 * rf.work.avg_work
+    def test_blocked_equals_full_smooth(self, oracle_gaps):
+        # N = 3: the spin-1/2 block, held twice, against the whole 2^N space
+        gaps = oracle_gaps(3, 0.4, ORACLE_PLATEAU, DIST)
+        assert all(gaps[k] <= b for k, b in ORACLE_BOUNDS["smooth"].items()), gaps
 
-    @pytest.mark.parametrize("N, delta", [(2, 0.0), (2, 0.7), (4, 0.0), (4, 0.7)])
-    def test_even_n_blocked_matches_full(self, full_product_run, N, delta):
-        # the spin-0 blocks of even N evolve in closed form; the genuine
-        # 2^N space steps their states with the rest
-        ref = full_product_run(N, delta)
-        res = run_cycle(engine(N, delta, stats=DIST), self.STRONG, ho(18))
-        gaps = blocked_full_gaps(res, ref)
+    # N = 4 on a system of dim 6: the dense steps on 2^4 x 6 take 4.5 s,
+    # on 2^4 x 8 about 10 s
+    @pytest.mark.parametrize("N, delta, system", [
+        (2, 0.0, ORACLE_SYSTEM), (2, 0.7, ORACLE_SYSTEM),
+        (4, 0.0, qw.harmonic_system(1.3, 6)),
+    ], ids=["2-0.0", "2-0.7", "4-0.0"])
+    def test_even_n_blocked_matches_full(self, oracle_gaps, N, delta, system):
+        # the spin-0 blocks of even N evolve in closed form; the dense
+        # oracle steps the whole 2^N space
+        res = run_cycle(oracle_engine(N, delta), ORACLE_PLATEAU, system, DIST)
+        gaps = oracle_gaps(N, delta, ORACLE_PLATEAU, DIST, res, system)
         assert all(gaps[key] <= bound for key, bound in EVEN_N_BOUNDS.items()), gaps
         d = res.diagnostics
         assert d["sectors"][-1] == [1, N // 2]                 # spin 0, still listed
         assert d["split_steps"] == 2 * d["n_steps_per_half"] * N // 2
-        assert ref.diagnostics["split_steps"] == 2 * d["n_steps_per_half"]
 
     @pytest.mark.parametrize("free_evolve, key", [
         (lambda y, eps, t: y * np.exp(1j * t * eps), "rho"),   # free phase sign flipped
         (lambda y, eps, t: 0 * y, "work"),                     # spin-0 sector dropped
     ])
-    def test_even_n_negative_controls(self, monkeypatch, full_product_run, free_evolve, key):
-        ref = full_product_run(2, 0.7)
+    def test_even_n_negative_controls(self, monkeypatch, oracle_gaps, free_evolve, key):
+        oracle_gaps(2, 0.7, ORACLE_PLATEAU, DIST)          # the oracle, before the fault
         monkeypatch.setattr(dyn, "_free_evolve", free_evolve)
-        gaps = blocked_full_gaps(run_cycle(engine(2, 0.7, stats=DIST), self.STRONG, ho(18)), ref)
+        gaps = oracle_gaps(2, 0.7, ORACLE_PLATEAU, DIST)
         assert gaps[key] > 1e3 * EVEN_N_BOUNDS[key], gaps
         if key == "rho":     # a phase moves only the coherences of sigma_S
             assert gaps["p_excite"] <= EVEN_N_BOUNDS["p_excite"], gaps
@@ -398,7 +413,7 @@ class TestRunCycleSmooth:
         # taken densely on rho by the cycle oracle's steps.
         N, dS = 2, 6
         p, system = engine(N, delta), ho(dS)
-        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         sigma = a @ a.conj().T / np.trace(a @ a.conj().T).real
@@ -411,7 +426,7 @@ class TestRunCycleSmooth:
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
         rho = dense_strang_steps(np.kron(rho_e, sigma), p, self.STRONG, system,
-                                 qw.DickeSector(N), t_start, dt, n)
+                                 DickeSector(N), t_start, dt, n)
         assert np.max(np.abs(got - rho)) <= 1e-12
 
     def test_truncation_leakage_guard(self):
@@ -423,7 +438,7 @@ class TestRunCycleSmooth:
         # N = 2 blocked: the spin-1 block is stepped, then multiplied; the
         # spin-0 block is free
         p, system = engine(2, 0.7, stats=DIST), ho(6)
-        sectors = _build_sectors(p, DIST, PropagatorConfig())
+        sectors = _build_sectors(p, DIST)
         assert [s.free for s in sectors] == [False, True]
         mu, W = np.ones(1), np.eye(system.dim)[:, :1]
         for chain_dim in PATHS.values():
@@ -513,7 +528,7 @@ class TestBlockPath:
         final factor."""
         monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
         p, system = engine(N, delta), ho(dS)
-        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
@@ -578,7 +593,7 @@ class TestBlockPath:
         # 20 000 steps at D = 8: the step operators of the whole stroke
         # would take 20 MB; built one chunk at a time, the run peaks at 0.7 MB
         p, system = engine(1, 0.7), ho(4)
-        (sector,) = _build_sectors(p, qw.Statistics.BOSE, PropagatorConfig())
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         assert sector.dim * system.dim <= dyn.CHAIN_DIM
         (rho_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
         y, _ = _product_factor(rho_e, np.ones(1), np.eye(4)[:, :1])
@@ -664,54 +679,6 @@ class TestRunCycles:
         assert calls == [(("spin", 1), 2), (("spin", 1), bose.diagnostics["factor_rank"][1][0])]
 
 
-# Gaps of run_cycle from the dense whole-cycle oracle (oracles.dense_cycle)
-# at the run's own steps, on the cases of TestDenseCycleOracle.  The two
-# share no propagator, so they part by rounding, which grows with the step
-# count.  Measured worst: kicks (up to 187 engine steps) 6.7e-15 relative
-# work and 2.4e-16 absolute p_excite; smooth cycles (600-932 Strang steps on
-# D <= 32) 1.9e-12 and 1.8e-14, as the populations round at ~1e-14 and the
-# work is ~1e-2.
-ORACLE_BOUNDS = {
-    "kick": {"work": 1e-13, "p_excite": 1e-14},
-    "smooth": {"work": 1e-11, "p_excite": 1e-13},
-}
-ORACLE_SYSTEM = qw.harmonic_system(1.3, 8)
-ORACLE_KICKS = {t1: qw.Impulse(g=0.1, t1=t1, T=2.0) for t1 in (0.35, 1.4)}   # T/2 = 1
-ORACLE_PLATEAU = qw.SmoothPlateau(g=0.05, delta_t=0.9, alpha=400.0, T=2.0)
-STATS_MODES = [(qw.Statistics.BOSE, "blocked"), (DIST, "blocked"), (DIST, "full")]
-
-
-def oracle_engine(N, delta):
-    return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.5, T=2.0,
-                           beta_c=2.0, beta_h=0.125)
-
-
-@pytest.fixture(scope="module")
-def oracle_gaps():
-    """gaps(N, delta, schedule, stats, mode, res): relative avg_work and
-    absolute p_excite gaps from dense_cycle of the result res, by default
-    of run_cycle; dense_cycle runs once per (N, delta, schedule, engine
-    space) at the first run's step counts (the step rule reads neither the
-    statistics nor the product mode)."""
-    pops = {}
-
-    def gaps(N, delta, schedule, stats, mode="blocked", res=None):
-        p = oracle_engine(N, delta)
-        if res is None:
-            res = run_cycle(p, schedule, ORACLE_SYSTEM, stats,
-                            PropagatorConfig(product_mode=mode))
-        kind = qw.DickeSector(N) if stats is qw.Statistics.BOSE else qw.FullProduct(N)
-        key = (N, delta, schedule, kind)
-        if key not in pops:
-            pops[key] = dense_cycle(p, schedule, ORACLE_SYSTEM, kind, res.diagnostics)
-        work = float(ORACLE_SYSTEM.energies @ pops[key])
-        p_excite = res.work.p_excite
-        return {"work": abs(res.work.avg_work - work) / work,
-                "p_excite": max(abs(p_excite[i] - pops[key][i]) for i in p_excite)}
-
-    return gaps
-
-
 def flip_tilt(monkeypatch):
     # the Gibbs blocks tilted by exp(+i chi sigma_y / 2)
     monkeypatch.setattr(dyn, "_su2_y", lambda chi: (np.cos(chi / 2), np.sin(chi / 2)))
@@ -735,27 +702,29 @@ def widen_truncation(monkeypatch):
 
 class TestDenseCycleOracle:
     """run_cycle against the whole cycle taken densely on the genuine
-    composite with scipy's expm (oracles.dense_cycle)."""
+    composite, DickeSector(N) for Bose and FullProduct(N) for
+    distinguishable engines, with scipy's expm (oracles.dense_cycle)."""
 
     @pytest.mark.parametrize("t1", ORACLE_KICKS)
     @pytest.mark.parametrize("delta", [0.0, 0.4])
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_kicks(self, oracle_gaps, N, delta, t1):
-        for stats, mode in STATS_MODES:
-            gaps = oracle_gaps(N, delta, ORACLE_KICKS[t1], stats, mode)
+        for stats in STATS:
+            gaps = oracle_gaps(N, delta, ORACLE_KICKS[t1], stats)
             bounds = ORACLE_BOUNDS["kick"]
-            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, mode, gaps)
+            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, gaps)
 
+    # stats_modes: the statistics each case runs
     @pytest.mark.parametrize("N, delta, stats_modes", [
-        (2, 0.0, STATS_MODES[:1]),
-        (3, 0.4, STATS_MODES[:1]),
-        (2, 0.4, STATS_MODES[1:]),
+        (2, 0.0, STATS[:1]),
+        (3, 0.4, STATS[:1]),
+        (2, 0.4, STATS[1:]),
     ])
     def test_smooth_plateau(self, oracle_gaps, N, delta, stats_modes):
-        for stats, mode in stats_modes:
-            gaps = oracle_gaps(N, delta, ORACLE_PLATEAU, stats, mode)
+        for stats in stats_modes:
+            gaps = oracle_gaps(N, delta, ORACLE_PLATEAU, stats)
             bounds = ORACLE_BOUNDS["smooth"]
-            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, mode, gaps)
+            assert all(gaps[k] <= b for k, b in bounds.items()), (stats, gaps)
 
     @pytest.mark.parametrize("fault, bound", [
         (flip_tilt, "kick"),
@@ -766,9 +735,9 @@ class TestDenseCycleOracle:
     ], ids=lambda x: getattr(x, "__name__", x))
     def test_negative_controls(self, monkeypatch, oracle_gaps, fault, bound):
         schedule = ORACLE_KICKS[0.35] if bound == "kick" else ORACLE_PLATEAU
-        oracle_gaps(2, 0.4, schedule, DIST, "blocked")     # the oracle, before the fault
+        oracle_gaps(2, 0.4, schedule, DIST)                # the oracle, before the fault
         fault(monkeypatch)
-        gaps = oracle_gaps(2, 0.4, schedule, DIST, "blocked")
+        gaps = oracle_gaps(2, 0.4, schedule, DIST)
         assert gaps["work"] > 1e3 * ORACLE_BOUNDS[bound]["work"], gaps
 
     @pytest.mark.parametrize("schedule, path", [
@@ -808,7 +777,7 @@ class TestSU2Chain:
         assert 800 <= n <= 1200
         ref = midpoint_su2_product_mp(p, 0.0, IMPULSE.t1, n)
         assert max(abs(a - ref[0]), abs(b - ref[1])) <= 1e-13
-        (sector,) = _build_sectors(engine(4, 1.4), qw.Statistics.BOSE, PropagatorConfig())
+        (sector,) = _build_sectors(engine(4, 1.4), qw.Statistics.BOSE)
         assert np.max(np.abs(sector.lift(a, b) - sector.lift(*ref))) <= 1e-13
 
     def test_lift_is_the_tensor_power(self):
@@ -818,7 +787,9 @@ class TestSU2Chain:
         a = np.r_[q[:, 0] + 1j * q[:, 1], 1, -1, 1j, 0, 0]
         b = np.r_[q[:, 2] + 1j * q[:, 3], 0, 0, 0, 1, 1j]
         for N in range(1, 5):
-            lifted = dyn._full_sector(N).lift(a, b)
+            # the block of the whole 2^N space, built from the oracle's spin sums
+            sx, sy, sz = spin_ops(FullProduct(N))
+            lifted = dyn._Sector(sx, sy, np.diag(sz).real, 1.0, ("full", N)).lift(a, b)
             for D, x, y in zip(lifted, a, b):
                 u = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
                 assert np.max(np.abs(D - functools.reduce(np.kron, [u] * N))) <= 1e-14

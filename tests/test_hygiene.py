@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
-imports are the public API it re-exports), the test oracles import no
-private name of the package, and importing the package loads NumPy and
-the standard library only."""
+imports are the public API it re-exports), the test oracles take from the
+package only the model inputs they need, and importing the package loads
+NumPy and the standard library only."""
 
 import ast
 import os
@@ -44,18 +44,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def package_imports(source: str) -> list:
+    """(module, name) of each import in `source` from qstatwork; the name
+    is empty for a plain `import qstatwork...`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qstatwork":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, "") for alias in node.names
+                      if alias.name.partition(".")[0] == "qstatwork"]
+    return found
+
+
 def private_package_imports(source: str) -> list:
     """(module, name) of each import in `source` of an underscore-prefixed
     module or name of qstatwork."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qstatwork"):
-            found += [(node.module, alias.name) for alias in node.names
-                      if "._" in f"{node.module}.{alias.name}"]
-        elif isinstance(node, ast.Import):
-            found += [(alias.name, "") for alias in node.names
-                      if alias.name.partition(".")[0] == "qstatwork" and "._" in alias.name]
-    return found
+    return [(module, name) for module, name in package_imports(source)
+            if "._" in f"{module}.{name}"]
 
 
 def test_detects_private_package_import():
@@ -63,6 +69,23 @@ def test_detects_private_package_import():
         "import qstatwork._quad\nfrom qstatwork import dynamics, _quad\n"
         "from qstatwork.hilbert import _spin_xyz, thermal_state\nfrom os import _exit\n"
     ) == [("qstatwork._quad", ""), ("qstatwork", "_quad"), ("qstatwork.hilbert", "_spin_xyz")]
+
+
+def test_detects_package_import():
+    assert package_imports(
+        "import qstatwork as qw\nfrom qstatwork.dynamics import run_cycle\nimport os\n"
+    ) == [("qstatwork", ""), ("qstatwork.dynamics", "run_cycle")]
+
+
+# What the oracles may take from the package: model inputs, no code that
+# builds an operator or a state or propagates one
+ORACLE_PACKAGE_IMPORTS = {("qstatwork", "Impulse"), ("qstatwork", "g_of_t"),
+                          ("qstatwork.sweeps", "_direct_moment")}
+
+
+def test_oracles_import_only_model_inputs():
+    found = set(package_imports((ROOT / "tests" / "oracles.py").read_text()))
+    assert found <= ORACLE_PACKAGE_IMPORTS, found - ORACLE_PACKAGE_IMPORTS
 
 
 def test_oracles_import_no_private_package_name():

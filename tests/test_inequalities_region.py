@@ -7,13 +7,10 @@ import pytest
 import qstatwork as qw
 from qstatwork import _quad
 from qstatwork.analytics import (
-    asymptotic_checks,
     delta0_second_moment,
     enhancement_region,
     general_work,
     level_amplitudes,
-    quad_coeff_n1,
-    quad_coeff_n2,
     verify_inequalities,
 )
 from qstatwork.errors import InequalityViolationError
@@ -60,16 +57,28 @@ class TestInequalityBattery:
         assert all(m > -1e-12 for m, _ in rep.margins.values())
 
 
+def large_n_line(N, x):
+    """coth(x) N - (coth(x) - 1) coth(x), the large-N line."""
+    coth = 1 / math.tanh(x)
+    return coth * N - (coth - 1) * coth
+
+
+def small_n_form(N, x):
+    """f1 N^2 + f2 N, the leading small-x form, with
+    f1 = x (x coth x - 1) cosh x / sinh^3 x and
+    f2 = 1 - (x coth x - 1) / sinh^2 x."""
+    f1 = x * (x / math.tanh(x) - 1) * math.cosh(x) / math.sinh(x) ** 3
+    f2 = 1 - (x / math.tanh(x) - 1) / math.sinh(x) ** 2
+    return f1 * N ** 2 + f2 * N
+
+
 class TestAsymptotics:
-    def params(self, x=2.0, N=2):
-        return qw.EngineParams(N=N, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
-                               beta_c=x, beta_h=0.125)
+    """The exact Delta = 0 second moment N(N+2)/2 - 2 f(N, x) of Bose
+    engines in its large-N and small-N limits."""
 
     def test_large_n_line(self):
-        rep = asymptotic_checks(self.params(x=2.0), N_max=500)
-        k = int(np.argmax(rep.N_values == rep.N_values.max()))
-        rel = abs(rep.exact[k] - rep.linear_asymptote[k]) / rep.exact[k]
-        assert rel < 1e-3
+        exact = delta0_second_moment(500, 2.0)
+        assert abs(exact - large_n_line(500, 2.0)) / exact < 1e-3
 
     def test_discrete_slope_converges_to_coth(self):
         slope = delta0_second_moment(500, 2.0) - delta0_second_moment(499, 2.0)
@@ -80,34 +89,28 @@ class TestAsymptotics:
         assert abs(slope - 1.0) < 1e-9
 
     def test_quadratic_coefficients_small_x_limit(self):
-        # f1 + f2 -> 1 as x -> 0 (and only there; the report keeps the residual)
-        assert quad_coeff_n2(1e-4) + quad_coeff_n1(1e-4) == pytest.approx(1.0, abs=1e-7)
-        rep = asymptotic_checks(self.params(x=2.0))
-        assert rep.n1_quadratic_residual == pytest.approx(
-            quad_coeff_n2(2.0) + quad_coeff_n1(2.0) - 1.0, abs=1e-14
-        )
-        assert rep.n1_quadratic_residual > 0.05  # genuinely nonzero at x = 2
+        # at N = 1 the small-N form tends to the exact moment 1 as x -> 0,
+        # and only there
+        assert delta0_second_moment(1, 1e-4) == pytest.approx(1.0, abs=1e-14)
+        assert small_n_form(1, 1e-4) == pytest.approx(1.0, abs=1e-7)
+        assert small_n_form(1, 2.0) - delta0_second_moment(1, 2.0) > 0.05
 
     def test_quadratic_form_accuracy_in_regime(self):
-        # leading small-x form: tight deep inside N beta_c Omega(0) < 1 and
-        # still within ~10% at the crossover edge
+        # tight deep inside N beta_c Omega(0) < 1 and still within ~10% at
+        # the crossover edge
         x = 0.1
         for N, tol in ((2, 0.03), (5, 0.03), (10, 0.10)):
             exact = delta0_second_moment(N, x)
-            quad = quad_coeff_n2(x) * N ** 2 + quad_coeff_n1(x) * N
-            assert abs(quad - exact) / exact < tol
+            assert abs(small_n_form(N, x) - exact) / exact < tol
 
     def test_crossover_marker(self):
-        rep = asymptotic_checks(self.params(x=0.25))
-        assert rep.crossover_N == pytest.approx(4.0)
-
-    def test_requires_delta0(self):
-        from qstatwork.errors import DomainError
-
-        p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.5, v=0.1, T=20.0,
-                            beta_c=1.0, beta_h=0.1)
-        with pytest.raises(DomainError):
-            asymptotic_checks(p)
+        # the small-N form is the closer one below the crossover N ~ 1/x = 20,
+        # the large-N line above it
+        x = 0.05
+        for N, small_n_closer in ((4, True), (100, False)):
+            exact = delta0_second_moment(N, x)
+            closer = abs(small_n_form(N, x) - exact) < abs(large_n_line(N, x) - exact)
+            assert closer is small_n_closer, N
 
 
 @pytest.fixture(scope="module")
