@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -72,8 +73,9 @@ def environment(workers: int = 1) -> dict:
     """The software and machine behind a run: the Python and NumPy
     versions, the BLAS NumPy was built with, the cores this process may
     run on, the `workers` processes the run used, the OpenBLAS thread
-    count of this process (None under another BLAS; each pool worker runs
-    one) and the git revision of the checkout holding the package (None
+    count of this process (None under another BLAS; every process of a
+    `parallel_map` on more than one worker runs one while it computes)
+    and the git revision of the checkout holding the package (None
     outside one)."""
     import platform
 
@@ -285,8 +287,9 @@ def _openblas_threads(verb: str) -> tuple:
 
 
 def _one_blas_thread():
-    """Run the OpenBLAS that NumPy loaded on one thread: the pool
-    initializer, and the first step of every CLI command.
+    """Run the OpenBLAS that NumPy loaded on one thread: the first step of
+    every CLI command, and of `parallel_map` with more than one worker,
+    whose forked children inherit the setting.
 
     The workers already take the cores, and OpenBLAS threads that compete
     for them are slow: on 2 cores, `figure fig3a` on 2 workers with 2
@@ -297,8 +300,12 @@ def _one_blas_thread():
     runs, and as long in two others.  A BLAS other than OpenBLAS keeps its
     own setting.
     """
+    _set_blas_threads(1)
+
+
+def _set_blas_threads(n: int):
     for setter in _openblas_threads("set"):
-        setter(1)
+        setter(n)
 
 
 def _blas_threads():
@@ -308,33 +315,146 @@ def _blas_threads():
 
 
 def parallel_map(fn, inputs, workers: int = 1) -> list:
-    """[fn(x) for x in inputs] on up to `workers` worker processes
+    """[fn(x) for x in inputs] on up to `workers` processes
     (`worker_count`), in input order.
 
-    fn must be a module-level function (or a functools.partial of one) and
-    its inputs and results picklable.  Workers are forked, so they start
-    from this process's state without importing the package again, and a
-    fresh pool lives only for this call.  Each worker runs OpenBLAS on one
-    thread (`_one_blas_thread`).  With one worker the inputs run in this
-    process and no pool starts.  An exception fn raises in a worker is
-    raised here.
+    With one worker the inputs run in this process.  With more, this
+    process forks `workers` - 1 children, which start from its state and
+    live only for this call, and computes its own share of the inputs
+    alongside them; `workers` counts every process that computes.  Every
+    one of them runs OpenBLAS on one thread (`_one_blas_thread`), and this
+    process gets its own count back on return.  fn's results must be
+    picklable.  An exception fn raises in any process is raised here (a
+    child prints its traceback to stderr first); a child that ends
+    without sending its results raises RuntimeError.
+    Every child has been waited for when this returns or raises.
     """
     inputs = list(inputs)
     workers = worker_count(workers, len(inputs))
     if workers == 1:
         return [fn(x) for x in inputs]
-    # deferred: `import qstatwork` does not load multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # inputs go out in chunks, about 16 per worker: one message per input
-    # costs about as much as a closed-form sweep cell (a 2000-cell impulse
-    # sweep took 0.93 s on 2 workers unchunked, 0.62 s serially), while
-    # 16 chunks per worker still balance cells of unequal cost
+    # inputs go out in chunks, about 16 per worker: enough to balance cells
+    # of unequal cost, and few enough for the queue below to fit in a pipe
+    # (a chunk per input is no faster: a 2000-cell impulse sweep on 2
+    # workers took 0.79 s with it, 0.81 s in chunks, 1.13-1.18 s serially)
     chunk = max(1, len(inputs) // (16 * workers))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, inputs, chunksize=chunk))
+    # what this process buffered is written once, not again by each child
+    _flush_std()
+    threads = _blas_threads()
+    _one_blas_thread()
+    # the queue: one pipe holding every chunk's start as 4 bytes, which
+    # this process and its children read until it is empty and closed, so
+    # that whoever is free takes the next chunk.  The starts, at most 32 x
+    # 4 bytes per worker, go in one write that the pipe holds whole (64 KiB
+    # on Linux), so each read of 4 bytes takes one whole start
+    queue, queue_w = os.pipe()
+    children = {}       # pid -> read end of the pipe its results come on
+    try:
+        try:
+            for _ in range(workers - 1):
+                pid, results_r = _fork_worker(fn, inputs, chunk, queue, queue_w)
+                children[pid] = results_r
+            _write_all(queue_w, np.arange(0, len(inputs), chunk, dtype="<u4").tobytes())
+        finally:
+            os.close(queue_w)
+        try:
+            done = _pull(fn, inputs, chunk, queue)
+        except BaseException:
+            # empty the queue, so that the children stop after their chunk
+            while os.read(queue, 1 << 16):
+                pass
+            raise
+    finally:
+        os.close(queue)
+        messages = _reap(children)
+        if threads is not None:
+            _set_blas_threads(threads)
+    for pid, status, data in messages:
+        if status != 0 or not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"worker process {pid} {how} without sending its results")
+        sent = pickle.loads(data)
+        if isinstance(sent, BaseException):
+            raise sent
+        done += sent
+    out = [None] * len(inputs)
+    for start, values in done:
+        out[start:start + len(values)] = values
+    return out
+
+
+def _pull(fn, inputs, chunk: int, queue: int) -> list:
+    """[(start, [fn(x) for x in inputs[start:start + chunk]])] for each
+    start this process reads from the queue pipe, until it is empty and
+    every write end is closed."""
+    done = []
+    while raw := os.read(queue, 4):
+        start = int.from_bytes(raw, "little")
+        done.append((start, [fn(x) for x in inputs[start:start + chunk]]))
+    return done
+
+
+def _fork_worker(fn, inputs, chunk: int, queue: int, queue_w: int) -> tuple:
+    """Fork a child that runs `_pull` and sends back, pickled on a pipe of
+    its own, its list or the exception fn raised: (pid, read end)."""
+    results_r, results_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(results_r)
+        os.close(results_w)
+        raise
+    if pid:
+        os.close(results_w)
+        return pid, results_r
+    # the child: whatever happens, it leaves here, never returning into
+    # the caller's frames
+    status = 1
+    try:
+        os.close(results_r)
+        os.close(queue_w)       # else the queue never reads as closed
+        try:
+            sent = _pull(fn, inputs, chunk, queue)
+        except Exception as exc:
+            import traceback
+
+            traceback.print_exc()       # the caller raises exc, but not its traceback
+            sent = exc
+        _write_all(results_w, pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        _flush_std()
+        os._exit(status)
+
+
+def _reap(children: dict) -> list:
+    """(pid, wait status, bytes sent) of each child, after reading its pipe
+    to the end and waiting for it to exit."""
+    messages = []
+    for pid, results_r in children.items():
+        with open(results_r, "rb") as fh:
+            data = fh.read()
+        messages.append((pid, os.waitpid(pid, 0)[1], data))
+    return messages
+
+
+def _write_all(fd: int, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _flush_std():
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):     # None, or closed
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +662,7 @@ def _fig3_data(workers: int = 1):
     schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
     n_values = range(1, 7)
     cases = [(_fig2_engine(N, 0.0), schedule, system) for N in n_values]
-    # longest first (the cost grows with N), so that the pool ends on short cycles
+    # longest first (the cost grows with N), so that the workers end on short cycles
     runs = parallel_map(_timed_cycles, cases[::-1], workers)[::-1]
     data = [(N, wb, wd) for N, ((wb, _), (wd, _)) in zip(n_values, runs)]
     return data, [diag for pair in runs for _, diag in pair]
@@ -659,7 +779,7 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None)
         args = (shared[target.shared],)
     columns, rows, (ok, detail), work = target.run(workers, *args)
     # the tasks of a figure with cycles are its run_cycles calls, two runs each
-    pool = worker_count(workers, work["cycles"]["n_cycles"] // 2) if "cycles" in work else 1
+    used = worker_count(workers, work["cycles"]["n_cycles"] // 2) if "cycles" in work else 1
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     _write_manifest(os.path.join(out_dir, "manifest.json"), {
         "figure": fig_id,
@@ -670,7 +790,7 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None)
         "failures": [] if ok else [detail],
         "wall_time_s": time.time() - t0,
         **work,
-    }, pool)
+    }, used)
     return ok, detail
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), the test oracles take from the
-package only the model inputs they need, and importing the package loads
-NumPy and the standard library only."""
+package only the model inputs they need, importing the package loads
+NumPy and the standard library only, and a parallel map starts no process
+pool."""
 
 import ast
 import os
@@ -97,13 +98,27 @@ def test_oracles_import_no_private_package_name():
 
 def test_import_loads_no_scipy_or_mpmath():
     # SciPy and mpmath are test dependencies: the package must not load
-    # them.  Nor may it load the process-pool machinery, which only
-    # `sweeps.parallel_map` imports, when it starts a pool, or
-    # numpy.polynomial, which the default quadrature order does not need.
+    # them.  Nor may it load the process-pool machinery, which no module
+    # of it uses (`sweeps.parallel_map` forks its own children, see the
+    # test below), or numpy.polynomial, which the default quadrature order
+    # does not need.
     probe = ("import sys, qstatwork; qstatwork._quad._gl_nodes(16); "
              "print(sorted(m for m in sys.modules if "
              "m.partition('.')[0] in ('scipy', 'mpmath', 'multiprocessing') "
              "or m == 'concurrent.futures.process' or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_parallel_map_loads_no_process_pool():
+    # a map on two processes forks its child itself: it loads neither
+    # multiprocessing nor concurrent.futures, which cost a pool's start-up
+    probe = ("import sys, qstatwork.sweeps as sw; "
+             "assert sw.parallel_map(abs, range(-4, 4), workers=2) == [4, 3, 2, 1, 0, 1, 2, 3]; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -1,12 +1,14 @@
+import functools
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import platform
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +37,9 @@ FERMI_SPEC = sw.SweepSpec(
 )
 
 
-# Prints OpenBLAS's thread count in this process, then in two pool workers;
-# -1 where NumPy does not use OpenBLAS.
+# Prints OpenBLAS's thread count in this process, then in the two processes
+# that ran the tasks of a 2-worker map, then in this process again; -1
+# where NumPy does not use OpenBLAS.
 BLAS_PROBE = """
 import ctypes
 import qstatwork.sweeps as sw
@@ -53,7 +56,21 @@ def blas_threads(_):
                 return getattr(lib, name)()
     return -1
 
-print(blas_threads(0), *sw.parallel_map(blas_threads, range(2), workers=2))
+print(blas_threads(0), *sw.parallel_map(blas_threads, range(2), workers=2), blas_threads(0))
+"""
+
+# Leaves a line in this process's stdout buffer, then prints a line from
+# each task of a 2-worker map, with the pid of the process that ran it.
+OUTPUT_PROBE = """
+import os, sys, time
+import qstatwork.sweeps as sw
+
+def say(x):
+    time.sleep(0.2)
+    print("task", x, os.getpid())
+
+sys.stdout.write(f"caller {os.getpid()}\\n")
+sw.parallel_map(say, range(4), workers=2)
 """
 
 
@@ -61,23 +78,60 @@ def _pid_of(x):
     return x, os.getpid()
 
 
-def _inverse(x):
-    return 1 / x
+def _sleepy_pids(x, seconds=0.2):
+    time.sleep(seconds)
+    return x, os.getpid(), os.getppid()
+
+
+def _misbehave_in(where, action, caller, x):
+    """x after 0.1 s, but in the `where` process ("caller" or "child" of
+    the map called from pid `caller`) what `action` says."""
+    if (os.getpid() == caller) == (where == "caller"):
+        if action == "raise":
+            raise ZeroDivisionError(x)
+        if action == "exit":
+            os._exit(3)
+        if action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if action == "unpicklable":
+            return lambda: x
+    time.sleep(0.1)
+    return x
+
+
+def assert_no_child_left():
+    # waitpid(-1) raises once this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_two_cores = pytest.mark.skipif(CORES < 2, reason="one core runs every map in-process")
 
 
 class TestWorkers:
     def test_worker_cap(self):
-        # the arithmetic only: no pool of these sizes starts
+        # the arithmetic only: no map of these sizes runs
         assert sw.worker_count(10 ** 6, 10 ** 6) == CORES
         assert sw.worker_count(10 ** 6, 1) == 1
         assert sw.worker_count(3, 2) == min(2, CORES)
         assert sw.worker_count(0, 5) == sw.worker_count(4, 0) == 1
 
     def test_parallel_map_keeps_order_and_joins_its_workers(self):
-        out = sw.parallel_map(_pid_of, range(6), workers=2)
-        assert [x for x, _ in out] == list(range(6))
-        assert (os.getpid() not in {pid for _, pid in out}) == (CORES >= 2)
-        assert multiprocessing.active_children() == []
+        # the caller is one of the workers, the others are its children
+        out = sw.parallel_map(_sleepy_pids, range(4), workers=2)
+        assert [x for x, *_ in out] == list(range(4))
+        me = os.getpid()
+        assert all(me in (pid, parent) for _, pid, parent in out)
+        pids = {pid for _, pid, _ in out}
+        assert len(pids) <= min(2, CORES)
+        if CORES >= 2:
+            assert me in pids and len(pids) == 2
+        assert_no_child_left()
+        # 3000 inputs in 33 chunks that both processes take from the queue:
+        # each comes back once, in its place
+        short = functools.partial(_sleepy_pids, seconds=1e-4)
+        assert [x for x, *_ in sw.parallel_map(short, range(3000), workers=2)] == list(range(3000))
+        assert_no_child_left()
 
     def test_workers_run_openblas_on_one_thread(self):
         # a fresh interpreter with no BLAS thread setting, where OpenBLAS
@@ -87,18 +141,57 @@ class TestWorkers:
         env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout.split()
-        caller, *workers = map(int, out)
+        caller, *workers, after = map(int, out)
         if caller == -1:
             pytest.skip("NumPy does not use OpenBLAS here")
         assert workers == [1, 1]
+        assert after == caller              # the caller's own count is back
 
     def test_one_worker_runs_in_process(self):
         assert {pid for _, pid in sw.parallel_map(_pid_of, range(3))} == {os.getpid()}
 
+    @needs_two_cores
     def test_worker_exception_reaches_the_caller(self):
+        task = functools.partial(_misbehave_in, "child", "raise", os.getpid())
         with pytest.raises(ZeroDivisionError):
-            sw.parallel_map(_inverse, [1, 0], workers=2)
-        assert multiprocessing.active_children() == []
+            sw.parallel_map(task, range(4), workers=2)
+        assert_no_child_left()
+
+    @needs_two_cores
+    @pytest.mark.parametrize("action, how", [("exit", "exited with status 3"),
+                                             ("kill", "was killed by signal 9"),
+                                             ("unpicklable", "exited with status 1")])
+    def test_child_that_sends_nothing_raises(self, action, how):
+        task = functools.partial(_misbehave_in, "child", action, os.getpid())
+        with pytest.raises(RuntimeError, match=rf"worker process \d+ {how} without sending"):
+            sw.parallel_map(task, range(4), workers=2)
+        assert_no_child_left()
+
+    @needs_two_cores
+    def test_caller_exception_stops_the_children(self):
+        # the caller raises on its first task; the children stop after the
+        # chunk they hold, long before the 2 s the 20 tasks would take them
+        task = functools.partial(_misbehave_in, "caller", "raise", os.getpid())
+        t0 = time.perf_counter()
+        with pytest.raises(ZeroDivisionError):
+            sw.parallel_map(task, range(20), workers=2)
+        assert time.perf_counter() - t0 < 1.0
+        assert_no_child_left()
+
+    @needs_two_cores
+    def test_output_appears_once(self):
+        # the caller's unflushed line is not written again by a child, and
+        # each child's lines are flushed before it exits; stdout is a pipe,
+        # so it is block-buffered unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", OUTPUT_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.splitlines()
+        caller = out[0].split()[1]
+        assert out[0] == f"caller {caller}" and out.count(out[0]) == 1
+        tasks = sorted(line.split()[:2] for line in out[1:])
+        assert tasks == [["task", str(x)] for x in range(4)]
+        assert {line.split()[2] for line in out[1:]} - {caller}    # a child printed
 
 
 
@@ -177,7 +270,7 @@ class TestSweepSpec:
         for k, spec in enumerate((self.spec(), BOTH_SPEC, FERMI_SPEC)):
             sw.run_sweep(spec, threads=1, out_dir=str(tmp_path / f"s{k}"))
             manifest = sw.run_sweep(spec, threads=2, out_dir=str(tmp_path / f"t{k}"))
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             assert manifest["n_failed"] == 0
             assert (tmp_path / f"s{k}" / "data.csv").read_bytes() == \
                    (tmp_path / f"t{k}" / "data.csv").read_bytes()
@@ -349,7 +442,7 @@ class TestCli:
     def test_figure_manifest_summarises_cycles(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSTAT_THREADS", "2")
         assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path)]) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         cycles = json.loads((tmp_path / "manifest.json").read_text())["cycles"]
         assert cycles["n_cycles"] == len(cycles["cycle_wall_s"]) == 48   # 24 rows, 2 each
         assert all(w > 0.0 for w in cycles["cycle_wall_s"])
