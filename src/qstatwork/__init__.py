@@ -21,7 +21,6 @@ from .protocols import (
     omega_of_t,
     phase_integral,
 )
-from .hilbert import DenseOperator, HOTruncated, QuantumState
 from .analytics import (
     Amplitudes,
     MomentSet,

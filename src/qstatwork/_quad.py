@@ -15,29 +15,20 @@ import numpy as np
 
 from .errors import QuadratureError
 
-# the default order's nodes and weights, bit-equal to
-# np.polynomial.legendre.leggauss(16) (both symmetric about 0), so that a
-# fresh process integrates without importing numpy.polynomial
+# the order-16 Gauss-Legendre nodes and weights, bit-equal to
+# np.polynomial.legendre.leggauss(16) (both symmetric about 0), so that
+# integrating imports no numpy.polynomial
 _GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
                0.6178762444026438, 0.755404408355003, 0.8656312023878318,
                0.9445750230732326, 0.9894009349916499)
 _GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
                  0.062253523938647456, 0.027152459411754176)
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {
-    16: (np.array([-x for x in _GL16_NODES[::-1]] + list(_GL16_NODES)),
-         np.array(_GL16_WEIGHTS[::-1] + _GL16_WEIGHTS)),
-}
+GL_NODES = np.array([-x for x in _GL16_NODES[::-1]] + list(_GL16_NODES))
+GL_WEIGHTS = np.array(_GL16_WEIGHTS[::-1] + _GL16_WEIGHTS)
 
 
-def _gl_nodes(order: int):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
-
-
-def _build_panels(a: float, b: float, breakpoints, max_freq: float, max_width: float) -> np.ndarray:
+def _build_panels(a: float, b: float, breakpoints, max_freq: float) -> np.ndarray:
     """Panel edges over [a, b]: the breakpoints inside (a, b) cut it into
     segments, and each segment is split evenly (as np.linspace would) into
     the fewest panels no wider than the width cap."""
@@ -45,8 +36,6 @@ def _build_panels(a: float, b: float, breakpoints, max_freq: float, max_width: f
     width_cap = b - a
     if max_freq > 0:
         width_cap = min(width_cap, 5.0 / max_freq)
-    if max_width and max_width > 0:
-        width_cap = min(width_cap, max_width)
     lo, hi = cuts[:-1], cuts[1:]
     n = np.maximum(1, np.ceil((hi - lo) / width_cap)).astype(int)
     seg = np.repeat(np.arange(n.size), n)
@@ -62,15 +51,14 @@ def _refine(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(f, edges: np.ndarray, order: int) -> np.ndarray:
-    x, w = _gl_nodes(order)
+def _evaluate(f, edges: np.ndarray) -> np.ndarray:
     los, his = edges[:-1], edges[1:]
     half = (his - los) / 2
     mid = (his + los) / 2
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
     vals = np.asarray(f(nodes))
-    vals = vals.reshape(vals.shape[:-1] + (los.size, order))
-    return np.sum(vals @ w * half, axis=-1)
+    vals = vals.reshape(vals.shape[:-1] + (los.size, GL_NODES.size))
+    return np.sum(vals @ GL_WEIGHTS * half, axis=-1)
 
 
 class QuadStats(NamedTuple):
@@ -95,10 +83,8 @@ def integrate_oscillatory(
     b: float,
     breakpoints=None,
     max_freq: float = 0.0,
-    max_width: float = 0.0,
     rel_tol: float = 1e-10,
     abs_tol=0.0,
-    order: int = 16,
     max_refine: int = 5,
 ):
     """Integrate a vectorised complex integrand f over [a, b].
@@ -117,15 +103,15 @@ def integrate_oscillatory(
     if b <= a:
         shape = np.shape(f(np.array([a])))[:-1]
         return (np.zeros(shape, complex) if shape else 0.0 + 0.0j), QuadStats()
-    edges = _build_panels(a, b, breakpoints, max_freq, max_width)
-    est = _evaluate(f, edges, order)
+    edges = _build_panels(a, b, breakpoints, max_freq)
+    est = _evaluate(f, edges)
     scale = np.maximum(np.abs(est), (b - a) * 1e-300)
     out = est
     done = np.zeros(est.shape, bool)
     accepted = np.zeros(est.shape)
     for refinements in range(1, max_refine + 1):
         edges = _refine(edges)
-        new = _evaluate(f, edges, order)
+        new = _evaluate(f, edges)
         delta = np.abs(new - est)
         est, scale = new, np.maximum(np.abs(new), scale)
         passed = ~done & (delta <= np.maximum(abs_tol, rel_tol * scale))

@@ -5,8 +5,10 @@ energy measurement of the external system.
 Distinguishable ensembles are propagated through the exact total-spin
 block decomposition: the product Hamiltonian, coupling and thermal
 states are all functions of total-spin operators, so the 2^N dynamics
-splits into independent spin-j sectors with known multiplicities.  The
-tests check whole cycles against a dense 2^N reference.
+splits into independent spin-j sectors with known multiplicities.  Every
+block is built from the spin-j matrices of `_spin_xyz` (hbar = 1,
+ascending magnetic quantum number m = -j .. j).  The tests check whole
+cycles against a dense 2^N reference.
 
 Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
 step is one phase product and two matrix products, run in place on the
@@ -23,12 +25,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .analytics import METHOD_NUMERICAL, WorkRecord
 from .errors import ConfigError, PropagationError
-from .hilbert import HOTruncated, QuantumState, _spin_xyz
 from .protocols import (
     CouplingSchedule,
     EngineParams,
@@ -52,6 +54,7 @@ CHAIN_DIM = 20
 DROP_TOL = 1e-16              # sigma_S eigenvalues dropped from a stroke's factor
 LEAKAGE_TOL = 1e-6
 UNITARITY_TOL = 1e-10
+STATE_EIGMIN_TOL = -1e-9      # smallest eigenvalue a final sigma_S may have
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,11 @@ class PropagatorConfig:
 
 @dataclass
 class CycleResult:
-    """Work record plus the final state and numerical health indicators."""
+    """Work record, the final system state sigma_S as an array (Hermitian,
+    unit trace, no eigenvalue below STATE_EIGMIN_TOL) and health indicators."""
 
     work: WorkRecord
-    final_state: QuantumState
+    final_state: np.ndarray
     per_stroke_energies: list
     diagnostics: dict
 
@@ -88,11 +92,10 @@ class CycleResult:
             "diagnostics": self.diagnostics,
         }
         if include_state:
-            rho = self.final_state.rho
             out["final_state"] = {
-                "space_dim": self.final_state.dim,
-                "re": rho.real.tolist(),
-                "im": rho.imag.tolist(),
+                "space_dim": len(self.final_state),
+                "re": self.final_state.real.tolist(),
+                "im": self.final_state.imag.tolist(),
             }
         return out
 
@@ -138,6 +141,20 @@ class _Sector:
 
     def unitarity_residual(self) -> float:
         return _isometry_drift(self.sy_vecs, self.vr_vecs)
+
+
+@lru_cache(maxsize=None)
+def _spin_xyz(N: int):
+    """Spin-N/2 matrices Sx and Sy, and the diagonal m of Sz, in the
+    ascending-m basis, from which every spin block of the engines is built."""
+    j = N / 2
+    m = np.arange(N + 1) - j
+    sp = np.zeros((N + 1, N + 1), dtype=complex)
+    for k in range(N):
+        sp[k + 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    sx = (sp + sp.conj().T) / 2
+    sy = (sp - sp.conj().T) / 2j
+    return sx, sy, m
 
 
 def _spin_sector(n_eff: int, mult: float) -> _Sector:
@@ -664,10 +681,12 @@ def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResul
     )
     sigma_s = (sigma_s + sigma_s.conj().T) / 2
     sigma_s /= np.trace(sigma_s).real
-    final = QuantumState(HOTruncated(system.dim), sigma_s)
+    eigmin = float(np.linalg.eigvalsh(sigma_s)[0])
+    if eigmin < STATE_EIGMIN_TOL:
+        raise PropagationError(f"final system state has negative eigenvalue {eigmin:.3e}")
     return CycleResult(
         work=record,
-        final_state=final,
+        final_state=sigma_s,
         per_stroke_energies=energies,
         diagnostics=diag.as_dict({
             "system_dim": system.dim,

@@ -189,10 +189,10 @@ def fermi_outcoupled_work(
     )
 
 
-def lambda_table(N_values, beta_omega_values, engine: EngineParams, omega_trap: float = 1.0):
-    """Rows (N, beta_com_omega, lambda, lambda_asymptotic, method) for CSV."""
+def lambda_table(N_values, beta_omega_values, engine: EngineParams):
+    """Rows (N, beta_com_omega, lambda, lambda_asymptotic, method) for CSV;
+    lambda depends on the trap only through beta_com * omega_trap."""
     return [(int(N), float(bw),
-             f_N(FermiEnsemble(N=int(N), omega_trap=omega_trap, beta_com=bw / omega_trap,
-                               engine=engine)),
+             f_N(FermiEnsemble(N=int(N), omega_trap=1.0, beta_com=float(bw), engine=engine)),
              parity_asymptote(int(N), float(bw)), "recursion")
             for N in N_values for bw in beta_omega_values]

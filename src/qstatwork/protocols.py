@@ -17,7 +17,6 @@ from typing import Union
 import numpy as np
 
 from .errors import DegenerateHamiltonianError, DomainError, InvalidVariantError
-from .hilbert import HOTruncated, DenseOperator
 
 
 class Statistics(str, enum.Enum):
@@ -56,8 +55,9 @@ class EngineParams:
     gap_direction: GapDirection = GapDirection.INCREASING
 
     def __post_init__(self):
-        if self.N < 1:
+        if not float(self.N).is_integer() or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
         if self.T <= 0:
             raise ValueError(f"cycle period T must be positive, got {self.T}")
         if self.Delta < 0:
@@ -330,11 +330,11 @@ def _trapezoid(y, x):
 @dataclass(frozen=True, eq=False)
 class ExternalSystem:
     """Driven system S: spectrum (ground energy pinned to zero) and the
-    Hermitian coupling operator V_S, both in the energy eigenbasis."""
+    Hermitian coupling operator V_S, a complex array, both in the energy
+    eigenbasis."""
 
     energies: np.ndarray
-    V_S: DenseOperator
-    label: str = ""
+    V_S: np.ndarray
 
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
@@ -345,13 +345,15 @@ class ExternalSystem:
         if np.any(np.diff(energies) < -1e-12):
             raise ValueError("energies must be ascending")
         object.__setattr__(self, "energies", energies)
-        vs = self.V_S
-        if not isinstance(vs, DenseOperator):
-            vs = DenseOperator(HOTruncated(energies.size), vs)
-            object.__setattr__(self, "V_S", vs)
-        if vs.dim != energies.size:
+        vs = np.asarray(self.V_S, dtype=complex)
+        if vs.ndim != 2 or vs.shape[0] != vs.shape[1]:
+            raise ValueError(f"V_S must be a square matrix, got shape {vs.shape}")
+        if vs.shape[0] != energies.size:
             raise ValueError("V_S dimension does not match the energy list")
-        vs.assert_hermitian()
+        defect = float(np.max(np.abs(vs - vs.conj().T)))
+        if defect > 1e-12:
+            raise ValueError(f"V_S not Hermitian: max |A - A^dag| = {defect:.3e}")
+        object.__setattr__(self, "V_S", vs)
 
     @property
     def dim(self) -> int:
@@ -359,7 +361,7 @@ class ExternalSystem:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.V_S.matrix
+        return self.V_S
 
 
 def harmonic_system(omega: float, dim: int) -> ExternalSystem:
@@ -376,8 +378,4 @@ def harmonic_system(omega: float, dim: int) -> ExternalSystem:
     root = np.sqrt(np.arange(1, dim))
     vs[np.arange(1, dim), np.arange(dim - 1)] = root
     vs[np.arange(dim - 1), np.arange(1, dim)] = root
-    return ExternalSystem(
-        energies=omega * n,
-        V_S=DenseOperator(HOTruncated(dim), vs),
-        label=f"ho:{omega!r}",
-    )
+    return ExternalSystem(energies=omega * n, V_S=vs)

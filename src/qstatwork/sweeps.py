@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import os
 import pickle
 import sys
@@ -134,6 +135,8 @@ _FERMI_DEFAULTS = {"N": 2, "omega_trap": 1.0, "beta_com_omega": 4.0}
 
 
 def _check_keys(section: str, given: dict, allowed: set):
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{section}' must be an object, got {type(given).__name__}")
     for key in given:
         if key not in allowed:
             raise ConfigError(
@@ -161,6 +164,20 @@ def validate_config(doc: dict):
             raise ConfigError(f"unknown config section '{section}'")
     for section, allowed in {**_AXIS_SECTIONS, "sweep": _SWEEP_KEYS}.items():
         _check_keys(section, doc.get(section, {}), allowed)
+    axes = doc.get("sweep", {}).get("axes", [])
+    if not isinstance(axes, list):
+        raise ConfigError(f"'sweep.axes' must be a list, got {type(axes).__name__}")
+    for i, axis in enumerate(axes):
+        _check_keys(f"sweep.axes[{i}]", axis, {"param", "values"})
+        if not isinstance(axis.get("param"), str) or not isinstance(axis.get("values"), list):
+            raise ConfigError(f"sweep.axes[{i}] needs a string 'param' and a list 'values'")
+
+
+def _integer(section: str, key: str, value) -> int:
+    """A config field that counts something: 3 and 3.0 pass, 2.7 does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def build_engine(cfg: dict) -> EngineParams:
@@ -176,7 +193,7 @@ def build_engine(cfg: dict) -> EngineParams:
     beta_h = float(cfg["beta_h"]) if "beta_h" in cfg else (
         float(merged["beta_h_EH"]) / math.hypot(omega_h, delta))
     return EngineParams(
-        N=int(merged["N"]), Omega0=omega0, Delta=delta, v=v, T=T,
+        N=_integer("engine", "N", merged["N"]), Omega0=omega0, Delta=delta, v=v, T=T,
         beta_c=beta_c, beta_h=beta_h,
         statistics=Statistics(merged["statistics"]),
         gap_direction=GapDirection(merged["gap_direction"]),
@@ -206,7 +223,7 @@ def build_system(cfg: dict, T: float) -> ExternalSystem:
         raise ConfigError("only system.kind = 'harmonic' is built in; construct "
                           "generic systems through the API")
     omega = float(merged["omega"]) if "omega" in cfg else float(merged["omega_T"]) / T
-    return harmonic_system(omega, int(merged["dim"]))
+    return harmonic_system(omega, _integer("system", "dim", merged["dim"]))
 
 
 def _build_case(cfg: dict):
@@ -233,12 +250,13 @@ def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
     merged.update(cfg)
     _check_keys("fermi", merged, _FERMI_KEYS)
     omega_trap = float(merged["omega_trap"])
+    level_count = merged.get("level_count")
     return fermi_mod.FermiEnsemble(
-        N=int(merged["N"]),
+        N=_integer("fermi", "N", merged["N"]),
         omega_trap=omega_trap,
         beta_com=float(merged["beta_com_omega"]) / omega_trap,
         engine=engine,
-        level_count=merged.get("level_count"),
+        level_count=None if level_count is None else _integer("fermi", "level_count", level_count),
     )
 
 

@@ -111,7 +111,7 @@ def oracle_gaps():
         p_excite = res.work.p_excite
         return {"work": abs(res.work.avg_work - work) / work,
                 "p_excite": max(abs(p_excite[i] - pops[i]) for i in p_excite),
-                "rho": float(np.max(np.abs(res.final_state.rho - states[key])))}
+                "rho": float(np.max(np.abs(res.final_state - states[key])))}
 
     return gaps
 
@@ -513,7 +513,7 @@ class TestBlockPath:
         levels = sorted(step.work.p_excite)
         assert gap([mult.work.p_excite[i] for i in levels],
                    [step.work.p_excite[i] for i in levels]) <= self.BOUND
-        assert gap(mult.final_state.rho, step.final_state.rho) <= self.BOUND
+        assert gap(mult.final_state, step.final_state) <= self.BOUND
         got, ref = np.array(mult.diagnostics["trace"]), np.array(step.diagnostics["trace"])
         np.testing.assert_array_equal(got[:, 0], ref[:, 0])         # same times
         assert gap(got[:, 1], ref[:, 1]) <= self.BOUND              # trace
@@ -646,7 +646,7 @@ class TestRunCycles:
             levels = sorted(lone.work.p_excite)
             assert gap([res.work.p_excite[i] for i in levels],
                        [lone.work.p_excite[i] for i in levels]) <= self.BOUND
-            assert gap(res.final_state.rho, lone.final_state.rho) <= self.BOUND
+            assert gap(res.final_state, lone.final_state) <= self.BOUND
             for key in ("sectors", "factor_rank", "split_steps", "block_steps",
                         "n_steps_per_half", "n_engine_steps"):
                 assert res.diagnostics.get(key) == lone.diagnostics.get(key), key
@@ -862,3 +862,24 @@ class TestCycleResultSerialization:
         assert d["work"]["method"] == "exact-numerical"
         assert len(d["final_state"]["re"]) == 6
         assert {"trace_drift", "unitarity_residual"} <= set(d["diagnostics"])
+
+
+class TestFinalState:
+    """A cycle's final sigma_S is Hermitian with unit trace by construction,
+    and a run whose sigma_S has an eigenvalue below -1e-9 fails."""
+
+    @pytest.mark.parametrize("bump", [-1e-6, -1e-10])
+    def test_negative_eigenvalue(self, monkeypatch, bump):
+        # shifting level 3, which the weak kick leaves all but empty, puts
+        # one eigenvalue of sigma_S at about `bump`
+        reduced = dyn._reduced_system
+        shift = np.diag([0, 0, 0, bump, 0, 0]).astype(complex)
+        monkeypatch.setattr(dyn, "_reduced_system", lambda y, w: reduced(y, w) + shift)
+        if bump < dyn.STATE_EIGMIN_TOL:
+            with pytest.raises(PropagationError, match="negative eigenvalue"):
+                run_cycle(engine(2), IMPULSE, ho(6))
+            return
+        sigma = run_cycle(engine(2), IMPULSE, ho(6)).final_state
+        assert np.linalg.eigvalsh(sigma)[0] == pytest.approx(bump, rel=1e-3)
+        assert np.array_equal(sigma, sigma.conj().T)
+        assert abs(np.trace(sigma) - 1) < 1e-15

@@ -2,12 +2,13 @@
 name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), the test oracles take from the
 package only the model inputs they need, importing the package loads
-NumPy and the standard library only, and a parallel map starts no process
-pool."""
+NumPy and the standard library only, a parallel map starts no process
+pool, and the README's module map names the package's modules."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -68,8 +69,8 @@ def private_package_imports(source: str) -> list:
 def test_detects_private_package_import():
     assert private_package_imports(
         "import qstatwork._quad\nfrom qstatwork import dynamics, _quad\n"
-        "from qstatwork.hilbert import _spin_xyz, thermal_state\nfrom os import _exit\n"
-    ) == [("qstatwork._quad", ""), ("qstatwork", "_quad"), ("qstatwork.hilbert", "_spin_xyz")]
+        "from qstatwork.dynamics import _spin_xyz, run_cycle\nfrom os import _exit\n"
+    ) == [("qstatwork._quad", ""), ("qstatwork", "_quad"), ("qstatwork.dynamics", "_spin_xyz")]
 
 
 def test_detects_package_import():
@@ -100,9 +101,9 @@ def test_import_loads_no_scipy_or_mpmath():
     # SciPy and mpmath are test dependencies: the package must not load
     # them.  Nor may it load the process-pool machinery, which no module
     # of it uses (`sweeps.parallel_map` forks its own children, see the
-    # test below), or numpy.polynomial, which the default quadrature order
-    # does not need.
-    probe = ("import sys, qstatwork; qstatwork._quad._gl_nodes(16); "
+    # test below), or numpy.polynomial, whose Gauss-Legendre nodes the
+    # quadrature holds as constants.
+    probe = ("import sys, qstatwork; "
              "print(sorted(m for m in sys.modules if "
              "m.partition('.')[0] in ('scipy', 'mpmath', 'multiprocessing') "
              "or m == 'concurrent.futures.process' or m.startswith('numpy.polynomial')))")
@@ -123,3 +124,19 @@ def test_parallel_map_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def module_map(readme: str) -> set:
+    """The modules named in the README's module map: each `name` followed
+    by its description in parentheses, in the paragraph opening
+    'Module map:'."""
+    start = readme.index("Module map:")
+    paragraph = readme[start:readme.find("\n\n", start)]
+    return set(re.findall(r"`(\w+)` \(", paragraph))
+
+
+def test_readme_module_map_names_every_module():
+    # the private quadrature and the `python -m` entry point are left out
+    modules = {p.stem for p in (ROOT / "src" / "qstatwork").glob("*.py")}
+    assert module_map((ROOT / "README.md").read_text()) == (
+        modules - {"__init__", "__main__", "_quad"})

@@ -62,6 +62,13 @@ class TestOmegaOfT:
             qw.EngineParams(N=1, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
                             beta_c=0.1, beta_h=1.0)
 
+    def test_n_must_be_whole(self):
+        # a fractional N used to pass here and fail deep in the propagation
+        with pytest.raises(ValueError, match="positive integer"):
+            fig2_params(N=2.5)
+        n = fig2_params(N=3.0).N
+        assert n == 3 and type(n) is int
+
 
 class TestPhaseIntegral:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
@@ -174,3 +181,11 @@ class TestHarmonicSystem:
         v = np.array([[0, 1j], [1j, 0]])
         with pytest.raises(ValueError, match="Hermitian"):
             qw.ExternalSystem(energies=np.array([0.0, 1.0]), V_S=v)
+
+    def test_generic_system_holds_its_coupling_array(self):
+        system = qw.ExternalSystem(energies=[0.0, 1.0], V_S=[[0, 1], [1, 0]])
+        assert system.matrix is system.V_S and system.V_S.dtype == complex
+        with pytest.raises(ValueError, match="square"):
+            qw.ExternalSystem(energies=[0.0, 1.0], V_S=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            qw.ExternalSystem(energies=[0.0, 1.0, 2.0], V_S=np.eye(2))

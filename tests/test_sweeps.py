@@ -214,6 +214,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line"):
             sw.load_config(str(path))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"engine": 5}, "'engine' must be an object"),
+        ({"engine": ["N"]}, "'engine' must be an object"),
+        ({"sweep": {"axes": 5}}, "'sweep.axes' must be a list"),
+        ({"sweep": {"axes": [{"param": "engine.N"}]}}, "a list 'values'"),
+        ({"sweep": {"axes": [{"param": "engine.N", "values": 3}]}}, "a list 'values'"),
+    ], ids=["engine-number", "engine-list", "axes-number", "axis-without-values",
+            "values-number"])
+    def test_malformed_section_exit_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analytic", "sweep"):
+            assert sw.cli_main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err, err
+
+    def test_integer_fields(self):
+        # 3 and 3.0 count the same; 2.7 is no count and is not truncated
+        T = 20.0
+        assert sw.build_engine({"N": 3.0}).N == sw.build_engine({"N": 3}).N == 3
+        assert sw.build_system({"dim": 5.0}, T).dim == 5
+        engine = sw.build_engine({})
+        ens = sw.build_fermi({"N": 3.0, "level_count": 6.0}, engine)
+        assert (ens.N, ens.level_count) == (3, 6)
+        for build, field in ((lambda: sw.build_engine({"N": 2.7}), "engine.N"),
+                             (lambda: sw.build_system({"dim": 4.5}, T), "system.dim"),
+                             (lambda: sw.build_fermi({"N": 2.7}, engine), "fermi.N"),
+                             (lambda: sw.build_fermi({"level_count": 7.5}, engine),
+                              "fermi.level_count")):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                build()
+
+    def test_fractional_n_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"engine": {"N": 2.7}}))
+        assert sw.cli_main(["analytic", "--config", str(path)]) == 2
+        assert "engine.N must be an integer, got 2.7" in capsys.readouterr().err
+
     def test_caption_normalized_baths(self):
         engine = sw.build_engine({"N": 2, "Delta": 1.4, "beta_c_E0": 2.0,
                                   "beta_h_EH": 0.25})
@@ -332,6 +370,16 @@ class TestSweepSpec:
             assert manifest["n_failed"] == 1
             rows = (tmp_path / "data.csv").read_text().splitlines()
             assert rows[1].endswith(",ok") and rows[2].endswith(",error:ValueError")
+
+    def test_fractional_axis_value_fails_its_cell(self, tmp_path):
+        spec = sw.SweepSpec(
+            axes=(("engine.N", (1.5, 2)),),
+            fixed={"coupling": {"kind": "impulse"}},
+            method="analytic", out="unused", seed=0,
+        )
+        assert sw.run_sweep(spec, out_dir=str(tmp_path))["n_failed"] == 1
+        rows = (tmp_path / "data.csv").read_text().splitlines()
+        assert rows[1].endswith(",error:ConfigError") and rows[2].endswith(",ok")
 
     def test_fermi_task(self, tmp_path):
         spec = sw.SweepSpec(
