@@ -39,8 +39,9 @@ class FermiEnsemble:
     level_count: int = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        if isinstance(self.N, bool) or not float(self.N).is_integer() or self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
         if self.omega_trap <= 0:
             raise ValueError("omega_trap must be positive")
         if self.beta_com < 0:

@@ -30,7 +30,6 @@ from .errors import ConfigError, QstatworkError
 from .protocols import (
     EngineParams,
     ExternalSystem,
-    GapDirection,
     Impulse,
     Sampled,
     SmoothPlateau,
@@ -114,27 +113,49 @@ def _git_revision():
 # configuration schema
 # ---------------------------------------------------------------------------
 
-_ENGINE_KEYS = {
-    "N", "Omega0", "Delta", "v", "T", "beta_c", "beta_h",
-    "beta_c_E0", "beta_h_EH", "statistics", "gap_direction",
+# _FIELDS[section][field] = (type, default, CLI flag of `analytic` and
+# `evolve`, or None).  The type is float, int (a count: 3 and 3.0 pass,
+# 2.7 does not) or a tuple of the allowed strings; a None default marks a
+# field derived when absent.
+_FIELDS = {
+    "engine": {
+        "N": (int, 2, "--N"),
+        "Omega0": (float, 1.0, "--omega0"),
+        "Delta": (float, 0.0, "--delta"),
+        "v": (float, 0.1, "--v"),
+        "T": (float, 20.0, "--T"),
+        "beta_c": (float, None, "--beta-c"),        # beta_c_E0 / E(0)
+        "beta_h": (float, None, "--beta-h"),        # beta_h_EH / E(T/2)
+        "beta_c_E0": (float, 2.0, "--beta-c-e0"),
+        "beta_h_EH": (float, 0.25, "--beta-h-eh"),
+        "statistics": (("bose", "distinguishable"), "bose", "--statistics"),
+        "gap_direction": (("increasing", "decreasing"), "increasing", None),
+    },
+    "coupling": {
+        "kind": (("impulse", "plateau"), "impulse", "--coupling"),
+        "g": (float, 0.01, "--g"),
+        "t1_frac": (float, 0.35, "--t1-frac"),
+        "delta_t": (float, 0.9, "--delta-t"),
+        "alpha_over_T": (float, 2142.0, "--alpha-over-t"),
+    },
+    "system": {
+        # other systems are built through the API
+        "kind": (("harmonic",), "harmonic", None),
+        "omega_T": (float, 2 * math.pi * 0.05, "--omega-t"),
+        "omega": (float, None, None),               # omega_T / T
+        "dim": (int, 12, "--dim"),
+    },
+    "fermi": {
+        "N": (int, 2, None),
+        "omega_trap": (float, 1.0, None),
+        "beta_com_omega": (float, 4.0, None),
+        "level_count": (int, None, None),           # FermiEnsemble's own rule
+    },
 }
-_COUPLING_KEYS = {"kind", "g", "t1_frac", "delta_t", "alpha_over_T"}
-_SYSTEM_KEYS = {"kind", "omega_T", "omega", "dim"}
-_FERMI_KEYS = {"N", "omega_trap", "beta_com_omega", "level_count"}
 _SWEEP_KEYS = {"axes", "method", "out", "seed", "task"}
 
-_ENGINE_DEFAULTS = {
-    "N": 2, "Omega0": 1.0, "Delta": 0.0, "v": 0.1, "T": 20.0,
-    "beta_c_E0": 2.0, "beta_h_EH": 0.25, "statistics": "bose",
-    "gap_direction": "increasing",
-}
-_COUPLING_DEFAULTS = {"kind": "impulse", "g": 0.01, "t1_frac": 0.35,
-                      "delta_t": 0.9, "alpha_over_T": 2142.0}
-_SYSTEM_DEFAULTS = {"kind": "harmonic", "omega_T": 2 * math.pi * 0.05, "dim": 12}
-_FERMI_DEFAULTS = {"N": 2, "omega_trap": 1.0, "beta_com_omega": 4.0}
 
-
-def _check_keys(section: str, given: dict, allowed: set):
+def _check_keys(section: str, given: dict, allowed):
     if not isinstance(given, dict):
         raise ConfigError(f"'{section}' must be an object, got {type(given).__name__}")
     for key in given:
@@ -142,6 +163,38 @@ def _check_keys(section: str, given: dict, allowed: set):
             raise ConfigError(
                 f"unknown field '{section}.{key}'; allowed: {sorted(allowed)}"
             )
+
+
+def _typed(name: str, kind, value):
+    """`value` of the config field `name` as its `kind` of _FIELDS, or a
+    ConfigError: null, a bool, a string, a list or an object is no number."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
+        return value
+    count = kind is int
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or count and not float(value).is_integer()):
+        raise ConfigError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _section(name: str, given) -> dict:
+    """Every field of the config section `name`: the `given` ones checked
+    against their types, the rest at their defaults."""
+    fields = _FIELDS[name]
+    _check_keys(name, given, fields)
+    return {key: _typed(f"{name}.{key}", kind, given[key]) if key in given else default
+            for key, (kind, default, _) in fields.items()}
+
+
+def _check_axes(axes):
+    if not isinstance(axes, list):
+        raise ConfigError(f"'sweep.axes' must be a list, got {type(axes).__name__}")
+    for i, axis in enumerate(axes):
+        _check_keys(f"sweep.axes[{i}]", axis, {"param", "values"})
+        if not isinstance(axis.get("param"), str) or not isinstance(axis.get("values"), list):
+            raise ConfigError(f"sweep.axes[{i}] needs a string 'param' and a list 'values'")
 
 
 def load_config(path: str) -> dict:
@@ -160,70 +213,37 @@ def load_config(path: str) -> dict:
 
 def validate_config(doc: dict):
     for section in doc:
-        if section not in ("engine", "coupling", "system", "sweep", "fermi"):
+        if section not in _FIELDS and section != "sweep":
             raise ConfigError(f"unknown config section '{section}'")
-    for section, allowed in {**_AXIS_SECTIONS, "sweep": _SWEEP_KEYS}.items():
-        _check_keys(section, doc.get(section, {}), allowed)
-    axes = doc.get("sweep", {}).get("axes", [])
-    if not isinstance(axes, list):
-        raise ConfigError(f"'sweep.axes' must be a list, got {type(axes).__name__}")
-    for i, axis in enumerate(axes):
-        _check_keys(f"sweep.axes[{i}]", axis, {"param", "values"})
-        if not isinstance(axis.get("param"), str) or not isinstance(axis.get("values"), list):
-            raise ConfigError(f"sweep.axes[{i}] needs a string 'param' and a list 'values'")
-
-
-def _integer(section: str, key: str, value) -> int:
-    """A config field that counts something: 3 and 3.0 pass, 2.7 does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return int(value)
+    for section in _FIELDS:
+        _section(section, doc.get(section, {}))
+    _check_keys("sweep", doc.get("sweep", {}), _SWEEP_KEYS)
+    _check_axes(doc.get("sweep", {}).get("axes", []))
 
 
 def build_engine(cfg: dict) -> EngineParams:
-    merged = dict(_ENGINE_DEFAULTS)
-    merged.update(cfg)
-    _check_keys("engine", merged, _ENGINE_KEYS)
-    omega0, delta = float(merged["Omega0"]), float(merged["Delta"])
-    v, T = float(merged["v"]), float(merged["T"])
-    sgn = 1 if GapDirection(merged["gap_direction"]) is GapDirection.INCREASING else -1
-    omega_h = omega0 + sgn * (abs(v) * T / 2)
-    beta_c = float(cfg["beta_c"]) if "beta_c" in cfg else (
-        float(merged["beta_c_E0"]) / math.hypot(omega0, delta))
-    beta_h = float(cfg["beta_h"]) if "beta_h" in cfg else (
-        float(merged["beta_h_EH"]) / math.hypot(omega_h, delta))
-    return EngineParams(
-        N=_integer("engine", "N", merged["N"]), Omega0=omega0, Delta=delta, v=v, T=T,
-        beta_c=beta_c, beta_h=beta_h,
-        statistics=Statistics(merged["statistics"]),
-        gap_direction=GapDirection(merged["gap_direction"]),
-    )
+    f = _section("engine", cfg)
+    omega0, delta = f["Omega0"], f["Delta"]
+    sgn = 1 if f["gap_direction"] == "increasing" else -1
+    omega_h = omega0 + sgn * (abs(f["v"]) * f["T"] / 2)
+    if f["beta_c"] is None:
+        f["beta_c"] = f["beta_c_E0"] / math.hypot(omega0, delta)
+    if f["beta_h"] is None:
+        f["beta_h"] = f["beta_h_EH"] / math.hypot(omega_h, delta)
+    del f["beta_c_E0"], f["beta_h_EH"]
+    return EngineParams(**f)
 
 
 def build_schedule(cfg: dict, T: float):
-    merged = dict(_COUPLING_DEFAULTS)
-    merged.update(cfg)
-    _check_keys("coupling", merged, _COUPLING_KEYS)
-    kind = merged["kind"]
-    if kind == "impulse":
-        return Impulse(g=float(merged["g"]), t1=float(merged["t1_frac"]) * T / 2, T=T)
-    if kind == "plateau":
-        return SmoothPlateau(
-            g=float(merged["g"]), delta_t=float(merged["delta_t"]),
-            alpha=float(merged["alpha_over_T"]) / T, T=T,
-        )
-    raise ConfigError(f"unknown coupling.kind '{kind}' (impulse or plateau)")
+    f = _section("coupling", cfg)
+    if f["kind"] == "impulse":
+        return Impulse(g=f["g"], t1=f["t1_frac"] * T / 2, T=T)
+    return SmoothPlateau(g=f["g"], delta_t=f["delta_t"], alpha=f["alpha_over_T"] / T, T=T)
 
 
 def build_system(cfg: dict, T: float) -> ExternalSystem:
-    merged = dict(_SYSTEM_DEFAULTS)
-    merged.update(cfg)
-    _check_keys("system", merged, _SYSTEM_KEYS)
-    if merged["kind"] != "harmonic":
-        raise ConfigError("only system.kind = 'harmonic' is built in; construct "
-                          "generic systems through the API")
-    omega = float(merged["omega"]) if "omega" in cfg else float(merged["omega_T"]) / T
-    return harmonic_system(omega, _integer("system", "dim", merged["dim"]))
+    f = _section("system", cfg)
+    return harmonic_system(f["omega_T"] / T if f["omega"] is None else f["omega"], f["dim"])
 
 
 def _build_case(cfg: dict):
@@ -246,18 +266,10 @@ def _timed_cycles(case) -> list:
 
 
 def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
-    merged = dict(_FERMI_DEFAULTS)
-    merged.update(cfg)
-    _check_keys("fermi", merged, _FERMI_KEYS)
-    omega_trap = float(merged["omega_trap"])
-    level_count = merged.get("level_count")
-    return fermi_mod.FermiEnsemble(
-        N=_integer("fermi", "N", merged["N"]),
-        omega_trap=omega_trap,
-        beta_com=float(merged["beta_com_omega"]) / omega_trap,
-        engine=engine,
-        level_count=None if level_count is None else _integer("fermi", "level_count", level_count),
-    )
+    f = _section("fermi", cfg)
+    return fermi_mod.FermiEnsemble(N=f["N"], omega_trap=f["omega_trap"],
+                                   beta_com=f["beta_com_omega"] / f["omega_trap"],
+                                   engine=engine, level_count=f["level_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +491,6 @@ def _flush_std():
 # sweeps
 # ---------------------------------------------------------------------------
 
-_AXIS_SECTIONS = {"engine": _ENGINE_KEYS, "coupling": _COUPLING_KEYS,
-                  "system": _SYSTEM_KEYS, "fermi": _FERMI_KEYS}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Cartesian sweep: named axes over config fields plus fixed sections."""
@@ -502,11 +510,12 @@ class SweepSpec:
         axes = []
         for param, values in self.axes:
             section, _, fld = param.partition(".")
-            if section not in _AXIS_SECTIONS or fld not in _AXIS_SECTIONS[section]:
+            if fld not in _FIELDS.get(section, {}):
                 raise ConfigError(f"axis parameter '{param}' does not name a "
                                   "known engine/coupling/system/fermi field")
             axes.append((param, tuple(values)))
         object.__setattr__(self, "axes", tuple(axes))
+        object.__setattr__(self, "seed", _typed("sweep.seed", int, self.seed))
         validate_config(self.fixed)
         n = self.n_cells
         cap = ANALYTIC_CELL_CAP if self.method == "analytic" else NUMERICAL_CELL_CAP
@@ -529,12 +538,13 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        _check_axes(d.get("axes", []))
         return cls(
             axes=tuple((a["param"], tuple(a["values"])) for a in d.get("axes", [])),
             fixed=d.get("fixed", {}),
             method=d.get("method", "analytic"),
             out=d.get("out", "out-sweep"),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
             task=d.get("task", "work"),
         )
 
@@ -1051,53 +1061,14 @@ def _threads_of(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _merged_config(args, overrides: dict) -> dict:
+def _merged_config(args) -> dict:
+    """The --config document, if any, with the field flags given set over it."""
     cfg = load_config(args.config) if args.config else {}
-    for section, vals in overrides.items():
-        sec = dict(cfg.get(section, {}))
-        sec.update({k: v for k, v in vals.items() if v is not None})
-        if sec:
-            cfg[section] = sec
-    validate_config(cfg)
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")      # a field flag's dest is "section.field"
+        if key and value is not None:
+            cfg.setdefault(section, {})[key] = value
     return cfg
-
-
-def _engine_overrides(args) -> dict:
-    return {
-        "N": args.N, "Omega0": args.omega0, "Delta": args.delta, "v": args.v,
-        "T": args.T, "beta_c": args.beta_c, "beta_h": args.beta_h,
-        "beta_c_E0": args.beta_c_e0, "beta_h_EH": args.beta_h_eh,
-        "statistics": args.statistics,
-    }
-
-
-def _add_engine_flags(sub):
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--omega0", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--v", type=float)
-    sub.add_argument("--T", type=float)
-    sub.add_argument("--beta-c", dest="beta_c", type=float)
-    sub.add_argument("--beta-h", dest="beta_h", type=float)
-    sub.add_argument("--beta-c-e0", dest="beta_c_e0", type=float)
-    sub.add_argument("--beta-h-eh", dest="beta_h_eh", type=float)
-    sub.add_argument("--statistics", choices=["bose", "distinguishable"])
-    sub.add_argument("--coupling", dest="coupling_kind", choices=["impulse", "plateau"])
-    sub.add_argument("--g", type=float)
-    sub.add_argument("--t1-frac", dest="t1_frac", type=float)
-    sub.add_argument("--delta-t", dest="delta_t", type=float)
-    sub.add_argument("--alpha-over-t", dest="alpha_over_T", type=float)
-    sub.add_argument("--omega-t", dest="omega_T", type=float)
-    sub.add_argument("--dim", type=int)
-
-
-def _coupling_overrides(args) -> dict:
-    return {"kind": args.coupling_kind, "g": args.g, "t1_frac": args.t1_frac,
-            "delta_t": args.delta_t, "alpha_over_T": args.alpha_over_T}
-
-
-def _system_overrides(args) -> dict:
-    return {"omega_T": args.omega_T, "dim": args.dim}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1109,12 +1080,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_an = subs.add_parser("analytic", help="closed-form work and enhancement")
-    _add_common(p_an, config=True)
-    _add_engine_flags(p_an)
-
     p_ev = subs.add_parser("evolve", help="exact numerical cycle")
-    _add_common(p_ev, config=True)
-    _add_engine_flags(p_ev)
+    for sub in (p_an, p_ev):
+        _add_common(sub, config=True)
+        # a flag per flagged field, stored under "section.field"
+        for section, fields in _FIELDS.items():
+            for key, (kind, _, flag) in fields.items():
+                if flag is None:
+                    continue
+                options = ({"choices": kind} if isinstance(kind, tuple) else
+                           {"type": kind, "metavar": flag[2:].replace("-", "_").upper()})
+                sub.add_argument(flag, dest=f"{section}.{key}", **options)
     p_ev.add_argument("--dt", type=float)
     p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
 
@@ -1177,11 +1153,7 @@ def cli_main(argv=None) -> int:
 def _dispatch(args) -> int:
     out_dir = args.out or f"out-{args.command}"
     if args.command in ("analytic", "evolve"):
-        engine, schedule, system = _build_case(_merged_config(args, {
-            "engine": _engine_overrides(args),
-            "coupling": _coupling_overrides(args),
-            "system": _system_overrides(args),
-        }))
+        engine, schedule, system = _build_case(_merged_config(args))
     if args.command == "analytic":
         ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
         print(json.dumps({
@@ -1202,7 +1174,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "fermi":
-        cfg = _merged_config(args, {})
+        cfg = _merged_config(args)
         engine = build_engine(cfg.get("engine", _FIG4_ENGINE))
         bw = np.linspace(args.bw_min, args.bw_max, args.bw_points)
         rows = fermi_mod.lambda_table(args.n_values, bw, engine)
@@ -1253,16 +1225,11 @@ def _dispatch(args) -> int:
         if not args.config:
             raise ConfigError("sweep requires --config with a sweep section")
         cfg = load_config(args.config)
-        sweep_cfg = cfg.get("sweep", {})
-        spec = SweepSpec(
-            axes=tuple((a["param"], tuple(a["values"]))
-                       for a in sweep_cfg.get("axes", [])),
-            fixed={k: v for k, v in cfg.items() if k in ("engine", "coupling", "system", "fermi")},
-            method=args.method or sweep_cfg.get("method", "analytic"),
-            out=args.out or sweep_cfg.get("out", "out-sweep"),
-            seed=args.seed if args.seed is not None else int(sweep_cfg.get("seed", 0)),
-            task=sweep_cfg.get("task", "work"),
-        )
+        flags = {"method": args.method, "out": args.out, "seed": args.seed}
+        spec = SweepSpec.from_dict({
+            **cfg.get("sweep", {}), **{k: v for k, v in flags.items() if v is not None},
+            "fixed": {k: v for k, v in cfg.items() if k in _FIELDS},
+        })
         manifest = run_sweep(spec, threads=_threads_of(args), out_dir=args.out)
         frac = manifest["n_failed"] / max(1, manifest["n_cells"])
         print(f"{manifest['n_cells']} cells, {manifest['n_failed']} failed")

@@ -84,6 +84,15 @@ class TestEnumeration:
             FermiEnsemble(N=5, omega_trap=1.0, beta_com=3.0,
                           engine=fig4_engine(), level_count=4)
 
+    def test_atom_count_is_an_integer(self):
+        # 3.0 counts as 3; a fractional or bool count is refused, as by EngineParams
+        e = ens(3.0, 3.0)
+        assert e.N == 3 and type(e.N) is int
+        assert f_N(e) == f_N(ens(3, 3.0))
+        for N in (2.5, True):
+            with pytest.raises(ValueError, match="N must be a positive integer"):
+                ens(N, 3.0)
+
 
 class TestFn:
     def test_single_engine_always_one(self):

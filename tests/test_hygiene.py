@@ -3,7 +3,8 @@ name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), the test oracles take from the
 package only the model inputs they need, importing the package loads
 NumPy and the standard library only, a parallel map starts no process
-pool, and the README's module map names the package's modules."""
+pool, and the README's module map names the package's modules and its
+table of config fields the fields of the schema."""
 
 import ast
 import os
@@ -140,3 +141,23 @@ def test_readme_module_map_names_every_module():
     modules = {p.stem for p in (ROOT / "src" / "qstatwork").glob("*.py")}
     assert module_map((ROOT / "README.md").read_text()) == (
         modules - {"__init__", "__main__", "_quad"})
+
+
+def config_table(readme: str) -> dict:
+    """{section.field: flag or None} of each row of the README's table of
+    config fields, the table following the paragraph opening 'Config
+    fields'."""
+    start = readme.index("| Field |", readme.index("Config fields"))
+    rows = {}
+    for line in readme[start:readme.find("\n\n", start)].splitlines()[2:]:
+        field, _, _, flag = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[field.strip("`")] = None if flag == "none" else flag.strip("`")
+    return rows
+
+
+def test_readme_config_table_names_every_field():
+    from qstatwork.sweeps import _FIELDS
+
+    assert config_table((ROOT / "README.md").read_text()) == {
+        f"{section}.{key}": flag
+        for section, fields in _FIELDS.items() for key, (_, _, flag) in fields.items()}

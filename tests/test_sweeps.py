@@ -220,8 +220,14 @@ class TestConfig:
         ({"sweep": {"axes": 5}}, "'sweep.axes' must be a list"),
         ({"sweep": {"axes": [{"param": "engine.N"}]}}, "a list 'values'"),
         ({"sweep": {"axes": [{"param": "engine.N", "values": 3}]}}, "a list 'values'"),
+        ({"engine": {"Delta": None}}, "engine.Delta must be a number, got None"),
+        ({"coupling": {"g": [1]}}, "coupling.g must be a number, got [1]"),
+        ({"system": {"omega_T": {}}}, "system.omega_T must be a number, got {}"),
+        ({"engine": {"v": True}}, "engine.v must be a number, got True"),
+        ({"engine": {"statistics": "fermi"}}, "engine.statistics must be one of"),
     ], ids=["engine-number", "engine-list", "axes-number", "axis-without-values",
-            "values-number"])
+            "values-number", "null-number", "list-number", "object-number", "bool-number",
+            "unknown-choice"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -252,6 +258,18 @@ class TestConfig:
         assert sw.cli_main(["analytic", "--config", str(path)]) == 2
         assert "engine.N must be an integer, got 2.7" in capsys.readouterr().err
 
+    def test_fractional_seed_exit_2(self, tmp_path, capsys):
+        # a seed is a count like N: 2.5 is refused, not truncated to 2
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({
+            "sweep": {"axes": [{"param": "engine.N", "values": [1]}], "seed": 2.5}}))
+        out = tmp_path / "out"
+        assert sw.cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "sweep.seed must be an integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="sweep.seed must be an integer"):
+            sw.SweepSpec.from_dict({"seed": 2.5})
+
     def test_caption_normalized_baths(self):
         engine = sw.build_engine({"N": 2, "Delta": 1.4, "beta_c_E0": 2.0,
                                   "beta_h_EH": 0.25})
@@ -274,6 +292,17 @@ class TestSweepSpec:
     def test_unknown_axis_param(self):
         with pytest.raises(ConfigError, match="does not name"):
             self.spec(axes=(("engine.mass", (1, 2)),))
+
+    @pytest.mark.parametrize("axis", [{"param": "engine.N"},
+                                      {"param": "engine.N", "values": 3},
+                                      {"values": [1]}],
+                             ids=["no-values", "values-number", "no-param"])
+    def test_malformed_axis_config_error(self, axis):
+        spec = {"axes": [axis], "fixed": {}}
+        with pytest.raises(ConfigError, match="a string 'param' and a list 'values'"):
+            sw.SweepSpec.from_dict(spec)
+        with pytest.raises(ConfigError, match="a string 'param' and a list 'values'"):
+            sw.SweepSpec.from_manifest({"spec": spec})
 
     def test_cell_cap(self):
         with pytest.raises(ConfigError, match="cap"):
@@ -381,6 +410,17 @@ class TestSweepSpec:
         rows = (tmp_path / "data.csv").read_text().splitlines()
         assert rows[1].endswith(",error:ConfigError") and rows[2].endswith(",ok")
 
+    @pytest.mark.parametrize("bad", [None, [1], True], ids=["null", "list", "bool"])
+    def test_mistyped_axis_value_fails_its_cell(self, tmp_path, bad):
+        spec = sw.SweepSpec(
+            axes=(("engine.Delta", (bad, 0.5)),),
+            fixed={"coupling": {"kind": "impulse"}},
+            method="analytic", out="unused", seed=0,
+        )
+        assert sw.run_sweep(spec, out_dir=str(tmp_path))["n_failed"] == 1
+        rows = (tmp_path / "data.csv").read_text().splitlines()
+        assert rows[1].endswith(",error:ConfigError") and rows[2].endswith(",ok")
+
     def test_fermi_task(self, tmp_path):
         spec = sw.SweepSpec(
             axes=(("fermi.beta_com_omega", (3.0, 4.0)),),
@@ -419,6 +459,20 @@ class TestCli:
                      ["analytic", "--config", str(path)]):
             assert sw.cli_main(argv) == 2
             assert "config error:" in capsys.readouterr().err
+
+    def test_field_flags_unchanged(self):
+        # the flags of analytic and evolve, in help order, and their choices
+        fields = ["--N", "--omega0", "--delta", "--v", "--T", "--beta-c", "--beta-h",
+                  "--beta-c-e0", "--beta-h-eh", "--statistics", "--coupling", "--g",
+                  "--t1-frac", "--delta-t", "--alpha-over-t", "--omega-t", "--dim"]
+        subs = next(a for a in sw.build_parser()._actions if a.choices and "analytic" in a.choices)
+        for command, extra in (("analytic", []), ("evolve", ["--dt", "--trace"])):
+            actions = subs.choices[command]._actions
+            assert [opt for a in actions for opt in a.option_strings
+                    if opt not in ("-h", "--help")] == ["--config", "--out", *fields, *extra]
+            choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
+            assert choices == {"--statistics": ["bose", "distinguishable"],
+                               "--coupling": ["impulse", "plateau"]}
 
     def test_config_only_where_read(self, tmp_path):
         # region never reads a config, so it must not accept one and
