@@ -234,20 +234,12 @@ def single_avg(params: EngineParams, t: float, t0: float, statistics: Statistics
 
     Returns the true signed thermal value cos(theta_t) a: 2 cos(theta_t)
     <m> for Bose engines, -N cos(theta_t) tanh(x) for distinguishable
-    ones; its magnitude is what the factorized forms quote.  See
-    single_avg_as_printed for the literal second-moment variant.
+    ones; its magnitude is what the factorized forms quote.  The literal
+    printed variant, the second moment 2 cos(theta_t) f for Bose engines,
+    does not match the exact trace.
     """
     a = _weights(params.N, _x_at(params, t0), statistics)[0]
     return float(params.cos_theta(t)) * float(a)
-
-
-def single_avg_as_printed(params: EngineParams, t: float, t0: float, statistics: Statistics) -> float:
-    """Literal printed variant (second moment / positive magnitude)."""
-    x = _x_at(params, t0)
-    cos_t = float(params.cos_theta(t))
-    if Statistics(statistics) is Statistics.BOSE:
-        return 2 * cos_t * moment_f(params.N, x)
-    return params.N * cos_t * math.tanh(x)
 
 
 # The first-moment variant is the one consistent with the exact

@@ -6,9 +6,15 @@ Distinguishable ensembles are propagated through the exact total-spin
 block decomposition: the product Hamiltonian, coupling and thermal
 states are all functions of total-spin operators, so the 2^N dynamics
 splits into independent spin-j sectors with known multiplicities.  Every
-block is built from the spin-j matrices of `_spin_xyz` (hbar = 1,
-ascending magnetic quantum number m = -j .. j).  The tests check whole
-cycles against a dense 2^N reference.
+block is built once, from the spin-j matrices of `_spin_xyz` (hbar = 1,
+ascending magnetic quantum number m = -j .. j), and its Gibbs states are
+kept factored as R diag(lam) R^dag.  The tests check whole cycles against
+a dense 2^N reference.
+
+An impulse kick is diagonal in the eigenbasis |r> of V_R, so no state is
+propagated through it: a block's reduced system state after the kick is
+the mixture of the kicked system vectors phi_r, weighted by the engine's
+populations in that basis (_kicked_system).
 
 Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
 step is one phase product and two matrix products, run in place on the
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -106,20 +112,23 @@ class CycleResult:
 
 class _Sector:
     """One irreducible engine block: spin operators, rotation eigensystem,
-    and the coupling operator V_R = 2 Sx."""
+    the coupling operator V_R = 2 Sx and the residual of its eigenbases,
+    all read-only, for the block is built once per spin."""
 
     def __init__(self, sx, sy, sz_diag, mult, key):
         self.key = key              # equal keys: the same block in two runs
-        self.sx = sx
         self.sz_diag = np.asarray(sz_diag, dtype=float)
         self.mult = float(mult)
         self.dim = sx.shape[0]
         self.sy_vals, self.sy_vecs = np.linalg.eigh(sy)
         self.v_r = 2 * sx
         self.vr_vals, self.vr_vecs = np.linalg.eigh(self.v_r)
+        self.unitarity_residual = _isometry_drift(self.sy_vecs, self.vr_vecs)
         # V_R = 0 forces S_y = S_z = 0 by the su(2) relations: only the
         # spin-0 block is free, and H_E vanishes on it
         self.free = not self.v_r.any()
+        for x in (self.sz_diag, self.sy_vals, self.sy_vecs, self.v_r, self.vr_vals, self.vr_vecs):
+            x.flags.writeable = False
 
     def lift(self, a, b) -> np.ndarray:
         """Image on this block of the SU(2) matrices [[a, -b*], [b, a*]]
@@ -127,8 +136,11 @@ class _Sector:
         angles beta = 2 atan2(|b|, |a|), alpha + gamma = 2 arg a and
         alpha - gamma = -2 arg(-b) it is
         exp(-i alpha Sz) Q exp(-i beta mu) Q^dag exp(-i gamma Sz), where
-        Q diag(mu) Q^dag is the eigensystem of Sy."""
+        Q diag(mu) Q^dag is the eigensystem of Sy; at b = 0 it is the
+        diagonal exp(-2i arg(a) Sz)."""
         s, d = np.angle(a), np.angle(-b)
+        if not np.any(b):
+            return np.exp(-2j * np.multiply.outer(s, self.sz_diag))[..., None] * np.eye(self.dim)
         beta = 2 * np.arctan2(np.abs(b), np.abs(a))
         Q = self.sy_vecs
         phases = np.exp(-1j * np.multiply.outer(beta, self.sy_vals))[..., None, :]
@@ -138,9 +150,6 @@ class _Sector:
         left = np.exp(-1j * np.multiply.outer(s - d, self.sz_diag))
         right = np.exp(-1j * np.multiply.outer(s + d, self.sz_diag))
         return left[..., :, None] * mid * right[..., None, :]
-
-    def unitarity_residual(self) -> float:
-        return _isometry_drift(self.sy_vecs, self.vr_vecs)
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +166,7 @@ def _spin_xyz(N: int):
     return sx, sy, m
 
 
+@lru_cache(maxsize=None)
 def _spin_sector(n_eff: int, mult: float) -> _Sector:
     sx, sy, m = _spin_xyz(n_eff)
     return _Sector(sx, sy, m, mult, ("spin", n_eff))
@@ -178,25 +188,20 @@ def _build_sectors(params: EngineParams, statistics: Statistics, config=None):
 
 
 def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
-    """Per-sector thermal blocks with a common normalisation."""
+    """Per-sector Gibbs blocks R diag(lam) R^dag with a common
+    normalisation, kept factored as (R, lam): R is the lift of the
+    y-rotation onto the eigenbasis of H_E(t0), the identity at Delta = 0."""
     E0 = float(params.energy(t0))
     e_min = min(2 * E0 * s.sz_diag.min() for s in sectors)
-    scale = max(1.0, abs(e_min))
-    weights = []
-    Z = 0.0
-    for s in sectors:
-        shifted = 2 * E0 * s.sz_diag - e_min
-        if math.isinf(beta):
-            w = (shifted <= 1e-10 * scale).astype(float)
-        else:
-            w = np.exp(-beta * shifted)
-        weights.append(w)
-        Z += s.mult * w.sum()
-    if params.Delta == 0.0:
-        return [np.diag(w / Z).astype(complex) for w in weights]
+    shifted = [2 * E0 * s.sz_diag - e_min for s in sectors]
+    if math.isinf(beta):
+        weights = [(x <= 1e-10 * max(1.0, abs(e_min))).astype(float) for x in shifted]
+    else:
+        weights = [np.exp(-beta * x) for x in shifted]
+    Z = sum(s.mult * w.sum() for s, w in zip(sectors, weights))
     a, b = _su2_y(float(params.theta(t0)) + math.pi / 2)
-    lifts = (s.lift(a, b) for s in sectors)
-    return [(R * (w / Z)) @ R.conj().T for R, w in zip(lifts, weights)]
+    return [(s.lift(a, b) if params.Delta else np.eye(s.dim), w / Z)
+            for s, w in zip(sectors, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +217,10 @@ def _system_factor(sigma_s):
     return mu[keep], W[:, keep], float(np.abs(mu[~keep]).sum())
 
 
-def _product_factor(rho_e, mu, W):
+def _product_factor(R, lam, mu, W):
     """Factor Psi, with orthonormal columns, and weights w of
-    rho_e (x) W diag(mu) W^dag, from the eigendecomposition of rho_e."""
-    lam, V = np.linalg.eigh(rho_e)
-    y = np.einsum("ia,sb->iabs", V, W).reshape(V.shape[0], -1, W.shape[0])
+    R diag(lam) R^dag (x) W diag(mu) W^dag."""
+    y = np.einsum("ia,sb->iabs", R, W).reshape(R.shape[0], -1, W.shape[0])
     return y, np.multiply.outer(lam, mu).ravel()
 
 
@@ -236,13 +240,13 @@ def _shared_blocks(runs, factors, params, t0, beta):
     their columns in Psi."""
     held = {}
     for i, sectors in enumerate(runs):
-        for sector, rho_e in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
-            held.setdefault(sector.key, (sector, []))[1].append((i, sector.mult, rho_e))
+        for sector, gibbs in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
+            held.setdefault(sector.key, (sector, []))[1].append((i, sector.mult, gibbs))
     for sector, holders in held.values():
         cols, ys, members = {}, [], []
-        for i, mult, rho_e in holders:
+        for i, mult, gibbs in holders:
             owner = next((j for j in cols if _same_factor(factors[j], factors[i])), i)
-            y, w = _product_factor(rho_e, *factors[owner])
+            y, w = _product_factor(*gibbs, *factors[owner])
             if owner not in cols:
                 start = sum(x.shape[1] for x in ys)
                 cols[owner] = slice(start, start + y.shape[1])
@@ -270,11 +274,16 @@ def _isometry_drift(*Us) -> float:
     return max(float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))) for U in Us)
 
 
-def _kick(y, P_r, P_s, phase):
-    """exp(-i phi V_R (x) V_S) Psi from the eigenvectors P_r of V_R and P_s
-    of V_S and the phases exp(-i phi r_a s_b), shaped (dE, dS)."""
-    y = _rotate(y, P_r.conj().T, P_s.conj().T) * phase[:, None, :]
-    return _rotate(y, P_r, P_s)
+def _kicked_system(U, r, P_s, s, g):
+    """exp(-i g V_R (x) V_S) on rho_E (x) |0><0|, with V_R = P_r diag(r) P_r^dag,
+    V_S = P_s diag(s) P_s^dag, rho_E = V diag(lam) V^dag and U = P_r^dag V,
+    leaves the system in sum_r p_r phi_r phi_r^dag, with p = |U|^2 lam and
+    phi_r = P_s exp(-i g r s) P_s^dag |0>.  Returns |U|^2, the phi_r as a
+    (1, dim V_R, dim V_S) factor, and that factor's isometry drift
+    max |U^dag diag(|phi_r|^2) U - I|."""
+    phi = (np.exp(-1j * g * np.multiply.outer(r, s)) * P_s[0].conj()) @ P_s.T
+    norms = np.einsum("rs,rs->r", phi, phi.conj()).real
+    return np.abs(U) ** 2, phi[None], _isometry_drift(np.sqrt(norms)[:, None] * U)
 
 
 def _engine_steps(sector, params, t_mid, tau):
@@ -368,7 +377,7 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     same steps.
     """
     vs_vals, P_s = np.linalg.eigh(system.matrix)
-    residual = max(_isometry_drift(P_s), sector.unitarity_residual())
+    residual = max(_isometry_drift(P_s), sector.unitarity_residual)
     eps = np.asarray(system.energies, dtype=float)
     if sector.free:
         for k in _sample_steps(0, n, n):
@@ -475,8 +484,8 @@ def _resolve_dt(params, system, config, duration):
 class _Diag:
     trace_drift: float = 0.0
     herm_drift: float = 0.0
-    isometry: float = 0.0
-    unitarity: float = 0.0
+    isometry_drift: float = 0.0
+    unitarity_residual: float = 0.0
     leakage: float = 0.0
     dropped_weight: float = 0.0
     extra: dict = field(default_factory=dict)
@@ -487,20 +496,12 @@ class _Diag:
         red = _reduced_system(y, w)
         self.trace_drift = max(self.trace_drift, abs(float(np.trace(red).real) - tr0))
         self.herm_drift = max(self.herm_drift, float(np.max(np.abs(red - red.conj().T))))
-        self.isometry = max(self.isometry, isometry)
+        self.isometry_drift = max(self.isometry_drift, isometry)
         return red
 
     def as_dict(self, extra=None):
-        return {
-            "trace_drift": self.trace_drift,
-            "herm_drift": self.herm_drift,
-            "isometry_drift": self.isometry,
-            "unitarity_residual": self.unitarity,
-            "leakage": self.leakage,
-            "dropped_weight": self.dropped_weight,
-            **self.extra,
-            **(extra or {}),
-        }
+        health = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        return {**health, **self.extra, **(extra or {})}
 
 
 def _merged(diags, y, members):
@@ -546,14 +547,20 @@ def _su2_mul(a1, b1, a0, b0):
     return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
 
 
+def _padded(x, size, fill):
+    """x padded along its last axis to `size` with the constant `fill`."""
+    out = np.full((*x.shape[:-1], size), fill, x.dtype)
+    out[..., :x.shape[-1]] = x
+    return out
+
+
 def _su2_chain(a, b):
     """Ordered product u_n ... u_1 of the steps (a, b) along their last
     axis, by pairwise reduction (depth log2 n).  The steps are padded once
     with identities to the next power of two; a product with an exact
     identity is exact."""
-    n = a.shape[-1]
-    pad = [(0, 0)] * (a.ndim - 1) + [(0, (1 << (n - 1).bit_length()) - n)]
-    a, b = np.pad(a, pad, constant_values=1), np.pad(b, pad)
+    size = 1 << (a.shape[-1] - 1).bit_length()
+    a, b = _padded(a, size, 1), _padded(b, size, 0)
     while a.shape[-1] > 1:
         a, b = _su2_mul(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
     return a[..., 0], b[..., 0]
@@ -591,11 +598,10 @@ def adiabaticity_witness(params: EngineParams) -> float:
         dt = (t_end - t0) / n
         every = max(1, n // 64)
         a, b = _su2_steps(params, _midpoints(t0, dt, 0, n), dt)
-        m = -(-(n - 1) // every)                  # blocks after step 0, the last padded
-        pad = (0, 1 + m * every - n)              # with identity steps
+        m = -(-(n - 1) // every)        # blocks after step 0, the last padded with identities
         u = [(a[0], b[0])]
-        for block in zip(*_su2_chain(np.pad(a[1:], pad, constant_values=1).reshape(m, every),
-                                     np.pad(b[1:], pad).reshape(m, every))):
+        for block in zip(*_su2_chain(_padded(a[1:], m * every, 1).reshape(m, every),
+                                     _padded(b[1:], m * every, 0).reshape(m, every))):
             u.append(_su2_mul(*block, *u[-1]))
         k = np.minimum(np.arange(m + 1) * every, n - 1)
         t = np.minimum(t0 + (k + 1) * dt, t_end)
@@ -624,8 +630,8 @@ def run_cycle(
     (ii) stroke 1 under H_E(t) + g_C(t) V_R (x) V_S + H_S;
     (iii) replacement-map thermalization at T/2; (iv) stroke 2;
     (v) p_i from the diagonal of the reduced system state at T.
-    Impulse schedules use free factorized propagation plus the exact
-    kick; smooth schedules are stepped.
+    Impulse schedules take the engine's free evolution and the kick in
+    closed form per spin block; smooth schedules are stepped.
     """
     stats = statistics if statistics is not None else params.statistics
     return run_cycles(params, schedule, system, (stats,), config)[0]
@@ -661,9 +667,9 @@ def run_cycles(
 def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResult:
     pops = np.real(np.diag(sigma_s))
     diag.leakage = max(diag.leakage, _reduced_leakage(sigma_s))
-    if diag.unitarity > UNITARITY_TOL:
+    if diag.unitarity_residual > UNITARITY_TOL:
         raise PropagationError(
-            f"unitarity drift {diag.unitarity:.3e} exceeds tol "
+            f"unitarity drift {diag.unitarity_residual:.3e} exceeds tol "
             f"{UNITARITY_TOL:.1e}; diagnostics: {diag.as_dict()}"
         )
     if diag.leakage > LEAKAGE_TOL:
@@ -701,28 +707,26 @@ def _system_energy(sigma_s, system) -> float:
 
 def _run_impulse(params, schedule, system, runs, config):
     """(sigma_S, diagnostics, energies) per run: the engine chain up to the
-    kick is taken once, and each distinct block is kicked once."""
+    kick is taken once, and each distinct block's kicked system vectors
+    (_kicked_system) once, mixed by each run's own Gibbs weights."""
     t1 = schedule.t1
     half = params.T / 2
-    dS = system.dim
-    cap = _resolve_dt(params, system, config, half)[0]
     in_first = t1 < half
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
-    ground = (np.ones(1), np.eye(dS)[:, :1])          # the system's ground state
-    diags = [_Diag() for _ in runs]
-    sigmas = [np.zeros((dS, dS), dtype=complex) for _ in runs]
-    s_vals, s_vecs = np.linalg.eigh(system.matrix)
-    a, b, n = _engine_chain(params, t0, t1, cap)
-    for sector, y, members in _shared_blocks(runs, [ground] * len(runs), params, t0, beta):
-        y = _rotate(y, sector.lift(a, b), np.eye(dS))
-        y = _kick(y, sector.vr_vecs, s_vecs,
-                  np.exp(-1j * schedule.g * np.multiply.outer(sector.vr_vals, s_vals)))
-        for i, mult, _, red in _merged(diags, y, members):
-            diags[i].unitarity = max(diags[i].unitarity, sector.unitarity_residual())
-            sigmas[i] += mult * red
-    out = []
-    for sigma_s, diag in zip(sigmas, diags):
-        diag.extra = {"dt": (t1 - t0) / n if n else None, "n_engine_steps": n}
+    s_vals, P_s = np.linalg.eigh(system.matrix)
+    a, b, n = _engine_chain(params, t0, t1, _resolve_dt(params, system, config, half)[0])
+    kicked, out = {}, []
+    for sectors in runs:
+        diag = _Diag(extra={"dt": (t1 - t0) / n if n else None, "n_engine_steps": n})
+        sigma_s = 0
+        for sector, (R, lam) in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
+            if sector.key not in kicked:
+                U = sector.vr_vecs.conj().T @ sector.lift(a, b) @ R
+                kicked[sector.key] = _kicked_system(U, sector.vr_vals, P_s, s_vals, schedule.g)
+            u2, phi, drift = kicked[sector.key]
+            red = diag.merge_state(phi, u2 @ lam, float(lam.sum()), drift)
+            sigma_s = sigma_s + sector.mult * red
+            diag.unitarity_residual = max(diag.unitarity_residual, sector.unitarity_residual)
         # free evolution after the kick (and the reset, if the kick came
         # first) leaves the measured diagonal of sigma_S unchanged.
         diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
@@ -776,7 +780,7 @@ def _run_smooth(params, schedule, system, runs, config):
             y, residual = _split_evolve(sector, system, params, schedule, dt, y, t_start,
                                         n_steps, sample)
             for i, mult, w, _, cols in members:
-                diags[i].unitarity = max(diags[i].unitarity, residual)
+                diags[i].unitarity_residual = max(diags[i].unitarity_residual, residual)
                 ranks[i][-1].append(w.size)
                 sigmas[i] += mult * _reduced_system(y[:, cols], w)
         for i, sigma_s in enumerate(sigmas):

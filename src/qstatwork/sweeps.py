@@ -167,11 +167,14 @@ def _check_keys(section: str, given: dict, allowed):
 
 def _typed(name: str, kind, value):
     """`value` of the config field `name` as its `kind` of _FIELDS, or a
-    ConfigError: null, a bool, a string, a list or an object is no number."""
+    ConfigError: null, a bool, a string, a list or an object is no number,
+    and an integer too large for a float is out of range."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
         return value
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is out of range: an integer of {value.bit_length()} bits")
     count = kind is int
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or count and not float(value).is_integer()):

@@ -287,10 +287,10 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     cons_ok = max(worst_trace, worst_herm, worst_iso, worst_unit) < 1e-10
 
     # (b) second-order convergence: halving dt cuts the work error >= 4x.
-    # Delta != 0, since at Delta = 0 the step is exact to rounding for the
-    # work. The Fig.-3 plateau (g = 0.5) on dimension 16 puts the coarsest
-    # error far above the rounding floor; the weak g = 0.01 plateau on
-    # dimension 8 does not, and its ratio is rounding noise.
+    # The Fig.-3 plateau (g = 0.5) on dimension 16 puts the coarsest error
+    # far above the rounding floor, at Delta = 0 (3.4e-6 of the work) as
+    # at Delta = 0.4; the weak g = 0.01 plateau on dimension 8 does not,
+    # and its ratio would be measured at the floor.
     p = fig2_engine(2, 0.4)
     system = qw.harmonic_system(OMEGA, 16)
     cap = default_dt_cap(p, system)

@@ -42,6 +42,11 @@ T = 20.0
 OMEGA = 2 * math.pi * 0.05 / T
 
 
+def dense(R, lam):
+    """The Gibbs block R diag(lam) R^dag of a factored (R, lam)."""
+    return (R * lam) @ R.conj().T
+
+
 def engine(N, delta=0.0, stats=qw.Statistics.BOSE, v=0.1):
     e0 = math.hypot(1.0, delta)
     eh = math.hypot(1.0 + abs(v) * T / 2, delta)
@@ -198,25 +203,28 @@ class TestThermalReset:
 
     def test_cycle_gibbs_blocks_match_thermal_state(self):
         # run_cycle resets to kron(block, sigma_S) over the analytic
-        # per-sector Gibbs blocks of _sector_thermal; pin them to the dense
-        # Gibbs states of the oracle's reset.
+        # per-sector Gibbs blocks of _sector_thermal, kept factored as
+        # R diag(lam) R^dag; pin them to the dense Gibbs states of the
+        # oracle's reset.
         for delta in (0.0, 0.4):
             p = engine(3, delta)
             for t0, beta in ((0.0, p.beta_c), (T / 2, p.beta_h)):
                 (block,) = _sector_thermal(_build_sectors(p, qw.Statistics.BOSE), p, t0, beta)
                 ref = gibbs(engine_hamiltonian(p, t0, DickeSector(3)), beta)
-                assert np.max(np.abs(block - ref)) < 1e-13
+                assert np.max(np.abs(dense(*block) - ref)) < 1e-13
                 # distinguishable: the 2^N Gibbs state is the direct sum of
                 # exp(-beta H_j) / Z over the spin-j blocks, each repeated by
                 # its multiplicity.  Each block is the spin-j Gibbs state up
-                # to its weight, and together they carry the 2^N spectrum.
+                # to its weight, and together their weights lam carry the
+                # 2^N spectrum.
                 sectors = _build_sectors(p, qw.Statistics.DISTINGUISHABLE)
                 blocks = _sector_thermal(sectors, p, t0, beta)
-                for s, b in zip(sectors, blocks):
+                for s, (R, lam) in zip(sectors, blocks):
+                    assert dyn._isometry_drift(R) < 1e-14
                     ref = gibbs(engine_hamiltonian(p, t0, DickeSector(s.dim - 1)), beta)
-                    assert np.max(np.abs(b / np.trace(b).real - ref)) < 1e-13
-                spec = np.concatenate([np.repeat(np.linalg.eigvalsh(b), int(s.mult))
-                                       for s, b in zip(sectors, blocks)])
+                    assert np.max(np.abs(dense(R, lam) / lam.sum() - ref)) < 1e-13
+                spec = np.concatenate([np.repeat(lam, int(s.mult))
+                                       for s, (_, lam) in zip(sectors, blocks)])
                 ref = gibbs(engine_hamiltonian(p, t0, FullProduct(3)), beta)
                 assert np.max(np.abs(np.sort(spec) - np.linalg.eigvalsh(ref))) < 1e-13
 
@@ -350,11 +358,12 @@ class TestRunCycleSmooth:
             run_cycle(p, self.PLATEAU, ho(6), config=PropagatorConfig(dt=2 * cap))
 
     def test_halving_dt_reduces_error(self):
-        # Delta != 0 so there is a splitting error to measure: at Delta = 0
-        # the step is exact to rounding for this observable. The Fig.-3
-        # coupling g = 0.5 on dimension 16 puts that error (|w1 - w4| ~ 5e-10)
-        # far above the rounding floor; the weak g = 0.01 plateau on
-        # dimension 8 gives ~7e-15, where the ratio below is rounding noise.
+        # The Fig.-3 coupling g = 0.5 on dimension 16 puts the splitting
+        # error (|w1 - w4| ~ 5e-10 here, 4.4e-10 at Delta = 0, where the step
+        # is second order too) far above the rounding floor; on the weak
+        # g = 0.01 plateau on dimension 8 it stays below that floor
+        # (|w1 - w4| ~ 7e-17 at Delta = 0), where the ratio below would
+        # mean nothing.
         p = engine(2, 0.4)
         sysho = ho(16)
         cap = default_dt_cap(p, sysho)
@@ -396,15 +405,20 @@ class TestRunCycleSmooth:
         assert len(d["stroke_wall_s"]) == 2 and min(d["stroke_wall_s"]) > 0
 
     def test_scaled_factor_fails_isometry_check(self, monkeypatch):
-        # negative control: a factor off the isometry by 1e-8 must fail
-        # the 1e-10 bound that the smooth-run check above applies
-        def scaled(*args):
-            y, w = _product_factor(*args)
-            return y * (1 + 1e-8), w
+        # negative control: Gibbs blocks whose R is off the unitaries by
+        # 1e-8, and with them the factor of a smooth stroke and the kicked
+        # factor of an impulse (U^dag diag(|phi_r|^2) U), must fail the
+        # 1e-10 bound that the checks above apply
+        thermal = dyn._sector_thermal
 
-        monkeypatch.setattr(dyn, "_product_factor", scaled)
-        d = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6)).diagnostics
-        assert d["isometry_drift"] > 1e-10
+        def scaled(*args):
+            return [(R * (1 + 1e-8), lam) for R, lam in thermal(*args)]
+
+        monkeypatch.setattr(dyn, "_sector_thermal", scaled)
+        for delta in (0.0, 0.7):
+            for schedule in (self.PLATEAU, IMPULSE):
+                d = run_cycle(engine(2, delta), schedule, ho(6)).diagnostics
+                assert 1e-8 < d["isometry_drift"] < 3e-8, (delta, schedule)
 
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_factor_steps_match_dense_strang(self, delta):
@@ -414,18 +428,18 @@ class TestRunCycleSmooth:
         N, dS = 2, 6
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
-        (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        (gibbs_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         sigma = a @ a.conj().T / np.trace(a @ a.conj().T).real
         mu, W = np.linalg.eigh(sigma)
-        y, w = _product_factor(rho_e, mu, W)
+        y, w = _product_factor(*gibbs_e, mu, W)
         assert w.size == (N + 1) * dS                   # full rank
         dt, n, t_start = default_dt_cap(p, system), 300, 0.75 * T
         y, _ = _split_evolve(sector, system, p, self.STRONG, dt, y, t_start, n,
                              lambda k, x: None)
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
-        rho = dense_strang_steps(np.kron(rho_e, sigma), p, self.STRONG, system,
+        rho = dense_strang_steps(np.kron(dense(*gibbs_e), sigma), p, self.STRONG, system,
                                  DickeSector(N), t_start, dt, n)
         assert np.max(np.abs(got - rho)) <= 1e-12
 
@@ -443,8 +457,8 @@ class TestRunCycleSmooth:
         mu, W = np.ones(1), np.eye(system.dim)[:, :1]
         for chain_dim in PATHS.values():
             monkeypatch.setattr(dyn, "CHAIN_DIM", chain_dim)
-            for sector, rho_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
-                y, _ = _product_factor(rho_e, mu, W)
+            for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
+                y, _ = _product_factor(*gibbs_e, mu, W)
                 before = y.copy()
                 out, _ = _split_evolve(sector, system, p, self.STRONG, 0.01, y, 0.0, 120,
                                        lambda k, x: None)
@@ -529,10 +543,10 @@ class TestBlockPath:
         monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
-        (rho_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        (gibbs_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-        y, _ = _product_factor(rho_e, mu, W)
+        y, _ = _product_factor(*gibbs_e, mu, W)
         samples = []
         out, _ = _split_evolve(sector, system, p, TestRunCycleSmooth.STRONG,
                                default_dt_cap(p, system), y, 0.75 * T, n,
@@ -595,8 +609,8 @@ class TestBlockPath:
         p, system = engine(1, 0.7), ho(4)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         assert sector.dim * system.dim <= dyn.CHAIN_DIM
-        (rho_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
-        y, _ = _product_factor(rho_e, np.ones(1), np.eye(4)[:, :1])
+        (gibbs_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
+        y, _ = _product_factor(*gibbs_e, np.ones(1), np.eye(4)[:, :1])
         n = 20_000
         tracemalloc.start()
         try:
@@ -781,18 +795,23 @@ class TestSU2Chain:
         assert np.max(np.abs(sector.lift(a, b) - sector.lift(*ref))) <= 1e-13
 
     def test_lift_is_the_tensor_power(self):
-        # random SU(2) matrices plus the diagonal, antidiagonal and -I cases
+        # random SU(2) matrices plus the diagonal, antidiagonal and -I cases;
+        # the diagonal ones (b = 0) also as a stack of their own, which the
+        # lift takes as exp(-2i arg(a) Sz)
         q = np.random.default_rng(11).normal(size=(6, 4))
         q /= np.linalg.norm(q, axis=1)[:, None]
-        a = np.r_[q[:, 0] + 1j * q[:, 1], 1, -1, 1j, 0, 0]
-        b = np.r_[q[:, 2] + 1j * q[:, 3], 0, 0, 0, 1, 1j]
+        a = np.r_[q[:, 0] + 1j * q[:, 1], 1, -1, 1j, np.exp(0.7j), 0, 0]
+        b = np.r_[q[:, 2] + 1j * q[:, 3], 0, 0, 0, 0, 1, 1j]
         for N in range(1, 5):
             # the block of the whole 2^N space, built from the oracle's spin sums
             sx, sy, sz = spin_ops(FullProduct(N))
-            lifted = dyn._Sector(sx, sy, np.diag(sz).real, 1.0, ("full", N)).lift(a, b)
-            for D, x, y in zip(lifted, a, b):
-                u = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
-                assert np.max(np.abs(D - functools.reduce(np.kron, [u] * N))) <= 1e-14
+            sector = dyn._Sector(sx, sy, np.diag(sz).real, 1.0, ("full", N))
+            diagonal = b == 0
+            for x_s, y_s in ((a, b), (a[diagonal], b[diagonal]), (a[9], b[9])):
+                for D, x, y in zip(np.reshape(sector.lift(x_s, y_s), (-1, 2 ** N, 2 ** N)),
+                                   np.ravel(x_s), np.ravel(y_s)):
+                    u = np.array([[x, -np.conj(y)], [y, np.conj(x)]])
+                    assert np.max(np.abs(D - functools.reduce(np.kron, [u] * N))) <= 1e-14
 
     @pytest.mark.parametrize("shape", [(), (3,)])
     def test_single_pad_matches_per_level_pad(self, shape):
@@ -871,7 +890,9 @@ class TestFinalState:
     @pytest.mark.parametrize("bump", [-1e-6, -1e-10])
     def test_negative_eigenvalue(self, monkeypatch, bump):
         # shifting level 3, which the weak kick leaves all but empty, puts
-        # one eigenvalue of sigma_S at about `bump`
+        # one eigenvalue of sigma_S at about `bump`: the kick's reduced
+        # state, the mixture of its kicked system vectors
+        # (_kicked_system), is taken by _reduced_system
         reduced = dyn._reduced_system
         shift = np.diag([0, 0, 0, bump, 0, 0]).astype(complex)
         monkeypatch.setattr(dyn, "_reduced_system", lambda y, w: reduced(y, w) + shift)

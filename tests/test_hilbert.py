@@ -127,9 +127,9 @@ class TestThermalState:
                                       math.inf)
         top, low = dyn._sector_thermal(dyn._build_sectors(p, qw.Statistics.DISTINGUISHABLE),
                                        p, 0.0, math.inf)
-        for block in (bose, top):
-            assert np.max(np.abs(block - ground)) < 1e-15
-        assert not low.any()
+        for R, lam in (bose, top):
+            assert np.max(np.abs((R * lam) @ R.conj().T - ground)) < 1e-15
+        assert not low[1].any()
 
     def test_first_moment_matches_closed_form(self):
         # <Sz> of the N=3 Dicke Gibbs state against the h-moment at x = beta E
@@ -190,21 +190,43 @@ def _random_hermitian(rng, dim):
 
 class TestHermitianExpm:
     """The exponentials the package takes from eigendecompositions, the
-    kick exp(-i t A (x) B) from those of A and B and the y-rotations of its
-    spin blocks from that of S_y, against scipy.linalg.expm (Pade, scaling
-    and squaring), which shares no code with them."""
+    kicked system state of exp(-i t A (x) B) from those of A and B and the
+    y-rotations of its spin blocks from that of S_y, against
+    scipy.linalg.expm (Pade, scaling and squaring), which shares no code
+    with them."""
 
     @staticmethod
     def assert_kick_matches_expm(A, B, t):
-        # the kick on a random factor of shape (dim A, rank, dim B)
+        # a random engine state rho_E = V diag(lam) V^dag with the system
+        # in |0>, kicked: the closed-form reduced system state against the
+        # partial trace of the densely kicked composite
+        dA, dB = len(A), len(B)
         r, P_r = np.linalg.eigh(A)
         s, P_s = np.linalg.eigh(B)
-        rng = np.random.default_rng(len(A))
-        y = rng.normal(size=(len(A), 3, len(B), 2)) @ [1, 1j]
-        got = dyn._kick(y, P_r, P_s, np.exp(-1j * t * np.multiply.outer(r, s)))
-        ref = scipy.linalg.expm(-1j * t * np.kron(A, B)) @ y.transpose(0, 2, 1).reshape(-1, 3)
-        err = np.max(np.abs(got.transpose(0, 2, 1).reshape(-1, 3) - ref))
-        assert err <= 1e-13, err
+        rng = np.random.default_rng(dA)
+        P_s = P_s * np.exp(2j * np.pi * rng.uniform(size=dB))     # any eigenvector phases
+        V, _ = np.linalg.qr(rng.normal(size=(dA, dA, 2)) @ [1, 1j])
+        lam = rng.uniform(size=dA)
+        lam /= lam.sum()
+        u2, phi, drift = dyn._kicked_system(P_r.conj().T @ V, r, P_s, s, t)
+        got = dyn._reduced_system(phi, u2 @ lam)
+        start = np.kron((V * lam) @ V.conj().T, np.diag(np.eye(dB)[0]))
+        K = scipy.linalg.expm(-1j * t * np.kron(A, B))
+        ref = np.einsum("aiaj->ij", (K @ start @ K.conj().T).reshape(dA, dB, dA, dB))
+        err = np.max(np.abs(got - ref))
+        assert err <= 1e-12, err
+        assert drift <= 1e-12, drift
+
+    def test_kick_drift_reads_both_halves(self):
+        # the kicked factor's isometry drift max |U^dag diag(|phi_r|^2) U - I|
+        # sees an engine half (U) and a system half (P_s) off the unitaries
+        rng = np.random.default_rng(3)
+        r, P_r = np.linalg.eigh(_random_hermitian(rng, 4))
+        s, P_s = np.linalg.eigh(qw.harmonic_system(1.0, 5).matrix)
+        U = P_r.conj().T @ np.linalg.qr(_random_hermitian(rng, 4))[0]
+        for scale_u, scale_s, drift in ((1, 1, 0.0), (1 + 1e-8, 1, 2e-8), (1, 1 + 1e-8, 4e-8)):
+            got = dyn._kicked_system(scale_u * U, r, scale_s * P_s, s, 0.3)[2]
+            assert abs(got - drift) <= 1e-14 + 1e-3 * drift, (scale_u, scale_s, got)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 40])
     def test_random_hermitian(self, dim):

@@ -1,12 +1,14 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
-imports are the public API it re-exports), the test oracles take from the
-package only the model inputs they need, importing the package loads
-NumPy and the standard library only, a parallel map starts no process
-pool, and the README's module map names the package's modules and its
-table of config fields the fields of the schema."""
+imports are the public API it re-exports), every function and class the
+package defines is used by the package or exported, the test oracles
+take from the package only the model inputs they need, importing the
+package loads NumPy and the standard library only, a parallel map starts
+no process pool, and the README's module map names the package's modules
+and its table of config fields the fields of the schema."""
 
 import ast
+import collections
 import os
 import pathlib
 import re
@@ -45,6 +47,52 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(node) -> set:
+    """The names `node` reads: bare names, attributes and the names its
+    `from ... import` statements take."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+    return found
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(module, name) of each module-level function or class of `sources`
+    ({module: source}) that no other statement of any of them reads: a
+    name that only its own definition, or only the tests, use.  An import
+    in `__init__` counts as a use, since the package exports that name."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    uses = collections.Counter(name for _, node in statements
+                               for name in referenced_names(node))
+    found = []
+    for module, node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if uses[node.name] == (node.name in referenced_names(node)):
+                found.append((module, node.name))
+    return found
+
+
+def test_detects_unreferenced_definition():
+    assert unreferenced_definitions({
+        "a": "def f(n):\n    return f(n - 1)\ndef g():\n    pass\nclass C:\n    pass\n",
+        "b": "from .a import g\ndef h():\n    return C()\n",
+        "__init__": "from .b import h\n",
+    }) == [("a", "f")]
+
+
+def test_package_defines_nothing_it_does_not_use():
+    # a helper that only the tests call (a leftover of a removed code
+    # path) belongs in the tests, not in the package
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
+    assert unreferenced_definitions(sources) == []
 
 
 def package_imports(source: str) -> list:

@@ -225,9 +225,12 @@ class TestConfig:
         ({"system": {"omega_T": {}}}, "system.omega_T must be a number, got {}"),
         ({"engine": {"v": True}}, "engine.v must be a number, got True"),
         ({"engine": {"statistics": "fermi"}}, "engine.statistics must be one of"),
+        # integers too large for a float, for a count and for a number
+        ({"engine": {"N": 10 ** 400}}, "engine.N is out of range: an integer of 1329 bits"),
+        ({"engine": {"T": 10 ** 400}}, "engine.T is out of range: an integer of 1329 bits"),
     ], ids=["engine-number", "engine-list", "axes-number", "axis-without-values",
             "values-number", "null-number", "list-number", "object-number", "bool-number",
-            "unknown-choice"])
+            "unknown-choice", "huge-count", "huge-number"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
