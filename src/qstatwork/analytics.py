@@ -195,17 +195,8 @@ class CorrelatorValue(NamedTuple):
     factorized: bool
 
 
-def _check_same_stroke(params, t, t_prime, t0):
-    s1, s2 = params.stroke_start(t), params.stroke_start(t_prime)
-    if s1 != s2:
-        return None
-    if t0 is not None and t0 != s1:
-        raise DomainError(f"t0={t0} does not match the stroke of t, t' (start {s1})")
-    return s1
-
-
-def correlator(params: EngineParams, t: float, t_prime: float, statistics: Statistics,
-               t0: float = None) -> CorrelatorValue:
+def correlator(params: EngineParams, t: float, t_prime: float,
+               statistics: Statistics) -> CorrelatorValue:
     """<V_R^(I)(t') V_R^(I)(t)> for N engines of the given statistics.
 
     Within one stroke this is D cos(theta_t) cos(theta_t') plus
@@ -214,10 +205,10 @@ def correlator(params: EngineParams, t: float, t_prime: float, statistics: Stati
     the thermalization at T/2 it factorizes into one-time averages (flag
     set).
     """
-    start = _check_same_stroke(params, t, t_prime, t0)
-    if start is None:
+    start = params.stroke_start(t)
+    if start != params.stroke_start(t_prime):
         a = single_avg(params, t_prime, params.stroke_start(t_prime), statistics)
-        b = single_avg(params, t, params.stroke_start(t), statistics)
+        b = single_avg(params, t, start, statistics)
         return CorrelatorValue(complex(a * b), True)
     _, D, L_plus, L_minus = _weights(params.N, _x_at(params, start), statistics)
     cos_t, cos_p = params.cos_theta(t), params.cos_theta(t_prime)
@@ -240,12 +231,6 @@ def single_avg(params: EngineParams, t: float, t0: float, statistics: Statistics
     """
     a = _weights(params.N, _x_at(params, t0), statistics)[0]
     return float(params.cos_theta(t)) * float(a)
-
-
-# The first-moment variant is the one consistent with the exact
-# Heisenberg-picture trace and with the factorized cross term; tests pin
-# this choice against the matrix oracle.
-SINGLE_AVG_VARIANT = "first_moment"
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +385,13 @@ class WorkRecord:
         }
 
 
-def _validity_flags(p_sum: float, flags: tuple) -> tuple:
+def _validity_flags(p_sum: float) -> tuple:
     if p_sum >= PERTURBATIVE_FAIL:
         raise PerturbativeValidityError(
             f"total excitation {p_sum:.3f} >= {PERTURBATIVE_FAIL}; the leading-order "
             "expansion is invalid here"
         )
-    if p_sum >= PERTURBATIVE_WARN:
-        flags = flags + ("perturbative-validity",)
-    return flags
+    return ("perturbative-validity",) if p_sum >= PERTURBATIVE_WARN else ()
 
 
 def impulse_second_moment(params: EngineParams, t1: float, statistics: Statistics) -> float:
@@ -439,14 +422,13 @@ def impulse_work(
     v0 = np.abs(system.matrix[:, 0]) ** 2
     p = {i: schedule.g ** 2 * second * float(v0[i]) for i in range(1, system.dim) if v0[i] > 0}
     work = float(sum(system.energies[i] * pi for i, pi in p.items()))
-    flags = _validity_flags(sum(p.values()), ())
     return WorkRecord(
         avg_work=work,
         statistics=Statistics(statistics),
         method=METHOD_IMPULSE,
         p_excite=p,
         energies=tuple(system.energies),
-        flags=flags,
+        flags=_validity_flags(sum(p.values())),
     )
 
 
@@ -526,22 +508,18 @@ def general_work(
     `amplitudes` is the `level_amplitudes` of the same drive, schedule and
     system, computed here when not given.
     """
-    flags = ()
-    if isinstance(schedule, SmoothPlateau) and schedule.midcycle_tail_fraction() > 1e-3:
-        flags = ("thermalization-overlap",)
     if amplitudes is None:
         amplitudes = level_amplitudes(params, schedule, system)
     weights = _stroke_weights(params, statistics)
     p = {i: _probability(amps, *weights) for i, amps in amplitudes.items()}
     work = float(sum(system.energies[i] * pi for i, pi in p.items()))
-    flags = _validity_flags(sum(p.values()), flags)
     return WorkRecord(
         avg_work=work,
         statistics=Statistics(statistics),
         method=METHOD_GENERAL,
         p_excite=p,
         energies=tuple(system.energies),
-        flags=flags,
+        flags=_validity_flags(sum(p.values())),
     )
 
 
@@ -679,7 +657,6 @@ class InequalityReport:
     x_grid: np.ndarray
     margins: dict          # name -> (worst margin, witness)
     n1_equality_defect: float
-    single_avg_variant: str = SINGLE_AVG_VARIANT
 
 
 def inequality_margins(N: int, x, y=None) -> dict:

@@ -67,10 +67,11 @@ STATE_EIGMIN_TOL = -1e-9      # smallest eigenvalue a final sigma_S may have
 class PropagatorConfig:
     """Propagation controls.
 
-    dt = None derives the step from the rule
+    dt = None derives the step from the accuracy rule
     dt <= min(0.01 / E_max, 0.01 / omega_eff) with E_max = N max_t E_t;
-    an explicit dt above that cap is rejected.  collect_trace records the
-    trace, top-two-level population and system energy at every sample.
+    an explicit dt above that cap is rejected.  Each split step is unitary
+    at any dt: the cap bounds the splitting error.  collect_trace records
+    the trace, top-two-level population and system energy at every sample.
     """
 
     dt: float = None
@@ -91,19 +92,12 @@ class CycleResult:
     per_stroke_energies: list
     diagnostics: dict
 
-    def to_dict(self, include_state: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "work": self.work.to_dict(),
             "per_stroke_energies": self.per_stroke_energies,
             "diagnostics": self.diagnostics,
         }
-        if include_state:
-            out["final_state"] = {
-                "space_dim": len(self.final_state),
-                "re": self.final_state.real.tolist(),
-                "im": self.final_state.imag.tolist(),
-            }
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +341,12 @@ def _free_evolve(y, eps, t):
     return y * np.exp(-1j * t * eps)
 
 
-def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
+def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, sample):
     """Strang splitting exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2) with
-    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, for n
-    steps from t_start; sample(k, Psi) every SAMPLE_EVERY steps and after
-    the last.  Returns the final factor and the eigenbasis residual; the
-    caller's factor y is left unchanged.
+    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, with
+    eig = (s, P_s) the eigensystem of V_S, for n steps from t_start;
+    sample(k, Psi) every SAMPLE_EVERY steps and after the last.  Returns
+    the final factor; the caller's factor y is left unchanged.
 
     Between steps the factor is held in the eigenbasis P_r (x) P_s of
     V_R (x) V_S, where exp(-iB dt) is a phase u_k and the half steps of
@@ -376,14 +370,13 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     step k is y exp(-i eps (k + 1) dt) on the system axis, sampled at the
     same steps.
     """
-    vs_vals, P_s = np.linalg.eigh(system.matrix)
-    residual = max(_isometry_drift(P_s), sector.unitarity_residual)
+    vs_vals, P_s = eig
     eps = np.asarray(system.energies, dtype=float)
     if sector.free:
         for k in _sample_steps(0, n, n):
             x = _free_evolve(y, eps, (k + 1) * dt)
             sample(k, x)
-        return x, residual
+        return x
     P_r = sector.vr_vecs
     dE, dS = sector.dim, system.dim
     D = dE * dS
@@ -431,7 +424,7 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
                 x = _rotate(z.reshape(dE, dS, -1).transpose(0, 2, 1), e_o, s_out)
                 sample(k, x)
             if k1 == n:
-                return x, residual
+                return x
             T[0] = T[m]
             continue
         outs = iter(e_out)
@@ -441,7 +434,7 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
                 x = _rotate(y, next(outs), s_out)
                 sample(k, x)
                 if k == n - 1:
-                    return x, residual
+                    return x
             np.matmul(e_step[j], y_e, out=buf_e)
             np.matmul(buf_s, s_step.T, out=y_s)
 
@@ -451,20 +444,16 @@ def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
 # ---------------------------------------------------------------------------
 
 def _engine_dt_cap(params: EngineParams) -> float:
-    """0.01 / E_max with E_max = N max_t E_t, the engine half of the step rule."""
-    e_max = params.N * max(float(params.energy(0.0)), float(params.energy(params.T / 2)))
-    return 0.01 / e_max if e_max > 0 else math.inf
+    """0.01 / E_max, E_max = N max_t E_t > 0 (EngineParams), the engine half of the step rule."""
+    return 0.01 / (params.N * max(float(params.energy(0.0)), float(params.energy(params.T / 2))))
 
 
 def default_dt_cap(params: EngineParams, system: ExternalSystem) -> float:
+    """min(0.01 / E_max, 0.01 / omega_eff), the accuracy cap of PropagatorConfig."""
     gaps = np.diff(np.asarray(system.energies, dtype=float))
     w_eff = float(gaps.max()) if gaps.size else 0.0
     cap = _engine_dt_cap(params)
-    if w_eff > 0:
-        cap = min(cap, 0.01 / w_eff)
-    if not math.isfinite(cap):
-        cap = params.T / 100
-    return cap
+    return min(cap, 0.01 / w_eff) if w_eff > 0 else cap
 
 
 def _resolve_dt(params, system, config, duration):
@@ -472,7 +461,7 @@ def _resolve_dt(params, system, config, duration):
     if config.dt is not None:
         if config.dt > cap * (1 + 1e-9):
             raise ConfigError(
-                f"dt={config.dt} exceeds the stability cap {cap:.3e} "
+                f"dt={config.dt} exceeds the accuracy cap {cap:.3e} "
                 "(min(0.01/E_max, 0.01/omega))"
             )
         cap = config.dt
@@ -660,8 +649,8 @@ def run_cycles(
     check_schedule_cycle(params, schedule)
     runs = [_build_sectors(params, s) for s in stats]
     run = _run_impulse if isinstance(schedule, Impulse) else _run_smooth
-    return [_cycle_result(system, s, sectors, *out)
-            for s, sectors, out in zip(stats, runs, run(params, schedule, system, runs, config))]
+    outs = run(params, schedule, system, np.linalg.eigh(system.matrix), runs, config)
+    return [_cycle_result(system, s, sectors, *out) for s, sectors, out in zip(stats, runs, outs)]
 
 
 def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResult:
@@ -705,7 +694,7 @@ def _system_energy(sigma_s, system) -> float:
     return float(np.real(np.diag(sigma_s)) @ np.asarray(system.energies))
 
 
-def _run_impulse(params, schedule, system, runs, config):
+def _run_impulse(params, schedule, system, eig, runs, config):
     """(sigma_S, diagnostics, energies) per run: the engine chain up to the
     kick is taken once, and each distinct block's kicked system vectors
     (_kicked_system) once, mixed by each run's own Gibbs weights."""
@@ -713,7 +702,7 @@ def _run_impulse(params, schedule, system, runs, config):
     half = params.T / 2
     in_first = t1 < half
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
-    s_vals, P_s = np.linalg.eigh(system.matrix)
+    s_vals, P_s = eig
     a, b, n = _engine_chain(params, t0, t1, _resolve_dt(params, system, config, half)[0])
     kicked, out = {}, []
     for sectors in runs:
@@ -739,7 +728,7 @@ def _run_impulse(params, schedule, system, runs, config):
     return out
 
 
-def _run_smooth(params, schedule, system, runs, config):
+def _run_smooth(params, schedule, system, eig, runs, config):
     """(sigma_S, diagnostics, energies) per run.  Each stroke propagates,
     per distinct block (_shared_blocks), the factor of rho_E (x) sigma_S
     (rank dE per distinct sigma_S in stroke 1, where sigma_S is the ground
@@ -753,6 +742,7 @@ def _run_smooth(params, schedule, system, runs, config):
     diags = [_Diag() for _ in runs]
     energies = [[{"t": 0.0, "system_energy": 0.0}] for _ in runs]
     eps = np.asarray(system.energies, dtype=float)
+    vs_residual = _isometry_drift(eig[1])
     trace_rows = [{} for _ in runs]
     ranks = [[] for _ in runs]
     walls = []
@@ -777,8 +767,9 @@ def _run_smooth(params, schedule, system, runs, config):
                                                        np.zeros(3))
                         row += mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
 
-            y, residual = _split_evolve(sector, system, params, schedule, dt, y, t_start,
-                                        n_steps, sample)
+            y = _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n_steps,
+                              sample)
+            residual = max(vs_residual, sector.unitarity_residual)
             for i, mult, w, _, cols in members:
                 diags[i].unitarity_residual = max(diags[i].unitarity_residual, residual)
                 ranks[i][-1].append(w.size)

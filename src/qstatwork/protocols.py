@@ -10,7 +10,7 @@ the protocol; no dynamics.
 from __future__ import annotations
 
 import enum
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,8 +40,9 @@ class EngineParams:
     Omega0 is the gap parameter at the cycle start, v the sweep speed
     (only |v| matters; the stroke direction is set by gap_direction),
     T the cycle period, beta_c/beta_h the cold/hot inverse temperatures.
-    E_t = sqrt(Omega(t)^2 + Delta^2) must stay positive except possibly
-    at isolated stroke endpoints of a Delta = 0 sweep.
+    Omega0, Delta, v and T must be finite, and E_t = sqrt(Omega(t)^2 +
+    Delta^2) positive except possibly at isolated stroke endpoints of a
+    Delta = 0 sweep.
     """
 
     N: int
@@ -58,6 +59,9 @@ class EngineParams:
         if not float(self.N).is_integer() or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
+        for name in ("Omega0", "Delta", "v", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T <= 0:
             raise ValueError(f"cycle period T must be positive, got {self.T}")
         if self.Delta < 0:
@@ -72,20 +76,13 @@ class EngineParams:
         self._check_gap_open()
 
     def _check_gap_open(self):
-        if self.Delta > 0:
-            return
-        lo, hi = self._omega_range()
-        if lo < 0 or (lo == 0 and hi == 0):
+        # Omega runs between Omega(0) and Omega(T/2) in either stroke
+        lo, hi = sorted((self.Omega0, self.omega_half))
+        if self.Delta == 0 and (lo < 0 or hi == 0):
             raise DegenerateHamiltonianError(
-                "Delta = 0 sweep closes the gap inside a stroke; keep |Omega| > 0 "
+                "a Delta = 0 sweep needs Omega >= 0 over the cycle, and Omega > 0 "
                 "except at isolated endpoints"
             )
-
-    def _omega_range(self):
-        half = abs(self.v) * self.T / 2
-        if self.gap_direction is GapDirection.INCREASING:
-            return self.Omega0, self.Omega0 + half
-        return self.Omega0 - half, self.Omega0
 
     @property
     def omega_half(self) -> float:
@@ -166,10 +163,8 @@ def phase_integral(params: EngineParams, t, t0: float):
     if slope == 0.0:
         out = 2 * np.hypot(om0, delta) * (t_arr - t0)
     elif delta == 0.0:
-        # Omega keeps one sign within a stroke (validated), so |Omega| integrates
-        # to a signed quadratic.
-        s = 1.0 if (om0 + om_t.max()) >= 0 else -1.0
-        out = s * (om_t ** 2 - om0 ** 2) / slope
+        # Omega >= 0 over the whole cycle (validated), so |Omega| = Omega
+        out = (om_t ** 2 - om0 ** 2) / slope
     else:
         def F(u):
             return u * np.hypot(u, delta) + delta ** 2 * np.arcsinh(u / delta)
@@ -197,7 +192,6 @@ class Impulse:
 
 
 PLATEAU_ENDPOINT_TOL = 1e-6
-PLATEAU_MIDCYCLE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,9 @@ class SmoothPlateau:
     g_C(t) = g/(delta_t T) sum_{n=0,1} [tanh(alpha(t - t_on - nT/2))
                                         - tanh(alpha(t - t_off - nT/2))]
     with t_on = (1 - delta_t) T / 4 and t_off = t_on + delta_t T / 2 by
-    default.  The switching tails must be off at t = 0 and t = T.
+    default.  The tails must be off at t = 0 and t = T, which bounds the
+    tail at T/2: each tanh pair of g_C(T/2) is one of g_C(0) or g_C(T), all
+    with the sign of t_off - t_on, so |g_C(T/2)| <= |g_C(0)| + |g_C(T)|.
     """
 
     g: float
@@ -234,18 +230,6 @@ class SmoothPlateau:
                     f"coupling does not switch off at the cycle endpoints: "
                     f"|g_C(0 or T)| = {ends:.3e} > {PLATEAU_ENDPOINT_TOL:.0e} x g/(delta_t T)"
                 )
-            mid = abs(self._value(self.T / 2))
-            if mid > PLATEAU_MIDCYCLE_TOL * scale:
-                warnings.warn(
-                    f"coupling tail at the thermalization instant T/2 is "
-                    f"{mid / scale:.2e} of the plateau; probabilities get a "
-                    "thermalization-overlap flag",
-                    stacklevel=2,
-                )
-
-    @property
-    def plateau_height(self) -> float:
-        return 2 * self.g / (self.delta_t * self.T)
 
     def _value(self, t):
         t = np.asarray(t, dtype=float)
@@ -262,10 +246,6 @@ class SmoothPlateau:
         return tuple(
             s + n * self.T / 2 for n in (0, 1) for s in (self.t_on, self.t_off)
         )
-
-    def midcycle_tail_fraction(self) -> float:
-        scale = abs(self.plateau_height)
-        return abs(self._value(self.T / 2)) / scale if scale else 0.0
 
 
 @dataclass(frozen=True, eq=False)

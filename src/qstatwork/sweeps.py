@@ -168,7 +168,7 @@ def _check_keys(section: str, given: dict, allowed):
 def _typed(name: str, kind, value):
     """`value` of the config field `name` as its `kind` of _FIELDS, or a
     ConfigError: null, a bool, a string, a list or an object is no number,
-    and an integer too large for a float is out of range."""
+    NaN and an infinity are not finite, and a huge integer is out of range."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
@@ -179,6 +179,8 @@ def _typed(name: str, kind, value):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or count and not float(value).is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -510,6 +512,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep method '{self.method}'")
         if self.task not in ("work", "fermi"):
             raise ConfigError(f"unknown sweep task '{self.task}'")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"sweep.out must be a string, got {self.out!r}")
         axes = []
         for param, values in self.axes:
             section, _, fld = param.partition(".")
@@ -550,10 +554,6 @@ class SweepSpec:
             seed=d.get("seed", 0),
             task=d.get("task", "work"),
         )
-
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "SweepSpec":
-        return cls.from_dict(manifest["spec"])
 
 
 def _cell_config(spec: SweepSpec, values) -> dict:

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 import qstatwork as qw
 from qstatwork.analytics import single_avg
@@ -63,7 +62,7 @@ class TestIndistCorrelator:
         p = params_for(3, 0.5)
         oracle = DickeAdiabaticOracle(p)
         ref = oracle.correlator(12.0, 15.0, 10.0, p.beta_h)
-        got = qw.correlator(p, 12.0, 15.0, qw.Statistics.BOSE, t0=10.0).value
+        got = qw.correlator(p, 12.0, 15.0, qw.Statistics.BOSE).value
         assert abs(got - ref) < 1e-10
 
     def test_phase_convention_independence(self):
@@ -114,13 +113,6 @@ class TestFactorizedForm:
     def test_within_stroke_not_factorized(self):
         p = params_for(3, 0.6)
         assert not qw.correlator(p, 3.0, 7.0, qw.Statistics.BOSE).factorized
-
-    def test_mismatched_t0_rejected(self):
-        from qstatwork.errors import DomainError
-
-        p = params_for(3, 0.6)
-        with pytest.raises(DomainError):
-            qw.correlator(p, 3.0, 7.0, qw.Statistics.BOSE, t0=10.0)
 
 
 class TestSingleAvg:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qstatwork as qw
 import qstatwork.dynamics as dyn
@@ -60,6 +61,10 @@ def ho(dim=10):
 
 IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
 DIST = qw.Statistics.DISTINGUISHABLE
+# magnitudes within 1e+-100, where N max_t E_t and 0.01 over it stay
+# inside the float range
+SCALE = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+SIGNED = SCALE | SCALE.map(lambda x: -x) | st.just(0.0)
 
 # CHAIN_DIM settings that force every stepped sector onto one path of
 # _split_evolve: all composites stepped, or all multiplied per sample block
@@ -357,6 +362,22 @@ class TestRunCycleSmooth:
         with pytest.raises(ConfigError):
             run_cycle(p, self.PLATEAU, ho(6), config=PropagatorConfig(dt=2 * cap))
 
+    @given(N=st.integers(1, 60), omega0=SIGNED, delta=SCALE | st.just(0.0), v=SIGNED,
+           period=SCALE, direction=st.sampled_from(["increasing", "decreasing"]),
+           gapless=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_default_cap_finite_and_positive(self, N, omega0, delta, v, period, direction,
+                                             gapless):
+        # EngineParams keeps the drive finite and N max(E_0, E_{T/2}) > 0, so
+        # the rule needs no fallback, even for a system without a gap
+        try:
+            p = qw.EngineParams(N=N, Omega0=omega0, Delta=delta, v=v, T=period, beta_c=1.0,
+                                beta_h=0.5, gap_direction=direction)
+        except ValueError:
+            assume(False)
+        system = qw.ExternalSystem(energies=[0.0], V_S=[[1.0]]) if gapless else ho(6)
+        assert 0 < default_dt_cap(p, system) < math.inf
+
     def test_halving_dt_reduces_error(self):
         # The Fig.-3 coupling g = 0.5 on dimension 16 puts the splitting
         # error (|w1 - w4| ~ 5e-10 here, 4.4e-10 at Delta = 0, where the step
@@ -435,8 +456,8 @@ class TestRunCycleSmooth:
         y, w = _product_factor(*gibbs_e, mu, W)
         assert w.size == (N + 1) * dS                   # full rank
         dt, n, t_start = default_dt_cap(p, system), 300, 0.75 * T
-        y, _ = _split_evolve(sector, system, p, self.STRONG, dt, y, t_start, n,
-                             lambda k, x: None)
+        y = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p, self.STRONG, dt, y,
+                          t_start, n, lambda k, x: None)
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
         rho = dense_strang_steps(np.kron(dense(*gibbs_e), sigma), p, self.STRONG, system,
@@ -460,8 +481,8 @@ class TestRunCycleSmooth:
             for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
                 y, _ = _product_factor(*gibbs_e, mu, W)
                 before = y.copy()
-                out, _ = _split_evolve(sector, system, p, self.STRONG, 0.01, y, 0.0, 120,
-                                       lambda k, x: None)
+                out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                                    self.STRONG, 0.01, y, 0.0, 120, lambda k, x: None)
                 np.testing.assert_array_equal(y, before)
                 assert out is not y
 
@@ -548,9 +569,9 @@ class TestBlockPath:
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         y, _ = _product_factor(*gibbs_e, mu, W)
         samples = []
-        out, _ = _split_evolve(sector, system, p, TestRunCycleSmooth.STRONG,
-                               default_dt_cap(p, system), y, 0.75 * T, n,
-                               lambda k, x: samples.append((k, x.copy())))
+        out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                            TestRunCycleSmooth.STRONG, default_dt_cap(p, system), y, 0.75 * T,
+                            n, lambda k, x: samples.append((k, x.copy())))
         return samples, out
 
     def sample_gap(self, got, ref):
@@ -614,8 +635,8 @@ class TestBlockPath:
         n = 20_000
         tracemalloc.start()
         try:
-            _split_evolve(sector, system, p, TestRunCycleSmooth.STRONG, T / 2 / n, y,
-                          0.0, n, lambda k, x: None)
+            _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                          TestRunCycleSmooth.STRONG, T / 2 / n, y, 0.0, n, lambda k, x: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -669,6 +690,20 @@ class TestRunCycles:
                 np.testing.assert_array_equal(got[:, 0], ref[:, 0])
                 assert gap(got[:, 1:], ref[:, 1:]) <= self.BOUND
 
+    @pytest.mark.parametrize("kind", ["kick", "smooth"])
+    def test_one_system_eigensystem_per_call(self, monkeypatch, kind):
+        # V_S is diagonalised once per call, not once per block and stroke
+        p, sched, system = self.case(2, 0.7, kind)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a is system.matrix)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_cycles(p, sched, system)
+        assert sum(calls) == 1
+
     def test_each_block_once_per_stroke(self, monkeypatch):
         # N = 2: the spin-1 block is stepped once per stroke for both runs,
         # shared in stroke 1 and with the two factors stacked in stroke 2;
@@ -677,9 +712,9 @@ class TestRunCycles:
         calls = []
         split = dyn._split_evolve
 
-        def record(sector, system, params, schedule, dt, y, *args):
+        def record(sector, system, eig, params, schedule, dt, y, *args):
             calls.append((sector.key, y.shape[1]))
-            return split(sector, system, params, schedule, dt, y, *args)
+            return split(sector, system, eig, params, schedule, dt, y, *args)
 
         monkeypatch.setattr(dyn, "_split_evolve", record)
         bose, dist = run_cycles(*self.case(2, 0.7, "smooth"))
@@ -877,9 +912,9 @@ class TestAdiabaticityWitness:
 class TestCycleResultSerialization:
     def test_roundtrip_dict(self):
         res = run_cycle(engine(2, 0.0), IMPULSE, ho(6))
-        d = res.to_dict(include_state=True)
+        d = res.to_dict()
         assert d["work"]["method"] == "exact-numerical"
-        assert len(d["final_state"]["re"]) == 6
+        assert "final_state" not in d and res.final_state.shape == (6, 6)
         assert {"trace_drift", "unitarity_residual"} <= set(d["diagnostics"])
 
 

@@ -63,20 +63,40 @@ def referenced_names(node) -> set:
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def units(node) -> list:
+    """The parts of a module-level statement that count as separate
+    readers: a class splits into its decorators, bases, keywords and the
+    statements of its body, so that one method calling another is a use;
+    any other statement is one unit."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.decorator_list, *node.bases, *node.keywords, *node.body]
+
+
 def unreferenced_definitions(sources: dict) -> list:
-    """(module, name) of each module-level function or class of `sources`
-    ({module: source}) that no other statement of any of them reads: a
-    name that only its own definition, or only the tests, use.  An import
-    in `__init__` counts as a use, since the package exports that name."""
+    """(module, name) of each module-level function or class, and
+    (module, class.method) of each method or property other than a dunder,
+    of `sources` ({module: source}) that no other statement of any of them
+    reads: a name that only its own definition, or only the tests, use.
+    An import in `__init__` counts as a use, since the package exports
+    that name.  Methods are matched by name alone, so a name that any
+    class reads counts as a use of every method of that name."""
     statements = [(module, node) for module, source in sources.items()
                   for node in ast.parse(source).body]
-    uses = collections.Counter(name for _, node in statements
-                               for name in referenced_names(node))
+    uses = collections.Counter(name for _, node in statements for unit in units(node)
+                               for name in referenced_names(unit))
     found = []
     for module, node in statements:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if uses[node.name] == (node.name in referenced_names(node)):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            if uses[node.name] == sum(node.name in referenced_names(u) for u in units(node)):
                 found.append((module, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(module, f"{node.name}.{m.name}") for m in node.body
+                      if isinstance(m, FUNCTIONS) and not m.name.startswith("__")
+                      and uses[m.name] == (m.name in referenced_names(m))]
     return found
 
 
@@ -86,6 +106,19 @@ def test_detects_unreferenced_definition():
         "b": "from .a import g\ndef h():\n    return C()\n",
         "__init__": "from .b import h\n",
     }) == [("a", "f")]
+
+
+def test_detects_unreferenced_method():
+    # used: a method another method calls, a property read elsewhere and
+    # dunders; unused: a method only its own body reads
+    assert unreferenced_definitions({
+        "a": "class C:\n    def __init__(self):\n        self.x = self.f()\n"
+             "    def f(self):\n        return 1\n"
+             "    @property\n    def p(self):\n        return 2\n"
+             "    def g(self, n):\n        return self.g(n - 1)\n",
+        "b": "from .a import C\ndef h():\n    return C().p\n",
+        "__init__": "from .b import h\n",
+    }) == [("a", "C.g")]
 
 
 def test_package_defines_nothing_it_does_not_use():

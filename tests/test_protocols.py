@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import qstatwork as qw
@@ -57,6 +59,12 @@ class TestOmegaOfT:
             qw.EngineParams(N=1, Omega0=0.5, Delta=0.0, v=0.1, T=20.0,
                             beta_c=1.0, beta_h=0.1, gap_direction="decreasing")
 
+    def test_negative_omega_rejected_by_its_rule(self):
+        # |Omega| > 0 throughout, but the Delta = 0 closed forms take Omega >= 0
+        with pytest.raises(DegenerateHamiltonianError, match="Omega >= 0 over the cycle"):
+            qw.EngineParams(N=1, Omega0=-3.0, Delta=0.0, v=0.1, T=20.0,
+                            beta_c=1.0, beta_h=0.1)
+
     def test_bath_ordering_enforced(self):
         with pytest.raises(ValueError, match="beta_c > beta_h"):
             qw.EngineParams(N=1, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
@@ -69,11 +77,26 @@ class TestOmegaOfT:
         n = fig2_params(N=3.0).N
         assert n == 3 and type(n) is int
 
+    @pytest.mark.parametrize("field", ["Omega0", "Delta", "v", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_drive_must_be_finite(self, field, value):
+        # a NaN passed every range check here and failed deep in the
+        # propagation; an infinite sweep left no finite step
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(fig2_params(), **{field: value})
+
 
 class TestPhaseIntegral:
-    @pytest.mark.parametrize("delta", [0.0, 0.5, 2.0])
-    def test_matches_quadrature(self, delta):
+    # a decreasing Delta = 0 sweep runs Omega down in stroke 1: the
+    # closed form takes |Omega| = Omega, which the validation guarantees
+    @pytest.mark.parametrize("delta, direction", [
+        pytest.param(0.0, "increasing", id="0.0"), pytest.param(0.5, "increasing", id="0.5"),
+        pytest.param(2.0, "increasing", id="2.0"),
+        pytest.param(0.0, "decreasing", id="0.0-decreasing")])
+    def test_matches_quadrature(self, delta, direction):
         p = fig2_params(delta=delta)
+        if direction == "decreasing":
+            p = dataclasses.replace(p, Omega0=3.0, gap_direction=direction)
         for t0, t in ((0.0, 3.7), (0.0, 10.0), (10.0, 16.2)):
             closed = qw.phase_integral(p, t, t0)
             ref = phase_quad(p, t, t0)
@@ -121,13 +144,28 @@ class TestCouplingSchedules:
         with pytest.raises(ValueError, match="switch off"):
             qw.SmoothPlateau(g=0.5, delta_t=0.9, alpha=5.0 / 20.0, T=20.0)
 
-    def test_midcycle_tail_negligible_for_standard_presets(self):
-        # the endpoint invariant pins both switching distances, which for the
-        # twin-plateau family also bounds the tail at the reset instant
-        T = 20.0
-        for (g, dt_, a) in ((0.01, 0.9, 2142.0), (0.5, 0.9, 2142.0), (0.5, 0.98, 2000.0)):
-            s = qw.SmoothPlateau(g=g, delta_t=dt_, alpha=a / T, T=T)
-            assert s.midcycle_tail_fraction() < 1e-3
+    @given(g=st.floats(-2.0, 2.0), delta_t=st.floats(0.01, 0.99),
+           alpha_T=st.floats(1.0, 4.0).map(lambda e: 10 ** e),
+           T=st.floats(-1.0, 2.0).map(lambda e: 10 ** e),
+           switch=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @example(g=0.01, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
+    @example(g=0.5, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
+    @example(g=0.5, delta_t=0.98, alpha_T=2000.0, T=20.0, switch=None)
+    @settings(max_examples=300, deadline=None)
+    def test_endpoints_bound_the_midcycle_tail(self, g, delta_t, alpha_T, T, switch):
+        # every accepted plateau, custom t_on/t_off (either order) included:
+        # each tanh pair of g_C(T/2) is one of g_C(0) or g_C(T), with the
+        # same sign, so the endpoint check also bounds the tail at the reset
+        t_on, t_off = (None, None) if switch is None else (x * T / 2 for x in switch)
+        try:
+            s = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T,
+                                 t_on=t_on, t_off=t_off)
+        except ValueError:
+            assume(False)
+        ends = abs(qw.g_of_t(s, 0.0)) + abs(qw.g_of_t(s, T))
+        scale = abs(g) / (delta_t * T)
+        assert abs(qw.g_of_t(s, T / 2)) <= ends + 32 * np.finfo(float).eps * scale
+        assert ends <= 2e-6 * scale
 
     def test_impulse_has_no_pointwise_value(self):
         s = qw.Impulse(g=0.01, t1=3.5, T=20.0)

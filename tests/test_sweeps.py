@@ -228,9 +228,14 @@ class TestConfig:
         # integers too large for a float, for a count and for a number
         ({"engine": {"N": 10 ** 400}}, "engine.N is out of range: an integer of 1329 bits"),
         ({"engine": {"T": 10 ** 400}}, "engine.T is out of range: an integer of 1329 bits"),
+        # JSON's NaN and Infinity literals
+        ({"engine": {"Omega0": math.nan}}, "engine.Omega0 must be finite, got nan"),
+        ({"coupling": {"g": math.inf}}, "coupling.g must be finite, got inf"),
+        ({"engine": {"beta_c": -math.inf}}, "engine.beta_c must be finite, got -inf"),
     ], ids=["engine-number", "engine-list", "axes-number", "axis-without-values",
             "values-number", "null-number", "list-number", "object-number", "bool-number",
-            "unknown-choice", "huge-count", "huge-number"])
+            "unknown-choice", "huge-count", "huge-number", "nan-number", "inf-number",
+            "minus-inf-number"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -304,8 +309,6 @@ class TestSweepSpec:
         spec = {"axes": [axis], "fixed": {}}
         with pytest.raises(ConfigError, match="a string 'param' and a list 'values'"):
             sw.SweepSpec.from_dict(spec)
-        with pytest.raises(ConfigError, match="a string 'param' and a list 'values'"):
-            sw.SweepSpec.from_manifest({"spec": spec})
 
     def test_cell_cap(self):
         with pytest.raises(ConfigError, match="cap"):
@@ -315,8 +318,19 @@ class TestSweepSpec:
     def test_manifest_roundtrip(self, tmp_path):
         spec = self.spec(out=str(tmp_path / "o"))
         manifest = sw.run_sweep(spec, out_dir=str(tmp_path / "o"))
-        again = sw.SweepSpec.from_manifest(manifest)
+        again = sw.SweepSpec.from_dict(manifest["spec"])
         assert again == spec
+
+    @pytest.mark.parametrize("out", [5, None, ["a"]], ids=["number", "null", "list"])
+    def test_out_must_be_a_string(self, tmp_path, capsys, out):
+        # a non-string out used to fail in os.path.join with a traceback
+        with pytest.raises(ConfigError, match="sweep.out must be a string"):
+            self.spec(out=out)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"sweep": {"axes": [{"param": "engine.N", "values": [1]}],
+                                              "out": out}}))
+        assert sw.cli_main(["sweep", "--config", str(path)]) == 2
+        assert "config error: sweep.out must be a string" in capsys.readouterr().err
 
     def test_manifest_times_every_cell(self, tmp_path):
         spec = self.spec(axes=(("engine.N", (1, 2, 3)), ("engine.Delta", (0.0, 0.5))))
@@ -462,6 +476,19 @@ class TestCli:
                      ["analytic", "--config", str(path)]):
             assert sw.cli_main(argv) == 2
             assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["analytic", "--omega0", "nan", "--beta-c", "2", "--beta-h", "0.25"], "engine.Omega0"),
+        (["analytic", "--v", "inf", "--beta-c", "2", "--beta-h", "0.25"], "engine.v"),
+        (["evolve", "--coupling", "plateau", "--g", "nan", "--dim", "4"], "coupling.g"),
+    ], ids=["analytic-nan", "analytic-inf", "evolve-nan"])
+    def test_non_finite_flag_exit_2(self, capsys, argv, field):
+        # these printed NaN, which is no JSON, and exited 0, or failed to
+        # diagonalise in the propagation
+        assert sw.cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {field} must be finite"), captured.err
 
     def test_field_flags_unchanged(self):
         # the flags of analytic and evolve, in help order, and their choices
