@@ -166,10 +166,14 @@ def _x_at(params: EngineParams, t0: float) -> float:
     return beta * float(params.energy(t0))
 
 
+_STATISTICS = (Statistics.BOSE, Statistics.DISTINGUISHABLE)
+
+
 def _weights(N: int, x, statistics: Statistics):
     """Thermal weights (a, D, L_plus, L_minus) of the stroke-start state at
-    x = beta E, vectorised over x; the only place statistics enter the
-    closed forms.
+    x = beta E, elementwise over N and x; the only place statistics enter
+    the closed forms.  N is an integer or an integer array; with an array
+    N, x must already have the shape of N * x.
 
     a is the one-time average <V_R^(I)>/cos(theta), D the cos^2(theta)
     weight of the second moment and L_sigma the weight of the ladder
@@ -245,7 +249,7 @@ class Amplitudes:
     phase-free piece proportional to cos(theta_t) and vanishes
     identically for Delta = 0.  For a row of levels (`_amplitude_row`) i
     is None and each amplitude is an array over the row.  `quadrature` is
-    the worst work of the integrals behind them.
+    the work of the one quadrature behind them.
     """
 
     i: int
@@ -274,41 +278,40 @@ def _amplitude_row(params: EngineParams, schedule: CouplingSchedule, t0: float,
     """Amplitudes of a row of levels with energies eps and nonzero
     couplings v = <k|V_S|0>, over the stroke from t0, on shared panels.
 
-    g(t), sin(theta), cos(theta) and the ladder phase are evaluated once
-    per node for the whole row; only exp(i eps t) differs between levels.
-    The c~+ of every level, then the c~-, form one stack of 2m integrands
-    and the d one stack of m (none for Delta = 0), with the panels of the
-    highest frequency and an absolute tolerance per component.
+    g(t) v exp(i eps t), sin(theta), cos(theta) and the ladder phase are
+    evaluated once per node for the whole row.  The c~+ of every level,
+    then the c~-, then the d (none for Delta = 0) form one stack of 3m
+    integrands (2m for Delta = 0) in one quadrature, with the panels of
+    the highest frequency eps_max + 2 E_max and an absolute tolerance per
+    component; `quadrature` is that call's work.
     """
     eps = np.asarray(eps, dtype=float)[:, None]
     v = np.asarray(v, dtype=complex)[:, None]
     m = eps.shape[0]
     lo, hi = t0, t0 + params.T / 2
     e_max = max(float(params.energy(lo)), float(params.energy(hi)))
+    parts = 2 if params.Delta == 0.0 else 3
 
-    def base(tt):
-        return g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
-
-    def integrand_c(tt):
-        # c~+ and c~- differ only in the sign of the ladder phase
-        common = base(tt) * params.sin_theta(tt)
+    def integrand(tt):
+        # c~+ and c~- differ only in the sign of the ladder phase, and d
+        # carries -cos(theta) in place of sin(theta) and the phase
+        base = g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
+        common = base * params.sin_theta(tt)
         ladder = np.exp(1j * phase_integral(params, tt, t0))
-        return np.concatenate((common * ladder, common * ladder.conj()))
+        out = np.empty((parts, m, tt.size), complex)
+        np.multiply(common, ladder, out=out[0])
+        np.multiply(common, ladder.conj(), out=out[1])
+        if parts == 3:
+            np.multiply(-base, params.cos_theta(tt), out=out[2])
+        return out.reshape(parts * m, tt.size)
 
-    def integrand_d(tt):
-        return -base(tt) * params.cos_theta(tt)
-
-    abs_tol = 1e-14 * np.abs(v[:, 0])
-    kw = dict(breakpoints=_schedule_breakpoints(schedule, lo, hi), rel_tol=rel_tol)
-    c, c_stats = _quad.integrate_oscillatory(
-        integrand_c, lo, hi, max_freq=eps.max() + 2 * e_max, abs_tol=np.tile(abs_tol, 2), **kw)
-    if params.Delta == 0.0:
-        d, d_stats = np.zeros(m, complex), _quad.QuadStats()
-    else:
-        d, d_stats = _quad.integrate_oscillatory(
-            integrand_d, lo, hi, max_freq=eps.max(), abs_tol=abs_tol, **kw)
-    return Amplitudes(i=None, t0=t0, c_plus=c[:m], c_minus=c[m:], d=d,
-                      quadrature=_quad.worst((c_stats, d_stats)))
+    amps, stats = _quad.integrate_oscillatory(
+        integrand, lo, hi, breakpoints=_schedule_breakpoints(schedule, lo, hi),
+        max_freq=eps.max() + 2 * e_max, rel_tol=rel_tol,
+        abs_tol=np.tile(1e-14 * np.abs(v[:, 0]), parts))
+    d = amps[2 * m:] if parts == 3 else np.zeros(m, complex)
+    return Amplitudes(i=None, t0=t0, c_plus=amps[:m], c_minus=amps[m:2 * m], d=d,
+                      quadrature=stats)
 
 
 def compute_amplitudes(
@@ -436,7 +439,8 @@ def _probability(amps: tuple, w0: list, wh: list):
     """Excitation probability from the amplitudes at t0 = 0, T/2 and the
     weights (a, D, L_plus, L_minus) of `_weights` at (x_c, x_h):
     sum |d|^2 D + |c~+|^2 L_plus + |c~-|^2 L_minus + 2 Re[d(0) d*(T/2)] a_c a_h.
-    A float, or an array over the levels of `_amplitude_row` amplitudes."""
+    A float, or an array over stacked amplitudes and weights broadcast
+    together."""
     p = 0.0
     for amp, (_, D, L_plus, L_minus) in zip(amps, (w0, wh)):
         p += abs(amp.d) ** 2 * D
@@ -537,12 +541,12 @@ def enhancement(
     """
     if isinstance(schedule, Impulse):
         rec_b, rec_d = (impulse_work(params, schedule, system, s)
-                        for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+                        for s in _STATISTICS)
     else:
         if amplitudes is None:
             amplitudes = level_amplitudes(params, schedule, system)
         rec_b, rec_d = (general_work(params, schedule, system, s, amplitudes)
-                        for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+                        for s in _STATISTICS)
     ratio = rec_b.avg_work / rec_d.avg_work
     return ratio, rec_b, rec_d
 
@@ -588,9 +592,10 @@ def enhancement_region(
     Each cell couples the engines to an oscillator of frequency
     omega = omega T / T through its level 1 (<1|V_S|0> = 1).  The
     amplitudes depend only on the (Delta, omega) cell and the thermal
-    weights only on (Delta, N), so each Delta row computes the amplitudes
-    of all its omega at once, as one `_amplitude_row` per stroke start,
-    and the N sweep reuses them through the weights.
+    weights only on (Delta, N): each Delta row computes the amplitudes of
+    all its omega at once, as one `_amplitude_row` per stroke start, and
+    then the weights and probabilities of each (N, statistics) are
+    evaluated once over the whole Delta x omega T grid.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
@@ -600,12 +605,12 @@ def enhancement_region(
     shape = (len(N_values), deltas.size, omts.size)
     w_ind = np.zeros(shape)
     w_dist = np.zeros(shape)
-    quadrature = []
     half = base.T / 2
     omegas = omts / base.T
     schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
+    xs, rows = [], []
     # an empty omega grid leaves every row without amplitudes to compute
-    for b, dfrac in enumerate(deltas if omts.size else ()):
+    for dfrac in deltas if omts.size else ():
         delta = dfrac * base.Omega0
         e0 = math.hypot(base.Omega0, delta)
         eh = math.hypot(base.omega_half, delta)
@@ -615,15 +620,19 @@ def enhancement_region(
             gap_direction=base.gap_direction,
         )
         # x = beta E at t0 = 0, T/2 does not depend on N or omega
-        x = np.array([_x_at(params1, 0.0), _x_at(params1, half)])
-        amps = tuple(_amplitude_row(params1, schedule, t0, omegas, np.ones(omts.size))
-                     for t0 in (0.0, half))
-        quadrature += [amp.quadrature for amp in amps]
+        xs.append([_x_at(params1, 0.0), _x_at(params1, half)])
+        rows.append([_amplitude_row(params1, schedule, t0, omegas, np.ones(omts.size))
+                     for t0 in (0.0, half)])
+    if rows:
+        # per stroke start, the rows' amplitudes stacked to (n_delta, n_omega)
+        # and x to an (n_delta, 1) column; the weights broadcast over omega
+        amps = [Amplitudes(None, col[0].t0, *(np.array([getattr(a, k) for a in col])
+                                              for k in ("c_plus", "c_minus", "d")))
+                for col in zip(*rows)]
+        x = np.array(xs).T[:, :, None]
         for a, N in enumerate(N_values):
-            w_bose, w_dist_N = (np.array(_weights(N, x, s)).T.tolist()
-                                for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
-            w_ind[a, b] = omegas * _probability(amps, *w_bose)
-            w_dist[a, b] = omegas * _probability(amps, *w_dist_N)
+            for out, s in zip((w_ind, w_dist), _STATISTICS):
+                out[a] = omegas * _probability(amps, *np.swapaxes(_weights(N, x, s), 0, 1))
     scale = np.maximum(np.abs(w_ind), np.abs(w_dist))
     enhanced = w_ind - w_dist >= -1e-12 * scale
     return RegionMap(
@@ -633,7 +642,7 @@ def enhancement_region(
         enhanced=enhanced,
         work_indist=w_ind,
         work_dist=w_dist,
-        quadrature=_quad.worst(quadrature),
+        quadrature=_quad.worst(amp.quadrature for row in rows for amp in row),
     )
 
 
@@ -659,24 +668,34 @@ class InequalityReport:
     n1_equality_defect: float
 
 
-def inequality_margins(N: int, x, y=None) -> dict:
-    """Margins of the four moment inequalities at N: each Bose weight of
-    `_weights` minus its distinguishable counterpart, and (N^2 - D)/4 =
-    N^2/4 - f for the upper bound.  All are >= 0 and vanish at N = 1.
-    x and y broadcast together; only the cross term a(x) a(y) reads y.
-    Without y it takes y = x.T from the same weights, so a column x gives
-    the cross term on the grid x by x.  The ladder margin stacks
-    sigma = +1, -1 on a new leading axis."""
-    a, D, L_plus, L_minus = _weights(N, x, Statistics.BOSE)
-    a_d, D_d, L_plus_d, L_minus_d = _weights(N, x, Statistics.DISTINGUISHABLE)
-    a_y, a_dy = (a.T, a_d.T) if y is None else (
-        _weights(N, y, Statistics.BOSE)[0], _weights(N, y, Statistics.DISTINGUISHABLE)[0])
+def _margins(N, bose: tuple, dist: tuple, a_y, a_dy) -> dict:
+    """The four margins from the Bose and distinguishable weights at x and
+    the one-time averages a(y), a_d(y) of the cross term."""
+    a, D, L_plus, L_minus = bose
+    a_d, D_d, L_plus_d, L_minus_d = dist
     return {
         "f_upper_bound": (N * N - D) / 4,
         "f_lower_vs_dist": D - D_d,
         "ladder_vs_dist": np.stack((L_plus - L_plus_d, L_minus - L_minus_d)),
         "cross_term": a * a_y - a_d * a_dy,
     }
+
+
+def inequality_margins(N, x, y=None) -> dict:
+    """Margins of the four moment inequalities at N: each Bose weight of
+    `_weights` minus its distinguishable counterpart, and (N^2 - D)/4 =
+    N^2/4 - f for the upper bound.  All are >= 0 and vanish at N = 1.
+    N (a positive integer, or an integer array when y is given), x and y
+    broadcast together; only the cross term a(x) a(y) reads y.  Without y
+    it takes y = x.T from the same weights, so a column x gives the cross
+    term on the grid x by x.  The ladder margin stacks sigma = +1, -1 on a
+    new leading axis."""
+    if y is None and np.ndim(N):
+        raise ValueError("an array N needs y: y = x.T would transpose the N axis too")
+    bose, dist = (_weights(N, x, s) for s in _STATISTICS)
+    a_y, a_dy = (bose[0].T, dist[0].T) if y is None else (
+        _weights(N, y, s)[0] for s in _STATISTICS)
+    return _margins(N, bose, dist, a_y, a_dy)
 
 
 def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityReport:
@@ -687,18 +706,25 @@ def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityRep
       N/2(N/2+1) - F_sigma >= (N/2)(1 + sigma tanh x);
       4 h(x) h(y) >= N^2 tanh(x) tanh(y).
     Any violation beyond `tol` max(1, N^2/4) raises with the (N, x)
-    witness.
+    witness.  The weights of every N come from one `_weights` call per
+    statistics over an (N_max, n_x, 1) grid; the margins, the cross term
+    on the x by x grid among them, are then formed from each N's slice,
+    in order of N.
     """
     if N_max < 2:
         raise ValueError("N_max must be >= 2")
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0):
         raise DomainError("inequality grid must have x > 0")
+    Ns = np.arange(1, N_max + 1)[:, None, None]
+    bose, dist = (np.array(_weights(Ns, np.broadcast_to(x[:, None], (N_max, x.size, 1)), s))
+                  for s in _STATISTICS)
     worst = {}
     n1_defect = 0.0
     for N in range(1, N_max + 1):
         scale = max(1.0, N * N / 4.0)
-        margins = inequality_margins(N, x[:, None])
+        b, d = bose[:, N - 1], dist[:, N - 1]
+        margins = _margins(N, b, d, b[0].T, d[0].T)
         for name, vals in margins.items():
             k = int(np.argmin(vals))
             m = float(vals.flat[k])

@@ -444,8 +444,18 @@ def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, samp
 # ---------------------------------------------------------------------------
 
 def _engine_dt_cap(params: EngineParams) -> float:
-    """0.01 / E_max, E_max = N max_t E_t > 0 (EngineParams), the engine half of the step rule."""
-    return 0.01 / (params.N * max(float(params.energy(0.0)), float(params.energy(params.T / 2))))
+    """0.01 / E_max, E_max = N max_t E_t positive and finite (EngineParams), the engine half
+    of the step rule."""
+    return 0.01 / params.energy_scale
+
+
+def _step_count(duration: float, cap: float) -> int:
+    """The fewest steps of at most cap that span duration (at least one)."""
+    n = duration / cap
+    if not math.isfinite(n):
+        raise ConfigError(f"a span of {duration} in steps of at most {cap:.3e} takes "
+                          "more steps than a float can count")
+    return max(1, int(math.ceil(n)))
 
 
 def default_dt_cap(params: EngineParams, system: ExternalSystem) -> float:
@@ -465,7 +475,7 @@ def _resolve_dt(params, system, config, duration):
                 "(min(0.01/E_max, 0.01/omega))"
             )
         cap = config.dt
-    n = max(1, int(math.ceil(duration / cap)))
+    n = _step_count(duration, cap)
     return duration / n, n
 
 
@@ -561,7 +571,7 @@ def _engine_chain(params, t0, t, dt_cap):
     the closed-form phase (n = 0)."""
     if params.Delta == 0.0:
         return np.exp(0.5j * phase_integral(params, t, t0)), 0j, 0
-    n = max(1, int(math.ceil((t - t0) / dt_cap)))
+    n = _step_count(t - t0, dt_cap)
     dt = (t - t0) / n
     return (*_su2_chain(*_su2_steps(params, _midpoints(t0, dt, 0, n), dt)), n)
 
@@ -583,7 +593,7 @@ def adiabaticity_witness(params: EngineParams) -> float:
     cap = _engine_dt_cap(params)
     worst = 0.0
     for t0, t_end in ((0.0, params.T / 2), (params.T / 2, params.T)):
-        n = max(1, int(math.ceil((t_end - t0) / cap)))
+        n = _step_count(t_end - t0, cap)
         dt = (t_end - t0) / n
         every = max(1, n // 64)
         a, b = _su2_steps(params, _midpoints(t0, dt, 0, n), dt)

@@ -40,9 +40,9 @@ class EngineParams:
     Omega0 is the gap parameter at the cycle start, v the sweep speed
     (only |v| matters; the stroke direction is set by gap_direction),
     T the cycle period, beta_c/beta_h the cold/hot inverse temperatures.
-    Omega0, Delta, v and T must be finite, and E_t = sqrt(Omega(t)^2 +
+    Omega0, Delta, v and T must be finite, E_t = sqrt(Omega(t)^2 +
     Delta^2) positive except possibly at isolated stroke endpoints of a
-    Delta = 0 sweep.
+    Delta = 0 sweep, and N max_t E_t finite.
     """
 
     N: int
@@ -74,6 +74,11 @@ class EngineParams:
         object.__setattr__(self, "statistics", Statistics(self.statistics))
         object.__setattr__(self, "gap_direction", GapDirection(self.gap_direction))
         self._check_gap_open()
+        with np.errstate(over="ignore"):
+            e_max = self.energy_scale
+        if not math.isfinite(e_max):
+            raise ValueError(f"the drive's energy scale N max(E_0, E_T/2) must be finite, "
+                             f"got {e_max}")
 
     def _check_gap_open(self):
         # Omega runs between Omega(0) and Omega(T/2) in either stroke
@@ -89,6 +94,11 @@ class EngineParams:
         """Omega(T/2), the gap parameter at the hot isochore."""
         sgn = 1.0 if self.gap_direction is GapDirection.INCREASING else -1.0
         return self.Omega0 + sgn * abs(self.v) * self.T / 2
+
+    @property
+    def energy_scale(self) -> float:
+        """E_max = N max_t E_t = N max(E_0, E_T/2), the scale of the step rule."""
+        return self.N * max(float(self.energy(0.0)), float(self.energy(self.T / 2)))
 
     def omega(self, t):
         return omega_of_t(self, t)

@@ -880,11 +880,9 @@ def _check_inequalities(rng, n_max: int, n_grid: int):
     Ns = rng.integers(1, 61, size=10 ** 4)
     xs = rng.uniform(1e-3, 20.0, size=10 ** 4)
     ys = rng.uniform(1e-3, 20.0, size=10 ** 4)
-    worst = math.inf
-    for N in np.unique(Ns):
-        x, y, N = xs[Ns == N], ys[Ns == N], int(N)
-        margins = analytics.inequality_margins(N, x, y).values()
-        worst = min(worst, min(float(m.min()) for m in margins) / max(1.0, N * N / 4))
+    scale = np.maximum(1.0, Ns * Ns / 4)
+    worst = min(float((m / scale).min())
+                for m in analytics.inequality_margins(Ns, xs, ys).values())
     grid = min(m for m, _ in rep.margins.values())
     ok = worst > -1e-12 and rep.n1_equality_defect < 1e-12
     return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "

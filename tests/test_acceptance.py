@@ -91,7 +91,8 @@ def test_criterion_2_inequality_battery():
 
 def test_criterion_2_fails_on_broken_n1_equality(monkeypatch):
     # h(1, x) off by 1e-10: the Bose and distinguishable weights must agree at N = 1
-    shift_moments(monkeypatch, lambda N, f, h: (f, h + 1e-10 if N == 1 else h))
+    # (N is an array when the battery evaluates every N at once)
+    shift_moments(monkeypatch, lambda N, f, h: (f, np.where(N == 1, h + 1e-10, h)))
     ok, detail = sw._check_inequalities(np.random.default_rng(0), 4, 5)
     assert ok is False
     assert "witness (1," in detail

@@ -207,3 +207,36 @@ class TestAmplitudeRow:
                 for got, ref in zip(fields(row)[:3], fields(one)[:3]):
                     assert abs(got[k] - ref[0]) <= 1e-12 * abs(ref[0])
             assert row.quadrature.panels >= one.quadrature.panels
+
+    def test_one_quadrature_per_stroke_start(self, monkeypatch):
+        # c~+, c~- and d of the whole row in a single stacked call
+        calls = []
+        integrate = qw._quad.integrate_oscillatory
+        monkeypatch.setattr(qw._quad, "integrate_oscillatory",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        eps = np.linspace(0.1, 10 * math.pi, 8) / T
+        for t0 in (0.0, T / 2):
+            _amplitude_row(engine(1.4), self.SCHED, t0, eps, np.ones(8))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("delta", [0.3, 1.4, 4.2])
+    @pytest.mark.parametrize("t0", [0.0, T / 2])
+    def test_d_matches_d_alone_on_its_own_panels(self, delta, t0):
+        # d shares the c~ panels, cut for eps + 2 E_max; alone it needs only
+        # the panels of eps
+        p = engine(delta)
+        eps = np.linspace(0.1, 10 * math.pi, 8) / T
+        v = np.exp(1j * np.arange(8)) * np.linspace(0.5, 2.0, 8)
+        lo, hi = t0, t0 + T / 2
+
+        def d_integrand(tt):
+            omega = p.Omega0 + 0.1 * (tt if t0 == 0.0 else T - tt)
+            cos = delta / np.sqrt(omega ** 2 + delta ** 2)
+            return -qw.g_of_t(self.SCHED, tt) * v[:, None] * np.exp(1j * eps[:, None] * tt) * cos
+
+        ref, _ = integrate_oscillatory(
+            d_integrand, lo, hi, breakpoints=_schedule_breakpoints(self.SCHED, lo, hi),
+            max_freq=eps.max(), abs_tol=1e-14 * np.abs(v))
+        row = _amplitude_row(p, self.SCHED, t0, eps, v)
+        assert row.d.shape == (8,)
+        assert np.all(np.abs(row.d - ref) <= 1e-13 * np.abs(ref))

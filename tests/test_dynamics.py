@@ -362,6 +362,14 @@ class TestRunCycleSmooth:
         with pytest.raises(ConfigError):
             run_cycle(p, self.PLATEAU, ho(6), config=PropagatorConfig(dt=2 * cap))
 
+    @pytest.mark.parametrize("schedule", [PLATEAU, IMPULSE], ids=["smooth", "impulse"])
+    def test_step_count_beyond_float_rejected(self, schedule):
+        # N max_t E_t = 1e308 is finite, but its cap 1e-310 spans T/2 in
+        # more steps than a float counts: an OverflowError at ceil() before
+        p = qw.EngineParams(N=1, Omega0=1e308, Delta=0.0, v=0.0, T=T, beta_c=2.0, beta_h=1.0)
+        with pytest.raises(ConfigError, match="more steps than a float can count"):
+            run_cycle(p, schedule, ho(4))
+
     @given(N=st.integers(1, 60), omega0=SIGNED, delta=SCALE | st.just(0.0), v=SIGNED,
            period=SCALE, direction=st.sampled_from(["increasing", "decreasing"]),
            gapless=st.booleans())
@@ -897,6 +905,11 @@ class TestAdiabaticityWitness:
         slow = adiabaticity_witness(engine(2, 1.0, v=0.02))
         fast = adiabaticity_witness(engine(2, 1.0, v=0.4))
         assert slow < fast
+
+    def test_step_count_beyond_float_rejected(self):
+        p = qw.EngineParams(N=1, Omega0=1e308, Delta=1.0, v=0.0, T=T, beta_c=2.0, beta_h=1.0)
+        with pytest.raises(ConfigError, match="more steps than a float can count"):
+            adiabaticity_witness(p)
 
     def test_sudden_limit_matches_rotation_angle(self):
         # tiny T: the state is frozen while the basis rotates by delta-chi

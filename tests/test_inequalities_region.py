@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import qstatwork as qw
+import qstatwork.analytics as an
+import qstatwork.sweeps as sw
 from qstatwork import _quad
 from qstatwork.analytics import (
     delta0_second_moment,
     enhancement_region,
     general_work,
+    inequality_margins,
     level_amplitudes,
     verify_inequalities,
 )
@@ -54,6 +57,89 @@ class TestInequalityBattery:
         xs = rng.uniform(0.01, 8.0, size=64)
         rep = verify_inequalities(40, xs)
         assert all(m > -1e-12 for m, _ in rep.margins.values())
+
+
+def per_n_battery(N_max, x, tol=1e-12):
+    """verify_inequalities' report, one inequality_margins call per N:
+    ((worst margins, N = 1 defect), None), or (None, witness) at the first
+    violation."""
+    worst, n1_defect = {}, 0.0
+    for N in range(1, N_max + 1):
+        margins = inequality_margins(N, x[:, None])
+        for name, vals in margins.items():
+            k = int(np.argmin(vals))
+            m = float(vals.flat[k])
+            if name == "cross_term":
+                wit = (N, float(x[k // x.size]), float(x[k % x.size]))
+            else:
+                wit = (N, float(x[k % x.size]))
+            if m < -tol * max(1.0, N * N / 4.0):
+                return None, wit
+            if name not in worst or m < worst[name][0]:
+                worst[name] = (m, wit)
+        if N == 1:
+            n1_defect = max(float(np.max(np.abs(v))) for v in margins.values())
+    return (worst, n1_defect), None
+
+
+class TestBatteryOverN:
+    @pytest.mark.parametrize("N_max, x", [
+        (30, np.geomspace(1e-3, 50, 25)),
+        (40, np.sort(np.random.default_rng(11).uniform(0.02, 4.0, 40))),
+        (7, np.array([0.5]))], ids=["geomspace", "uniform", "one-x"])
+    def test_report_equals_per_n_loop(self, N_max, x):
+        rep = verify_inequalities(N_max, x)
+        (worst, n1_defect), _ = per_n_battery(N_max, x)
+        assert rep.margins == worst
+        assert rep.n1_equality_defect == n1_defect
+
+    def test_injected_violation_has_the_loop_witness(self, monkeypatch):
+        # D = 4f of Bose engines lowered by 100 at one (N, x): f_lower_vs_dist
+        # fails there first, whether N is a scalar or an array
+        x = np.geomspace(1e-2, 10.0, 9)
+        true = an._weights
+
+        def weights(N, xx, statistics):
+            a, D, L_plus, L_minus = true(N, xx, statistics)
+            if statistics is qw.Statistics.BOSE:
+                D = np.where((N == 6) & (xx == x[4]), D - 100.0, D)
+            return a, D, L_plus, L_minus
+
+        monkeypatch.setattr(an, "_weights", weights)
+        _, witness = per_n_battery(10, x)
+        assert witness == (6, float(x[4]))
+        with pytest.raises(InequalityViolationError, match="f_lower_vs_dist") as err:
+            verify_inequalities(10, x)
+        assert err.value.witness == witness
+
+    def test_draws_message_equals_per_n_loop(self):
+        # criterion 2's draws in one call over an N array, against one call
+        # per distinct N on that N's draws
+        ok, message = sw._check_inequalities(np.random.default_rng(8), 20, 10)
+        rng = np.random.default_rng(8)
+        rep = verify_inequalities(20, np.geomspace(1e-3, 50.0, 10))
+        Ns = rng.integers(1, 61, size=10 ** 4)
+        xs = rng.uniform(1e-3, 20.0, size=10 ** 4)
+        ys = rng.uniform(1e-3, 20.0, size=10 ** 4)
+        worst = math.inf
+        for N in np.unique(Ns):
+            x, y, N = xs[Ns == N], ys[Ns == N], int(N)
+            margins = inequality_margins(N, x, y).values()
+            worst = min(worst, min(float(m.min()) for m in margins) / max(1.0, N * N / 4))
+        scale = np.maximum(1.0, Ns * Ns / 4)
+        assert min(float((m / scale).min())
+                   for m in inequality_margins(Ns, xs, ys).values()) == worst
+        grid = min(m for m, _ in rep.margins.values())
+        assert ok
+        assert message == (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "
+                           f"draws {worst:.1e} max(1, N^2/4) (> -1e-12 max(1, N^2/4)), "
+                           f"N=1 equality {rep.n1_equality_defect:.1e} (< 1e-12)")
+
+    def test_array_n_needs_y(self):
+        # y = x.T would transpose the N axis along with x's
+        with pytest.raises(ValueError, match="an array N needs y"):
+            inequality_margins(np.array([1, 2, 3]), np.array([[0.5], [1.0]]))
+
 
 
 def large_n_line(N, x):
@@ -156,8 +242,8 @@ class TestEnhancementRegion:
                     assert region.enhanced[a, b, c] == enhanced
 
     def test_one_quadrature_stack_per_row_and_stroke(self, monkeypatch):
-        # c~+- for all omega T of a row in one call per stroke start, and d
-        # in one more unless Delta = 0
+        # c~+- and d (none for Delta = 0) for all omega T of a row in one
+        # call per stroke start
         calls = []
         integrate = _quad.integrate_oscillatory
         monkeypatch.setattr(_quad, "integrate_oscillatory",
@@ -165,7 +251,7 @@ class TestEnhancementRegion:
         base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
                                beta_c=2.0, beta_h=0.125)
         region = enhancement_region(base, [0.0, 1.0, 2.0], np.linspace(0.1, 10.0, 6), (2, 3))
-        assert len(calls) == 2 + 4 + 4
+        assert len(calls) == 2 + 2 + 2
         assert region.quadrature.panels > 0 and region.quadrature.refinements >= 1
         # every accepted change is within rel_tol = 1e-10 of an amplitude no
         # larger than the plateau area g = 0.01

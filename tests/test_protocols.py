@@ -85,6 +85,15 @@ class TestOmegaOfT:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(fig2_params(), **{field: value})
 
+    @pytest.mark.parametrize("changes", [
+        dict(N=4, Omega0=1e308, v=0.0), dict(N=1, Omega0=1.5e308, Delta=1.5e308, v=0.0),
+        dict(Omega0=1.0, v=1e308)], ids=["N-E0", "E0", "E-half"])
+    def test_energy_scale_must_be_finite(self, changes):
+        # finite fields whose N max(E_0, E_T/2) overflows left the step rule
+        # a zero cap and failed with ZeroDivisionError in the propagation
+        with pytest.raises(ValueError, match="energy scale"):
+            dataclasses.replace(fig2_params(), **changes)
+
 
 class TestPhaseIntegral:
     # a decreasing Delta = 0 sweep runs Omega down in stroke 1: the

@@ -477,6 +477,20 @@ class TestCli:
             assert sw.cli_main(argv) == 2
             assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("N, message", [
+        ("4", "the drive's energy scale"), ("1", "a span of")],
+        ids=["energy-scale", "step-count"])
+    def test_overflowing_drive_exit_2(self, capsys, N, message):
+        # N max(E_0, E_T/2) = inf ended in a ZeroDivisionError traceback, and
+        # a finite 1e308 whose step cap 1e-310 leaves T/2 / cap = inf in an
+        # OverflowError traceback
+        argv = ["evolve", "--omega0", "1e308", "--v", "0", "--N", N, "--beta-c", "2",
+                "--beta-h", "1", "--dim", "4"]
+        assert sw.cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}"), captured.err
+
     @pytest.mark.parametrize("argv, field", [
         (["analytic", "--omega0", "nan", "--beta-c", "2", "--beta-h", "0.25"], "engine.Omega0"),
         (["analytic", "--v", "inf", "--beta-c", "2", "--beta-h", "0.25"], "engine.v"),
