@@ -17,13 +17,13 @@ the mixture of the kicked system vectors phi_r, weighted by the engine's
 populations in that basis (_kicked_system).
 
 Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
-step is one phase product and two matrix products, run in place on the
-stroke's factor and one buffer of its shape.  On a smaller one a step
-costs more in call overhead than in arithmetic, so the steps between two
-samples are multiplied into one propagator by pairwise products and
-applied to the factor as one GEMM.  The spin-0 blocks of even N carry
-neither H_E nor the coupling, so they are not stepped but evolve under
-H_S in closed form.
+step is two matrix products, the second with the coupling phase folded
+in, run in place on the stroke's factor and one buffer of its shape.  On
+a smaller one a step costs more in call overhead than in arithmetic, so
+the steps between two samples are multiplied into one propagator by
+pairwise products and applied to the factor as one GEMM.  The spin-0
+blocks of even N carry neither H_E nor the coupling, so they are not
+stepped but evolve under H_S in closed form.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def _build_sectors(params: EngineParams, statistics: Statistics, config=None):
     return [_spin_sector(N - 2 * k, _block_multiplicity(N, k)) for k in range(N // 2 + 1)]
 
 
-def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
-    """Per-sector Gibbs blocks R diag(lam) R^dag with a common
-    normalisation, kept factored as (R, lam): R is the lift of the
-    y-rotation onto the eigenbasis of H_E(t0), the identity at Delta = 0."""
+def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float, tilts=None):
+    """Per-sector Gibbs blocks R diag(lam) R^dag with a common normalisation,
+    kept factored as (R, lam): R, by block key in `tilts` (which runs of one t0
+    may share), lifts the y-rotation onto the eigenbasis of H_E(t0), I at Delta = 0."""
     E0 = float(params.energy(t0))
     e_min = min(2 * E0 * s.sz_diag.min() for s in sectors)
     shifted = [2 * E0 * s.sz_diag - e_min for s in sectors]
@@ -194,8 +194,11 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float):
         weights = [np.exp(-beta * x) for x in shifted]
     Z = sum(s.mult * w.sum() for s, w in zip(sectors, weights))
     a, b = _su2_y(float(params.theta(t0)) + math.pi / 2)
-    return [(s.lift(a, b) if params.Delta else np.eye(s.dim), w / Z)
-            for s, w in zip(sectors, weights)]
+    tilts = {} if tilts is None else tilts
+    for s in sectors:
+        if s.key not in tilts:
+            tilts[s.key] = s.lift(a, b) if params.Delta else np.eye(s.dim)
+    return [(tilts[s.key], w / Z) for s, w in zip(sectors, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +214,10 @@ def _system_factor(sigma_s):
     return mu[keep], W[:, keep], float(np.abs(mu[~keep]).sum())
 
 
-def _product_factor(R, lam, mu, W):
-    """Factor Psi, with orthonormal columns, and weights w of
-    R diag(lam) R^dag (x) W diag(mu) W^dag."""
-    y = np.einsum("ia,sb->iabs", R, W).reshape(R.shape[0], -1, W.shape[0])
-    return y, np.multiply.outer(lam, mu).ravel()
+def _product_factor(R, W):
+    """Factor Psi, with orthonormal columns, of R diag(lam) R^dag (x)
+    W diag(mu) W^dag; its weights are lam (x) mu, raveled."""
+    return np.einsum("ia,sb->iabs", R, W).reshape(R.shape[0], -1, W.shape[0])
 
 
 def _same_factor(a, b) -> bool:
@@ -232,34 +234,42 @@ def _shared_blocks(runs, factors, params, t0, beta):
     runs with equal sigma_S factors (mu, W) share the block's columns, with
     weights from their own Gibbs block; runs whose factors differ stack
     their columns in Psi."""
-    held = {}
+    held, tilts = {}, {}
     for i, sectors in enumerate(runs):
-        for sector, gibbs in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
+        for sector, gibbs in zip(sectors, _sector_thermal(sectors, params, t0, beta, tilts)):
             held.setdefault(sector.key, (sector, []))[1].append((i, sector.mult, gibbs))
     for sector, holders in held.values():
         cols, ys, members = {}, [], []
-        for i, mult, gibbs in holders:
+        for i, mult, (R, lam) in holders:
             owner = next((j for j in cols if _same_factor(factors[j], factors[i])), i)
-            y, w = _product_factor(*gibbs, *factors[owner])
             if owner not in cols:
                 start = sum(x.shape[1] for x in ys)
-                cols[owner] = slice(start, start + y.shape[1])
-                ys.append(y)
+                ys.append(_product_factor(R, factors[owner][1]))
+                cols[owner] = slice(start, start + ys[-1].shape[1])
+            w = np.multiply.outer(lam, factors[owner][0]).ravel()
             members.append((i, mult, w, float(w.sum()), cols[owner]))
         yield sector, ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1), members
 
 
-def _rotate(y, A, B):
-    """(A (x) B) Psi: A on the engine axis, B on the system axis."""
-    dE, r, dS = y.shape
-    z = (A @ y.reshape(dE, r * dS)).reshape(-1, dS) @ B.T
-    return z.reshape(A.shape[0], r, B.shape[0])
+def _aligned(shape):
+    """An uninitialised complex array on a 64-byte boundary (malloc gives 16; GEMMs vary)."""
+    raw = np.empty(math.prod(shape) + 3, complex)
+    return raw[-raw.ctypes.data % 64 // 16:][:math.prod(shape)].reshape(shape)
+
+
+def _rotate(y, A, B, buf, out):
+    """(A (x) B) Psi: A on the engine axis, B on the system axis, through
+    buf into out (both of Psi's shape; out may be y)."""
+    np.matmul(A, y.reshape(len(A), -1), out=buf.reshape(len(A), -1))
+    np.matmul(buf.reshape(-1, len(B)), B.T, out=out.reshape(-1, len(B)))
 
 
 def _reduced_system(y, w):
-    """Tr_E[Psi diag(w) Psi^dag]."""
-    dS = y.shape[2]
-    return (y * w[:, None]).reshape(-1, dS).T @ y.reshape(-1, dS).conj()
+    """Tr_E[Psi diag(w) Psi^dag], stacked over the leading axes of y."""
+    flat = (*y.shape[:-3], -1, y.shape[-1])
+    yw = np.conjugate(y)            # conj(Tr_E) from one temporary, not two
+    yw *= w[:, None]
+    return (np.swapaxes(yw.reshape(flat), -1, -2) @ y.reshape(flat)).conj()
 
 
 def _isometry_drift(*Us) -> float:
@@ -337,29 +347,32 @@ def _sample_steps(k0, k1, n):
 
 
 def _free_evolve(y, eps, t):
-    """exp(-i H_S t) Psi, with H_S = diag(eps) on the system axis."""
-    return y * np.exp(-1j * t * eps)
+    """exp(-i H_S t) Psi, H_S = diag(eps) on the system axis, stacked over t."""
+    return y * np.exp(-1j * np.multiply.outer(t, eps))[:, None, None]
 
 
 def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, sample):
     """Strang splitting exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2) with
     A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, with
     eig = (s, P_s) the eigensystem of V_S, for n steps from t_start;
-    sample(k, Psi) every SAMPLE_EVERY steps and after the last.  Returns
-    the final factor; the caller's factor y is left unchanged.
+    sample(ks, X) per chunk with the stack X (reused) of the factors after
+    its steps ks, every SAMPLE_EVERY-th and the last.  Returns the final
+    factor; the caller's factor y is left unchanged.
 
     Between steps the factor is held in the eigenbasis P_r (x) P_s of
     V_R (x) V_S, where exp(-iB dt) is a phase u_k and the half steps of
     two adjacent steps fuse into one engine rotation E_k and one system
-    rotation S.  The grid, the E_k and the u_k are built one chunk of
-    GRID_CHUNK steps at a time.  Every factor is assembled from exact
-    eigensystems, so each step is unitary to rounding; the scheme is
-    second order in dt.
+    rotation S.  The grid and the E_k are built one chunk of GRID_CHUNK
+    steps at a time, the u_k once per distinct g in it (g is constant on a
+    plateau and zero on its tails).  Each step is unitary to rounding; the
+    scheme is second order in dt.
 
-    A composite of dim D = dE dS above CHAIN_DIM is stepped: one phase
-    product and two GEMMs per step, run in place on the factor and one
-    buffer of its shape.  A smaller composite is overhead-bound when
-    stepped, so its steps are multiplied instead: the step operators
+    A composite of dim D = dE dS above CHAIN_DIM is stepped in place on
+    the factor and one buffer: after u_0 a step k is E_{k-1} on the engine
+    axis, then S^T diag(u_k[a]) on the system axis, batched over the
+    engine levels a (E and S commute) and rebuilt only where g changes.  A
+    smaller composite is overhead-bound when stepped, so its steps are
+    multiplied instead: the step operators
     T_k = diag(u_k) (E_{k-1} (x) S), with T_0 = diag(u_0), are built as
     D x D matrices, each block of steps between two samples is reduced to
     one propagator by pairwise products (_chain_product), and the factor,
@@ -367,18 +380,17 @@ def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, samp
 
     A free sector (V_R = 0, the spin-0 block) exchanges nothing with the
     system and only H_S acts on it, so it is not stepped: its factor at
-    step k is y exp(-i eps (k + 1) dt) on the system axis, sampled at the
-    same steps.
+    step k is y exp(-i eps (k + 1) dt) on the system axis, taken at the
+    same steps in one pass.
     """
     vs_vals, P_s = eig
     eps = np.asarray(system.energies, dtype=float)
     if sector.free:
-        for k in _sample_steps(0, n, n):
-            x = _free_evolve(y, eps, (k + 1) * dt)
-            sample(k, x)
-        return x
-    P_r = sector.vr_vecs
-    dE, dS = sector.dim, system.dim
+        ks = _sample_steps(0, n, n)
+        x = _free_evolve(y, eps, np.add(ks, 1) * dt)
+        sample(ks, x)
+        return x[-1]
+    P_r, dE, dS = sector.vr_vecs, sector.dim, system.dim
     D = dE * dS
     in_blocks = D <= CHAIN_DIM
     rs = np.multiply.outer(sector.vr_vals, vs_vals)
@@ -386,57 +398,56 @@ def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, samp
     s_in = P_s.conj().T * s_half            # P_s^dag exp(-i H_S dt/2)
     s_out = s_half[:, None] * P_s           # exp(-i H_S dt/2) P_s
     s_step = s_in @ s_out
+    # the factor, its buffer, and the stack of a chunk's samples
+    y0, y, buf = y, _aligned(y.shape), _aligned(y.shape)
+    stack = _aligned((GRID_CHUNK // SAMPLE_EVERY, *y.shape))
+    e_in = P_r.conj().T @ _engine_steps(sector, params, _midpoints(t_start, dt, 0, 1), dt / 2)[0]
+    _rotate(y0, e_in, s_in, buf, y)
+    if in_blocks:
+        z = y.transpose(0, 2, 1).reshape(D, -1)     # (engine, system) x rank
+        T = np.empty((GRID_CHUNK, D, D), complex)   # T[k - k0] holds T_k
+        T[0] = np.eye(D)                            # at step 0, which no step precedes
+        scratch = np.empty((GRID_CHUNK // 2, D, D), complex)
+    else:
+        folded = _aligned((dE, dS, dS))
+        y_e, buf_e = y.reshape(dE, -1), buf.reshape(dE, -1)
     for k0 in range(0, n, GRID_CHUNK):
         k1 = min(k0 + GRID_CHUNK, n)
-        t_mid = _midpoints(t_start, dt, k0, min(k1 + 1, n))
-        e_step = _fused_engine_steps(sector, params, t_mid, dt / 2)
+        lo = max(k0 - 1, 0)
+        t_mid = _midpoints(t_start, dt, lo, k1)
+        e_step = _fused_engine_steps(sector, params, t_mid, dt / 2)     # E_lo .. E_{k1-2}
         ks = _sample_steps(k0, k1, n)
-        e_out = _engine_steps(sector, params, t_mid[np.subtract(ks, k0)], dt / 2) @ P_r
-        g = g_of_t(schedule, t_mid[:k1 - k0])
-        u = np.exp(-1j * dt * np.multiply.outer(g, rs))[:, :, None]     # (steps, dE, 1, dS)
-        if k0 == 0:
-            e_in = P_r.conj().T @ _engine_steps(sector, params, t_mid[:1], dt / 2)[0]
-            y = _rotate(y, e_in, s_in)
-            if in_blocks:
-                z = y.transpose(0, 2, 1).reshape(D, -1)     # (engine, system) x rank
-                # T[k - k0] holds T_k; T[0] enters a chunk as E_{k0-1} (x) S,
-                # and as the identity at step 0, which no step precedes
-                T = np.empty((GRID_CHUNK + 1, D, D), complex)
-                T[0] = np.eye(D)
-                scratch = np.empty((GRID_CHUNK // 2, D, D), complex)
-            else:
-                # y and buf are C-contiguous, so these reshapes are views
-                y = np.ascontiguousarray(y)
-                buf = np.empty_like(y)
-                y_e, y_s = y.reshape(dE, -1), y.reshape(-1, dS)
-                buf_e, buf_s = buf.reshape(dE, -1), buf.reshape(-1, dS)
+        e_out = _engine_steps(sector, params, t_mid[np.subtract(ks, lo)], dt / 2) @ P_r
+        g, inv = np.unique(g_of_t(schedule, t_mid[k0 - lo:]), return_inverse=True)
+        u = np.exp(-1j * dt * np.multiply.outer(g, rs))[:, :, None]    # (distinct g, dE, 1, dS)
         if in_blocks:
             # chunks start on a sample boundary, so the chunk is whole blocks
             # but for the stroke's last, which identities pad
-            m, nb = k1 - k0, -(-(k1 - k0) // SAMPLE_EVERY)
+            steps, nb = k1 - k0, -(-(k1 - k0) // SAMPLE_EVERY)
             np.multiply(e_step[:, :, None, :, None], s_step[:, None, :],
-                        out=T[1:len(e_step) + 1].reshape(-1, dE, dS, dE, dS))
-            T[:m] *= u.reshape(m, D, 1)
-            T[m:nb * SAMPLE_EVERY] = np.eye(D)
+                        out=T[steps - len(e_step):steps].reshape(-1, dE, dS, dE, dS))
+            T[:steps] *= u[inv].reshape(steps, D, 1)
+            T[steps:nb * SAMPLE_EVERY] = np.eye(D)
             blocks = T[:nb * SAMPLE_EVERY].reshape(nb, SAMPLE_EVERY, D, D)
-            for prop, e_o, k in zip(_chain_product(blocks, scratch), e_out, ks):
+            for j, prop in enumerate(_chain_product(blocks, scratch)):
                 z = prop @ z
-                x = _rotate(z.reshape(dE, dS, -1).transpose(0, 2, 1), e_o, s_out)
-                sample(k, x)
-            if k1 == n:
-                return x
-            T[0] = T[m]
-            continue
-        outs = iter(e_out)
-        for j, k in enumerate(range(k0, k1)):
-            np.multiply(y, u[j], out=y)
-            if (k + 1) % SAMPLE_EVERY == 0 or k == n - 1:
-                x = _rotate(y, next(outs), s_out)
-                sample(k, x)
-                if k == n - 1:
-                    return x
-            np.matmul(e_step[j], y_e, out=buf_e)
-            np.matmul(buf_s, s_step.T, out=y_s)
+                _rotate(z.reshape(dE, dS, -1).transpose(0, 2, 1), e_out[j], s_out, buf, stack[j])
+        else:
+            inv = inv.tolist()
+            if k0 == 0:
+                np.multiply(y, u[inv[0]], out=y)        # u_0, which no rotation precedes
+            first, last = max(k0, 1), None
+            for j, k_sample in enumerate(ks):
+                for k in range(first, k_sample + 1):
+                    if inv[k - k0] != last:
+                        last = inv[k - k0]
+                        np.multiply(s_step.T, u[last], out=folded)  # S^T diag(u_k[a])
+                    np.matmul(e_step[k - 1 - lo], y_e, out=buf_e)
+                    np.matmul(buf, folded, out=y)
+                _rotate(y, e_out[j], s_out, buf, stack[j])
+                first = k_sample + 1
+        sample(ks, stack[:len(ks)])
+    return stack[len(ks) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +500,14 @@ class _Diag:
     dropped_weight: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def merge_state(self, y, w, tr0, isometry):
-        """Fold in one sampled factor, whose columns are off the isometry
-        by `isometry`; returns its reduced system state."""
-        red = _reduced_system(y, w)
-        self.trace_drift = max(self.trace_drift, abs(float(np.trace(red).real) - tr0))
-        self.herm_drift = max(self.herm_drift, float(np.max(np.abs(red - red.conj().T))))
+    def merge_states(self, X, w, tr0, isometry):
+        """Fold in a stack X of sampled factors, whose columns are off the
+        isometry by at most `isometry`; returns their reduced system states."""
+        red = _reduced_system(X, w)
+        trace = np.trace(red, axis1=1, axis2=2).real
+        self.trace_drift = max(self.trace_drift, float(np.max(np.abs(trace - tr0))))
+        herm = np.abs(red - red.conj().swapaxes(1, 2))
+        self.herm_drift = max(self.herm_drift, float(np.max(herm)))
         self.isometry_drift = max(self.isometry_drift, isometry)
         return red
 
@@ -503,22 +516,26 @@ class _Diag:
         return {**health, **self.extra, **(extra or {})}
 
 
-def _merged(diags, y, members):
-    """(run, multiplicity, trace, reduced system state) for each member
-    (run, multiplicity, weights, trace, columns) of the sampled factor y,
-    folded into the run's diagnostics.  Runs that share columns share
-    their isometry drift, taken once."""
+def _merged(diags, X, members):
+    """(run, multiplicity, trace, reduced system states) for each member
+    (run, multiplicity, weights, trace, columns) of the stack X of sampled
+    factors, folded into the run's diagnostics.  Runs that share columns
+    share their isometry drift, taken once."""
     drift = {}
     for i, mult, w, tr0, cols in members:
-        x = y[:, cols]
+        x = X[:, :, cols]
         if cols.start not in drift:
-            drift[cols.start] = _isometry_drift(x.transpose(1, 0, 2).reshape(x.shape[1], -1).T)
-        yield i, mult, tr0, diags[i].merge_state(x, w, tr0, drift[cols.start])
+            # Psi^dag Psi as a sum over engine levels: no factor is transposed
+            gram = x[:, 0].conj() @ np.swapaxes(x[:, 0], 1, 2)
+            for a in range(1, x.shape[1]):
+                gram += x[:, a].conj() @ np.swapaxes(x[:, a], 1, 2)
+            drift[cols.start] = float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
+        yield i, mult, tr0, diags[i].merge_states(x, w, tr0, drift[cols.start])
 
 
 def _reduced_leakage(sigma_s: np.ndarray) -> float:
-    pops = np.real(np.diag(sigma_s))
-    return float(pops[-2:].sum()) if pops.size >= 2 else 0.0
+    pops = np.real(np.diagonal(sigma_s, axis1=-2, axis2=-1))
+    return float(pops[..., -2:].sum(-1).max()) if pops.shape[-1] >= 2 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +731,16 @@ def _run_impulse(params, schedule, system, eig, runs, config):
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
     s_vals, P_s = eig
     a, b, n = _engine_chain(params, t0, t1, _resolve_dt(params, system, config, half)[0])
-    kicked, out = {}, []
+    kicked, tilts, out = {}, {}, []
     for sectors in runs:
         diag = _Diag(extra={"dt": (t1 - t0) / n if n else None, "n_engine_steps": n})
         sigma_s = 0
-        for sector, (R, lam) in zip(sectors, _sector_thermal(sectors, params, t0, beta)):
+        for sector, (R, lam) in zip(sectors, _sector_thermal(sectors, params, t0, beta, tilts)):
             if sector.key not in kicked:
                 U = sector.vr_vecs.conj().T @ sector.lift(a, b) @ R
                 kicked[sector.key] = _kicked_system(U, sector.vr_vals, P_s, s_vals, schedule.g)
             u2, phi, drift = kicked[sector.key]
-            red = diag.merge_state(phi, u2 @ lam, float(lam.sum()), drift)
+            red = diag.merge_states(phi[None], u2 @ lam, float(lam.sum()), drift)[0]
             sigma_s = sigma_s + sector.mult * red
             diag.unitarity_residual = max(diag.unitarity_residual, sector.unitarity_residual)
         # free evolution after the kick (and the reset, if the kick came
@@ -758,24 +775,27 @@ def _run_smooth(params, schedule, system, eig, runs, config):
     walls = []
     for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
         wall = time.perf_counter()
+        # one factor per distinct sigma_S: stroke 1 has one ground state for all runs
+        made = {id(s): _system_factor(s) for s in {id(s): s for s in sigmas}.values()}
         factors = []
         for i, sigma_s in enumerate(sigmas):
-            mu, W, dropped = _system_factor(sigma_s)
+            mu, W, dropped = made[id(sigma_s)]
             diags[i].dropped_weight += dropped
             factors.append((mu, W))
             ranks[i].append([])
         sigmas = [np.zeros((dS, dS), dtype=complex) for _ in runs]
         for sector, y, members in _shared_blocks(runs, factors, params, t_start, beta):
 
-            def sample(k, y, members=members):
-                for i, mult, tr0, red in _merged(diags, y, members):
+            def sample(ks, X, members=members):
+                for i, mult, tr0, red in _merged(diags, X, members):
                     diags[i].leakage = max(diags[i].leakage,
                                            _reduced_leakage(red) / max(tr0, 1e-300))
                     if config.collect_trace:
-                        pops = np.real(np.diag(red))
-                        row = trace_rows[i].setdefault(round(t_start + (k + 1) * dt, 12),
-                                                       np.zeros(3))
-                        row += mult * np.array([pops.sum(), pops[-2:].sum(), pops @ eps])
+                        pops = np.real(np.diagonal(red, axis1=1, axis2=2))
+                        rows = mult * np.stack([pops.sum(1), pops[:, -2:].sum(1), pops @ eps], 1)
+                        for k, row in zip(ks, rows):
+                            t = round(t_start + (k + 1) * dt, 12)
+                            trace_rows[i][t] = trace_rows[i].get(t, 0) + row
 
             y = _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n_steps,
                               sample)

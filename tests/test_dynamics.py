@@ -60,6 +60,9 @@ def ho(dim=10):
 
 
 IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
+# a coupling interpolated on a coarse grid: no two steps see the same g
+SAMPLED = qw.Sampled(times=np.linspace(0.0, T, 41),
+                     values=np.random.default_rng(5).uniform(0.2, 0.6, 41))
 DIST = qw.Statistics.DISTINGUISHABLE
 # magnitudes within 1e+-100, where N max_t E_t and 0.01 over it stay
 # inside the float range
@@ -345,8 +348,10 @@ class TestRunCycleSmooth:
         assert d["split_steps"] == 2 * d["n_steps_per_half"] * N // 2
 
     @pytest.mark.parametrize("free_evolve, key", [
-        (lambda y, eps, t: y * np.exp(1j * t * eps), "rho"),   # free phase sign flipped
-        (lambda y, eps, t: 0 * y, "work"),                     # spin-0 sector dropped
+        # free phase sign flipped
+        (lambda y, eps, t: y * np.exp(1j * np.multiply.outer(t, eps))[:, None, None], "rho"),
+        # spin-0 sector dropped
+        (lambda y, eps, t: np.zeros((t.size, *y.shape), complex), "work"),
     ])
     def test_even_n_negative_controls(self, monkeypatch, oracle_gaps, free_evolve, key):
         oracle_gaps(2, 0.7, ORACLE_PLATEAU, DIST)          # the oracle, before the fault
@@ -449,11 +454,20 @@ class TestRunCycleSmooth:
                 d = run_cycle(engine(2, delta), schedule, ho(6)).diagnostics
                 assert 1e-8 < d["isometry_drift"] < 3e-8, (delta, schedule)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.7])
-    def test_factor_steps_match_dense_strang(self, delta):
+    @pytest.mark.parametrize("delta, schedule, path", [
+        (0.0, "plateau", None), (0.7, "plateau", None),
+        (0.7, "sampled", "stepped"), (0.7, "sampled", "blocks"),
+    ], ids=["0.0", "0.7", "sampled-0.7-stepped", "sampled-0.7-blocks"])
+    def test_factor_steps_match_dense_strang(self, monkeypatch, delta, schedule, path):
         # 300 steps (more than one grid chunk) of the factored split stepper
         # from a full-rank stroke-2 input, against the same Strang product
-        # taken densely on rho by the cycle oracle's steps.
+        # taken densely on rho by the cycle oracle's steps; D = 18 takes the
+        # block path unless a path is forced.  Mid-plateau g is exactly
+        # constant; on the sampled schedule it changes at every step, so the
+        # stepped path rebuilds its folded system rotation at each.
+        if path is not None:
+            monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
+        sched = self.STRONG if schedule == "plateau" else SAMPLED
         N, dS = 2, 6
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
@@ -461,14 +475,16 @@ class TestRunCycleSmooth:
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         sigma = a @ a.conj().T / np.trace(a @ a.conj().T).real
         mu, W = np.linalg.eigh(sigma)
-        y, w = _product_factor(*gibbs_e, mu, W)
+        y, w = _product_factor(gibbs_e[0], W), np.multiply.outer(gibbs_e[1], mu).ravel()
         assert w.size == (N + 1) * dS                   # full rank
         dt, n, t_start = default_dt_cap(p, system), 300, 0.75 * T
-        y = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p, self.STRONG, dt, y,
-                          t_start, n, lambda k, x: None)
+        g = qw.g_of_t(sched, t_start + (np.arange(n) + 0.5) * dt)
+        assert np.unique(g).size == (1 if schedule == "plateau" else n)
+        y = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p, sched, dt, y,
+                          t_start, n, lambda ks, X: None)
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
-        rho = dense_strang_steps(np.kron(dense(*gibbs_e), sigma), p, self.STRONG, system,
+        rho = dense_strang_steps(np.kron(dense(*gibbs_e), sigma), p, sched, system,
                                  DickeSector(N), t_start, dt, n)
         assert np.max(np.abs(got - rho)) <= 1e-12
 
@@ -487,10 +503,10 @@ class TestRunCycleSmooth:
         for chain_dim in PATHS.values():
             monkeypatch.setattr(dyn, "CHAIN_DIM", chain_dim)
             for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
-                y, _ = _product_factor(*gibbs_e, mu, W)
+                y = _product_factor(gibbs_e[0], W)
                 before = y.copy()
                 out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
-                                    self.STRONG, 0.01, y, 0.0, 120, lambda k, x: None)
+                                    self.STRONG, 0.01, y, 0.0, 120, lambda ks, X: None)
                 np.testing.assert_array_equal(y, before)
                 assert out is not y
 
@@ -575,11 +591,11 @@ class TestBlockPath:
         (gibbs_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-        y, _ = _product_factor(*gibbs_e, mu, W)
+        y = _product_factor(gibbs_e[0], W)
         samples = []
         out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
                             TestRunCycleSmooth.STRONG, default_dt_cap(p, system), y, 0.75 * T,
-                            n, lambda k, x: samples.append((k, x.copy())))
+                            n, lambda ks, X: samples.extend(zip(ks, X.copy())))
         return samples, out
 
     def sample_gap(self, got, ref):
@@ -639,12 +655,102 @@ class TestBlockPath:
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         assert sector.dim * system.dim <= dyn.CHAIN_DIM
         (gibbs_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
-        y, _ = _product_factor(*gibbs_e, np.ones(1), np.eye(4)[:, :1])
+        y = _product_factor(gibbs_e[0], np.eye(4)[:, :1])
         n = 20_000
         tracemalloc.start()
         try:
             _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
-                          TestRunCycleSmooth.STRONG, T / 2 / n, y, 0.0, n, lambda k, x: None)
+                          TestRunCycleSmooth.STRONG, T / 2 / n, y, 0.0, n, lambda ks, X: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
+
+class TestStackedSamples:
+    """_split_evolve hands each chunk's samples to its hook as one stack,
+    and the health diagnostics are taken on the whole stack."""
+
+    def stroke(self, N, dS, delta=0.7):
+        """A Bose block and a full-rank stroke-2 factor of it."""
+        p, system = engine(N, delta), ho(dS)
+        (sector,) = _build_sectors(p, qw.Statistics.BOSE)
+        ((R, lam),) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
+        mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        return p, system, sector, _product_factor(R, W), np.multiply.outer(lam, mu).ravel()
+
+    def test_diagnostics_match_per_sample_reference(self):
+        # the samples of a stroke, pushed off the isometry by 1e-6 so that
+        # every drift is far above rounding; members: two runs sharing the
+        # first 10 columns, and a third holding the rest, as stacked runs do
+        p, system, sector, y, w = self.stroke(2, 6)
+        stacks = []
+        _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                      TestRunCycleSmooth.STRONG, 0.01, y, 0.0, 250,
+                      lambda ks, X: stacks.append(X.copy()))
+        (X,) = stacks
+        X = X + 1e-6 * np.random.default_rng(4).normal(size=X.shape)
+        members = [(0, 1.0, w[:10], float(w[:10].sum()) + 1e-7, slice(0, 10)),
+                   (1, 2.0, 0.5 * w[:10], 0.5 * float(w[:10].sum()), slice(0, 10)),
+                   (2, 1.0, w[10:], float(w[10:].sum()), slice(10, X.shape[2]))]
+        diags = [dyn._Diag() for _ in members]
+        got = {i: red for i, _, _, red in dyn._merged(diags, X, members)}
+        for (i, _, wi, tr0, cols), diag in zip(members, diags):
+            ref = dyn._Diag()
+            for x in X[:, :, cols]:
+                # the reduced state of one factor, its drifts and leakage
+                red = np.einsum("acs,c,act->st", x, wi, x.conj())
+                U = x.transpose(1, 0, 2).reshape(x.shape[1], -1).T
+                ref.trace_drift = max(ref.trace_drift, abs(np.trace(red).real - tr0))
+                ref.herm_drift = max(ref.herm_drift, np.max(np.abs(red - red.conj().T)))
+                ref.isometry_drift = max(ref.isometry_drift,
+                                         np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+                ref.leakage = max(ref.leakage, np.diag(red).real[-2:].sum())
+            reds = np.einsum("macs,c,mact->mst", X[:, :, cols], wi, X[:, :, cols].conj())
+            assert np.max(np.abs(got[i] - reds)) <= 1e-13
+            assert abs(dyn._reduced_leakage(got[i]) - ref.leakage) <= 1e-13
+            for key in ("trace_drift", "herm_drift", "isometry_drift"):
+                assert abs(getattr(diag, key) - getattr(ref, key)) <= 1e-13, (i, key)
+            assert ref.isometry_drift > 1e-7 and ref.trace_drift > 1e-8
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_buffers_are_aligned(self, monkeypatch, path):
+        # the stepped factor, its buffer, the sample stack and the folded
+        # rotation start on 64-byte boundaries, whatever malloc returns
+        monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
+        p, system, sector, y, _ = self.stroke(2, 6)
+        aligned, made, seen = dyn._aligned, [], []
+
+        def recorded(shape):
+            made.append(aligned(shape))
+            return made[-1]
+
+        monkeypatch.setattr(dyn, "_aligned", recorded)
+        _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                      TestRunCycleSmooth.STRONG, 0.01, y, 0.0, 300,
+                      lambda ks, X: seen.append(X))
+        assert len(made) == (4 if path == "stepped" else 3)
+        assert all(x.ctypes.data % 64 == 0 and x.flags.c_contiguous for x in made)
+        assert all(np.shares_memory(X, made[2]) and X.ctypes.data % 64 == 0 for X in seen)
+        for shape in [(1,), (3, 5, 7), (5, 3, 18, 6), (2, 1, 1)]:
+            x = aligned(shape)
+            assert x.shape == shape and x.flags.c_contiguous and x.ctypes.data % 64 == 0
+
+    def test_stepped_memory_holds_no_folded_stack(self):
+        # a stepped dim-16 stroke (D = 4 x 16, full rank 64) on the sampled
+        # schedule, whose g changes at every step: one folded rotation
+        # S^T diag(u_k[a]) is rebuilt in place, where a stack of one chunk's
+        # would take 250 x 4 x 16 x 16 complex = 4.1 MB.  Measured peak:
+        # 1.34 MB, of which the chunk's phases take 0.26 MB.
+        p, system, sector, y, _ = self.stroke(3, 16, delta=0.0)
+        assert y.shape == (4, 64, 16) and sector.dim * system.dim > dyn.CHAIN_DIM
+        args = (sector, system, np.linalg.eigh(system.matrix), p, SAMPLED,
+                default_dt_cap(p, system), y, 0.0, 1000, lambda ks, X: None)
+        _split_evolve(*args)
+        tracemalloc.start()
+        try:
+            _split_evolve(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -735,6 +841,30 @@ class TestRunCycles:
         assert bose.diagnostics["factor_rank"] == dist.diagnostics["factor_rank"]
         assert calls == [(("spin", 1), 2), (("spin", 1), bose.diagnostics["factor_rank"][1][0])]
 
+
+    def test_shared_inputs_built_once(self, monkeypatch):
+        # N = 2 at Delta != 0: the Gibbs tilt R of a block is lifted once per
+        # stroke for both runs, sigma_S is diagonalised once per distinct
+        # state (one ground state in stroke 1, two states in stroke 2), and
+        # a product factor is built per distinct (block, sigma_S) only
+        calls = {"lift": 0, "sigma": 0, "factor": 0}
+        lift, factor, product = dyn._Sector.lift, dyn._system_factor, dyn._product_factor
+
+        def counted(name, fn):
+            def wrapper(*args):
+                # the step lifts take arrays; a Gibbs tilt takes scalars
+                if name != "lift" or np.ndim(args[1]) == 0:
+                    calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(dyn._Sector, "lift", counted("lift", lift))
+        monkeypatch.setattr(dyn, "_system_factor", counted("sigma", factor))
+        monkeypatch.setattr(dyn, "_product_factor", counted("factor", product))
+        run_cycles(*self.case(2, 0.7, "smooth"))
+        # blocks spin 1 (both runs) and spin 0 (distinguishable); stroke 2
+        # stacks the two runs' columns of spin 1
+        assert calls == {"lift": 4, "sigma": 3, "factor": 5}
 
 def flip_tilt(monkeypatch):
     # the Gibbs blocks tilted by exp(+i chi sigma_y / 2)

@@ -4,11 +4,14 @@ imports are the public API it re-exports), every function and class the
 package defines is used by the package or exported, the test oracles
 take from the package only the model inputs they need, importing the
 package loads NumPy and the standard library only, a parallel map starts
-no process pool, and the README's module map names the package's modules
-and its table of config fields the fields of the schema."""
+no process pool, the benchmark's tracer still runs on the package, and
+the README's module map names the package's modules and its table of
+config fields the fields of the schema."""
 
 import ast
 import collections
+import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -206,6 +209,33 @@ def test_parallel_map_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_tracer_runs_on_the_package(monkeypatch):
+    # perfbench/tracing.py, which `--trace 1` runs and which a change to
+    # the package may not edit, calls dynamics._build_sectors(params,
+    # stats, config) and reads these diagnostics of run_cycle
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)      # for its dataclasses
+    spec.loader.exec_module(tracing)
+    for name in tracing.LAYERS:                 # the benchmark loads every layer
+        importlib.import_module(f"qstatwork.{name}")
+    import qstatwork as qw
+    from qstatwork import dynamics
+
+    p = qw.EngineParams(N=2, Omega0=1.0, Delta=0.5, v=0.2, T=2.5, beta_c=1.0, beta_h=0.125)
+    with tracing.Tracer() as tracer:
+        for schedule in (qw.SmoothPlateau(g=0.1, delta_t=0.9, alpha=2142.0 / 2.5, T=2.5),
+                         qw.Impulse(g=0.01, t1=0.4, T=2.5)):
+            dynamics.run_cycle(p, schedule, qw.harmonic_system(0.3, 8),
+                               qw.Statistics.DISTINGUISHABLE)
+    counts = {s.name: s.counts for s in tracer.spans}
+    health = {"unitarity_residual", "trace_drift", "leakage"}
+    assert counts["dynamics.run_cycle.smooth"].keys() == health | {"sector_steps"}
+    assert counts["dynamics.run_cycle.smooth"]["sector_steps"] > 0
+    assert counts["dynamics.run_cycle.impulse"].keys() == health
 
 
 def module_map(readme: str) -> set:

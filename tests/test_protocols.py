@@ -160,11 +160,17 @@ class TestCouplingSchedules:
     @example(g=0.01, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
     @example(g=0.5, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
     @example(g=0.5, delta_t=0.98, alpha_T=2000.0, T=20.0, switch=None)
+    # a subnormal plateau: g_C(T/2) rounds one subnormal above the endpoints
+    @example(g=2.2250738585e-313, delta_t=0.5, alpha_T=10 ** 1.875, T=1.0, switch=None)
     @settings(max_examples=300, deadline=None)
     def test_endpoints_bound_the_midcycle_tail(self, g, delta_t, alpha_T, T, switch):
         # every accepted plateau, custom t_on/t_off (either order) included:
         # each tanh pair of g_C(T/2) is one of g_C(0) or g_C(T), with the
-        # same sign, so the endpoint check also bounds the tail at the reset
+        # same sign, so the endpoint check also bounds the tail at the reset.
+        # _value's last operation, the product of g / (delta_t T) and the
+        # tanh sum, rounds each of the three values by half a subnormal
+        # where it is subnormal (the sum of the two endpoints is exact):
+        # 1.5 subnormals, rounded up to 2
         t_on, t_off = (None, None) if switch is None else (x * T / 2 for x in switch)
         try:
             s = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T,
@@ -173,7 +179,8 @@ class TestCouplingSchedules:
             assume(False)
         ends = abs(qw.g_of_t(s, 0.0)) + abs(qw.g_of_t(s, T))
         scale = abs(g) / (delta_t * T)
-        assert abs(qw.g_of_t(s, T / 2)) <= ends + 32 * np.finfo(float).eps * scale
+        tiny = np.finfo(float).smallest_subnormal
+        assert abs(qw.g_of_t(s, T / 2)) <= ends + 32 * np.finfo(float).eps * scale + 2 * tiny
         assert ends <= 2e-6 * scale
 
     def test_impulse_has_no_pointwise_value(self):
