@@ -53,9 +53,11 @@ GRID_CHUNK = 250              # steps per precomputed block of the stroke grid,
                               # a whole number of sample blocks
 # Largest composite dim dE dS whose steps are multiplied into one
 # propagator per sample block rather than stepped.  Cycle time of the
-# block path against the stepped one (short plateau cycles, one BLAS
-# thread, 2-core Xeon): 0.49-0.66 at D = 8 and 12, 0.49-0.78 at D = 16,
-# 0.71-0.94 at D = 18, 0.88-1.05 at D = 24 and 25, 1.3-4.7 at D >= 32.
+# block path against the two-call stepped one (medians of 3-5 interleaved
+# pairs of Bose plateau cycles, T = 2.5 and 20, Delta = 0.5, dE = 2-6, one
+# BLAS thread, 2-core Xeon): 0.58-0.64 at D = 8, 0.53-0.70 at D = 12,
+# 0.70-0.97 at D = 16, 0.79-1.02 at D = 18, 1.00-1.38 at D = 24 and
+# 1.6-2.1 at D = 32.
 CHAIN_DIM = 20
 DROP_TOL = 1e-16              # sigma_S eigenvalues dropped from a stroke's factor
 LEAKAGE_TOL = 1e-6

@@ -28,14 +28,16 @@ WEIGHT_PRUNE = 1e-14          # active counts below this share of max P(k) run n
 class FermiEnsemble:
     """N two-level fermions in a harmonic trap plus their internal engine.
 
-    level_count bounds the trap truncation; with the default (None) it is
-    chosen so the canonical weight beyond the kept levels is < 1e-10.
+    Only the work functions read the engine: f_N and the lambda tables
+    depend on the trap alone.  level_count bounds the trap truncation; with
+    the default (None) it is chosen so the canonical weight beyond the kept
+    levels is < 1e-10.
     """
 
     N: int
     omega_trap: float
     beta_com: float
-    engine: EngineParams
+    engine: EngineParams = None
     level_count: int = None
 
     def __post_init__(self):
@@ -68,13 +70,12 @@ class FermiEnsemble:
     def beta_omega(self) -> float:
         return self.beta_com * self.omega_trap
 
-    @property
-    def epsilon_c(self) -> float:
-        return float(self.engine.energy(0.0))
 
-    @property
-    def epsilon_h(self) -> float:
-        return float(self.engine.energy(self.engine.T / 2))
+def _engine(ens: FermiEnsemble) -> EngineParams:
+    """The ensemble's internal engine, or a ValueError where it has none."""
+    if ens.engine is None:
+        raise ValueError("the work of a FermiEnsemble needs its internal engine")
+    return ens.engine
 
 
 def active_distribution(ens: FermiEnsemble) -> np.ndarray:
@@ -132,9 +133,9 @@ def fermi_work(ens: FermiEnsemble) -> WorkRecord:
     enhancement_ratio field; it depends only on beta_com * omega_trap,
     not on the bath temperatures.
     """
+    eng = _engine(ens)
     lam = f_N(ens)
-    eng = ens.engine
-    eps_c, eps_h = ens.epsilon_c, ens.epsilon_h
+    eps_c, eps_h = float(eng.energy(0.0)), float(eng.energy(eng.T / 2))
     per_engine = (eps_h - eps_c) * (
         math.tanh(eng.beta_c * eps_c) - math.tanh(eng.beta_h * eps_h)
     )
@@ -161,6 +162,7 @@ def fermi_outcoupled_work(
     """
     from .dynamics import run_cycle
 
+    engine = _engine(ens)
     if not math.isinf(ens.beta_com) and ens.beta_omega < 2.0:
         raise DomainError(
             "outcoupled reduction assumes the dominant-configuration regime "
@@ -173,7 +175,7 @@ def fermi_outcoupled_work(
     for k in range(1, ens.N + 1):
         if k > 1 and P[k] < floor:
             continue
-        params_k = replace(ens.engine, N=k, statistics=Statistics.DISTINGUISHABLE)
+        params_k = replace(engine, N=k, statistics=Statistics.DISTINGUISHABLE)
         rec = run_cycle(params_k, schedule, system).work
         if k == 1:
             w1 = rec.avg_work
@@ -190,10 +192,9 @@ def fermi_outcoupled_work(
     )
 
 
-def lambda_table(N_values, beta_omega_values, engine: EngineParams):
+def lambda_table(N_values, beta_omega_values):
     """Rows (N, beta_com_omega, lambda, lambda_asymptotic, method) for CSV;
     lambda depends on the trap only through beta_com * omega_trap."""
-    return [(int(N), float(bw),
-             f_N(FermiEnsemble(N=int(N), omega_trap=1.0, beta_com=float(bw), engine=engine)),
+    return [(int(N), float(bw), f_N(FermiEnsemble(N=int(N), omega_trap=1.0, beta_com=float(bw))),
              parity_asymptote(int(N), float(bw)), "recursion")
             for N in N_values for bw in beta_omega_values]

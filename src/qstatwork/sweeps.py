@@ -1,11 +1,12 @@
 """CLI front end: configuration ingestion, parameter sweeps, the figure
 regression battery, and persistent CSV/JSON outputs.
 
-Every command writes plot-ready CSV data plus a JSON manifest; nothing
-here renders plots.  Outputs are deterministic: identical config and
-seed give byte-identical data files (full 17-digit round-trip floats,
-fixed row order), and a dataset manifest re-ingests to the exact sweep
-spec that produced it.
+The commands that write files (`fermi`, `region`, `figure`, `sweep`)
+write plot-ready CSV data plus a JSON manifest; `analytic`, `evolve` and
+`verify` print to stdout, and nothing here renders plots.  Outputs are
+deterministic: an identical config gives byte-identical data files (full
+17-digit round-trip floats, fixed row order), and a dataset manifest
+re-ingests to the exact sweep spec that produced it.
 """
 
 from __future__ import annotations
@@ -138,9 +139,7 @@ _FIELDS = {
         "delta_t": (float, 0.9, "--delta-t"),
         "alpha_over_T": (float, 2142.0, "--alpha-over-t"),
     },
-    "system": {
-        # other systems are built through the API
-        "kind": (("harmonic",), "harmonic", None),
+    "system": {                 # a harmonic oscillator; others are built through the API
         "omega_T": (float, 2 * math.pi * 0.05, "--omega-t"),
         "omega": (float, None, None),               # omega_T / T
         "dim": (int, 12, "--dim"),
@@ -152,7 +151,7 @@ _FIELDS = {
         "level_count": (int, None, None),           # FermiEnsemble's own rule
     },
 }
-_SWEEP_KEYS = {"axes", "method", "out", "seed", "task"}
+_SWEEP_KEYS = {"axes", "method", "out", "task"}
 
 
 def _check_keys(section: str, given: dict, allowed):
@@ -270,11 +269,11 @@ def _timed_cycles(case) -> list:
     return [(res.work.avg_work, dict(res.diagnostics, cycle_wall_s=wall)) for res in results]
 
 
-def build_fermi(cfg: dict, engine: EngineParams) -> fermi_mod.FermiEnsemble:
+def build_fermi(cfg: dict) -> fermi_mod.FermiEnsemble:
     f = _section("fermi", cfg)
     return fermi_mod.FermiEnsemble(N=f["N"], omega_trap=f["omega_trap"],
                                    beta_com=f["beta_com_omega"] / f["omega_trap"],
-                                   engine=engine, level_count=f["level_count"])
+                                   level_count=f["level_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +503,6 @@ class SweepSpec:
     fixed: dict              # engine/coupling/system/fermi sections
     method: str = "analytic"
     out: str = "out-sweep"
-    seed: int = 0
     task: str = "work"       # work | fermi
 
     def __post_init__(self):
@@ -522,7 +520,6 @@ class SweepSpec:
                                   "known engine/coupling/system/fermi field")
             axes.append((param, tuple(values)))
         object.__setattr__(self, "axes", tuple(axes))
-        object.__setattr__(self, "seed", _typed("sweep.seed", int, self.seed))
         validate_config(self.fixed)
         n = self.n_cells
         cap = ANALYTIC_CELL_CAP if self.method == "analytic" else NUMERICAL_CELL_CAP
@@ -539,19 +536,18 @@ class SweepSpec:
             "fixed": self.fixed,
             "method": self.method,
             "out": self.out,
-            "seed": self.seed,
             "task": self.task,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        _check_keys("sweep", d, _SWEEP_KEYS | {"fixed"})
         _check_axes(d.get("axes", []))
         return cls(
             axes=tuple((a["param"], tuple(a["values"])) for a in d.get("axes", [])),
             fixed=d.get("fixed", {}),
             method=d.get("method", "analytic"),
             out=d.get("out", "out-sweep"),
-            seed=d.get("seed", 0),
             task=d.get("task", "work"),
         )
 
@@ -588,11 +584,9 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
 
 
 def _eval_fermi_cell(cfg: dict) -> dict:
-    engine = build_engine(cfg.get("engine", {}))
-    ens = build_fermi(cfg.get("fermi", {}), engine)
-    lam = fermi_mod.f_N(ens)
+    ens = build_fermi(cfg.get("fermi", {}))
     return {
-        "lambda": lam,
+        "lambda": fermi_mod.f_N(ens),
         "lambda_asymptotic": fermi_mod.parity_asymptote(ens.N, ens.beta_omega),
         "method": "recursion",
     }
@@ -635,7 +629,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     manifest = {
         "spec": spec.to_dict(),
         "tool_version": _VERSION,
-        "seed": spec.seed,
         "n_cells": len(cells),
         "n_failed": n_failed,
         "wall_time_s": time.time() - t_start,
@@ -650,10 +643,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
 # figure targets
 # ---------------------------------------------------------------------------
 
-_FIG4_ENGINE = {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5, "T": 20.0,
-                "beta_c_E0": 1.0, "beta_h_EH": 0.125}
-
-
 def _fig2_engine(N, delta_frac):
     return build_engine({
         "N": N, "Omega0": 1.0, "Delta": delta_frac, "v": 0.1, "T": 20.0,
@@ -661,7 +650,7 @@ def _fig2_engine(N, delta_frac):
     })
 
 
-def _impulse_runs(n_values=range(1, 9), deltas=(0.0, 1.4, 4.2), workers: int = 1):
+def _impulse_runs(workers: int = 1, n_values=range(1, 9), deltas=(0.0, 1.4, 4.2)):
     """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
     `_timed_cycles` diagnostics of every run (indistinguishable, then
     distinguishable, per row), the rows' cycles run on `workers` processes."""
@@ -700,41 +689,41 @@ def _fig3_data(workers: int = 1):
 
 
 def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
-    """lambda_table rows for the Fig.-4 engine."""
-    return fermi_mod.lambda_table(n_values, bw_values, build_engine(_FIG4_ENGINE))
+    """Criterion 8's lambda_table rows."""
+    return fermi_mod.lambda_table(n_values, bw_values)
 
 
-def _figure_fig2a(workers=1):
-    rows, diags = _impulse_runs(workers=workers)
+def _figure_fig2a(runs):
+    rows, diags = runs
     columns = ["N", "delta_over_omega0", "E_ratio_analytic", "E_ratio_numeric"]
     return columns, rows, _check_impulse(rows), {"cycles": _cycle_summary(diags)}
 
 
-def _figure_fig2b(workers=1):
+def _figure_fig2b():
     rows = _sqrt_work_rows(np.linspace(0.25, 4.0, 16))
     return ["N", "beta_c_E0", "sqrt_work_ratio"], rows, _check_sqrt_scaling(rows), {}
 
 
-def _figure_fig3a(workers, fig3):
+def _figure_fig3a(fig3):
     data, diags = fig3
     rows = [[N, wb, math.sqrt(wb / data[0][1])] for N, wb, _ in data]
     return (["N", "work_indist_numeric", "sqrt_work_ratio"], rows, _check_fig3(data),
             {"cycles": _cycle_summary(diags)})
 
 
-def _figure_fig3b(workers, fig3):
+def _figure_fig3b(fig3):
     data, diags = fig3
     return (["N", "E_ratio_numeric"], [[N, wb / wd] for N, wb, wd in data], _check_fig3(data),
             {"cycles": _cycle_summary(diags)})
 
 
-def _figure_fig4(n_values, workers=1):
+def _figure_fig4(n_values):
     rows = _fermi_rows(n_values, np.arange(2.5, 6.01, 0.25))
     columns = ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"]
     return columns, rows, _check_fermi_parity(rows), {}
 
 
-def _figure_figs1(workers=1):
+def _figure_figs1():
     region = analytics.enhancement_region(_fig2_engine(2, 0.0), np.linspace(0.0, 4.0, 9),
                                           np.linspace(0.1, 10 * math.pi, 24), (2, 6, 12, 20))
     return (["delta_over_omega0", "omegaT", "N", "enhanced"], list(region.rows()),
@@ -743,22 +732,23 @@ def _figure_figs1(workers=1):
 
 @dataclass(frozen=True)
 class FigureTarget:
-    # run: (worker processes for its run_cycles calls; closed-form figures
-    # make none[, then the output of `shared`]) -> (CSV columns, rows,
-    # (ok, detail) of the check, what the manifest records of the work:
-    # the `_cycle_summary` of its runs, or the quadrature of its region map)
+    # run: ([the output of `shared`]) -> (CSV columns, rows, (ok, detail) of
+    # the check, what the manifest records of the work: the `_cycle_summary`
+    # of its runs, or the quadrature of its region map)
     run: object
     description: str
     preset: dict
-    # a function of the worker count computing data that other targets
-    # share, once per command for all of them (run_figure's `shared`)
+    # a function of the worker count running the target's cycles on that
+    # many processes, once per command for every target that shares it
+    # (run_figure's `shared`); closed-form figures have none
     shared: object = None
 
 
 FIGURES = {
     "fig2a": FigureTarget(_figure_fig2a, "impulse enhancement vs N for three gap mixes",
                           {"g": 0.01, "t1_frac": 0.35, "beta_c_E0": 2.0, "beta_h_EH": 0.25,
-                           "delta_over_omega0": [0.0, 1.4, 4.2], "N": "1..8"}),
+                           "delta_over_omega0": [0.0, 1.4, 4.2], "N": "1..8"},
+                          _impulse_runs),
     "fig2b": FigureTarget(_figure_fig2b, "sqrt of work ratio over (N, beta_c E_0), Delta = 0",
                           {"beta_c_E0": "0.25..4", "N": "1..40"}),
     "fig3a": FigureTarget(_figure_fig3a, "nonperturbative work scaling, indistinguishable",
@@ -769,9 +759,9 @@ FIGURES = {
                           _fig3_data),
     "fig4even": FigureTarget(functools.partial(_figure_fig4, (2, 4)),
                              "fermionic parity law, even N",
-                             {"Delta": 1.0, "beta_c_E0": 1.0, "beta_h_EH": 0.125}),
+                             {"N": [2, 4], "beta_com_omega": "2.5..6 by 0.25"}),
     "fig4odd": FigureTarget(functools.partial(_figure_fig4, (3, 5)), "fermionic parity law, odd N",
-                            {"Delta": 1.0, "beta_c_E0": 1.0, "beta_h_EH": 0.125}),
+                            {"N": [3, 5], "beta_com_omega": "2.5..6 by 0.25"}),
     "figS1": FigureTarget(_figure_figs1, "binary enhancement region map",
                           {"g": 0.01, "delta_t": 0.9, "alpha_over_T": 2142.0}),
 }
@@ -808,7 +798,7 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None)
         if target.shared not in shared:
             shared[target.shared] = target.shared(workers)
         args = (shared[target.shared],)
-    columns, rows, (ok, detail), work = target.run(workers, *args)
+    columns, rows, (ok, detail), work = target.run(*args)
     # the tasks of a figure with cycles are its run_cycles calls, two runs each
     used = worker_count(workers, work["cycles"]["n_cycles"] // 2) if "cycles" in work else 1
     _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
@@ -844,7 +834,7 @@ def run_verify(seed: int = 0, fast: bool = False, workers: int = 1) -> list:
     ]
     if not fast:
         checks.append(("impulse-enhancement",
-                       *_check_impulse(_impulse_runs((1, 2, 4), (1.4,), workers)[0])))
+                       *_check_impulse(_impulse_runs(workers, (1, 2, 4), (1.4,))[0])))
     return checks
 
 
@@ -1028,12 +1018,8 @@ def _check_fermi_parity(rows):
     even, odd = (max(g, default=0.0) for g in gaps)
     n_values = {r[0] for r in rows}
     covered = bool(n_values) and n_values == {r[0] for r in rows if r[1] >= 4.0}
-    engine = build_engine(_FIG4_ENGINE)
-    exact = all(
-        fermi_mod.f_N(fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf,
-                                              engine=engine)) == N % 2
-        for N in n_values
-    )
+    exact = all(fermi_mod.f_N(fermi_mod.FermiEnsemble(N=N, omega_trap=1.0, beta_com=math.inf))
+                == N % 2 for N in n_values)
     ok = covered and even < 0.1 and odd < 0.2 and exact
     return ok, (f"even gap {even:.3f} (< 0.1, {len(gaps[0])} rows), odd gap {odd:.3f} "
                 f"(< 0.2, {len(gaps[1])} rows), every N has rows at beta omega >= 4: "
@@ -1043,15 +1029,6 @@ def _check_fermi_parity(rows):
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-def _add_common(sub, config=False, seed=False):
-    """--out on every subcommand; --config and --seed only where read."""
-    if config:
-        sub.add_argument("--config", help="JSON config document")
-    sub.add_argument("--out", help="output directory")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None)
-
 
 def _threads_of(args) -> int:
     """Worker processes: --threads where the command has it, else the
@@ -1083,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = subs.add_parser("analytic", help="closed-form work and enhancement")
     p_ev = subs.add_parser("evolve", help="exact numerical cycle")
     for sub in (p_an, p_ev):
-        _add_common(sub, config=True)
+        sub.add_argument("--config", help="JSON config document")
         # a flag per flagged field, stored under "section.field"
         for section, fields in _FIELDS.items():
             for key, (kind, _, flag) in fields.items():
@@ -1095,15 +1072,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--dt", type=float)
     p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
 
+    # --out on the commands that write files, --config and --seed only where read
     p_fe = subs.add_parser("fermi", help="fermionic parity-law lambda tables")
-    _add_common(p_fe, config=True)
+    p_fe.add_argument("--out", help="output directory")
     p_fe.add_argument("--n-values", type=int, nargs="+", default=[2, 3, 4, 5])
     p_fe.add_argument("--bw-min", type=float, default=2.5)
     p_fe.add_argument("--bw-max", type=float, default=6.0)
     p_fe.add_argument("--bw-points", type=int, default=15)
 
     p_rg = subs.add_parser("region", help="binary enhancement-region map")
-    _add_common(p_rg)
+    p_rg.add_argument("--out", help="output directory")
     p_rg.add_argument("--n-values", type=int, nargs="+", default=[2, 6, 12, 20])
     p_rg.add_argument("--delta-max", type=float, default=4.0)
     p_rg.add_argument("--delta-points", type=int, default=9)
@@ -1112,16 +1090,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rg.add_argument("--omegat-points", type=int, default=24)
 
     p_fig = subs.add_parser("figure", help="regenerate figure datasets and assert them")
-    _add_common(p_fig)
+    p_fig.add_argument("--out", help="output directory")
     p_fig.add_argument("ids", nargs="+", choices=sorted(FIGURES), metavar="id",
                        help=f"one or more of {sorted(FIGURES)}")
 
     p_vf = subs.add_parser("verify", help="full oracle/inequality property battery")
-    _add_common(p_vf, seed=True)
+    p_vf.add_argument("--seed", type=int, default=0)
     p_vf.add_argument("--fast", action="store_true", help="reduced grids")
 
     p_sw = subs.add_parser("sweep", help="run a sweep from a config document")
-    _add_common(p_sw, config=True, seed=True)
+    p_sw.add_argument("--config", help="JSON config document")
+    p_sw.add_argument("--out", help="output directory")
     p_sw.add_argument("--threads", type=int, default=None,
                       help="worker processes (QSTAT_THREADS fallback, default 1)")
     p_sw.add_argument("--method", choices=SWEEP_METHODS)
@@ -1152,7 +1131,7 @@ def cli_main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    out_dir = args.out or f"out-{args.command}"
+    out_dir = getattr(args, "out", None) or f"out-{args.command}"
     if args.command in ("analytic", "evolve"):
         engine, schedule, system = _build_case(_merged_config(args))
     if args.command == "analytic":
@@ -1175,10 +1154,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "fermi":
-        cfg = _merged_config(args)
-        engine = build_engine(cfg.get("engine", _FIG4_ENGINE))
         bw = np.linspace(args.bw_min, args.bw_max, args.bw_points)
-        rows = fermi_mod.lambda_table(args.n_values, bw, engine)
+        rows = fermi_mod.lambda_table(args.n_values, bw)
         _write_csv(os.path.join(out_dir, "data.csv"),
                    ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"], rows)
         _write_manifest(os.path.join(out_dir, "manifest.json"), {
@@ -1214,8 +1191,7 @@ def _dispatch(args) -> int:
         return 1 if failed else 0
 
     if args.command == "verify":
-        checks = run_verify(seed=args.seed if args.seed is not None else 0, fast=args.fast,
-                            workers=_threads_of(args))
+        checks = run_verify(seed=args.seed, fast=args.fast, workers=_threads_of(args))
         any_fail = False
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")
@@ -1226,7 +1202,7 @@ def _dispatch(args) -> int:
         if not args.config:
             raise ConfigError("sweep requires --config with a sweep section")
         cfg = load_config(args.config)
-        flags = {"method": args.method, "out": args.out, "seed": args.seed}
+        flags = {"method": args.method, "out": args.out}
         spec = SweepSpec.from_dict({
             **cfg.get("sweep", {}), **{k: v for k, v in flags.items() if v is not None},
             "fixed": {k: v for k, v in cfg.items() if k in _FIELDS},

@@ -167,11 +167,36 @@ class TestFermiWork:
         assert rec.enhancement_ratio == pytest.approx(f_N(ens(3, 4.0)), abs=1e-14)
 
     def test_lambda_table_format(self):
-        rows = lambda_table([2, 3], [3.0, 4.0], fig4_engine())
+        rows = lambda_table([2, 3], [3.0, 4.0])
         assert len(rows) == 4
         N, bw, lam, asym, method = rows[0]
         assert method == "recursion"
         assert asym == pytest.approx(parity_asymptote(N, bw))
+
+    # Fig.-4 rows (N, beta omega, lambda, asymptote) as the figure wrote them
+    # when its ensembles carried the Fig.-4 engine
+    FIG4_ROWS = [(2, 4.0, 0.13889334979329174, 0.14652511110987343),
+                 (4, 6.0, 0.01973207582679376, 0.019830017413330868),
+                 (3, 4.0, 1.0026336961817286, 1.0026837010232201),
+                 (5, 6.0, 1.0000491530948179, 1.0000491536988265)]
+
+    def test_lambda_reads_no_engine(self):
+        # lambda = f_N depends on the trap alone: the same bits with or
+        # without an engine, and lambda_table takes none
+        for N, bw, lam, asym in self.FIG4_ROWS:
+            assert lambda_table([N], [bw]) == [(N, bw, lam, asym, "recursion")]
+            bare = FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw)
+            assert bare.engine is None
+            assert f_N(bare) == f_N(ens(N, bw)) == lam
+        with pytest.raises(TypeError):
+            lambda_table([2], [4.0], fig4_engine())
+
+    def test_work_needs_the_engine(self):
+        bare = FermiEnsemble(N=3, omega_trap=1.0, beta_com=4.0)
+        with pytest.raises(ValueError, match="internal engine"):
+            fermi_work(bare)
+        with pytest.raises(ValueError, match="internal engine"):
+            fermi_outcoupled_work(bare, TestOutcoupled.SCHED, qw.harmonic_system(0.01, 4))
 
 
 class TestOutcoupled:

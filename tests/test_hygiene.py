@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), every function and class the
-package defines is used by the package or exported, the test oracles
+package defines is used by the package or exported, every parameter of
+its functions is read (one listed exception), the test oracles
 take from the package only the model inputs they need, importing the
 package loads NumPy and the standard library only, a parallel map starts
 no process pool, the benchmark's tracer still runs on the package, and
@@ -129,6 +130,50 @@ def test_package_defines_nothing_it_does_not_use():
     # path) belongs in the tests, not in the package
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) of each parameter of a function or method of
+    `source`, nested ones included, that its body never reads; a method's
+    self or cls counts as read."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, FUNCTIONS)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.name, p.arg) for p in params[id(node) in methods:] if p.arg not in read]
+    return found
+
+
+def test_detects_unread_parameter():
+    # read: a parameter a nested function or a lambda reads, self, *args
+    # passed on; unread: a default nobody reads, a nested function's own
+    # parameter, a static method's first, a parameter only written
+    assert unread_parameters(
+        "def f(a, b=1, *args, c, **kw):\n    g = lambda: a\n    return g(*args, **kw)\n"
+        "def h(x):\n    def inner(y):\n        return x\n    return inner\n"
+        "class C:\n    def m(self, z):\n        z = 1\n"
+        "    @staticmethod\n    def s(w):\n        pass\n"
+    ) == [("f", "b"), ("f", "c"), ("inner", "y"), ("m", "z"), ("s", "w")]
+
+
+# perfbench/tracing.py passes `config`, which changes no block
+UNREAD_PARAMETERS_ALLOWED = {("dynamics", "_build_sectors", "config")}
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an input that changes
+    # nothing: the caller may set it and get the same result
+    found = {(p.stem, *f) for p in (ROOT / "src" / "qstatwork").glob("*.py")
+             for f in unread_parameters(p.read_text())}
+    assert found == UNREAD_PARAMETERS_ALLOWED
 
 
 def package_imports(source: str) -> list:

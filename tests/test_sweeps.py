@@ -27,13 +27,13 @@ BOTH_SPEC = sw.SweepSpec(
     fixed={"engine": {"v": 0.2, "T": 2.5},
            "coupling": {"kind": "plateau", "g": 0.01, "delta_t": 0.9},
            "system": {"dim": 4}},
-    method="both", out="unused", seed=0,
+    method="both", out="unused",
 )
 FERMI_SPEC = sw.SweepSpec(
     axes=(("fermi.N", (2, 3)), ("fermi.beta_com_omega", (3.0, 4.0))),
     fixed={"engine": {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5,
                       "beta_c_E0": 1.0, "beta_h_EH": 0.125}},
-    method="analytic", out="unused", seed=0, task="fermi",
+    method="analytic", out="unused", task="fermi",
 )
 
 
@@ -249,13 +249,12 @@ class TestConfig:
         T = 20.0
         assert sw.build_engine({"N": 3.0}).N == sw.build_engine({"N": 3}).N == 3
         assert sw.build_system({"dim": 5.0}, T).dim == 5
-        engine = sw.build_engine({})
-        ens = sw.build_fermi({"N": 3.0, "level_count": 6.0}, engine)
+        ens = sw.build_fermi({"N": 3.0, "level_count": 6.0})
         assert (ens.N, ens.level_count) == (3, 6)
         for build, field in ((lambda: sw.build_engine({"N": 2.7}), "engine.N"),
                              (lambda: sw.build_system({"dim": 4.5}, T), "system.dim"),
-                             (lambda: sw.build_fermi({"N": 2.7}, engine), "fermi.N"),
-                             (lambda: sw.build_fermi({"level_count": 7.5}, engine),
+                             (lambda: sw.build_fermi({"N": 2.7}), "fermi.N"),
+                             (lambda: sw.build_fermi({"level_count": 7.5}),
                               "fermi.level_count")):
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):
                 build()
@@ -266,17 +265,11 @@ class TestConfig:
         assert sw.cli_main(["analytic", "--config", str(path)]) == 2
         assert "engine.N must be an integer, got 2.7" in capsys.readouterr().err
 
-    def test_fractional_seed_exit_2(self, tmp_path, capsys):
-        # a seed is a count like N: 2.5 is refused, not truncated to 2
-        path = tmp_path / "seed.json"
-        path.write_text(json.dumps({
-            "sweep": {"axes": [{"param": "engine.N", "values": [1]}], "seed": 2.5}}))
-        out = tmp_path / "out"
-        assert sw.cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
-        assert "sweep.seed must be an integer, got 2.5" in capsys.readouterr().err
-        assert not out.exists()
-        with pytest.raises(ConfigError, match="sweep.seed must be an integer"):
-            sw.SweepSpec.from_dict({"seed": 2.5})
+    def test_fractional_seed_exit_2(self, capsys):
+        # a seed is a count like N: verify's 2.5 is refused, not truncated to 2
+        assert sw.cli_main(["verify", "--fast", "--seed", "2.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value: '2.5'" in captured.err
 
     def test_caption_normalized_baths(self):
         engine = sw.build_engine({"N": 2, "Delta": 1.4, "beta_c_E0": 2.0,
@@ -292,7 +285,6 @@ class TestSweepSpec:
             fixed={"engine": {"Delta": 0.0}, "coupling": {"kind": "impulse"}},
             method="analytic",
             out="unused",
-            seed=7,
         )
         base.update(kw)
         return sw.SweepSpec(**base)
@@ -365,7 +357,7 @@ class TestSweepSpec:
         spec = sw.SweepSpec(
             axes=(("engine.N", (3,)),),
             fixed={"engine": {"Delta": 0.0}, "coupling": {"kind": "impulse"}},
-            method="analytic", out="unused", seed=0,
+            method="analytic", out="unused",
         )
         sw.run_sweep(spec, out_dir=str(tmp_path))
         lines = (tmp_path / "data.csv").read_text().strip().splitlines()
@@ -409,7 +401,7 @@ class TestSweepSpec:
         spec = sw.SweepSpec(
             axes=(("engine.Delta", (0.0, -1.0)),),       # -1 is invalid
             fixed={"coupling": {"kind": "impulse"}},
-            method="analytic", out="unused", seed=0,
+            method="analytic", out="unused",
         )
         for threads in (1, 2):        # the failing cell runs in a worker at 2
             manifest = sw.run_sweep(spec, threads=threads, out_dir=str(tmp_path))
@@ -421,7 +413,7 @@ class TestSweepSpec:
         spec = sw.SweepSpec(
             axes=(("engine.N", (1.5, 2)),),
             fixed={"coupling": {"kind": "impulse"}},
-            method="analytic", out="unused", seed=0,
+            method="analytic", out="unused",
         )
         assert sw.run_sweep(spec, out_dir=str(tmp_path))["n_failed"] == 1
         rows = (tmp_path / "data.csv").read_text().splitlines()
@@ -432,7 +424,7 @@ class TestSweepSpec:
         spec = sw.SweepSpec(
             axes=(("engine.Delta", (bad, 0.5)),),
             fixed={"coupling": {"kind": "impulse"}},
-            method="analytic", out="unused", seed=0,
+            method="analytic", out="unused",
         )
         assert sw.run_sweep(spec, out_dir=str(tmp_path))["n_failed"] == 1
         rows = (tmp_path / "data.csv").read_text().splitlines()
@@ -444,11 +436,25 @@ class TestSweepSpec:
             fixed={"engine": {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5,
                               "beta_c_E0": 1.0, "beta_h_EH": 0.125},
                    "fermi": {"N": 2}},
-            method="analytic", out="unused", seed=0, task="fermi",
+            method="analytic", out="unused", task="fermi",
         )
         sw.run_sweep(spec, out_dir=str(tmp_path))
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
         assert header.startswith("fermi.beta_com_omega,lambda,lambda_asymptotic")
+
+    def test_fermi_task_reads_no_engine(self, tmp_path):
+        # lambda = f_N depends on the trap alone: an engine that EngineParams
+        # refuses (beta_c_E0 = 0.1 gives beta_c = 0.1 below the default
+        # engine's beta_h = 0.125) changes no cell, where building it failed
+        # every cell it held
+        axes = (("engine.beta_c_E0", (2.0, 0.1)), ("fermi.beta_com_omega", (3.0, 4.0)))
+        manifest = sw.run_sweep(replace(FERMI_SPEC, axes=axes, fixed={}), out_dir=str(tmp_path))
+        assert manifest["n_failed"] == 0
+        rows = [line.split(",") for line in (tmp_path / "data.csv").read_text().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["ok"] * 4
+        assert [r[2:] for r in rows[:2]] == [r[2:] for r in rows[2:]]
+        lam = qw.fermi.f_N(qw.FermiEnsemble(N=2, omega_trap=1.0, beta_com=3.0))
+        assert float(rows[0][2]) == lam
 
 
 class TestCli:
@@ -513,19 +519,39 @@ class TestCli:
         for command, extra in (("analytic", []), ("evolve", ["--dt", "--trace"])):
             actions = subs.choices[command]._actions
             assert [opt for a in actions for opt in a.option_strings
-                    if opt not in ("-h", "--help")] == ["--config", "--out", *fields, *extra]
+                    if opt not in ("-h", "--help")] == ["--config", *fields, *extra]
             choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
             assert choices == {"--statistics": ["bose", "distinguishable"],
                                "--coupling": ["impulse", "plateau"]}
 
-    def test_config_only_where_read(self, tmp_path):
-        # region never reads a config, so it must not accept one and
-        # silently ignore it
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"engine": {"bogus": 1}}))
-        assert sw.cli_main(["region", "--config", str(path),
-                            "--out", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
+    def test_config_only_where_read(self, tmp_path, monkeypatch, capsys):
+        # every input changes the result: a command that reads no config
+        # (region, fermi), writes no file (analytic, evolve, verify) or draws
+        # nothing (sweep) must refuse the flag, not silently ignore it, and
+        # a config must not hold a field that no command reads
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"engine": {"N": 1}}))
+        for argv in (["region", "--config", str(config), "--out", "out"],
+                     ["fermi", "--config", str(config), "--out", "out"],
+                     ["analytic", "--out", "out"],
+                     ["evolve", "--out", "out"],
+                     ["verify", "--fast", "--out", "out"],
+                     ["sweep", "--config", str(config), "--seed", "3", "--out", "out"]):
+            assert sw.cli_main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+            assert os.listdir(tmp_path) == ["config.json"], argv
+        axes = [{"param": "engine.N", "values": [1]}]
+        for doc, field in (({"sweep": {"axes": axes, "seed": 5}}, "sweep.seed"),
+                           ({"system": {"kind": "harmonic"}}, "system.kind")):
+            config.write_text(json.dumps(doc))
+            for argv in (["analytic", "--config", str(config)],
+                         ["sweep", "--config", str(config), "--out", "out"]):
+                assert sw.cli_main(argv) == 2, argv
+                assert f"unknown field '{field}'" in capsys.readouterr().err, argv
+                assert os.listdir(tmp_path) == ["config.json"], argv
+        with pytest.raises(ConfigError, match="unknown field 'sweep.seed'"):
+            sw.SweepSpec.from_dict({"axes": axes, "seed": 5})
 
     def test_evolve_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -564,20 +590,6 @@ class TestCli:
         monkeypatch.setenv("QSTAT_THREADS", "3")
         args = sw.build_parser().parse_args(["sweep"])
         assert sw._threads_of(args) == 3
-
-    def test_sweep_seed_from_config_unless_flag(self, tmp_path, capsys):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({
-            "engine": {"Delta": 0.0},
-            "coupling": {"kind": "impulse"},
-            "sweep": {"axes": [{"param": "engine.N", "values": [1]}], "seed": 5},
-        }))
-        for flags, seed in (([], 5), (["--seed", "3"], 3)):
-            out = tmp_path / f"out{seed}"
-            assert sw.cli_main(["sweep", "--config", str(path), "--out", str(out)] + flags) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["seed"] == seed
-            assert manifest["spec"]["seed"] == seed
 
     def test_figure_fig2b(self, tmp_path):
         rc = sw.cli_main(["figure", "fig2b", "--out", str(tmp_path)])
