@@ -4,7 +4,10 @@ The coupling amplitudes integrate products of a (possibly sharply
 switched) schedule with phase factors exp(i [eps_i t +/- phi(t, t0)]).
 Panels are split at schedule switch points and limited in width so each
 holds at most a fraction of an oscillation period; the node count is
-then doubled until two consecutive estimates agree.
+then doubled until two consecutive estimates agree.  A stack of
+integrands shares the panels; the integrand gets the panel rule as a
+callback (`contract`), so it can build and contract the stack block by
+block and never hold it whole.
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ def _evaluate(f, edges: np.ndarray) -> np.ndarray:
     half = (his - los) / 2
     mid = (his + los) / 2
     nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
-    vals = np.asarray(f(nodes))
-    vals = vals.reshape(vals.shape[:-1] + (los.size, GL_NODES.size))
-    return np.sum(vals @ GL_WEIGHTS * half, axis=-1)
+
+    def contract(vals):  # the panel rule
+        vals = vals.reshape(vals.shape[:-1] + (los.size, GL_NODES.size))
+        return np.sum(vals @ GL_WEIGHTS * half, axis=-1)
+
+    return np.asarray(f(nodes, contract))
 
 
 class QuadStats(NamedTuple):
@@ -89,19 +95,19 @@ def integrate_oscillatory(
 ):
     """Integrate a vectorised complex integrand f over [a, b].
 
-    f maps an array of nodes to values of the same length, or to a stack
-    of shape (m, nodes) of m integrands sharing the panels.  Refines by
-    doubling the panel count until two successive estimates differ by
-    less than max(abs_tol, rel_tol * scale); abs_tol is a number or one
-    per component of a stack.  Each component keeps the first estimate
-    that passes its own test, so it equals the value f's component alone
-    would give on the same panels.  Returns (estimate, QuadStats): the
-    estimate is a complex, or an array of m complex values for a stack.
+    f(nodes, contract) returns the values of one integrand, or of a stack,
+    on the nodes (last axis) passed through `contract`: a plain integrand
+    g is `lambda t, c: c(g(t))`.  Refines by doubling the panel count
+    until two successive estimates differ by less than max(abs_tol,
+    rel_tol * scale); abs_tol broadcasts against the stack.  Each
+    component keeps the first estimate that passes its own test, so it
+    equals the value f's component alone would give on the same panels.
+    Returns (estimate, QuadStats), the estimate a complex or an array.
     Raises QuadratureError with diagnostics if some component never
     converges.
     """
     if b <= a:
-        shape = np.shape(f(np.array([a])))[:-1]
+        shape = np.shape(_evaluate(f, np.array([a, a])))
         return (np.zeros(shape, complex) if shape else 0.0 + 0.0j), QuadStats()
     edges = _build_panels(a, b, breakpoints, max_freq)
     est = _evaluate(f, edges)

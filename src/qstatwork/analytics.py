@@ -86,11 +86,11 @@ METHOD_FERMI_NUMERICAL = "fermi-numerical"
 
 _SERIES_MAX = 2.0
 # 12 terms: at a = 2 the first omitted term of S and of C is < 2e-17 of the
-# sum; highest power first, for Horner's rule
-_SERIES_COEFFS = [
+# sum; highest power first, for Horner's rule, S and C in one stacked pass
+_SERIES_COEFFS = np.array([
     (1 / math.factorial(2 * k + 3), (2 * k + 2) / math.factorial(2 * k + 3))
     for k in reversed(range(12))
-]
+])
 
 
 def _thermal_moments(N: int, x: np.ndarray):
@@ -98,12 +98,13 @@ def _thermal_moments(N: int, x: np.ndarray):
     a = np.stack((x, (N + 1) * x))
     b = np.minimum(a, _SERIES_MAX)
     b2 = b * b
-    S, C = np.zeros_like(b2), np.zeros_like(b2)
-    for s_k, c_k in _SERIES_COEFFS:
-        S *= b2
-        S += s_k
-        C *= b2
-        C += c_k
+    # each step: two ufunc calls on equal shapes, the fastest numpy path
+    b2s = np.stack((b2, b2))
+    SC = np.zeros_like(b2s)
+    for coeffs in np.repeat(_SERIES_COEFFS, b2.size, axis=1).reshape((-1,) + b2s.shape):
+        SC *= b2s
+        SC += coeffs
+    S, C = SC
     q = 1.0 + b2 * S
     big = np.maximum(a, _SERIES_MAX)
     series = a < _SERIES_MAX
@@ -247,9 +248,9 @@ class Amplitudes:
 
     c_plus/c_minus carry the ladder phase exp(+/- i phi(t, t0)); d is the
     phase-free piece proportional to cos(theta_t) and vanishes
-    identically for Delta = 0.  For a row of levels (`_amplitude_row`) i
-    is None and each amplitude is an array over the row.  `quadrature` is
-    the work of the one quadrature behind them.
+    identically for Delta = 0.  For `_amplitude_grid` i is None and each
+    amplitude is an (engines, levels) array.  `quadrature` is the work of
+    the one quadrature behind them.
     """
 
     i: int
@@ -273,45 +274,61 @@ def _schedule_breakpoints(schedule, lo, hi):
     return pts
 
 
-def _amplitude_row(params: EngineParams, schedule: CouplingSchedule, t0: float,
-                   eps, v, rel_tol: float = 1e-10) -> Amplitudes:
-    """Amplitudes of a row of levels with energies eps and nonzero
-    couplings v = <k|V_S|0>, over the stroke from t0, on shared panels.
-
-    g(t) v exp(i eps t), sin(theta), cos(theta) and the ladder phase are
-    evaluated once per node for the whole row.  The c~+ of every level,
-    then the c~-, then the d (none for Delta = 0) form one stack of 3m
-    integrands (2m for Delta = 0) in one quadrature, with the panels of
-    the highest frequency eps_max + 2 E_max and an absolute tolerance per
-    component; `quadrature` is that call's work.
+def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v,
+                    rel_tol: float = 1e-10) -> Amplitudes:
+    """(engines, levels) amplitudes of levels with energies eps and nonzero
+    couplings v = <k|V_S|0>, for engines sharing T, over the stroke from
+    t0: one quadrature on panels shared by all, cut for the highest
+    frequency eps_max + 2 E_max of any engine.  g(t) v exp(i eps t) is
+    evaluated once per node set; each engine's stack of c~+ of every
+    level, c~-, then d (none for Delta = 0) is contracted as it is built.
+    Each component keeps its own acceptance (absolute tolerance 1e-14 |v|),
+    so an engine's values do not depend on which others share its panels.
     """
     eps = np.asarray(eps, dtype=float)[:, None]
     v = np.asarray(v, dtype=complex)[:, None]
     m = eps.shape[0]
-    lo, hi = t0, t0 + params.T / 2
-    e_max = max(float(params.energy(lo)), float(params.energy(hi)))
-    parts = 2 if params.Delta == 0.0 else 3
+    lo, hi = t0, t0 + engines[0].T / 2
+    e_max = max(float(p.energy(t)) for p in engines for t in (lo, hi))
 
-    def integrand(tt):
+    def stack(p, base, tt):
         # c~+ and c~- differ only in the sign of the ladder phase, and d
         # carries -cos(theta) in place of sin(theta) and the phase
-        base = g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
-        common = base * params.sin_theta(tt)
-        ladder = np.exp(1j * phase_integral(params, tt, t0))
-        out = np.empty((parts, m, tt.size), complex)
+        common = base * p.sin_theta(tt)
+        ladder = np.exp(1j * phase_integral(p, tt, t0))
+        out = np.empty((2 if p.Delta == 0.0 else 3, m, tt.size), complex)
         np.multiply(common, ladder, out=out[0])
         np.multiply(common, ladder.conj(), out=out[1])
-        if parts == 3:
-            np.multiply(-base, params.cos_theta(tt), out=out[2])
-        return out.reshape(parts * m, tt.size)
+        if p.Delta != 0.0:
+            np.multiply(-base, p.cos_theta(tt), out=out[2])
+        return out.reshape(-1, tt.size)
+
+    def integrand(tt, contract):
+        base = g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
+        out = np.zeros((len(engines), 3 * m), complex)
+        for p, row in zip(engines, out):
+            est = contract(stack(p, base, tt))
+            row[:est.size] = est
+        return out.reshape(-1, 3, m)
 
     amps, stats = _quad.integrate_oscillatory(
         integrand, lo, hi, breakpoints=_schedule_breakpoints(schedule, lo, hi),
-        max_freq=eps.max() + 2 * e_max, rel_tol=rel_tol,
-        abs_tol=np.tile(1e-14 * np.abs(v[:, 0]), parts))
-    d = amps[2 * m:] if parts == 3 else np.zeros(m, complex)
-    return Amplitudes(i=None, t0=t0, c_plus=amps[:m], c_minus=amps[m:2 * m], d=d,
-                      quadrature=stats)
+        max_freq=eps.max() + 2 * e_max, rel_tol=rel_tol, abs_tol=1e-14 * np.abs(v[:, 0]))
+    return Amplitudes(None, t0, *np.moveaxis(amps, 1, 0), quadrature=stats)
+
+
+def _check_smooth(params: EngineParams, schedule: CouplingSchedule):
+    if isinstance(schedule, Impulse):
+        raise InvalidVariantError("impulse schedules have closed-form work; see impulse_work")
+    check_schedule_cycle(params, schedule)
+
+
+def _levels(params, schedule, system, levels, t0: float, rel_tol: float = 1e-10) -> list:
+    """The amplitudes of coupled levels at t0, from a one-engine grid."""
+    grid = _amplitude_grid([params], schedule, t0, system.energies[levels],
+                           system.matrix[levels, 0], rel_tol)
+    return [Amplitudes(int(i), t0, *(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
+                       quadrature=grid.quadrature) for k, i in enumerate(levels)]
 
 
 def compute_amplitudes(
@@ -323,25 +340,20 @@ def compute_amplitudes(
     rel_tol: float = 1e-10,
 ) -> Amplitudes:
     """Quadrature of the three amplitude integrals over one stroke: the
-    one-level row of `_amplitude_row`.
+    one-engine, one-level call of `_amplitude_grid`.
 
     The adiabatic phase for linear sweeps is evaluated in closed form
     (asinh antiderivative); oscillation-aware panels keep the integrand
     resolved and the estimate is refined until it is stable to rel_tol.
     """
-    if isinstance(schedule, Impulse):
-        raise InvalidVariantError("impulse schedules have closed-form work; see impulse_work")
-    check_schedule_cycle(params, schedule)
+    _check_smooth(params, schedule)
     if not (1 <= i < system.dim):
         raise DomainError(f"level index i must be in [1, {system.dim - 1}], got {i}")
     if t0 not in (0.0, params.T / 2):
         raise DomainError(f"t0 must be 0 or T/2, got {t0}")
-    v_i0 = complex(system.matrix[i, 0])
-    if v_i0 == 0:
+    if system.matrix[i, 0] == 0:
         return Amplitudes(i=i, t0=t0, c_plus=0j, c_minus=0j, d=0j)
-    row = _amplitude_row(params, schedule, t0, [system.energies[i]], [v_i0], rel_tol)
-    return Amplitudes(i=i, t0=t0, c_plus=complex(row.c_plus[0]), c_minus=complex(row.c_minus[0]),
-                      d=complex(row.d[0]), quadrature=row.quadrature)
+    return _levels(params, schedule, system, [i], t0, rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +463,6 @@ def _probability(amps: tuple, w0: list, wh: list):
     return p if np.ndim(p) else float(p)
 
 
-def _amplitude_pair(params, schedule, system, i: int) -> tuple:
-    half = params.T / 2
-    return (compute_amplitudes(params, schedule, system, i, 0.0),
-            compute_amplitudes(params, schedule, system, i, half))
-
-
 def _stroke_weights(params: EngineParams, statistics: Statistics) -> list:
     """`_weights` at the two stroke starts, as the (w0, wh) of `_probability`."""
     x = np.array([_x_at(params, 0.0), _x_at(params, params.T / 2)])
@@ -480,7 +486,8 @@ def general_probability(
     `level_amplitudes`, computed here when not given.
     """
     if amplitudes is None:
-        amplitudes = _amplitude_pair(params, schedule, system, i)
+        amplitudes = [compute_amplitudes(params, schedule, system, i, t0)
+                      for t0 in (0.0, params.T / 2)]
     return _probability(amplitudes, *_stroke_weights(params, statistics))
 
 
@@ -492,12 +499,17 @@ def level_amplitudes(
     """Amplitudes (at t0 = 0, at t0 = T/2) of every level i the system
     couples to its ground state.
 
-    They depend on neither N, the statistics nor the bath temperatures,
-    so one set serves every work record of the same drive, schedule and
-    system (see `general_work`).
+    All levels are integrated in one `_amplitude_grid` call per stroke
+    start.  They depend on neither N, the statistics nor the bath
+    temperatures, so one set serves every work record of the same drive,
+    schedule and system (see `general_work`).
     """
-    return {i: _amplitude_pair(params, schedule, system, i)
-            for i in range(1, system.dim) if system.matrix[i, 0] != 0}
+    _check_smooth(params, schedule)
+    levels = np.flatnonzero(system.matrix[1:, 0]) + 1
+    if not levels.size:
+        return {}
+    return dict(zip(levels.tolist(), zip(*(_levels(params, schedule, system, levels, t0)
+                                          for t0 in (0.0, params.T / 2)))))
 
 
 def general_work(
@@ -558,7 +570,7 @@ def enhancement(
 @dataclass(frozen=True, eq=False)
 class RegionMap:
     """Binary enhancement map over (N, Delta/Omega0, omega T), with the
-    worst quadrature work over the map."""
+    worst work of the two quadratures (one per stroke start) behind it."""
 
     N_values: tuple
     delta_over_omega0: np.ndarray
@@ -592,44 +604,34 @@ def enhancement_region(
     Each cell couples the engines to an oscillator of frequency
     omega = omega T / T through its level 1 (<1|V_S|0> = 1).  The
     amplitudes depend only on the (Delta, omega) cell and the thermal
-    weights only on (Delta, N): each Delta row computes the amplitudes of
-    all its omega at once, as one `_amplitude_row` per stroke start, and
-    then the weights and probabilities of each (N, statistics) are
-    evaluated once over the whole Delta x omega T grid.
+    weights only on (Delta, N).  The amplitudes of every Delta row and
+    omega come from one `_amplitude_grid` per stroke start, on panels
+    shared by all rows and cut for the widest row's E_max; each row's
+    stack is contracted as it is built.  The weights and probabilities of
+    each (N, statistics) are then evaluated once over the whole Delta x
+    omega T grid.  `quadrature` is the worst work of the two quadratures.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
     N_values = tuple(int(n) for n in N_values)
     if min(N_values, default=1) < 1:
         raise ValueError(f"N values must be positive integers, got {N_values}")
-    shape = (len(N_values), deltas.size, omts.size)
-    w_ind = np.zeros(shape)
-    w_dist = np.zeros(shape)
+    w_ind, w_dist = np.zeros((2, len(N_values), deltas.size, omts.size))
     half = base.T / 2
     omegas = omts / base.T
     schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
-    xs, rows = [], []
-    # an empty omega grid leaves every row without amplitudes to compute
-    for dfrac in deltas if omts.size else ():
-        delta = dfrac * base.Omega0
-        e0 = math.hypot(base.Omega0, delta)
-        eh = math.hypot(base.omega_half, delta)
-        params1 = EngineParams(
-            N=1, Omega0=base.Omega0, Delta=delta, v=base.v, T=base.T,
-            beta_c=beta_c_E0 / e0, beta_h=beta_h_EH / eh,
-            gap_direction=base.gap_direction,
-        )
-        # x = beta E at t0 = 0, T/2 does not depend on N or omega
-        xs.append([_x_at(params1, 0.0), _x_at(params1, half)])
-        rows.append([_amplitude_row(params1, schedule, t0, omegas, np.ones(omts.size))
-                     for t0 in (0.0, half)])
-    if rows:
-        # per stroke start, the rows' amplitudes stacked to (n_delta, n_omega)
-        # and x to an (n_delta, 1) column; the weights broadcast over omega
-        amps = [Amplitudes(None, col[0].t0, *(np.array([getattr(a, k) for a in col])
-                                              for k in ("c_plus", "c_minus", "d")))
-                for col in zip(*rows)]
-        x = np.array(xs).T[:, :, None]
+    engines = [EngineParams(N=1, Omega0=base.Omega0, Delta=delta, v=base.v, T=base.T,
+                            beta_c=beta_c_E0 / math.hypot(base.Omega0, delta),
+                            beta_h=beta_h_EH / math.hypot(base.omega_half, delta),
+                            gap_direction=base.gap_direction)
+               for delta in (deltas * base.Omega0).tolist()]
+    # an empty grid leaves no amplitudes to compute
+    amps = [_amplitude_grid(engines, schedule, t0, omegas, np.ones(omts.size))
+            for t0 in (0.0, half)] if engines and omts.size else []
+    if amps:
+        # x = beta E at t0 = 0, T/2 does not depend on N or omega: an
+        # (n_delta, 1) column per stroke start that broadcasts over omega
+        x = np.array([[[_x_at(p, t0)] for p in engines] for t0 in (0.0, half)])
         for a, N in enumerate(N_values):
             for out, s in zip((w_ind, w_dist), _STATISTICS):
                 out[a] = omegas * _probability(amps, *np.swapaxes(_weights(N, x, s), 0, 1))
@@ -642,7 +644,7 @@ def enhancement_region(
         enhanced=enhanced,
         work_indist=w_ind,
         work_dist=w_dist,
-        quadrature=_quad.worst(amp.quadrature for row in rows for amp in row),
+        quadrature=_quad.worst(amp.quadrature for amp in amps),
     )
 
 

@@ -182,19 +182,20 @@ def test_criterion_5_negative_control(monkeypatch):
 
 def test_criterion_5_integrates_each_level_once(monkeypatch):
     # the amplitudes depend on neither N nor the statistics: one pair of
-    # stroke-start integrals per coupled level serves both probabilities
+    # stroke-start integrals per coupled level serves both probabilities,
+    # all of a draw's levels in one quadrature per stroke start
     rng = np.random.default_rng(5)
     coupled = sum(int(np.sum(np.abs(system.matrix[1:, 0]) >= 1e-14))
                   for _, _, system in (sw.random_smooth_case(rng) for _ in range(3)))
-    true, calls = an.compute_amplitudes, []
+    true, calls = an._amplitude_grid, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return true(*args, **kwargs)
+    def counted(engines, schedule, t0, eps, v, *args, **kwargs):
+        calls.append(len(eps))
+        return true(engines, schedule, t0, eps, v, *args, **kwargs)
 
-    monkeypatch.setattr(an, "compute_amplitudes", counted)
+    monkeypatch.setattr(an, "_amplitude_grid", counted)
     assert sw._check_delta0_dominance(np.random.default_rng(5), 3)[0] is True
-    assert len(calls) == 2 * coupled
+    assert len(calls) == 2 * 3 and sum(calls) == 2 * coupled
 
 
 def test_criterion_6_nonperturbative(fig3_runs):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 import qstatwork as qw
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
 from qstatwork._quad import GL_NODES, GL_WEIGHTS, QuadStats, _build_panels, integrate_oscillatory
-from qstatwork.analytics import _amplitude_row, _schedule_breakpoints
+from qstatwork.analytics import _amplitude_grid, _schedule_breakpoints, level_amplitudes
 
 T = 20.0
 
@@ -33,14 +34,15 @@ class TestQuadHelper:
 
     def test_oscillatory_against_scipy(self):
         f = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
-        got, _ = integrate_oscillatory(f, 0.0, 6.0, breakpoints=[2.0], max_freq=7.3)
+        got, _ = integrate_oscillatory(lambda t, c: c(f(t)), 0.0, 6.0, breakpoints=[2.0],
+                                       max_freq=7.3)
         re, _ = quad(lambda t: np.real(f(np.array([t]))[0]), 0, 6, limit=400)
         im, _ = quad(lambda t: np.imag(f(np.array([t]))[0]), 0, 6, limit=400)
         assert abs(got - (re + 1j * im)) < 1e-9
 
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(0)
-        noise = lambda t: rng.normal(size=np.shape(t))
+        noise = lambda t, c: c(rng.normal(size=np.shape(t)))
         with pytest.raises(QuadratureError):
             integrate_oscillatory(noise, 0.0, 1.0, rel_tol=1e-14, max_refine=2)
 
@@ -48,13 +50,15 @@ class TestQuadHelper:
     def test_stack_matches_single_calls(self):
         # the smooth component converges after one refinement, the kinked
         # one after four; each keeps the estimate its own test accepted
-        smooth = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
-        kinked = lambda t: np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t)
+        smooth = lambda t, c: c(np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0)))
+        kinked = lambda t, c: c(np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t))
         kw = dict(breakpoints=[2.0], max_freq=7.3, rel_tol=1e-7)
         integrate_oscillatory(smooth, 0.0, 6.0, max_refine=1, **kw)
         with pytest.raises(QuadratureError):
             integrate_oscillatory(kinked, 0.0, 6.0, max_refine=3, **kw)
-        stacked, _ = integrate_oscillatory(lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
+        # the stack contracted in two blocks, as a large stack is built
+        stacked, _ = integrate_oscillatory(
+            lambda t, c: np.stack((smooth(t, c), kinked(t, c))), 0.0, 6.0, **kw)
         assert stacked.shape == (2,)
         assert stacked[0] == integrate_oscillatory(smooth, 0.0, 6.0, **kw)[0]
         assert stacked[1] == integrate_oscillatory(kinked, 0.0, 6.0, **kw)[0]
@@ -63,19 +67,19 @@ class TestQuadHelper:
         smooth = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
         kinked = lambda t: np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t)
         kw = dict(breakpoints=[2.0], max_freq=7.3, rel_tol=1e-7)
-        value, one = integrate_oscillatory(smooth, 0.0, 6.0, **kw)
+        value, one = integrate_oscillatory(lambda t, c: c(smooth(t)), 0.0, 6.0, **kw)
         (_, kinked_value), both = integrate_oscillatory(
-            lambda t: np.stack((smooth(t), kinked(t))), 0.0, 6.0, **kw)
+            lambda t, c: c(np.stack((smooth(t), kinked(t)))), 0.0, 6.0, **kw)
         assert one.refinements == 1 and both.refinements == 4
         assert both.panels == 8 * one.panels
         # the accepting change passed the tolerance of its component
         assert 0 < one.last_delta <= 1e-7 * abs(value)
         assert one.last_delta < both.last_delta <= 1e-7 * abs(kinked_value)
-        assert integrate_oscillatory(smooth, 1.0, 1.0) == (0j, QuadStats())
+        assert integrate_oscillatory(lambda t, c: c(smooth(t)), 1.0, 1.0) == (0j, QuadStats())
 
     def test_stack_with_one_nonconvergent_component_raises(self):
         rng = np.random.default_rng(0)
-        f = lambda t: np.stack((np.cos(t) + 0j, rng.normal(size=np.shape(t)) + 0j))
+        f = lambda t, c: c(np.stack((np.cos(t) + 0j, rng.normal(size=np.shape(t)) + 0j)))
         with pytest.raises(QuadratureError):
             integrate_oscillatory(f, 0.0, 1.0, rel_tol=1e-12, max_refine=2)
 
@@ -173,8 +177,18 @@ def fields(amp):
     return amp.c_plus, amp.c_minus, amp.d, amp.quadrature
 
 
+SCHED = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
+
+
+def amplitude_row(p, t0, eps, v):
+    """The one-engine `_amplitude_grid`, with its amplitudes as arrays
+    over the levels."""
+    grid = _amplitude_grid([p], SCHED, t0, eps, v)
+    return replace(grid, c_plus=grid.c_plus[0], c_minus=grid.c_minus[0], d=grid.d[0])
+
+
 class TestAmplitudeRow:
-    SCHED = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
+    SCHED = SCHED
 
     @pytest.mark.parametrize("delta", [0.0, 1.4])
     @pytest.mark.parametrize("t0", [0.0, T / 2])
@@ -187,10 +201,10 @@ class TestAmplitudeRow:
         system = qw.ExternalSystem(energies=np.array([0.0, 0.37, 0.37 * (1 + 1e-9)]),
                                    V_S=v_s + v_s.conj().T)
         eps, v = system.energies[1:], system.matrix[1:, 0]
-        row = _amplitude_row(p, self.SCHED, t0, eps, v)
+        row = amplitude_row(p, t0, eps, v)
         for k, i in enumerate((1, 2)):
             amp = qw.compute_amplitudes(p, self.SCHED, system, i, t0)
-            one = _amplitude_row(p, self.SCHED, t0, eps[k:k + 1], v[k:k + 1])
+            one = amplitude_row(p, t0, eps[k:k + 1], v[k:k + 1])
             assert fields(amp) == (*(complex(x[0]) for x in fields(one)[:3]), one.quadrature)
             assert (row.c_plus[k], row.c_minus[k], row.d[k]) == fields(amp)[:3]
             assert amp.quadrature.panels > 0 and amp.quadrature.refinements >= 1
@@ -201,9 +215,9 @@ class TestAmplitudeRow:
         eps = np.linspace(0.1, 10 * math.pi, 8) / T
         v = np.exp(1j * np.arange(8)) * np.linspace(0.5, 2.0, 8)
         for t0 in (0.0, T / 2):
-            row = _amplitude_row(p, self.SCHED, t0, eps, v)
+            row = amplitude_row(p, t0, eps, v)
             for k in range(8):
-                one = _amplitude_row(p, self.SCHED, t0, eps[k:k + 1], v[k:k + 1])
+                one = amplitude_row(p, t0, eps[k:k + 1], v[k:k + 1])
                 for got, ref in zip(fields(row)[:3], fields(one)[:3]):
                     assert abs(got[k] - ref[0]) <= 1e-12 * abs(ref[0])
             assert row.quadrature.panels >= one.quadrature.panels
@@ -216,8 +230,31 @@ class TestAmplitudeRow:
                             lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
         eps = np.linspace(0.1, 10 * math.pi, 8) / T
         for t0 in (0.0, T / 2):
-            _amplitude_row(engine(1.4), self.SCHED, t0, eps, np.ones(8))
+            amplitude_row(engine(1.4), t0, eps, np.ones(8))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("delta", [0.0, 1.4])
+    def test_level_amplitudes_match_per_level_calls(self, delta, monkeypatch):
+        # every coupled level of a system in one quadrature per stroke
+        # start, on panels cut for the highest level; level 3 is uncoupled
+        p = engine(delta)
+        rng = np.random.default_rng(7)
+        v_s = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        v_s = v_s + v_s.conj().T
+        v_s[3, 0] = v_s[0, 3] = 0.0
+        system = qw.ExternalSystem(energies=np.array([0.0, 0.05, 0.4, 0.9, 1.7, 2.6]), V_S=v_s)
+        calls = []
+        integrate = qw._quad.integrate_oscillatory
+        monkeypatch.setattr(qw._quad, "integrate_oscillatory",
+                            lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
+        levels = level_amplitudes(p, self.SCHED, system)
+        assert len(calls) == 2 and sorted(levels) == [1, 2, 4, 5]
+        for i, pair in levels.items():
+            for amp, t0 in zip(pair, (0.0, T / 2)):
+                ref = qw.compute_amplitudes(p, self.SCHED, system, i, t0)
+                assert (amp.i, amp.t0) == (i, t0)
+                for got, want in zip(fields(amp)[:3], fields(ref)[:3]):
+                    assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("delta", [0.3, 1.4, 4.2])
     @pytest.mark.parametrize("t0", [0.0, T / 2])
@@ -229,14 +266,15 @@ class TestAmplitudeRow:
         v = np.exp(1j * np.arange(8)) * np.linspace(0.5, 2.0, 8)
         lo, hi = t0, t0 + T / 2
 
-        def d_integrand(tt):
+        def d_integrand(tt, contract):
             omega = p.Omega0 + 0.1 * (tt if t0 == 0.0 else T - tt)
             cos = delta / np.sqrt(omega ** 2 + delta ** 2)
-            return -qw.g_of_t(self.SCHED, tt) * v[:, None] * np.exp(1j * eps[:, None] * tt) * cos
+            return contract(-qw.g_of_t(self.SCHED, tt) * v[:, None]
+                            * np.exp(1j * eps[:, None] * tt) * cos)
 
         ref, _ = integrate_oscillatory(
             d_integrand, lo, hi, breakpoints=_schedule_breakpoints(self.SCHED, lo, hi),
             max_freq=eps.max(), abs_tol=1e-14 * np.abs(v))
-        row = _amplitude_row(p, self.SCHED, t0, eps, v)
+        row = amplitude_row(p, t0, eps, v)
         assert row.d.shape == (8,)
         assert np.all(np.abs(row.d - ref) <= 1e-13 * np.abs(ref))

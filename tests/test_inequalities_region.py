@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -242,8 +243,8 @@ class TestEnhancementRegion:
                     assert region.enhanced[a, b, c] == enhanced
 
     def test_one_quadrature_stack_per_row_and_stroke(self, monkeypatch):
-        # c~+- and d (none for Delta = 0) for all omega T of a row in one
-        # call per stroke start
+        # c~+- and d (none for Delta = 0) for all omega T of every row in
+        # one call per stroke start
         calls = []
         integrate = _quad.integrate_oscillatory
         monkeypatch.setattr(_quad, "integrate_oscillatory",
@@ -251,11 +252,41 @@ class TestEnhancementRegion:
         base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
                                beta_c=2.0, beta_h=0.125)
         region = enhancement_region(base, [0.0, 1.0, 2.0], np.linspace(0.1, 10.0, 6), (2, 3))
-        assert len(calls) == 2 + 2 + 2
+        assert len(calls) == 2
         assert region.quadrature.panels > 0 and region.quadrature.refinements >= 1
         # every accepted change is within rel_tol = 1e-10 of an amplitude no
         # larger than the plateau area g = 0.01
         assert region.quadrature.last_delta <= 1e-10 * 0.01
+
+    def test_row_independent_of_the_rows_sharing_its_panels(self):
+        # the shared panels are cut for the widest row's E_max (the largest
+        # Delta); alongside only that row, any row's works are bit-equal
+        base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
+                               beta_c=2.0, beta_h=0.125)
+        deltas, omts = np.linspace(0.0, 4.0, 9), np.linspace(0.1, 10 * math.pi, 8)
+        full = enhancement_region(base, deltas, omts, (2, 6, 12, 20))
+        for b, dfrac in enumerate(deltas[:-1]):
+            pair = enhancement_region(base, [dfrac, deltas[-1]], omts, (2, 6, 12, 20))
+            for got, ref in ((pair.work_indist, full.work_indist),
+                             (pair.work_dist, full.work_dist)):
+                assert got[:, 0].tobytes() == ref[:, b].tobytes()
+                assert got[:, 1].tobytes() == ref[:, -1].tobytes()
+            assert pair.quadrature.panels == full.quadrature.panels
+
+    def test_figs1_grid_memory_peak(self):
+        # each row's stack is contracted before the next is built: the
+        # Fig.-S1 grid (9 Delta x 24 omega T x 4 N) peaks at ~2.7 MB
+        base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
+                               beta_c=2.0, beta_h=0.125)
+        args = (base, np.linspace(0.0, 4.0, 9), np.linspace(0.1, 10 * math.pi, 24),
+                (2, 6, 12, 20))
+        tracemalloc.start()
+        try:
+            enhancement_region(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
     def test_rows_format(self, region):
         rows = list(region.rows())

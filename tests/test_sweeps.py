@@ -372,9 +372,9 @@ class TestSweepSpec:
         assert float(row[header.index("enhancement")]) == pytest.approx(ratio, rel=1e-15)
 
     def test_smooth_cell_computes_amplitudes_once(self, monkeypatch):
-        # one (t0 = 0, t0 = T/2) pair per coupled level serves both
-        # statistics and the N = 1 reference, with the values of the
-        # separate closed-form calls
+        # one quadrature per stroke start (t0 = 0, t0 = T/2) of the coupled
+        # levels serves both statistics and the N = 1 reference, with the
+        # values of the separate closed-form calls
         import qstatwork as qw
         import qstatwork.analytics as an
 
@@ -385,15 +385,16 @@ class TestSweepSpec:
             (engine, qw.Statistics.BOSE), (engine, qw.Statistics.DISTINGUISHABLE),
             (replace(engine, N=1), qw.Statistics.BOSE))]
         calls = []
-        true = an.compute_amplitudes
+        true = an._amplitude_grid
 
-        def counted(params, schedule, system, i, t0):
-            calls.append(i)
-            return true(params, schedule, system, i, t0)
+        def counted(engines, schedule, t0, eps, v, *args):
+            calls.append(list(eps))
+            return true(engines, schedule, t0, eps, v, *args)
 
-        monkeypatch.setattr(an, "compute_amplitudes", counted)
+        monkeypatch.setattr(an, "_amplitude_grid", counted)
         out = sw._eval_work_cell(cfg, "analytic")
-        assert calls == [1, 1]                  # ho(4) couples level 1 only
+        level1 = [system.energies[1]]
+        assert calls == [level1, level1]        # ho(4) couples level 1 only
         assert [out["work_indist"], out["work_dist"]] == expect[:2]
         assert out["sqrt_work_ratio"] == math.sqrt(expect[0] / expect[2])
 
