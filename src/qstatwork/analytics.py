@@ -483,12 +483,13 @@ def general_probability(
     2 Re[d(0) d*(T/2)] a_c a_h, weighted by the thermal weights at the
     two stroke starts; reduces exactly to the Delta = 0 forms when
     cos(theta) vanishes.  `amplitudes` is level i's entry of
-    `level_amplitudes`, computed here when not given.
+    `level_amplitudes`, taken from it here when not given (so that p_i is
+    `general_work`'s), and a level the system does not couple gives 0.
     """
-    if amplitudes is None:
-        amplitudes = [compute_amplitudes(params, schedule, system, i, t0)
-                      for t0 in (0.0, params.T / 2)]
-    return _probability(amplitudes, *_stroke_weights(params, statistics))
+    if amplitudes is None and not 1 <= i < system.dim:
+        raise DomainError(f"level index i must be in [1, {system.dim - 1}], got {i}")
+    amps = amplitudes or level_amplitudes(params, schedule, system).get(i)
+    return 0.0 if amps is None else _probability(amps, *_stroke_weights(params, statistics))
 
 
 def level_amplitudes(

@@ -62,11 +62,13 @@ def _write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(path, payload, workers: int = 1):
-    """Write a manifest: `payload` with the `environment(workers)` of the run."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dict(payload, environment=environment(workers)), fh, indent=2, sort_keys=True)
+def _write_dataset(out_dir, columns, rows, manifest, workers: int = 1):
+    """Write <out_dir>/data.csv and <out_dir>/manifest.json: `manifest` with
+    the tool version and the `environment(workers)` of the run."""
+    _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(dict(manifest, tool_version=_VERSION, environment=environment(workers)), fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -125,11 +127,8 @@ _FIELDS = {
         "Delta": (float, 0.0, "--delta"),
         "v": (float, 0.1, "--v"),
         "T": (float, 20.0, "--T"),
-        "beta_c": (float, None, "--beta-c"),        # beta_c_E0 / E(0)
-        "beta_h": (float, None, "--beta-h"),        # beta_h_EH / E(T/2)
-        "beta_c_E0": (float, 2.0, "--beta-c-e0"),
-        "beta_h_EH": (float, 0.25, "--beta-h-eh"),
-        "statistics": (("bose", "distinguishable"), "bose", "--statistics"),
+        "beta_c_E0": (float, 2.0, "--beta-c-e0"),   # beta_c E(0)
+        "beta_h_EH": (float, 0.25, "--beta-h-eh"),  # beta_h E(T/2)
         "gap_direction": (("increasing", "decreasing"), "increasing", None),
     },
     "coupling": {
@@ -141,7 +140,6 @@ _FIELDS = {
     },
     "system": {                 # a harmonic oscillator; others are built through the API
         "omega_T": (float, 2 * math.pi * 0.05, "--omega-t"),
-        "omega": (float, None, None),               # omega_T / T
         "dim": (int, 12, "--dim"),
     },
     "fermi": {
@@ -152,6 +150,28 @@ _FIELDS = {
     },
 }
 _SWEEP_KEYS = {"axes", "method", "out", "task"}
+# What a sweep task reads (`analytic` and `evolve` run a work task) and, of
+# the coupling and evolve's --trace, what each kind reads (an impulse takes
+# no steps to trace)
+_READS = {"work": ("engine.", "coupling.", "system.", "--trace"), "fermi": ("fermi.",),
+          "impulse": ("coupling.kind", "coupling.g", "coupling.t1_frac"),
+          "plateau": ("coupling.kind", "coupling.g", "coupling.delta_t",
+                      "coupling.alpha_over_T", "--trace")}
+
+
+def _check_read(cfg: dict, task: str = "work", axes=(), extra=()):
+    """Refuse the first field given in the sections of `cfg` or on a sweep
+    axis, or of the `extra` names, that a `task` does not read under each
+    coupling kind it takes: once per sweep, not per cell."""
+    axes = dict(axes)
+    kinds = axes.get("coupling.kind", (_section("coupling", cfg.get("coupling", {}))["kind"],))
+    for name in sorted({f"{s}.{key}" for s, fields in cfg.items() for key in fields}
+                       | axes.keys() | set(extra)):
+        if not name.startswith(_READS[task]):
+            raise ConfigError(f"{name} is not read by a {task} task")
+        for kind in _FIELDS["coupling"]["kind"][0]:     # another axis value fails its cells
+            if kind in kinds and name.startswith(("coupling.", "--")) and name not in _READS[kind]:
+                raise ConfigError(f"{name} is not read when coupling.kind is {kind}")
 
 
 def _check_keys(section: str, given: dict, allowed):
@@ -230,11 +250,8 @@ def build_engine(cfg: dict) -> EngineParams:
     omega0, delta = f["Omega0"], f["Delta"]
     sgn = 1 if f["gap_direction"] == "increasing" else -1
     omega_h = omega0 + sgn * (abs(f["v"]) * f["T"] / 2)
-    if f["beta_c"] is None:
-        f["beta_c"] = f["beta_c_E0"] / math.hypot(omega0, delta)
-    if f["beta_h"] is None:
-        f["beta_h"] = f["beta_h_EH"] / math.hypot(omega_h, delta)
-    del f["beta_c_E0"], f["beta_h_EH"]
+    f["beta_c"] = f.pop("beta_c_E0") / math.hypot(omega0, delta)
+    f["beta_h"] = f.pop("beta_h_EH") / math.hypot(omega_h, delta)
     return EngineParams(**f)
 
 
@@ -247,7 +264,7 @@ def build_schedule(cfg: dict, T: float):
 
 def build_system(cfg: dict, T: float) -> ExternalSystem:
     f = _section("system", cfg)
-    return harmonic_system(f["omega_T"] / T if f["omega"] is None else f["omega"], f["dim"])
+    return harmonic_system(f["omega_T"] / T, f["dim"])
 
 
 def _build_case(cfg: dict):
@@ -500,16 +517,20 @@ class SweepSpec:
     """Cartesian sweep: named axes over config fields plus fixed sections."""
 
     axes: tuple              # ((param, (values...)), ...)
-    fixed: dict              # engine/coupling/system/fermi sections
-    method: str = "analytic"
+    fixed: dict              # engine/coupling/system sections, or a fermi section
+    method: str = None       # of a work task: analytic (when None) | numerical | both
     out: str = "out-sweep"
     task: str = "work"       # work | fermi
 
     def __post_init__(self):
-        if self.method not in SWEEP_METHODS:
-            raise ConfigError(f"unknown sweep method '{self.method}'")
         if self.task not in ("work", "fermi"):
             raise ConfigError(f"unknown sweep task '{self.task}'")
+        if self.task == "fermi" and self.method is not None:
+            raise ConfigError("sweep.method is not read by a fermi task")
+        if self.task == "work":
+            object.__setattr__(self, "method", "analytic" if self.method is None else self.method)
+            if self.method not in SWEEP_METHODS:
+                raise ConfigError(f"unknown sweep method '{self.method}'")
         if not isinstance(self.out, str):
             raise ConfigError(f"sweep.out must be a string, got {self.out!r}")
         axes = []
@@ -521,10 +542,11 @@ class SweepSpec:
             axes.append((param, tuple(values)))
         object.__setattr__(self, "axes", tuple(axes))
         validate_config(self.fixed)
+        _check_read(self.fixed, self.task, axes)
         n = self.n_cells
-        cap = ANALYTIC_CELL_CAP if self.method == "analytic" else NUMERICAL_CELL_CAP
+        cap = NUMERICAL_CELL_CAP if self.method in ("numerical", "both") else ANALYTIC_CELL_CAP
         if n > cap:
-            raise ConfigError(f"sweep has {n} cells, above the {self.method} cap {cap}")
+            raise ConfigError(f"sweep has {n} cells, above the cap {cap}")
 
     @property
     def n_cells(self) -> int:
@@ -534,7 +556,7 @@ class SweepSpec:
         return {
             "axes": [{"param": p, "values": list(v)} for p, v in self.axes],
             "fixed": self.fixed,
-            "method": self.method,
+            **({"method": self.method} if self.task == "work" else {}),    # fermi: none
             "out": self.out,
             "task": self.task,
         }
@@ -543,20 +565,17 @@ class SweepSpec:
     def from_dict(cls, d: dict) -> "SweepSpec":
         _check_keys("sweep", d, _SWEEP_KEYS | {"fixed"})
         _check_axes(d.get("axes", []))
-        return cls(
-            axes=tuple((a["param"], tuple(a["values"])) for a in d.get("axes", [])),
-            fixed=d.get("fixed", {}),
-            method=d.get("method", "analytic"),
-            out=d.get("out", "out-sweep"),
-            task=d.get("task", "work"),
-        )
+        return cls(tuple((a["param"], tuple(a["values"])) for a in d.get("axes", [])),
+                   d.get("fixed", {}), **{k: d[k] for k in ("method", "out", "task") if k in d})
 
 
-def _cell_config(spec: SweepSpec, values) -> dict:
-    cfg = {k: dict(v) for k, v in spec.fixed.items()}
-    for (param, _), value in zip(spec.axes, values):
-        section, _, fld = param.partition(".")
-        cfg.setdefault(section, {})[fld] = value
+def _set_fields(cfg: dict, values) -> dict:
+    """`cfg` copied, with each ("section.field", value) of `values` set over
+    it: a sweep cell's axis values, or the field flags given (their dests)."""
+    cfg = {section: dict(fields) for section, fields in cfg.items()}
+    for name, value in values:
+        section, _, key = name.partition(".")
+        cfg.setdefault(section, {})[key] = value
     return cfg
 
 
@@ -618,24 +637,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     cells = [[grids[k][i] for k, i in enumerate(idx)]
              for idx in (np.ndindex(*[len(g) for g in grids]) if grids else [()])]
     results = parallel_map(functools.partial(_eval_cell, spec.task, spec.method),
-                           [_cell_config(spec, values) for values in cells], threads)
+                           [_set_fields(spec.fixed, zip((p for p, _ in spec.axes), values))
+                            for values in cells], threads)
 
     value_cols = next((list(data) for data, status, _ in results if status == "ok"), [])
     columns = [p for p, _ in spec.axes] + value_cols + ["status"]
     rows = [values + [data.get(c, math.nan) for c in value_cols] + [status]
             for values, (data, status, _) in zip(cells, results)]
-    n_failed = sum(status != "ok" for _, status, _ in results)
-    _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
     manifest = {
         "spec": spec.to_dict(),
-        "tool_version": _VERSION,
         "n_cells": len(cells),
-        "n_failed": n_failed,
+        "n_failed": sum(status != "ok" for _, status, _ in results),
         "wall_time_s": time.time() - t_start,
         "cell_wall_s": [wall for *_, wall in results],
     }
-    _write_manifest(os.path.join(out_dir, "manifest.json"), manifest,
-                    worker_count(threads, len(cells)))
+    _write_dataset(out_dir, columns, rows, manifest, worker_count(threads, len(cells)))
     return manifest
 
 
@@ -646,7 +662,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
 def _fig2_engine(N, delta_frac):
     return build_engine({
         "N": N, "Omega0": 1.0, "Delta": delta_frac, "v": 0.1, "T": 20.0,
-        "beta_c_E0": 2.0, "beta_h_EH": 0.25, "statistics": "bose",
+        "beta_c_E0": 2.0, "beta_h_EH": 0.25,
     })
 
 
@@ -801,12 +817,10 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None)
     columns, rows, (ok, detail), work = target.run(*args)
     # the tasks of a figure with cycles are its run_cycles calls, two runs each
     used = worker_count(workers, work["cycles"]["n_cycles"] // 2) if "cycles" in work else 1
-    _write_csv(os.path.join(out_dir, "data.csv"), columns, rows)
-    _write_manifest(os.path.join(out_dir, "manifest.json"), {
+    _write_dataset(out_dir, columns, rows, {
         "figure": fig_id,
         "description": target.description,
         "preset": target.preset,
-        "tool_version": _VERSION,
         "n_rows": len(rows),
         "failures": [] if ok else [detail],
         "wall_time_s": time.time() - t0,
@@ -1039,16 +1053,6 @@ def _threads_of(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _merged_config(args) -> dict:
-    """The --config document, if any, with the field flags given set over it."""
-    cfg = load_config(args.config) if args.config else {}
-    for dest, value in vars(args).items():
-        section, _, key = dest.partition(".")      # a field flag's dest is "section.field"
-        if key and value is not None:
-            cfg.setdefault(section, {})[key] = value
-    return cfg
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstatwork",
@@ -1056,9 +1060,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "an external system: closed-form and exact-numerical paths.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags are taken whole: a prefix such as --beta-c is not read as --beta-c-e0
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p_an = subs.add_parser("analytic", help="closed-form work and enhancement")
-    p_ev = subs.add_parser("evolve", help="exact numerical cycle")
+    p_an = add_parser("analytic", help="closed-form work and enhancement")
+    p_ev = add_parser("evolve", help="exact numerical cycle")
     for sub in (p_an, p_ev):
         sub.add_argument("--config", help="JSON config document")
         # a flag per flagged field, stored under "section.field"
@@ -1069,18 +1075,19 @@ def build_parser() -> argparse.ArgumentParser:
                 options = ({"choices": kind} if isinstance(kind, tuple) else
                            {"type": kind, "metavar": flag[2:].replace("-", "_").upper()})
                 sub.add_argument(flag, dest=f"{section}.{key}", **options)
+    p_ev.add_argument("--statistics", choices=[s.value for s in Statistics], default="bose")
     p_ev.add_argument("--dt", type=float)
-    p_ev.add_argument("--trace", help="write per-step trace CSV to this path")
+    p_ev.add_argument("--trace", help="write per-step trace CSV to this path (plateau only)")
 
     # --out on the commands that write files, --config and --seed only where read
-    p_fe = subs.add_parser("fermi", help="fermionic parity-law lambda tables")
+    p_fe = add_parser("fermi", help="fermionic parity-law lambda tables")
     p_fe.add_argument("--out", help="output directory")
     p_fe.add_argument("--n-values", type=int, nargs="+", default=[2, 3, 4, 5])
     p_fe.add_argument("--bw-min", type=float, default=2.5)
     p_fe.add_argument("--bw-max", type=float, default=6.0)
     p_fe.add_argument("--bw-points", type=int, default=15)
 
-    p_rg = subs.add_parser("region", help="binary enhancement-region map")
+    p_rg = add_parser("region", help="binary enhancement-region map")
     p_rg.add_argument("--out", help="output directory")
     p_rg.add_argument("--n-values", type=int, nargs="+", default=[2, 6, 12, 20])
     p_rg.add_argument("--delta-max", type=float, default=4.0)
@@ -1089,16 +1096,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_rg.add_argument("--omegat-max", type=float, default=10 * math.pi)
     p_rg.add_argument("--omegat-points", type=int, default=24)
 
-    p_fig = subs.add_parser("figure", help="regenerate figure datasets and assert them")
+    p_fig = add_parser("figure", help="regenerate figure datasets and assert them")
     p_fig.add_argument("--out", help="output directory")
     p_fig.add_argument("ids", nargs="+", choices=sorted(FIGURES), metavar="id",
                        help=f"one or more of {sorted(FIGURES)}")
 
-    p_vf = subs.add_parser("verify", help="full oracle/inequality property battery")
+    p_vf = add_parser("verify", help="full oracle/inequality property battery")
     p_vf.add_argument("--seed", type=int, default=0)
     p_vf.add_argument("--fast", action="store_true", help="reduced grids")
 
-    p_sw = subs.add_parser("sweep", help="run a sweep from a config document")
+    p_sw = add_parser("sweep", help="run a sweep from a config document")
     p_sw.add_argument("--config", help="JSON config document")
     p_sw.add_argument("--out", help="output directory")
     p_sw.add_argument("--threads", type=int, default=None,
@@ -1133,7 +1140,10 @@ def cli_main(argv=None) -> int:
 def _dispatch(args) -> int:
     out_dir = getattr(args, "out", None) or f"out-{args.command}"
     if args.command in ("analytic", "evolve"):
-        engine, schedule, system = _build_case(_merged_config(args))
+        cfg = _set_fields(load_config(args.config) if args.config else {},
+                          ((d, v) for d, v in vars(args).items() if "." in d and v is not None))
+        _check_read(cfg, extra=["--trace"] if getattr(args, "trace", None) else [])
+        engine, schedule, system = _build_case(cfg)
     if args.command == "analytic":
         ratio, rec_b, rec_d = analytics.enhancement(engine, schedule, system)
         print(json.dumps({
@@ -1145,38 +1155,30 @@ def _dispatch(args) -> int:
 
     if args.command == "evolve":
         pconf = PropagatorConfig(dt=args.dt, collect_trace=bool(args.trace))
-        result = run_cycle(engine, schedule, system, config=pconf)
+        result = run_cycle(engine, schedule, system, args.statistics, config=pconf)
         if args.trace:
-            trace = result.diagnostics.get("trace", [])
-            _write_csv(args.trace, ["t", "tr_rho", "leakage", "system_energy"], trace)
-            result.diagnostics.pop("trace", None)
+            _write_csv(args.trace, ["t", "tr_rho", "leakage", "system_energy"],
+                       result.diagnostics.pop("trace"))
         print(json.dumps(result.to_dict(), indent=2))
         return 0
 
     if args.command == "fermi":
         bw = np.linspace(args.bw_min, args.bw_max, args.bw_points)
         rows = fermi_mod.lambda_table(args.n_values, bw)
-        _write_csv(os.path.join(out_dir, "data.csv"),
-                   ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"], rows)
-        _write_manifest(os.path.join(out_dir, "manifest.json"), {
-            "command": "fermi", "n_values": list(args.n_values),
-            "beta_com_omega": [float(b) for b in bw], "tool_version": _VERSION,
-        })
+        _write_dataset(out_dir, ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"],
+                       rows, {"command": "fermi", "n_values": list(args.n_values),
+                              "beta_com_omega": [float(b) for b in bw]})
         print(f"wrote {len(rows)} rows to {out_dir}/data.csv")
         return 0
 
     if args.command == "region":
-        base = _fig2_engine(2, 0.0)
-        deltas = np.linspace(0.0, args.delta_max, args.delta_points)
-        omts = np.linspace(args.omegat_min, args.omegat_max, args.omegat_points)
-        region = analytics.enhancement_region(base, deltas, omts, args.n_values)
-        rows = [[d, wt, N, enh] for d, wt, N, enh in region.rows()]
-        _write_csv(os.path.join(out_dir, "data.csv"),
-                   ["delta_over_omega0", "omegaT", "N", "enhanced"], rows)
-        _write_manifest(os.path.join(out_dir, "manifest.json"), {
-            "command": "region", "n_values": list(args.n_values),
-            "tool_version": _VERSION, "quadrature": region.quadrature._asdict(),
-        })
+        region = analytics.enhancement_region(
+            _fig2_engine(2, 0.0), np.linspace(0.0, args.delta_max, args.delta_points),
+            np.linspace(args.omegat_min, args.omegat_max, args.omegat_points), args.n_values)
+        rows = list(region.rows())
+        _write_dataset(out_dir, ["delta_over_omega0", "omegaT", "N", "enhanced"], rows,
+                       {"command": "region", "n_values": list(args.n_values),
+                        "quadrature": region.quadrature._asdict()})
         print(f"wrote {len(rows)} rows to {out_dir}/data.csv")
         return 0
 
@@ -1192,11 +1194,9 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         checks = run_verify(seed=args.seed, fast=args.fast, workers=_threads_of(args))
-        any_fail = False
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")
-            any_fail |= not ok
-        return 1 if any_fail else 0
+        return 0 if all(ok for _, ok, _ in checks) else 1
 
     if args.command == "sweep":
         if not args.config:
@@ -1211,8 +1211,6 @@ def _dispatch(args) -> int:
         frac = manifest["n_failed"] / max(1, manifest["n_cells"])
         print(f"{manifest['n_cells']} cells, {manifest['n_failed']} failed")
         return 1 if frac > 0.01 else 0
-
-    raise ConfigError(f"unhandled command {args.command}")
 
 
 def main():

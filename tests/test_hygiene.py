@@ -300,20 +300,26 @@ def test_readme_module_map_names_every_module():
 
 
 def config_table(readme: str) -> dict:
-    """{section.field: flag or None} of each row of the README's table of
-    config fields, the table following the paragraph opening 'Config
-    fields'."""
+    """{section.field: (flag or None, read by)} of each row of the README's
+    table of config fields, the table following the paragraph opening
+    'Config fields'."""
     start = readme.index("| Field |", readme.index("Config fields"))
     rows = {}
     for line in readme[start:readme.find("\n\n", start)].splitlines()[2:]:
-        field, _, _, flag = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[field.strip("`")] = None if flag == "none" else flag.strip("`")
+        field, _, _, flag, read_by = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[field.strip("`")] = (None if flag == "none" else flag.strip("`"), read_by)
     return rows
 
 
 def test_readme_config_table_names_every_field():
-    from qstatwork.sweeps import _FIELDS
+    # each field's flag, and what reads it: for a coupling field the kinds
+    # that read it, for any other the sweep task
+    from qstatwork.sweeps import _FIELDS, _READS
+
+    def read_by(name):
+        return (", ".join(kind for kind in ("impulse", "plateau") if name in _READS[kind])
+                or next(task for task in ("work", "fermi") if name.startswith(_READS[task])))
 
     assert config_table((ROOT / "README.md").read_text()) == {
-        f"{section}.{key}": flag
+        f"{section}.{key}": (flag, read_by(f"{section}.{key}"))
         for section, fields in _FIELDS.items() for key, (_, _, flag) in fields.items()}

@@ -145,6 +145,22 @@ class TestGeneralProbability:
                                             qw.Statistics.DISTINGUISHABLE, i)
                 assert pb >= pd - 1e-12 * max(pb, pd, 1e-300)
 
+    def test_probability_is_general_works(self):
+        # p_i is general_work's, from one quadrature of every coupled level:
+        # integrating level i alone moved these five levels by up to 7e-15
+        # relative; a level the system does not couple gives 0
+        eng, sched, system = random_smooth_case(np.random.default_rng(8))
+        assert system.dim == 6 and isinstance(sched, qw.SmoothPlateau)
+        for stats in qw.Statistics:
+            p = qw.general_work(eng, sched, system, stats).p_excite
+            assert {i: qw.general_probability(eng, sched, system, stats, i)
+                    for i in range(1, 6)} == p
+        sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
+        bose = qw.Statistics.BOSE
+        assert qw.general_probability(engine(2, 0.5), plateau(), sysho, bose, 2) == 0.0
+        with pytest.raises(qw.errors.DomainError, match="level index"):
+            qw.general_probability(engine(2, 0.5), plateau(), sysho, bose, 6)
+
     def test_ladder_weight_n1_equality(self):
         # Bose j(j+1) - (f + s h) against distinguishable (1 + s tanh x)/2
         for x in (0.05, 0.7, 3.0):

@@ -31,9 +31,7 @@ BOTH_SPEC = sw.SweepSpec(
 )
 FERMI_SPEC = sw.SweepSpec(
     axes=(("fermi.N", (2, 3)), ("fermi.beta_com_omega", (3.0, 4.0))),
-    fixed={"engine": {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5,
-                      "beta_c_E0": 1.0, "beta_h_EH": 0.125}},
-    method="analytic", out="unused", task="fermi",
+    fixed={"fermi": {"omega_trap": 1.0}}, out="unused", task="fermi",
 )
 
 
@@ -106,6 +104,22 @@ def assert_no_child_left():
 
 
 needs_two_cores = pytest.mark.skipif(CORES < 2, reason="one core runs every map in-process")
+
+
+def subcommand(command: str):
+    """The parser of one command of the CLI."""
+    subs = next(a for a in sw.build_parser()._actions if a.choices and command in a.choices)
+    return subs.choices[command]
+
+
+def reads(name: str, kind: str) -> bool:
+    """Whether analytic and evolve read `name` ("section.field" or a flag)
+    under a `kind` coupling."""
+    try:
+        sw._check_read({"coupling": {"kind": kind}}, extra=[name])
+    except ConfigError:
+        return False
+    return True
 
 
 class TestWorkers:
@@ -224,14 +238,14 @@ class TestConfig:
         ({"coupling": {"g": [1]}}, "coupling.g must be a number, got [1]"),
         ({"system": {"omega_T": {}}}, "system.omega_T must be a number, got {}"),
         ({"engine": {"v": True}}, "engine.v must be a number, got True"),
-        ({"engine": {"statistics": "fermi"}}, "engine.statistics must be one of"),
+        ({"engine": {"gap_direction": "up"}}, "engine.gap_direction must be one of"),
         # integers too large for a float, for a count and for a number
         ({"engine": {"N": 10 ** 400}}, "engine.N is out of range: an integer of 1329 bits"),
         ({"engine": {"T": 10 ** 400}}, "engine.T is out of range: an integer of 1329 bits"),
         # JSON's NaN and Infinity literals
         ({"engine": {"Omega0": math.nan}}, "engine.Omega0 must be finite, got nan"),
         ({"coupling": {"g": math.inf}}, "coupling.g must be finite, got inf"),
-        ({"engine": {"beta_c": -math.inf}}, "engine.beta_c must be finite, got -inf"),
+        ({"engine": {"beta_c_E0": -math.inf}}, "engine.beta_c_E0 must be finite, got -inf"),
     ], ids=["engine-number", "engine-list", "axes-number", "axis-without-values",
             "values-number", "null-number", "list-number", "object-number", "bool-number",
             "unknown-choice", "huge-count", "huge-number", "nan-number", "inf-number",
@@ -308,10 +322,12 @@ class TestSweepSpec:
                             ("engine.Omega0", tuple(np.linspace(1, 2, 300)))))
 
     def test_manifest_roundtrip(self, tmp_path):
-        spec = self.spec(out=str(tmp_path / "o"))
-        manifest = sw.run_sweep(spec, out_dir=str(tmp_path / "o"))
-        again = sw.SweepSpec.from_dict(manifest["spec"])
-        assert again == spec
+        # a fermi task reads no method, so its manifest holds none
+        for task, spec in (("work", self.spec()), ("fermi", FERMI_SPEC)):
+            spec = replace(spec, out=str(tmp_path / task))
+            manifest = sw.run_sweep(spec, out_dir=spec.out)
+            assert sw.SweepSpec.from_dict(manifest["spec"]) == spec
+            assert ("method" in manifest["spec"]) == (task == "work")
 
     @pytest.mark.parametrize("out", [5, None, ["a"]], ids=["number", "null", "list"])
     def test_out_must_be_a_string(self, tmp_path, capsys, out):
@@ -434,28 +450,23 @@ class TestSweepSpec:
     def test_fermi_task(self, tmp_path):
         spec = sw.SweepSpec(
             axes=(("fermi.beta_com_omega", (3.0, 4.0)),),
-            fixed={"engine": {"N": 1, "Omega0": 0.0, "Delta": 1.0, "v": 0.5,
-                              "beta_c_E0": 1.0, "beta_h_EH": 0.125},
-                   "fermi": {"N": 2}},
-            method="analytic", out="unused", task="fermi",
+            fixed={"fermi": {"N": 2}}, out="unused", task="fermi",
         )
         sw.run_sweep(spec, out_dir=str(tmp_path))
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
         assert header.startswith("fermi.beta_com_omega,lambda,lambda_asymptotic")
 
-    def test_fermi_task_reads_no_engine(self, tmp_path):
-        # lambda = f_N depends on the trap alone: an engine that EngineParams
-        # refuses (beta_c_E0 = 0.1 gives beta_c = 0.1 below the default
-        # engine's beta_h = 0.125) changes no cell, where building it failed
-        # every cell it held
+    def test_fermi_task_reads_no_engine(self):
+        # lambda = f_N depends on the trap alone, so an engine, coupling or
+        # system field, as an axis or fixed, and a method are refused when
+        # the spec is built (an engine axis used to change no cell)
         axes = (("engine.beta_c_E0", (2.0, 0.1)), ("fermi.beta_com_omega", (3.0, 4.0)))
-        manifest = sw.run_sweep(replace(FERMI_SPEC, axes=axes, fixed={}), out_dir=str(tmp_path))
-        assert manifest["n_failed"] == 0
-        rows = [line.split(",") for line in (tmp_path / "data.csv").read_text().splitlines()[1:]]
-        assert [r[-1] for r in rows] == ["ok"] * 4
-        assert [r[2:] for r in rows[:2]] == [r[2:] for r in rows[2:]]
-        lam = qw.fermi.f_N(qw.FermiEnsemble(N=2, omega_trap=1.0, beta_com=3.0))
-        assert float(rows[0][2]) == lam
+        for kw, field in ((dict(axes=axes), "engine.beta_c_E0"),
+                          (dict(fixed={"coupling": {"g": 0.1}}), "coupling.g"),
+                          (dict(fixed={"system": {"dim": 4}, "fermi": {}}), "system.dim"),
+                          (dict(method="analytic"), "sweep.method")):
+            with pytest.raises(ConfigError, match=f"^{field} is not read by a fermi task$"):
+                replace(FERMI_SPEC, **kw)
 
 
 class TestCli:
@@ -491,16 +502,17 @@ class TestCli:
         # N max(E_0, E_T/2) = inf ended in a ZeroDivisionError traceback, and
         # a finite 1e308 whose step cap 1e-310 leaves T/2 / cap = inf in an
         # OverflowError traceback
-        argv = ["evolve", "--omega0", "1e308", "--v", "0", "--N", N, "--beta-c", "2",
-                "--beta-h", "1", "--dim", "4"]
+        argv = ["evolve", "--omega0", "1e308", "--v", "0", "--N", N, "--beta-c-e0", "1.5e308",
+                "--beta-h-eh", "1e308", "--dim", "4"]
         assert sw.cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {message}"), captured.err
 
     @pytest.mark.parametrize("argv, field", [
-        (["analytic", "--omega0", "nan", "--beta-c", "2", "--beta-h", "0.25"], "engine.Omega0"),
-        (["analytic", "--v", "inf", "--beta-c", "2", "--beta-h", "0.25"], "engine.v"),
+        (["analytic", "--omega0", "nan", "--beta-c-e0", "2", "--beta-h-eh", "0.25"],
+         "engine.Omega0"),
+        (["analytic", "--v", "inf", "--beta-c-e0", "2", "--beta-h-eh", "0.25"], "engine.v"),
         (["evolve", "--coupling", "plateau", "--g", "nan", "--dim", "4"], "coupling.g"),
     ], ids=["analytic-nan", "analytic-inf", "evolve-nan"])
     def test_non_finite_flag_exit_2(self, capsys, argv, field):
@@ -513,17 +525,59 @@ class TestCli:
 
     def test_field_flags_unchanged(self):
         # the flags of analytic and evolve, in help order, and their choices
-        fields = ["--N", "--omega0", "--delta", "--v", "--T", "--beta-c", "--beta-h",
-                  "--beta-c-e0", "--beta-h-eh", "--statistics", "--coupling", "--g",
-                  "--t1-frac", "--delta-t", "--alpha-over-t", "--omega-t", "--dim"]
-        subs = next(a for a in sw.build_parser()._actions if a.choices and "analytic" in a.choices)
-        for command, extra in (("analytic", []), ("evolve", ["--dt", "--trace"])):
-            actions = subs.choices[command]._actions
+        fields = ["--N", "--omega0", "--delta", "--v", "--T", "--beta-c-e0", "--beta-h-eh",
+                  "--coupling", "--g", "--t1-frac", "--delta-t", "--alpha-over-t", "--omega-t",
+                  "--dim"]
+        coupling = {"--coupling": ["impulse", "plateau"]}
+        for command, extra, choices in (
+                ("analytic", [], coupling),
+                ("evolve", ["--statistics", "--dt", "--trace"],
+                 {**coupling, "--statistics": ["bose", "distinguishable"]})):
+            actions = subcommand(command)._actions
             assert [opt for a in actions for opt in a.option_strings
                     if opt not in ("-h", "--help")] == ["--config", *fields, *extra]
-            choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
-            assert choices == {"--statistics": ["bose", "distinguishable"],
-                               "--coupling": ["impulse", "plateau"]}
+            assert {a.option_strings[0]: list(a.choices) for a in actions if a.choices} == choices
+
+    def test_every_flag_changes_the_output(self, tmp_path, monkeypatch, capsys):
+        # each option of analytic and evolve, set to two valid values under a
+        # coupling kind that reads it, changes what the command gives: its
+        # stdout, less the wall times, and the files it writes.  A choice
+        # takes two of its choices, a field flag its _FIELDS default and
+        # 0.9 times it (0.1 for 0, one more for a count), on the small case
+        # N = 1, dim 4 (where Delta != 0, else the kick time changes nothing);
+        # any other option is absent, then given as in `given`
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({"engine": {"v": 0.2}}))
+        given = {"--dt": "0.004", "--trace": "trace.csv", "--config": "config.json"}
+        case = {"--N": 1, "--dim": 4, "--delta": 0.5}
+
+        def output(command, opts):
+            assert sw.cli_main([command, *(str(x) for kv in opts.items() for x in kv)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            out.get("diagnostics", {}).pop("stroke_wall_s", None)
+            files = {p.name: p.read_text() for p in tmp_path.iterdir() if p.name != "config.json"}
+            assert all(text.count("\n") > 1 for text in files.values()), files
+            for name in files:
+                os.remove(name)
+            return out, files
+
+        for command in ("analytic", "evolve"):
+            for action in subcommand(command)._actions[1:]:      # -h first
+                flag, (section, _, key) = action.option_strings[0], action.dest.partition(".")
+                name = action.dest if key else flag
+                kind = next((k for k in ("plateau", "impulse") if reads(name, k)), "plateau")
+                if action.choices:
+                    values = list(action.choices)[:2]
+                elif key:
+                    kind_of, default, _ = sw._FIELDS[section][key]
+                    default = case.get(flag, default)
+                    values = [default, default + 1 if kind_of is int else 0.9 * default or 0.1]
+                else:
+                    values = [None, given[flag]]
+                base = {**case, "--coupling": kind}
+                a, b = (output(command, {**base, flag: v} if v is not None else base)
+                        for v in values)
+                assert a != b, (command, flag, values)
 
     def test_config_only_where_read(self, tmp_path, monkeypatch, capsys):
         # every input changes the result: a command that reads no config
@@ -553,6 +607,50 @@ class TestCli:
                 assert os.listdir(tmp_path) == ["config.json"], argv
         with pytest.raises(ConfigError, match="unknown field 'sweep.seed'"):
             sw.SweepSpec.from_dict({"axes": axes, "seed": 5})
+        # nor an input that the command reads under no setting given with it:
+        # a flag or field of the other coupling kind or sweep task, a second
+        # parametrisation of a temperature or frequency, or a statistics
+        # where both are computed
+        work = {"axes": [{"param": "engine.N", "values": [1, 2]}]}
+        fermi = {"task": "fermi", "axes": [{"param": "fermi.N", "values": [2, 3]}]}
+        kinds = {"axes": [{"param": "coupling.kind", "values": ["impulse", "plateau"]}]}
+        unread = "config error: {} is not read when coupling.kind is {}"
+        fermi_n = "config error: fermi.N is not read by a work task"
+        for argv, doc, message in (
+                (["analytic", "--statistics", "bose"], None,
+                 "unrecognized arguments: --statistics"),
+                (["analytic", "--beta-c", "1", "--beta-c-e0", "5"], None,
+                 "unrecognized arguments: --beta-c 1"),
+                (["evolve", "--beta-h", "1"], None, "unrecognized arguments: --beta-h 1"),
+                (["analytic", "--coupling", "plateau", "--t1-frac", "0.2"], None,
+                 unread.format("coupling.t1_frac", "plateau")),
+                (["analytic", "--delta-t", "0.5"], None,
+                 unread.format("coupling.delta_t", "impulse")),
+                (["evolve", "--dim", "4", "--trace", "trace.csv"], None,
+                 unread.format("--trace", "impulse")),
+                (["analytic"], {"system": {"omega": 0.1, "omega_T": 2.0}},
+                 "config error: unknown field 'system.omega'"),
+                (["analytic"], {"fermi": {"N": 3}}, fermi_n),
+                (["evolve"], {"fermi": {"N": 3}}, fermi_n),
+                (["sweep", "--out", "out"], {"fermi": {"N": 3}, "sweep": work}, fermi_n),
+                (["sweep", "--out", "out"],
+                 {"coupling": {"kind": "plateau", "t1_frac": 0.2}, "sweep": work},
+                 unread.format("coupling.t1_frac", "plateau")),
+                (["sweep", "--out", "out"], {"coupling": {"t1_frac": 0.2}, "sweep": kinds},
+                 unread.format("coupling.t1_frac", "plateau")),
+                (["sweep", "--out", "out"], {"engine": {"statistics": "bose"}, "sweep": work},
+                 "config error: unknown field 'engine.statistics'"),
+                (["sweep", "--out", "out"], {"sweep": dict(fermi, method="analytic")},
+                 "config error: sweep.method is not read by a fermi task"),
+                *((["sweep", "--out", "out", "--method", method], {"sweep": fermi},
+                   "config error: sweep.method is not read by a fermi task")
+                  for method in sw.SWEEP_METHODS)):
+            if doc is not None:
+                config.write_text(json.dumps(doc))
+                argv = [*argv, "--config", str(config)]
+            assert sw.cli_main(argv) == 2, argv
+            assert message in capsys.readouterr().err, argv
+            assert os.listdir(tmp_path) == ["config.json"], argv
 
     def test_evolve_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
