@@ -23,10 +23,8 @@ from .protocols import (
 )
 from .analytics import (
     Amplitudes,
-    MomentSet,
     WorkRecord,
     compute_amplitudes,
-    correlator,
     enhancement,
     enhancement_region,
     general_probability,
@@ -35,8 +33,6 @@ from .analytics import (
     impulse_work,
     moment_f,
     moment_h,
-    moments,
-    single_avg,
     verify_inequalities,
 )
 from .dynamics import (
@@ -51,7 +47,6 @@ from .fermi import (
     active_distribution,
     f_N,
     fermi_outcoupled_work,
-    fermi_work,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Closed-form perturbative layer: thermal moments, correlators,
-coupling amplitudes, excitation probabilities, and the derived
-enhancement diagnostics.
+"""Closed-form perturbative layer: thermal moments, the thermal weights
+of the two-time correlator, coupling amplitudes, excitation
+probabilities, and the derived enhancement diagnostics.
 
 Sign conventions.  The moment h(N, x) is stored as the raw thermal
 first moment <m> <= 0 for x >= 0 (the printed forms elsewhere quote its
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ PERTURBATIVE_FAIL = 0.5
 METHOD_IMPULSE = "impulse-closed-form"
 METHOD_GENERAL = "general-perturbative"
 METHOD_NUMERICAL = "exact-numerical"
-METHOD_FERMI = "fermi-closed-form"
 METHOD_FERMI_NUMERICAL = "fermi-numerical"
 
 
@@ -145,23 +143,6 @@ def moment_h(N: int, x):
     return h if h.ndim else float(h)
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """f = <m^2>, h = <m> and the ladder combinations F_pm = f +/- h."""
-
-    N: int
-    x: float
-    f: float
-    h: float
-    F_plus: float
-    F_minus: float
-
-
-def moments(N: int, x: float) -> MomentSet:
-    f, h = (float(m) for m in _thermal_moments(*_moment_args("moments", N, x)))
-    return MomentSet(N=N, x=float(x), f=f, h=h, F_plus=f + h, F_minus=f - h)
-
-
 def _x_at(params: EngineParams, t0: float) -> float:
     beta = params.beta_c if t0 == 0.0 else params.beta_h
     return beta * float(params.energy(t0))
@@ -189,53 +170,6 @@ def _weights(N: int, x, statistics: Statistics):
         return 2 * h, 4 * f, j * (j + 1) - (f + h), j * (j + 1) - (f - h)
     t = np.tanh(x)
     return -N * t, N + N * (N - 1) * t ** 2, (N / 2) * (1 + t), (N / 2) * (1 - t)
-
-
-# ---------------------------------------------------------------------------
-# adiabatic two-time correlators and one-time averages
-# ---------------------------------------------------------------------------
-
-class CorrelatorValue(NamedTuple):
-    value: complex
-    factorized: bool
-
-
-def correlator(params: EngineParams, t: float, t_prime: float,
-               statistics: Statistics) -> CorrelatorValue:
-    """<V_R^(I)(t') V_R^(I)(t)> for N engines of the given statistics.
-
-    Within one stroke this is D cos(theta_t) cos(theta_t') plus
-    sin(theta_t) sin(theta_t') sum_sigma exp(-i sigma phi) L_sigma, with
-    the weights of `_weights` and the adiabatic phase phi(t', t); across
-    the thermalization at T/2 it factorizes into one-time averages (flag
-    set).
-    """
-    start = params.stroke_start(t)
-    if start != params.stroke_start(t_prime):
-        a = single_avg(params, t_prime, params.stroke_start(t_prime), statistics)
-        b = single_avg(params, t, start, statistics)
-        return CorrelatorValue(complex(a * b), True)
-    _, D, L_plus, L_minus = _weights(params.N, _x_at(params, start), statistics)
-    cos_t, cos_p = params.cos_theta(t), params.cos_theta(t_prime)
-    sin_t, sin_p = params.sin_theta(t), params.sin_theta(t_prime)
-    ph = phase_integral(params, t_prime, start) - phase_integral(params, t, start)
-    val = D * cos_t * cos_p + 0j
-    for sigma, L in ((+1, L_plus), (-1, L_minus)):
-        val += sin_t * sin_p * np.exp(-1j * sigma * ph) * L
-    return CorrelatorValue(complex(val), False)
-
-
-def single_avg(params: EngineParams, t: float, t0: float, statistics: Statistics) -> float:
-    """One-time average <V_R^(I)(t)> against the stroke-start thermal state.
-
-    Returns the true signed thermal value cos(theta_t) a: 2 cos(theta_t)
-    <m> for Bose engines, -N cos(theta_t) tanh(x) for distinguishable
-    ones; its magnitude is what the factorized forms quote.  The literal
-    printed variant, the second moment 2 cos(theta_t) f for Bose engines,
-    does not match the exact trace.
-    """
-    a = _weights(params.N, _x_at(params, t0), statistics)[0]
-    return float(params.cos_theta(t)) * float(a)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ class PropagatorConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be a positive finite number")
 
 
 @dataclass
@@ -639,10 +639,11 @@ def run_cycle(
     params: EngineParams,
     schedule: CouplingSchedule,
     system: ExternalSystem,
-    statistics: Statistics = None,
+    statistics: Statistics,
     config: PropagatorConfig = None,
 ) -> CycleResult:
-    """Propagate the full Otto cycle and measure the system energy.
+    """Propagate the full Otto cycle of engines of the given statistics
+    and measure the system energy.
 
     (i) engines thermal at beta_c, system in its ground state;
     (ii) stroke 1 under H_E(t) + g_C(t) V_R (x) V_S + H_S;
@@ -651,8 +652,7 @@ def run_cycle(
     Impulse schedules take the engine's free evolution and the kick in
     closed form per spin block; smooth schedules are stepped.
     """
-    stats = statistics if statistics is not None else params.statistics
-    return run_cycles(params, schedule, system, (stats,), config)[0]
+    return run_cycles(params, schedule, system, (statistics,), config)[0]
 
 
 def run_cycles(

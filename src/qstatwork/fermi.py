@@ -6,8 +6,11 @@ by Pauli blocking and only singly occupied ("active") levels do work.
 The occupation distribution is canonical in the centre-of-mass energy,
 counting Fock states, so a configuration with a active levels carries a
 degeneracy 2^a from the two internal states of each lone atom.  The
-expected active count f_N then equals the work ratio
-lambda = <w_N>/<w_1> independently of the bath temperatures.
+expected active count f_N is the work ratio lambda = <w_N>/<w_1> of
+isolated engines, where each active atom does one engine's work, so it
+does not depend on the bath temperatures; `lambda_table` tabulates it.
+`fermi_outcoupled_work` couples the active atoms to one shared system
+instead, and its lambda moves with the baths.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import METHOD_FERMI, METHOD_FERMI_NUMERICAL, WorkRecord
+from .analytics import METHOD_FERMI_NUMERICAL, WorkRecord
 from .errors import DomainError
 from .protocols import CouplingSchedule, EngineParams, ExternalSystem, Statistics
 
@@ -28,10 +31,10 @@ WEIGHT_PRUNE = 1e-14          # active counts below this share of max P(k) run n
 class FermiEnsemble:
     """N two-level fermions in a harmonic trap plus their internal engine.
 
-    Only the work functions read the engine: f_N and the lambda tables
-    depend on the trap alone.  level_count bounds the trap truncation; with
-    the default (None) it is chosen so the canonical weight beyond the kept
-    levels is < 1e-10.
+    Only fermi_outcoupled_work reads the engine: f_N and the lambda
+    tables depend on the trap alone.  level_count bounds the trap
+    truncation; with the default (None) it is chosen so the canonical
+    weight beyond the kept levels is < 1e-10.
     """
 
     N: int
@@ -69,13 +72,6 @@ class FermiEnsemble:
     @property
     def beta_omega(self) -> float:
         return self.beta_com * self.omega_trap
-
-
-def _engine(ens: FermiEnsemble) -> EngineParams:
-    """The ensemble's internal engine, or a ValueError where it has none."""
-    if ens.engine is None:
-        raise ValueError("the work of a FermiEnsemble needs its internal engine")
-    return ens.engine
 
 
 def active_distribution(ens: FermiEnsemble) -> np.ndarray:
@@ -125,28 +121,6 @@ def parity_asymptote(N: int, beta_omega: float) -> float:
     return 1.0 + 8.0 * math.exp(-2.0 * beta_omega)
 
 
-def fermi_work(ens: FermiEnsemble) -> WorkRecord:
-    """Isolated-engine average work
-    <w_N> = (eps_h - eps_c)(tanh beta_c eps_c - tanh beta_h eps_h) f_N.
-
-    The ratio lambda = <w_N>/<w_1> = f_N is returned in the
-    enhancement_ratio field; it depends only on beta_com * omega_trap,
-    not on the bath temperatures.
-    """
-    eng = _engine(ens)
-    lam = f_N(ens)
-    eps_c, eps_h = float(eng.energy(0.0)), float(eng.energy(eng.T / 2))
-    per_engine = (eps_h - eps_c) * (
-        math.tanh(eng.beta_c * eps_c) - math.tanh(eng.beta_h * eps_h)
-    )
-    return WorkRecord(
-        avg_work=per_engine * lam,
-        statistics=Statistics.DISTINGUISHABLE,
-        method=METHOD_FERMI,
-        enhancement_ratio=lam,
-    )
-
-
 def fermi_outcoupled_work(
     ens: FermiEnsemble,
     schedule: CouplingSchedule,
@@ -162,7 +136,8 @@ def fermi_outcoupled_work(
     """
     from .dynamics import run_cycle
 
-    engine = _engine(ens)
+    if ens.engine is None:
+        raise ValueError("the work of a FermiEnsemble needs its internal engine")
     if not math.isinf(ens.beta_com) and ens.beta_omega < 2.0:
         raise DomainError(
             "outcoupled reduction assumes the dominant-configuration regime "
@@ -175,8 +150,8 @@ def fermi_outcoupled_work(
     for k in range(1, ens.N + 1):
         if k > 1 and P[k] < floor:
             continue
-        params_k = replace(engine, N=k, statistics=Statistics.DISTINGUISHABLE)
-        rec = run_cycle(params_k, schedule, system).work
+        rec = run_cycle(replace(ens.engine, N=k), schedule, system,
+                        Statistics.DISTINGUISHABLE).work
         if k == 1:
             w1 = rec.avg_work
         w_bar += P[k] * rec.avg_work

@@ -52,7 +52,6 @@ class EngineParams:
     T: float
     beta_c: float
     beta_h: float
-    statistics: Statistics = Statistics.BOSE
     gap_direction: GapDirection = GapDirection.INCREASING
 
     def __post_init__(self):
@@ -71,7 +70,6 @@ class EngineParams:
                 f"engine regime requires beta_c > beta_h >= 0, got "
                 f"beta_c={self.beta_c}, beta_h={self.beta_h}"
             )
-        object.__setattr__(self, "statistics", Statistics(self.statistics))
         object.__setattr__(self, "gap_direction", GapDirection(self.gap_direction))
         self._check_gap_open()
         with np.errstate(over="ignore"):

@@ -1022,8 +1022,8 @@ def _check_fermi_parity(rows):
     beta omega >= 4, where the parity-law gap is < 0.1 for even N and < 0.2
     for odd N, and f_N = N mod 2 exactly at T = 0 for every N given.
 
-    The bath independence of lambda = <w_N>/<w_1> is not checked: in
-    `fermi_work` that ratio is f_N by construction, for any bath."""
+    The bath independence of the isolated-engine lambda = <w_N>/<w_1> is
+    not checked: that ratio is f_N, which reads the trap alone."""
     gaps = ([], [])
     for N, bw, lam, _, _ in rows:
         if bw >= 4.0:

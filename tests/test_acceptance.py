@@ -48,11 +48,11 @@ def tracked_run(*args, **kwargs):
     return res
 
 
-def fig2_engine(N, delta, stats=qw.Statistics.BOSE):
+def fig2_engine(N, delta):
     e0 = math.hypot(1.0, delta)
     eh = math.hypot(2.0, delta)
     return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.1, T=T,
-                           beta_c=2.0 / e0, beta_h=0.25 / eh, statistics=stats)
+                           beta_c=2.0 / e0, beta_h=0.25 / eh)
 
 
 IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
@@ -262,13 +262,13 @@ def test_criterion_9_statistical_oracles():
     # closed forms
     worst["dist-impulse"] = 0.0
     for N in (2, 3, 4):
-        pd = fig2_engine(N, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        w_num = tracked_run(pd, IMPULSE, system).work.avg_work
+        pd = fig2_engine(N, 0.7)
+        w_num = tracked_run(pd, IMPULSE, system, qw.Statistics.DISTINGUISHABLE).work.avg_work
         w_ana = qw.impulse_work(pd, IMPULSE, system,
                                 qw.Statistics.DISTINGUISHABLE).avg_work
         worst["dist-impulse"] = max(worst["dist-impulse"], abs(w_num - w_ana) / w_ana)
-    pd4 = fig2_engine(4, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-    w_num = tracked_run(pd4, plateau, system).work.avg_work
+    pd4 = fig2_engine(4, 0.7)
+    w_num = tracked_run(pd4, plateau, system, qw.Statistics.DISTINGUISHABLE).work.avg_work
     w_ana = qw.general_work(pd4, plateau, system,
                             qw.Statistics.DISTINGUISHABLE).avg_work
     worst["dist-smooth"] = abs(w_num - w_ana) / w_ana
@@ -298,7 +298,7 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     cap = default_dt_cap(p, system)
     w = {}
     for f in (1, 2, 4):
-        w[f] = run_cycle(p, FIG3_PLATEAU, system,
+        w[f] = run_cycle(p, FIG3_PLATEAU, system, qw.Statistics.BOSE,
                          config=PropagatorConfig(dt=cap / f)).work.avg_work
     err1 = abs(w[1] - w[4])
     ratio = err1 / abs(w[2] - w[4])
@@ -307,9 +307,10 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
 
     # (c) truncation: doubling the HO dimension moves the work by < 1e-6
     p2 = fig2_engine(2, 0.0)
-    imp_small = run_cycle(p2, IMPULSE, qw.harmonic_system(OMEGA, 10)).work.avg_work
-    imp_big = run_cycle(p2, IMPULSE, qw.harmonic_system(OMEGA, 20)).work.avg_work
-    fig3_big = run_cycle(p2, FIG3_PLATEAU, qw.harmonic_system(OMEGA, 32)).work.avg_work
+    bose = qw.Statistics.BOSE
+    imp_small = run_cycle(p2, IMPULSE, qw.harmonic_system(OMEGA, 10), bose).work.avg_work
+    imp_big = run_cycle(p2, IMPULSE, qw.harmonic_system(OMEGA, 20), bose).work.avg_work
+    fig3_big = run_cycle(p2, FIG3_PLATEAU, qw.harmonic_system(OMEGA, 32), bose).work.avg_work
     trunc_rel = max(
         abs(imp_big - imp_small) / abs(imp_big),
         abs(fig3_big - fig3_runs[1][1]) / abs(fig3_big),

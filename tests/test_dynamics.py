@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qstatwork as qw
 import qstatwork.dynamics as dyn
+from qstatwork.analytics import _weights, _x_at
 from qstatwork.dynamics import (
     PropagatorConfig,
     _build_sectors,
@@ -48,11 +49,11 @@ def dense(R, lam):
     return (R * lam) @ R.conj().T
 
 
-def engine(N, delta=0.0, stats=qw.Statistics.BOSE, v=0.1):
+def engine(N, delta=0.0, v=0.1):
     e0 = math.hypot(1.0, delta)
     eh = math.hypot(1.0 + abs(v) * T / 2, delta)
     return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=v, T=T,
-                           beta_c=2.0 / e0, beta_h=0.25 / eh, statistics=stats)
+                           beta_c=2.0 / e0, beta_h=0.25 / eh)
 
 
 def ho(dim=10):
@@ -63,6 +64,7 @@ IMPULSE = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
 # a coupling interpolated on a coarse grid: no two steps see the same g
 SAMPLED = qw.Sampled(times=np.linspace(0.0, T, 41),
                      values=np.random.default_rng(5).uniform(0.2, 0.6, 41))
+BOSE = qw.Statistics.BOSE
 DIST = qw.Statistics.DISTINGUISHABLE
 # magnitudes within 1e+-100, where N max_t E_t and 0.01 over it stay
 # inside the float range
@@ -132,11 +134,11 @@ def oracle_gaps():
 class TestDecoupledCycle:
     def test_zero_coupling_keeps_ground_state(self):
         sched = qw.Impulse(g=0.0, t1=0.35 * T / 2, T=T)
-        res = run_cycle(engine(3, 0.7), sched, ho())
+        res = run_cycle(engine(3, 0.7), sched, ho(), BOSE)
         assert res.work.avg_work < 1e-15
         assert all(p < 1e-14 for p in res.work.p_excite.values())
         sched2 = qw.SmoothPlateau(g=0.0, delta_t=0.9, alpha=2142.0 / T, T=T)
-        res2 = run_cycle(engine(2, 0.0), sched2, ho(6))
+        res2 = run_cycle(engine(2, 0.0), sched2, ho(6), BOSE)
         assert res2.work.avg_work < 1e-14
 
 
@@ -180,7 +182,7 @@ class TestApplyImpulse:
         state, p = self._state(N=2, delta=0.0)
         out = kick(state, IMPULSE.g, 2 * spin_ops(DickeSector(2))[0], ho(6).matrix)
         p1 = float(reduced_system(out, 3)[1, 1].real)
-        cycle = run_cycle(p, IMPULSE, ho(6)).work.p_excite[1]
+        cycle = run_cycle(p, IMPULSE, ho(6), BOSE).work.p_excite[1]
         assert abs(cycle - p1) < 1e-10 * p1
 
 
@@ -249,14 +251,16 @@ class TestThermalReset:
 
     def test_reset_factor_matches_single_avg(self):
         # each factor of the factorized correlator equals the adiabatic
-        # one-time average within the adiabatic error at the fig2a sweep speed
+        # one-time average cos(theta_t) a of `_weights` within the adiabatic
+        # error at the fig2a sweep speed
         p = engine(3, 1.4)
         from oracles import DickeAdiabaticOracle
 
         oracle = DickeAdiabaticOracle(p)
         for (t, t0, beta) in ((3.0, 0.0, p.beta_c), (14.0, T / 2, p.beta_h)):
             exact = oracle.one_time(t, t0, beta)
-            adiab = qw.single_avg(p, t, t0, qw.Statistics.BOSE)
+            a = _weights(p.N, _x_at(p, t0), qw.Statistics.BOSE)[0]
+            adiab = float(p.cos_theta(t)) * float(a)
             assert abs(exact - adiab) < 0.05 * max(abs(exact), 1e-3)
 
 
@@ -265,9 +269,8 @@ class TestRunCycleImpulse:
         for N in (2, 5, 8):
             for delta in (0.0, 1.4):
                 pb = engine(N, delta)
-                rb = run_cycle(pb, IMPULSE, ho())
-                rd = run_cycle(pb, IMPULSE, ho(),
-                               statistics=qw.Statistics.DISTINGUISHABLE)
+                rb = run_cycle(pb, IMPULSE, ho(), BOSE)
+                rd = run_cycle(pb, IMPULSE, ho(), DIST)
                 ana, _, _ = qw.enhancement(pb, IMPULSE, ho())
                 num = rb.work.avg_work / rd.work.avg_work
                 assert abs(num - ana) < 0.02 * ana
@@ -275,14 +278,14 @@ class TestRunCycleImpulse:
     def test_kick_in_second_stroke(self):
         late = qw.Impulse(g=0.01, t1=T / 2 + 0.35 * T / 2, T=T)
         p = engine(3, 0.0)
-        res = run_cycle(p, late, ho())
+        res = run_cycle(p, late, ho(), BOSE)
         rec = qw.impulse_work(p, late, ho(), qw.Statistics.BOSE)
         assert abs(res.work.avg_work - rec.avg_work) < 0.02 * rec.avg_work
 
     def test_n1_statistics_identical(self):
         p = engine(1, 1.4)
-        rb = run_cycle(p, IMPULSE, ho())
-        rd = run_cycle(p, IMPULSE, ho(), statistics=qw.Statistics.DISTINGUISHABLE)
+        rb = run_cycle(p, IMPULSE, ho(), BOSE)
+        rd = run_cycle(p, IMPULSE, ho(), DIST)
         assert abs(rb.work.avg_work - rd.work.avg_work) < 1e-10
 
     def test_blocked_equals_full(self, oracle_gaps):
@@ -294,7 +297,7 @@ class TestRunCycleImpulse:
                 assert all(gaps[k] <= b for k, b in ORACLE_BOUNDS["kick"].items()), (N, gaps)
 
     def test_diagnostics_bounds(self):
-        res = run_cycle(engine(4, 1.4), IMPULSE, ho())
+        res = run_cycle(engine(4, 1.4), IMPULSE, ho(), BOSE)
         d = res.diagnostics
         assert d["trace_drift"] < 1e-10
         assert d["herm_drift"] < 1e-10
@@ -305,7 +308,7 @@ class TestRunCycleImpulse:
         # the engine chain up to the kick at t1 (first stroke)
         assert d["n_engine_steps"] > 1000
         assert d["dt"] * d["n_engine_steps"] == pytest.approx(IMPULSE.t1, rel=1e-12)
-        d0 = run_cycle(engine(4, 0.0), IMPULSE, ho()).diagnostics
+        d0 = run_cycle(engine(4, 0.0), IMPULSE, ho(), BOSE).diagnostics
         assert d0["n_engine_steps"] == 0 and d0["dt"] is None     # closed-form phase
 
 
@@ -317,13 +320,12 @@ class TestRunCycleSmooth:
         # Dicke-sector run against the collective closed-form assembly and the
         # genuine 2^N product space against its own closed form, Delta != 0
         p = engine(3, 0.7)
-        res = run_cycle(p, self.PLATEAU, ho(8))
-        ana = qw.general_work(p, self.PLATEAU, ho(8), qw.Statistics.BOSE)
+        res = run_cycle(p, self.PLATEAU, ho(8), BOSE)
+        ana = qw.general_work(p, self.PLATEAU, ho(8), BOSE)
         assert abs(res.work.avg_work - ana.avg_work) < 0.02 * ana.avg_work
 
-        pd = engine(3, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        resd = run_cycle(pd, self.PLATEAU, ho(8))
-        anad = qw.general_work(pd, self.PLATEAU, ho(8), qw.Statistics.DISTINGUISHABLE)
+        resd = run_cycle(p, self.PLATEAU, ho(8), DIST)
+        anad = qw.general_work(p, self.PLATEAU, ho(8), DIST)
         assert abs(resd.work.avg_work - anad.avg_work) < 0.02 * anad.avg_work
 
     def test_blocked_equals_full_smooth(self, oracle_gaps):
@@ -365,7 +367,7 @@ class TestRunCycleSmooth:
         p = engine(2, 0.0)
         cap = default_dt_cap(p, ho(6))
         with pytest.raises(ConfigError):
-            run_cycle(p, self.PLATEAU, ho(6), config=PropagatorConfig(dt=2 * cap))
+            run_cycle(p, self.PLATEAU, ho(6), BOSE, config=PropagatorConfig(dt=2 * cap))
 
     @pytest.mark.parametrize("schedule", [PLATEAU, IMPULSE], ids=["smooth", "impulse"])
     def test_step_count_beyond_float_rejected(self, schedule):
@@ -373,7 +375,7 @@ class TestRunCycleSmooth:
         # more steps than a float counts: an OverflowError at ceil() before
         p = qw.EngineParams(N=1, Omega0=1e308, Delta=0.0, v=0.0, T=T, beta_c=2.0, beta_h=1.0)
         with pytest.raises(ConfigError, match="more steps than a float can count"):
-            run_cycle(p, schedule, ho(4))
+            run_cycle(p, schedule, ho(4), BOSE)
 
     @given(N=st.integers(1, 60), omega0=SIGNED, delta=SCALE | st.just(0.0), v=SIGNED,
            period=SCALE, direction=st.sampled_from(["increasing", "decreasing"]),
@@ -403,8 +405,7 @@ class TestRunCycleSmooth:
         cap = default_dt_cap(p, sysho)
         w = {}
         for f in (1, 2, 4):
-            res = run_cycle(p, self.STRONG, sysho,
-                            config=PropagatorConfig(dt=cap / f))
+            res = run_cycle(p, self.STRONG, sysho, BOSE, config=PropagatorConfig(dt=cap / f))
             w[f] = res.work.avg_work
         err1, err2 = abs(w[1] - w[4]), abs(w[2] - w[4])
         detail = (f"w1 {w[1]!r}, w2 {w[2]!r}, w4 {w[4]!r}: ratio {err1 / err2:.3f}, "
@@ -414,15 +415,15 @@ class TestRunCycleSmooth:
 
     def test_truncation_doubling_stable(self):
         p = engine(2, 0.0)
-        w1 = run_cycle(p, self.PLATEAU, ho(8)).work.avg_work
-        w2 = run_cycle(p, self.PLATEAU, ho(16)).work.avg_work
+        w1 = run_cycle(p, self.PLATEAU, ho(8), BOSE).work.avg_work
+        w2 = run_cycle(p, self.PLATEAU, ho(16), BOSE).work.avg_work
         assert abs(w2 - w1) < 1e-6 * abs(w2)
 
     def test_nonperturbative_top_level_leakage(self):
         # g = 0.5 plateau at a converged truncation (the Fig.-3 case):
         # top-two-level population stays below 1e-8 throughout, and the
         # stroke-2 factor drops no more than 1e-14 of sigma_S's weight
-        res = run_cycle(engine(2, 0.0), self.STRONG, ho(16))
+        res = run_cycle(engine(2, 0.0), self.STRONG, ho(16), BOSE)
         d = res.diagnostics
         assert d["leakage"] < 1e-8
         assert d["dropped_weight"] <= 1e-14
@@ -430,8 +431,7 @@ class TestRunCycleSmooth:
         assert 3 < d["factor_rank"][1][0] <= 3 * 16
 
     def test_diagnostics_bounds_smooth(self):
-        pd = engine(3, 0.7, stats=qw.Statistics.DISTINGUISHABLE)
-        d = run_cycle(pd, self.PLATEAU, ho(8)).diagnostics
+        d = run_cycle(engine(3, 0.7), self.PLATEAU, ho(8), DIST).diagnostics
         for key in ("trace_drift", "herm_drift", "isometry_drift", "unitarity_residual"):
             assert d[key] < 1e-10, key
         assert d["sectors"] == [[4, 1], [2, 2]]
@@ -451,7 +451,7 @@ class TestRunCycleSmooth:
         monkeypatch.setattr(dyn, "_sector_thermal", scaled)
         for delta in (0.0, 0.7):
             for schedule in (self.PLATEAU, IMPULSE):
-                d = run_cycle(engine(2, delta), schedule, ho(6)).diagnostics
+                d = run_cycle(engine(2, delta), schedule, ho(6), BOSE).diagnostics
                 assert 1e-8 < d["isometry_drift"] < 3e-8, (delta, schedule)
 
     @pytest.mark.parametrize("delta, schedule, path", [
@@ -491,12 +491,12 @@ class TestRunCycleSmooth:
     def test_truncation_leakage_guard(self):
         strong = qw.SmoothPlateau(g=3.0, delta_t=0.9, alpha=2142.0 / T, T=T)
         with pytest.raises((PropagationError, Exception)):
-            run_cycle(engine(4, 0.0), strong, ho(3))
+            run_cycle(engine(4, 0.0), strong, ho(3), BOSE)
 
     def test_split_evolve_keeps_the_callers_factor(self, monkeypatch):
         # N = 2 blocked: the spin-1 block is stepped, then multiplied; the
         # spin-0 block is free
-        p, system = engine(2, 0.7, stats=DIST), ho(6)
+        p, system = engine(2, 0.7), ho(6)
         sectors = _build_sectors(p, DIST)
         assert [s.free for s in sectors] == [False, True]
         mu, W = np.ones(1), np.eye(system.dim)[:, :1]
@@ -513,14 +513,14 @@ class TestRunCycleSmooth:
     def test_trace_collection_with_free_sector(self):
         # the spin-0 block is sampled at the stepped block's steps, so every
         # row holds the whole trace
-        res = run_cycle(engine(2, 0.0, stats=DIST), self.PLATEAU, ho(6),
+        res = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6), DIST,
                         config=PropagatorConfig(collect_trace=True))
         trace = res.diagnostics["trace"]
         assert len(trace) > 10
         assert max(abs(tr - 1.0) for _, tr, _, _ in trace) < 1e-9
 
     def test_trace_collection(self):
-        res = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6),
+        res = run_cycle(engine(2, 0.0), self.PLATEAU, ho(6), BOSE,
                         config=PropagatorConfig(collect_trace=True))
         trace = res.diagnostics["trace"]
         assert len(trace) > 10
@@ -554,9 +554,9 @@ class TestBlockPath:
         monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
         T_c = self.CYCLE_T
         p = qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.2, T=T_c, beta_c=1.0,
-                            beta_h=0.125, statistics=stats)
+                            beta_h=0.125)
         sched = qw.SmoothPlateau(g=0.1, delta_t=0.9, alpha=2142.0 / T_c, T=T_c)
-        return run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, 8),
+        return run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, 8), stats,
                          config=PropagatorConfig(collect_trace=True))
 
     @pytest.mark.parametrize("stats", [qw.Statistics.BOSE, DIST], ids=["bose", "dist"])
@@ -644,7 +644,7 @@ class TestBlockPath:
         for N, dS, multiplied in ((2, 4, True), (3, 8, False)):
             p = qw.EngineParams(N=N, Omega0=1.0, Delta=0.5, v=0.2, T=2.5, beta_c=1.0,
                                 beta_h=0.125)
-            d = run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, dS)).diagnostics
+            d = run_cycle(p, sched, qw.harmonic_system(2 * math.pi * 0.05, dS), BOSE).diagnostics
             assert d["split_steps"] == 2 * d["n_steps_per_half"] > 0
             assert d["block_steps"] == (d["split_steps"] if multiplied else 0)
 
@@ -1054,7 +1054,7 @@ class TestAdiabaticityWitness:
 
 class TestCycleResultSerialization:
     def test_roundtrip_dict(self):
-        res = run_cycle(engine(2, 0.0), IMPULSE, ho(6))
+        res = run_cycle(engine(2, 0.0), IMPULSE, ho(6), BOSE)
         d = res.to_dict()
         assert d["work"]["method"] == "exact-numerical"
         assert "final_state" not in d and res.final_state.shape == (6, 6)
@@ -1076,9 +1076,9 @@ class TestFinalState:
         monkeypatch.setattr(dyn, "_reduced_system", lambda y, w: reduced(y, w) + shift)
         if bump < dyn.STATE_EIGMIN_TOL:
             with pytest.raises(PropagationError, match="negative eigenvalue"):
-                run_cycle(engine(2), IMPULSE, ho(6))
+                run_cycle(engine(2), IMPULSE, ho(6), BOSE)
             return
-        sigma = run_cycle(engine(2), IMPULSE, ho(6)).final_state
+        sigma = run_cycle(engine(2), IMPULSE, ho(6), BOSE).final_state
         assert np.linalg.eigvalsh(sigma)[0] == pytest.approx(bump, rel=1e-3)
         assert np.array_equal(sigma, sigma.conj().T)
         assert abs(np.trace(sigma) - 1) < 1e-15

@@ -11,7 +11,6 @@ from qstatwork.fermi import (
     active_distribution,
     f_N,
     fermi_outcoupled_work,
-    fermi_work,
     lambda_table,
     parity_asymptote,
 )
@@ -138,33 +137,29 @@ class TestFn:
 
 
 class TestFermiWork:
-    def test_no_bias_no_work(self):
-        # beta_c eps_c = beta_h eps_h makes the tanh factors cancel
-        eps_c, eps_h = 1.0, math.hypot(5.0, 1.0)
-        eng = qw.EngineParams(N=1, Omega0=0.0, Delta=1.0, v=0.5, T=T,
-                              beta_c=0.8 / eps_c, beta_h=0.8 / eps_h)
-        rec = fermi_work(FermiEnsemble(N=3, omega_trap=1.0, beta_com=4.0, engine=eng))
-        assert abs(rec.avg_work) < 1e-14
-
     def test_lambda_independent_of_baths(self):
+        # the isolated-engine lambda = f_N reads the trap alone, whatever
+        # baths the ensemble's engine has
         rng = np.random.default_rng(2)
         lams = []
         for _ in range(5):
             bc = float(rng.uniform(0.5, 3.0))
             bh = bc * float(rng.uniform(0.01, 0.5)) / math.hypot(5.0, 1.0)
             eng = fig4_engine(beta_c=bc, beta_h=bh)
-            e = FermiEnsemble(N=4, omega_trap=1.0, beta_com=3.0, engine=eng)
-            w_n = fermi_work(e).avg_work
-            w_1 = fermi_work(FermiEnsemble(N=1, omega_trap=1.0, beta_com=3.0,
-                                           engine=eng)).avg_work
-            lams.append(w_n / w_1)
+            lams.append(f_N(FermiEnsemble(N=4, omega_trap=1.0, beta_com=3.0, engine=eng)))
         assert max(lams) - min(lams) < 1e-12
 
     def test_record_fields(self):
-        rec = fermi_work(ens(3, 4.0))
-        assert rec.method == "fermi-closed-form"
-        assert rec.p_excite is None
-        assert rec.enhancement_ratio == pytest.approx(f_N(ens(3, 4.0)), abs=1e-14)
+        # the outcoupled record, on a kick: at T = 0 an odd N leaves one
+        # active atom, so lambda = f_N = 1
+        kick = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
+        system = qw.harmonic_system(2 * math.pi * 0.05 / T, 8)
+        rec = fermi_outcoupled_work(ens(3, math.inf), kick, system)
+        assert rec.method == "fermi-numerical"
+        assert rec.statistics is qw.Statistics.DISTINGUISHABLE
+        assert sorted(rec.p_excite) == list(range(1, 8))
+        assert rec.energies == tuple(system.energies)
+        assert rec.enhancement_ratio == pytest.approx(f_N(ens(3, math.inf)), abs=1e-14)
 
     def test_lambda_table_format(self):
         rows = lambda_table([2, 3], [3.0, 4.0])
@@ -193,8 +188,6 @@ class TestFermiWork:
 
     def test_work_needs_the_engine(self):
         bare = FermiEnsemble(N=3, omega_trap=1.0, beta_com=4.0)
-        with pytest.raises(ValueError, match="internal engine"):
-            fermi_work(bare)
         with pytest.raises(ValueError, match="internal engine"):
             fermi_outcoupled_work(bare, TestOutcoupled.SCHED, qw.harmonic_system(0.01, 4))
 
@@ -244,7 +237,7 @@ class TestOutcoupled:
     @pytest.mark.parametrize("beta_c_e0, lam", [(0.7, 0.17132171028669962),
                                                 (2.2, 0.2094153437819821)])
     def test_lambda_depends_on_the_bath(self, beta_c_e0, lam):
-        # Unlike fermi_work's lambda = f_N, the outcoupled lambda moves
+        # Unlike the isolated-engine lambda = f_N, the outcoupled lambda moves
         # with the cold bath (f_2 = 0.13889 at beta omega = 4).  Pinned to
         # the values of the present model, N = 2 on ho(12), so that a later
         # change of the model shows up; they repeat to rounding, far inside
@@ -269,8 +262,7 @@ class TestOutcoupled:
         P = active_distribution(e)
 
         def w_dist(k):
-            params = replace(e.engine, N=k, statistics=qw.Statistics.DISTINGUISHABLE)
-            return qw.general_work(params, self.SCHED, self.ho(16),
+            return qw.general_work(replace(e.engine, N=k), self.SCHED, self.ho(16),
                                    qw.Statistics.DISTINGUISHABLE).avg_work
 
         predicted = sum(P[k] * w_dist(k) for k in range(1, e.N + 1) if P[k] > 0) / w_dist(1)

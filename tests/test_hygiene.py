@@ -1,13 +1,15 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), every function and class the
-package defines is used by the package or exported, every parameter of
-its functions is read (one listed exception), the test oracles
+package defines is used by the package or exported, every name it
+exports is read by another of its modules or named by the benchmark,
+every parameter of its functions is read (one listed exception), the
+test oracles
 take from the package only the model inputs they need, importing the
 package loads NumPy and the standard library only, a parallel map starts
 no process pool, the benchmark's tracer still runs on the package, and
-the README's module map names the package's modules and its table of
-config fields the fields of the schema."""
+the README's module map names the package's modules, its table of
+config fields the fields of the schema, and its library sketch runs."""
 
 import ast
 import collections
@@ -130,6 +132,42 @@ def test_package_defines_nothing_it_does_not_use():
     # path) belongs in the tests, not in the package
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def exported_names(source: str) -> list:
+    """The names an `__init__` source re-exports: those its `from ...
+    import` statements bind."""
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def unreached_exports(sources: dict, named: set) -> list:
+    """The names `sources["__init__"]` exports that are defined by another
+    module of `sources` ({module: source}), read by no statement of any of
+    those modules but their own definition, and not in `named`."""
+    modules = {m: s for m, s in sources.items() if m != "__init__"}
+    unread = {name for _, name in unreferenced_definitions(modules)}
+    return sorted(n for n in exported_names(sources["__init__"])
+                  if n in unread and n not in named)
+
+
+def test_detects_unreached_export():
+    # reached: a name another module calls, or one the benchmark names;
+    # unreached: one only the export and its own recursion read
+    assert unreached_exports({
+        "a": "def f(n):\n    return f(n - 1)\ndef g():\n    pass\ndef k():\n    pass\n",
+        "b": "from .a import g\ndef h():\n    return g()\n",
+        "__init__": "from .a import f, g, k\nfrom .b import h\n",
+    }, named={"k", "h"}) == ["f"]
+
+
+def test_package_exports_only_what_it_reaches():
+    # an exported function or class that no module of the package reads and
+    # that the benchmark does not name is code that no command runs
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
+    named = {word for p in (ROOT / "perfbench").glob("*.py")
+             for word in re.findall(r"\w+", p.read_text())}
+    assert unreached_exports(sources, named) == []
 
 
 def unread_parameters(source: str) -> list:
@@ -323,3 +361,18 @@ def test_readme_config_table_names_every_field():
     assert config_table((ROOT / "README.md").read_text()) == {
         f"{section}.{key}": (flag, read_by(f"{section}.{key}"))
         for section, fields in _FIELDS.items() for key, (_, _, flag) in fields.items()}
+
+
+def python_block(readme: str, heading: str) -> str:
+    """The first Python code block after `heading` in the README."""
+    fence = "```python\n"
+    start = readme.index(fence, readme.index(heading)) + len(fence)
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch is the README's one example of the library API: it must
+    # run on the package as it is, and print its two lines
+    sketch = python_block((ROOT / "README.md").read_text(), "## Library sketch")
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

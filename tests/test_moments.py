@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
-from qstatwork.analytics import moments
+from qstatwork.analytics import _weights
 from qstatwork.errors import DomainError
 
 from oracles import direct_moment_f, direct_moment_h, literal_f_mp, literal_h_mp
@@ -119,13 +119,15 @@ def test_moments_do_not_depend_on_the_shape_of_x(N):
 
 class TestMomentSet:
     def test_f_pm_composition(self):
-        ms = moments(6, 0.8)
-        assert ms.F_plus == ms.f + ms.h
-        assert ms.F_minus == ms.f - ms.h
+        # the Bose ladder weights are j(j+1) - F_sigma with F_sigma = f + sigma h
+        f, h = qw.moment_f(6, 0.8), qw.moment_h(6, 0.8)
+        _, _, L_plus, L_minus = _weights(6, 0.8, qw.Statistics.BOSE)
+        assert L_plus == 12.0 - (f + h)
+        assert L_minus == 12.0 - (f - h)
 
     def test_bounds(self):
         for N in (1, 3, 10, 40):
             for x in X_GRID:
-                ms = moments(N, x)
-                assert 0.25 - 1e-12 <= ms.f <= N * N / 4 + 1e-12
-                assert -N / 2 - 1e-12 <= ms.h <= 1e-15
+                f, h = qw.moment_f(N, x), qw.moment_h(N, x)
+                assert 0.25 - 1e-12 <= f <= N * N / 4 + 1e-12
+                assert -N / 2 - 1e-12 <= h <= 1e-15

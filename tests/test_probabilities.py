@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
-from qstatwork.analytics import enhancement
+from qstatwork.analytics import enhancement, level_amplitudes
 from qstatwork.errors import InvalidVariantError, PerturbativeValidityError
 from qstatwork.sweeps import random_smooth_case
 
 T = 20.0
 
 
-def engine(N, delta, stats=qw.Statistics.BOSE):
+def engine(N, delta):
     e0 = math.hypot(1.0, delta)
     eh = math.hypot(2.0, delta)
     return qw.EngineParams(N=N, Omega0=1.0, Delta=delta, v=0.1, T=T,
-                           beta_c=2.0 / e0, beta_h=0.25 / eh, statistics=stats)
+                           beta_c=2.0 / e0, beta_h=0.25 / eh)
 
 
 def plateau(g=0.01, delta_t=0.9, alpha=2142.0 / T):
@@ -137,12 +137,13 @@ class TestGeneralProbability:
         rng = np.random.default_rng(11)
         for _ in range(12):
             eng, sched, system = random_smooth_case(rng)
+            amps = level_amplitudes(eng, sched, system)      # one quadrature per draw
             for i in range(1, system.dim):
                 if abs(system.matrix[i, 0]) < 1e-14:
                     continue
-                pb = qw.general_probability(eng, sched, system, qw.Statistics.BOSE, i)
+                pb = qw.general_probability(eng, sched, system, qw.Statistics.BOSE, i, amps[i])
                 pd = qw.general_probability(eng, sched, system,
-                                            qw.Statistics.DISTINGUISHABLE, i)
+                                            qw.Statistics.DISTINGUISHABLE, i, amps[i])
                 assert pb >= pd - 1e-12 * max(pb, pd, 1e-300)
 
     def test_probability_is_general_works(self):

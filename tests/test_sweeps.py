@@ -509,6 +509,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {message}"), captured.err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_dt_exit_2(self, capsys, dt):
+        # a NaN step passed the positivity check and was refused by the step
+        # count as "a span of 10.0 in steps of at most nan takes more steps
+        # than a float can count"
+        assert sw.cli_main(["evolve", f"--dt={dt}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: dt must be a positive finite number"), \
+            captured.err
+
     @pytest.mark.parametrize("argv, field", [
         (["analytic", "--omega0", "nan", "--beta-c-e0", "2", "--beta-h-eh", "0.25"],
          "engine.Omega0"),
