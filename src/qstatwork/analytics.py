@@ -298,37 +298,33 @@ def compute_amplitudes(
 class WorkRecord:
     """Excitation probabilities, average work, and run metadata.
 
-    p_excite maps excited-level index to probability (None when the
-    operation has no level-resolved output, e.g. the isolated fermionic
-    closed form); avg_work = sum_i eps_i p_i over the stored energies.
+    p_excite maps excited-level index to probability; avg_work =
+    sum_i eps_i p_i over the stored energies.
     """
 
     avg_work: float
     statistics: Statistics
     method: str
-    p_excite: dict = None
-    energies: tuple = None
+    p_excite: dict
+    energies: tuple
     enhancement_ratio: float = None
     flags: tuple = ()
 
     def __post_init__(self):
-        if self.p_excite is not None:
-            if self.energies is None:
-                raise ValueError("a level-resolved WorkRecord must carry energies")
-            for i, p in self.p_excite.items():
-                if p < -1e-12 or p > 1 + 1e-12:
-                    raise ValueError(f"probability p_{i} = {p} outside [0, 1]")
-            w = sum(self.energies[i] * p for i, p in self.p_excite.items())
-            if abs(w - self.avg_work) > 1e-12 * max(1.0, abs(w)):
-                raise ValueError("avg_work does not match sum eps_i p_i")
+        for i, p in self.p_excite.items():
+            if p < -1e-12 or p > 1 + 1e-12:
+                raise ValueError(f"probability p_{i} = {p} outside [0, 1]")
+        w = sum(self.energies[i] * p for i, p in self.p_excite.items())
+        if abs(w - self.avg_work) > 1e-12 * max(1.0, abs(w)):
+            raise ValueError("avg_work does not match sum eps_i p_i")
 
     def to_dict(self) -> dict:
         return {
             "avg_work": self.avg_work,
             "statistics": Statistics(self.statistics).value,
             "method": self.method,
-            "p_excite": {str(k): v for k, v in (self.p_excite or {}).items()},
-            "energies": list(self.energies) if self.energies is not None else None,
+            "p_excite": {str(k): v for k, v in self.p_excite.items()},
+            "energies": list(self.energies),
             "enhancement_ratio": self.enhancement_ratio,
             "flags": list(self.flags),
         }

@@ -243,9 +243,11 @@ class SmoothPlateau:
         t = np.asarray(t, dtype=float)
         acc = np.zeros_like(t)
         for n in (0, 1):
+            # (t - nT/2) first, so that the pairs of g_C(T/2) are bit-equal
+            # to those of g_C(0) and g_C(T)
             acc = acc + (
-                np.tanh(self.alpha * (t - self.t_on - n * self.T / 2))
-                - np.tanh(self.alpha * (t - self.t_off - n * self.T / 2))
+                np.tanh(self.alpha * ((t - n * self.T / 2) - self.t_on))
+                - np.tanh(self.alpha * ((t - n * self.T / 2) - self.t_off))
             )
         out = self.g / (self.delta_t * self.T) * acc
         return out if out.ndim else float(out)

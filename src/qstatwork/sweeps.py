@@ -1,5 +1,7 @@
-"""CLI front end: configuration ingestion, parameter sweeps, the figure
-regression battery, and persistent CSV/JSON outputs.
+"""CLI front end: configuration ingestion, parameter sweeps of the work of
+(engine, coupling, system) cases, the figure regression battery, and
+persistent CSV/JSON outputs.  Fermionic lambda tables come from the `fermi`
+command and the Fig.-4 targets, not from a sweep.
 
 The commands that write files (`fermi`, `region`, `figure`, `sweep`)
 write plot-ready CSV data plus a JSON manifest; `analytic`, `evolve` and
@@ -118,8 +120,7 @@ def _git_revision():
 
 # _FIELDS[section][field] = (type, default, CLI flag of `analytic` and
 # `evolve`, or None).  The type is float, int (a count: 3 and 3.0 pass,
-# 2.7 does not) or a tuple of the allowed strings; a None default marks a
-# field derived when absent.
+# 2.7 does not) or a tuple of the allowed strings.
 _FIELDS = {
     "engine": {
         "N": (int, 2, "--N"),
@@ -142,33 +143,23 @@ _FIELDS = {
         "omega_T": (float, 2 * math.pi * 0.05, "--omega-t"),
         "dim": (int, 12, "--dim"),
     },
-    "fermi": {
-        "N": (int, 2, None),
-        "omega_trap": (float, 1.0, None),
-        "beta_com_omega": (float, 4.0, None),
-        "level_count": (int, None, None),           # FermiEnsemble's own rule
-    },
 }
-_SWEEP_KEYS = {"axes", "method", "out", "task"}
-# What a sweep task reads (`analytic` and `evolve` run a work task) and, of
-# the coupling and evolve's --trace, what each kind reads (an impulse takes
-# no steps to trace)
-_READS = {"work": ("engine.", "coupling.", "system.", "--trace"), "fermi": ("fermi.",),
-          "impulse": ("coupling.kind", "coupling.g", "coupling.t1_frac"),
+_SWEEP_KEYS = {"axes", "method", "out"}
+# Of the coupling fields and evolve's --trace, what each coupling kind reads
+# (an impulse takes no steps to trace); every engine and system field is read
+_READS = {"impulse": ("coupling.kind", "coupling.g", "coupling.t1_frac"),
           "plateau": ("coupling.kind", "coupling.g", "coupling.delta_t",
                       "coupling.alpha_over_T", "--trace")}
 
 
-def _check_read(cfg: dict, task: str = "work", axes=(), extra=()):
-    """Refuse the first field given in the sections of `cfg` or on a sweep
-    axis, or of the `extra` names, that a `task` does not read under each
-    coupling kind it takes: once per sweep, not per cell."""
+def _check_read(cfg: dict, axes=(), extra=()):
+    """Refuse the first coupling field given in the sections of `cfg` or on
+    a sweep axis, or of the `extra` names, that a coupling kind it takes does
+    not read: once per sweep, not per cell."""
     axes = dict(axes)
     kinds = axes.get("coupling.kind", (_section("coupling", cfg.get("coupling", {}))["kind"],))
     for name in sorted({f"{s}.{key}" for s, fields in cfg.items() for key in fields}
                        | axes.keys() | set(extra)):
-        if not name.startswith(_READS[task]):
-            raise ConfigError(f"{name} is not read by a {task} task")
         for kind in _FIELDS["coupling"]["kind"][0]:     # another axis value fails its cells
             if kind in kinds and name.startswith(("coupling.", "--")) and name not in _READS[kind]:
                 raise ConfigError(f"{name} is not read when coupling.kind is {kind}")
@@ -284,13 +275,6 @@ def _timed_cycles(case) -> list:
     results = run_cycles(*case)
     wall = (time.perf_counter() - t0) / len(results)
     return [(res.work.avg_work, dict(res.diagnostics, cycle_wall_s=wall)) for res in results]
-
-
-def build_fermi(cfg: dict) -> fermi_mod.FermiEnsemble:
-    f = _section("fermi", cfg)
-    return fermi_mod.FermiEnsemble(N=f["N"], omega_trap=f["omega_trap"],
-                                   beta_com=f["beta_com_omega"] / f["omega_trap"],
-                                   level_count=f["level_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +501,13 @@ class SweepSpec:
     """Cartesian sweep: named axes over config fields plus fixed sections."""
 
     axes: tuple              # ((param, (values...)), ...)
-    fixed: dict              # engine/coupling/system sections, or a fermi section
-    method: str = None       # of a work task: analytic (when None) | numerical | both
+    fixed: dict              # engine/coupling/system sections
+    method: str = "analytic"  # analytic | numerical | both
     out: str = "out-sweep"
-    task: str = "work"       # work | fermi
 
     def __post_init__(self):
-        if self.task not in ("work", "fermi"):
-            raise ConfigError(f"unknown sweep task '{self.task}'")
-        if self.task == "fermi" and self.method is not None:
-            raise ConfigError("sweep.method is not read by a fermi task")
-        if self.task == "work":
-            object.__setattr__(self, "method", "analytic" if self.method is None else self.method)
-            if self.method not in SWEEP_METHODS:
-                raise ConfigError(f"unknown sweep method '{self.method}'")
+        if self.method not in SWEEP_METHODS:
+            raise ConfigError(f"unknown sweep method '{self.method}'")
         if not isinstance(self.out, str):
             raise ConfigError(f"sweep.out must be a string, got {self.out!r}")
         axes = []
@@ -538,11 +515,11 @@ class SweepSpec:
             section, _, fld = param.partition(".")
             if fld not in _FIELDS.get(section, {}):
                 raise ConfigError(f"axis parameter '{param}' does not name a "
-                                  "known engine/coupling/system/fermi field")
+                                  "known engine/coupling/system field")
             axes.append((param, tuple(values)))
         object.__setattr__(self, "axes", tuple(axes))
         validate_config(self.fixed)
-        _check_read(self.fixed, self.task, axes)
+        _check_read(self.fixed, axes)
         n = self.n_cells
         cap = NUMERICAL_CELL_CAP if self.method in ("numerical", "both") else ANALYTIC_CELL_CAP
         if n > cap:
@@ -556,9 +533,8 @@ class SweepSpec:
         return {
             "axes": [{"param": p, "values": list(v)} for p, v in self.axes],
             "fixed": self.fixed,
-            **({"method": self.method} if self.task == "work" else {}),    # fermi: none
+            "method": self.method,
             "out": self.out,
-            "task": self.task,
         }
 
     @classmethod
@@ -566,7 +542,7 @@ class SweepSpec:
         _check_keys("sweep", d, _SWEEP_KEYS | {"fixed"})
         _check_axes(d.get("axes", []))
         return cls(tuple((a["param"], tuple(a["values"])) for a in d.get("axes", [])),
-                   d.get("fixed", {}), **{k: d[k] for k in ("method", "out", "task") if k in d})
+                   d.get("fixed", {}), **{k: d[k] for k in ("method", "out") if k in d})
 
 
 def _set_fields(cfg: dict, values) -> dict:
@@ -602,21 +578,12 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
     return out
 
 
-def _eval_fermi_cell(cfg: dict) -> dict:
-    ens = build_fermi(cfg.get("fermi", {}))
-    return {
-        "lambda": fermi_mod.f_N(ens),
-        "lambda_asymptotic": fermi_mod.parity_asymptote(ens.N, ens.beta_omega),
-        "method": "recursion",
-    }
-
-
-def _eval_cell(task: str, method: str, cfg: dict) -> tuple:
+def _eval_cell(method: str, cfg: dict) -> tuple:
     """One sweep cell: (values, status, wall seconds where it ran).  A cell
     that fails gives no values and an `error:<Type>` status."""
     t0 = time.perf_counter()
     try:
-        data = _eval_fermi_cell(cfg) if task == "fermi" else _eval_work_cell(cfg, method)
+        data = _eval_work_cell(cfg, method)
         status = "ok"
     except (QstatworkError, ValueError, ArithmeticError) as exc:
         data, status = {}, f"error:{type(exc).__name__}"
@@ -636,7 +603,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     grids = [values for _, values in spec.axes]
     cells = [[grids[k][i] for k, i in enumerate(idx)]
              for idx in (np.ndindex(*[len(g) for g in grids]) if grids else [()])]
-    results = parallel_map(functools.partial(_eval_cell, spec.task, spec.method),
+    results = parallel_map(functools.partial(_eval_cell, spec.method),
                            [_set_fields(spec.fixed, zip((p for p, _ in spec.axes), values))
                             for values in cells], threads)
 

@@ -350,13 +350,13 @@ def config_table(readme: str) -> dict:
 
 
 def test_readme_config_table_names_every_field():
-    # each field's flag, and what reads it: for a coupling field the kinds
-    # that read it, for any other the sweep task
+    # each field's flag, and the coupling kinds under which it is read:
+    # both for an engine or system field
     from qstatwork.sweeps import _FIELDS, _READS
 
     def read_by(name):
-        return (", ".join(kind for kind in ("impulse", "plateau") if name in _READS[kind])
-                or next(task for task in ("work", "fermi") if name.startswith(_READS[task])))
+        return ", ".join(kind for kind in _READS
+                         if not name.startswith("coupling.") or name in _READS[kind])
 
     assert config_table((ROOT / "README.md").read_text()) == {
         f"{section}.{key}": (flag, read_by(f"{section}.{key}"))

@@ -162,6 +162,11 @@ class TestCouplingSchedules:
     @example(g=0.5, delta_t=0.98, alpha_T=2000.0, T=20.0, switch=None)
     # a subnormal plateau: g_C(T/2) rounds one subnormal above the endpoints
     @example(g=2.2250738585e-313, delta_t=0.5, alpha_T=10 ** 1.875, T=1.0, switch=None)
+    # t_on = 0 and a tiny t_off: the tanh arguments of g_C(T/2) must round
+    # as those of g_C(0) and g_C(T) do (186 eps scale apart when T/2 - t_off
+    # was rounded before subtracting T/2)
+    @example(g=1.0, delta_t=0.5, alpha_T=1e4, T=1.0, switch=(0.0, 1e-10))
+    @example(g=1.0, delta_t=0.5, alpha_T=1e3, T=10.0, switch=(0.0, 1e-9))
     @settings(max_examples=300, deadline=None)
     def test_endpoints_bound_the_midcycle_tail(self, g, delta_t, alpha_T, T, switch):
         # every accepted plateau, custom t_on/t_off (either order) included:

@@ -29,10 +29,6 @@ BOTH_SPEC = sw.SweepSpec(
            "system": {"dim": 4}},
     method="both", out="unused",
 )
-FERMI_SPEC = sw.SweepSpec(
-    axes=(("fermi.N", (2, 3)), ("fermi.beta_com_omega", (3.0, 4.0))),
-    fixed={"fermi": {"omega_trap": 1.0}}, out="unused", task="fermi",
-)
 
 
 # Prints OpenBLAS's thread count in this process, then in the two processes
@@ -263,13 +259,8 @@ class TestConfig:
         T = 20.0
         assert sw.build_engine({"N": 3.0}).N == sw.build_engine({"N": 3}).N == 3
         assert sw.build_system({"dim": 5.0}, T).dim == 5
-        ens = sw.build_fermi({"N": 3.0, "level_count": 6.0})
-        assert (ens.N, ens.level_count) == (3, 6)
         for build, field in ((lambda: sw.build_engine({"N": 2.7}), "engine.N"),
-                             (lambda: sw.build_system({"dim": 4.5}, T), "system.dim"),
-                             (lambda: sw.build_fermi({"N": 2.7}), "fermi.N"),
-                             (lambda: sw.build_fermi({"level_count": 7.5}),
-                              "fermi.level_count")):
+                             (lambda: sw.build_system({"dim": 4.5}, T), "system.dim")):
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):
                 build()
 
@@ -322,12 +313,13 @@ class TestSweepSpec:
                             ("engine.Omega0", tuple(np.linspace(1, 2, 300)))))
 
     def test_manifest_roundtrip(self, tmp_path):
-        # a fermi task reads no method, so its manifest holds none
-        for task, spec in (("work", self.spec()), ("fermi", FERMI_SPEC)):
-            spec = replace(spec, out=str(tmp_path / task))
+        # the method is always written, "analytic" when none is given
+        spec = sw.SweepSpec(axes=(("engine.N", (1, 2)),), fixed={}, out=str(tmp_path / "a"))
+        for spec, method in ((spec, "analytic"),
+                             (replace(spec, method="both", out=str(tmp_path / "b")), "both")):
             manifest = sw.run_sweep(spec, out_dir=spec.out)
+            assert manifest["spec"]["method"] == method
             assert sw.SweepSpec.from_dict(manifest["spec"]) == spec
-            assert ("method" in manifest["spec"]) == (task == "work")
 
     @pytest.mark.parametrize("out", [5, None, ["a"]], ids=["number", "null", "list"])
     def test_out_must_be_a_string(self, tmp_path, capsys, out):
@@ -359,7 +351,7 @@ class TestSweepSpec:
 
     def test_threaded_matches_serial(self, tmp_path):
         # --threads counts worker processes; 1 and 2 give the same bytes
-        for k, spec in enumerate((self.spec(), BOTH_SPEC, FERMI_SPEC)):
+        for k, spec in enumerate((self.spec(), BOTH_SPEC)):
             sw.run_sweep(spec, threads=1, out_dir=str(tmp_path / f"s{k}"))
             manifest = sw.run_sweep(spec, threads=2, out_dir=str(tmp_path / f"t{k}"))
             assert_no_child_left()
@@ -447,26 +439,18 @@ class TestSweepSpec:
         rows = (tmp_path / "data.csv").read_text().splitlines()
         assert rows[1].endswith(",error:ConfigError") and rows[2].endswith(",ok")
 
-    def test_fermi_task(self, tmp_path):
-        spec = sw.SweepSpec(
-            axes=(("fermi.beta_com_omega", (3.0, 4.0)),),
-            fixed={"fermi": {"N": 2}}, out="unused", task="fermi",
-        )
-        sw.run_sweep(spec, out_dir=str(tmp_path))
-        header = (tmp_path / "data.csv").read_text().splitlines()[0]
-        assert header.startswith("fermi.beta_com_omega,lambda,lambda_asymptotic")
+    def test_fermi_section_refused(self):
+        # a sweep runs the work of (engine, coupling, system) cases; lambda
+        # tables come from `qstatwork fermi` and Fig. 4
+        with pytest.raises(ConfigError, match="^unknown config section 'fermi'$"):
+            self.spec(fixed={"fermi": {"N": 2}})
+        with pytest.raises(ConfigError, match="^axis parameter 'fermi.N' does not name"):
+            self.spec(axes=(("fermi.N", (2, 3)),))
 
-    def test_fermi_task_reads_no_engine(self):
-        # lambda = f_N depends on the trap alone, so an engine, coupling or
-        # system field, as an axis or fixed, and a method are refused when
-        # the spec is built (an engine axis used to change no cell)
-        axes = (("engine.beta_c_E0", (2.0, 0.1)), ("fermi.beta_com_omega", (3.0, 4.0)))
-        for kw, field in ((dict(axes=axes), "engine.beta_c_E0"),
-                          (dict(fixed={"coupling": {"g": 0.1}}), "coupling.g"),
-                          (dict(fixed={"system": {"dim": 4}, "fermi": {}}), "system.dim"),
-                          (dict(method="analytic"), "sweep.method")):
-            with pytest.raises(ConfigError, match=f"^{field} is not read by a fermi task$"):
-                replace(FERMI_SPEC, **kw)
+    def test_sweep_task_refused(self):
+        # a manifest that still records a sweep task does not re-ingest
+        with pytest.raises(ConfigError, match="^unknown field 'sweep.task'"):
+            sw.SweepSpec.from_dict(dict(self.spec().to_dict(), task="work"))
 
 
 class TestCli:
@@ -479,6 +463,22 @@ class TestCli:
     def test_usage_error_exit_2(self):
         assert sw.cli_main(["analytic", "--no-such-flag"]) == 2
         assert sw.cli_main(["nonsense"]) == 2
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m qstatwork` runs `main`, whose exit status is cli_main's
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "qstatwork", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        ok = run("analytic", "--N", "1")
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["enhancement_ratio"] == pytest.approx(1.0, abs=1e-12)
+        bad = run("analytic", "--no-such-flag")
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert "unrecognized arguments: --no-such-flag" in bad.stderr
 
     def test_config_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -619,14 +619,11 @@ class TestCli:
         with pytest.raises(ConfigError, match="unknown field 'sweep.seed'"):
             sw.SweepSpec.from_dict({"axes": axes, "seed": 5})
         # nor an input that the command reads under no setting given with it:
-        # a flag or field of the other coupling kind or sweep task, a second
-        # parametrisation of a temperature or frequency, or a statistics
-        # where both are computed
+        # a flag or field of the other coupling kind, a second parametrisation
+        # of a temperature or frequency, or a statistics where both are computed
         work = {"axes": [{"param": "engine.N", "values": [1, 2]}]}
-        fermi = {"task": "fermi", "axes": [{"param": "fermi.N", "values": [2, 3]}]}
         kinds = {"axes": [{"param": "coupling.kind", "values": ["impulse", "plateau"]}]}
         unread = "config error: {} is not read when coupling.kind is {}"
-        fermi_n = "config error: fermi.N is not read by a work task"
         for argv, doc, message in (
                 (["analytic", "--statistics", "bose"], None,
                  "unrecognized arguments: --statistics"),
@@ -641,27 +638,35 @@ class TestCli:
                  unread.format("--trace", "impulse")),
                 (["analytic"], {"system": {"omega": 0.1, "omega_T": 2.0}},
                  "config error: unknown field 'system.omega'"),
-                (["analytic"], {"fermi": {"N": 3}}, fermi_n),
-                (["evolve"], {"fermi": {"N": 3}}, fermi_n),
-                (["sweep", "--out", "out"], {"fermi": {"N": 3}, "sweep": work}, fermi_n),
                 (["sweep", "--out", "out"],
                  {"coupling": {"kind": "plateau", "t1_frac": 0.2}, "sweep": work},
                  unread.format("coupling.t1_frac", "plateau")),
                 (["sweep", "--out", "out"], {"coupling": {"t1_frac": 0.2}, "sweep": kinds},
                  unread.format("coupling.t1_frac", "plateau")),
                 (["sweep", "--out", "out"], {"engine": {"statistics": "bose"}, "sweep": work},
-                 "config error: unknown field 'engine.statistics'"),
-                (["sweep", "--out", "out"], {"sweep": dict(fermi, method="analytic")},
-                 "config error: sweep.method is not read by a fermi task"),
-                *((["sweep", "--out", "out", "--method", method], {"sweep": fermi},
-                   "config error: sweep.method is not read by a fermi task")
-                  for method in sw.SWEEP_METHODS)):
+                 "config error: unknown field 'engine.statistics'")):
             if doc is not None:
                 config.write_text(json.dumps(doc))
                 argv = [*argv, "--config", str(config)]
             assert sw.cli_main(argv) == 2, argv
             assert message in capsys.readouterr().err, argv
             assert os.listdir(tmp_path) == ["config.json"], argv
+
+    @pytest.mark.parametrize("command", ["analytic", "evolve", "sweep"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"fermi": {"N": 3}}, "config error: unknown config section 'fermi'"),
+        ({"sweep": {"task": "work"}}, "config error: unknown field 'sweep.task'"),
+    ], ids=["fermi-section", "sweep-task"])
+    def test_fermi_section_and_sweep_task_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                 command, doc, message):
+        # lambda tables come from `qstatwork fermi` and Fig. 4: no config
+        # section or sweep task asks for them
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert sw.cli_main([command, "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_evolve_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
