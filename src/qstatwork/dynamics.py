@@ -12,9 +12,9 @@ kept factored as R diag(lam) R^dag.  The tests check whole cycles against
 a dense 2^N reference.
 
 An impulse kick is diagonal in the eigenbasis |r> of V_R, so no state is
-propagated through it: a block's reduced system state after the kick is
-the mixture of the kicked system vectors phi_r, weighted by the engine's
-populations in that basis (_kicked_system).
+propagated through it: a run's reduced system state after the kick is
+the mixture of the kicked system vectors phi_r of all its blocks, taken
+at once (_kicked_vectors) from the eigensystem an ExternalSystem keeps.
 
 Smooth couplings are Strang-split.  On a composite above CHAIN_DIM each
 step is two matrix products, the second with the coupling phase folded
@@ -280,16 +280,17 @@ def _isometry_drift(*Us) -> float:
     return max(float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))) for U in Us)
 
 
-def _kicked_system(U, r, P_s, s, g):
+def _kicked_vectors(rs, Us, s, P_s, g):
     """exp(-i g V_R (x) V_S) on rho_E (x) |0><0|, with V_R = P_r diag(r) P_r^dag,
     V_S = P_s diag(s) P_s^dag, rho_E = V diag(lam) V^dag and U = P_r^dag V,
     leaves the system in sum_r p_r phi_r phi_r^dag, with p = |U|^2 lam and
-    phi_r = P_s exp(-i g r s) P_s^dag |0>.  Returns |U|^2, the phi_r as a
-    (1, dim V_R, dim V_S) factor, and that factor's isometry drift
-    max |U^dag diag(|phi_r|^2) U - I|."""
-    phi = (np.exp(-1j * g * np.multiply.outer(r, s)) * P_s[0].conj()) @ P_s.T
-    norms = np.einsum("rs,rs->r", phi, phi.conj()).real
-    return np.abs(U) ** 2, phi[None], _isometry_drift(np.sqrt(norms)[:, None] * U)
+    phi_r = P_s exp(-i g r s) P_s^dag |0>.  Returns the phi_r of all blocks
+    (r, U) of rs and Us, stacked in that order as a (1, sum dim V_R, dim V_S)
+    factor, and each block's isometry drift max |U^dag diag(|phi_r|^2) U - I|."""
+    phi = (np.exp(-1j * g * np.multiply.outer(np.concatenate(rs), s)) * P_s[0].conj()) @ P_s.T
+    norms = np.sqrt(np.einsum("rs,rs->r", phi, phi.conj()).real)
+    parts = np.split(norms, np.cumsum([len(r) for r in rs])[:-1])
+    return phi[None], [_isometry_drift(x[:, None] * U) for x, U in zip(parts, Us)]
 
 
 def _engine_steps(sector, params, t_mid, tau):
@@ -353,13 +354,12 @@ def _free_evolve(y, eps, t):
     return y * np.exp(-1j * np.multiply.outer(t, eps))[:, None, None]
 
 
-def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, sample):
+def _split_evolve(sector, system, params, schedule, dt, y, t_start, n, sample):
     """Strang splitting exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2) with
-    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, with
-    eig = (s, P_s) the eigensystem of V_S, for n steps from t_start;
-    sample(ks, X) per chunk with the stack X (reused) of the factors after
-    its steps ks, every SAMPLE_EVERY-th and the last.  Returns the final
-    factor; the caller's factor y is left unchanged.
+    A = H_E(t_mid) (x) I + I (x) H_S and B = g(t_mid) V_R (x) V_S, for n
+    steps from t_start; sample(ks, X) per chunk with the stack X (reused)
+    of the factors after its steps ks, every SAMPLE_EVERY-th and the last.
+    Returns the final factor; the caller's factor y is left unchanged.
 
     Between steps the factor is held in the eigenbasis P_r (x) P_s of
     V_R (x) V_S, where exp(-iB dt) is a phase u_k and the half steps of
@@ -385,8 +385,8 @@ def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, samp
     step k is y exp(-i eps (k + 1) dt) on the system axis, taken at the
     same steps in one pass.
     """
-    vs_vals, P_s = eig
-    eps = np.asarray(system.energies, dtype=float)
+    vs_vals, P_s = system.eigensystem
+    eps = system.energies
     if sector.free:
         ks = _sample_steps(0, n, n)
         x = _free_evolve(y, eps, np.add(ks, 1) * dt)
@@ -456,12 +456,6 @@ def _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n, samp
 # step-size rule and diagnostics
 # ---------------------------------------------------------------------------
 
-def _engine_dt_cap(params: EngineParams) -> float:
-    """0.01 / E_max, E_max = N max_t E_t positive and finite (EngineParams), the engine half
-    of the step rule."""
-    return 0.01 / params.energy_scale
-
-
 def _step_count(duration: float, cap: float) -> int:
     """The fewest steps of at most cap that span duration (at least one)."""
     n = duration / cap
@@ -473,10 +467,8 @@ def _step_count(duration: float, cap: float) -> int:
 
 def default_dt_cap(params: EngineParams, system: ExternalSystem) -> float:
     """min(0.01 / E_max, 0.01 / omega_eff), the accuracy cap of PropagatorConfig."""
-    gaps = np.diff(np.asarray(system.energies, dtype=float))
-    w_eff = float(gaps.max()) if gaps.size else 0.0
-    cap = _engine_dt_cap(params)
-    return min(cap, 0.01 / w_eff) if w_eff > 0 else cap
+    cap = 0.01 / params.energy_scale
+    return min(cap, 0.01 / system.max_gap) if system.max_gap > 0 else cap
 
 
 def _resolve_dt(params, system, config, duration):
@@ -609,7 +601,7 @@ def adiabaticity_witness(params: EngineParams) -> float:
     if params.Delta == 0.0:
         return 0.0
     sector = _spin_sector(params.N, 1.0)
-    cap = _engine_dt_cap(params)
+    cap = 0.01 / params.energy_scale
     worst = 0.0
     for t0, t_end in ((0.0, params.T / 2), (params.T / 2, params.T)):
         n = _step_count(t_end - t0, cap)
@@ -678,7 +670,7 @@ def run_cycles(
     check_schedule_cycle(params, schedule)
     runs = [_build_sectors(params, s) for s in stats]
     run = _run_impulse if isinstance(schedule, Impulse) else _run_smooth
-    outs = run(params, schedule, system, np.linalg.eigh(system.matrix), runs, config)
+    outs = run(params, schedule, system, runs, config)
     return [_cycle_result(system, s, sectors, *out) for s, sectors, out in zip(stats, runs, outs)]
 
 
@@ -720,44 +712,45 @@ def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResul
 
 
 def _system_energy(sigma_s, system) -> float:
-    return float(np.real(np.diag(sigma_s)) @ np.asarray(system.energies))
+    return float(np.real(np.diag(sigma_s)) @ system.energies)
 
 
-def _run_impulse(params, schedule, system, eig, runs, config):
+def _run_impulse(params, schedule, system, runs, config):
     """(sigma_S, diagnostics, energies) per run: the engine chain up to the
-    kick is taken once, and each distinct block's kicked system vectors
-    (_kicked_system) once, mixed by each run's own Gibbs weights."""
+    kick is taken once, each distinct block's U = P_r^dag L R once, and their
+    kicked system vectors in one stacked evaluation (_kicked_vectors)."""
     t1 = schedule.t1
     half = params.T / 2
     in_first = t1 < half
     t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
-    s_vals, P_s = eig
     a, b, n = _engine_chain(params, t0, t1, _resolve_dt(params, system, config, half)[0])
-    kicked, tilts, out = {}, {}, []
-    for sectors in runs:
+    tilts = {}
+    gibbs = [_sector_thermal(sectors, params, t0, beta, tilts) for sectors in runs]
+    distinct = {s.key: (s, R) for sectors, blocks in zip(runs, gibbs)
+                for s, (R, _) in zip(sectors, blocks)}
+    kicked = {k: (s.vr_vals, s.vr_vecs.conj().T @ s.lift(a, b) @ R)
+              for k, (s, R) in distinct.items()}
+    phi, drifts = _kicked_vectors(*zip(*kicked.values()), *system.eigensystem, schedule.g)
+    drift, out = dict(zip(kicked, drifts)), []
+    for sectors, blocks in zip(runs, gibbs):
         diag = _Diag(extra={"dt": (t1 - t0) / n if n else None, "n_engine_steps": n})
-        sigma_s = 0
-        for sector, (R, lam) in zip(sectors, _sector_thermal(sectors, params, t0, beta, tilts)):
-            if sector.key not in kicked:
-                U = sector.vr_vecs.conj().T @ sector.lift(a, b) @ R
-                kicked[sector.key] = _kicked_system(U, sector.vr_vals, P_s, s_vals, schedule.g)
-            u2, phi, drift = kicked[sector.key]
-            red = diag.merge_states(phi[None], u2 @ lam, float(lam.sum()), drift)[0]
-            sigma_s = sigma_s + sector.mult * red
-            diag.unitarity_residual = max(diag.unitarity_residual, sector.unitarity_residual)
+        held = {s.key: s.mult * (np.abs(kicked[s.key][1]) ** 2 @ lam)
+                for s, (_, lam) in zip(sectors, blocks)}
+        w = np.concatenate([held.get(k, np.zeros(len(r))) for k, (r, _) in kicked.items()])
+        # the Gibbs blocks of a run share one normalisation: unit trace
+        sigma_s = diag.merge_states(phi[None], w, 1.0, max(drift[s.key] for s in sectors))[0]
+        diag.unitarity_residual = max(s.unitarity_residual for s in sectors)
         # free evolution after the kick (and the reset, if the kick came
         # first) leaves the measured diagonal of sigma_S unchanged.
-        diag.trace_drift = max(diag.trace_drift, abs(float(np.trace(sigma_s).real) - 1.0))
-        energies = [
-            {"t": 0.0, "system_energy": 0.0},
-            {"t": half, "system_energy": _system_energy(sigma_s, system) if in_first else 0.0},
-            {"t": params.T, "system_energy": _system_energy(sigma_s, system)},
-        ]
+        e_final = _system_energy(sigma_s, system)
+        energies = [{"t": 0.0, "system_energy": 0.0},
+                    {"t": half, "system_energy": e_final if in_first else 0.0},
+                    {"t": params.T, "system_energy": e_final}]
         out.append((sigma_s, diag, energies))
     return out
 
 
-def _run_smooth(params, schedule, system, eig, runs, config):
+def _run_smooth(params, schedule, system, runs, config):
     """(sigma_S, diagnostics, energies) per run.  Each stroke propagates,
     per distinct block (_shared_blocks), the factor of rho_E (x) sigma_S
     (rank dE per distinct sigma_S in stroke 1, where sigma_S is the ground
@@ -770,8 +763,8 @@ def _run_smooth(params, schedule, system, eig, runs, config):
     sigmas = [sigma_s] * len(runs)
     diags = [_Diag() for _ in runs]
     energies = [[{"t": 0.0, "system_energy": 0.0}] for _ in runs]
-    eps = np.asarray(system.energies, dtype=float)
-    vs_residual = _isometry_drift(eig[1])
+    eps = system.energies
+    vs_residual = _isometry_drift(system.eigensystem[1])
     trace_rows = [{} for _ in runs]
     ranks = [[] for _ in runs]
     walls = []
@@ -799,8 +792,7 @@ def _run_smooth(params, schedule, system, eig, runs, config):
                             t = round(t_start + (k + 1) * dt, 12)
                             trace_rows[i][t] = trace_rows[i].get(t, 0) + row
 
-            y = _split_evolve(sector, system, eig, params, schedule, dt, y, t_start, n_steps,
-                              sample)
+            y = _split_evolve(sector, system, params, schedule, dt, y, t_start, n_steps, sample)
             residual = max(vs_residual, sector.unitarity_residual)
             for i, mult, w, _, cols in members:
                 diags[i].unitarity_residual = max(diags[i].unitarity_residual, residual)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -93,7 +94,7 @@ class EngineParams:
         sgn = 1.0 if self.gap_direction is GapDirection.INCREASING else -1.0
         return self.Omega0 + sgn * abs(self.v) * self.T / 2
 
-    @property
+    @cached_property
     def energy_scale(self) -> float:
         """E_max = N max_t E_t = N max(E_0, E_T/2), the scale of the step rule."""
         return self.N * max(float(self.energy(0.0)), float(self.energy(self.T / 2)))
@@ -321,21 +322,20 @@ def _trapezoid(y, x):
 class ExternalSystem:
     """Driven system S: spectrum (ground energy pinned to zero) and the
     Hermitian coupling operator V_S, a complex array, both in the energy
-    eigenbasis."""
+    eigenbasis and read-only copies of the arrays given."""
 
     energies: np.ndarray
     V_S: np.ndarray
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
+        energies = np.array(self.energies, dtype=float)
         if energies.ndim != 1 or energies.size < 1:
             raise ValueError("energies must be a 1-d list of levels")
         if abs(energies[0]) > 1e-12:
             raise ValueError(f"ground-state energy must be zero, got {energies[0]}")
         if np.any(np.diff(energies) < -1e-12):
             raise ValueError("energies must be ascending")
-        object.__setattr__(self, "energies", energies)
-        vs = np.asarray(self.V_S, dtype=complex)
+        vs = np.array(self.V_S, dtype=complex)
         if vs.ndim != 2 or vs.shape[0] != vs.shape[1]:
             raise ValueError(f"V_S must be a square matrix, got shape {vs.shape}")
         if vs.shape[0] != energies.size:
@@ -343,6 +343,8 @@ class ExternalSystem:
         defect = float(np.max(np.abs(vs - vs.conj().T)))
         if defect > 1e-12:
             raise ValueError(f"V_S not Hermitian: max |A - A^dag| = {defect:.3e}")
+        energies.flags.writeable = vs.flags.writeable = False
+        object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "V_S", vs)
 
     @property
@@ -352,6 +354,18 @@ class ExternalSystem:
     @property
     def matrix(self) -> np.ndarray:
         return self.V_S
+
+    @cached_property
+    def eigensystem(self) -> tuple:
+        """(s, P_s), the eigenvalues and eigenvectors of V_S, read-only."""
+        s, P_s = np.linalg.eigh(self.V_S)
+        s.flags.writeable = P_s.flags.writeable = False
+        return s, P_s
+
+    @cached_property
+    def max_gap(self) -> float:
+        """The largest gap between adjacent levels, 0 for a single level."""
+        return float(np.diff(self.energies).max(initial=0.0))
 
 
 def harmonic_system(omega: float, dim: int) -> ExternalSystem:

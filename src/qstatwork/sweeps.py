@@ -1107,8 +1107,11 @@ def cli_main(argv=None) -> int:
 def _dispatch(args) -> int:
     out_dir = getattr(args, "out", None) or f"out-{args.command}"
     if args.command in ("analytic", "evolve"):
-        cfg = _set_fields(load_config(args.config) if args.config else {},
-                          ((d, v) for d, v in vars(args).items() if "." in d and v is not None))
+        cfg = load_config(args.config) if args.config else {}
+        if "sweep" in cfg:
+            raise ConfigError(f"the 'sweep' section is for the sweep command, not {args.command}")
+        cfg = _set_fields(cfg, ((d, v) for d, v in vars(args).items()
+                                if "." in d and v is not None))
         _check_read(cfg, extra=["--trace"] if getattr(args, "trace", None) else [])
         engine, schedule, system = _build_case(cfg)
     if args.command == "analytic":

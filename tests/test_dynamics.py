@@ -288,13 +288,29 @@ class TestRunCycleImpulse:
         rd = run_cycle(p, IMPULSE, ho(), DIST)
         assert abs(rb.work.avg_work - rd.work.avg_work) < 1e-10
 
+    # N = 5 at Delta = 0.4 (blocks held 1, 4 and 5 times): the oracle
+    # steps the 2^5 x 8 composite by expm, about 90 ms a step, so the kick
+    # comes after 16 engine steps rather than the 272 of ORACLE_KICKS[0.35]
+    EARLY_KICK = qw.Impulse(g=0.1, t1=0.02, T=2.0)
+
     def test_blocked_equals_full(self, oracle_gaps):
         # N = 5, 6: spin blocks held up to 9 times against the whole 2^N
-        # space, kicked densely; at Delta = 0 the oracle takes no engine step
-        for N in (5, 6):
-            for schedule in ORACLE_KICKS.values():
-                gaps = oracle_gaps(N, 0.0, schedule, DIST)
-                assert all(gaps[k] <= b for k, b in ORACLE_BOUNDS["kick"].items()), (N, gaps)
+        # space, kicked densely; at Delta = 0 the oracle takes no engine
+        # step, at Delta = 0.4 the run lifts the Gibbs tilt and the engine
+        # chain onto every block
+        cases = [(N, 0.0, s) for N in (5, 6) for s in ORACLE_KICKS.values()]
+        for N, delta, schedule in cases + [(5, 0.4, self.EARLY_KICK)]:
+            gaps = oracle_gaps(N, delta, schedule, DIST)
+            assert all(gaps[k] <= b for k, b in ORACLE_BOUNDS["kick"].items()), (N, delta, gaps)
+
+    def test_blocked_negative_control(self, monkeypatch, oracle_gaps):
+        # the spin-3/2 block of N = 5 held 5 times, not 4: its weight in the
+        # stacked mixture is off
+        oracle_gaps(5, 0.4, self.EARLY_KICK, DIST)         # the oracle, before the fault
+        multiplicity = dyn._block_multiplicity
+        monkeypatch.setattr(dyn, "_block_multiplicity", lambda N, k: multiplicity(N, k) + (k == 1))
+        gaps = oracle_gaps(5, 0.4, self.EARLY_KICK, DIST)
+        assert gaps["work"] > 1e3 * ORACLE_BOUNDS["kick"]["work"], gaps
 
     def test_diagnostics_bounds(self):
         res = run_cycle(engine(4, 1.4), IMPULSE, ho(), BOSE)
@@ -480,7 +496,7 @@ class TestRunCycleSmooth:
         dt, n, t_start = default_dt_cap(p, system), 300, 0.75 * T
         g = qw.g_of_t(sched, t_start + (np.arange(n) + 0.5) * dt)
         assert np.unique(g).size == (1 if schedule == "plateau" else n)
-        y = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p, sched, dt, y,
+        y = _split_evolve(sector, system, p, sched, dt, y,
                           t_start, n, lambda ks, X: None)
         psi = y.transpose(0, 2, 1).reshape((N + 1) * dS, -1)
         got = (psi * w) @ psi.conj().T
@@ -505,7 +521,7 @@ class TestRunCycleSmooth:
             for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
                 y = _product_factor(gibbs_e[0], W)
                 before = y.copy()
-                out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+                out = _split_evolve(sector, system, p,
                                     self.STRONG, 0.01, y, 0.0, 120, lambda ks, X: None)
                 np.testing.assert_array_equal(y, before)
                 assert out is not y
@@ -593,7 +609,7 @@ class TestBlockPath:
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         y = _product_factor(gibbs_e[0], W)
         samples = []
-        out = _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+        out = _split_evolve(sector, system, p,
                             TestRunCycleSmooth.STRONG, default_dt_cap(p, system), y, 0.75 * T,
                             n, lambda ks, X: samples.extend(zip(ks, X.copy())))
         return samples, out
@@ -659,7 +675,7 @@ class TestBlockPath:
         n = 20_000
         tracemalloc.start()
         try:
-            _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+            _split_evolve(sector, system, p,
                           TestRunCycleSmooth.STRONG, T / 2 / n, y, 0.0, n, lambda ks, X: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -686,7 +702,7 @@ class TestStackedSamples:
         # first 10 columns, and a third holding the rest, as stacked runs do
         p, system, sector, y, w = self.stroke(2, 6)
         stacks = []
-        _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+        _split_evolve(sector, system, p,
                       TestRunCycleSmooth.STRONG, 0.01, y, 0.0, 250,
                       lambda ks, X: stacks.append(X.copy()))
         (X,) = stacks
@@ -727,7 +743,7 @@ class TestStackedSamples:
             return made[-1]
 
         monkeypatch.setattr(dyn, "_aligned", recorded)
-        _split_evolve(sector, system, np.linalg.eigh(system.matrix), p,
+        _split_evolve(sector, system, p,
                       TestRunCycleSmooth.STRONG, 0.01, y, 0.0, 300,
                       lambda ks, X: seen.append(X))
         assert len(made) == (4 if path == "stepped" else 3)
@@ -745,7 +761,7 @@ class TestStackedSamples:
         # 1.34 MB, of which the chunk's phases take 0.26 MB.
         p, system, sector, y, _ = self.stroke(3, 16, delta=0.0)
         assert y.shape == (4, 64, 16) and sector.dim * system.dim > dyn.CHAIN_DIM
-        args = (sector, system, np.linalg.eigh(system.matrix), p, SAMPLED,
+        args = (sector, system, p, SAMPLED,
                 default_dt_cap(p, system), y, 0.0, 1000, lambda ks, X: None)
         _split_evolve(*args)
         tracemalloc.start()
@@ -804,19 +820,24 @@ class TestRunCycles:
                 np.testing.assert_array_equal(got[:, 0], ref[:, 0])
                 assert gap(got[:, 1:], ref[:, 1:]) <= self.BOUND
 
-    @pytest.mark.parametrize("kind", ["kick", "smooth"])
-    def test_one_system_eigensystem_per_call(self, monkeypatch, kind):
-        # V_S is diagonalised once per call, not once per block and stroke
-        p, sched, system = self.case(2, 0.7, kind)
+    def test_one_eigensystem_per_system_object(self, monkeypatch):
+        # V_S is diagonalised once per ExternalSystem object, not per call,
+        # block or stroke: a kick and a smooth pair on one system take one
+        # eigh in all, and an equal system built apart takes its own
+        p, kick, system = self.case(2, 0.7, "kick")
+        smooth, twin = self.case(2, 0.7, "smooth")[1:]
         eigh, calls = np.linalg.eigh, []
 
         def counted(a, *args, **kwargs):
-            calls.append(a is system.matrix)
+            calls.append(a)
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        run_cycles(p, sched, system)
-        assert sum(calls) == 1
+        for s in (system, twin):
+            for sched in (kick, smooth):
+                run_cycles(p, sched, s)
+        assert [a is system.matrix for a in calls if a is system.matrix or a is twin.matrix] \
+            == [True, False]
 
     def test_each_block_once_per_stroke(self, monkeypatch):
         # N = 2: the spin-1 block is stepped once per stroke for both runs,
@@ -826,9 +847,9 @@ class TestRunCycles:
         calls = []
         split = dyn._split_evolve
 
-        def record(sector, system, eig, params, schedule, dt, y, *args):
+        def record(sector, system, params, schedule, dt, y, *args):
             calls.append((sector.key, y.shape[1]))
-            return split(sector, system, eig, params, schedule, dt, y, *args)
+            return split(sector, system, params, schedule, dt, y, *args)
 
         monkeypatch.setattr(dyn, "_split_evolve", record)
         bose, dist = run_cycles(*self.case(2, 0.7, "smooth"))
@@ -960,7 +981,7 @@ class TestSU2Chain:
 
     def test_chain_matches_40_digit_midpoint_product(self):
         p = engine(1, 1.4)
-        a, b, n = dyn._engine_chain(p, 0.0, IMPULSE.t1, dyn._engine_dt_cap(p))
+        a, b, n = dyn._engine_chain(p, 0.0, IMPULSE.t1, 0.01 / p.energy_scale)
         assert 800 <= n <= 1200
         ref = midpoint_su2_product_mp(p, 0.0, IMPULSE.t1, n)
         assert max(abs(a - ref[0]), abs(b - ref[1])) <= 1e-13
@@ -1070,7 +1091,7 @@ class TestFinalState:
         # shifting level 3, which the weak kick leaves all but empty, puts
         # one eigenvalue of sigma_S at about `bump`: the kick's reduced
         # state, the mixture of its kicked system vectors
-        # (_kicked_system), is taken by _reduced_system
+        # (_kicked_vectors), is taken by one _reduced_system call
         reduced = dyn._reduced_system
         shift = np.diag([0, 0, 0, bump, 0, 0]).astype(complex)
         monkeypatch.setattr(dyn, "_reduced_system", lambda y, w: reduced(y, w) + shift)

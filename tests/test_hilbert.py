@@ -196,44 +196,57 @@ class TestHermitianExpm:
     with them."""
 
     @staticmethod
-    def assert_kick_matches_expm(A, B, t):
-        # a random engine state rho_E = V diag(lam) V^dag with the system
-        # in |0>, kicked: the closed-form reduced system state against the
-        # partial trace of the densely kicked composite
-        dA, dB = len(A), len(B)
-        r, P_r = np.linalg.eigh(A)
+    def assert_kick_matches_expm(As, B, t):
+        # random engine states rho_E = V diag(lam) V^dag of the blocks As,
+        # one sum of weights over all, with the system in |0>, kicked at
+        # once: the closed-form reduced system state against the sum of the
+        # partial traces of the densely kicked composites
+        dB = len(B)
         s, P_s = np.linalg.eigh(B)
-        rng = np.random.default_rng(dA)
+        rng = np.random.default_rng(sum(map(len, As)))
         P_s = P_s * np.exp(2j * np.pi * rng.uniform(size=dB))     # any eigenvector phases
-        V, _ = np.linalg.qr(rng.normal(size=(dA, dA, 2)) @ [1, 1j])
-        lam = rng.uniform(size=dA)
-        lam /= lam.sum()
-        u2, phi, drift = dyn._kicked_system(P_r.conj().T @ V, r, P_s, s, t)
-        got = dyn._reduced_system(phi, u2 @ lam)
-        start = np.kron((V * lam) @ V.conj().T, np.diag(np.eye(dB)[0]))
-        K = scipy.linalg.expm(-1j * t * np.kron(A, B))
-        ref = np.einsum("aiaj->ij", (K @ start @ K.conj().T).reshape(dA, dB, dA, dB))
+        rs, Us, lams, ref = [], [], [], 0
+        for A in As:
+            dA = len(A)
+            r, P_r = np.linalg.eigh(A)
+            V, _ = np.linalg.qr(rng.normal(size=(dA, dA, 2)) @ [1, 1j])
+            lam = rng.uniform(size=dA) / len(As)
+            rs.append(r)
+            Us.append(P_r.conj().T @ V)
+            lams.append(np.abs(Us[-1]) ** 2 @ lam)
+            start = np.kron((V * lam) @ V.conj().T, np.diag(np.eye(dB)[0]))
+            K = scipy.linalg.expm(-1j * t * np.kron(A, B))
+            ref = ref + np.einsum("aiaj->ij", (K @ start @ K.conj().T).reshape(dA, dB, dA, dB))
+        phi, drifts = dyn._kicked_vectors(rs, Us, s, P_s, t)
+        got = dyn._reduced_system(phi, np.concatenate(lams))
         err = np.max(np.abs(got - ref))
         assert err <= 1e-12, err
-        assert drift <= 1e-12, drift
+        assert len(drifts) == len(As) and max(drifts) <= 1e-12, drifts
 
     def test_kick_drift_reads_both_halves(self):
-        # the kicked factor's isometry drift max |U^dag diag(|phi_r|^2) U - I|
-        # sees an engine half (U) and a system half (P_s) off the unitaries
+        # each block's isometry drift max |U^dag diag(|phi_r|^2) U - I| sees
+        # its own engine half (U) and the shared system half (P_s) off the
+        # unitaries, with two blocks kicked at once
         rng = np.random.default_rng(3)
-        r, P_r = np.linalg.eigh(_random_hermitian(rng, 4))
+        rs, Us = [], []
+        for d in (4, 3):
+            r, P_r = np.linalg.eigh(_random_hermitian(rng, d))
+            rs.append(r)
+            Us.append(P_r.conj().T @ np.linalg.qr(_random_hermitian(rng, d))[0])
         s, P_s = np.linalg.eigh(qw.harmonic_system(1.0, 5).matrix)
-        U = P_r.conj().T @ np.linalg.qr(_random_hermitian(rng, 4))[0]
-        for scale_u, scale_s, drift in ((1, 1, 0.0), (1 + 1e-8, 1, 2e-8), (1, 1 + 1e-8, 4e-8)):
-            got = dyn._kicked_system(scale_u * U, r, scale_s * P_s, s, 0.3)[2]
-            assert abs(got - drift) <= 1e-14 + 1e-3 * drift, (scale_u, scale_s, got)
+        for scale_u, scale_s, drift in ((1, 1, (0.0, 0.0)), (1 + 1e-8, 1, (2e-8, 0.0)),
+                                        (1, 1 + 1e-8, (4e-8, 4e-8))):
+            got = dyn._kicked_vectors(rs, [scale_u * Us[0], Us[1]], s, scale_s * P_s, 0.3)[1]
+            assert all(abs(x - d) <= 1e-14 + 1e-3 * d for x, d in zip(got, drift)), \
+                (scale_u, scale_s, got)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 40])
     def test_random_hermitian(self, dim):
         rng = np.random.default_rng(dim)
         B = qw.harmonic_system(1.0, 3).matrix
         for t in (1e-3, 0.3, 1.0):
-            self.assert_kick_matches_expm(_random_hermitian(rng, dim), B, t)
+            self.assert_kick_matches_expm([_random_hermitian(rng, dim),
+                                           _random_hermitian(rng, 3)], B, t)
 
     def test_degenerate_spectrum(self):
         # eigenvalues -1 (x3), 0.5 (x2), 2 in a random unitary frame, for
@@ -244,8 +257,8 @@ class TestHermitianExpm:
         H = (H + H.conj().T) / 2
         B = 2 * spin_ops(DickeSector(2))[0]
         for t in (0.1, 1.0, 2.5):
-            self.assert_kick_matches_expm(H, B, t)
-            self.assert_kick_matches_expm(B, H, t)
+            self.assert_kick_matches_expm([H, B], B, t)
+            self.assert_kick_matches_expm([B, H], H, t)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_instantaneous_eigenbasis(self, N):

@@ -94,6 +94,15 @@ class TestOmegaOfT:
         with pytest.raises(ValueError, match="energy scale"):
             dataclasses.replace(fig2_params(), **changes)
 
+    def test_energy_scale_taken_once_per_object(self):
+        # the validation takes it, and the step rule reads the same value;
+        # a replaced drive takes its own
+        p = fig2_params()
+        scale = p.N * max(float(p.energy(0.0)), float(p.energy(p.T / 2)))
+        assert vars(p)["energy_scale"] == scale and p.energy_scale is p.energy_scale
+        q = dataclasses.replace(p, N=2 * p.N)
+        assert q.energy_scale == 2 * p.energy_scale
+
 
 class TestPhaseIntegral:
     # a decreasing Delta = 0 sweep runs Omega down in stroke 1: the
@@ -248,3 +257,31 @@ class TestHarmonicSystem:
             qw.ExternalSystem(energies=[0.0, 1.0], V_S=np.zeros((2, 3)))
         with pytest.raises(ValueError, match="dimension"):
             qw.ExternalSystem(energies=[0.0, 1.0, 2.0], V_S=np.eye(2))
+
+    def test_derived_constants_are_read_only(self):
+        # the eigensystem of V_S and the largest gap are taken once per
+        # object from arrays no caller can write
+        system = qw.harmonic_system(0.3, 5)
+        assert system.eigensystem is system.eigensystem
+        s, P_s = system.eigensystem
+        np.testing.assert_allclose((P_s * s) @ P_s.conj().T, system.V_S, atol=1e-14)
+        for x in (system.energies, system.V_S, s, P_s):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
+        assert system.max_gap == float(np.diff(system.energies).max())
+        assert qw.ExternalSystem(energies=[0.0], V_S=[[1.0]]).max_gap == 0.0
+
+    def test_callers_arrays_stay_theirs(self):
+        # float64 energies and a complex128 V_S are copied, not frozen or
+        # aliased: a later write by the caller changes neither the system
+        # nor its cached eigensystem
+        energies = np.array([0.0, 1.0, 2.5])
+        vs = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]], dtype=complex)
+        system = qw.ExternalSystem(energies=energies, V_S=vs)
+        s = system.eigensystem[0].copy()
+        for given, held in ((energies, system.energies), (vs, system.V_S)):
+            assert given.flags.writeable and not np.shares_memory(given, held)
+        energies[1], vs[0, 1] = 7.0, 9.0
+        assert system.energies[1] == 1.0 and system.V_S[0, 1] == 1.0
+        np.testing.assert_array_equal(system.eigensystem[0], s)

@@ -486,6 +486,17 @@ class TestCli:
         rc = sw.cli_main(["analytic", "--config", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["analytic", "evolve"])
+    def test_sweep_section_outside_sweep_exit_2(self, tmp_path, capsys, command):
+        # the section changed nothing: the defaults' output, exit 0
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"sweep": {"axes": [{"param": "engine.N", "values": [1, 2]}],
+                                              "method": "both", "out": "x"}}))
+        assert sw.cli_main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: the 'sweep' section"), captured.err
+
     def test_bad_value_exit_2(self, tmp_path, capsys):
         # values the parameter classes reject are usage errors, not tracebacks
         path = tmp_path / "n0.json"
