@@ -820,6 +820,21 @@ class TestRunCycles:
                 np.testing.assert_array_equal(got[:, 0], ref[:, 0])
                 assert gap(got[:, 1:], ref[:, 1:]) <= self.BOUND
 
+    @pytest.mark.parametrize("kind", ["kick", "smooth"])
+    def test_one_system_eigensystem_per_call(self, monkeypatch, kind):
+        # a call on a fresh system diagonalises V_S once, not once per
+        # block and stroke
+        p, sched, system = self.case(2, 0.7, kind)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a is system.matrix)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_cycles(p, sched, system)
+        assert sum(calls) == 1
+
     def test_one_eigensystem_per_system_object(self, monkeypatch):
         # V_S is diagonalised once per ExternalSystem object, not per call,
         # block or stroke: a kick and a smooth pair on one system take one
