@@ -11,14 +11,12 @@ from .protocols import (
     CouplingSchedule,
     EngineParams,
     ExternalSystem,
-    GapDirection,
     Impulse,
     Sampled,
     SmoothPlateau,
     Statistics,
     g_of_t,
     harmonic_system,
-    omega_of_t,
     phase_integral,
 )
 from .analytics import (

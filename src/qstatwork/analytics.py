@@ -260,7 +260,7 @@ def _check_smooth(params: EngineParams, schedule: CouplingSchedule):
 def _levels(params, schedule, system, levels, t0: float, rel_tol: float = 1e-10) -> list:
     """The amplitudes of coupled levels at t0, from a one-engine grid."""
     grid = _amplitude_grid([params], schedule, t0, system.energies[levels],
-                           system.matrix[levels, 0], rel_tol)
+                           system.V_S[levels, 0], rel_tol)
     return [Amplitudes(int(i), t0, *(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
                        quadrature=grid.quadrature) for k, i in enumerate(levels)]
 
@@ -285,7 +285,7 @@ def compute_amplitudes(
         raise DomainError(f"level index i must be in [1, {system.dim - 1}], got {i}")
     if t0 not in (0.0, params.T / 2):
         raise DomainError(f"t0 must be 0 or T/2, got {t0}")
-    if system.matrix[i, 0] == 0:
+    if system.V_S[i, 0] == 0:
         return Amplitudes(i=i, t0=t0, c_plus=0j, c_minus=0j, d=0j)
     return _levels(params, schedule, system, [i], t0, rel_tol)[0]
 
@@ -364,7 +364,7 @@ def impulse_work(
         raise InvalidVariantError("impulse_work needs an Impulse schedule")
     check_schedule_cycle(params, schedule)
     second = impulse_second_moment(params, schedule.t1, statistics)
-    v0 = np.abs(system.matrix[:, 0]) ** 2
+    v0 = np.abs(system.V_S[:, 0]) ** 2
     p = {i: schedule.g ** 2 * second * float(v0[i]) for i in range(1, system.dim) if v0[i] > 0}
     work = float(sum(system.energies[i] * pi for i, pi in p.items()))
     return WorkRecord(
@@ -436,7 +436,7 @@ def level_amplitudes(
     schedule and system (see `general_work`).
     """
     _check_smooth(params, schedule)
-    levels = np.flatnonzero(system.matrix[1:, 0]) + 1
+    levels = np.flatnonzero(system.V_S[1:, 0]) + 1
     if not levels.size:
         return {}
     return dict(zip(levels.tolist(), zip(*(_levels(params, schedule, system, levels, t0)
@@ -553,8 +553,7 @@ def enhancement_region(
     schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
     engines = [EngineParams(N=1, Omega0=base.Omega0, Delta=delta, v=base.v, T=base.T,
                             beta_c=beta_c_E0 / math.hypot(base.Omega0, delta),
-                            beta_h=beta_h_EH / math.hypot(base.omega_half, delta),
-                            gap_direction=base.gap_direction)
+                            beta_h=beta_h_EH / math.hypot(base.omega_half, delta))
                for delta in (deltas * base.Omega0).tolist()]
     # an empty grid leaves no amplitudes to compute
     amps = [_amplitude_grid(engines, schedule, t0, omegas, np.ones(omts.size))

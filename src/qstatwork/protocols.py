@@ -1,10 +1,11 @@
 """Drive protocol, coupling schedules, and the driven external system.
 
 The Otto-cycle gap sweep Omega(t) is piecewise linear over the two work
-strokes [0, T/2] and [T/2, T]; the engine-system coupling g_C(t) is
-either an impulse (delta kick of area g), a smooth tanh plateau, or a
-sampled profile.  Everything here is a pure, reentrant description of
-the protocol; no dynamics.
+strokes [0, T/2] and [T/2, T]: Omega0 + v t in the first, at the signed
+sweep rate v, and back along the same line in the second.  The
+engine-system coupling g_C(t) is either an impulse (delta kick of area
+g), a smooth tanh plateau, or a sampled profile.  Everything here is a
+pure, reentrant description of the protocol; no dynamics.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ class Statistics(str, enum.Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-class GapDirection(str, enum.Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-
-
 # ---------------------------------------------------------------------------
 # engine drive
 # ---------------------------------------------------------------------------
@@ -38,12 +34,12 @@ class GapDirection(str, enum.Enum):
 class EngineParams:
     """Linear-sweep Otto drive for N two-level engines.
 
-    Omega0 is the gap parameter at the cycle start, v the sweep speed
-    (only |v| matters; the stroke direction is set by gap_direction),
-    T the cycle period, beta_c/beta_h the cold/hot inverse temperatures.
-    Omega0, Delta, v and T must be finite, E_t = sqrt(Omega(t)^2 +
-    Delta^2) positive except possibly at isolated stroke endpoints of a
-    Delta = 0 sweep, and N max_t E_t finite.
+    Omega0 is the gap parameter at the cycle start, v the signed sweep
+    rate of the first stroke (v < 0 runs Omega down), T the cycle
+    period, beta_c/beta_h the cold/hot inverse temperatures.  Omega0,
+    Delta, v and T must be finite, E_t = sqrt(Omega(t)^2 + Delta^2)
+    positive except possibly at isolated stroke endpoints of a Delta = 0
+    sweep, and N max_t E_t finite.
     """
 
     N: int
@@ -53,7 +49,6 @@ class EngineParams:
     T: float
     beta_c: float
     beta_h: float
-    gap_direction: GapDirection = GapDirection.INCREASING
 
     def __post_init__(self):
         if not float(self.N).is_integer() or self.N < 1:
@@ -71,7 +66,6 @@ class EngineParams:
                 f"engine regime requires beta_c > beta_h >= 0, got "
                 f"beta_c={self.beta_c}, beta_h={self.beta_h}"
             )
-        object.__setattr__(self, "gap_direction", GapDirection(self.gap_direction))
         self._check_gap_open()
         with np.errstate(over="ignore"):
             e_max = self.energy_scale
@@ -91,8 +85,7 @@ class EngineParams:
     @property
     def omega_half(self) -> float:
         """Omega(T/2), the gap parameter at the hot isochore."""
-        sgn = 1.0 if self.gap_direction is GapDirection.INCREASING else -1.0
-        return self.Omega0 + sgn * abs(self.v) * self.T / 2
+        return self.Omega0 + self.v * self.T / 2
 
     @cached_property
     def energy_scale(self) -> float:
@@ -100,7 +93,17 @@ class EngineParams:
         return self.N * max(float(self.energy(0.0)), float(self.energy(self.T / 2)))
 
     def omega(self, t):
-        return omega_of_t(self, t)
+        """The piecewise-linear gap sweep, exactly linear within each stroke:
+        Omega(t) = Omega0 + v t in the first, and back along the same line
+        in the second, so that Omega(T) = Omega0 closes the drive cycle."""
+        t_arr = np.asarray(t, dtype=float)
+        if _outside(t_arr, -1e-12, self.T * (1 + 1e-12)):
+            raise DomainError(f"t must lie in [0, T] = [0, {self.T}]")
+        half = self.T / 2
+        first = self.Omega0 + self.v * t_arr
+        second = (self.Omega0 + self.v * half) - self.v * (t_arr - half)
+        out = np.where(t_arr <= half, first, second)
+        return out if out.ndim else float(out)
 
     def energy(self, t):
         """E_t = sqrt(Omega(t)^2 + Delta^2)."""
@@ -132,25 +135,6 @@ def _outside(t: np.ndarray, lo: float, hi: float) -> bool:
     return t.size > 0 and (np.fmin.reduce(t, axis=None) < lo or np.fmax.reduce(t, axis=None) > hi)
 
 
-def omega_of_t(params: EngineParams, t):
-    """Piecewise-linear gap sweep; exactly linear within each stroke.
-
-    With the default increasing direction the first stroke widens the
-    gap, Omega(t) = Omega(0) + |v| t, and the second returns it, so that
-    Omega(T) = Omega(0) closes the drive cycle.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if _outside(t_arr, -1e-12, params.T * (1 + 1e-12)):
-        raise DomainError(f"t must lie in [0, T] = [0, {params.T}]")
-    sgn = 1.0 if params.gap_direction is GapDirection.INCREASING else -1.0
-    speed = sgn * abs(params.v)
-    half = params.T / 2
-    first = params.Omega0 + speed * t_arr
-    second = (params.Omega0 + speed * half) - speed * (t_arr - half)
-    out = np.where(t_arr <= half, first, second)
-    return out if out.ndim else float(out)
-
-
 def phase_integral(params: EngineParams, t, t0: float):
     """Adiabatic phase phi(t, t0) = int_{t0}^{t} 2 E_s ds, in closed form.
 
@@ -164,8 +148,7 @@ def phase_integral(params: EngineParams, t, t0: float):
         raise DomainError(f"t0 must be a stroke start (0 or T/2), got {t0}")
     if _outside(t_arr, t0 - 1e-12, t0 + half + 1e-12):
         raise DomainError("phase_integral arguments must stay within one stroke")
-    sgn = 1.0 if params.gap_direction is GapDirection.INCREASING else -1.0
-    slope = sgn * abs(params.v) * (1.0 if t0 == 0.0 else -1.0)
+    slope = params.v * (1.0 if t0 == 0.0 else -1.0)
     om0 = float(params.omega(t0))
     om_t = om0 + slope * (t_arr - t0)
     delta = params.Delta
@@ -350,10 +333,6 @@ class ExternalSystem:
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.V_S
 
     @cached_property
     def eigensystem(self) -> tuple:

@@ -130,7 +130,6 @@ _FIELDS = {
         "T": (float, 20.0, "--T"),
         "beta_c_E0": (float, 2.0, "--beta-c-e0"),   # beta_c E(0)
         "beta_h_EH": (float, 0.25, "--beta-h-eh"),  # beta_h E(T/2)
-        "gap_direction": (("increasing", "decreasing"), "increasing", None),
     },
     "coupling": {
         "kind": (("impulse", "plateau"), "impulse", "--coupling"),
@@ -239,8 +238,7 @@ def validate_config(doc: dict):
 def build_engine(cfg: dict) -> EngineParams:
     f = _section("engine", cfg)
     omega0, delta = f["Omega0"], f["Delta"]
-    sgn = 1 if f["gap_direction"] == "increasing" else -1
-    omega_h = omega0 + sgn * (abs(f["v"]) * f["T"] / 2)
+    omega_h = omega0 + f["v"] * f["T"] / 2
     f["beta_c"] = f.pop("beta_c_E0") / math.hypot(omega0, delta)
     f["beta_h"] = f.pop("beta_h_EH") / math.hypot(omega_h, delta)
     return EngineParams(**f)
@@ -671,11 +669,6 @@ def _fig3_data(workers: int = 1):
     return data, [diag for pair in runs for _, diag in pair]
 
 
-def _fermi_rows(n_values=(2, 3, 4, 5), bw_values=(4.0, 5.0, 6.0)):
-    """Criterion 8's lambda_table rows."""
-    return fermi_mod.lambda_table(n_values, bw_values)
-
-
 def _figure_fig2a(runs):
     rows, diags = runs
     columns = ["N", "delta_over_omega0", "E_ratio_analytic", "E_ratio_numeric"]
@@ -701,7 +694,7 @@ def _figure_fig3b(fig3):
 
 
 def _figure_fig4(n_values):
-    rows = _fermi_rows(n_values, np.arange(2.5, 6.01, 0.25))
+    rows = fermi_mod.lambda_table(n_values, np.arange(2.5, 6.01, 0.25))
     columns = ["N", "beta_com_omega", "lambda", "lambda_asymptotic", "method"]
     return columns, rows, _check_fermi_parity(rows), {}
 
@@ -802,6 +795,10 @@ def run_figure(fig_id: str, out_dir: str, workers: int = 1, shared: dict = None)
 # tests/test_acceptance.py all call these.
 # ---------------------------------------------------------------------------
 
+# criterion 8's (N values, beta omega values) at verify sizes
+_FERMI_VERIFY_GRID = ((2, 3, 4, 5), (4.0, 5.0, 6.0))
+
+
 def run_verify(seed: int = 0, fast: bool = False, workers: int = 1) -> list:
     """Criteria 1, 2, 5, 8 and (full runs only) 3 at verify sizes:
     (name, ok, detail) per check. Every check runs whatever the others give;
@@ -811,7 +808,7 @@ def run_verify(seed: int = 0, fast: bool = False, workers: int = 1) -> list:
         ("moment-oracles", *_check_moment_oracles()),
         ("inequality-battery", *_check_inequalities(rng, *((20, 10) if fast else (60, 40)))),
         ("delta0-dominance", *_check_delta0_dominance(rng, 10 if fast else 50)),
-        ("fermi-parity", *_check_fermi_parity(_fermi_rows())),
+        ("fermi-parity", *_check_fermi_parity(fermi_mod.lambda_table(*_FERMI_VERIFY_GRID))),
     ]
     if not fast:
         checks.append(("impulse-enhancement",
@@ -948,7 +945,7 @@ def _check_delta0_dominance(rng, n_draws: int):
     for _ in range(n_draws):
         engine, schedule, system = random_smooth_case(rng)
         for i, amps in analytics.level_amplitudes(engine, schedule, system).items():
-            if abs(system.matrix[i, 0]) < 1e-14:
+            if abs(system.V_S[i, 0]) < 1e-14:
                 continue
             p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i, amps)
                         for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))

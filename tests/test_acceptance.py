@@ -185,7 +185,7 @@ def test_criterion_5_integrates_each_level_once(monkeypatch):
     # stroke-start integrals per coupled level serves both probabilities,
     # all of a draw's levels in one quadrature per stroke start
     rng = np.random.default_rng(5)
-    coupled = sum(int(np.sum(np.abs(system.matrix[1:, 0]) >= 1e-14))
+    coupled = sum(int(np.sum(np.abs(system.V_S[1:, 0]) >= 1e-14))
                   for _, _, system in (sw.random_smooth_case(rng) for _ in range(3)))
     true, calls = an._amplitude_grid, []
 
@@ -232,11 +232,11 @@ def test_criterion_7_negative_control():
 
 def test_criterion_8_fermionic_parity():
     timed_check("criterion-8 (fermionic parity law)", 60.0,
-                lambda: sw._check_fermi_parity(sw._fermi_rows()))
+                lambda: sw._check_fermi_parity(qw.fermi.lambda_table(*sw._FERMI_VERIFY_GRID)))
 
 
 def test_criterion_8_negative_controls():
-    rows = sw._fermi_rows()
+    rows = qw.fermi.lambda_table(*sw._FERMI_VERIFY_GRID)
     assert sw._check_fermi_parity(rows)[0] is True
     # odd N only below beta omega = 4, with a lambda far off the parity law:
     # no odd row reaches the gap test, so the rows must not pass

@@ -200,7 +200,7 @@ class TestAmplitudeRow:
         # exact against each level alone
         system = qw.ExternalSystem(energies=np.array([0.0, 0.37, 0.37 * (1 + 1e-9)]),
                                    V_S=v_s + v_s.conj().T)
-        eps, v = system.energies[1:], system.matrix[1:, 0]
+        eps, v = system.energies[1:], system.V_S[1:, 0]
         row = amplitude_row(p, t0, eps, v)
         for k, i in enumerate((1, 2)):
             amp = qw.compute_amplitudes(p, self.SCHED, system, i, t0)

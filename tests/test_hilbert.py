@@ -233,7 +233,7 @@ class TestHermitianExpm:
             r, P_r = np.linalg.eigh(_random_hermitian(rng, d))
             rs.append(r)
             Us.append(P_r.conj().T @ np.linalg.qr(_random_hermitian(rng, d))[0])
-        s, P_s = np.linalg.eigh(qw.harmonic_system(1.0, 5).matrix)
+        s, P_s = np.linalg.eigh(qw.harmonic_system(1.0, 5).V_S)
         for scale_u, scale_s, drift in ((1, 1, (0.0, 0.0)), (1 + 1e-8, 1, (2e-8, 0.0)),
                                         (1, 1 + 1e-8, (4e-8, 4e-8))):
             got = dyn._kicked_vectors(rs, [scale_u * Us[0], Us[1]], s, scale_s * P_s, 0.3)[1]
@@ -243,7 +243,7 @@ class TestHermitianExpm:
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 40])
     def test_random_hermitian(self, dim):
         rng = np.random.default_rng(dim)
-        B = qw.harmonic_system(1.0, 3).matrix
+        B = qw.harmonic_system(1.0, 3).V_S
         for t in (1e-3, 0.3, 1.0):
             self.assert_kick_matches_expm([_random_hermitian(rng, dim),
                                            _random_hermitian(rng, 3)], B, t)

@@ -3,13 +3,14 @@ name it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), every function and class the
 package defines is used by the package or exported, every name it
 exports is read by another of its modules or named by the benchmark,
-every parameter of its functions is read (one listed exception), the
-test oracles
-take from the package only the model inputs they need, importing the
-package loads NumPy and the standard library only, a parallel map starts
-no process pool, the benchmark's tracer still runs on the package, and
-the README's module map names the package's modules, its table of
-config fields the fields of the schema, and its library sketch runs."""
+every parameter of its functions is read (one listed exception), no
+function or property of it only hands back an attribute or forwards its
+parameters (a second name), the test oracles take from the package only
+the model inputs they need, importing the package loads NumPy and the
+standard library only, a parallel map starts no process pool, the
+benchmark's tracer still runs on the package, and the README's module
+map names the package's modules, its table of config fields the fields
+of the schema, and its library sketch runs."""
 
 import ast
 import collections
@@ -212,6 +213,64 @@ def test_every_parameter_is_read():
     found = {(p.stem, *f) for p in (ROOT / "src" / "qstatwork").glob("*.py")
              for f in unread_parameters(p.read_text())}
     assert found == UNREAD_PARAMETERS_ALLOWED
+
+
+def second_names(source: str) -> list:
+    """The names, as name or class.name, of each function, method or
+    property of `source` whose body, after its docstring, is one `return`
+    of `self.<attr>` or of a call passing exactly the function's own
+    parameters, in order and without keywords: a second name for what it
+    returns."""
+    found = []
+
+    def forwards(node, value):
+        if isinstance(value, ast.Attribute):
+            return isinstance(value.value, ast.Name) and value.value.id == "self"
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        return (isinstance(value, ast.Call) and not value.keywords
+                and [getattr(arg, "id", None) for arg in value.args] == params)
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, FUNCTIONS):
+                stmts = node.body[ast.get_docstring(node) is not None:]
+                if (len(stmts) == 1 and isinstance(stmts[0], ast.Return)
+                        and forwards(node, stmts[0].value)):
+                    found.append(prefix + node.name)
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_detects_second_name():
+    # second names: a call forwarding the parameters in order, a method's
+    # self among them, and an attribute read back; not: a call that
+    # reorders, names or adds an argument, an attribute one level deeper,
+    # or a body of more than the return
+    assert second_names(
+        "def f(a, b):\n    return g(a, b)\n"
+        "def h(a, b):\n    return g(b, a)\n"
+        "def k(a, b=1):\n    return g(a, b=b)\n"
+        "def m(a):\n    return g(a, 2)\n"
+        "class C:\n"
+        "    @property\n    def p(self):\n        \"\"\"Doc.\"\"\"\n        return self.x\n"
+        "    @property\n    def q(self):\n        return self.x.size\n"
+        "    def r(self, t):\n        return g(self, t)\n"
+        "    def s(self, t):\n        y = g(self, t)\n        return y\n"
+    ) == ["f", "C.p", "C.r"]
+
+
+def test_package_has_no_second_names():
+    # one name for each model quantity: a function that only hands back an
+    # attribute, or its parameters to another function, is a second name
+    # for it, and its callers can read the first
+    found = {f"{p.stem}.{name}" for p in (ROOT / "src" / "qstatwork").glob("*.py")
+             for name in second_names(p.read_text())}
+    assert found == set()
 
 
 def package_imports(source: str) -> list:

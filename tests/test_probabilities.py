@@ -139,7 +139,7 @@ class TestGeneralProbability:
             eng, sched, system = random_smooth_case(rng)
             amps = level_amplitudes(eng, sched, system)      # one quadrature per draw
             for i in range(1, system.dim):
-                if abs(system.matrix[i, 0]) < 1e-14:
+                if abs(system.V_S[i, 0]) < 1e-14:
                     continue
                 pb = qw.general_probability(eng, sched, system, qw.Statistics.BOSE, i, amps[i])
                 pd = qw.general_probability(eng, sched, system,

@@ -22,42 +22,43 @@ def fig2_params(N=2, delta=0.0):
 
 class TestOmegaOfT:
     def test_initial_value(self):
-        # v = -0.1 Omega(0)^2, T = 20/Omega(0) in the dimensionless units
+        # v = 0.1 Omega(0)^2, T = 20/Omega(0) in the dimensionless units
         p = fig2_params()
-        assert qw.omega_of_t(p, 0.0) == 1.0
+        assert p.omega(0.0) == 1.0
 
     def test_continuity_at_half(self):
         p = fig2_params()
-        left = qw.omega_of_t(p, 10.0 - 1e-9)
-        right = qw.omega_of_t(p, 10.0 + 1e-9)
+        left = p.omega(10.0 - 1e-9)
+        right = p.omega(10.0 + 1e-9)
         assert abs(left - right) < 1e-6
-        assert abs(qw.omega_of_t(p, 10.0) - 2.0) < 1e-12
+        assert abs(p.omega(10.0) - 2.0) < 1e-12
 
     def test_cycle_closure(self):
         p = fig2_params()
-        assert abs(qw.omega_of_t(p, 20.0) - 1.0) < 1e-12
+        assert abs(p.omega(20.0) - 1.0) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            qw.omega_of_t(fig2_params(), 21.0)
+            fig2_params().omega(21.0)
 
     def test_exactly_linear_within_stroke(self):
         p = fig2_params()
         t = np.linspace(0.5, 9.5, 101)
-        om = qw.omega_of_t(p, t)
+        om = p.omega(t)
         second = np.diff(om, 2)
         assert np.max(np.abs(second)) < 1e-13
 
     def test_decreasing_direction(self):
-        p = qw.EngineParams(N=1, Omega0=3.0, Delta=0.0, v=0.1, T=20.0,
-                            beta_c=1.0, beta_h=0.1, gap_direction="decreasing")
-        assert abs(qw.omega_of_t(p, 10.0) - 2.0) < 1e-12
-        assert abs(qw.omega_of_t(p, 20.0) - 3.0) < 1e-12
+        # a negative rate runs Omega down in stroke 1 and back up in stroke 2
+        p = qw.EngineParams(N=1, Omega0=3.0, Delta=0.0, v=-0.1, T=20.0,
+                            beta_c=1.0, beta_h=0.1)
+        assert abs(p.omega(10.0) - 2.0) < 1e-12
+        assert abs(p.omega(20.0) - 3.0) < 1e-12
 
     def test_gap_closing_rejected(self):
         with pytest.raises(DegenerateHamiltonianError):
-            qw.EngineParams(N=1, Omega0=0.5, Delta=0.0, v=0.1, T=20.0,
-                            beta_c=1.0, beta_h=0.1, gap_direction="decreasing")
+            qw.EngineParams(N=1, Omega0=0.5, Delta=0.0, v=-0.1, T=20.0,
+                            beta_c=1.0, beta_h=0.1)
 
     def test_negative_omega_rejected_by_its_rule(self):
         # |Omega| > 0 throughout, but the Delta = 0 closed forms take Omega >= 0
@@ -105,16 +106,14 @@ class TestOmegaOfT:
 
 
 class TestPhaseIntegral:
-    # a decreasing Delta = 0 sweep runs Omega down in stroke 1: the
+    # a Delta = 0 sweep at v < 0 runs Omega down in stroke 1: the
     # closed form takes |Omega| = Omega, which the validation guarantees
-    @pytest.mark.parametrize("delta, direction", [
-        pytest.param(0.0, "increasing", id="0.0"), pytest.param(0.5, "increasing", id="0.5"),
-        pytest.param(2.0, "increasing", id="2.0"),
-        pytest.param(0.0, "decreasing", id="0.0-decreasing")])
-    def test_matches_quadrature(self, delta, direction):
-        p = fig2_params(delta=delta)
-        if direction == "decreasing":
-            p = dataclasses.replace(p, Omega0=3.0, gap_direction=direction)
+    @pytest.mark.parametrize("delta, changes", [
+        pytest.param(0.0, {}, id="0.0"), pytest.param(0.5, {}, id="0.5"),
+        pytest.param(2.0, {}, id="2.0"),
+        pytest.param(0.0, {"Omega0": 3.0, "v": -0.1}, id="0.0-decreasing")])
+    def test_matches_quadrature(self, delta, changes):
+        p = dataclasses.replace(fig2_params(delta=delta), **changes)
         for t0, t in ((0.0, 3.7), (0.0, 10.0), (10.0, 16.2)):
             closed = qw.phase_integral(p, t, t0)
             ref = phase_quad(p, t, t0)
@@ -221,12 +220,12 @@ class TestCouplingSchedules:
 class TestHarmonicSystem:
     def test_two_level_truncation(self):
         sys2 = qw.harmonic_system(1.0, 2)
-        np.testing.assert_allclose(sys2.matrix, [[0, 1], [1, 0]], atol=1e-15)
+        np.testing.assert_allclose(sys2.V_S, [[0, 1], [1, 0]], atol=1e-15)
 
     def test_ladder_recursion(self):
         sys_ = qw.harmonic_system(0.7, 9)
         for i in range(1, 9):
-            assert sys_.matrix[i, i - 1] == pytest.approx(math.sqrt(i))
+            assert sys_.V_S[i, i - 1] == pytest.approx(math.sqrt(i))
         np.testing.assert_allclose(sys_.energies, 0.7 * np.arange(9), atol=1e-15)
 
     def test_interaction_picture_matrix_element(self):
@@ -234,7 +233,7 @@ class TestHarmonicSystem:
         omega, t = 0.35, 2.2
         sys_ = qw.harmonic_system(omega, 6)
         phases = np.exp(1j * sys_.energies * t)
-        v_int = np.diag(phases) @ sys_.matrix @ np.diag(phases.conj())
+        v_int = np.diag(phases) @ sys_.V_S @ np.diag(phases.conj())
         col = v_int[:, 0]
         assert abs(col[1] - np.exp(1j * omega * t)) < 1e-12
         assert np.max(np.abs(np.delete(col, 1))) < 1e-12
@@ -252,7 +251,7 @@ class TestHarmonicSystem:
 
     def test_generic_system_holds_its_coupling_array(self):
         system = qw.ExternalSystem(energies=[0.0, 1.0], V_S=[[0, 1], [1, 0]])
-        assert system.matrix is system.V_S and system.V_S.dtype == complex
+        assert system.V_S.dtype == complex
         with pytest.raises(ValueError, match="square"):
             qw.ExternalSystem(energies=[0.0, 1.0], V_S=np.zeros((2, 3)))
         with pytest.raises(ValueError, match="dimension"):

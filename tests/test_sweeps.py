@@ -234,7 +234,7 @@ class TestConfig:
         ({"coupling": {"g": [1]}}, "coupling.g must be a number, got [1]"),
         ({"system": {"omega_T": {}}}, "system.omega_T must be a number, got {}"),
         ({"engine": {"v": True}}, "engine.v must be a number, got True"),
-        ({"engine": {"gap_direction": "up"}}, "engine.gap_direction must be one of"),
+        ({"coupling": {"kind": "kick"}}, "coupling.kind must be one of"),
         # integers too large for a float, for a count and for a number
         ({"engine": {"N": 10 ** 400}}, "engine.N is out of range: an integer of 1329 bits"),
         ({"engine": {"T": 10 ** 400}}, "engine.T is out of range: an integer of 1329 bits"),
@@ -459,6 +459,30 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["enhancement_ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_rate_reverses_the_sweep(self, capsys):
+        # --v -0.1 runs Omega from 3 down to 2 in stroke 1: another work than
+        # --v 0.1, and the library's on the same drive.  At Delta = 0 an
+        # impulse's closed form reads beta_c E_0 alone and cannot see the sign
+        works = {}
+        for v in ("0.1", "-0.1"):
+            assert sw.cli_main(["analytic", "--omega0", "3", "--delta", "0.5", "--v", v]) == 0
+            works[v] = json.loads(capsys.readouterr().out)["indistinguishable"]["avg_work"]
+        assert works["-0.1"] != works["0.1"]
+        T = 20.0
+        p = qw.EngineParams(N=2, Omega0=3.0, Delta=0.5, v=-0.1, T=T,
+                            beta_c=2.0 / math.hypot(3.0, 0.5), beta_h=0.25 / math.hypot(2.0, 0.5))
+        _, rec_b, _ = qw.enhancement(p, qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T),
+                                     qw.harmonic_system(2 * math.pi * 0.05 / T, 12))
+        assert works["-0.1"] == rec_b.avg_work
+
+    def test_gap_direction_refused(self, tmp_path, capsys):
+        # the sign of engine.v is the direction of the sweep
+        path = tmp_path / "direction.json"
+        path.write_text(json.dumps({"engine": {"gap_direction": "decreasing"}}))
+        assert sw.cli_main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown field 'engine.gap_direction'")
 
     def test_usage_error_exit_2(self):
         assert sw.cli_main(["analytic", "--no-such-flag"]) == 2
