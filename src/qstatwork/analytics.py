@@ -145,7 +145,7 @@ def moment_h(N: int, x):
 
 def _x_at(params: EngineParams, t0: float) -> float:
     beta = params.beta_c if t0 == 0.0 else params.beta_h
-    return beta * float(params.energy(t0))
+    return beta * params.start_values[t0].energy
 
 
 _STATISTICS = (Statistics.BOSE, Statistics.DISTINGUISHABLE)
@@ -223,7 +223,7 @@ def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v,
     v = np.asarray(v, dtype=complex)[:, None]
     m = eps.shape[0]
     lo, hi = t0, t0 + engines[0].T / 2
-    e_max = max(float(p.energy(t)) for p in engines for t in (lo, hi))
+    e_max = max(e for p in engines for e in (p.start_values[lo].energy, float(p.energy(hi))))
 
     def stack(p, base, tt):
         # c~+ and c~- differ only in the sign of the ladder phase, and d
@@ -238,12 +238,13 @@ def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v,
         return out.reshape(-1, tt.size)
 
     def integrand(tt, contract):
+        # each engine's (K21, G10) pair of every component of its stack
         base = g_of_t(schedule, tt) * v * np.exp(1j * eps * tt)
-        out = np.zeros((len(engines), 3 * m), complex)
+        out = np.zeros((len(engines), 3 * m, 2), complex)
         for p, row in zip(engines, out):
             est = contract(stack(p, base, tt))
-            row[:est.size] = est
-        return out.reshape(-1, 3, m)
+            row[:len(est)] = est
+        return out.reshape(-1, 3, m, 2)
 
     amps, stats = _quad.integrate_oscillatory(
         integrand, lo, hi, breakpoints=_schedule_breakpoints(schedule, lo, hi),
@@ -278,7 +279,8 @@ def compute_amplitudes(
 
     The adiabatic phase for linear sweeps is evaluated in closed form
     (asinh antiderivative); oscillation-aware panels keep the integrand
-    resolved and the estimate is refined until it is stable to rel_tol.
+    resolved, and they are halved until the K21 and G10 estimates agree
+    to rel_tol.
     """
     _check_smooth(params, schedule)
     if not (1 <= i < system.dim):

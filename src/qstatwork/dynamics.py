@@ -187,7 +187,8 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float, tilts
     """Per-sector Gibbs blocks R diag(lam) R^dag with a common normalisation,
     kept factored as (R, lam): R, by block key in `tilts` (which runs of one t0
     may share), lifts the y-rotation onto the eigenbasis of H_E(t0), I at Delta = 0."""
-    E0 = float(params.energy(t0))
+    start = params.start_values[t0]
+    E0 = start.energy
     e_min = min(2 * E0 * s.sz_diag.min() for s in sectors)
     shifted = [2 * E0 * s.sz_diag - e_min for s in sectors]
     if math.isinf(beta):
@@ -195,7 +196,7 @@ def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float, tilts
     else:
         weights = [np.exp(-beta * x) for x in shifted]
     Z = sum(s.mult * w.sum() for s, w in zip(sectors, weights))
-    a, b = _su2_y(float(params.theta(t0)) + math.pi / 2)
+    a, b = _su2_y(start.theta + math.pi / 2)
     tilts = {} if tilts is None else tilts
     for s in sectors:
         if s.key not in tilts:
@@ -616,7 +617,7 @@ def adiabaticity_witness(params: EngineParams) -> float:
         k = np.minimum(np.arange(m + 1) * every, n - 1)
         t = np.minimum(t0 + (k + 1) * dt, t_end)
         ra, rb = _su2_y(params.theta(t) + math.pi / 2)
-        r0 = _su2_y(float(params.theta(t0)) + math.pi / 2)
+        r0 = _su2_y(params.start_values[t0].theta + math.pi / 2)
         w = _su2_mul(ra, -rb, *_su2_mul(*np.array(u).T, *r0))    # (ra, -rb) is r_t^dag
         overlaps = np.abs(np.diagonal(sector.lift(*w), axis1=-2, axis2=-1)) ** 2
         worst = max(worst, float(np.max(1 - overlaps)))

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -29,6 +29,14 @@ class Statistics(str, enum.Enum):
 # ---------------------------------------------------------------------------
 # engine drive
 # ---------------------------------------------------------------------------
+
+class StrokeStart(NamedTuple):
+    """The drive at a stroke start: Omega, E_t and theta_t."""
+
+    omega: float
+    energy: float
+    theta: float
+
 
 @dataclass(frozen=True)
 class EngineParams:
@@ -90,7 +98,14 @@ class EngineParams:
     @cached_property
     def energy_scale(self) -> float:
         """E_max = N max_t E_t = N max(E_0, E_T/2), the scale of the step rule."""
-        return self.N * max(float(self.energy(0.0)), float(self.energy(self.T / 2)))
+        return self.N * max(start.energy for start in self.start_values.values())
+
+    @cached_property
+    def start_values(self) -> dict:
+        """{t0: StrokeStart} at the stroke starts t0 = 0 and T/2: constants of
+        the drive, taken once from `omega`, `energy` and `theta`."""
+        return {t0: StrokeStart(self.omega(t0), float(self.energy(t0)), float(self.theta(t0)))
+                for t0 in (0.0, self.T / 2)}
 
     def omega(self, t):
         """The piecewise-linear gap sweep, exactly linear within each stroke:
@@ -149,7 +164,7 @@ def phase_integral(params: EngineParams, t, t0: float):
     if _outside(t_arr, t0 - 1e-12, t0 + half + 1e-12):
         raise DomainError("phase_integral arguments must stay within one stroke")
     slope = params.v * (1.0 if t0 == 0.0 else -1.0)
-    om0 = float(params.omega(t0))
+    om0 = params.start_values[t0].omega
     om_t = om0 + slope * (t_arr - t0)
     delta = params.Delta
     if slope == 0.0:

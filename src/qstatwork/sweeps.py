@@ -237,11 +237,11 @@ def validate_config(doc: dict):
 
 def build_engine(cfg: dict) -> EngineParams:
     f = _section("engine", cfg)
-    omega0, delta = f["Omega0"], f["Delta"]
-    omega_h = omega0 + f["v"] * f["T"] / 2
-    f["beta_c"] = f.pop("beta_c_E0") / math.hypot(omega0, delta)
-    f["beta_h"] = f.pop("beta_h_EH") / math.hypot(omega_h, delta)
-    return EngineParams(**f)
+    beta_c_E0, beta_h_EH = f.pop("beta_c_E0"), f.pop("beta_h_EH")
+    # the drive alone, at placeholder temperatures, sets E_0 and E_T/2
+    drive = EngineParams(**f, beta_c=1.0, beta_h=0.0)
+    return replace(drive, beta_c=beta_c_E0 / math.hypot(drive.Omega0, drive.Delta),
+                   beta_h=beta_h_EH / math.hypot(drive.omega_half, drive.Delta))
 
 
 def build_schedule(cfg: dict, T: float):

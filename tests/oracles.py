@@ -343,14 +343,16 @@ def _free_step(params, system, kind, t_mid, tau):
 def dense_strang_steps(rho, params, schedule, system, kind, t_start, dt, n):
     """rho after n Strang steps exp(-iA dt/2) exp(-iB dt) exp(-iA dt/2)
     from t_start, with A = H_E(t_mid) (x) I + I (x) H_S and
-    B = g(t_mid) V_R (x) V_S at each step's midpoint t_mid."""
+    B = g(t_mid) V_R (x) V_S at each step's midpoint t_mid.  As in
+    dense_cycle's kicks, the product U = U_n ... U_1 is taken first and
+    applied to rho once."""
     v = np.kron(2 * spin_ops(kind)[0], system.V_S)
+    U = np.eye(rho.shape[0])
     for k in range(n):
         t_mid = t_start + k * dt + dt / 2
         half = _free_step(params, system, kind, t_mid, dt / 2)
-        U = half @ expm(-1j * dt * float(g_of_t(schedule, t_mid)) * v) @ half
-        rho = U @ rho @ U.conj().T
-    return rho
+        U = half @ expm(-1j * dt * float(g_of_t(schedule, t_mid)) * v) @ half @ U
+    return U @ rho @ U.conj().T
 
 
 def dense_cycle(params, schedule, system, kind, diagnostics):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 import qstatwork as qw
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
-from qstatwork._quad import GL_NODES, GL_WEIGHTS, QuadStats, _build_panels, integrate_oscillatory
+from qstatwork._quad import (KR_NODES, KR_WEIGHTS, QuadStats, _build_panels, _evaluate,
+                             integrate_oscillatory)
 from qstatwork.analytics import _amplitude_grid, _schedule_breakpoints, level_amplitudes
 
 T = 20.0
@@ -26,11 +27,53 @@ def engine(delta, omega0=1.0, v=0.1, beta_c=None):
 
 
 class TestQuadHelper:
-    def test_builtin_order16_table_is_leggauss(self):
-        # the quadrature's nodes are a literal table, bit-equal to leggauss(16)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-        assert GL_NODES.tobytes() == ref_x.tobytes()
-        assert GL_WEIGHTS.tobytes() == ref_w.tobytes()
+    def test_builtin_kronrod_table_embeds_leggauss10(self):
+        # the quadrature's nodes are a literal table: the G10 nodes are every
+        # second Kronrod node, from the second, bit-equal to leggauss(10)'s;
+        # their weights lie within 1 ulp of 1 of leggauss(10)'s, which rounds
+        # them up to 7 ulp of their own size (the table's are QUADPACK's
+        # 33-digit values, correctly rounded)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+        gauss = KR_WEIGHTS[:, 1] != 0
+        assert KR_NODES.shape == (21,) and KR_WEIGHTS.shape == (21, 2)
+        assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 21, 2))
+        assert KR_NODES[gauss].tobytes() == ref_x.tobytes()
+        assert np.all(np.abs(KR_WEIGHTS[gauss, 1] - ref_w) <= np.spacing(1.0))
+        assert np.array_equal(KR_NODES, -KR_NODES[::-1])
+        assert np.array_equal(KR_WEIGHTS, KR_WEIGHTS[::-1])
+
+    def test_rule_pair_degrees(self):
+        # K21 integrates x^k exactly through k = 31 and G10 through k = 19, on
+        # [0, 1] (relative) and on [-1, 1] (absolute); on [-1, 1] the next
+        # power shows each rule's miss, 2.9e-6 for G10 and 4.4e-12 for K21
+        def pair(k, a, b):
+            return _evaluate(lambda t, c: c(t ** k), np.array([a, b]))
+
+        for k in range(32):
+            k21, g10 = pair(k, 0.0, 1.0)
+            sym = pair(k, -1.0, 1.0)
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(k21 * (k + 1) - 1) <= 1e-15 and abs(sym[0] - exact) <= 1e-15
+            if k <= 19:
+                assert abs(g10 * (k + 1) - 1) <= 1e-15 and abs(sym[1] - exact) <= 1e-15
+        assert abs(pair(20, -1.0, 1.0)[1] - 2 / 21) > 1e-6
+        assert abs(pair(32, -1.0, 1.0)[0] - 2 / 33) > 1e-12
+
+    @pytest.mark.parametrize("w, node_counts", [(5.0, [21]), (10.0, [21, 42])])
+    def test_one_evaluation_per_panel_set(self, w, node_counts):
+        # one panel (no frequency cap): exp(5it) passes on the first panel
+        # set, exp(10it) after one halving; the integrand is called once per
+        # panel set, on its 21 Kronrod nodes per panel
+        calls = []
+
+        def f(t, contract):
+            calls.append(t.size)
+            return contract(np.exp(1j * w * t))
+
+        value, stats = integrate_oscillatory(f, 0.0, 1.0)
+        assert calls == node_counts
+        assert stats.refinements == len(node_counts) - 1 and stats.panels == node_counts[-1] // 21
+        assert abs(value - (np.exp(1j * w) - 1) / (1j * w)) < 1e-15
 
     def test_oscillatory_against_scipy(self):
         f = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
@@ -48,12 +91,12 @@ class TestQuadHelper:
 
 
     def test_stack_matches_single_calls(self):
-        # the smooth component converges after one refinement, the kinked
-        # one after four; each keeps the estimate its own test accepted
+        # the smooth component converges on the first panel set, the kinked
+        # one after four halvings; each keeps the estimate its own test accepted
         smooth = lambda t, c: c(np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0)))
         kinked = lambda t, c: c(np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t))
         kw = dict(breakpoints=[2.0], max_freq=7.3, rel_tol=1e-7)
-        integrate_oscillatory(smooth, 0.0, 6.0, max_refine=1, **kw)
+        integrate_oscillatory(smooth, 0.0, 6.0, max_refine=0, **kw)
         with pytest.raises(QuadratureError):
             integrate_oscillatory(kinked, 0.0, 6.0, max_refine=3, **kw)
         # the stack contracted in two blocks, as a large stack is built
@@ -70,9 +113,9 @@ class TestQuadHelper:
         value, one = integrate_oscillatory(lambda t, c: c(smooth(t)), 0.0, 6.0, **kw)
         (_, kinked_value), both = integrate_oscillatory(
             lambda t, c: c(np.stack((smooth(t), kinked(t)))), 0.0, 6.0, **kw)
-        assert one.refinements == 1 and both.refinements == 4
-        assert both.panels == 8 * one.panels
-        # the accepting change passed the tolerance of its component
+        assert one.refinements == 0 and both.refinements == 4
+        assert both.panels == 16 * one.panels == 144
+        # the accepting |K21 - G10| passed the tolerance of its component
         assert 0 < one.last_delta <= 1e-7 * abs(value)
         assert one.last_delta < both.last_delta <= 1e-7 * abs(kinked_value)
         assert integrate_oscillatory(lambda t, c: c(smooth(t)), 1.0, 1.0) == (0j, QuadStats())
@@ -207,7 +250,7 @@ class TestAmplitudeRow:
             one = amplitude_row(p, t0, eps[k:k + 1], v[k:k + 1])
             assert fields(amp) == (*(complex(x[0]) for x in fields(one)[:3]), one.quadrature)
             assert (row.c_plus[k], row.c_minus[k], row.d[k]) == fields(amp)[:3]
-            assert amp.quadrature.panels > 0 and amp.quadrature.refinements >= 1
+            assert amp.quadrature.panels > 0 and amp.quadrature.refinements == 0
 
     @pytest.mark.parametrize("delta", [0.0, 1.4])
     def test_eight_level_row_matches_one_level_calls(self, delta):

@@ -81,8 +81,10 @@ PATHS = {"stepped": 0, "blocks": 10**6}
 # propagator, so they part by rounding, which grows with the step count.
 # Measured worst: kicks (up to 373 engine steps, N <= 6) 2.2e-14 relative
 # work and 1.7e-15 absolute p_excite; smooth cycles (300-932 Strang steps
-# on D <= 96) 1.9e-12 and 1.8e-14, as the populations round at ~1e-14 and
-# the work is ~1e-2.
+# on D <= 96) 2.0e-12 and 1.9e-14, as the populations round at ~1e-14 and
+# the work is ~1e-2.  Both oracles multiply their steps first; stepping
+# the state instead moved the smooth worst by 1% (1.9e-12 and 1.8e-14), so
+# that gap is the run's rounding, not the oracle's.
 ORACLE_BOUNDS = {
     "kick": {"work": 1e-13, "p_excite": 1e-14},
     "smooth": {"work": 1e-11, "p_excite": 1e-13},

@@ -727,7 +727,7 @@ class TestCli:
         assert len(lines) == 1 + 3 * 4
         quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
         assert set(quadrature) == {"panels", "refinements", "last_delta"}
-        assert quadrature["panels"] > 0 and quadrature["refinements"] >= 1
+        assert quadrature["panels"] > 0 and quadrature["refinements"] == 0
 
     def test_fermi_cli(self, tmp_path):
         rc = sw.cli_main(["fermi", "--out", str(tmp_path), "--n-values", "2",
@@ -824,7 +824,7 @@ class TestCli:
     def test_figure_figs1_manifest_records_quadrature(self, tmp_path):
         assert sw.cli_main(["figure", "figS1", "--out", str(tmp_path)]) == 0
         quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
-        assert quadrature["panels"] > 0 and quadrature["refinements"] >= 1
+        assert quadrature["panels"] > 0 and quadrature["refinements"] == 0
         assert 0.0 <= quadrature["last_delta"] < 1e-12
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
         assert header == "delta_over_omega0,omegaT,N,enhanced"
