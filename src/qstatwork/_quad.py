@@ -35,6 +35,9 @@ _G10_WEIGHTS = (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.219086
 KR_NODES = np.array([-x for x in _K21_NODES[:-1]] + list(_K21_NODES[::-1]))
 KR_WEIGHTS = np.column_stack((_K21_WEIGHTS + _K21_WEIGHTS[-2::-1],
                               _G10_WEIGHTS + _G10_WEIGHTS[-2::-1]))
+# every quadrature's relative tolerance and cap on halvings of its panels
+REL_TOL = 1e-10
+MAX_REFINE = 5
 
 
 def _build_panels(a: float, b: float, breakpoints, max_freq: float) -> np.ndarray:
@@ -95,36 +98,31 @@ def integrate_oscillatory(
     b: float,
     breakpoints=None,
     max_freq: float = 0.0,
-    rel_tol: float = 1e-10,
     abs_tol=0.0,
-    max_refine: int = 5,
 ):
-    """Integrate a vectorised complex integrand f over [a, b].
+    """Integrate a vectorised complex integrand f over [a, b], a < b.
 
     f(nodes, contract) returns the values of one integrand, or of a stack,
     on the nodes (last axis) passed through `contract`, which returns its
     (K21, G10) estimates on a last axis: a plain integrand g is
     `lambda t, c: c(g(t))`.  A component is accepted, with its K21 value,
-    when |K21 - G10| <= max(abs_tol, rel_tol * scale), scale its largest
+    when |K21 - G10| <= max(abs_tol, REL_TOL * scale), scale its largest
     |K21| so far; abs_tol broadcasts against the stack.  Until all are,
-    every panel is halved and evaluated again, at most max_refine times.
+    every panel is halved and evaluated again, at most MAX_REFINE times.
     Each component keeps the estimate its own test accepted, so it equals
     the value f's component alone would give on the same panels.  Returns
     (estimate, QuadStats), the estimate a complex or an array.  Raises
     QuadratureError with diagnostics if some component never converges.
     """
-    if b <= a:
-        shape = np.shape(_evaluate(f, np.array([a, a])))[:-1]
-        return (np.zeros(shape, complex) if shape else 0.0 + 0.0j), QuadStats()
     edges = _build_panels(a, b, breakpoints, max_freq)
     scale, done, out, accepted = (b - a) * 1e-300, np.False_, 0.0, 0.0
-    for refinements in range(max_refine + 1):
+    for refinements in range(MAX_REFINE + 1):
         if refinements:
             edges = _refine(edges)
         pair = _evaluate(f, edges)
         est, delta = pair[..., 0], np.abs(pair[..., 0] - pair[..., 1])
         scale = np.maximum(np.abs(est), scale)
-        passed = ~done & (delta <= np.maximum(abs_tol, rel_tol * scale))
+        passed = ~done & (delta <= np.maximum(abs_tol, REL_TOL * scale))
         out, accepted = np.where(passed, est, out), np.where(passed, delta, accepted)
         done = done | passed
         if done.all():

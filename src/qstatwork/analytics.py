@@ -39,6 +39,9 @@ from .protocols import (
 
 PERTURBATIVE_WARN = 0.1
 PERTURBATIVE_FAIL = 0.5
+# the violation a moment inequality may show, in units of max(1, N^2/4): the
+# moments are of size N^2/4, so their rounding is too
+INEQUALITY_TOL = 1e-12
 METHOD_IMPULSE = "impulse-closed-form"
 METHOD_GENERAL = "general-perturbative"
 METHOD_NUMERICAL = "exact-numerical"
@@ -178,17 +181,15 @@ def _weights(N: int, x, statistics: Statistics):
 
 @dataclass(frozen=True)
 class Amplitudes:
-    """Protocol- and engine-state-dependent amplitudes for level i.
+    """Protocol- and engine-state-dependent amplitudes of one coupled level.
 
-    c_plus/c_minus carry the ladder phase exp(+/- i phi(t, t0)); d is the
-    phase-free piece proportional to cos(theta_t) and vanishes
-    identically for Delta = 0.  For `_amplitude_grid` i is None and each
-    amplitude is an (engines, levels) array.  `quadrature` is the work of
-    the one quadrature behind them.
+    Its level is the caller's dict key or `i` argument.  c_plus/c_minus
+    carry the ladder phase exp(+/- i phi(t, t0)); d is the phase-free piece
+    proportional to cos(theta_t) and vanishes identically for Delta = 0.
+    For `_amplitude_grid` each amplitude is an (engines, levels) array.
+    `quadrature` is the work of the one quadrature behind them.
     """
 
-    i: int
-    t0: float
     c_plus: complex
     c_minus: complex
     d: complex
@@ -208,8 +209,7 @@ def _schedule_breakpoints(schedule, lo, hi):
     return pts
 
 
-def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v,
-                    rel_tol: float = 1e-10) -> Amplitudes:
+def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v) -> Amplitudes:
     """(engines, levels) amplitudes of levels with energies eps and nonzero
     couplings v = <k|V_S|0>, for engines sharing T, over the stroke from
     t0: one quadrature on panels shared by all, cut for the highest
@@ -248,8 +248,8 @@ def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v,
 
     amps, stats = _quad.integrate_oscillatory(
         integrand, lo, hi, breakpoints=_schedule_breakpoints(schedule, lo, hi),
-        max_freq=eps.max() + 2 * e_max, rel_tol=rel_tol, abs_tol=1e-14 * np.abs(v[:, 0]))
-    return Amplitudes(None, t0, *np.moveaxis(amps, 1, 0), quadrature=stats)
+        max_freq=eps.max() + 2 * e_max, abs_tol=1e-14 * np.abs(v[:, 0]))
+    return Amplitudes(*np.moveaxis(amps, 1, 0), quadrature=stats)
 
 
 def _check_smooth(params: EngineParams, schedule: CouplingSchedule):
@@ -258,12 +258,12 @@ def _check_smooth(params: EngineParams, schedule: CouplingSchedule):
     check_schedule_cycle(params, schedule)
 
 
-def _levels(params, schedule, system, levels, t0: float, rel_tol: float = 1e-10) -> list:
+def _levels(params, schedule, system, levels, t0: float) -> list:
     """The amplitudes of coupled levels at t0, from a one-engine grid."""
     grid = _amplitude_grid([params], schedule, t0, system.energies[levels],
-                           system.V_S[levels, 0], rel_tol)
-    return [Amplitudes(int(i), t0, *(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
-                       quadrature=grid.quadrature) for k, i in enumerate(levels)]
+                           system.V_S[levels, 0])
+    return [Amplitudes(*(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
+                       quadrature=grid.quadrature) for k in range(len(levels))]
 
 
 def compute_amplitudes(
@@ -272,7 +272,6 @@ def compute_amplitudes(
     system: ExternalSystem,
     i: int,
     t0: float,
-    rel_tol: float = 1e-10,
 ) -> Amplitudes:
     """Quadrature of the three amplitude integrals over one stroke: the
     one-engine, one-level call of `_amplitude_grid`.
@@ -280,7 +279,7 @@ def compute_amplitudes(
     The adiabatic phase for linear sweeps is evaluated in closed form
     (asinh antiderivative); oscillation-aware panels keep the integrand
     resolved, and they are halved until the K21 and G10 estimates agree
-    to rel_tol.
+    to `_quad.REL_TOL`.
     """
     _check_smooth(params, schedule)
     if not (1 <= i < system.dim):
@@ -288,8 +287,8 @@ def compute_amplitudes(
     if t0 not in (0.0, params.T / 2):
         raise DomainError(f"t0 must be 0 or T/2, got {t0}")
     if system.V_S[i, 0] == 0:
-        return Amplitudes(i=i, t0=t0, c_plus=0j, c_minus=0j, d=0j)
-    return _levels(params, schedule, system, [i], t0, rel_tol)[0]
+        return Amplitudes(c_plus=0j, c_minus=0j, d=0j)
+    return _levels(params, schedule, system, [i], t0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +631,14 @@ def inequality_margins(N, x, y=None) -> dict:
     return _margins(N, bose, dist, a_y, a_dy)
 
 
-def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityReport:
+def verify_inequalities(N_max: int, x_grid) -> InequalityReport:
     """Check the moment bounds underpinning every enhancement statement.
 
     For all N <= N_max, x (and pairs x, y) in the grid:
       f <= N^2/4;  4f >= N + N(N-1) tanh^2 x;
       N/2(N/2+1) - F_sigma >= (N/2)(1 + sigma tanh x);
       4 h(x) h(y) >= N^2 tanh(x) tanh(y).
-    Any violation beyond `tol` max(1, N^2/4) raises with the (N, x)
+    Any violation beyond INEQUALITY_TOL max(1, N^2/4) raises with the (N, x)
     witness.  The weights of every N come from one `_weights` call per
     statistics over an (N_max, n_x, 1) grid; the margins, the cross term
     on the x by x grid among them, are then formed from each N's slice,
@@ -666,7 +665,7 @@ def verify_inequalities(N_max: int, x_grid, tol: float = 1e-12) -> InequalityRep
                 wit = (N, float(x[k // x.size]), float(x[k % x.size]))
             else:
                 wit = (N, float(x[k % x.size]))
-            if m < -tol * scale:
+            if m < -INEQUALITY_TOL * scale:
                 raise InequalityViolationError(
                     f"{name} violated by {m:.3e} at witness {wit}", witness=wit
                 )

@@ -487,12 +487,12 @@ def _resolve_dt(params, system, config, duration):
 
 @dataclass
 class _Diag:
-    trace_drift: float = 0.0
-    herm_drift: float = 0.0
-    isometry_drift: float = 0.0
-    unitarity_residual: float = 0.0
-    leakage: float = 0.0
-    dropped_weight: float = 0.0
+    trace_drift: float = field(init=False, default=0.0)
+    herm_drift: float = field(init=False, default=0.0)
+    isometry_drift: float = field(init=False, default=0.0)
+    unitarity_residual: float = field(init=False, default=0.0)
+    leakage: float = field(init=False, default=0.0)
+    dropped_weight: float = field(init=False, default=0.0)
     extra: dict = field(default_factory=dict)
 
     def merge_states(self, X, w, tr0, isometry):

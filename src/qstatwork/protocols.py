@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -207,28 +207,26 @@ class SmoothPlateau:
 
     g_C(t) = g/(delta_t T) sum_{n=0,1} [tanh(alpha(t - t_on - nT/2))
                                         - tanh(alpha(t - t_off - nT/2))]
-    with t_on = (1 - delta_t) T / 4 and t_off = t_on + delta_t T / 2 by
-    default.  The tails must be off at t = 0 and t = T, which bounds the
-    tail at T/2: each tanh pair of g_C(T/2) is one of g_C(0) or g_C(T), all
-    with the sign of t_off - t_on, so |g_C(T/2)| <= |g_C(0)| + |g_C(T)|.
+    with the switch times set by delta_t: t_on = (1 - delta_t) T / 4 and
+    t_off = t_on + delta_t T / 2.  The tails must be off at t = 0 and T,
+    which bounds the tail at T/2: each tanh pair of g_C(T/2) is one of
+    g_C(0) or g_C(T), all positive, so |g_C(T/2)| <= |g_C(0)| + |g_C(T)|.
     """
 
     g: float
     delta_t: float
     alpha: float
     T: float
-    t_on: float = None
-    t_off: float = None
+    t_on: float = field(init=False)
+    t_off: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.delta_t < 1.0):
             raise ValueError(f"delta_t must lie in (0, 1), got {self.delta_t}")
         if self.T <= 0 or self.alpha <= 0:
             raise ValueError("SmoothPlateau needs T > 0 and alpha > 0")
-        if self.t_on is None:
-            object.__setattr__(self, "t_on", (1 - self.delta_t) * self.T / 4)
-        if self.t_off is None:
-            object.__setattr__(self, "t_off", self.t_on + self.delta_t * self.T / 2)
+        object.__setattr__(self, "t_on", (1 - self.delta_t) * self.T / 4)
+        object.__setattr__(self, "t_off", self.t_on + self.delta_t * self.T / 2)
         scale = abs(self.g) / (self.delta_t * self.T)
         if scale > 0:
             ends = max(abs(self._value(0.0)), abs(self._value(self.T)))

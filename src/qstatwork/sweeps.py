@@ -119,8 +119,8 @@ def _git_revision():
 # ---------------------------------------------------------------------------
 
 # _FIELDS[section][field] = (type, default, CLI flag of `analytic` and
-# `evolve`, or None).  The type is float, int (a count: 3 and 3.0 pass,
-# 2.7 does not) or a tuple of the allowed strings.
+# `evolve`).  The type is float, int (a count: 3 and 3.0 pass, 2.7 does
+# not) or a tuple of the allowed strings.
 _FIELDS = {
     "engine": {
         "N": (int, 2, "--N"),
@@ -240,8 +240,11 @@ def build_engine(cfg: dict) -> EngineParams:
     beta_c_E0, beta_h_EH = f.pop("beta_c_E0"), f.pop("beta_h_EH")
     # the drive alone, at placeholder temperatures, sets E_0 and E_T/2
     drive = EngineParams(**f, beta_c=1.0, beta_h=0.0)
-    return replace(drive, beta_c=beta_c_E0 / math.hypot(drive.Omega0, drive.Delta),
-                   beta_h=beta_h_EH / math.hypot(drive.omega_half, drive.Delta))
+    e_0, e_half = math.hypot(drive.Omega0, drive.Delta), math.hypot(drive.omega_half, drive.Delta)
+    for name, t, energy in (("beta_c_E0", "0", e_0), ("beta_h_EH", "T/2", e_half)):
+        if energy == 0:
+            raise ConfigError(f"engine.{name} is in units of E({t}), which is 0 for this drive")
+    return replace(drive, beta_c=beta_c_E0 / e_0, beta_h=beta_h_EH / e_half)
 
 
 def build_schedule(cfg: dict, T: float):
@@ -654,7 +657,7 @@ def _sqrt_work_rows(x_values):
             for x in x_values for N in range(1, 41)]
 
 
-def _fig3_data(workers: int = 1):
+def _fig3_data(workers: int):
     """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
     `_timed_cycles` diagnostics of every run, the cycles of each N run on
     `workers` processes."""
@@ -839,8 +842,7 @@ def _check_inequalities(rng, n_max: int, n_grid: int):
     """Criterion 2: the four moment inequalities on verify_inequalities'
     N <= n_max grid of n_grid x values (it raises on a violation), on 1e4
     random (N <= 60, x, y) draws, and the four N = 1 equalities.  Margins
-    of both are held to -1e-12 max(1, N^2/4): the moments are of size
-    N^2/4, so their rounding is too."""
+    of both are held to -INEQUALITY_TOL max(1, N^2/4)."""
     try:
         rep = analytics.verify_inequalities(n_max, np.geomspace(1e-3, 50.0, n_grid))
     except QstatworkError as exc:
@@ -852,9 +854,10 @@ def _check_inequalities(rng, n_max: int, n_grid: int):
     worst = min(float((m / scale).min())
                 for m in analytics.inequality_margins(Ns, xs, ys).values())
     grid = min(m for m, _ in rep.margins.values())
-    ok = worst > -1e-12 and rep.n1_equality_defect < 1e-12
-    return ok, (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "
-                f"draws {worst:.1e} max(1, N^2/4) (> -1e-12 max(1, N^2/4)), "
+    tol = analytics.INEQUALITY_TOL
+    ok = worst > -tol and rep.n1_equality_defect < 1e-12
+    return ok, (f"grid margins {grid:.1e} (> -{tol:.0e} max(1, N^2/4)), "
+                f"draws {worst:.1e} max(1, N^2/4) (> -{tol:.0e} max(1, N^2/4)), "
                 f"N=1 equality {rep.n1_equality_defect:.1e} (< 1e-12)")
 
 
@@ -917,12 +920,17 @@ def random_smooth_case(rng: np.random.Generator):
     engine = EngineParams(N=n, Omega0=omega0, Delta=0.0, v=v, T=T,
                           beta_c=beta_c, beta_h=beta_h)
     if rng.random() < 0.5:
-        schedule = SmoothPlateau(
-            g=float(rng.uniform(0.002, 0.05)),
-            delta_t=float(rng.uniform(0.5, 0.92)),
-            alpha=float(rng.uniform(300.0, 3000.0)) / T,
-            T=T,
-        )
+        schedule = None
+        while schedule is None:     # a plateau not off at t = 0 and T is drawn again
+            try:
+                schedule = SmoothPlateau(
+                    g=float(rng.uniform(0.002, 0.05)),
+                    delta_t=float(rng.uniform(0.5, 0.92)),
+                    alpha=float(rng.uniform(300.0, 3000.0)) / T,
+                    T=T,
+                )
+            except ValueError:
+                pass
     else:
         tt = np.linspace(0.0, T, 257)
         env = np.sin(math.pi * tt / T) ** 2 * np.sin(2 * math.pi * tt / T) ** 2
@@ -945,8 +953,6 @@ def _check_delta0_dominance(rng, n_draws: int):
     for _ in range(n_draws):
         engine, schedule, system = random_smooth_case(rng)
         for i, amps in analytics.level_amplitudes(engine, schedule, system).items():
-            if abs(system.V_S[i, 0]) < 1e-14:
-                continue
             p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i, amps)
                         for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
             margin = (p_b - p_d) / max(p_b, p_d, 1e-300)
@@ -1031,11 +1037,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = add_parser("evolve", help="exact numerical cycle")
     for sub in (p_an, p_ev):
         sub.add_argument("--config", help="JSON config document")
-        # a flag per flagged field, stored under "section.field"
+        # a flag per field, stored under "section.field"
         for section, fields in _FIELDS.items():
             for key, (kind, _, flag) in fields.items():
-                if flag is None:
-                    continue
                 options = ({"choices": kind} if isinstance(kind, tuple) else
                            {"type": kind, "metavar": flag[2:].replace("-", "_").upper()})
                 sub.add_argument(flag, dest=f"{section}.{key}", **options)

@@ -180,6 +180,15 @@ def test_criterion_5_negative_control(monkeypatch):
     assert shifted
 
 
+def test_criterion_5_draws_only_accepted_plateaus():
+    # a plateau SmoothPlateau refuses (delta_t near 0.92 with alpha T near
+    # 300 is not off at t = 0 and T) is drawn again; without the redraw, 2 of
+    # these draws raised
+    rng = np.random.default_rng(0)
+    for _ in range(10 ** 4):
+        sw.random_smooth_case(rng)
+
+
 def test_criterion_5_integrates_each_level_once(monkeypatch):
     # the amplitudes depend on neither N nor the statistics: one pair of
     # stroke-start integrals per coupled level serves both probabilities,

@@ -1,9 +1,11 @@
-"""Source hygiene: no module of the package or of the tests imports a
-name it never uses (the package's `__init__.py` is exempt, because its
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses (the package's `__init__.py` is exempt, because its
 imports are the public API it re-exports), every function and class the
 package defines is used by the package or exported, every name it
 exports is read by another of its modules or named by the benchmark,
-every parameter of its functions is read (one listed exception), no
+every parameter of its functions is read (one listed exception), every
+default of them or of its dataclass and NamedTuple fields is passed by
+some call of the package or the benchmark (two listed exceptions), no
 function or property of it only hands back an attribute or forwards its
 parameters (a second name), the test oracles take from the package only
 the model inputs they need, importing the package loads NumPy and the
@@ -213,6 +215,121 @@ def test_every_parameter_is_read():
     found = {(p.stem, *f) for p in (ROOT / "src" / "qstatwork").glob("*.py")
              for f in unread_parameters(p.read_text())}
     assert found == UNREAD_PARAMETERS_ALLOWED
+
+
+def _signature(f, offset: int) -> tuple:
+    """(positional names, keyword-only names, names with a default) of a
+    function, its first `offset` positional parameters dropped."""
+    a = f.args
+    pos = [*a.posonlyargs, *a.args]
+    defaulted = [*pos[len(pos) - len(a.defaults):],
+                 *(p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)]
+    return ([p.arg for p in pos][offset:], [p.arg for p in a.kwonlyargs],
+            [p.arg for p in defaulted])
+
+
+def _field_signature(cls):
+    """The `__init__` signature, as `_signature` gives it, that a
+    `@dataclass` or `NamedTuple` class builds from its annotated fields,
+    or None for any other class."""
+    named = lambda n: getattr(n, "id", None) or getattr(n, "attr", None)
+    if not (any(named(getattr(d, "func", d)) == "dataclass" for d in cls.decorator_list)
+            or any(named(b) == "NamedTuple" for b in cls.bases)):
+        return None
+    names, defaulted = [], []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        keywords = ({k.arg: k.value for k in stmt.value.keywords}
+                    if isinstance(stmt.value, ast.Call) and named(stmt.value.func) == "field"
+                    else None)
+        if keywords is not None and getattr(keywords.get("init"), "value", True) is False:
+            continue
+        names.append(stmt.target.id)
+        if (stmt.value is not None if keywords is None
+                else {"default", "default_factory"} & keywords.keys()):
+            defaulted.append(stmt.target.id)
+    return names, [], defaulted
+
+
+def unpassed_defaults(sources: dict, callers: list) -> list:
+    """(module, function, parameter) of each parameter with a default of a
+    module-level function or method of `sources` ({module: source}) that no
+    call in the `callers` sources passes, by position or keyword.  A class,
+    named by itself, stands for its `__init__`, hand-written or built from
+    its `@dataclass` or `NamedTuple` fields (a `field(init=False)` is none);
+    calls are resolved by name, a class name to its `__init__`, and a call
+    with *args or **kwargs passes every parameter."""
+    defs = collections.defaultdict(list)     # called name -> (module, function, signature)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS):
+                defs[node.name].append((module, node.name, _signature(node, 0)))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = _field_signature(node)
+            if fields is not None:
+                defs[node.name].append((module, node.name, fields))
+            for f in (f for f in node.body if isinstance(f, FUNCTIONS)):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in f.decorator_list)
+                called = node.name if f.name == "__init__" else f.name
+                defs[called].append((module, called, _signature(f, int(not static))))
+    passed = set()
+    for call in (n for source in callers for n in ast.walk(ast.parse(source))
+                 if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        spread = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                  or any(k.arg is None for k in call.keywords))
+        for module, function, (positional, kwonly, _) in defs.get(name, ()):
+            given = ([*positional, *kwonly] if spread else
+                     [*positional[:len(call.args)], *(k.arg for k in call.keywords)])
+            passed.update((module, function, p) for p in given)
+    return sorted((module, function, p) for entries in defs.values()
+                  for module, function, (_, _, defaulted) in entries
+                  for p in defaulted if (module, function, p) not in passed)
+
+
+def test_detects_unpassed_default():
+    # passed: by position, by keyword, through *args or **kwargs, to a
+    # class's __init__ after self, to a dataclass or NamedTuple field by
+    # position or keyword; not passed: a default no call gives, a
+    # keyword-only one behind positional arguments, a dataclass field's
+    # plain or `field` default, a NamedTuple field's; skipped: a nested
+    # function's, an init=False field's, a plain class's annotation
+    source = ("def f(x, y=1, *, z=2):\n    return x\n"
+              "def g(x=1, y=2):\n    return x\n"
+              "def h(x=1):\n    return x\n"
+              "def e(x=1):\n    return x\n"
+              "class C:\n    def __init__(self, n=0):\n        self.n = n\n"
+              "    def m(self, k=1):\n        return k\n"
+              "def nested():\n    def inner(q=1):\n        return q\n    return inner\n"
+              "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 1\n"
+              "    c: int = field(init=False, default=0)\n    d: list = field(default_factory=list)\n"
+              "    e: int = 2\n"
+              "class T(NamedTuple):\n    u: int = 0\n    w: int = 0\n"
+              "class P:\n    p: int = 0\n")
+    calls = "f(1, 2)\ng(*[1])\nh(x=0)\ne(**{})\nC(3).m()\nD(0, e=3)\nT(1)\nP()\n"
+    assert unpassed_defaults({"a": source}, [source, calls]) == [
+        ("a", "D", "b"), ("a", "D", "d"), ("a", "T", "w"), ("a", "f", "z"), ("a", "m", "k")]
+
+
+# tests drive the CLI through cli_main(argv); the console script passes none
+UNPASSED_DEFAULTS_ALLOWED = {("sweeps", "cli_main", "argv")}
+# of dataclass fields: tests cut the trap short for the enumeration oracle;
+# the package sizes it from the canonical weight it drops
+UNPASSED_FIELD_DEFAULTS_ALLOWED = {("fermi", "FermiEnsemble", "level_count")}
+
+
+def test_every_default_is_passed_somewhere():
+    # a parameter with a default that no call of the package or of the
+    # benchmark passes is a setting only the tests change: a constant.  A
+    # default that some such call passes while only the tests leave it
+    # out (rely on it) is beyond this rule
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
+    callers = [*sources.values(), *(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))]
+    assert set(unpassed_defaults(sources, callers)) == (
+        UNPASSED_DEFAULTS_ALLOWED | UNPASSED_FIELD_DEFAULTS_ALLOWED)
 
 
 def second_names(source: str) -> list:

@@ -42,15 +42,16 @@ class TestInequalityBattery:
         rhs = 2 + 2 * 1 * math.tanh(x) ** 2
         assert lhs - rhs > 0.6  # 8/3 - 2 = 2/3 in the limit
 
-    def test_violation_machinery(self):
+    def test_violation_machinery(self, monkeypatch):
         from qstatwork.errors import DomainError
 
         with pytest.raises(DomainError):
             verify_inequalities(4, [-1.0])
         # a negative tolerance turns every finite margin into a "violation",
         # exercising the witness-carrying failure path
+        monkeypatch.setattr(an, "INEQUALITY_TOL", -1.0)
         with pytest.raises(InequalityViolationError) as err:
-            verify_inequalities(4, [0.5], tol=-1.0)
+            verify_inequalities(4, [0.5])
         assert err.value.witness is not None
 
     def test_random_draw_battery(self):

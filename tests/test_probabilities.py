@@ -104,8 +104,8 @@ class TestGeneralProbability:
         x = {0.0: p.beta_c * float(p.energy(0.0)),
              T / 2: p.beta_h * float(p.energy(T / 2))}
         expect, j = 0.0, 3 / 2
-        for amp in amps:
-            f, h = qw.moment_f(3, x[amp.t0]), qw.moment_h(3, x[amp.t0])
+        for amp, t0 in zip(amps, (0.0, T / 2)):
+            f, h = qw.moment_f(3, x[t0]), qw.moment_h(3, x[t0])
             expect += abs(amp.c_plus) ** 2 * (j * (j + 1) - (f + h))
             expect += abs(amp.c_minus) ** 2 * (j * (j + 1) - (f - h))
         got = qw.general_probability(p, sched, sysho, qw.Statistics.BOSE, 1)

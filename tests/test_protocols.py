@@ -163,31 +163,23 @@ class TestCouplingSchedules:
 
     @given(g=st.floats(-2.0, 2.0), delta_t=st.floats(0.01, 0.99),
            alpha_T=st.floats(1.0, 4.0).map(lambda e: 10 ** e),
-           T=st.floats(-1.0, 2.0).map(lambda e: 10 ** e),
-           switch=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
-    @example(g=0.01, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
-    @example(g=0.5, delta_t=0.9, alpha_T=2142.0, T=20.0, switch=None)
-    @example(g=0.5, delta_t=0.98, alpha_T=2000.0, T=20.0, switch=None)
+           T=st.floats(-1.0, 2.0).map(lambda e: 10 ** e))
+    @example(g=0.01, delta_t=0.9, alpha_T=2142.0, T=20.0)
+    @example(g=0.5, delta_t=0.9, alpha_T=2142.0, T=20.0)
+    @example(g=0.5, delta_t=0.98, alpha_T=2000.0, T=20.0)
     # a subnormal plateau: g_C(T/2) rounds one subnormal above the endpoints
-    @example(g=2.2250738585e-313, delta_t=0.5, alpha_T=10 ** 1.875, T=1.0, switch=None)
-    # t_on = 0 and a tiny t_off: the tanh arguments of g_C(T/2) must round
-    # as those of g_C(0) and g_C(T) do (186 eps scale apart when T/2 - t_off
-    # was rounded before subtracting T/2)
-    @example(g=1.0, delta_t=0.5, alpha_T=1e4, T=1.0, switch=(0.0, 1e-10))
-    @example(g=1.0, delta_t=0.5, alpha_T=1e3, T=10.0, switch=(0.0, 1e-9))
+    @example(g=2.2250738585e-313, delta_t=0.5, alpha_T=10 ** 1.875, T=1.0)
     @settings(max_examples=300, deadline=None)
-    def test_endpoints_bound_the_midcycle_tail(self, g, delta_t, alpha_T, T, switch):
-        # every accepted plateau, custom t_on/t_off (either order) included:
-        # each tanh pair of g_C(T/2) is one of g_C(0) or g_C(T), with the
-        # same sign, so the endpoint check also bounds the tail at the reset.
+    def test_endpoints_bound_the_midcycle_tail(self, g, delta_t, alpha_T, T):
+        # every accepted plateau: each tanh pair of g_C(T/2) is one of g_C(0)
+        # or g_C(T), with the same sign, so the endpoint check also bounds
+        # the tail at the reset.
         # _value's last operation, the product of g / (delta_t T) and the
         # tanh sum, rounds each of the three values by half a subnormal
         # where it is subnormal (the sum of the two endpoints is exact):
         # 1.5 subnormals, rounded up to 2
-        t_on, t_off = (None, None) if switch is None else (x * T / 2 for x in switch)
         try:
-            s = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T,
-                                 t_on=t_on, t_off=t_off)
+            s = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T)
         except ValueError:
             assume(False)
         ends = abs(qw.g_of_t(s, 0.0)) + abs(qw.g_of_t(s, T))

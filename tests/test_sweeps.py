@@ -544,6 +544,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {message}"), captured.err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--omega0", "1", "--v", "-0.1"], "beta_h_EH"),
+        (["--omega0", "0", "--v", "0.1"], "beta_c_E0")], ids=["zero-E(T/2)", "zero-E(0)"])
+    def test_zero_stroke_start_energy_exit_2(self, capsys, argv, field):
+        # a Delta = 0 sweep may close the gap at one stroke start; a
+        # temperature given in units of that energy ended in a
+        # ZeroDivisionError traceback
+        assert sw.cli_main(["analytic", "--delta", "0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: engine.{field}"), captured.err
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0"])
     def test_non_finite_dt_exit_2(self, capsys, dt):
         # a NaN step passed the positivity check and was refused by the step
@@ -869,6 +881,12 @@ class TestCli:
         for name in self.VERIFY_FAST_CHECKS:
             assert f"PASS [{name}]" in out
         assert "FAIL" not in out
+
+    def test_verify_seed_180(self, capsys):
+        # criterion 5 drew a plateau that does not switch off at t = 0 and T
+        # at this seed, and the command ended in a config error
+        assert sw.cli_main(["verify", "--fast", "--seed", "180"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_verify_runs_every_check_when_one_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(sw, "_check_moment_oracles", lambda: (False, "forced"))
