@@ -25,7 +25,6 @@ from .analytics import (
     compute_amplitudes,
     enhancement,
     enhancement_region,
-    general_probability,
     general_work,
     impulse_second_moment,
     impulse_work,

@@ -44,7 +44,7 @@ def _build_panels(a: float, b: float, breakpoints, max_freq: float) -> np.ndarra
     """Panel edges over [a, b]: the breakpoints inside (a, b) cut it into
     segments, and each segment is split evenly (as np.linspace would) into
     the fewest panels no wider than the width cap."""
-    cuts = np.array(sorted({a, b, *(float(p) for p in breakpoints or () if a < p < b)}))
+    cuts = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))
     width_cap = b - a
     if max_freq > 0:
         width_cap = min(width_cap, 5.0 / max_freq)
@@ -92,14 +92,7 @@ def worst(stats) -> QuadStats:
     return QuadStats(*map(max, zip(*stats)))
 
 
-def integrate_oscillatory(
-    f,
-    a: float,
-    b: float,
-    breakpoints=None,
-    max_freq: float = 0.0,
-    abs_tol=0.0,
-):
+def integrate_oscillatory(f, a: float, b: float, breakpoints, max_freq: float, abs_tol):
     """Integrate a vectorised complex integrand f over [a, b], a < b.
 
     f(nodes, contract) returns the values of one integrand, or of a stack,

@@ -12,6 +12,7 @@ is independent of that overall sign choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -297,13 +298,12 @@ def compute_amplitudes(
 
 @dataclass(frozen=True)
 class WorkRecord:
-    """Excitation probabilities, average work, and run metadata.
+    """Excitation probabilities and run metadata.
 
-    p_excite maps excited-level index to probability; avg_work =
-    sum_i eps_i p_i over the stored energies.
+    p_excite maps excited-level index to probability, each in [0, 1];
+    `avg_work` is derived from them.
     """
 
-    avg_work: float
     statistics: Statistics
     method: str
     p_excite: dict
@@ -313,11 +313,13 @@ class WorkRecord:
 
     def __post_init__(self):
         for i, p in self.p_excite.items():
-            if p < -1e-12 or p > 1 + 1e-12:
+            if not -1e-12 <= p <= 1 + 1e-12:
                 raise ValueError(f"probability p_{i} = {p} outside [0, 1]")
-        w = sum(self.energies[i] * p for i, p in self.p_excite.items())
-        if abs(w - self.avg_work) > 1e-12 * max(1.0, abs(w)):
-            raise ValueError("avg_work does not match sum eps_i p_i")
+
+    @functools.cached_property
+    def avg_work(self) -> float:
+        """<w> = sum_i eps_i p_i over the stored energies."""
+        return float(sum(self.energies[i] * p for i, p in self.p_excite.items()))
 
     def to_dict(self) -> dict:
         return {
@@ -331,13 +333,18 @@ class WorkRecord:
         }
 
 
-def _validity_flags(p_sum: float) -> tuple:
-    if p_sum >= PERTURBATIVE_FAIL:
+def _perturbative_record(p: dict, statistics: Statistics, method: str, system) -> WorkRecord:
+    """The record of leading-order probabilities p: refused unless their total is
+    below PERTURBATIVE_FAIL (so an inf or NaN total is), flagged from PERTURBATIVE_WARN on."""
+    total = sum(p.values())
+    if not total < PERTURBATIVE_FAIL:
         raise PerturbativeValidityError(
-            f"total excitation {p_sum:.3f} >= {PERTURBATIVE_FAIL}; the leading-order "
+            f"total excitation {total:.3f} >= {PERTURBATIVE_FAIL}; the leading-order "
             "expansion is invalid here"
         )
-    return ("perturbative-validity",) if p_sum >= PERTURBATIVE_WARN else ()
+    return WorkRecord(statistics=Statistics(statistics), method=method, p_excite=p,
+                      energies=tuple(system.energies),
+                      flags=("perturbative-validity",) if total >= PERTURBATIVE_WARN else ())
 
 
 def impulse_second_moment(params: EngineParams, t1: float, statistics: Statistics) -> float:
@@ -364,18 +371,10 @@ def impulse_work(
     if not isinstance(schedule, Impulse):
         raise InvalidVariantError("impulse_work needs an Impulse schedule")
     check_schedule_cycle(params, schedule)
-    second = impulse_second_moment(params, schedule.t1, statistics)
+    kick = schedule.g * schedule.g * impulse_second_moment(params, schedule.t1, statistics)
     v0 = np.abs(system.V_S[:, 0]) ** 2
-    p = {i: schedule.g ** 2 * second * float(v0[i]) for i in range(1, system.dim) if v0[i] > 0}
-    work = float(sum(system.energies[i] * pi for i, pi in p.items()))
-    return WorkRecord(
-        avg_work=work,
-        statistics=Statistics(statistics),
-        method=METHOD_IMPULSE,
-        p_excite=p,
-        energies=tuple(system.energies),
-        flags=_validity_flags(sum(p.values())),
-    )
+    p = {i: kick * float(v0[i]) for i in range(1, system.dim) if v0[i] > 0}
+    return _perturbative_record(p, statistics, METHOD_IMPULSE, system)
 
 
 def _probability(amps: tuple, w0: list, wh: list):
@@ -386,11 +385,12 @@ def _probability(amps: tuple, w0: list, wh: list):
     together."""
     p = 0.0
     for amp, (_, D, L_plus, L_minus) in zip(amps, (w0, wh)):
-        p += abs(amp.d) ** 2 * D
-        p += abs(amp.c_plus) ** 2 * L_plus
-        p += abs(amp.c_minus) ** 2 * L_minus
+        # products, not powers: a Python float's power raises on overflow
+        p += abs(amp.d) * abs(amp.d) * D
+        p += abs(amp.c_plus) * abs(amp.c_plus) * L_plus
+        p += abs(amp.c_minus) * abs(amp.c_minus) * L_minus
     a0, ah = amps
-    p = p + 2 * (a0.d * np.conj(ah.d)).real * w0[0] * wh[0]
+    p = p + 2 * (a0.d * ah.d.conjugate()).real * w0[0] * wh[0]
     return p if np.ndim(p) else float(p)
 
 
@@ -398,29 +398,6 @@ def _stroke_weights(params: EngineParams, statistics: Statistics) -> list:
     """`_weights` at the two stroke starts, as the (w0, wh) of `_probability`."""
     x = np.array([_x_at(params, 0.0), _x_at(params, params.T / 2)])
     return np.array(_weights(params.N, x, statistics)).T.tolist()
-
-
-def general_probability(
-    params: EngineParams,
-    schedule: CouplingSchedule,
-    system: ExternalSystem,
-    statistics: Statistics,
-    i: int,
-    amplitudes: tuple = None,
-) -> float:
-    """Leading-order excitation probability of level i for a smooth coupling.
-
-    Assembled from |d|^2, |c~^pm|^2 and the cross term
-    2 Re[d(0) d*(T/2)] a_c a_h, weighted by the thermal weights at the
-    two stroke starts; reduces exactly to the Delta = 0 forms when
-    cos(theta) vanishes.  `amplitudes` is level i's entry of
-    `level_amplitudes`, taken from it here when not given (so that p_i is
-    `general_work`'s), and a level the system does not couple gives 0.
-    """
-    if amplitudes is None and not 1 <= i < system.dim:
-        raise DomainError(f"level index i must be in [1, {system.dim - 1}], got {i}")
-    amps = amplitudes or level_amplitudes(params, schedule, system).get(i)
-    return 0.0 if amps is None else _probability(amps, *_stroke_weights(params, statistics))
 
 
 def level_amplitudes(
@@ -451,24 +428,19 @@ def general_work(
     statistics: Statistics,
     amplitudes: dict = None,
 ) -> WorkRecord:
-    """Assemble the perturbative WorkRecord over all coupled levels.
+    """The perturbative WorkRecord of every level a smooth coupling excites.
 
-    `amplitudes` is the `level_amplitudes` of the same drive, schedule and
-    system, computed here when not given.
+    Its leading-order p_i is assembled from |d|^2, |c~^pm|^2 and the cross
+    term 2 Re[d(0) d*(T/2)] a_c a_h, weighted by the thermal weights at the
+    two stroke starts; it reduces exactly to the Delta = 0 forms when
+    cos(theta) vanishes.  `amplitudes` is the `level_amplitudes` of the
+    same drive, schedule and system, computed here when not given.
     """
     if amplitudes is None:
         amplitudes = level_amplitudes(params, schedule, system)
     weights = _stroke_weights(params, statistics)
     p = {i: _probability(amps, *weights) for i, amps in amplitudes.items()}
-    work = float(sum(system.energies[i] * pi for i, pi in p.items()))
-    return WorkRecord(
-        avg_work=work,
-        statistics=Statistics(statistics),
-        method=METHOD_GENERAL,
-        p_excite=p,
-        energies=tuple(system.energies),
-        flags=_validity_flags(sum(p.values())),
-    )
+    return _perturbative_record(p, statistics, METHOD_GENERAL, system)
 
 
 def enhancement(
@@ -534,20 +506,23 @@ def enhancement_region(
     enhancement, consistent with exact equality at N = 1).
 
     Each cell couples the engines to an oscillator of frequency
-    omega = omega T / T through its level 1 (<1|V_S|0> = 1).  The
-    amplitudes depend only on the (Delta, omega) cell and the thermal
-    weights only on (Delta, N).  The amplitudes of every Delta row and
-    omega come from one `_amplitude_grid` per stroke start, on panels
-    shared by all rows and cut for the widest row's E_max; each row's
-    stack is contracted as it is built.  The weights and probabilities of
-    each (N, statistics) are then evaluated once over the whole Delta x
-    omega T grid.  `quadrature` is the worst work of the two quadratures.
+    omega = omega T / T through its level 1 (<1|V_S|0> = 1); an omega T
+    that is not positive and finite raises ValueError.  The amplitudes
+    depend only on the (Delta, omega) cell and the thermal weights only
+    on (Delta, N).  The amplitudes of every Delta row and omega come from
+    one `_amplitude_grid` per stroke start, on panels shared by all rows
+    and cut for the widest row's E_max; each row's stack is contracted as
+    it is built.  The weights and probabilities of each (N, statistics)
+    are then evaluated once over the whole Delta x omega T grid.
+    `quadrature` is the worst work of the two quadratures.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
     N_values = tuple(int(n) for n in N_values)
     if min(N_values, default=1) < 1:
         raise ValueError(f"N values must be positive integers, got {N_values}")
+    if not np.all((omts > 0) & (omts < math.inf)):
+        raise ValueError("omega T must be positive and finite at every grid point")
     w_ind, w_dist = np.zeros((2, len(N_values), deltas.size, omts.size))
     half = base.T / 2
     omegas = omts / base.T
@@ -614,20 +589,16 @@ def _margins(N, bose: tuple, dist: tuple, a_y, a_dy) -> dict:
     }
 
 
-def inequality_margins(N, x, y=None) -> dict:
+def inequality_margins(N, x, y) -> dict:
     """Margins of the four moment inequalities at N: each Bose weight of
     `_weights` minus its distinguishable counterpart, and (N^2 - D)/4 =
     N^2/4 - f for the upper bound.  All are >= 0 and vanish at N = 1.
-    N (a positive integer, or an integer array when y is given), x and y
-    broadcast together; only the cross term a(x) a(y) reads y.  Without y
-    it takes y = x.T from the same weights, so a column x gives the cross
-    term on the grid x by x.  The ladder margin stacks sigma = +1, -1 on a
-    new leading axis."""
-    if y is None and np.ndim(N):
-        raise ValueError("an array N needs y: y = x.T would transpose the N axis too")
+    N (a positive integer or an integer array), x and y broadcast
+    together; only the cross term a(x) a(y) reads y, so a column x and a
+    row y give it on the grid x by y.  The ladder margin stacks
+    sigma = +1, -1 on a new leading axis."""
     bose, dist = (_weights(N, x, s) for s in _STATISTICS)
-    a_y, a_dy = (bose[0].T, dist[0].T) if y is None else (
-        _weights(N, y, s)[0] for s in _STATISTICS)
+    a_y, a_dy = (_weights(N, y, s)[0] for s in _STATISTICS)
     return _margins(N, bose, dist, a_y, a_dy)
 
 

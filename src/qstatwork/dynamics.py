@@ -689,13 +689,8 @@ def _cycle_result(system, stats, sectors, sigma_s, diag, energies) -> CycleResul
             f"enlarge the system dim above {system.dim}"
         )
     p = {i: max(0.0, min(1.0, float(pops[i]))) for i in range(1, system.dim)}
-    record = WorkRecord(
-        avg_work=float(sum(system.energies[i] * pi for i, pi in p.items())),
-        statistics=stats,
-        method=METHOD_NUMERICAL,
-        p_excite=p,
-        energies=tuple(system.energies),
-    )
+    record = WorkRecord(statistics=stats, method=METHOD_NUMERICAL, p_excite=p,
+                        energies=tuple(system.energies))
     sigma_s = (sigma_s + sigma_s.conj().T) / 2
     sigma_s /= np.trace(sigma_s).real
     eigmin = float(np.linalg.eigvalsh(sigma_s)[0])

@@ -131,8 +131,9 @@ def fermi_outcoupled_work(
     Each active count k contributes one run of k distinguishable engines
     (atoms at distinct trap levels) coupled to the shared system, weighted
     by its probability P(k) from active_distribution; a k with
-    P(k) < WEIGHT_PRUNE * max P starts no run.  k = 1 always runs, as the
-    single-engine reference of enhancement_ratio.
+    P(k) < WEIGHT_PRUNE * max P starts no run.  k = 1 always runs: its work
+    W_1 is the reference of enhancement_ratio = sum_k P(k) W_k / W_1, while
+    avg_work is that of the P(k)-weighted probabilities.
     """
     from .dynamics import run_cycle
 
@@ -158,7 +159,6 @@ def fermi_outcoupled_work(
         for i, p in rec.p_excite.items():
             p_bar[i] += P[k] * p
     return WorkRecord(
-        avg_work=w_bar,
         statistics=Statistics.DISTINGUISHABLE,
         method=METHOD_FERMI_NUMERICAL,
         p_excite=p_bar,

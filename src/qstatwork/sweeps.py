@@ -627,26 +627,30 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
 # figure targets
 # ---------------------------------------------------------------------------
 
-def _fig2_engine(N, delta_frac):
-    return build_engine({
-        "N": N, "Omega0": 1.0, "Delta": delta_frac, "v": 0.1, "T": 20.0,
-        "beta_c_E0": 2.0, "beta_h_EH": 0.25,
-    })
+# The Fig.-2a and Fig.-3 config documents: a field they do not give takes its _FIELDS default
+_FIG2A_CONFIG = {"system": {"dim": 10}}
+_FIG3_CONFIG = {"coupling": {"kind": "plateau", "g": 0.5}, "system": {"dim": 16}}
+_FIG2A_AXES = {"engine.N": tuple(range(1, 9)), "engine.Delta": (0.0, 1.4, 4.2)}
+_FIG3_AXES = {"engine.N": tuple(range(1, 7))}
 
 
-def _impulse_runs(workers: int = 1, n_values=range(1, 9), deltas=(0.0, 1.4, 4.2)):
+def _preset(cfg: dict, axes: dict) -> dict:
+    """A figure manifest's record of its cycles: their config document with every
+    field resolved (`_section`), and the axis values set over it."""
+    return {"config": {name: _section(name, cfg.get(name, {})) for name in _FIELDS}, "axes": axes}
+
+
+def _impulse_runs(workers: int = 1, n_values=_FIG2A_AXES["engine.N"],
+                  deltas=_FIG2A_AXES["engine.Delta"]):
     """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
     `_timed_cycles` diagnostics of every run (indistinguishable, then
     distinguishable, per row), the rows' cycles run on `workers` processes."""
-    T = 20.0
-    system = harmonic_system(2 * math.pi * 0.05 / T, 10)
-    schedule = Impulse(g=0.01, t1=0.35 * T / 2, T=T)
-    engines = [(N, delta_frac, _fig2_engine(N, delta_frac))
-               for delta_frac in deltas for N in n_values]
-    runs = parallel_map(_timed_cycles, [(engine, schedule, system) for *_, engine in engines],
-                        workers)
-    rows = [[N, delta_frac, analytics.enhancement(engine, schedule, system)[0], wb / wd]
-            for (N, delta_frac, engine), ((wb, _), (wd, _)) in zip(engines, runs)]
+    cases = [(N, delta, _build_case(_set_fields(_FIG2A_CONFIG,
+                                                [("engine.N", N), ("engine.Delta", delta)])))
+             for delta in deltas for N in n_values]
+    runs = parallel_map(_timed_cycles, [case for *_, case in cases], workers)
+    rows = [[N, delta, analytics.enhancement(*case)[0], wb / wd]
+            for (N, delta, case), ((wb, _), (wd, _)) in zip(cases, runs)]
     return rows, [diag for pair in runs for _, diag in pair]
 
 
@@ -661,11 +665,8 @@ def _fig3_data(workers: int):
     """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
     `_timed_cycles` diagnostics of every run, the cycles of each N run on
     `workers` processes."""
-    T = 20.0
-    system = harmonic_system(2 * math.pi * 0.05 / T, 16)
-    schedule = SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
-    n_values = range(1, 7)
-    cases = [(_fig2_engine(N, 0.0), schedule, system) for N in n_values]
+    n_values = _FIG3_AXES["engine.N"]
+    cases = [_build_case(_set_fields(_FIG3_CONFIG, [("engine.N", N)])) for N in n_values]
     # longest first (the cost grows with N), so that the workers end on short cycles
     runs = parallel_map(_timed_cycles, cases[::-1], workers)[::-1]
     data = [(N, wb, wd) for N, ((wb, _), (wd, _)) in zip(n_values, runs)]
@@ -703,7 +704,7 @@ def _figure_fig4(n_values):
 
 
 def _figure_figs1():
-    region = analytics.enhancement_region(_fig2_engine(2, 0.0), np.linspace(0.0, 4.0, 9),
+    region = analytics.enhancement_region(build_engine({}), np.linspace(0.0, 4.0, 9),
                                           np.linspace(0.1, 10 * math.pi, 24), (2, 6, 12, 20))
     return (["delta_over_omega0", "omegaT", "N", "enhanced"], list(region.rows()),
             _check_region(region), {"quadrature": region.quadrature._asdict()})
@@ -725,17 +726,13 @@ class FigureTarget:
 
 FIGURES = {
     "fig2a": FigureTarget(_figure_fig2a, "impulse enhancement vs N for three gap mixes",
-                          {"g": 0.01, "t1_frac": 0.35, "beta_c_E0": 2.0, "beta_h_EH": 0.25,
-                           "delta_over_omega0": [0.0, 1.4, 4.2], "N": "1..8"},
-                          _impulse_runs),
+                          _preset(_FIG2A_CONFIG, _FIG2A_AXES), _impulse_runs),
     "fig2b": FigureTarget(_figure_fig2b, "sqrt of work ratio over (N, beta_c E_0), Delta = 0",
                           {"beta_c_E0": "0.25..4", "N": "1..40"}),
     "fig3a": FigureTarget(_figure_fig3a, "nonperturbative work scaling, indistinguishable",
-                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"},
-                          _fig3_data),
+                          _preset(_FIG3_CONFIG, _FIG3_AXES), _fig3_data),
     "fig3b": FigureTarget(_figure_fig3b, "nonperturbative enhancement scaling",
-                          {"g": 0.5, "delta_t": 0.9, "alpha_over_T": 2142.0, "N": "1..6"},
-                          _fig3_data),
+                          _preset(_FIG3_CONFIG, _FIG3_AXES), _fig3_data),
     "fig4even": FigureTarget(functools.partial(_figure_fig4, (2, 4)),
                              "fermionic parity law, even N",
                              {"N": [2, 4], "beta_com_omega": "2.5..6 by 0.25"}),
@@ -952,9 +949,10 @@ def _check_delta0_dominance(rng, n_draws: int):
     worst, witness = math.inf, None
     for _ in range(n_draws):
         engine, schedule, system = random_smooth_case(rng)
-        for i, amps in analytics.level_amplitudes(engine, schedule, system).items():
-            p_b, p_d = (analytics.general_probability(engine, schedule, system, s, i, amps)
+        amps = analytics.level_amplitudes(engine, schedule, system)
+        rec_b, rec_d = (analytics.general_work(engine, schedule, system, s, amps)
                         for s in (Statistics.BOSE, Statistics.DISTINGUISHABLE))
+        for p_b, p_d in zip(rec_b.p_excite.values(), rec_d.p_excite.values()):
             margin = (p_b - p_d) / max(p_b, p_d, 1e-300)
             if margin < worst:
                 worst, witness = margin, engine.N
@@ -978,7 +976,7 @@ def _check_region(region):
     the Delta = 0 column for N = 1..20 at the map's omega T, and N = 20 has
     a non-enhanced cell beyond omega T = pi."""
     n2 = bool(region.enhanced[region.N_values.index(2)].all())
-    column = analytics.enhancement_region(_fig2_engine(2, 0.0), np.array([0.0]),
+    column = analytics.enhancement_region(build_engine({}), np.array([0.0]),
                                           region.omega_T, tuple(range(1, 21)))
     col = bool(column.enhanced.all())
     beyond_pi = region.enhanced[region.N_values.index(20)][:, region.omega_T > math.pi]
@@ -1144,7 +1142,7 @@ def _dispatch(args) -> int:
 
     if args.command == "region":
         region = analytics.enhancement_region(
-            _fig2_engine(2, 0.0), np.linspace(0.0, args.delta_max, args.delta_points),
+            build_engine({}), np.linspace(0.0, args.delta_max, args.delta_points),
             np.linspace(args.omegat_min, args.omegat_max, args.omegat_points), args.n_values)
         rows = list(region.rows())
         _write_dataset(out_dir, ["delta_over_omega0", "omegaT", "N", "enhanced"], rows,

@@ -11,6 +11,7 @@ final hygiene criterion.
 import math
 import os
 import time
+import types
 
 import numpy as np
 import pytest
@@ -165,17 +166,19 @@ def test_criterion_5_delta0_dominance():
 
 def test_criterion_5_negative_control(monkeypatch):
     # the first Bose probability sits 1e-9 below the distinguishable one
-    true = an.general_probability
+    true = an.general_work
     shifted = []
 
-    def one_bose_below(engine, schedule, system, stats, level, amplitudes=None):
+    def one_bose_below(engine, schedule, system, stats, amplitudes=None):
+        rec = true(engine, schedule, system, stats, amplitudes)
         if stats is qw.Statistics.BOSE and not shifted:
+            p = true(engine, schedule, system, qw.Statistics.DISTINGUISHABLE, amplitudes).p_excite
+            level = next(iter(p))
             shifted.append(level)
-            stats = qw.Statistics.DISTINGUISHABLE
-            return true(engine, schedule, system, stats, level, amplitudes) - 1e-9
-        return true(engine, schedule, system, stats, level, amplitudes)
+            return types.SimpleNamespace(p_excite={**rec.p_excite, level: p[level] - 1e-9})
+        return rec
 
-    monkeypatch.setattr(an, "general_probability", one_bose_below)
+    monkeypatch.setattr(an, "general_work", one_bose_below)
     assert sw._check_delta0_dominance(np.random.default_rng(5), 2)[0] is False
     assert shifted
 
@@ -194,13 +197,13 @@ def test_criterion_5_integrates_each_level_once(monkeypatch):
     # stroke-start integrals per coupled level serves both probabilities,
     # all of a draw's levels in one quadrature per stroke start
     rng = np.random.default_rng(5)
-    coupled = sum(int(np.sum(np.abs(system.V_S[1:, 0]) >= 1e-14))
+    coupled = sum(np.flatnonzero(system.V_S[1:, 0]).size
                   for _, _, system in (sw.random_smooth_case(rng) for _ in range(3)))
     true, calls = an._amplitude_grid, []
 
-    def counted(engines, schedule, t0, eps, v, *args, **kwargs):
+    def counted(engines, schedule, t0, eps, v):
         calls.append(len(eps))
-        return true(engines, schedule, t0, eps, v, *args, **kwargs)
+        return true(engines, schedule, t0, eps, v)
 
     monkeypatch.setattr(an, "_amplitude_grid", counted)
     assert sw._check_delta0_dominance(np.random.default_rng(5), 3)[0] is True

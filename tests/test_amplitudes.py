@@ -12,6 +12,8 @@ from qstatwork._quad import (KR_NODES, KR_WEIGHTS, QuadStats, _build_panels, _ev
 from qstatwork.analytics import _amplitude_grid, _schedule_breakpoints, level_amplitudes
 
 T = 20.0
+# integrate_oscillatory's panel settings for one uncut panel and a relative test alone
+ONE_PANEL = dict(breakpoints=(), max_freq=0.0, abs_tol=0.0)
 
 
 def constant_schedule(g):
@@ -70,7 +72,7 @@ class TestQuadHelper:
             calls.append(t.size)
             return contract(np.exp(1j * w * t))
 
-        value, stats = integrate_oscillatory(f, 0.0, 1.0)
+        value, stats = integrate_oscillatory(f, 0.0, 1.0, **ONE_PANEL)
         assert calls == node_counts
         assert stats.refinements == len(node_counts) - 1 and stats.panels == node_counts[-1] // 21
         assert abs(value - (np.exp(1j * w) - 1) / (1j * w)) < 1e-15
@@ -78,7 +80,7 @@ class TestQuadHelper:
     def test_oscillatory_against_scipy(self):
         f = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
         got, _ = integrate_oscillatory(lambda t, c: c(f(t)), 0.0, 6.0, breakpoints=[2.0],
-                                       max_freq=7.3)
+                                       max_freq=7.3, abs_tol=0.0)
         re, _ = quad(lambda t: np.real(f(np.array([t]))[0]), 0, 6, limit=400)
         im, _ = quad(lambda t: np.imag(f(np.array([t]))[0]), 0, 6, limit=400)
         assert abs(got - (re + 1j * im)) < 1e-9
@@ -89,7 +91,7 @@ class TestQuadHelper:
         monkeypatch.setattr(qw._quad, "REL_TOL", 1e-14)
         monkeypatch.setattr(qw._quad, "MAX_REFINE", 2)
         with pytest.raises(QuadratureError):
-            integrate_oscillatory(noise, 0.0, 1.0)
+            integrate_oscillatory(noise, 0.0, 1.0, **ONE_PANEL)
 
 
     def test_stack_matches_single_calls(self, monkeypatch):
@@ -97,7 +99,7 @@ class TestQuadHelper:
         # one after four halvings; each keeps the estimate its own test accepted
         smooth = lambda t, c: c(np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0)))
         kinked = lambda t, c: c(np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t))
-        kw = dict(breakpoints=[2.0], max_freq=7.3)
+        kw = dict(breakpoints=[2.0], max_freq=7.3, abs_tol=0.0)
         max_refine = qw._quad.MAX_REFINE
         monkeypatch.setattr(qw._quad, "REL_TOL", 1e-7)
         monkeypatch.setattr(qw._quad, "MAX_REFINE", 0)
@@ -116,7 +118,7 @@ class TestQuadHelper:
     def test_reports_its_work(self, monkeypatch):
         smooth = lambda t: np.exp(1j * 7.3 * t) * np.tanh(5 * (t - 2.0))
         kinked = lambda t: np.abs(t - 2.345) ** 1.5 * np.exp(-1j * 3.1 * t)
-        kw = dict(breakpoints=[2.0], max_freq=7.3)
+        kw = dict(breakpoints=[2.0], max_freq=7.3, abs_tol=0.0)
         monkeypatch.setattr(qw._quad, "REL_TOL", 1e-7)
         value, one = integrate_oscillatory(lambda t, c: c(smooth(t)), 0.0, 6.0, **kw)
         (_, kinked_value), both = integrate_oscillatory(
@@ -126,7 +128,8 @@ class TestQuadHelper:
         # the accepting |K21 - G10| passed the tolerance of its component
         assert 0 < one.last_delta <= 1e-7 * abs(value)
         assert one.last_delta < both.last_delta <= 1e-7 * abs(kinked_value)
-        assert integrate_oscillatory(lambda t, c: c(smooth(t)), 1.0, 1.0) == (0j, QuadStats())
+        empty = integrate_oscillatory(lambda t, c: c(smooth(t)), 1.0, 1.0, **ONE_PANEL)
+        assert empty == (0j, QuadStats())
 
     def test_stack_with_one_nonconvergent_component_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -134,7 +137,7 @@ class TestQuadHelper:
         monkeypatch.setattr(qw._quad, "REL_TOL", 1e-12)
         monkeypatch.setattr(qw._quad, "MAX_REFINE", 2)
         with pytest.raises(QuadratureError):
-            integrate_oscillatory(f, 0.0, 1.0)
+            integrate_oscillatory(f, 0.0, 1.0, **ONE_PANEL)
 
     def test_panels_match_per_segment_linspace(self):
         sched = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)

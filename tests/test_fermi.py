@@ -161,6 +161,21 @@ class TestFermiWork:
         assert rec.energies == tuple(system.energies)
         assert rec.enhancement_ratio == pytest.approx(f_N(ens(3, math.inf)), abs=1e-14)
 
+    def test_work_is_the_weighted_runs(self):
+        # avg_work, derived from the P(k)-weighted probabilities, is
+        # sum_k P(k) W_k to rounding, and lambda is that sum over W_1 exactly
+        kick = qw.Impulse(g=0.01, t1=0.35 * T / 2, T=T)
+        system = qw.harmonic_system(2 * math.pi * 0.05 / T, 8)
+        e = ens(3, 2.5)
+        rec = fermi_outcoupled_work(e, kick, system)
+        P = active_distribution(e)
+        works = [qw.run_cycle(replace(e.engine, N=k), kick, system,
+                              qw.Statistics.DISTINGUISHABLE).work.avg_work for k in (1, 2, 3)]
+        weighted = sum(P[k] * w for k, w in zip((1, 2, 3), works))
+        assert P[2] == 0.0 and P[3] > 1e-3        # odd N: one or three active atoms
+        assert rec.avg_work == pytest.approx(weighted, rel=1e-14, abs=0.0)
+        assert rec.enhancement_ratio == weighted / works[0]
+
     def test_lambda_table_format(self):
         rows = lambda_table([2, 3], [3.0, 4.0])
         assert len(rows) == 4

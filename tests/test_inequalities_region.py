@@ -67,7 +67,7 @@ def per_n_battery(N_max, x, tol=1e-12):
     violation."""
     worst, n1_defect = {}, 0.0
     for N in range(1, N_max + 1):
-        margins = inequality_margins(N, x[:, None])
+        margins = inequality_margins(N, x[:, None], x[None, :])
         for name, vals in margins.items():
             k = int(np.argmin(vals))
             m = float(vals.flat[k])
@@ -136,11 +136,6 @@ class TestBatteryOverN:
         assert message == (f"grid margins {grid:.1e} (> -1e-12 max(1, N^2/4)), "
                            f"draws {worst:.1e} max(1, N^2/4) (> -1e-12 max(1, N^2/4)), "
                            f"N=1 equality {rep.n1_equality_defect:.1e} (< 1e-12)")
-
-    def test_array_n_needs_y(self):
-        # y = x.T would transpose the N axis along with x's
-        with pytest.raises(ValueError, match="an array N needs y"):
-            inequality_margins(np.array([1, 2, 3]), np.array([[0.5], [1.0]]))
 
 
 

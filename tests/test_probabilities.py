@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstatwork as qw
+import qstatwork.analytics as an
 from qstatwork.analytics import enhancement, level_amplitudes
 from qstatwork.errors import InvalidVariantError, PerturbativeValidityError
 from qstatwork.sweeps import random_smooth_case
@@ -76,6 +77,19 @@ class TestImpulseWork:
         with pytest.raises(PerturbativeValidityError):
             qw.impulse_work(engine(4, 0.0), huge, sysho, qw.Statistics.DISTINGUISHABLE)
 
+    def test_overflowing_or_nan_total_refused(self):
+        # g = 1e200 squared as a Python float power raised OverflowError; as a
+        # product it gives an infinite total, which is refused, and so is a NaN
+        # total, which passes every comparison with 0.5
+        sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 8)
+        kick = qw.Impulse(g=1e200, t1=0.35 * T / 2, T=T)
+        with pytest.raises(PerturbativeValidityError, match="total excitation inf"):
+            qw.impulse_work(engine(2, 0.0), kick, sysho, qw.Statistics.BOSE)
+        with pytest.raises(PerturbativeValidityError, match="total excitation nan"):
+            an._perturbative_record({1: math.nan}, qw.Statistics.BOSE, "test", sysho)
+        with pytest.raises(ValueError, match="outside"):
+            qw.WorkRecord(qw.Statistics.BOSE, "test", {1: math.nan}, tuple(sysho.energies))
+
     @given(
         N=st.integers(1, 25),
         beta_c_e0=st.floats(0.05, 6.0),
@@ -108,15 +122,14 @@ class TestGeneralProbability:
             f, h = qw.moment_f(3, x[t0]), qw.moment_h(3, x[t0])
             expect += abs(amp.c_plus) ** 2 * (j * (j + 1) - (f + h))
             expect += abs(amp.c_minus) ** 2 * (j * (j + 1) - (f - h))
-        got = qw.general_probability(p, sched, sysho, qw.Statistics.BOSE, 1)
+        got = qw.general_work(p, sched, sysho, qw.Statistics.BOSE).p_excite[1]
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_n1_statistics_agree_for_any_schedule(self):
         p = engine(1, 1.1)
         sched = plateau()
         sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
-        a = qw.general_probability(p, sched, sysho, qw.Statistics.BOSE, 1)
-        b = qw.general_probability(p, sched, sysho, qw.Statistics.DISTINGUISHABLE, 1)
+        a, b = (qw.general_work(p, sched, sysho, s).p_excite[1] for s in qw.Statistics)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_impulse_limit_of_narrow_bump(self):
@@ -128,7 +141,7 @@ class TestGeneralProbability:
         sched = qw.Sampled(times=np.concatenate([[0.0], tt, [T]]),
                            values=np.concatenate([[0.0], bump, [0.0]]))
         sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 10)
-        p_gen = qw.general_probability(p, sched, sysho, qw.Statistics.BOSE, 1)
+        p_gen = qw.general_work(p, sched, sysho, qw.Statistics.BOSE).p_excite[1]
         p_imp = qw.impulse_work(p, qw.Impulse(g=g, t1=t1, T=T), sysho,
                                 qw.Statistics.BOSE).p_excite[1]
         assert abs(p_gen - p_imp) < 1e-3 * p_imp
@@ -138,29 +151,11 @@ class TestGeneralProbability:
         for _ in range(12):
             eng, sched, system = random_smooth_case(rng)
             amps = level_amplitudes(eng, sched, system)      # one quadrature per draw
-            for i in range(1, system.dim):
-                if abs(system.V_S[i, 0]) < 1e-14:
-                    continue
-                pb = qw.general_probability(eng, sched, system, qw.Statistics.BOSE, i, amps[i])
-                pd = qw.general_probability(eng, sched, system,
-                                            qw.Statistics.DISTINGUISHABLE, i, amps[i])
+            bose, dist = (qw.general_work(eng, sched, system, s, amps).p_excite
+                          for s in qw.Statistics)
+            for i, pb in bose.items():
+                pd = dist[i]
                 assert pb >= pd - 1e-12 * max(pb, pd, 1e-300)
-
-    def test_probability_is_general_works(self):
-        # p_i is general_work's, from one quadrature of every coupled level:
-        # integrating level i alone moved these five levels by up to 7e-15
-        # relative; a level the system does not couple gives 0
-        eng, sched, system = random_smooth_case(np.random.default_rng(8))
-        assert system.dim == 6 and isinstance(sched, qw.SmoothPlateau)
-        for stats in qw.Statistics:
-            p = qw.general_work(eng, sched, system, stats).p_excite
-            assert {i: qw.general_probability(eng, sched, system, stats, i)
-                    for i in range(1, 6)} == p
-        sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
-        bose = qw.Statistics.BOSE
-        assert qw.general_probability(engine(2, 0.5), plateau(), sysho, bose, 2) == 0.0
-        with pytest.raises(qw.errors.DomainError, match="level index"):
-            qw.general_probability(engine(2, 0.5), plateau(), sysho, bose, 6)
 
     def test_ladder_weight_n1_equality(self):
         # Bose j(j+1) - (f + s h) against distinguishable (1 + s tanh x)/2

@@ -453,7 +453,49 @@ class TestSweepSpec:
             sw.SweepSpec.from_dict(dict(self.spec().to_dict(), task="work"))
 
 
+    @pytest.mark.parametrize("kind", ["impulse", "plateau"])
+    def test_huge_coupling_fails_its_cell_as_perturbative(self, tmp_path, kind):
+        # g^2 overflowed a Python float power: the cell was error:OverflowError
+        spec = sw.SweepSpec(axes=(("coupling.kind", (kind,)), ("coupling.g", (1e200,))),
+                            fixed={}, method="analytic", out="unused")
+        assert sw.run_sweep(spec, out_dir=str(tmp_path))["n_failed"] == 1
+        row = (tmp_path / "data.csv").read_text().splitlines()[1]
+        assert row.endswith(",error:PerturbativeValidityError"), row
+
+    def test_impulse_sweep_gives_the_fig2a_rows(self, tmp_path):
+        # Fig. 2a is the Fig.-2a config document swept over N and Delta: a
+        # method-both sweep of it gives the figure's two ratios bit for bit
+        spec = sw.SweepSpec(axes=(("engine.N", (1, 2)), ("engine.Delta", (0.0, 1.4))),
+                            fixed={"system": {"dim": 10}}, method="both", out="unused")
+        sw.run_sweep(spec, out_dir=str(tmp_path))
+        header, *rows = (line.split(",") for line in
+                         (tmp_path / "data.csv").read_text().splitlines())
+        got = {(int(r[0]), float(r[1])): (float(r[header.index("enhancement")]),
+                                          float(r[header.index("enhancement_numeric")]))
+               for r in rows}
+        fig2a, _ = sw._impulse_runs(1, (1, 2), (0.0, 1.4))
+        assert len(got) == 4
+        assert got == {(N, delta): (ana, num) for N, delta, ana, num in fig2a}
+
+
 class TestCli:
+    @pytest.mark.parametrize("kind", ["impulse", "plateau"])
+    def test_huge_coupling_exit_1(self, capsys, kind):
+        # g^2 overflowed a Python float power: an OverflowError traceback
+        assert sw.cli_main(["analytic", "--coupling", kind, "--g", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: total excitation inf >= 0.5"), captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--omegat-min", "-1"), ("--omegat-max", "nan")])
+    def test_region_refuses_bad_omega_t(self, tmp_path, capsys, flag, value):
+        # a negative omega T wrote a map of negative oscillator frequencies
+        # (exit 0); a NaN one ended in a quadrature error (exit 1)
+        assert sw.cli_main(["region", "--out", str(tmp_path), flag, value]) == 2
+        assert capsys.readouterr().err.startswith("config error: omega T must be positive")
+        assert not (tmp_path / "data.csv").exists()
+
     def test_analytic_n1_unity(self, capsys):
         rc = sw.cli_main(["analytic", "--N", "1", "--delta", "0.7"])
         assert rc == 0
@@ -777,7 +819,7 @@ class TestCli:
         T = 20.0
         system = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
         schedule = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
-        diags = [diag for _, diag in sw._timed_cycles((sw._fig2_engine(2, 0.0), schedule, system))]
+        diags = [diag for _, diag in sw._timed_cycles((sw.build_engine({}), schedule, system))]
         n = diags[0]["n_steps_per_half"]
         assert [d["split_steps"] for d in diags] == [2 * n, 2 * n]
         assert [d["sectors"] for d in diags] == [[[3, 1]], [[3, 1], [1, 1]]]
