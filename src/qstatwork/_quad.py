@@ -105,7 +105,7 @@ def integrate_oscillatory(f, a: float, b: float, breakpoints, max_freq: float, a
     Each component keeps the estimate its own test accepted, so it equals
     the value f's component alone would give on the same panels.  Returns
     (estimate, QuadStats), the estimate a complex or an array.  Raises
-    QuadratureError with diagnostics if some component never converges.
+    QuadratureError, naming the last delta, if some component never converges.
     """
     edges = _build_panels(a, b, breakpoints, max_freq)
     scale, done, out, accepted = (b - a) * 1e-300, np.False_, 0.0, 0.0
@@ -122,10 +122,5 @@ def integrate_oscillatory(f, a: float, b: float, breakpoints, max_freq: float, a
             stats = QuadStats(edges.size - 1, refinements, float(np.max(accepted)))
             return (out if out.ndim else complex(out)), stats
     last = float(np.max(delta[~done]))
-    raise QuadratureError(
-        f"quadrature did not converge over [{a}, {b}]: last delta {last:.3e} "
-        f"with {edges.size - 1} panels",
-        estimate=est if est.ndim else complex(est),
-        last_delta=last,
-        panels=edges.size - 1,
-    )
+    raise QuadratureError(f"quadrature did not converge over [{a}, {b}]: last delta {last:.3e} "
+                          f"with {edges.size - 1} panels")

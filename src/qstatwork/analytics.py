@@ -339,8 +339,8 @@ def _perturbative_record(p: dict, statistics: Statistics, method: str, system) -
     total = sum(p.values())
     if not total < PERTURBATIVE_FAIL:
         raise PerturbativeValidityError(
-            f"total excitation {total:.3f} >= {PERTURBATIVE_FAIL}; the leading-order "
-            "expansion is invalid here"
+            f"total excitation {total:.3f} is not below {PERTURBATIVE_FAIL}; the "
+            "leading-order expansion is invalid here"
         )
     return WorkRecord(statistics=Statistics(statistics), method=method, p_excite=p,
                       energies=tuple(system.energies),
@@ -637,9 +637,7 @@ def verify_inequalities(N_max: int, x_grid) -> InequalityReport:
             else:
                 wit = (N, float(x[k % x.size]))
             if m < -INEQUALITY_TOL * scale:
-                raise InequalityViolationError(
-                    f"{name} violated by {m:.3e} at witness {wit}", witness=wit
-                )
+                raise InequalityViolationError(f"{name} violated by {m:.3e} at witness {wit}")
             if name not in worst or m < worst[name][0]:
                 worst[name] = (m, wit)
         if N == 1:

@@ -18,13 +18,7 @@ class InvalidVariantError(QstatworkError, ValueError):
 
 
 class QuadratureError(QstatworkError, RuntimeError):
-    """Adaptive quadrature failed to converge; carries diagnostics."""
-
-    def __init__(self, message, estimate=None, last_delta=None, panels=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.last_delta = last_delta
-        self.panels = panels
+    """Adaptive quadrature failed to converge; the message gives its last delta and panels."""
 
 
 class PropagationError(QstatworkError, RuntimeError):
@@ -36,11 +30,7 @@ class PerturbativeValidityError(QstatworkError, ValueError):
 
 
 class InequalityViolationError(QstatworkError, RuntimeError):
-    """A moment inequality failed; carries the (N, x) witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A moment inequality failed; the message gives the (N, x) witness."""
 
 
 class ConfigError(QstatworkError, ValueError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -76,8 +77,9 @@ def _write_dataset(out_dir, columns, rows, manifest, workers: int = 1):
 
 def environment(workers: int = 1) -> dict:
     """The software and machine behind a run: the Python and NumPy
-    versions, the BLAS NumPy was built with, the cores this process may
-    run on, the `workers` processes the run used, the OpenBLAS thread
+    versions, the BLAS NumPy was built with, the cores of this process's
+    affinity mask, the `workers` processes the run used (the CLI maps on
+    every core, capped at the run's task count), the OpenBLAS thread
     count of this process (None under another BLAS; every process of a
     `parallel_map` on more than one worker runs one while it computes)
     and the git revision of the checkout holding the package (None
@@ -267,17 +269,6 @@ def _build_case(cfg: dict):
     return engine, schedule, system
 
 
-def _timed_cycles(case) -> list:
-    """run_cycles on one (engine, schedule, system) case, indistinguishable
-    then distinguishable engines: per run its average work and its
-    diagnostics, plus `cycle_wall_s`, its even share of the call's wall
-    time where it ran."""
-    t0 = time.perf_counter()
-    results = run_cycles(*case)
-    wall = (time.perf_counter() - t0) / len(results)
-    return [(res.work.avg_work, dict(res.diagnostics, cycle_wall_s=wall)) for res in results]
-
-
 # ---------------------------------------------------------------------------
 # worker processes
 # ---------------------------------------------------------------------------
@@ -351,8 +342,9 @@ def _blas_threads():
 
 
 def parallel_map(fn, inputs, workers: int = 1) -> list:
-    """[fn(x) for x in inputs] on up to `workers` processes
-    (`worker_count`), in input order.
+    """[fn(x) for x in inputs] on up to `workers` processes, in input
+    order.  `worker_count` caps them at the cores of the affinity mask: the
+    CLI asks for every core, and a narrower mask (taskset) gives fewer.
 
     With one worker the inputs run in this process.  With more, this
     process forks `workers` - 1 children, which start from its state and
@@ -556,9 +548,21 @@ def _set_fields(cfg: dict, values) -> dict:
     return cfg
 
 
-def _eval_work_cell(cfg: dict, method: str) -> dict:
+def _grid(cfg: dict, axes) -> tuple:
+    """The cells of the grid of `axes` ((param, values), ...) in row-major
+    order, the first axis outermost, and each cell's config document: `cfg`
+    with the cell's values set over it (`_set_fields`)."""
+    cells = list(itertools.product(*(values for _, values in axes)))
+    return cells, [_set_fields(cfg, zip((p for p, _ in axes), cell)) for cell in cells]
+
+
+def _eval_work_cell(cfg: dict, method: str) -> tuple:
+    """(works by column name, diagnostics) of the case of config document
+    `cfg` by `method`: the diagnostics of the two runs (indistinguishable,
+    then distinguishable) of run_cycles where the method runs cycles, each
+    with `cycle_wall_s`, its even share of the call's wall time."""
     engine, schedule, system = _build_case(cfg)
-    out = {}
+    out, diags = {}, []
     if method in ("analytic", "both"):
         # a smooth cell's amplitudes serve both statistics and the N = 1 reference
         amps = (None if isinstance(schedule, Impulse)
@@ -574,50 +578,55 @@ def _eval_work_cell(cfg: dict, method: str) -> dict:
             sqrt_work_ratio=math.sqrt(rec_b.avg_work / w1) if w1 > 0 else math.nan,
         )
     if method in ("numerical", "both"):
-        (wb, _), (wd, _) = _timed_cycles((engine, schedule, system))
+        t0 = time.perf_counter()
+        results = run_cycles(engine, schedule, system)
+        wall = (time.perf_counter() - t0) / len(results)
+        diags = [dict(res.diagnostics, cycle_wall_s=wall) for res in results]
+        wb, wd = (res.work.avg_work for res in results)
         out.update(work_indist_numeric=wb, work_dist_numeric=wd, enhancement_numeric=wb / wd)
-    return out
+    return out, diags
 
 
 def _eval_cell(method: str, cfg: dict) -> tuple:
-    """One sweep cell: (values, status, wall seconds where it ran).  A cell
-    that fails gives no values and an `error:<Type>` status."""
+    """One sweep cell: (values, diagnostics, status, wall seconds where it
+    ran).  A cell that fails gives no values, no diagnostics and an
+    `error:<Type>` status."""
     t0 = time.perf_counter()
     try:
-        data = _eval_work_cell(cfg, method)
+        data, diags = _eval_work_cell(cfg, method)
         status = "ok"
     except (QstatworkError, ValueError, ArithmeticError) as exc:
-        data, status = {}, f"error:{type(exc).__name__}"
-    return data, status, time.perf_counter() - t0
+        data, diags, status = {}, [], f"error:{type(exc).__name__}"
+    return data, diags, status, time.perf_counter() - t0
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
     """Evaluate every cell, write <out>/data.csv and <out>/manifest.json.
 
-    Cells evaluate independently on `threads` worker processes
+    Cells evaluate independently on up to `threads` worker processes
     (`parallel_map`), and rows are assembled in row-major cell order
     whatever the count; failed cells are tagged per row and count toward
-    the exit status (> 1% failed is an error).
+    the exit status (> 1% failed is an error).  Where cells ran cycles,
+    the manifest's `cycles` is the `_cycle_summary` of the runs of its ok
+    cells.
     """
     out_dir = out_dir or spec.out
     t_start = time.time()
-    grids = [values for _, values in spec.axes]
-    cells = [[grids[k][i] for k, i in enumerate(idx)]
-             for idx in (np.ndindex(*[len(g) for g in grids]) if grids else [()])]
-    results = parallel_map(functools.partial(_eval_cell, spec.method),
-                           [_set_fields(spec.fixed, zip((p for p, _ in spec.axes), values))
-                            for values in cells], threads)
+    cells, cfgs = _grid(spec.fixed, spec.axes)
+    results = parallel_map(functools.partial(_eval_cell, spec.method), cfgs, threads)
 
-    value_cols = next((list(data) for data, status, _ in results if status == "ok"), [])
+    value_cols = next((list(data) for data, _, status, _ in results if status == "ok"), [])
     columns = [p for p, _ in spec.axes] + value_cols + ["status"]
-    rows = [values + [data.get(c, math.nan) for c in value_cols] + [status]
-            for values, (data, status, _) in zip(cells, results)]
+    rows = [[*cell, *(data.get(c, math.nan) for c in value_cols), status]
+            for cell, (data, _, status, _) in zip(cells, results)]
+    diags = [diag for _, cell_diags, _, _ in results for diag in cell_diags]
     manifest = {
         "spec": spec.to_dict(),
         "n_cells": len(cells),
-        "n_failed": sum(status != "ok" for _, status, _ in results),
+        "n_failed": sum(status != "ok" for _, _, status, _ in results),
         "wall_time_s": time.time() - t_start,
         "cell_wall_s": [wall for *_, wall in results],
+        **({"cycles": _cycle_summary(diags)} if diags else {}),
     }
     _write_dataset(out_dir, columns, rows, manifest, worker_count(threads, len(cells)))
     return manifest
@@ -630,28 +639,30 @@ def run_sweep(spec: SweepSpec, threads: int = 1, out_dir: str = None) -> dict:
 # The Fig.-2a and Fig.-3 config documents: a field they do not give takes its _FIELDS default
 _FIG2A_CONFIG = {"system": {"dim": 10}}
 _FIG3_CONFIG = {"coupling": {"kind": "plateau", "g": 0.5}, "system": {"dim": 16}}
-_FIG2A_AXES = {"engine.N": tuple(range(1, 9)), "engine.Delta": (0.0, 1.4, 4.2)}
+_FIG2A_AXES = {"engine.Delta": (0.0, 1.4, 4.2), "engine.N": tuple(range(1, 9))}
 _FIG3_AXES = {"engine.N": tuple(range(1, 7))}
 
 
 def _preset(cfg: dict, axes: dict) -> dict:
     """A figure manifest's record of its cycles: their config document with every
-    field resolved (`_section`), and the axis values set over it."""
-    return {"config": {name: _section(name, cfg.get(name, {})) for name in _FIELDS}, "axes": axes}
+    field that its coupling kind reads resolved (`_section`), and the axis values
+    set over it, so that a sweep of that config over those axes reruns them."""
+    config = {name: _section(name, cfg.get(name, {})) for name in _FIELDS}
+    reads = _READS[config["coupling"]["kind"]]
+    config["coupling"] = {k: v for k, v in config["coupling"].items() if f"coupling.{k}" in reads}
+    return {"config": config, "axes": axes}
 
 
 def _impulse_runs(workers: int = 1, n_values=_FIG2A_AXES["engine.N"],
                   deltas=_FIG2A_AXES["engine.Delta"]):
-    """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E) and the
-    `_timed_cycles` diagnostics of every run (indistinguishable, then
-    distinguishable, per row), the rows' cycles run on `workers` processes."""
-    cases = [(N, delta, _build_case(_set_fields(_FIG2A_CONFIG,
-                                                [("engine.N", N), ("engine.Delta", delta)])))
-             for delta in deltas for N in n_values]
-    runs = parallel_map(_timed_cycles, [case for *_, case in cases], workers)
-    rows = [[N, delta, analytics.enhancement(*case)[0], wb / wd]
-            for (N, delta, case), ((wb, _), (wd, _)) in zip(cases, runs)]
-    return rows, [diag for pair in runs for _, diag in pair]
+    """Fig.-2a kick: rows (N, Delta/Omega0, analytic E, numeric E), Delta
+    outermost, and the diagnostics of every run (indistinguishable, then
+    distinguishable, per row), the rows' cells run on `workers` processes."""
+    cells, cfgs = _grid(_FIG2A_CONFIG, (("engine.Delta", deltas), ("engine.N", n_values)))
+    runs = parallel_map(functools.partial(_eval_work_cell, method="both"), cfgs, workers)
+    rows = [[N, delta, out["enhancement"], out["enhancement_numeric"]]
+            for (delta, N), (out, _) in zip(cells, runs)]
+    return rows, [diag for _, diags in runs for diag in diags]
 
 
 def _sqrt_work_rows(x_values):
@@ -663,14 +674,14 @@ def _sqrt_work_rows(x_values):
 
 def _fig3_data(workers: int):
     """Fig.-3 plateau works (N, W_indist, W_dist) for N = 1..6 and the
-    `_timed_cycles` diagnostics of every run, the cycles of each N run on
-    `workers` processes."""
-    n_values = _FIG3_AXES["engine.N"]
-    cases = [_build_case(_set_fields(_FIG3_CONFIG, [("engine.N", N)])) for N in n_values]
+    diagnostics of every run, the cells of each N run on `workers` processes."""
+    cells, cfgs = _grid(_FIG3_CONFIG, _FIG3_AXES.items())
     # longest first (the cost grows with N), so that the workers end on short cycles
-    runs = parallel_map(_timed_cycles, cases[::-1], workers)[::-1]
-    data = [(N, wb, wd) for N, ((wb, _), (wd, _)) in zip(n_values, runs)]
-    return data, [diag for pair in runs for _, diag in pair]
+    runs = parallel_map(functools.partial(_eval_work_cell, method="numerical"), cfgs[::-1],
+                        workers)[::-1]
+    data = [(N, out["work_indist_numeric"], out["work_dist_numeric"])
+            for (N,), (out, _) in zip(cells, runs)]
+    return data, [diag for _, diags in runs for diag in diags]
 
 
 def _figure_fig2a(runs):
@@ -744,13 +755,13 @@ FIGURES = {
 
 
 def _cycle_summary(diags) -> dict:
-    """A figure's run diagnostics for its manifest: the worst health
-    indicators, the summed step counts and each run's `cycle_wall_s`."""
+    """Run diagnostics for a manifest: the worst health indicators, each step
+    count summed over the runs that make it and each run's `cycle_wall_s`."""
     out = {f"{key}_max": max(d[key] for d in diags)
            for key in ("isometry_drift", "trace_drift", "dropped_weight")}
-    out.update({f"{key}_total": sum(d[key] for d in diags)
+    out.update({f"{key}_total": sum(d[key] for d in diags if key in d)
                 for key in ("n_steps_per_half", "split_steps", "n_engine_steps")
-                if key in diags[0]})
+                if any(key in d for d in diags)})
     out["n_cycles"] = len(diags)
     out["cycle_wall_s"] = [d["cycle_wall_s"] for d in diags]
     return out
@@ -1012,15 +1023,6 @@ def _check_fermi_parity(rows):
 # CLI
 # ---------------------------------------------------------------------------
 
-def _threads_of(args) -> int:
-    """Worker processes: --threads where the command has it, else the
-    QSTAT_THREADS environment variable, else 1."""
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QSTAT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstatwork",
@@ -1074,8 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = add_parser("sweep", help="run a sweep from a config document")
     p_sw.add_argument("--config", help="JSON config document")
     p_sw.add_argument("--out", help="output directory")
-    p_sw.add_argument("--threads", type=int, default=None,
-                      help="worker processes (QSTAT_THREADS fallback, default 1)")
     p_sw.add_argument("--method", choices=SWEEP_METHODS)
     return parser
 
@@ -1151,18 +1151,19 @@ def _dispatch(args) -> int:
         print(f"wrote {len(rows)} rows to {out_dir}/data.csv")
         return 0
 
+    cores = len(os.sched_getaffinity(0))       # figure, verify and sweep map on all of them
     if args.command == "figure":
         # one id writes into out_dir, several each into out_dir/<id>
         ids, shared, failed = list(dict.fromkeys(args.ids)), {}, False
         for fig_id in ids:
             fig_dir = out_dir if len(ids) == 1 else os.path.join(out_dir, fig_id)
-            ok, detail = run_figure(fig_id, fig_dir, _threads_of(args), shared)
+            ok, detail = run_figure(fig_id, fig_dir, cores, shared)
             print(f"{'PASS' if ok else 'FAIL'} [{fig_id}] {detail}; data in {fig_dir}/data.csv")
             failed |= not ok
         return 1 if failed else 0
 
     if args.command == "verify":
-        checks = run_verify(seed=args.seed, fast=args.fast, workers=_threads_of(args))
+        checks = run_verify(seed=args.seed, fast=args.fast, workers=cores)
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} [{name}] {detail}")
         return 0 if all(ok for _, ok, _ in checks) else 1
@@ -1176,7 +1177,7 @@ def _dispatch(args) -> int:
             **cfg.get("sweep", {}), **{k: v for k, v in flags.items() if v is not None},
             "fixed": {k: v for k, v in cfg.items() if k in _FIELDS},
         })
-        manifest = run_sweep(spec, threads=_threads_of(args), out_dir=args.out)
+        manifest = run_sweep(spec, threads=cores, out_dir=args.out)
         frac = manifest["n_failed"] / max(1, manifest["n_cells"])
         print(f"{manifest['n_cells']} cells, {manifest['n_failed']} failed")
         return 1 if frac > 0.01 else 0

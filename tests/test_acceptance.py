@@ -8,6 +8,7 @@ module-scoped fixtures and their numerical-health diagnostics feed the
 final hygiene criterion.
 """
 
+import json
 import math
 import os
 import time
@@ -62,11 +63,12 @@ FIG3_PLATEAU = qw.SmoothPlateau(g=0.5, delta_t=0.9, alpha=2142.0 / T, T=T)
 
 @pytest.fixture(scope="module")
 def fig3_runs():
-    """Nonperturbative Fig.-3 works (N, W_indist, W_dist) for N = 1..6,
-    the twelve cycles run on one worker process per core."""
-    data, diags = sw._fig3_data(workers=len(os.sched_getaffinity(0)))
-    _DIAGNOSTICS.extend(diags)
-    return data
+    """`_fig3_data`: nonperturbative Fig.-3 works (N, W_indist, W_dist) for
+    N = 1..6 and the diagnostics of their twelve cycles, run on one worker
+    process per core."""
+    runs = sw._fig3_data(workers=len(os.sched_getaffinity(0)))
+    _DIAGNOSTICS.extend(runs[1])
+    return runs
 
 
 def shift_moments(monkeypatch, shift):
@@ -211,7 +213,7 @@ def test_criterion_5_integrates_each_level_once(monkeypatch):
 
 
 def test_criterion_6_nonperturbative(fig3_runs):
-    report("criterion-6 (Fig 3 nonperturbative)", *sw._check_fig3(fig3_runs))
+    report("criterion-6 (Fig 3 nonperturbative)", *sw._check_fig3(fig3_runs[0]))
 
 
 # synthetic works (N, W_indist, W_dist) that pass criterion 6
@@ -225,6 +227,38 @@ def test_criterion_6_negative_controls():
     assert sw._check_fig3(out_of_order)[0] is False
     e2_below_one = [FIG3_ROWS[0], (2, 2.4, 2.4 / 0.999), *FIG3_ROWS[2:]]
     assert sw._check_fig3(e2_below_one)[0] is False
+
+
+def csv_columns(path) -> dict:
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+def swept_preset(fig_id, method, out, shared) -> list:
+    """The data.csv columns of figure `fig_id` and of a `method` sweep of the
+    config and axes its manifest records as its preset, each by name."""
+    sw.run_figure(fig_id, str(out / fig_id), shared=shared)
+    preset = json.loads((out / fig_id / "manifest.json").read_text())["preset"]
+    config = out / f"{fig_id}.json"
+    config.write_text(json.dumps(dict(preset["config"], sweep={
+        "axes": [{"param": p, "values": v} for p, v in preset["axes"].items()],
+        "method": method})))
+    assert sw.cli_main(["sweep", "--config", str(config), "--out", str(out / "sweep")]) == 0
+    return [csv_columns(out / d / "data.csv") for d in (fig_id, "sweep")]
+
+
+def test_figure_presets_rerun_as_sweeps(fig3_runs, tmp_path):
+    # a sweep of the preset a figure's manifest records reruns the figure's
+    # cases bit for bit; it exited 2, because the preset recorded coupling
+    # fields that its coupling kind does not read
+    fig, swept = swept_preset("fig2a", "both", tmp_path, {})
+    assert (swept["engine.N"], swept["engine.Delta"]) == (fig["N"], fig["delta_over_omega0"])
+    assert swept["enhancement"] == fig["E_ratio_analytic"]
+    assert swept["enhancement_numeric"] == fig["E_ratio_numeric"]
+    fig, swept = swept_preset("fig3a", "numerical", tmp_path, {sw._fig3_data: fig3_runs})
+    assert (swept["engine.N"], swept["work_indist_numeric"]) == (
+        fig["N"], fig["work_indist_numeric"])
+    assert swept["work_dist_numeric"] == [sw._fmt(wd) for _, _, wd in fig3_runs[0]]
 
 
 def test_criterion_7_enhancement_region():
@@ -325,7 +359,7 @@ def test_criterion_10_numerical_hygiene(fig3_runs):
     fig3_big = run_cycle(p2, FIG3_PLATEAU, qw.harmonic_system(OMEGA, 32), bose).work.avg_work
     trunc_rel = max(
         abs(imp_big - imp_small) / abs(imp_big),
-        abs(fig3_big - fig3_runs[1][1]) / abs(fig3_big),
+        abs(fig3_big - fig3_runs[0][1][1]) / abs(fig3_big),
     )
     trunc_ok = trunc_rel < 1e-6
     dt = time.time() - t0

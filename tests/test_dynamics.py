@@ -502,6 +502,26 @@ class TestRunCycleSmooth:
                                  DickeSector(N), t_start, dt, n)
         assert np.max(np.abs(got - rho)) <= 1e-12
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_constant_drive_matches_perturbative_forms(self, delta):
+        # at v = 0 the drive holds Omega0 and the closed form's phase grows
+        # linearly in t; it stays within 2% of the run (0.14% at Delta = 0)
+        p = engine(2, delta, v=0.0)
+        res = run_cycle(p, self.PLATEAU, ho(6), BOSE)
+        ana = qw.general_work(p, self.PLATEAU, ho(6), BOSE)
+        assert abs(res.work.avg_work - ana.avg_work) < 0.02 * ana.avg_work
+
+    def test_unitarity_drift_guard(self, monkeypatch):
+        # a run whose unitarity residual exceeds UNITARITY_TOL raises; one
+        # at the bound passes
+        residual = run_cycle(engine(2, 0.5), self.PLATEAU, ho(6), BOSE).diagnostics[
+            "unitarity_residual"]
+        monkeypatch.setattr(dyn, "UNITARITY_TOL", residual)
+        run_cycle(engine(2, 0.5), self.PLATEAU, ho(6), BOSE)
+        monkeypatch.setattr(dyn, "UNITARITY_TOL", residual / 2)
+        with pytest.raises(PropagationError, match="^unitarity drift"):
+            run_cycle(engine(2, 0.5), self.PLATEAU, ho(6), BOSE)
+
     def test_truncation_leakage_guard(self):
         strong = qw.SmoothPlateau(g=3.0, delta_t=0.9, alpha=2142.0 / T, T=T)
         with pytest.raises((PropagationError, Exception)):

@@ -8,8 +8,9 @@ default of them or of its dataclass and NamedTuple fields is passed by
 some call of the package or the benchmark (two listed exceptions), no
 function or property of it only hands back an attribute or forwards its
 parameters (a second name), the test oracles take from the package only
-the model inputs they need, importing the package loads NumPy and the
-standard library only, a parallel map starts no process pool, the
+the model inputs they need, no module of the package reads the process
+environment, importing the package loads NumPy and the standard library
+only, a parallel map starts no process pool, the
 benchmark's tracer still runs on the package, and the README's module
 map names the package's modules, its table of config fields the fields
 of the schema, and its library sketch runs."""
@@ -439,6 +440,34 @@ def test_oracles_import_no_private_package_name():
     # and `sweeps._direct_moment`, whose docstring says why
     found = private_package_imports((ROOT / "tests" / "oracles.py").read_text())
     assert found == [("qstatwork.sweeps", "_direct_moment")]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """Line numbers at which `source` reaches the process environment: an
+    attribute or a `from os import` of one of ENVIRONMENT_NAMES."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in ENVIRONMENT_NAMES
+        or isinstance(n, ast.ImportFrom) and n.module == "os"
+        and ENVIRONMENT_NAMES & {alias.name for alias in n.names})
+
+
+def test_detects_environment_read():
+    assert environment_reads(
+        "import os\nos.environ.get('A')\nn = os.getenv('B')\nfrom os import environ, path\n"
+        "os.path.join('a', 'b')\nfrom os.path import join\nenvironment = 1\n") == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "qstatwork").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_reads_no_environment(path):
+    # a setting read from the environment is an input that no config
+    # document, flag or manifest shows; the worker count comes from the
+    # affinity mask, which a manifest records
+    assert environment_reads(path.read_text()) == []
 
 
 def test_import_loads_no_scipy_or_mpmath():

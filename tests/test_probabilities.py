@@ -80,12 +80,14 @@ class TestImpulseWork:
     def test_overflowing_or_nan_total_refused(self):
         # g = 1e200 squared as a Python float power raised OverflowError; as a
         # product it gives an infinite total, which is refused, and so is a NaN
-        # total, which passes every comparison with 0.5
+        # total, which fails every comparison with 0.5
         sysho = qw.harmonic_system(2 * math.pi * 0.05 / T, 8)
         kick = qw.Impulse(g=1e200, t1=0.35 * T / 2, T=T)
-        with pytest.raises(PerturbativeValidityError, match="total excitation inf"):
+        with pytest.raises(PerturbativeValidityError,
+                           match="total excitation inf is not below 0.5"):
             qw.impulse_work(engine(2, 0.0), kick, sysho, qw.Statistics.BOSE)
-        with pytest.raises(PerturbativeValidityError, match="total excitation nan"):
+        with pytest.raises(PerturbativeValidityError,
+                           match="total excitation nan is not below 0.5"):
             an._perturbative_record({1: math.nan}, qw.Statistics.BOSE, "test", sysho)
         with pytest.raises(ValueError, match="outside"):
             qw.WorkRecord(qw.Statistics.BOSE, "test", {1: math.nan}, tuple(sysho.energies))

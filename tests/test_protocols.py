@@ -111,7 +111,8 @@ class TestPhaseIntegral:
     @pytest.mark.parametrize("delta, changes", [
         pytest.param(0.0, {}, id="0.0"), pytest.param(0.5, {}, id="0.5"),
         pytest.param(2.0, {}, id="2.0"),
-        pytest.param(0.0, {"Omega0": 3.0, "v": -0.1}, id="0.0-decreasing")])
+        pytest.param(0.0, {"Omega0": 3.0, "v": -0.1}, id="0.0-decreasing"),
+        pytest.param(0.5, {"v": 0.0}, id="0.5-constant")])
     def test_matches_quadrature(self, delta, changes):
         p = dataclasses.replace(fig2_params(delta=delta), **changes)
         for t0, t in ((0.0, 3.7), (0.0, 10.0), (10.0, 16.2)):

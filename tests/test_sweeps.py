@@ -341,6 +341,37 @@ class TestSweepSpec:
         assert json.loads((tmp_path / "manifest.json").read_text())["cell_wall_s"] == walls
         assert "wall" not in (tmp_path / "data.csv").read_text()
 
+    def test_manifest_summarises_the_cycles_of_ok_cells(self, tmp_path):
+        # a failed cell runs no cycle; an analytic sweep records none
+        spec = replace(BOTH_SPEC, axes=(("engine.N", (1, 2)), ("engine.Delta", (0.5, -1.0))))
+        cycles = sw.run_sweep(spec, out_dir=str(tmp_path))["cycles"]
+        _, cfgs = sw._grid(spec.fixed, spec.axes)
+        expect = sw._cycle_summary([diag for cfg in cfgs[::2]
+                                    for diag in sw._eval_work_cell(cfg, "both")[1]])
+        assert cycles["n_cycles"] == len(cycles.pop("cycle_wall_s")) == 4
+        assert cycles == {k: v for k, v in expect.items() if k != "cycle_wall_s"}
+        assert cycles["split_steps_total"] > 0
+        analytic = sw.run_sweep(replace(spec, method="analytic"), out_dir=str(tmp_path))
+        assert "cycles" not in analytic
+
+    def test_manifest_sums_the_steps_of_mixed_coupling_kinds(self, tmp_path):
+        # impulse runs count engine steps, plateau runs split steps: a sweep
+        # over coupling.kind records both totals, each over its own runs
+        spec = sw.SweepSpec(axes=(("coupling.kind", ("impulse", "plateau")),),
+                            fixed={"engine": {"v": 0.2, "T": 2.5}, "coupling": {"g": 0.01},
+                                   "system": {"dim": 4}},
+                            method="numerical", out="unused")
+        manifest = sw.run_sweep(spec, out_dir=str(tmp_path))
+        assert manifest["n_failed"] == 0
+        cycles = manifest["cycles"]
+        _, cfgs = sw._grid(spec.fixed, spec.axes)
+        impulse, plateau = (sw._eval_work_cell(cfg, "numerical")[1] for cfg in cfgs)
+        assert cycles["n_cycles"] == 4
+        assert cycles["n_engine_steps_total"] == sum(d["n_engine_steps"] for d in impulse)
+        assert cycles["split_steps_total"] == sum(d["split_steps"] for d in plateau) > 0
+        assert cycles["n_steps_per_half_total"] == sum(d["n_steps_per_half"] for d in plateau)
+        assert (tmp_path / "data.csv").read_text().count(",ok") == 2
+
     def test_deterministic_bytes(self, tmp_path):
         spec = self.spec()
         sw.run_sweep(spec, out_dir=str(tmp_path / "a"))
@@ -350,7 +381,7 @@ class TestSweepSpec:
         assert a == b
 
     def test_threaded_matches_serial(self, tmp_path):
-        # --threads counts worker processes; 1 and 2 give the same bytes
+        # threads counts worker processes; 1 and 2 give the same bytes
         for k, spec in enumerate((self.spec(), BOTH_SPEC)):
             sw.run_sweep(spec, threads=1, out_dir=str(tmp_path / f"s{k}"))
             manifest = sw.run_sweep(spec, threads=2, out_dir=str(tmp_path / f"t{k}"))
@@ -395,14 +426,15 @@ class TestSweepSpec:
         calls = []
         true = an._amplitude_grid
 
-        def counted(engines, schedule, t0, eps, v, *args):
+        def counted(engines, schedule, t0, eps, v):
             calls.append(list(eps))
-            return true(engines, schedule, t0, eps, v, *args)
+            return true(engines, schedule, t0, eps, v)
 
         monkeypatch.setattr(an, "_amplitude_grid", counted)
-        out = sw._eval_work_cell(cfg, "analytic")
+        out, diags = sw._eval_work_cell(cfg, "analytic")
         level1 = [system.energies[1]]
         assert calls == [level1, level1]        # ho(4) couples level 1 only
+        assert diags == []                      # and runs no cycle
         assert [out["work_indist"], out["work_dist"]] == expect[:2]
         assert out["sqrt_work_ratio"] == math.sqrt(expect[0] / expect[2])
 
@@ -485,7 +517,8 @@ class TestCli:
         assert sw.cli_main(["analytic", "--coupling", kind, "--g", "1e200"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: total excitation inf >= 0.5"), captured.err
+        assert captured.err.startswith("error: total excitation inf is not below 0.5"), \
+            captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("flag, value", [("--omegat-min", "-1"), ("--omegat-max", "nan")])
@@ -790,10 +823,19 @@ class TestCli:
         lines = (tmp_path / "data.csv").read_text().splitlines()
         assert lines[0] == "N,beta_com_omega,lambda,lambda_asymptotic,method"
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("QSTAT_THREADS", "3")
-        args = sw.build_parser().parse_args(["sweep"])
-        assert sw._threads_of(args) == 3
+    def test_workers_follow_the_affinity_mask(self, tmp_path, monkeypatch, capsys):
+        # the commands map on every core of the affinity mask: no flag or
+        # environment variable sets the count, and a narrower mask gives fewer
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": {"axes": [{"param": "engine.N", "values": [1]}]}}))
+        assert sw.cli_main(["sweep", "--config", str(config), "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        monkeypatch.setenv("QSTAT_THREADS", "1")
+        for mask, workers in (({0}, 1), (os.sched_getaffinity(0), min(CORES, 24))):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+            assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path)]) == 0
+            env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+            assert (env["cores"], env["workers"]) == (len(mask), workers)
 
     def test_figure_fig2b(self, tmp_path):
         rc = sw.cli_main(["figure", "fig2b", "--out", str(tmp_path)])
@@ -801,8 +843,7 @@ class TestCli:
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
         assert header == "N,beta_c_E0,sqrt_work_ratio"
 
-    def test_figure_manifest_summarises_cycles(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSTAT_THREADS", "2")
+    def test_figure_manifest_summarises_cycles(self, tmp_path):
         assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path)]) == 0
         assert_no_child_left()
         cycles = json.loads((tmp_path / "manifest.json").read_text())["cycles"]
@@ -816,10 +857,8 @@ class TestCli:
     def test_cycle_summary_counts_split_steps(self):
         # N = 2 under a smooth plateau: the Dicke run steps one sector, the
         # distinguishable run its spin-1 block only (spin 0 evolves freely)
-        T = 20.0
-        system = qw.harmonic_system(2 * math.pi * 0.05 / T, 6)
-        schedule = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T)
-        diags = [diag for _, diag in sw._timed_cycles((sw.build_engine({}), schedule, system))]
+        _, diags = sw._eval_work_cell({"coupling": {"kind": "plateau"}, "system": {"dim": 6}},
+                                      "numerical")
         n = diags[0]["n_steps_per_half"]
         assert [d["split_steps"] for d in diags] == [2 * n, 2 * n]
         assert [d["sectors"] for d in diags] == [[[3, 1]], [[3, 1], [1, 1]]]
@@ -833,13 +872,12 @@ class TestCli:
         assert sw.cli_main(["analytic", "--N", "1"]) == 0
         assert calls == [1]
 
-    def test_manifests_record_workers_and_blas_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSTAT_THREADS", "2")
+    def test_manifests_record_workers_and_blas_threads(self, tmp_path):
         assert sw.cli_main(["figure", "fig2a", "--out", str(tmp_path / "fig2a")]) == 0
         assert sw.cli_main(["figure", "fig2b", "--out", str(tmp_path / "fig2b")]) == 0
         sw.run_sweep(BOTH_SPEC, threads=2, out_dir=str(tmp_path / "sweep"))
         # fig2b is closed-form and runs in this process
-        for name, workers in (("fig2a", min(2, CORES)), ("fig2b", 1), ("sweep", min(2, CORES))):
+        for name, workers in (("fig2a", min(24, CORES)), ("fig2b", 1), ("sweep", min(2, CORES))):
             env = json.loads((tmp_path / name / "manifest.json").read_text())["environment"]
             assert env["workers"] == workers, name
             # cli_main set OpenBLAS to one thread in this process
@@ -850,20 +888,20 @@ class TestCli:
         # write what two single-id commands write, here on short stand-in
         # cycles for the Fig.-3 ones
         assert sw.FIGURES["fig3a"].shared is sw.FIGURES["fig3b"].shared is sw._fig3_data
-        engine, schedule, system = sw._build_case(
-            {section: dict(fields) for section, fields in BOTH_SPEC.fixed.items()})
         calls = []
 
         def fig3_data(workers):
             calls.append(workers)
-            runs = [sw._timed_cycles((replace(engine, N=N), schedule, system)) for N in (1, 2)]
-            return ([(N, wb, wd) for N, ((wb, _), (wd, _)) in zip((1, 2), runs)],
-                    [diag for pair in runs for _, diag in pair])
+            runs = [sw._eval_work_cell(cfg, "numerical")
+                    for cfg in sw._grid(BOTH_SPEC.fixed, [("engine.N", (1, 2))])[1]]
+            return ([(N, out["work_indist_numeric"], out["work_dist_numeric"])
+                     for N, (out, _) in zip((1, 2), runs)],
+                    [diag for _, diags in runs for diag in diags])
 
         for fig_id in ("fig3a", "fig3b"):
             monkeypatch.setitem(sw.FIGURES, fig_id, replace(sw.FIGURES[fig_id], shared=fig3_data))
         rc = sw.cli_main(["figure", "fig3a", "fig3b", "--out", str(tmp_path / "both")])
-        assert calls == [1]
+        assert calls == [CORES]
         for fig_id in ("fig3a", "fig3b"):
             assert sw.cli_main(["figure", fig_id, "--out", str(tmp_path / fig_id)]) == rc
         assert len(calls) == 3
@@ -923,6 +961,35 @@ class TestCli:
         for name in self.VERIFY_FAST_CHECKS:
             assert f"PASS [{name}]" in out
         assert "FAIL" not in out
+
+    def test_verify_full(self, capsys):
+        # the full battery adds criterion 3 on the Fig.-2a cases N = 1, 2, 4
+        # at Delta = 1.4
+        assert sw.cli_main(["verify"]) == 0
+        out = capsys.readouterr().out
+        for name in (*self.VERIFY_FAST_CHECKS, "impulse-enhancement"):
+            assert f"PASS [{name}]" in out
+        assert "FAIL" not in out
+
+    def test_sweep_command(self, tmp_path, capsys):
+        # the command writes run_sweep's bytes, and exits 1 once more than 1%
+        # of the cells fail
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(BOTH_SPEC.fixed, sweep={
+            "axes": [{"param": p, "values": list(v)} for p, v in BOTH_SPEC.axes],
+            "method": "both"})))
+        assert sw.cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+        assert capsys.readouterr().out == "4 cells, 0 failed\n"
+        sw.run_sweep(BOTH_SPEC, out_dir=str(tmp_path / "api"))
+        assert (tmp_path / "cli" / "data.csv").read_bytes() == \
+               (tmp_path / "api" / "data.csv").read_bytes()
+        for n_cells, rc in ((100, 0), (99, 1)):       # one failed cell (Delta = -1) in each
+            deltas = [-1.0, *np.linspace(0.0, 1.0, n_cells - 1).tolist()]
+            config.write_text(json.dumps({"sweep": {"axes": [{"param": "engine.Delta",
+                                                             "values": deltas}]}}))
+            assert sw.cli_main(["sweep", "--config", str(config),
+                                "--out", str(tmp_path / "failing")]) == rc
+            assert capsys.readouterr().out == f"{n_cells} cells, 1 failed\n"
 
     def test_verify_seed_180(self, capsys):
         # criterion 5 drew a plateau that does not switch off at t = 0 and T
