@@ -86,12 +86,6 @@ class QuadStats(NamedTuple):
     last_delta: float = 0.0
 
 
-def worst(stats) -> QuadStats:
-    """The largest panel count, refinement count and last delta of several
-    quadratures (zeros for none)."""
-    return QuadStats(*map(max, zip(*stats)))
-
-
 def integrate_oscillatory(f, a: float, b: float, breakpoints, max_freq: float, abs_tol):
     """Integrate a vectorised complex integrand f over [a, b], a < b.
 

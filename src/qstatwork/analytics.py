@@ -219,6 +219,8 @@ def _amplitude_grid(engines, schedule: CouplingSchedule, t0: float, eps, v) -> A
     level, c~-, then d (none for Delta = 0) is contracted as it is built.
     Each component keeps its own acceptance (absolute tolerance 1e-14 |v|),
     so an engine's values do not depend on which others share its panels.
+    It integrates either stroke; `_stroke_amplitudes` calls it for stroke 2
+    only where it cannot be `_mirrored` from stroke 1.
     """
     eps = np.asarray(eps, dtype=float)[:, None]
     v = np.asarray(v, dtype=complex)[:, None]
@@ -259,12 +261,44 @@ def _check_smooth(params: EngineParams, schedule: CouplingSchedule):
     check_schedule_cycle(params, schedule)
 
 
-def _levels(params, schedule, system, levels, t0: float) -> list:
-    """The amplitudes of coupled levels at t0, from a one-engine grid."""
-    grid = _amplitude_grid([params], schedule, t0, system.energies[levels],
-                           system.V_S[levels, 0])
-    return [Amplitudes(*(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
-                       quadrature=grid.quadrature) for k in range(len(levels))]
+def _mirrored(engines, eps, v, first: Amplitudes) -> Amplitudes:
+    """Stroke 2's amplitudes from stroke 1's, `first`, of a `SmoothPlateau`
+    of the drive's period, by time reversal.
+
+    Such a plateau is centred in each stroke (t_on + t_off = T/2) and the
+    drive runs back along the same sweep, so t -> T - t maps stroke 2 onto
+    stroke 1: g_C(T - t) = g_C(t), E(T - t) = E(t) and
+    phi(T - t, T/2) = Phi - phi(t, 0), with Phi = phi(T/2, 0).  Exactly,
+    for any Delta and nonzero complex v,
+        c~+-(T/2) = (v / v*) exp(i eps T) exp(+-i Phi) c~+-(0)*,
+        d(T/2)    = (v / v*) exp(i eps T) d(0)*,
+    so stroke 2 inherits stroke 1's accuracy and `quadrature` stats.
+    """
+    T = engines[0].T
+    v = np.asarray(v, dtype=complex)
+    turn = v / v.conj() * np.exp(1j * np.asarray(eps, dtype=float) * T)
+    ladder = np.exp(1j * np.array([[phase_integral(p, T / 2, 0.0)] for p in engines]))
+    return Amplitudes(turn * ladder * first.c_plus.conj(),
+                      turn * ladder.conj() * first.c_minus.conj(),
+                      turn * first.d.conj(), quadrature=first.quadrature)
+
+
+def _stroke_amplitudes(engines, schedule: CouplingSchedule, eps, v) -> tuple:
+    """(stroke 1, stroke 2) `_amplitude_grid` amplitudes of levels eps, v for
+    engines sharing T.  Stroke 2 of a plateau of the drive's period is
+    `_mirrored`; a `Sampled` schedule, of no known symmetry, is integrated
+    twice."""
+    first = _amplitude_grid(engines, schedule, 0.0, eps, v)
+    T = engines[0].T
+    if isinstance(schedule, SmoothPlateau) and schedule.T == T:
+        return first, _mirrored(engines, eps, v, first)
+    return first, _amplitude_grid(engines, schedule, T / 2, eps, v)
+
+
+def _level(grid: Amplitudes, k: int) -> Amplitudes:
+    """Level k of a one-engine grid."""
+    return Amplitudes(*(complex(a[0, k]) for a in (grid.c_plus, grid.c_minus, grid.d)),
+                      quadrature=grid.quadrature)
 
 
 def compute_amplitudes(
@@ -274,8 +308,10 @@ def compute_amplitudes(
     i: int,
     t0: float,
 ) -> Amplitudes:
-    """Quadrature of the three amplitude integrals over one stroke: the
-    one-engine, one-level call of `_amplitude_grid`.
+    """Quadrature of the three amplitude integrals over the stroke from t0:
+    the one-engine, one-level call of `_amplitude_grid`.  It integrates
+    either stroke directly, also where `level_amplitudes` mirrors stroke 1,
+    so it is the independent reference for those values.
 
     The adiabatic phase for linear sweeps is evaluated in closed form
     (asinh antiderivative); oscillation-aware panels keep the integrand
@@ -289,7 +325,8 @@ def compute_amplitudes(
         raise DomainError(f"t0 must be 0 or T/2, got {t0}")
     if system.V_S[i, 0] == 0:
         return Amplitudes(c_plus=0j, c_minus=0j, d=0j)
-    return _levels(params, schedule, system, [i], t0)[0]
+    return _level(_amplitude_grid([params], schedule, t0, system.energies[[i]],
+                                  system.V_S[[i], 0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +445,20 @@ def level_amplitudes(
     """Amplitudes (at t0 = 0, at t0 = T/2) of every level i the system
     couples to its ground state.
 
-    All levels are integrated in one `_amplitude_grid` call per stroke
-    start.  They depend on neither N, the statistics nor the bath
-    temperatures, so one set serves every work record of the same drive,
-    schedule and system (see `general_work`).
+    All levels come from `_stroke_amplitudes`: one quadrature for a
+    `SmoothPlateau`, whose stroke-2 amplitudes are stroke 1's mirrored by
+    time reversal, and one per stroke start for a `Sampled` schedule.
+    They depend on neither N, the statistics nor the bath temperatures,
+    so one set serves every work record of the same drive, schedule and
+    system (see `general_work`).
     """
     _check_smooth(params, schedule)
     levels = np.flatnonzero(system.V_S[1:, 0]) + 1
     if not levels.size:
         return {}
-    return dict(zip(levels.tolist(), zip(*(_levels(params, schedule, system, levels, t0)
-                                          for t0 in (0.0, params.T / 2)))))
+    grids = _stroke_amplitudes([params], schedule, system.energies[levels],
+                               system.V_S[levels, 0])
+    return {i: tuple(_level(grid, k) for grid in grids) for k, i in enumerate(levels.tolist())}
 
 
 def general_work(
@@ -474,7 +514,8 @@ def enhancement(
 @dataclass(frozen=True, eq=False)
 class RegionMap:
     """Binary enhancement map over (N, Delta/Omega0, omega T), with the
-    worst work of the two quadratures (one per stroke start) behind it."""
+    work of the one quadrature behind it: stroke 2's amplitudes are
+    stroke 1's, mirrored by time reversal (see `_mirrored`)."""
 
     N_values: tuple
     delta_over_omega0: np.ndarray
@@ -510,17 +551,20 @@ def enhancement_region(
     that is not positive and finite raises ValueError.  The amplitudes
     depend only on the (Delta, omega) cell and the thermal weights only
     on (Delta, N).  The amplitudes of every Delta row and omega come from
-    one `_amplitude_grid` per stroke start, on panels shared by all rows
-    and cut for the widest row's E_max; each row's stack is contracted as
-    it is built.  The weights and probabilities of each (N, statistics)
-    are then evaluated once over the whole Delta x omega T grid.
-    `quadrature` is the worst work of the two quadratures.
+    one `_amplitude_grid` over stroke 1, on panels shared by all rows and
+    cut for the widest row's E_max; each row's stack is contracted as it
+    is built.  Stroke 2's are stroke 1's mirrored by time reversal
+    (`_mirrored`).  The weights and probabilities of each
+    (N, statistics) are then evaluated once over the whole Delta x
+    omega T grid.  `quadrature` is the work of the one quadrature.  An N
+    that is not a positive integer raises ValueError.
     """
     deltas = np.asarray(delta_over_omega0, dtype=float)
     omts = np.asarray(omega_T, dtype=float)
-    N_values = tuple(int(n) for n in N_values)
-    if min(N_values, default=1) < 1:
+    N_values = tuple(N_values)
+    if not all(float(n).is_integer() and n >= 1 for n in N_values):
         raise ValueError(f"N values must be positive integers, got {N_values}")
+    N_values = tuple(int(n) for n in N_values)
     if not np.all((omts > 0) & (omts < math.inf)):
         raise ValueError("omega T must be positive and finite at every grid point")
     w_ind, w_dist = np.zeros((2, len(N_values), deltas.size, omts.size))
@@ -532,8 +576,8 @@ def enhancement_region(
                             beta_h=beta_h_EH / math.hypot(base.omega_half, delta))
                for delta in (deltas * base.Omega0).tolist()]
     # an empty grid leaves no amplitudes to compute
-    amps = [_amplitude_grid(engines, schedule, t0, omegas, np.ones(omts.size))
-            for t0 in (0.0, half)] if engines and omts.size else []
+    amps = (_stroke_amplitudes(engines, schedule, omegas, np.ones(omts.size))
+            if engines and omts.size else ())
     if amps:
         # x = beta E at t0 = 0, T/2 does not depend on N or omega: an
         # (n_delta, 1) column per stroke start that broadcasts over omega
@@ -550,7 +594,7 @@ def enhancement_region(
         enhanced=enhanced,
         work_indist=w_ind,
         work_dist=w_dist,
-        quadrature=_quad.worst(amp.quadrature for amp in amps),
+        quadrature=amps[0].quadrature if amps else _quad.QuadStats(),
     )
 
 

@@ -276,9 +276,11 @@ def _reduced_system(y, w):
 
 
 def _isometry_drift(*Us) -> float:
-    """max |U^dag U - I| over the matrices Us: zero for unitaries and for
-    factors (as (dE dS) x r matrices) with orthonormal columns."""
-    return max(float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))) for U in Us)
+    """max |U^dag U - I| over the matrices Us, each one matrix or a stack of
+    them on leading axes: zero for unitaries and for factors (as
+    (dE dS) x r matrices) with orthonormal columns."""
+    return max(float(np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1]))))
+               for U in Us)
 
 
 def _kicked_vectors(rs, Us, s, P_s, g):
@@ -520,11 +522,9 @@ def _merged(diags, X, members):
     for i, mult, w, tr0, cols in members:
         x = X[:, :, cols]
         if cols.start not in drift:
-            # Psi^dag Psi as a sum over engine levels: no factor is transposed
-            gram = x[:, 0].conj() @ np.swapaxes(x[:, 0], 1, 2)
-            for a in range(1, x.shape[1]):
-                gram += x[:, a].conj() @ np.swapaxes(x[:, a], 1, 2)
-            drift[cols.start] = float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
+            # each sample's factor Psi as a (dE dS) x r matrix
+            drift[cols.start] = _isometry_drift(
+                np.swapaxes(x, 2, 3).reshape(len(x), -1, x.shape[2]))
         yield i, mult, tr0, diags[i].merge_states(x, w, tr0, drift[cols.start])
 
 

@@ -195,12 +195,15 @@ def test_criterion_5_draws_only_accepted_plateaus():
 
 
 def test_criterion_5_integrates_each_level_once(monkeypatch):
-    # the amplitudes depend on neither N nor the statistics: one pair of
-    # stroke-start integrals per coupled level serves both probabilities,
-    # all of a draw's levels in one quadrature per stroke start
+    # the amplitudes depend on neither N nor the statistics: one set per
+    # coupled level serves both probabilities, all of a draw's levels in one
+    # quadrature for a plateau (stroke 2 mirrors stroke 1) and in one per
+    # stroke start for a sampled schedule; the first 4 draws hold both kinds
     rng = np.random.default_rng(5)
-    coupled = sum(np.flatnonzero(system.V_S[1:, 0]).size
-                  for _, _, system in (sw.random_smooth_case(rng) for _ in range(3)))
+    draws = [sw.random_smooth_case(rng) for _ in range(4)]
+    strokes = [1 if isinstance(schedule, qw.SmoothPlateau) else 2 for _, schedule, _ in draws]
+    assert sorted(set(strokes)) == [1, 2]
+    coupled = [np.flatnonzero(system.V_S[1:, 0]).size for _, _, system in draws]
     true, calls = an._amplitude_grid, []
 
     def counted(engines, schedule, t0, eps, v):
@@ -208,8 +211,8 @@ def test_criterion_5_integrates_each_level_once(monkeypatch):
         return true(engines, schedule, t0, eps, v)
 
     monkeypatch.setattr(an, "_amplitude_grid", counted)
-    assert sw._check_delta0_dominance(np.random.default_rng(5), 3)[0] is True
-    assert len(calls) == 2 * 3 and sum(calls) == 2 * coupled
+    assert sw._check_delta0_dominance(np.random.default_rng(5), 4)[0] is True
+    assert calls == [n for n, k in zip(coupled, strokes) for _ in range(k)]
 
 
 def test_criterion_6_nonperturbative(fig3_runs):

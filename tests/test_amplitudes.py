@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import qstatwork as qw
+import qstatwork.analytics as an
 from qstatwork.errors import DomainError, InvalidVariantError, QuadratureError
 from qstatwork._quad import (KR_NODES, KR_WEIGHTS, QuadStats, _build_panels, _evaluate,
                              integrate_oscillatory)
@@ -293,8 +294,9 @@ class TestAmplitudeRow:
 
     @pytest.mark.parametrize("delta", [0.0, 1.4])
     def test_level_amplitudes_match_per_level_calls(self, delta, monkeypatch):
-        # every coupled level of a system in one quadrature per stroke
-        # start, on panels cut for the highest level; level 3 is uncoupled
+        # every coupled level of a system in one quadrature, on panels cut
+        # for the highest level; stroke 2's amplitudes are stroke 1's
+        # mirrored, and match its direct quadrature; level 3 is uncoupled
         p = engine(delta)
         rng = np.random.default_rng(7)
         v_s = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -306,7 +308,7 @@ class TestAmplitudeRow:
         monkeypatch.setattr(qw._quad, "integrate_oscillatory",
                             lambda *a, **kw: calls.append(1) or integrate(*a, **kw))
         levels = level_amplitudes(p, self.SCHED, system)
-        assert len(calls) == 2 and sorted(levels) == [1, 2, 4, 5]
+        assert len(calls) == 1 and sorted(levels) == [1, 2, 4, 5]
         for i, pair in levels.items():
             for amp, t0 in zip(pair, (0.0, T / 2)):
                 ref = qw.compute_amplitudes(p, self.SCHED, system, i, t0)
@@ -335,3 +337,120 @@ class TestAmplitudeRow:
         row = amplitude_row(p, t0, eps, v)
         assert row.d.shape == (8,)
         assert np.all(np.abs(row.d - ref) <= 1e-13 * np.abs(ref))
+
+
+# the cases of the stroke-2 mirror tests: two plateau shapes
+# (g, delta_t, alpha T), Omega0, the signed sweep rate v, and Delta
+MIRROR_SHAPES = [(0.01, 0.9, 2142.0), (0.5, 0.6, 300.0)]
+MIRROR_CASES = [(shape, omega0, v, delta) for shape in MIRROR_SHAPES for omega0 in (1.0, 0.3)
+                for v in (0.1, -0.02, 0.5) for delta in (0.0, 0.3, 0.5, 1.4, 4.2)]
+MIRROR_TOL = 1e-12
+
+
+def mirror_misses(got, ref) -> list:
+    """Each component's miss of `ref` relative to it, or the value when ref
+    is exactly 0 (d at Delta = 0)."""
+    return [abs(g - r) / abs(r) if r != 0 else abs(g)
+            for g, r in zip(fields(got)[:3], fields(ref)[:3])]
+
+
+class TestStrokeMirror:
+    """A plateau's stroke-2 amplitudes are stroke 1's, mirrored by time
+    reversal, against the direct stroke-2 quadrature of compute_amplitudes."""
+
+    @pytest.mark.parametrize("shape", MIRROR_SHAPES)
+    def test_level_amplitudes_stroke2_matches_direct_quadrature(self, shape):
+        g, delta_t, alpha_T = shape
+        sched = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T)
+        rng = np.random.default_rng(12)
+        v_s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        system = qw.ExternalSystem(energies=np.array([0.0, 0.05, 0.4, 1.7]),
+                                   V_S=v_s + v_s.conj().T)
+        n_zero_d = 0
+        for _, omega0, v, delta in (c for c in MIRROR_CASES if c[0] == shape):
+            p = engine(delta, omega0=omega0, v=v)
+            for i, (a0, ah) in level_amplitudes(p, sched, system).items():
+                ref = qw.compute_amplitudes(p, sched, system, i, T / 2)
+                assert max(mirror_misses(ah, ref)) <= MIRROR_TOL, (omega0, v, delta, i)
+                assert ah.quadrature == a0.quadrature
+                assert (ah.d == 0) == (ref.d == 0) == (delta == 0.0)
+                n_zero_d += ah.d == 0
+        assert n_zero_d == 6 * 3           # the 3 levels of each Delta = 0 case
+
+    @pytest.mark.parametrize("shape", MIRROR_SHAPES)
+    def test_region_stroke2_matches_direct_quadrature(self, shape, monkeypatch):
+        # the region map's stroke-2 rows against each cell's oscillator
+        # level 1 (<1|V_S|0> = 1), integrated directly, over Fig. S1's
+        # omega T range; its panels differ from the map's shared ones
+        g, delta_t, alpha_T = shape
+        sched = qw.SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_T / T, T=T)
+        fracs, omts = [0.0, 0.3, 0.5, 1.4, 4.2], np.array([0.1, 3.0, 10 * math.pi])
+        true, seen = an._stroke_amplitudes, []
+        monkeypatch.setattr(an, "_stroke_amplitudes",
+                            lambda *a: seen.append(true(*a)) or seen[-1])
+        for omega0, v in sorted({(c[1], c[2]) for c in MIRROR_CASES}):
+            base = engine(0.0, omega0=omega0, v=v)
+            rows = np.array(fracs) / omega0        # the grid's Delta, in units of Omega0
+            an.enhancement_region(base, rows, omts, (2,), g=g, delta_t=delta_t,
+                                  alpha_over_T=alpha_T)
+            (_, second), = seen
+            seen.clear()
+            for b, delta in enumerate((rows * omega0).tolist()):
+                for c, omt in enumerate(omts):
+                    ref = qw.compute_amplitudes(replace(base, Delta=delta), sched,
+                                                qw.harmonic_system(omt / T, 2), 1, T / 2)
+                    got = replace(second, c_plus=second.c_plus[b, c],
+                                  c_minus=second.c_minus[b, c], d=second.d[b, c])
+                    assert max(mirror_misses(got, ref)) <= MIRROR_TOL, (omega0, v, delta, omt)
+
+    def test_off_centre_sampled_plateau_misses_the_mirror(self):
+        # control: the same relation on an off-centre plateau, sampled,
+        # misses its direct stroke-2 quadrature by far more than the bound
+        tt = np.linspace(0.0, T, 2001)
+
+        def plateau(on, off):
+            return np.tanh(5 * (tt - on * T)) - np.tanh(5 * (tt - off * T))
+
+        # on over [0.05, 0.3] T in stroke 1 and [0.55, 0.8] T in stroke 2
+        sched = qw.Sampled(times=tt, values=0.01 / T * (plateau(0.05, 0.3) + plateau(0.55, 0.8)))
+        p = engine(1.4)
+        eps, v = np.array([0.05, 0.4]), np.array([1.0, 0.3 - 0.7j])
+        first = an._amplitude_grid([p], sched, 0.0, eps, v)
+        direct = an._amplitude_grid([p], sched, T / 2, eps, v)
+        mirrored = an._mirrored([p], eps, v, first)
+        for got, ref in zip(fields(mirrored)[:3], fields(direct)[:3]):
+            assert np.all(np.abs(got - ref) > 1e3 * MIRROR_TOL * np.abs(ref))
+
+    def test_plateau_off_the_drive_period_integrates_both_strokes(self, monkeypatch):
+        # a plateau whose period check_schedule_cycle accepts but which is
+        # not the drive's is centred on its own T/2, not the drive's: no
+        # mirror, both strokes integrated
+        p, system = engine(1.4), qw.harmonic_system(0.3, 2)
+        sched = qw.SmoothPlateau(g=0.01, delta_t=0.9, alpha=2142.0 / T, T=T * (1 + 1e-10))
+        calls = []
+        integrate = qw._quad.integrate_oscillatory
+        monkeypatch.setattr(qw._quad, "integrate_oscillatory",
+                            lambda *a, **kw: calls.append(a[1:3]) or integrate(*a, **kw))
+        (_, ah), = level_amplitudes(p, sched, system).values()
+        assert calls == [(0.0, T / 2), (T / 2, T)]
+        assert fields(ah)[:3] == fields(qw.compute_amplitudes(p, sched, system, 1, T / 2))[:3]
+
+    def test_sampled_schedule_integrates_both_strokes(self, monkeypatch):
+        # no symmetry is known for a sampled schedule: two quadratures, each
+        # stroke's amplitudes bit-equal to its direct one-level quadrature
+        tt = np.linspace(0.0, T, 257)
+        sched = qw.Sampled(times=tt, values=0.01 / T * np.sin(math.pi * tt / T) ** 2)
+        p = engine(0.7)
+        rng = np.random.default_rng(3)
+        v_s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        system = qw.ExternalSystem(energies=np.array([0.0, 0.05, 0.4, 1.7]),
+                                   V_S=v_s + v_s.conj().T)
+        calls = []
+        integrate = qw._quad.integrate_oscillatory
+        monkeypatch.setattr(qw._quad, "integrate_oscillatory",
+                            lambda *a, **kw: calls.append(a[1:3]) or integrate(*a, **kw))
+        levels = level_amplitudes(p, sched, system)
+        assert calls == [(0.0, T / 2), (T / 2, T)]
+        for i, pair in levels.items():
+            for amp, t0 in zip(pair, (0.0, T / 2)):
+                assert fields(amp)[:3] == fields(qw.compute_amplitudes(p, sched, system, i, t0))[:3]

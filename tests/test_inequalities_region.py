@@ -237,9 +237,9 @@ class TestEnhancementRegion:
                     enhanced = w_ind - w_dist >= -1e-12 * max(w_ind, w_dist)
                     assert region.enhanced[a, b, c] == enhanced
 
-    def test_one_quadrature_stack_per_row_and_stroke(self, monkeypatch):
+    def test_one_quadrature_stack_for_all_rows(self, monkeypatch):
         # c~+- and d (none for Delta = 0) for all omega T of every row in
-        # one call per stroke start
+        # one call; stroke 2's amplitudes are stroke 1's, mirrored
         calls = []
         integrate = _quad.integrate_oscillatory
         monkeypatch.setattr(_quad, "integrate_oscillatory",
@@ -247,7 +247,7 @@ class TestEnhancementRegion:
         base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
                                beta_c=2.0, beta_h=0.125)
         region = enhancement_region(base, [0.0, 1.0, 2.0], np.linspace(0.1, 10.0, 6), (2, 3))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert region.quadrature.panels > 0 and region.quadrature.refinements == 0
         # every accepted change is within rel_tol = 1e-10 of an amplitude no
         # larger than the plateau area g = 0.01
@@ -282,6 +282,15 @@ class TestEnhancementRegion:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6
+
+    @pytest.mark.parametrize("N_values", [(2.5,), (2, 0), (-1,), (math.nan,)])
+    def test_non_integer_or_nonpositive_N_refused(self, N_values):
+        # 2.5 was truncated to N = 2
+        base = qw.EngineParams(N=2, Omega0=1.0, Delta=0.0, v=0.1, T=20.0,
+                               beta_c=2.0, beta_h=0.125)
+        with pytest.raises(ValueError, match="N values must be positive integers"):
+            enhancement_region(base, [0.0], [1.0], N_values)
+        assert enhancement_region(base, [0.0], [1.0], (2.0, 3)).N_values == (2, 3)
 
     def test_rows_format(self, region):
         rows = list(region.rows())

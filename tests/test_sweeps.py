@@ -411,9 +411,9 @@ class TestSweepSpec:
         assert float(row[header.index("enhancement")]) == pytest.approx(ratio, rel=1e-15)
 
     def test_smooth_cell_computes_amplitudes_once(self, monkeypatch):
-        # one quadrature per stroke start (t0 = 0, t0 = T/2) of the coupled
-        # levels serves both statistics and the N = 1 reference, with the
-        # values of the separate closed-form calls
+        # one quadrature of the coupled levels (stroke 1, mirrored into
+        # stroke 2) serves both statistics and the N = 1 reference, with
+        # the values of the separate closed-form calls
         import qstatwork as qw
         import qstatwork.analytics as an
 
@@ -433,7 +433,7 @@ class TestSweepSpec:
         monkeypatch.setattr(an, "_amplitude_grid", counted)
         out, diags = sw._eval_work_cell(cfg, "analytic")
         level1 = [system.energies[1]]
-        assert calls == [level1, level1]        # ho(4) couples level 1 only
+        assert calls == [level1]                # ho(4) couples level 1 only
         assert diags == []                      # and runs no cycle
         assert [out["work_indist"], out["work_dist"]] == expect[:2]
         assert out["sqrt_work_ratio"] == math.sqrt(expect[0] / expect[2])
