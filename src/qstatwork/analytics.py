@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,8 +148,8 @@ def moment_h(N: int, x):
 
 
 def _x_at(params: EngineParams, t0: float) -> float:
-    beta = params.beta_c if t0 == 0.0 else params.beta_h
-    return beta * params.start_values[t0].energy
+    start = params.start_values[t0]
+    return start.beta * start.energy
 
 
 _STATISTICS = (Statistics.BOSE, Statistics.DISTINGUISHABLE)
@@ -571,10 +571,12 @@ def enhancement_region(
     half = base.T / 2
     omegas = omts / base.T
     schedule = SmoothPlateau(g=g, delta_t=delta_t, alpha=alpha_over_T / base.T, T=base.T)
-    engines = [EngineParams(N=1, Omega0=base.Omega0, Delta=delta, v=base.v, T=base.T,
-                            beta_c=beta_c_E0 / math.hypot(base.Omega0, delta),
-                            beta_h=beta_h_EH / math.hypot(base.omega_half, delta))
-               for delta in (deltas * base.Omega0).tolist()]
+    engines = []
+    for delta in (deltas * base.Omega0).tolist():
+        # each row's drive, at placeholder temperatures, sets its E_0 and E_T/2
+        drive = replace(base, N=1, Delta=delta, beta_c=1.0, beta_h=0.0)
+        e_0, e_half = (drive.start_values[t0].energy for t0 in (0.0, half))
+        engines.append(replace(drive, beta_c=beta_c_E0 / e_0, beta_h=beta_h_EH / e_half))
     # an empty grid leaves no amplitudes to compute
     amps = (_stroke_amplitudes(engines, schedule, omegas, np.ones(omts.size))
             if engines and omts.size else ())

@@ -183,12 +183,12 @@ def _build_sectors(params: EngineParams, statistics: Statistics, config=None):
     return [_spin_sector(N - 2 * k, _block_multiplicity(N, k)) for k in range(N // 2 + 1)]
 
 
-def _sector_thermal(sectors, params: EngineParams, t0: float, beta: float, tilts=None):
-    """Per-sector Gibbs blocks R diag(lam) R^dag with a common normalisation,
+def _sector_thermal(sectors, params: EngineParams, t0: float, tilts=None):
+    """Per-sector Gibbs blocks R diag(lam) R^dag at t0's bath, with a common normalisation,
     kept factored as (R, lam): R, by block key in `tilts` (which runs of one t0
     may share), lifts the y-rotation onto the eigenbasis of H_E(t0), I at Delta = 0."""
     start = params.start_values[t0]
-    E0 = start.energy
+    E0, beta = start.energy, start.beta
     e_min = min(2 * E0 * s.sz_diag.min() for s in sectors)
     shifted = [2 * E0 * s.sz_diag - e_min for s in sectors]
     if math.isinf(beta):
@@ -223,34 +223,28 @@ def _product_factor(R, W):
     return np.einsum("ia,sb->iabs", R, W).reshape(R.shape[0], -1, W.shape[0])
 
 
-def _same_factor(a, b) -> bool:
-    """Whether two runs' sigma_S factors (mu, W) are equal, so that a block
-    held by both has one factor Psi for the two."""
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def _shared_blocks(runs, factors, params, t0, beta):
+def _shared_blocks(runs, factors, params, t0):
     """The distinct spin blocks of the runs (one list of sectors per run),
     each with one factor for every run that holds it: (sector, Psi,
     members), one member (run, multiplicity, weights, their sum, columns
-    of Psi) per holder.  The Gibbs blocks of one spin differ between runs only in Z, so
-    runs with equal sigma_S factors (mu, W) share the block's columns, with
-    weights from their own Gibbs block; runs whose factors differ stack
-    their columns in Psi."""
+    of Psi) per holder.  The Gibbs blocks of one spin differ between runs
+    only in Z, so runs that hold the same sigma_S factor (mu, W, dropped)
+    object share the block's columns, with weights from their own Gibbs
+    block; runs with other factors stack their columns in Psi."""
     held, tilts = {}, {}
     for i, sectors in enumerate(runs):
-        for sector, gibbs in zip(sectors, _sector_thermal(sectors, params, t0, beta, tilts)):
+        for sector, gibbs in zip(sectors, _sector_thermal(sectors, params, t0, tilts)):
             held.setdefault(sector.key, (sector, []))[1].append((i, sector.mult, gibbs))
     for sector, holders in held.values():
         cols, ys, members = {}, [], []
         for i, mult, (R, lam) in holders:
-            owner = next((j for j in cols if _same_factor(factors[j], factors[i])), i)
-            if owner not in cols:
+            key, (mu, W, _) = id(factors[i]), factors[i]
+            if key not in cols:
                 start = sum(x.shape[1] for x in ys)
-                ys.append(_product_factor(R, factors[owner][1]))
-                cols[owner] = slice(start, start + ys[-1].shape[1])
-            w = np.multiply.outer(lam, factors[owner][0]).ravel()
-            members.append((i, mult, w, float(w.sum()), cols[owner]))
+                ys.append(_product_factor(R, W))
+                cols[key] = slice(start, start + ys[-1].shape[1])
+            w = np.multiply.outer(lam, mu).ravel()
+            members.append((i, mult, w, float(w.sum()), cols[key]))
         yield sector, ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1), members
 
 
@@ -717,11 +711,10 @@ def _run_impulse(params, schedule, system, runs, config):
     kicked system vectors in one stacked evaluation (_kicked_vectors)."""
     t1 = schedule.t1
     half = params.T / 2
-    in_first = t1 < half
-    t0, beta = (0.0, params.beta_c) if in_first else (half, params.beta_h)
+    t0 = params.stroke_start(t1)
     a, b, n = _engine_chain(params, t0, t1, _resolve_dt(params, system, config, half)[0])
     tilts = {}
-    gibbs = [_sector_thermal(sectors, params, t0, beta, tilts) for sectors in runs]
+    gibbs = [_sector_thermal(sectors, params, t0, tilts) for sectors in runs]
     distinct = {s.key: (s, R) for sectors, blocks in zip(runs, gibbs)
                 for s, (R, _) in zip(sectors, blocks)}
     kicked = {k: (s.vr_vals, s.vr_vecs.conj().T @ s.lift(a, b) @ R)
@@ -740,7 +733,7 @@ def _run_impulse(params, schedule, system, runs, config):
         # first) leaves the measured diagonal of sigma_S unchanged.
         e_final = _system_energy(sigma_s, system)
         energies = [{"t": 0.0, "system_energy": 0.0},
-                    {"t": half, "system_energy": e_final if in_first else 0.0},
+                    {"t": half, "system_energy": e_final if t0 == 0.0 else 0.0},
                     {"t": params.T, "system_energy": e_final}]
         out.append((sigma_s, diag, energies))
     return out
@@ -764,18 +757,18 @@ def _run_smooth(params, schedule, system, runs, config):
     trace_rows = [{} for _ in runs]
     ranks = [[] for _ in runs]
     walls = []
-    for t_start, beta in ((0.0, params.beta_c), (half, params.beta_h)):
+    for t_start in params.start_values:
         wall = time.perf_counter()
-        # one factor per distinct sigma_S: stroke 1 has one ground state for all runs
-        made = {id(s): _system_factor(s) for s in {id(s): s for s in sigmas}.values()}
+        # one factor per distinct sigma_S, by value: stroke 1 has one ground
+        # state for all runs, and runs of equal sigma_S share their blocks
         factors = []
         for i, sigma_s in enumerate(sigmas):
-            mu, W, dropped = made[id(sigma_s)]
-            diags[i].dropped_weight += dropped
-            factors.append((mu, W))
+            same = [f for s, f in zip(sigmas, factors) if np.array_equal(s, sigma_s)]
+            factors.append(same[0] if same else _system_factor(sigma_s))
+            diags[i].dropped_weight += factors[i][2]
             ranks[i].append([])
         sigmas = [np.zeros((dS, dS), dtype=complex) for _ in runs]
-        for sector, y, members in _shared_blocks(runs, factors, params, t_start, beta):
+        for sector, y, members in _shared_blocks(runs, factors, params, t_start):
 
             def sample(ks, X, members=members):
                 for i, mult, tr0, red in _merged(diags, X, members):

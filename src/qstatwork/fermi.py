@@ -32,16 +32,14 @@ class FermiEnsemble:
     """N two-level fermions in a harmonic trap plus their internal engine.
 
     Only fermi_outcoupled_work reads the engine: f_N and the lambda
-    tables depend on the trap alone.  level_count bounds the trap
-    truncation; with the default (None) it is chosen so the canonical
-    weight beyond the kept levels is < 1e-10.
+    tables depend on the trap alone, truncated (_auto_levels) so that the
+    canonical weight beyond the kept levels is < 1e-10.
     """
 
     N: int
     omega_trap: float
     beta_com: float
     engine: EngineParams = None
-    level_count: int = None
 
     def __post_init__(self):
         if isinstance(self.N, bool) or not float(self.N).is_integer() or self.N < 1:
@@ -51,22 +49,15 @@ class FermiEnsemble:
             raise ValueError("omega_trap must be positive")
         if self.beta_com < 0:
             raise ValueError("beta_com must be >= 0 (inf allowed)")
-        if self.level_count is None:
-            object.__setattr__(self, "level_count", self._auto_levels())
-        if self.level_count < self.N:
-            raise ValueError(
-                f"level_count {self.level_count} < N = {self.N}: not enough trap "
-                "levels to host every atom singly"
-            )
+        if not self.beta_omega > 0:
+            raise DomainError("beta_com * omega_trap must be positive for finite T")
 
     def _auto_levels(self) -> int:
+        """The trap levels kept, at least N, so that every atom fits singly."""
         base = (self.N + 1) // 2
         if math.isinf(self.beta_com):
             return max(self.N, base + 1)
-        bw = self.beta_com * self.omega_trap
-        if bw <= 0:
-            raise DomainError("beta_com * omega_trap must be positive for finite T")
-        quanta = int(math.ceil((34.0 + 0.7 * self.N) / bw))
+        quanta = int(math.ceil((34.0 + 0.7 * self.N) / self.beta_omega))
         return max(self.N, base + quanta)
 
     @property
@@ -96,7 +87,7 @@ def active_distribution(ens: FermiEnsemble) -> np.ndarray:
     log_c[0, 0] = 0.0
     single = np.full_like(log_c, -np.inf)
     double = np.full_like(log_c, -np.inf)
-    for level in range(ens.level_count):
+    for level in range(ens._auto_levels()):
         e = bw * (level + 0.5)
         single[1:, 1:] = log_c[:-1, :-1] + (math.log(2.0) - e)
         double[2:] = log_c[:-2] - 2.0 * e

@@ -31,11 +31,12 @@ class Statistics(str, enum.Enum):
 # ---------------------------------------------------------------------------
 
 class StrokeStart(NamedTuple):
-    """The drive at a stroke start: Omega, E_t and theta_t."""
+    """The drive at a stroke start, Omega, E_t and theta_t, and the beta of the bath there."""
 
     omega: float
     energy: float
     theta: float
+    beta: float
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class EngineParams:
         for name in ("Omega0", "Delta", "v", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.T <= 0:
+        if self.T / 2 <= 0:     # T = 5e-324 too: two stroke starts need T/2 > 0
             raise ValueError(f"cycle period T must be positive, got {self.T}")
         if self.Delta < 0:
             raise ValueError(f"Delta must be >= 0, got {self.Delta}")
@@ -103,9 +104,11 @@ class EngineParams:
     @cached_property
     def start_values(self) -> dict:
         """{t0: StrokeStart} at the stroke starts t0 = 0 and T/2: constants of
-        the drive, taken once from `omega`, `energy` and `theta`."""
-        return {t0: StrokeStart(self.omega(t0), float(self.energy(t0)), float(self.theta(t0)))
-                for t0 in (0.0, self.T / 2)}
+        the drive, taken once from `omega`, `energy` and `theta`, and the one
+        place that pairs a stroke with its bath, beta_c at t0 = 0 and beta_h at T/2."""
+        return {t0: StrokeStart(self.omega(t0), float(self.energy(t0)), float(self.theta(t0)),
+                                beta)
+                for t0, beta in ((0.0, self.beta_c), (self.T / 2, self.beta_h))}
 
     def omega(self, t):
         """The piecewise-linear gap sweep, exactly linear within each stroke:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import analytics, fermi as fermi_mod
-from .dynamics import PropagatorConfig, run_cycle, run_cycles
-from .errors import ConfigError, QstatworkError
+from .dynamics import SAMPLE_EVERY, PropagatorConfig, run_cycle, run_cycles
+from .errors import ConfigError, DegenerateHamiltonianError, DomainError, QstatworkError
 from .protocols import (
     EngineParams,
     ExternalSystem,
@@ -242,7 +242,7 @@ def build_engine(cfg: dict) -> EngineParams:
     beta_c_E0, beta_h_EH = f.pop("beta_c_E0"), f.pop("beta_h_EH")
     # the drive alone, at placeholder temperatures, sets E_0 and E_T/2
     drive = EngineParams(**f, beta_c=1.0, beta_h=0.0)
-    e_0, e_half = math.hypot(drive.Omega0, drive.Delta), math.hypot(drive.omega_half, drive.Delta)
+    e_0, e_half = (drive.start_values[t0].energy for t0 in (0.0, drive.T / 2))
     for name, t, energy in (("beta_c_E0", "0", e_0), ("beta_h_EH", "T/2", e_half)):
         if energy == 0:
             raise ConfigError(f"engine.{name} is in units of E({t}), which is 0 for this drive")
@@ -1045,7 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(flag, dest=f"{section}.{key}", **options)
     p_ev.add_argument("--statistics", choices=[s.value for s in Statistics], default="bose")
     p_ev.add_argument("--dt", type=float)
-    p_ev.add_argument("--trace", help="write per-step trace CSV to this path (plateau only)")
+    p_ev.add_argument("--trace", help=f"write a trace CSV to this path: a row every "
+                      f"{SAMPLE_EVERY} steps and at each stroke's last step (plateau only)")
 
     # --out on the commands that write files, --config and --seed only where read
     p_fe = add_parser("fermi", help="fermionic parity-law lambda tables")
@@ -1091,7 +1092,8 @@ def cli_main(argv=None) -> int:
     _one_blas_thread()
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateHamiltonianError, DomainError) as exc:
+        # a malformed document, or a gap that closes or a value outside the domain
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QstatworkError as exc:
@@ -1147,6 +1149,8 @@ def _dispatch(args) -> int:
         rows = list(region.rows())
         _write_dataset(out_dir, ["delta_over_omega0", "omegaT", "N", "enhanced"], rows,
                        {"command": "region", "n_values": list(args.n_values),
+                        "delta_over_omega0": region.delta_over_omega0.tolist(),
+                        "omegaT": region.omega_T.tolist(),
                         "quadrature": region.quadrature._asdict()})
         print(f"wrote {len(rows)} rows to {out_dir}/data.csv")
         return 0

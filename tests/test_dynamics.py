@@ -222,7 +222,7 @@ class TestThermalReset:
         for delta in (0.0, 0.4):
             p = engine(3, delta)
             for t0, beta in ((0.0, p.beta_c), (T / 2, p.beta_h)):
-                (block,) = _sector_thermal(_build_sectors(p, qw.Statistics.BOSE), p, t0, beta)
+                (block,) = _sector_thermal(_build_sectors(p, qw.Statistics.BOSE), p, t0)
                 ref = gibbs(engine_hamiltonian(p, t0, DickeSector(3)), beta)
                 assert np.max(np.abs(dense(*block) - ref)) < 1e-13
                 # distinguishable: the 2^N Gibbs state is the direct sum of
@@ -231,7 +231,7 @@ class TestThermalReset:
                 # to its weight, and together their weights lam carry the
                 # 2^N spectrum.
                 sectors = _build_sectors(p, qw.Statistics.DISTINGUISHABLE)
-                blocks = _sector_thermal(sectors, p, t0, beta)
+                blocks = _sector_thermal(sectors, p, t0)
                 for s, (R, lam) in zip(sectors, blocks):
                     assert dyn._isometry_drift(R) < 1e-14
                     ref = gibbs(engine_hamiltonian(p, t0, DickeSector(s.dim - 1)), beta)
@@ -485,7 +485,7 @@ class TestRunCycleSmooth:
         N, dS = 2, 6
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
-        (gibbs_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        (gibbs_e,) = _sector_thermal([sector], p, T / 2)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         sigma = a @ a.conj().T / np.trace(a @ a.conj().T).real
         mu, W = np.linalg.eigh(sigma)
@@ -536,7 +536,7 @@ class TestRunCycleSmooth:
         mu, W = np.ones(1), np.eye(system.dim)[:, :1]
         for chain_dim in PATHS.values():
             monkeypatch.setattr(dyn, "CHAIN_DIM", chain_dim)
-            for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0, p.beta_c)):
+            for sector, gibbs_e in zip(sectors, _sector_thermal(sectors, p, 0.0)):
                 y = _product_factor(gibbs_e[0], W)
                 before = y.copy()
                 out = _split_evolve(sector, system, p,
@@ -622,7 +622,7 @@ class TestBlockPath:
         monkeypatch.setattr(dyn, "CHAIN_DIM", PATHS[path])
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
-        (gibbs_e,) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        (gibbs_e,) = _sector_thermal([sector], p, T / 2)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         y = _product_factor(gibbs_e[0], W)
@@ -688,7 +688,7 @@ class TestBlockPath:
         p, system = engine(1, 0.7), ho(4)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
         assert sector.dim * system.dim <= dyn.CHAIN_DIM
-        (gibbs_e,) = _sector_thermal([sector], p, 0.0, p.beta_c)
+        (gibbs_e,) = _sector_thermal([sector], p, 0.0)
         y = _product_factor(gibbs_e[0], np.eye(4)[:, :1])
         n = 20_000
         tracemalloc.start()
@@ -709,7 +709,7 @@ class TestStackedSamples:
         """A Bose block and a full-rank stroke-2 factor of it."""
         p, system = engine(N, delta), ho(dS)
         (sector,) = _build_sectors(p, qw.Statistics.BOSE)
-        ((R, lam),) = _sector_thermal([sector], p, T / 2, p.beta_h)
+        ((R, lam),) = _sector_thermal([sector], p, T / 2)
         a = np.random.default_rng(3).normal(size=(dS, dS, 2)) @ [1, 1j]
         mu, W = np.linalg.eigh(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         return p, system, sector, _product_factor(R, W), np.multiply.outer(lam, mu).ravel()
@@ -920,6 +920,20 @@ class TestRunCycles:
         # stacks the two runs' columns of spin 1
         assert calls == {"lift": 4, "sigma": 3, "factor": 5}
 
+    def test_equal_states_decomposed_once(self, monkeypatch):
+        # N = 1: both runs hold the one spin-1/2 block, so their stroke-2
+        # sigma_S are equal and decomposed once, one factor for the two
+        calls = []
+        factor = dyn._system_factor
+
+        def counted(sigma_s):
+            calls.append(sigma_s)
+            return factor(sigma_s)
+
+        monkeypatch.setattr(dyn, "_system_factor", counted)
+        run_cycles(*self.case(1, 0.7, "smooth"))
+        assert len(calls) == 2
+
 def flip_tilt(monkeypatch):
     # the Gibbs blocks tilted by exp(+i chi sigma_y / 2)
     monkeypatch.setattr(dyn, "_su2_y", lambda chi: (np.cos(chi / 2), np.sin(chi / 2)))
@@ -1000,10 +1014,15 @@ class TestDenseCycleOracle:
             assert all(gaps[k] <= b for k, b in bounds.items()), (stats, gaps)
 
     def test_pair_negative_control(self, monkeypatch, oracle_gaps):
-        # the distinguishable run takes the Bose run's stroke-2 factor, of
-        # another sigma_S, for the block the two share
+        # the distinguishable run is handed the Bose run's stroke-2 factor
+        # object, of another sigma_S, for the block the two share
         oracle_gaps(2, 0.4, ORACLE_PLATEAU, DIST)          # the oracle, before the fault
-        monkeypatch.setattr(dyn, "_same_factor", lambda a, b: True)
+        shared = dyn._shared_blocks
+
+        def bose_factor(runs, factors, params, t0):
+            return shared(runs, [factors[0]] * len(factors), params, t0)
+
+        monkeypatch.setattr(dyn, "_shared_blocks", bose_factor)
         _, dist = run_cycles(oracle_engine(2, 0.4), ORACLE_PLATEAU, ORACLE_SYSTEM)
         gaps = oracle_gaps(2, 0.4, ORACLE_PLATEAU, DIST, res=dist)
         assert gaps["work"] > 1e3 * ORACLE_BOUNDS["smooth"]["work"], gaps

@@ -28,8 +28,13 @@ def fig4_engine(beta_c=1.0, beta_h=None):
                            beta_c=beta_c, beta_h=beta_h or 0.125 / eh)
 
 
-def ens(N, bw, **kw):
-    return FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw, engine=fig4_engine(), **kw)
+def ens(N, bw):
+    return FermiEnsemble(N=N, omega_trap=1.0, beta_com=bw, engine=fig4_engine())
+
+
+def keep_levels(monkeypatch, n):
+    """Truncate the trap of every FermiEnsemble at n levels."""
+    monkeypatch.setattr(FermiEnsemble, "_auto_levels", lambda self: n)
 
 
 class TestEnumeration:
@@ -41,19 +46,21 @@ class TestEnumeration:
     def test_zero_temperature_odd(self):
         assert list(active_distribution(ens(3, math.inf))) == [0.0, 1.0, 0.0, 0.0]
 
-    def test_hand_computed_weights(self):
+    def test_hand_computed_weights(self, monkeypatch):
         # N = 2, beta omega = 3, b = e^-3, weights relative to (2,0,..) at E = 1:
         #   k = 0: (2,0,0) 1, (0,2,0) b^2, (0,0,2) b^4
         #   k = 2: (1,1,0) 4b, (1,0,1) 4b^2, (0,1,1) 4b^3  (Fock degeneracy 2^2)
         b = math.exp(-3.0)
-        P = active_distribution(ens(2, 3.0, level_count=2))
+        P = active_distribution(ens(2, 3.0))
+        # all levels: 4 sum_{l<m} b^(l+m) / sum_l b^(2l) = 4b / (1 - b)
+        assert P[2] / P[0] == pytest.approx(4 * b / (1 - b), rel=1e-12)
+        keep_levels(monkeypatch, 2)
+        P = active_distribution(ens(2, 3.0))
         assert P[2] / P[0] == pytest.approx(4 * b / (1 + b ** 2), rel=1e-12)
-        P = active_distribution(ens(2, 3.0, level_count=3))
+        keep_levels(monkeypatch, 3)
+        P = active_distribution(ens(2, 3.0))
         assert P[2] / P[0] == pytest.approx(
             4 * (b + b ** 2 + b ** 3) / (1 + b ** 2 + b ** 4), rel=1e-12)
-        # all levels: 4 sum_{l<m} b^(l+m) / sum_l b^(2l) = 4b / (1 - b)
-        P = active_distribution(ens(2, 3.0))
-        assert P[2] / P[0] == pytest.approx(4 * b / (1 - b), rel=1e-12)
 
     def test_weights_normalized(self):
         P = active_distribution(ens(4, 2.5))
@@ -69,19 +76,14 @@ class TestEnumeration:
             e = ens(N, bw)
             np.testing.assert_allclose(
                 active_distribution(e),
-                direct_active_distribution(N, e.level_count, bw),
+                direct_active_distribution(N, e._auto_levels(), bw),
                 rtol=1e-12, atol=0, err_msg=f"N = {N}, beta omega = {bw}")
 
-    def test_many_levels_high_temperature(self):
-        lam = f_N(FermiEnsemble(N=12, omega_trap=1.0, beta_com=0.05,
-                                engine=fig4_engine(), level_count=40))
+    def test_many_levels_high_temperature(self, monkeypatch):
+        keep_levels(monkeypatch, 40)
+        lam = f_N(ens(12, 0.05))
         assert math.isfinite(lam)
         assert 0.0 <= lam <= 12.0
-
-    def test_level_count_invariant(self):
-        with pytest.raises(ValueError, match="level_count"):
-            FermiEnsemble(N=5, omega_trap=1.0, beta_com=3.0,
-                          engine=fig4_engine(), level_count=4)
 
     def test_atom_count_is_an_integer(self):
         # 3.0 counts as 3; a fractional or bool count is refused, as by EngineParams
@@ -129,11 +131,11 @@ class TestFn:
         assert math.isfinite(lam)
         assert abs(lam / parity_asymptote(40, 20.0) - 1) < 0.1
 
-    def test_level_truncation_stable(self):
-        e1 = ens(3, 2.0)
-        e2 = FermiEnsemble(N=3, omega_trap=1.0, beta_com=2.0,
-                           engine=fig4_engine(), level_count=e1.level_count + 2)
-        assert abs(f_N(e1) - f_N(e2)) < 1e-10
+    def test_level_truncation_stable(self, monkeypatch):
+        e = ens(3, 2.0)
+        lam = f_N(e)
+        keep_levels(monkeypatch, e._auto_levels() + 2)
+        assert abs(lam - f_N(e)) < 1e-10
 
 
 class TestFermiWork:

@@ -120,13 +120,12 @@ class TestThermalState:
     def test_zero_temperature_projector(self):
         # the package's Gibbs blocks at beta = inf: the projector onto the
         # ground state m = -N/2 of H_E, which only the top spin block holds
-        p = _params(N=3, Omega0=1.0, Delta=0.4)
+        p = _params(N=3, Omega0=1.0, Delta=0.4, beta_c=math.inf)
         _, P = np.linalg.eigh(engine_hamiltonian(p, 0.0, DickeSector(3)))
         ground = np.outer(P[:, 0], P[:, 0].conj())
-        (bose,) = dyn._sector_thermal(dyn._build_sectors(p, qw.Statistics.BOSE), p, 0.0,
-                                      math.inf)
+        (bose,) = dyn._sector_thermal(dyn._build_sectors(p, qw.Statistics.BOSE), p, 0.0)
         top, low = dyn._sector_thermal(dyn._build_sectors(p, qw.Statistics.DISTINGUISHABLE),
-                                       p, 0.0, math.inf)
+                                       p, 0.0)
         for R, lam in (bose, top):
             assert np.max(np.abs((R * lam) @ R.conj().T - ground)) < 1e-15
         assert not low[1].any()

@@ -317,9 +317,6 @@ def test_detects_unpassed_default():
 
 # tests drive the CLI through cli_main(argv); the console script passes none
 UNPASSED_DEFAULTS_ALLOWED = {("sweeps", "cli_main", "argv")}
-# of dataclass fields: tests cut the trap short for the enumeration oracle;
-# the package sizes it from the canonical weight it drops
-UNPASSED_FIELD_DEFAULTS_ALLOWED = {("fermi", "FermiEnsemble", "level_count")}
 
 
 def test_every_default_is_passed_somewhere():
@@ -329,8 +326,7 @@ def test_every_default_is_passed_somewhere():
     # out (rely on it) is beyond this rule
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qstatwork").glob("*.py")}
     callers = [*sources.values(), *(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))]
-    assert set(unpassed_defaults(sources, callers)) == (
-        UNPASSED_DEFAULTS_ALLOWED | UNPASSED_FIELD_DEFAULTS_ALLOWED)
+    assert set(unpassed_defaults(sources, callers)) == UNPASSED_DEFAULTS_ALLOWED
 
 
 def second_names(source: str) -> list:
@@ -468,6 +464,28 @@ def test_package_reads_no_environment(path):
     # document, flag or manifest shows; the worker count comes from the
     # affinity mask, which a manifest records
     assert environment_reads(path.read_text()) == []
+
+
+def bath_reads(source: str) -> list:
+    """Line numbers at which `source` reads a bath temperature of the drive,
+    `beta_c` or `beta_h`, as an attribute."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in ("beta_c", "beta_h"))
+
+
+def test_detects_bath_read():
+    assert bath_reads(
+        "x = p.beta_c * e\nreplace(p, beta_h=1.0)\nb = p.start_values[t0].beta\n"
+        "y = p.beta_c if t0 == 0.0 else p.beta_h\nbeta_c = 2\n") == [1, 4, 4]
+
+
+def test_only_protocols_reads_the_baths():
+    # EngineParams.start_values is the one place that pairs a stroke start
+    # with its bath (t0 = 0 with beta_c, T/2 with beta_h); every other
+    # module takes beta from that record
+    readers = {p.stem for p in (ROOT / "src" / "qstatwork").glob("*.py")
+               if bath_reads(p.read_text())}
+    assert readers == {"protocols"}
 
 
 def test_import_loads_no_scipy_or_mpmath():

@@ -95,6 +95,16 @@ class TestOmegaOfT:
         with pytest.raises(ValueError, match="energy scale"):
             dataclasses.replace(fig2_params(), **changes)
 
+    def test_each_stroke_start_has_its_own_bath(self):
+        # start_values pairs t0 = 0 with beta_c and T/2 with beta_h; the one
+        # positive period whose half rounds to 0 left one record, at beta_h
+        p = fig2_params()
+        assert [(t0, s.beta) for t0, s in p.start_values.items()] == [
+            (0.0, p.beta_c), (p.T / 2, p.beta_h)]
+        for T in (0.0, -1.0, 5e-324):
+            with pytest.raises(ValueError, match="cycle period T must be positive"):
+                dataclasses.replace(p, T=T)
+
     def test_energy_scale_taken_once_per_object(self):
         # the validation takes it, and the step rule reads the same value;
         # a replaced drive takes its own

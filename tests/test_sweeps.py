@@ -605,6 +605,20 @@ class TestCli:
             assert sw.cli_main(argv) == 2
             assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analytic", "--omega0", "-1"], "a Delta = 0 sweep needs Omega >= 0"),
+        (["analytic", "--omega0", "1", "--v", "-0.2"], "a Delta = 0 sweep needs Omega >= 0"),
+        (["fermi", "--bw-min", "0"], "beta_com * omega_trap must be positive"),
+    ], ids=["negative-omega0", "gap-closes-mid-stroke", "fermi-zero-bw"])
+    def test_out_of_domain_exit_2(self, tmp_path, capsys, argv, message):
+        # a Delta = 0 gap that closes (DegenerateHamiltonianError) and an
+        # infinite COM temperature (DomainError) exited 1 as run failures
+        out = tmp_path / "out"
+        assert sw.cli_main([*argv, "--out", str(out)] if argv[0] == "fermi" else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"config error: {message}"), captured.err
+
     @pytest.mark.parametrize("N, message", [
         ("4", "the drive's energy scale"), ("1", "a span of")],
         ids=["energy-scale", "step-count"])
@@ -812,9 +826,15 @@ class TestCli:
         lines = (tmp_path / "data.csv").read_text().splitlines()
         assert lines[0] == "delta_over_omega0,omegaT,N,enhanced"
         assert len(lines) == 1 + 3 * 4
-        quadrature = json.loads((tmp_path / "manifest.json").read_text())["quadrature"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        quadrature = manifest["quadrature"]
         assert set(quadrature) == {"panels", "refinements", "last_delta"}
         assert quadrature["panels"] > 0 and quadrature["refinements"] == 0
+        # the manifest records the grid: its values are the CSV's distinct columns
+        rows = [line.split(",") for line in lines[1:]]
+        for col, key in enumerate(("delta_over_omega0", "omegaT")):
+            assert manifest[key] == sorted({float(r[col]) for r in rows})
+            assert len(manifest[key]) == (3, 4)[col]
 
     def test_fermi_cli(self, tmp_path):
         rc = sw.cli_main(["fermi", "--out", str(tmp_path), "--n-values", "2",
